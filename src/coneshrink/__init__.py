@@ -40,9 +40,6 @@ from .jets import (
     arctan_term_at_zero,
     compose,
     enumerate_partitions,
-    eta_jet,
-    h_composition_jet,
-    lambda_values,
 )
 from .series import (
     EpsilonPolynomial,

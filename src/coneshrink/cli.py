@@ -226,7 +226,7 @@ def cmd_solve(args):
     fam = _family_from_args(args)
     prec = args.precision if args.precision is not None else _default_precision()
     config = ivp.SolverConfig(tol=args.tol, profile_mode=_mode(args),
-                              series_K=args.K if args.K else 36,
+                              series_K=args.K, series_prec=prec,
                               correction_N=args.N,
                               precision_bits=prec)
     d_target = _parse_d_target(args.to_d, fam)

@@ -15,11 +15,12 @@ algorithms:
   (d/ds)^m f(g(s)) = sum_l C(m,l) f^(l)(g) (d/dh)^{m-l} q(h)^l |_{h=0}
   with q(h) = (g(s+h) - g(s))/h.
 
-The module also carries the specialized derivative formulas the series
-recursion needs: Lambda_p(x) = sin(p*asin(1/sqrt(1+4x^2)))/(1+4x^2)^{p/2}
-(so that eta(x) = 1/(1+4x^2) has (d/dx)^p eta = (-2)^p p! Lambda_{p+1}),
-jets of eta(s*gamma'(s)), derivatives of arctan(2*s*gamma') at s = 0, and
-jets of H(gamma(s)).
+The series engine (:class:`coneshrink.series.TaylorRecursion`) does not use
+this module: it extends truncated Taylor series one order at a time.  What
+stays here are the independent oracles the tests cross-check it against --
+the partition enumeration, both composition algorithms, and the partition
+form of the arctan term (d/ds)^k {2s d/ds arctan(2 s gamma'(s))}(0).  Their
+cost grows with the number of partitions of k, like exp(pi sqrt(2k/3)).
 
 All kernels are ring-generic: values may be floats, mpmath floats, or
 truncated epsilon-polynomials; combinatorial factors are exact integers.
@@ -29,14 +30,12 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .catalog import CurvatureProfile, curvature_derivative
 from .errors import (
     BasepointMismatch,
     InsufficientOrder,
     OrderMismatch,
     OutOfRange,
 )
-from .numutil import DOUBLE_PREC
 
 
 # ---------------------------------------------------------------------------
@@ -306,80 +305,8 @@ def compose(f_jet: Jet, g_jet: Jet, algorithm: str = "partition") -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# Specialized pieces
+# The arctan term by partitions
 # ---------------------------------------------------------------------------
-
-def lambda_values(x, p_max: int):
-    """[Lambda_1(x), ..., Lambda_{p_max}(x)] for x >= 0.
-
-    Lambda_{p}(x) = sin(p*alpha)/(1+4x^2)^{p/2} with sin(alpha) = 1/sqrt(1+4x^2);
-    sin(p*alpha) runs through the three-term recurrence
-    sin(p a) = 2 cos(a) sin((p-1)a) - sin((p-2)a).  Consistent with
-    (d/dx)^p eta(x) = (-2)^p p! Lambda_{p+1}(x) for eta = 1/(1+4x^2).
-    """
-    if x < 0:
-        raise OutOfRange(f"lambda_values requires x >= 0, got {x!r}")
-    if p_max < 1:
-        raise OutOfRange("p_max must be >= 1")
-    one_plus = 1 + 4 * x * x
-    r = 1 / _generic_sqrt(one_plus)   # = sin(alpha), also the decay ratio
-    cos_a = 2 * x * r
-    s_prev, s_cur = 0.0 * r, r        # sin(0*a), sin(1*a)
-    rp = r
-    out = [s_cur * rp]
-    for _ in range(2, p_max + 1):
-        s_prev, s_cur = s_cur, 2 * cos_a * s_cur - s_prev
-        rp = rp * r
-        out.append(s_cur * rp)
-    return out
-
-
-def _generic_sqrt(x):
-    if isinstance(x, (int, float)):
-        return math.sqrt(x)
-    import mpmath
-    if isinstance(x, mpmath.mpf):
-        return mpmath.sqrt(x)
-    return x ** 0.5
-
-
-def _sgamma_jet(s, gamma_jet: Jet, m: int) -> Jet:
-    """Jet of w(s) = s*gamma'(s): w^(j) = s*gamma^(j+1) + j*gamma^(j)."""
-    if gamma_jet.order < m + 1:
-        raise InsufficientOrder(
-            f"eta jet of order {m} needs gamma derivatives through {m + 1}, "
-            f"got order {gamma_jet.order}"
-        )
-    g = gamma_jet.derivs
-    return Jet(tuple(s * g[j + 1] + j * g[j] for j in range(m + 1)))
-
-
-def eta_jet(s, gamma_jet: Jet, m: int, method: str = "compose") -> Jet:
-    """Derivatives through order m of eta(s*gamma'(s)), eta(x) = 1/(1+4x^2).
-
-    ``compose`` builds the outer eta jet algebraically (reciprocal of
-    1 + 4x^2) and composes generically; ``lambda_sum`` evaluates the specialized
-    partition sum with Lambda factors.  The two must agree to rounding.
-    """
-    if s < 0:
-        raise OutOfRange(f"eta_jet requires s >= 0, got {s!r}")
-    w = _sgamma_jet(s, gamma_jet, m)
-    x0 = w.value
-    if method == "compose":
-        u = identity_jet(x0, m)
-        eta_outer = (1 + 4 * (u * u)).reciprocal()
-        return compose(eta_outer, w)
-    if method == "lambda_sum":
-        lam = lambda_values(x0, m + 1)
-        eta0 = lam[0]
-        outer = [eta0]
-        fact = 1
-        for p in range(1, m + 1):
-            fact *= p
-            outer.append(((-2) ** p * fact) * lam[p])
-        return compose(Jet(tuple(outer)), w)
-    raise OutOfRange(f"unknown eta_jet method {method!r}")
-
 
 def _arctan_term_impl(gamma_derivs_at_zero, k: int, absolute: bool):
     if k == 0:
@@ -414,46 +341,14 @@ def arctan_term_at_zero(gamma_derivs_at_zero, k: int):
 
     ``gamma_derivs_at_zero`` lists gamma'(0), gamma''(0), ...; entries may be
     scalars or epsilon-polynomials.  Only odd partition levels survive at
-    s = 0 (Lambda_l(0) = sin(l*pi/2)), with alternating sign.
+    s = 0 (arctan^(l)(0) = (l-1)! sin(l*pi/2)), with alternating sign.
     """
     return _arctan_term_impl(gamma_derivs_at_zero, k, absolute=False)
 
 
 def arctan_term_abs_mass(gamma_derivs_at_zero, k: int):
     """Sum of term magnitudes of :func:`arctan_term_at_zero`: feed it absolute
-    values to bound the cancellation in the signed sum."""
+    values to bound the cancellation in the signed sum.  No caller in the
+    package; the per-layer tracing in ``perfbench/tracing.py`` wraps it by
+    name together with the other two partition kernels."""
     return _arctan_term_impl(gamma_derivs_at_zero, k, absolute=True)
-
-
-def h_composition_jet(profile: CurvatureProfile, gamma_jet: Jet, m: int,
-                      prec: int = DOUBLE_PREC, method: str = "partition") -> Jet:
-    """Derivatives through order m of H(gamma(s)); outer derivatives come from
-    the closed-form profile, inner data from the gamma jet."""
-    if gamma_jet.order < m:
-        raise InsufficientOrder(
-            f"gamma jet order {gamma_jet.order} below requested order {m}"
-        )
-    x0 = gamma_jet.value
-    outer = Jet(
-        tuple(curvature_derivative(profile, x0, l, prec) for l in range(m + 1)),
-        basepoint=x0,
-    )
-    inner = gamma_jet if gamma_jet.order == m else gamma_jet.truncate(m)
-    return compose(outer, inner, algorithm=method)
-
-
-def jet_power_bound_ratio(u_jet: Jet, exponent: int, m_scale: float):
-    """Diagnostic for the product bound: with inputs satisfying
-    |u^(j)| <= M^{j-1} j!^2/(j+1)^2, powers obey
-    |(u^l)^(j)| <= (C/M)^{l-1} M^{j-1} j!^2/(j+1)^2, C = 4*pi^2/6 * ... = 2*pi^2/3.
-
-    Returns the max over j of |(u^l)^(j)| / bound_j (<= 1 when the bound holds).
-    """
-    c_univ = 4 * (math.pi ** 2 / 6.0)
-    p = u_jet.power(exponent)
-    worst = 0.0
-    for j, val in enumerate(p.derivs):
-        bound = ((c_univ / m_scale) ** (exponent - 1) * m_scale ** (j - 1)
-                 * math.factorial(j) ** 2 / (j + 1) ** 2)
-        worst = max(worst, abs(float(val)) / bound)
-    return worst

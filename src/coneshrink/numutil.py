@@ -59,9 +59,6 @@ class RealContext:
     def cos(self, x):
         return self._call(math.cos, mpmath.cos, x)
 
-    def tan(self, x):
-        return self._call(math.tan, mpmath.tan, x)
-
     def cot(self, x):
         if self.is_mp:
             with mpmath.workprec(self.prec):
@@ -79,18 +76,6 @@ class RealContext:
 
     def sqrt(self, x):
         return self._call(math.sqrt, mpmath.sqrt, x)
-
-    def atan(self, x):
-        return self._call(math.atan, mpmath.atan, x)
-
-    def acos(self, x):
-        return self._call(math.acos, mpmath.acos, x)
-
-    def fabs(self, x):
-        return abs(x)
-
-    def to_float(self, x) -> float:
-        return float(x)
 
 
 def decimal_str(x, prec: int) -> str:
@@ -153,20 +138,3 @@ def atomic_write_text(path, text):
             pass
         raise
     return path
-
-
-def hermite_segment_integral(fa, fb, dfa, dfb, a, b, weight=None):
-    """Integral over [a, b] of w(t) * p(t), p the cubic Hermite matching
-    (fa, dfa) at a and (fb, dfb) at b; ``weight`` maps t to w(t) (default 1)."""
-    h = b - a
-    total = 0.0
-    for x, wgt in zip(GAUSS4_NODES, GAUSS4_WEIGHTS):
-        h00 = (1 + 2 * x) * (1 - x) ** 2
-        h10 = x * (1 - x) ** 2
-        h01 = x * x * (3 - 2 * x)
-        h11 = x * x * (x - 1)
-        p = h00 * fa + h10 * h * dfa + h01 * fb + h11 * h * dfb
-        t = a + x * h
-        w = 1.0 if weight is None else weight(t)
-        total += wgt * w * p
-    return total * h

@@ -7,10 +7,13 @@ recursion
     A_1 = H(0),
     A_{k+1} = 2nk A_k + (d/ds)^k { H(gamma) - 2k arctan(2 s gamma') } (0),
 
-with derivative terms evaluated through the partition machinery of
-:mod:`coneshrink.jets` at gamma^(j)(0) = A_j.  The series diverges like a
-Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
-diagnostics and optimally truncated evaluation.
+evaluated by truncated Taylor arithmetic (:class:`TaylorRecursion`): the
+Taylor series of H(gamma) and arctan(2 s gamma') grow by one coefficient per
+A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  The rounding
+error is measured, not modelled: the recursion runs a second time at 64 more
+bits and the relative difference is kept per coefficient.  The series
+diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides
+the growth diagnostics and optimally truncated evaluation.
 
 The same recursion run in truncated epsilon-polynomial arithmetic determines
 the regularization corrections B_i: with initial slope
@@ -26,6 +29,7 @@ two-evaluation linear fit and cross-checked with a third point.
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +43,10 @@ from .errors import (
     OutOfRange,
     PrecisionExhausted,
 )
-from .jets import arctan_term_abs_mass, arctan_term_at_zero, fdb_kth_derivative
+# Unused here.  The per-layer tracing (perfbench/tracing.py) wraps these
+# kernels in every namespace that binds them, and its tests expect this
+# module among those namespaces.
+from .jets import arctan_term_abs_mass, arctan_term_at_zero, fdb_kth_derivative  # noqa: F401
 from .numutil import DOUBLE_PREC, RealContext, decimal_str, machine_eps, parse_real
 
 
@@ -106,14 +113,10 @@ class EpsilonPolynomial:
                 raise OutOfRange(
                     f"epsilon-polynomial degrees differ: {self.degree} vs {other.degree}"
                 )
-            n = self.degree
-            out = []
-            for k in range(n + 1):
-                acc = self.coeffs[0] * other.coeffs[k]
-                for i in range(1, k + 1):
-                    acc = acc + self.coeffs[i] * other.coeffs[k - i]
-                out.append(acc)
-            return EpsilonPolynomial(tuple(out))
+            a, b = self.coeffs, other.coeffs
+            dot = _dot_for(a[0])
+            return EpsilonPolynomial(tuple(dot(a[:k + 1], b[k::-1])
+                                           for k in range(self.degree + 1)))
         return EpsilonPolynomial(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -148,8 +151,8 @@ class FormalSeries:
     """Coefficients A_1..A_K with Gevrey diagnostics baked in.
 
     ``a`` stores A_{k} at index k-1 (floats at 53 bits, mpmath floats above).
-    ``rel_error_estimates`` carry the per-coefficient cancellation-based
-    rounding model kappa_k * 2^(1-prec)."""
+    ``rel_error_estimates`` carry the measured per-coefficient relative
+    difference from a run of the same recursion at ``precision_bits + 64``."""
 
     family: Optional[IsoparametricFamily]
     K: int
@@ -189,26 +192,143 @@ def _rho(a_k, k):
     return math.exp((ln - 2.0 * math.lgamma(k + 1)) / k)
 
 
-def _h_derivative_list(profile, upto, prec):
+# ---------------------------------------------------------------------------
+# Taylor engine
+# ---------------------------------------------------------------------------
+
+def _dot(xs, ys):
+    """sum_i xs[i] * ys[i], accumulated left to right from 0 (any ring)."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def _dot_for(value):
+    """Dot product for coefficients like ``value``: mpmath's fdot (exact
+    products, one rounding) for mpmath floats, else :func:`_dot`."""
+    return mpmath.fdot if isinstance(value, mpmath.mpf) else _dot
+
+
+def _self_dot(dot, c, m):
+    """[s^m] of the square of the series with coefficients c (needs c_0..c_m)."""
+    half = (m + 1) // 2
+    acc = 2 * dot(c[:half], c[m:m - half:-1])
+    if m % 2 == 0:
+        acc = acc + c[half] * c[half]
+    return acc
+
+
+class TaylorRecursion:
+    """Taylor coefficients at s = 0 of the nonlinear terms H(gamma(s)) and
+    arctan(2 s gamma'(s)), extended by one order per coefficient of gamma
+    (truncated Taylor arithmetic: Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13).
+
+    ``push(a_k)`` appends a_k = gamma^(k)(0) / k! (k = 1, 2, ...; gamma(0) = 0)
+    in O(k) ring operations and returns
+
+        T_k = 2nk a_k + [s^k] H(gamma) - 2k [s^k] arctan(2 s gamma'),
+
+    so the recursion reads a_{k+1} = T_k / (c (k+1)) with drift coefficient
+    c; ``t0`` = H(0) = T_0 starts it.  The rules are
+
+    * cot_sum: c_i = cot(theta_i + gamma) from c_i' = -(1 + c_i^2) gamma';
+    * eq030_literal: the pair C = cos u, S = sin u, u = g (theta1 + gamma),
+      from C' = -S u', S' = C u'; since u(0) = g theta1 lies in (0, pi),
+      sqrt(1 - f^2) = S for f = C, and H = ((n+g-1) C - g(m_minus-m_plus)/2) / S
+      is a series quotient;
+    * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
+
+    They divide only by integers and by values at s = 0, so the pushed
+    coefficients may be floats, mpmath floats or epsilon-polynomials.  Run
+    it inside the working precision of ``ctx``.
+    """
+
+    def __init__(self, profile: CurvatureProfile, ctx: RealContext):
+        fam = profile.family
+        self.n = fam.n
+        self.mode = profile.mode
+        self.ja = [0]       # j a_j, the coefficients of s gamma'
+        self.iz = [0]       # i z_i, z = arctan(w)
+        self.p = [1]        # [s^m] (1 + w^2)
+        self.dot = _dot     # fixed by the ring of the first pushed coefficient
+        if self.mode == COT_SUM:
+            self.mult = fam.multiplicities
+            self.cot = [[ctx.cot(th)] for th in fam.angles(ctx)]
+            self.q = [[] for _ in self.cot]          # [s^m] (1 + c_i^2)
+            self.t0 = sum(m_k * c[0] for m_k, c in zip(self.mult, self.cot))
+        else:
+            u0 = fam.g * ctx.convert(fam.theta1)
+            self.g = fam.g
+            self.cos = [ctx.cos(u0)]
+            self.sin = [ctx.sin(u0)]
+            self.lead = fam.n + fam.g - 1
+            self.quot = [(self.lead * self.cos[0]
+                          - fam.g * (fam.m_minus - fam.m_plus) / 2.0) / self.sin[0]]
+            self.t0 = self.quot[0]
+
+    def push(self, a_k):
+        k = len(self.ja)
+        if k == 1:
+            self.dot = _dot_for(a_k)
+        self.ja.append(k * a_k)
+        h_k = self._h_cot(k) if self.mode == COT_SUM else self._h_eq030(k)
+        # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
+        if k > 1:
+            self.p.append(4 * _self_dot(self.dot, self.ja, k - 1))
+        iz_k = 2 * k * self.ja[k] - self.dot(self.iz[1:k], self.p[k - 1:0:-1])
+        self.iz.append(iz_k)
+        return 2 * (self.n * self.ja[k] - iz_k) + h_k
+
+    def push_derivatives(self, derivs):
+        """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
+        k = len(derivs), and return k! T_k: the derivative form
+        2nk gamma^(k)(0) + (d/ds)^k{H(gamma) - 2k arctan(2 s gamma')}(0)."""
+        fact = math.factorial(len(self.ja) - 1)
+        t = None
+        for j in range(len(self.ja), len(derivs) + 1):
+            fact *= j
+            t = self.push(derivs[j - 1] / fact)
+        return t * fact
+
+    def _h_cot(self, k):
+        ja = self.ja[k:0:-1]
+        h_k = 0
+        for m_k, c, q in zip(self.mult, self.cot, self.q):
+            q.append(_self_dot(self.dot, c, k - 1) + (1 if k == 1 else 0))
+            c.append(-self.dot(ja, q) / k)
+            h_k = h_k + m_k * c[k]
+        return h_k
+
+    def _h_eq030(self, k):
+        ju = [self.g * x for x in self.ja[1:k + 1]]
+        cos_k = -self.dot(ju, self.sin[::-1]) / k
+        sin_k = self.dot(ju, self.cos[::-1]) / k
+        self.cos.append(cos_k)
+        self.sin.append(sin_k)
+        q_k = (self.lead * cos_k - self.dot(self.sin[k:0:-1], self.quot)) / self.sin[0]
+        self.quot.append(q_k)
+        return q_k
+
+
+def _taylor_coefficients(profile, K, prec, drift_coefficient):
+    """A_1..A_K at ``prec`` bits: a_{k+1} = T_k / (c (k+1)), A_k = k! a_k."""
     ctx = RealContext(prec)
-    zero = ctx.convert(0.0)
-    return [curvature_derivative(profile, zero, l, prec) for l in range(upto + 1)]
+    with ctx.workprec():
+        engine = TaylorRecursion(profile, ctx)
+        c = ctx.convert(drift_coefficient)
+        t = engine.t0
+        fact = ctx.convert(1)
+        out = []
+        for k in range(1, K + 1):
+            a_k = t / (c * k)
+            fact = fact * k
+            out.append(fact * a_k)
+            if k < K:
+                t = engine.push(a_k)
+    return out
 
 
-def _recursion_rhs(n, k, h_derivs, gd):
-    """A^eps_{k+1}: 2nk gamma^(k) + (d/ds)^k{H(gamma) - 2k arctan(2s gamma')}(0),
-    with gd = [gamma'(0), ..., gamma^(k)(0)] in any coefficient ring."""
-    inner = [0 * gd[0]] + list(gd)
-    d_h = fdb_kth_derivative(h_derivs[: k + 1], inner, k)
-    t_arc = arctan_term_at_zero(gd, k)
-    return (2 * n * k) * gd[k - 1] + d_h - t_arc
-
-
-def _recursion_abs_mass(n, k, h_derivs_abs, gd_abs):
-    inner = [0.0] + list(gd_abs)
-    d_h = fdb_kth_derivative(h_derivs_abs[: k + 1], inner, k)
-    t_arc = arctan_term_abs_mass(gd_abs, k)
-    return (2 * n * k) * gd_abs[k - 1] + d_h + t_arc
+# the shadow run that measures the rounding error of the working-precision run
+SHADOW_EXTRA_BITS = 64
 
 
 def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
@@ -219,46 +339,38 @@ def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
 
     ``drift_coefficient`` c replaces the drift factor (1 - 2ns) by (c - 2ns),
     which rescales the solution; it exists for the rescaling cross-check and
-    defaults to 1.  Raises :class:`PrecisionExhausted` when the tracked
-    cancellation mass says a coefficient has fewer than about six reliable
-    digits left.
+    defaults to 1.  The same recursion is run again at ``prec + 64`` bits and
+    the measured relative difference is stored per coefficient; raises
+    :class:`PrecisionExhausted` when a coefficient overflows or that
+    difference crosses ``rel_error_limit``.
     """
     if K < 1:
         raise OutOfRange("K must be >= 1")
     profile = CurvatureProfile(family, profile_mode)
-    ctx = RealContext(prec)
-    eps_m = machine_eps(prec)
-    with ctx.workprec():
-        h_derivs = _h_derivative_list(profile, max(K - 1, 0), prec)
-        c = ctx.convert(drift_coefficient)
-        a1 = h_derivs[0] / c
-        gd = [a1]
-        # cancellation audit runs in binary64 (it is only an estimate); a float
-        # overflow in the mass disables the check rather than poisoning it
-        h_abs = [abs(float(h)) for h in h_derivs]
-        gd_abs = [abs(float(a1))]
-        rel_errs = [float(2 * eps_m)]
-        for k in range(1, K):
-            a_next = _recursion_rhs(family.n, k, h_derivs, gd) / c
-            mass = _recursion_abs_mass(family.n, k, h_abs, gd_abs) / abs(float(c))
-            denom = abs(float(a_next))
-            if math.isfinite(mass) and denom > 0:
-                kappa = mass / denom
-                rel_err = kappa * eps_m
-                if rel_err > rel_error_limit:
-                    raise PrecisionExhausted(
-                        k + 1, rel_err,
-                        f"raise the working precision above {prec} bits "
-                        f"(cancellation factor ~ {kappa:.3e})",
-                    )
-            else:
-                rel_err = float("nan")
-            gd.append(a_next)
-            gd_abs.append(abs(float(a_next)))
+    a = _taylor_coefficients(profile, K, prec, drift_coefficient)
+    for k, v in enumerate(a, start=1):
+        if not mpmath.isfinite(v):
+            raise PrecisionExhausted(
+                k, float("inf"),
+                f"A_{k} overflows at {prec} bits; raise the working precision",
+            )
+    shadow_prec = prec + SHADOW_EXTRA_BITS
+    shadow = _taylor_coefficients(profile, K, shadow_prec, drift_coefficient)
+    rel_errs = []
+    with mpmath.workprec(shadow_prec):
+        for k, (v, ref) in enumerate(zip(a, shadow), start=1):
+            diff = abs(v - ref)
+            rel_err = float(diff / abs(ref)) if ref else (0.0 if not diff else math.inf)
+            if rel_err > rel_error_limit:
+                raise PrecisionExhausted(
+                    k, rel_err,
+                    f"raise the working precision above {prec} bits "
+                    f"(measured against a {shadow_prec}-bit run)",
+                )
             rel_errs.append(rel_err)
     return FormalSeries(
-        family=family, K=K, precision_bits=prec, a=tuple(gd),
-        gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(gd)),
+        family=family, K=K, precision_bits=prec, a=tuple(a),
+        gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
         rel_error_estimates=tuple(rel_errs),
         profile_mode=profile_mode,
         drift_coefficient=float(drift_coefficient),
@@ -278,13 +390,11 @@ def probe_linear_coefficient(family, k: int, prec: int = DOUBLE_PREC,
     profile = CurvatureProfile(family, profile_mode)
     ctx = RealContext(prec)
     with ctx.workprec():
-        h_derivs = _h_derivative_list(profile, k, prec)
         gd = list(series.a)
-        base = _recursion_rhs(family.n, k, h_derivs, gd)
-        gd_shift = gd[:-1] + [gd[-1] + 1]
-        shifted = _recursion_rhs(family.n, k, h_derivs, gd_shift)
+        base = TaylorRecursion(profile, ctx).push_derivatives(gd)
+        shifted = TaylorRecursion(profile, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
         measured = float(shifted - base)
-        hp0 = float(h_derivs[1])
+        hp0 = float(curvature_derivative(profile, ctx.convert(0.0), 1, prec))
     derived = 2.0 * family.n * k - 4.0 * k * k + hp0
     printed = (2.0 * family.n + hp0) * k - 4.0 * k * k
     return {
@@ -407,7 +517,6 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     degree = N + 1
     eps_m = machine_eps(prec)
     with ctx.workprec():
-        h_derivs = _h_derivative_list(profile, max(N - 1, 1), prec)
         a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
         zero = 0 * a[1]
 
@@ -439,9 +548,9 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             worst = max(worst, snap(1))
             if snap_until >= 2:
                 worst = max(worst, snap(2))
+            engine = TaylorRecursion(profile, ctx)
             for k in range(1, max(upto - 1, 0)):
-                gd = polys[1: k + 1]
-                rhs = _recursion_rhs(family.n, k, h_derivs, gd)
+                rhs = engine.push_derivatives(polys[1: k + 1])
                 numer = rhs - polys[k + 1]
                 tol_scale = max(max(numer.abs_floats()), 1.0)
                 nxt = numer.divide_by_epsilon(tol_abs=64 * math.sqrt(eps_m) * tol_scale)

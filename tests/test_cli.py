@@ -76,6 +76,19 @@ class TestCoeffs:
             rec = json.loads(out)
             assert max(rec["rel_error_estimates"]) < 1e-6
 
+    def test_eq030_profile_mode_default_order(self, capsys, tmp_path):
+        code, out, _ = run(["coeffs", *FAM1_FLAGS, "--profile-mode", "eq030",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["profile_mode"] == "eq030_literal"
+        assert len(rec["A"]) == 40
+
+
+def _last_row(path):
+    lines = path.read_text().strip().splitlines()
+    return dict(zip(lines[0].split(","), (float(v) for v in lines[-1].split(","))))
+
 
 @pytest.fixture(scope="module")
 def solve_dir(tmp_path_factory):
@@ -109,6 +122,30 @@ class TestSolve:
         # continuation target beyond the allowed margin: solver failure
         code, _, err = run(["solve", *FAM1_FLAGS, "--tol", "1e-8",
                             "--out", str(tmp_path), "--to-d", "d0+0.4"], capsys)
+        assert code == 4
+        assert "OutOfRange" in err
+
+    def test_precision_reaches_series(self, solve_dir, tmp_path, capsys, monkeypatch):
+        from coneshrink import series
+        seen = []
+        original = series.compute_coefficients
+
+        def recording(family, K, prec, **kw):
+            seen.append(prec)
+            return original(family, K, prec, **kw)
+
+        monkeypatch.setattr(series, "compute_coefficients", recording)
+        code, _, _ = run(["solve", *FAM1_FLAGS, "--tol", "1e-10", "--precision", "256",
+                          "--to-d", "d0+0.05", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert seen == [256]
+        for name, col in (("s_side.csv", "gamma"), ("d_side.csv", "phi")):
+            got = _last_row(tmp_path / name)[col]
+            assert got == pytest.approx(_last_row(solve_dir / name)[col], abs=1e-7)
+
+    def test_zero_order_rejected(self, tmp_path, capsys):
+        code, _, err = run(["solve", *FAM1_FLAGS, "--K", "0",
+                            "--out", str(tmp_path)], capsys)
         assert code == 4
         assert "OutOfRange" in err
 

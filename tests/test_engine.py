@@ -1,0 +1,106 @@
+"""The Taylor-arithmetic series engine against the partition-sum oracle.
+
+The oracle runs the derivative form of the recursion,
+
+    A_{k+1} = 2nk A_k + (d/ds)^k H(gamma)(0) - 2k (d/ds)^k arctan(2 s gamma')(0),
+
+with Faa di Bruno partition sums over the derivatives of H at 0 (exact for
+cot_sum, finite differences for eq030_literal) and the partition form of the
+arctan term.  It shares no code with the engine in :mod:`coneshrink.series`.
+"""
+
+import mpmath
+import pytest
+
+from coneshrink import jets
+from coneshrink.catalog import (
+    COT_SUM,
+    EQ030_LITERAL,
+    CurvatureProfile,
+    builtin_catalog,
+    curvature_derivative,
+)
+from coneshrink.errors import PrecisionExhausted
+from coneshrink.jets import arctan_term_at_zero, fdb_kth_derivative
+from coneshrink.numutil import RealContext
+from coneshrink.series import (
+    SHADOW_EXTRA_BITS,
+    compute_coefficients,
+    compute_epsilon_corrections,
+)
+
+CATALOG = builtin_catalog()
+
+
+def partition_oracle(family, K, prec, mode=COT_SUM):
+    """A_1..A_K by partition sums (drift coefficient 1)."""
+    profile = CurvatureProfile(family, mode)
+    ctx = RealContext(prec)
+    with ctx.workprec():
+        zero = ctx.convert(0.0)
+        h = [curvature_derivative(profile, zero, l, prec) for l in range(K)]
+        gd = [h[0]]
+        for k in range(1, K):
+            d_h = fdb_kth_derivative(h[: k + 1], [0 * gd[0]] + gd, k)
+            gd.append(2 * family.n * k * gd[k - 1] + d_h - arctan_term_at_zero(gd, k))
+    return gd
+
+
+def max_rel_diff(got, expect, prec):
+    with mpmath.workprec(prec):
+        return max(float(abs(a - b) / abs(b)) for a, b in zip(got, expect, strict=True))
+
+
+class TestPartitionOracle:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_binary64_k30(self, name):
+        fam = CATALOG[name]
+        got = compute_coefficients(fam, 30).a
+        assert max_rel_diff(got, partition_oracle(fam, 30, 53), 53) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_256_bits_k40(self, name):
+        fam = CATALOG[name]
+        got = compute_coefficients(fam, 40, 256).a
+        assert max_rel_diff(got, partition_oracle(fam, 40, 256), 256) <= 1e-60
+
+    def test_eq030_literal_first_nine(self, fam1):
+        # the oracle's finite-difference derivatives of H stop at order 8
+        got = compute_coefficients(fam1, 9, 256, profile_mode=EQ030_LITERAL).a
+        expect = partition_oracle(fam1, 9, 256, EQ030_LITERAL)
+        assert max_rel_diff(got, expect, 256) <= 1e-10
+
+    def test_eq030_literal_default_order(self, fam1):
+        fs = compute_coefficients(fam1, 40, profile_mode=EQ030_LITERAL)
+        assert all(mpmath.isfinite(v) for v in fs.a)
+        assert max(fs.rel_error_estimates) < 1e-6
+
+
+class TestShadowAudit:
+    def test_estimates_are_measured_differences(self, fam1):
+        fs = compute_coefficients(fam1, 40)
+        shadow = compute_coefficients(fam1, 40, 53 + SHADOW_EXTRA_BITS).a
+        with mpmath.workprec(53 + SHADOW_EXTRA_BITS):
+            expect = [float(abs(v - ref) / abs(ref)) for v, ref in zip(fs.a, shadow)]
+        assert list(fs.rel_error_estimates) == expect
+        assert 0 < max(expect) < 1e-12
+
+    def test_binary64_overflow_raises(self, fam1):
+        # |A_k| passes the binary64 range near k = 87
+        with pytest.raises(PrecisionExhausted) as err:
+            compute_coefficients(fam1, 100)
+        assert "overflows" in str(err.value)
+        assert "precision" in str(err.value)
+
+    def test_deep_order_at_512_bits(self, fam1):
+        deep = compute_coefficients(fam1, 150, 512)
+        assert all(mpmath.isfinite(v) for v in deep.a)
+        assert deep.a[:40] == compute_coefficients(fam1, 40, 512).a
+
+
+class TestNoPartitionSums:
+    def test_partition_cache_stays_empty(self, fam1):
+        jets._partition_cache.clear()
+        fs = compute_coefficients(fam1, 40)
+        compute_epsilon_corrections(fam1, 8, series=fs)
+        assert len(jets._partition_cache) == 0

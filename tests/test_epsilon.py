@@ -76,18 +76,20 @@ class TestCorrections:
         coefficients through order j untouched."""
         n = 6
         base = compute_epsilon_corrections(fam1, n, series=series1)
-        from coneshrink.series import _h_derivative_list, _recursion_rhs
         from coneshrink.catalog import CurvatureProfile
+        from coneshrink.numutil import RealContext
+        from coneshrink.series import TaylorRecursion
         prof = CurvatureProfile(fam1)
-        h_derivs = _h_derivative_list(prof, n, 53)
+        ctx = RealContext(53)
         delta = 0.125
 
         def run(b_vals, upto, degree):
             g1 = EpsilonPolynomial(tuple(b_vals) + (0.0,) * (degree + 1 - len(b_vals)))
             g2_coeffs = tuple(-b for b in (list(b_vals[1:]) + [0.0] * (degree + 2)))
             polys = [None, g1, EpsilonPolynomial(g2_coeffs[: degree + 1])]
+            engine = TaylorRecursion(prof, ctx)
             for k in range(1, upto - 1):
-                rhs = _recursion_rhs(fam1.n, k, h_derivs, polys[1: k + 1])
+                rhs = engine.push_derivatives(polys[1: k + 1])
                 num = rhs - polys[k + 1]
                 # perturbed runs have nonvanishing constants downstream of j:
                 # drop them explicitly to keep shifting

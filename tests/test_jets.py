@@ -3,25 +3,18 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from coneshrink.catalog import CurvatureProfile
+from coneshrink.catalog import CurvatureProfile, curvature_derivative
 from coneshrink.errors import (
     BasepointMismatch,
     InsufficientOrder,
     OrderMismatch,
-    OutOfRange,
 )
 from coneshrink.jets import (
     Jet,
     arctan_term_at_zero,
     compose,
-    eta_jet,
-    h_composition_jet,
     identity_jet,
-    jet_power_bound_ratio,
-    lambda_values,
 )
 
 
@@ -160,41 +153,14 @@ def _central_fd(func, a, order, h):
     return (4 * c2 - c1) / 3
 
 
-class TestLambda:
-    def test_first_is_eta(self):
-        for x in (0.0, 0.3, 2.0, 10.0):
-            lam = lambda_values(x, 4)
-            assert lam[0] == pytest.approx(1 / (1 + 4 * x * x), rel=1e-14)
-
-    def test_lambda2_at_zero(self):
-        assert lambda_values(0.0, 2)[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(OutOfRange):
-            lambda_values(-0.1, 3)
-
-    def test_matches_eta_derivatives(self):
-        # (-2)^p p! Lambda_{p+1}(x) = eta^{(p)}(x), checked by FD at 256 bits
-        with mpmath.workprec(256):
-            x = mpmath.mpf("0.3")
-            lam = lambda_values(x, 10)
-            h = mpmath.mpf("1e-5")
-
-            def eta(t):
-                return 1 / (1 + 4 * t * t)
-
-            for p in range(1, 9):
-                fd = _central_fd(eta, x, p, h)
-                expect = (-2) ** p * math.factorial(p) * lam[p]
-                assert abs(float(fd - expect)) / max(abs(float(expect)), 1e-20) < 1e-8
-
-    @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-           st.integers(min_value=1, max_value=14))
-    @settings(max_examples=80, deadline=None)
-    def test_magnitude_bound(self, x, p_max):
-        lam = lambda_values(x, p_max)
-        for p, val in enumerate(lam, start=1):
-            assert abs(val) <= (1 + 4 * x * x) ** (-p / 2.0) + 1e-12
+def eta_jet(s, gamma_jet, m, algorithm="partition"):
+    """Jet through order m of eta(s gamma'(s)), eta(x) = 1/(1 + 4x^2): the
+    inner jet w^(j) = s gamma^(j+1) + j gamma^(j), the outer jet the algebraic
+    reciprocal of 1 + 4x^2."""
+    g = gamma_jet.truncate(m + 1).derivs
+    w = Jet(tuple(s * g[j + 1] + j * g[j] for j in range(m + 1)))
+    u = identity_jet(w.value, m)
+    return compose((1 + 4 * (u * u)).reciprocal(), w, algorithm)
 
 
 class TestEtaJet:
@@ -215,6 +181,8 @@ class TestEtaJet:
         assert got.derivs[1] == pytest.approx(expect, rel=1e-13)
 
     def test_lambda_sum_matches_compose(self):
+        # closed-form outer derivatives eta^(p)(x) = (-2)^p p! Lambda_{p+1}(x),
+        # written as p! Re[(-2i)^p (1 + 2ix)^-(p+1)], against the reciprocal jet
         rng = random.Random(11)
         for _ in range(8):
             m = 10
@@ -222,8 +190,12 @@ class TestEtaJet:
                        for i in range(m + 2))
             g = Jet(gd)
             s = rng.uniform(0.05, 0.9)
-            a = eta_jet(s, g, m, method="compose")
-            b = eta_jet(s, g, m, method="lambda_sum")
+            a = eta_jet(s, g, m)
+            x0 = s * gd[1]
+            outer = Jet(tuple(math.factorial(p) * ((-2j) ** p / (1 + 2j * x0) ** (p + 1)).real
+                              for p in range(m + 1)))
+            w = Jet(tuple(s * gd[j + 1] + j * gd[j] for j in range(m + 1)))
+            b = compose(outer, w)
             for k in range(m + 1):
                 denom = max(abs(a.derivs[k]), 1e-12)
                 assert abs(a.derivs[k] - b.derivs[k]) / denom < 1e-10
@@ -281,12 +253,20 @@ def _dgamma2(coeffs, s):
     return acc
 
 
+def h_jet(profile, gamma_jet, algorithm="partition"):
+    """Jet of H(gamma(s)): exact outer derivatives of the closed-form profile
+    composed with the gamma jet."""
+    x0 = gamma_jet.value
+    outer = Jet(tuple(curvature_derivative(profile, x0, l)
+                      for l in range(gamma_jet.order + 1)), basepoint=x0)
+    return compose(outer, gamma_jet, algorithm=algorithm)
+
+
 class TestHComposition:
     def test_chain_rule_orders(self, fam1):
         prof = CurvatureProfile(fam1)
         g = Jet((0.15, 0.9, -1.4, 2.0))
-        got = h_composition_jet(prof, g, 2)
-        from coneshrink.catalog import curvature_derivative
+        got = h_jet(prof, g.truncate(2))
         h1 = curvature_derivative(prof, 0.15, 1)
         h2 = curvature_derivative(prof, 0.15, 2)
         assert got.derivs[1] == pytest.approx(h1 * 0.9, rel=1e-13)
@@ -297,8 +277,8 @@ class TestHComposition:
         rng = random.Random(2)
         gd = (0.2,) + tuple(rng.uniform(-1.5, 1.5) for _ in range(8))
         g = Jet(gd)
-        a = h_composition_jet(prof, g, 8, method="partition")
-        b = h_composition_jet(prof, g, 8, method="abadie")
+        a = h_jet(prof, g, "partition")
+        b = h_jet(prof, g, "abadie")
         for k in range(9):
             assert abs(a.derivs[k] - b.derivs[k]) <= 1e-11 * max(abs(a.derivs[k]), 1.0)
 
@@ -317,7 +297,7 @@ class TestHComposition:
                 x = poly_eval(coeffs, s)
                 return mpmath.cos(theta1 + x) / mpmath.sin(theta1 + x)
 
-            got = h_composition_jet(prof, jet, m)
+            got = h_jet(prof, jet)
             h = mpmath.mpf("1e-5")
             for k in range(1, m + 1):
                 fd = _central_fd(h_of_gamma, mpmath.mpf(0), k, h)
@@ -328,9 +308,14 @@ class TestHComposition:
 class TestPowerBound:
     def test_lemma_bound_holds(self):
         # inputs at the bound |u^(j)| = M^{j-1} j!^2/(j+1)^2 keep powers inside
-        # the product bound with the universal constant 4 * sum 1/i^2
+        # the product bound |(u^l)^(j)| <= (C/M)^{l-1} M^{j-1} j!^2/(j+1)^2 with
+        # the universal constant C = 4 * sum 1/i^2
         m_scale = 10.0
+        c_univ = 4 * (math.pi ** 2 / 6.0)
         u = Jet(tuple(m_scale ** (j - 1) * math.factorial(j) ** 2 / (j + 1) ** 2
                       for j in range(11)))
         for exponent in (1, 2, 3, 4):
-            assert jet_power_bound_ratio(u, exponent, m_scale) <= 1.0 + 1e-12
+            for j, val in enumerate(u.power(exponent).derivs):
+                bound = ((c_univ / m_scale) ** (exponent - 1) * m_scale ** (j - 1)
+                         * math.factorial(j) ** 2 / (j + 1) ** 2)
+                assert abs(val) <= (1.0 + 1e-12) * bound
