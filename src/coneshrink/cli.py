@@ -494,7 +494,17 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()   # a closed pipe must raise here, not at exit
+    except BrokenPipeError:
+        # the reader went away: send the flush at exit to the null device
+        # so that it cannot raise again, and report an I/O failure
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

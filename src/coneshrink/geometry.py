@@ -228,15 +228,31 @@ def export_mesh(profile_d: SolutionProfile, family: IsoparametricFamily, path,
         header.append(
             f"# discrete shrinker check: max|H_disc + X.nu/2| / max|H_disc| = {residual:.6e}"
         )
-    lines = header + [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in verts]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+    chunks = ["\n".join(header) + "\n"]
+    chunks += _obj_rows("v %r %r %r\n", verts)
+    chunks += _obj_rows("f %d %d %d\n", faces + 1)
     try:
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "".join(chunks))
     except OSError as exc:
         raise ExportIOError(path, exc) from exc
     return MeshResult(path=path, n_d=resolution, n_angular=resolution,
                       vertex_count=len(verts), face_count=len(faces),
                       discrete_residual=residual)
+
+
+_OBJ_BLOCK_ROWS = 4096
+
+
+def _obj_rows(row_format, rows):
+    """OBJ lines for the rows of an (N, 3) array, one %-format per block.
+
+    ``%r`` of a Python float is its round-trip repr, so the text matches a
+    per-row f-string; blocks bound the size of the argument tuple."""
+    chunks = []
+    for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
+        block = rows[lo:lo + _OBJ_BLOCK_ROWS]
+        chunks.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+    return chunks
 
 
 def _mesh_phi_interp(profile_d, d_samples):
@@ -259,7 +275,7 @@ def _revolution_mesh(profile_d, family, resolution):
         (rr * sin_chi * np.sin(psi)[None, :]).ravel(),
         (rr * cos_chi * np.ones_like(psi)[None, :]).ravel(),
     ], axis=1)
-    faces = _grid_faces(resolution, resolution, wrap=True)
+    faces = _grid_faces(resolution, resolution)
     faces = _orient_outward(verts, faces)
     return verts, faces
 
@@ -281,36 +297,29 @@ def _torus_slice_mesh(profile_d, family, resolution, psi2):
         (rr * cos_t * np.sin(psi1)[None, :]).ravel(),
         (rr * sin_t * math.cos(psi2) * np.ones_like(psi1)[None, :]).ravel(),
     ], axis=1)
-    faces = _grid_faces(resolution, resolution, wrap=True)
+    faces = _grid_faces(resolution, resolution)
     faces = _orient_outward(verts, faces)
     return verts, faces
 
 
-def _grid_faces(n_rows, n_cols, wrap):
-    faces = []
-    cols = n_cols if wrap else n_cols - 1
-    for i in range(n_rows - 1):
-        for j in range(cols):
-            j2 = (j + 1) % n_cols
-            a = i * n_cols + j
-            b = i * n_cols + j2
-            c = (i + 1) * n_cols + j
-            d = (i + 1) * n_cols + j2
-            faces.append((a, b, d))
-            faces.append((a, d, c))
-    return faces
+def _grid_faces(n_rows, n_cols):
+    """Two triangles per grid cell, wrapping the column index around."""
+    i = np.arange(n_rows - 1)[:, None] * n_cols
+    j = np.arange(n_cols)[None, :]
+    a = i + j
+    b = i + (j + 1) % n_cols
+    c, d = a + n_cols, b + n_cols
+    return np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
 
 
 def _orient_outward(verts, faces):
     """Flip all faces if normals point inward (radial component negative)."""
-    a = verts[[f[0] for f in faces]]
-    b = verts[[f[1] for f in faces]]
-    c = verts[[f[2] for f in faces]]
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     normals = np.cross(b - a, c - a)
     centers = (a + b + c) / 3.0
     score = float(np.sum(np.einsum("ij,ij->i", normals, centers)))
     if score < 0:
-        return [(f[0], f[2], f[1]) for f in faces]
+        return faces[:, [0, 2, 1]]
     return faces
 
 
@@ -321,31 +330,28 @@ def discrete_shrinker_residual(verts, faces, n_cols):
     outward vertex normals from area-weighted face normals)."""
     nv = len(verts)
     faces = np.asarray(faces)
-    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    # cotangents of the three corner angles of every face
-    def cot_angle(p, q, r):
-        u, w = q - p, r - p
-        cross = np.cross(u, w)
-        denom = np.linalg.norm(cross, axis=1)
-        return np.einsum("ij,ij->i", u, w) / np.where(denom > 0, denom, 1.0)
-
-    cot0 = cot_angle(v0, v1, v2)
-    cot1 = cot_angle(v1, v2, v0)
-    cot2 = cot_angle(v2, v0, v1)
-    face_normals = np.cross(v1 - v0, v2 - v0)
+    cots, face_normals = _face_geometry(verts, faces)
     areas = 0.5 * np.linalg.norm(face_normals, axis=1)
-
-    lap = np.zeros_like(verts)
-    vertex_area = np.zeros(nv)
-    vertex_normal = np.zeros_like(verts)
-    # corner k's cotangent weights the opposite edge
-    for (ia, ib), w in (((1, 2), cot0), ((2, 0), cot1), ((0, 1), cot2)):
-        a_idx, b_idx = faces[:, ia], faces[:, ib]
-        diff = verts[a_idx] - verts[b_idx]
-        np.add.at(lap, a_idx, -0.5 * w[:, None] * diff)
-        np.add.at(lap, b_idx, 0.5 * w[:, None] * diff)
-    np.add.at(vertex_area, faces.ravel(), np.repeat(areas / 3.0, 3))
-    np.add.at(vertex_normal, faces.ravel(), np.repeat(face_normals, 3, axis=0))
+    corners = faces.ravel()
+    vertex_area = np.bincount(corners, np.repeat(areas / 3.0, 3), minlength=nv)
+    vertex_normal = np.stack([np.bincount(corners, np.repeat(face_normals[:, k], 3),
+                                          minlength=nv) for k in range(3)], axis=1)
+    # corner k's cotangent w weights the opposite edge (a, b): a gets
+    # (-w/2) (x_a - x_b) and b gets (w/2) (x_a - x_b).  Rows of `ends` are a
+    # and b of each edge in turn, so bincount adds every vertex's terms in
+    # one fixed order, column by column
+    ends = faces.T[[1, 2, 2, 0, 0, 1]]
+    idx = ends.ravel()
+    vals = np.empty(ends.shape)
+    lap = np.empty_like(verts)
+    for k in range(3):
+        x = verts[:, k]
+        diff = x[ends[0::2]]
+        diff -= x[ends[1::2]]
+        for rows, half in ((vals[0::2], -0.5), (vals[1::2], 0.5)):
+            np.multiply(half, cots, out=rows)
+            rows *= diff
+        lap[:, k] = np.bincount(idx, vals.ravel(), minlength=nv)
     # lap holds (1/2) sum w_ij (x_j - x_i); dividing by the vertex area gives
     # the surface Laplacian of the position, i.e. the mean curvature vector
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -359,6 +365,24 @@ def discrete_shrinker_residual(verts, faces, n_cols):
     interior[-n_cols:] = False
     resid = np.abs(h_disc[interior] + 0.5 * x_dot_n[interior])
     return float(np.max(resid) / np.max(np.abs(h_disc[interior])))
+
+
+def _face_geometry(verts, faces):
+    """Cotangents of the three corner angles of every face, as a (3, F)
+    array, and the unnormalised face normals (v1 - v0) x (v2 - v0).
+
+    A function of its own so that the per-corner vertex copies are freed
+    before the residual allocates its scatter buffers."""
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+
+    def cot_angle(p, q, r):
+        u, w = q - p, r - p
+        cross = np.cross(u, w)
+        denom = np.linalg.norm(cross, axis=1)
+        return np.einsum("ij,ij->i", u, w) / np.where(denom > 0, denom, 1.0)
+
+    cots = np.stack([cot_angle(v0, v1, v2), cot_angle(v1, v2, v0), cot_angle(v2, v0, v1)])
+    return cots, np.cross(v1 - v0, v2 - v0)
 
 
 def read_profile_json(path):

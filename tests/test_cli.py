@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +207,44 @@ class TestExport:
         assert code == 0
         doc = json.loads((tmp_path / "profile.json").read_text())
         assert doc["schema"] == "coneshrink/profile-v1"
+
+    def test_obj_deterministic(self, solve_dir, tmp_path, capsys):
+        outs = []
+        for name in ("a", "b"):
+            code, out, _ = run(["export", str(solve_dir / "d_side.csv"),
+                                "--format", "obj", "--out", str(tmp_path / name),
+                                "--resolution", "32"], capsys)
+            assert code == 0
+            outs.append(out)
+        data = (tmp_path / "a" / "end.obj").read_bytes()
+        assert data == (tmp_path / "b" / "end.obj").read_bytes()
+        # the header carries the printed discrete residual at 7 digits
+        printed = float(re.search(r"discrete residual (\S+)\)", outs[0]).group(1))
+        header = re.search(rb"max\|H_disc\| = (\S+)\n", data).group(1).decode()
+        assert header == f"{printed:.6e}"
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["coeffs", *FAM1_FLAGS, "--K", "40", "--precision", "256", "--out", "-"],
+])
+def test_closed_stdout_is_io_failure(argv):
+    # entry() with stdout a pipe whose reader is already gone
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from coneshrink.cli import entry; entry()", *argv],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 6
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
 
 
 class TestConfigAndEnv:

@@ -13,8 +13,13 @@ from coneshrink.errors import (
 from coneshrink.geometry import (
     EXPORT_COLUMNS,
     PROFILE_JSON_SCHEMA,
+    _grid_faces,
+    _orient_outward,
+    _revolution_mesh,
+    _torus_slice_mesh,
     asymptotic_check,
     cone_profile,
+    discrete_shrinker_residual,
     export_mesh,
     export_profile,
     read_profile_json,
@@ -169,6 +174,150 @@ class TestExportMesh:
     def test_resolution_floor(self, continued1, fam1, tmp_path):
         with pytest.raises(ResolutionTooLow):
             export_mesh(continued1, fam1, tmp_path / "x.obj", resolution=7)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles for the vectorised mesh code: faces, orientation and OBJ text
+# must match them exactly, and so must the residual, whose vertex sums add
+# the same terms in the same order
+# ---------------------------------------------------------------------------
+
+def _oracle_grid_faces(n_rows, n_cols):
+    faces = []
+    for i in range(n_rows - 1):
+        for j in range(n_cols):
+            j2 = (j + 1) % n_cols
+            a = i * n_cols + j
+            b = i * n_cols + j2
+            c = (i + 1) * n_cols + j
+            d = (i + 1) * n_cols + j2
+            faces.append((a, b, d))
+            faces.append((a, d, c))
+    return faces
+
+
+def _oracle_orient_outward(verts, faces):
+    a = verts[[f[0] for f in faces]]
+    b = verts[[f[1] for f in faces]]
+    c = verts[[f[2] for f in faces]]
+    normals = np.cross(b - a, c - a)
+    centers = (a + b + c) / 3.0
+    score = float(np.sum(np.einsum("ij,ij->i", normals, centers)))
+    if score < 0:
+        return [(f[0], f[2], f[1]) for f in faces]
+    return faces
+
+
+def _oracle_residual(verts, faces, n_cols):
+    nv = len(verts)
+    faces = np.asarray(faces)
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+
+    def cot_angle(p, q, r):
+        u, w = q - p, r - p
+        denom = np.linalg.norm(np.cross(u, w), axis=1)
+        return np.einsum("ij,ij->i", u, w) / np.where(denom > 0, denom, 1.0)
+
+    cot0, cot1, cot2 = cot_angle(v0, v1, v2), cot_angle(v1, v2, v0), cot_angle(v2, v0, v1)
+    face_normals = np.cross(v1 - v0, v2 - v0)
+    areas = 0.5 * np.linalg.norm(face_normals, axis=1)
+    lap = np.zeros_like(verts)
+    vertex_area = np.zeros(nv)
+    vertex_normal = np.zeros_like(verts)
+    for (ia, ib), w in (((1, 2), cot0), ((2, 0), cot1), ((0, 1), cot2)):
+        a_idx, b_idx = faces[:, ia], faces[:, ib]
+        diff = verts[a_idx] - verts[b_idx]
+        np.add.at(lap, a_idx, -0.5 * w[:, None] * diff)
+        np.add.at(lap, b_idx, 0.5 * w[:, None] * diff)
+    np.add.at(vertex_area, faces.ravel(), np.repeat(areas / 3.0, 3))
+    np.add.at(vertex_normal, faces.ravel(), np.repeat(face_normals, 3, axis=0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = lap / vertex_area[:, None]
+    norms = np.linalg.norm(vertex_normal, axis=1)
+    unit_n = vertex_normal / np.where(norms > 0, norms, 1.0)[:, None]
+    h_disc = np.einsum("ij,ij->i", delta, unit_n)
+    x_dot_n = np.einsum("ij,ij->i", verts, unit_n)
+    interior = np.ones(nv, dtype=bool)
+    interior[:n_cols] = False
+    interior[-n_cols:] = False
+    resid = np.abs(h_disc[interior] + 0.5 * x_dot_n[interior])
+    return float(np.max(resid) / np.max(np.abs(h_disc[interior])))
+
+
+def _oracle_obj(family, resolution, verts, faces, residual):
+    lines = [
+        "# radial-graph end mesh",
+        f"# family g={family.g} m_minus={family.m_minus} m_plus={family.m_plus} "
+        f"n={family.n} theta1={family.theta1!r}",
+        f"# resolution {resolution}x{resolution}",
+    ]
+    if math.isfinite(residual):
+        lines.append(f"# discrete shrinker check: max|H_disc + X.nu/2| / max|H_disc| "
+                     f"= {residual:.6e}")
+    lines += [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in verts]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def continued2(fam2, series2):
+    prof = integrate_gamma(fam2, series2, SolverConfig(tol=1e-10))
+    return continue_phi(to_d_profile(prof, fam2), fam2, config=SolverConfig(tol=1e-10))
+
+
+def _sphere_grid(n):
+    th = np.linspace(0.3, 2.5, n)[:, None]
+    psi = 2 * np.pi * np.arange(n)[None, :] / n
+    return np.stack([(np.sin(th) * np.cos(psi)).ravel(),
+                     (np.sin(th) * np.sin(psi)).ravel(),
+                     (np.cos(th) * np.ones_like(psi)).ravel()], axis=1)
+
+
+class TestMeshOracles:
+    @pytest.mark.parametrize("shape", [(2, 3), (8, 8), (5, 11), (72, 72)])
+    def test_grid_faces(self, shape):
+        faces = _grid_faces(*shape)
+        assert faces.shape == (2 * (shape[0] - 1) * shape[1], 3)
+        assert np.array_equal(faces, np.array(_oracle_grid_faces(*shape)))
+
+    def test_orient_outward_flips_reversed_winding(self):
+        verts = _sphere_grid(8)
+        grid = _grid_faces(8, 8)
+        outward = _orient_outward(verts, grid)
+        oracle = _oracle_orient_outward(verts, _oracle_grid_faces(8, 8))
+        assert np.array_equal(outward, np.array(oracle))
+        reversed_winding = outward[:, [0, 2, 1]]
+        assert not np.array_equal(reversed_winding, outward)
+        assert np.array_equal(_orient_outward(verts, reversed_winding), outward)
+        assert np.array_equal(_orient_outward(verts, outward), outward)
+
+    @pytest.mark.parametrize("resolution", [8, 72])
+    def test_residual_matches_oracle_exactly(self, continued1, fam1, resolution):
+        verts, faces = _revolution_mesh(continued1, fam1, resolution)
+        oracle_faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
+        assert np.array_equal(faces, np.array(oracle_faces))
+        assert (discrete_shrinker_residual(verts, faces, resolution)
+                == _oracle_residual(verts, oracle_faces, resolution))
+
+    # 72^2 = 5184 vertices span more than one text block and are not a
+    # multiple of its size
+    @pytest.mark.parametrize("resolution", [8, 72])
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_obj_bytes_match_oracle(self, which, resolution, request, tmp_path):
+        fam = request.getfixturevalue(which)
+        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
+        path = tmp_path / "m.obj"
+        res = export_mesh(cont, fam, path, resolution=resolution)
+        if which == "fam1":
+            verts, _ = _revolution_mesh(cont, fam, resolution)
+        else:
+            verts, _ = _torus_slice_mesh(cont, fam, resolution, 0.0)
+        faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
+        residual = (_oracle_residual(verts, faces, resolution) if which == "fam1"
+                    else float("nan"))
+        assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces, residual)
+        assert res.vertex_count == resolution ** 2
+        assert res.face_count == len(faces)
 
 
 def test_residual_pair_consistency(dside1):
