@@ -88,7 +88,7 @@ def _add_family_flags(p):
 def _add_common_flags(p):
     p.add_argument("--config", default=None, help="flat key=value file; flags override")
     p.add_argument("--precision", type=int, default=None, help="working precision, bits")
-    p.add_argument("--K", type=int, default=40, help="series order")
+    p.add_argument("--K", type=int, default=series_mod.DEFAULT_K, help="series order")
     p.add_argument("--N", type=int, default=8, help="correction order")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--profile-mode", dest="profile_mode",

@@ -50,7 +50,8 @@ from .errors import (
     UnsupportedMode,
 )
 from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS
-from .series import FormalSeries, compute_coefficients, compute_epsilon_corrections, evaluate_truncated
+from .series import (DEFAULT_K, FormalSeries, compute_coefficients,
+                     compute_epsilon_corrections, evaluate_truncated)
 from .stepper import integrate, integrate_implicit
 
 S_SIDE = "s_side"
@@ -71,7 +72,7 @@ class SolverConfig:
     precision_bits: int = 53           # recorded; the stepper runs in binary64
     monitor_cadence: int = 1
     profile_mode: str = COT_SUM
-    series_K: int = 36
+    series_K: int = DEFAULT_K
     series_prec: int = 53
     correction_N: int = 8
     max_steps: int = 400_000
@@ -451,8 +452,9 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
 
     def f(d, y):
         phi, dphi, _ = y
-        d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h_fast(d))
-        return (dphi, d2, h_fast(d) * dphi * dphi)
+        h = h_fast(d)
+        d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h)
+        return (dphi, d2, h * dphi * dphi)
 
     def guard(d, y):
         if abs(y[0]) > config.blowup_phi:

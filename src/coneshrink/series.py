@@ -327,6 +327,9 @@ def _taylor_coefficients(profile, K, prec, drift_coefficient):
     return out
 
 
+# series order when none is given: `--K` on the CLI and SolverConfig.series_K
+DEFAULT_K = 40
+
 # the shadow run that measures the rounding error of the working-precision run
 SHADOW_EXTRA_BITS = 64
 

@@ -6,8 +6,18 @@ step control; accepted steps are all recorded (abscissa, state, derivative,
 error estimate), which gives cubic Hermite dense output for free.  The
 trapezoid fallback estimates error by step doubling and solves its implicit
 stage with a damped Newton iteration on a finite-difference Jacobian.
+
+The explicit pair runs its stage arithmetic on Python floats: the state has
+two or three components, where numpy's per-call overhead outweighs the work.
+Each stage value is formed in one fixed order, per component
+``acc = 0; acc = acc + c * k[j]`` over the tableau row from left to right,
+then ``y[j] + h * acc``, with the zero weights of the tableau kept in the
+rows.  Reordering these sums moves results in the last bits, and a stored
+trajectory with them.  The builtin ``sum`` must not replace the loop: from
+Python 3.12 it compensates float sums and would round differently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,19 +25,19 @@ import numpy as np
 from .errors import StepSizeCollapse
 
 # Dormand-Prince 5(4) tableau (FSAL)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                -92097 / 339200, 187 / 2100, 1 / 40])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+       -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 @dataclass
@@ -62,13 +72,27 @@ def _error_norm(err, y0, y1, atol, rtol):
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
+def _combine(y, h, coeffs, ks):
+    """``y + h * sum(c * k)`` on lists of floats, in the order the module
+    docstring fixes."""
+    out = []
+    for j, yj in enumerate(y):
+        acc = 0
+        for c, k in zip(coeffs, ks):
+            acc = acc + c * k[j]
+        out.append(yj + h * acc)
+    return out
+
+
 def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
               first_step=None, max_steps=1_000_000, accept_hook=None):
     """Integrate y' = f(t, y) from t0 to t_end (t_end > t0).
 
-    ``accept_hook(t, y)`` runs after every accepted step and may raise to
-    abort with a domain-specific error.  Raises :class:`StepSizeCollapse`
-    when the controller stalls (step underflow or step budget exhausted).
+    ``f`` receives the state as a 1-d ndarray and may return any sequence of
+    numbers.  ``accept_hook(t, y)`` runs after every accepted step, with the
+    state as a list of floats, and may raise to abort with a domain-specific
+    error.  Raises :class:`StepSizeCollapse` when the controller stalls (step
+    underflow or step budget exhausted).
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -82,7 +106,11 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
     h = max(min(first_step, max_step, span), 1e-300)
     h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
 
-    ts, ys, fs, errs = [t], [y.copy()], [k1.copy()], [0.0]
+    # states and stages are lists of floats from here on; none is mutated
+    # after it is made, so the records need no copies
+    y = y.tolist()
+    k1 = k1.tolist()
+    ts, ys, fs, errs = [t], [y], [k1], [0.0]
     n_steps = n_rejected = 0
     while t < t_end:
         if n_steps + n_rejected > max_steps:
@@ -91,29 +119,33 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
         if h < h_floor:
             raise StepSizeCollapse("step size underflow", last_good=t)
         ks = [k1]
-        failed = False
         for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
-            if not np.all(np.isfinite(yi)):
-                failed = True
+            yi = _combine(y, h, _A[i], ks)
+            if not all(map(math.isfinite, yi)):
                 break
-            ks.append(np.asarray(f(t + _C[i] * h, yi), dtype=float))
-        if failed or not all(np.all(np.isfinite(k)) for k in ks):
+            k = list(map(float, f(t + _C[i] * h, np.array(yi))))
+            if not all(map(math.isfinite, k)):
+                break
+            ks.append(k)
+        if len(ks) < 7:
+            # a non-finite stage: reject.  Every tableau row ends in a nonzero
+            # weight, so the state after a non-finite k_i (k1 included) is
+            # non-finite too: stopping at k_i skips no RHS call
             n_rejected += 1
             h *= 0.25
             continue
-        y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
-        err_vec = y5 - y4
-        err = _error_norm(err_vec, y, y5, atol, rtol)
+        y5 = _combine(y, h, _B5, ks)
+        y4 = _combine(y, h, _B4, ks)
+        err_vec = [a - b for a, b in zip(y5, y4)]
+        err = _error_norm(np.array(err_vec), y, y5, atol, rtol)
         if err <= 1.0:
             t = t + h
             y = y5
             k1 = ks[6]  # FSAL: last stage is f at the new point
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(k1.copy())
-            errs.append(float(np.max(np.abs(err_vec))))
+            ys.append(y)
+            fs.append(k1)
+            errs.append(max(abs(e) for e in err_vec))
             n_steps += 1
             if accept_hook is not None:
                 accept_hook(t, y)

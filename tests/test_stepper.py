@@ -1,10 +1,15 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from coneshrink.errors import StepSizeCollapse
-from coneshrink.stepper import integrate, integrate_implicit
+from coneshrink import ivp
+from coneshrink.catalog import builtin_catalog
+from coneshrink.errors import BlowUpDetected, StepSizeCollapse
+from coneshrink.series import compute_coefficients
+from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _error_norm, integrate,
+                                integrate_implicit)
 
 
 def test_accuracy_on_harmonic_oscillator():
@@ -84,3 +89,207 @@ def test_accept_hook_abort():
     with pytest.raises(Abort):
         integrate(f, 0.0, np.array([0.0]), 1.0, rtol=1e-8, atol=1e-8,
                   accept_hook=hook)
+
+
+def test_rhs_gets_and_may_return_ndarray():
+    seen = []
+
+    def f(t, y):
+        seen.append(type(y))
+        return -y
+
+    res = integrate(f, 0.0, np.array([1.0]), 1.0, rtol=1e-8, atol=1e-8)
+    assert set(seen) == {np.ndarray}
+    assert res.ys[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
+    assert res.ys.shape == res.fs.shape == (len(res.ts), 1)
+
+
+# ---------------------------------------------------------------------------
+# The numpy stage loop that the scalar loop replaced, kept as the oracle: the
+# scalar loop must reproduce it bit for bit, RHS calls included.
+# ---------------------------------------------------------------------------
+
+def _integrate_oracle(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
+                      first_step=None, max_steps=1_000_000, accept_hook=None):
+    y = np.asarray(y0, dtype=float).copy()
+    t = float(t0)
+    span = float(t_end) - t
+    if span <= 0:
+        raise ValueError("t_end must exceed t0")
+    k1 = np.asarray(f(t, y), dtype=float)
+    if first_step is None:
+        scale = np.max(np.abs(k1)) + 1e-30
+        first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)
+    h = max(min(first_step, max_step, span), 1e-300)
+    h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
+
+    ts, ys, fs, errs = [t], [y.copy()], [k1.copy()], [0.0]
+    n_steps = n_rejected = 0
+    while t < t_end:
+        if n_steps + n_rejected > max_steps:
+            raise StepSizeCollapse("step budget exhausted", last_good=t)
+        h = min(h, t_end - t, max_step)
+        if h < h_floor:
+            raise StepSizeCollapse("step size underflow", last_good=t)
+        ks = [k1]
+        failed = False
+        for i in range(1, 7):
+            # sum() over arrays adds elementwise with no compensation
+            yi = y + h * sum(a * k for a, k in zip(_A[i], ks))
+            if not np.all(np.isfinite(yi)):
+                failed = True
+                break
+            ks.append(np.asarray(f(t + _C[i] * h, yi), dtype=float))
+        if failed or not all(np.all(np.isfinite(k)) for k in ks):
+            n_rejected += 1
+            h *= 0.25
+            continue
+        y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
+        y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
+        err_vec = y5 - y4
+        err = _error_norm(err_vec, y, y5, atol, rtol)
+        if err <= 1.0:
+            t = t + h
+            y = y5
+            k1 = ks[6]
+            ts.append(t)
+            ys.append(y.copy())
+            fs.append(k1.copy())
+            errs.append(float(np.max(np.abs(err_vec))))
+            n_steps += 1
+            if accept_hook is not None:
+                accept_hook(t, y)
+            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h *= factor
+        else:
+            n_rejected += 1
+            h *= max(0.1, 0.9 * err ** -0.2)
+    return IntegrationResult(
+        ts=np.array(ts), ys=np.array(ys), fs=np.array(fs), errs=np.array(errs),
+        n_steps=n_steps, n_rejected=n_rejected,
+    )
+
+
+def _run_counted(integrator, f, *args, **kwargs):
+    """(result or raised exception, RHS call count)."""
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return f(t, y)
+
+    try:
+        return integrator(counted, *args, **kwargs), calls
+    except StepSizeCollapse as exc:
+        return exc, calls
+
+
+def _osc(t, y):
+    return (y[1], -y[0])
+
+
+def _stiff(t, y):
+    return (-2000.0 * (y[0] - math.cos(t)),)
+
+
+def _inf_below(t, y):
+    # infinite below the solution's range, where a large step's stages land
+    return (-y[0] if y[0] > 0.5 else math.inf,)
+
+
+class _FailsOnCall:
+    """y' = -y, except that call ``n`` returns ``value``."""
+
+    def __init__(self, n, value):
+        self.n, self.value, self.calls = n, value, 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return (self.value,) if self.calls == self.n else (-y[0],)
+
+
+ORACLE_CASES = {
+    "oscillator": (_osc, 0.0, [1.0, 0.0], 2 * math.pi, dict(rtol=1e-10, atol=1e-10)),
+    "oscillator_1e-6": (_osc, 0.0, [1.0, 0.0], 10.0, dict(rtol=1e-6, atol=1e-6)),
+    "cos_capped": (lambda t, y: (math.cos(t),), 0.0, [0.0], 3.0,
+                   dict(rtol=1e-9, atol=1e-9, max_step=0.05)),
+    "ndarray_rhs": (lambda t, y: -y, 0.0, [1.0, -2.0, 0.5], 1.0, dict(rtol=1e-8, atol=1e-8)),
+    "stiff": (_stiff, 0.0, [0.0], 0.1, dict(rtol=1e-8, atol=1e-8)),
+    "inf_region": (_inf_below, 0.0, [1.0], 0.6, dict(rtol=1e-9, atol=1e-9, first_step=2.0)),
+    # call 7 is the last stage of the first attempt: only its own check sees it
+    "inf_last_stage": (_FailsOnCall(7, math.inf), 0.0, [1.0], 1.0, dict(rtol=1e-9, atol=1e-9)),
+    "nan_last_stage": (_FailsOnCall(7, math.nan), 0.0, [1.0], 1.0, dict(rtol=1e-9, atol=1e-9)),
+    # call 2 is k2, finite, but -56/15 * k2 overflows the third stage state
+    "overflow_stage": (_FailsOnCall(2, 1.5e308), 0.0, [1.0], 1.0, dict(rtol=1e-9, atol=1e-9)),
+    "blowup_collapse": (lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0,
+                        dict(rtol=1e-8, atol=1e-8, max_steps=20000)),
+    "budget_collapse": (_stiff, 0.0, [0.0], 1.0, dict(rtol=1e-8, atol=1e-8, max_steps=40)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the oracle's
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_scalar_loop_matches_numpy_oracle(name):
+    f, t0, y0, t_end, kw = ORACLE_CASES[name]
+    # each run gets its own copy of a stateful RHS
+    got, got_calls = _run_counted(integrate, copy.copy(f), t0, np.array(y0), t_end, **kw)
+    want, want_calls = _run_counted(_integrate_oracle, copy.copy(f), t0, np.array(y0),
+                                    t_end, **kw)
+    assert got_calls == want_calls
+    if isinstance(want, StepSizeCollapse):
+        assert type(got) is StepSizeCollapse
+        assert str(got) == str(want) and got.last_good == want.last_good
+        return
+    for field in ("ts", "ys", "fs", "errs"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+
+
+@pytest.mark.parametrize("name", ["inf_region", "inf_last_stage", "nan_last_stage",
+                                  "overflow_stage"])
+def test_non_finite_stage_rejects(name):
+    # with a finite RHS everywhere the same run rejects fewer steps
+    f, t0, y0, t_end, kw = ORACLE_CASES[name]
+    finite = integrate(lambda t, y: (-y[0],), t0, np.array(y0), t_end, **kw)
+    res = integrate(copy.copy(f), t0, np.array(y0), t_end, **kw)
+    assert res.n_rejected > finite.n_rejected
+    assert np.all(np.isfinite(res.ys))
+
+
+def _solve_chain(fam):
+    """(s-side profile, d-side continuation or the BlowUpDetected it raised)."""
+    cfg = ivp.SolverConfig(tol=1e-10)
+    series = compute_coefficients(fam, cfg.series_K)
+    prof = ivp.integrate_gamma(fam, series, cfg)
+    try:
+        cont = ivp.continue_phi(ivp.to_d_profile(prof, fam), fam, config=cfg)
+    except BlowUpDetected as exc:
+        cont = exc
+    reg = ivp.integrate_gamma(fam, None, ivp.SolverConfig(tol=1e-8, eps=1e-2),
+                              initial_slope=float(series.coefficient(1)))
+    return prof, cont, reg
+
+
+def _assert_profiles_equal(got, want):
+    assert got.columns.keys() == want.columns.keys()
+    for name in want.columns:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("name", ["g1_sphere_n2", "g6_m2"])
+def test_solver_chain_matches_numpy_oracle(name, monkeypatch):
+    fam = builtin_catalog()[name]
+    got = _solve_chain(fam)
+    with monkeypatch.context() as m:
+        m.setattr(ivp, "integrate", _integrate_oracle)
+        want = _solve_chain(fam)
+    for g, w in zip(got, want):
+        if isinstance(w, BlowUpDetected):
+            assert type(g) is BlowUpDetected
+            assert g.d == w.d and str(g) == str(w)
+        else:
+            _assert_profiles_equal(g, w)
+    # g6_m2 meets its vertical tangent before the default target
+    assert isinstance(got[1], BlowUpDetected) == (name == "g6_m2")
