@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
+from mpmath.libmp import mpf_mul, mpf_sum
 
 from .catalog import COT_SUM, CurvatureProfile, IsoparametricFamily, curvature_derivative, make_family
 from .errors import (
@@ -56,15 +57,23 @@ from .numutil import DOUBLE_PREC, RealContext, decimal_str, machine_eps, parse_r
 
 @dataclass(frozen=True)
 class EpsilonPolynomial:
-    """sum_i c_i eps^i truncated at a fixed degree; a commutative ring.
+    """sum_i c_i eps^i known through order ``degree``: a truncated power
+    series that tracks its order.
 
-    Division by eps is the coefficient shift and requires the constant term
-    to vanish (checked against an absolute tolerance by the caller)."""
+    A sum or product of two of them is known only through the lower of the
+    two degrees, and is computed only that far; each coefficient is formed
+    by the same operations whatever the degrees, so truncating an operand
+    truncates the result without changing its leading coefficients.
+    Division by eps is the coefficient shift: it requires the constant term
+    to vanish (checked against an absolute tolerance by the caller) and
+    loses one order."""
 
     coeffs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if not self.coeffs:
+            raise OutOfRange("an epsilon-polynomial needs at least its constant term")
 
     @classmethod
     def constant(cls, value, degree: int):
@@ -86,20 +95,16 @@ class EpsilonPolynomial:
 
     def _zip(self, other, op):
         if isinstance(other, EpsilonPolynomial):
-            if other.degree != self.degree:
-                raise OutOfRange(
-                    f"epsilon-polynomial degrees differ: {self.degree} vs {other.degree}"
-                )
-            return EpsilonPolynomial(tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+            return EpsilonPolynomial(tuple(map(op, self.coeffs, other.coeffs)))
         return EpsilonPolynomial((op(self.coeffs[0], other),) + self.coeffs[1:])
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -109,14 +114,11 @@ class EpsilonPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, EpsilonPolynomial):
-            if other.degree != self.degree:
-                raise OutOfRange(
-                    f"epsilon-polynomial degrees differ: {self.degree} vs {other.degree}"
-                )
             a, b = self.coeffs, other.coeffs
-            dot = _dot_for(a[0])
-            return EpsilonPolynomial(tuple(dot(a[:k + 1], b[k::-1])
-                                           for k in range(self.degree + 1)))
+            if isinstance(a[0], mpmath.mpf):
+                return EpsilonPolynomial(_mpf_cauchy_product(a, b))
+            return EpsilonPolynomial(tuple(_dot(a[:k + 1], b[k::-1])
+                                           for k in range(min(len(a), len(b)))))
         return EpsilonPolynomial(tuple(other * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -130,7 +132,7 @@ class EpsilonPolynomial:
             raise DivisionByEpsilonFailed(
                 f"constant term {float(c0):.6e} exceeds tolerance {tol_abs:.6e}"
             )
-        return EpsilonPolynomial(self.coeffs[1:] + (0 * c0,))
+        return EpsilonPolynomial(self.coeffs[1:])
 
     def __call__(self, eps):
         acc = 0 * self.coeffs[0]
@@ -140,6 +142,21 @@ class EpsilonPolynomial:
 
     def abs_floats(self):
         return tuple(abs(float(c)) for c in self.coeffs)
+
+
+def _mpf_cauchy_product(a, b):
+    """[eps^k] (a * b) for k < min(len(a), len(b)): per coefficient the exact
+    products a_i b_(k-i) for i = 0..k, summed with one rounding to the working
+    precision.  This is mpmath.fdot's arithmetic, with each operand converted
+    once per product instead of once per term."""
+    prec, rnd = mpmath.mp._prec_rounding
+    make = mpmath.mp.make_mpf
+    convert = mpmath.mp.convert
+    a = [x._mpf_ if type(x) is mpmath.mpf else convert(x)._mpf_ for x in a]
+    b = [x._mpf_ if type(x) is mpmath.mpf else convert(x)._mpf_ for x in b]
+    return tuple(make(mpf_sum([mpf_mul(x, y) for x, y in zip(a[:k + 1], b[k::-1])],
+                              prec, rnd))
+                 for k in range(min(len(a), len(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +225,13 @@ def _dot_for(value):
 
 
 def _self_dot(dot, c, m):
-    """[s^m] of the square of the series with coefficients c (needs c_0..c_m)."""
+    """[s^m] of the square of the series with coefficients c (needs c_0..c_m).
+
+    The s = 0 seed c_0 is a scalar and multiplies c_m from the right, so an
+    epsilon-polynomial c_m forms the product itself (a scalar product is
+    commutative, and mpmath would otherwise try, and fail, to convert c_m)."""
     half = (m + 1) // 2
-    acc = 2 * dot(c[:half], c[m:m - half:-1])
+    acc = 2 * dot([c[m]] + c[1:half], [c[0]] + c[m - 1:m - half:-1]) if half else 0
     if m % 2 == 0:
         acc = acc + c[half] * c[half]
     return acc
@@ -470,6 +491,13 @@ def gevrey_diagnostics(series: FormalSeries) -> GevreyReport:
 
 @dataclass(frozen=True)
 class EpsilonCorrections:
+    """B_0..B_N and the derivatives gamma^(k)(0; eps) they produce.
+
+    ``gamma_eps[k-1]`` holds only the orders of gamma^(k)(0; eps) that the
+    recursion determines from gamma'(0) and gamma''(0) at degree N + 1
+    (taking B_{N+1} = B_{N+2} = 0): degree N + 1 for k <= 2, N + 3 - k
+    above; its constant term is A_k."""
+
     family: IsoparametricFamily
     N: int
     precision_bits: int
@@ -496,6 +524,10 @@ class EpsilonCorrections:
         return -acc
 
 
+# tolerance of the affine fit behind each B_m: slope (-1)^m and second difference
+SLOPE_TOL = 1e-6
+
+
 def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                                 series: Optional[FormalSeries] = None) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
@@ -517,23 +549,18 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
         raise OutOfRange("corrections require a series with drift coefficient 1")
     profile = CurvatureProfile(family, series.profile_mode)
     ctx = RealContext(prec)
-    degree = N + 1
     eps_m = machine_eps(prec)
     with ctx.workprec():
         a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
         zero = 0 * a[1]
 
-        def run_stages(b_vals, upto, snap_until):
-            """gamma^(k)(0; eps) polynomials for k = 1..upto; constant terms
-            snapped to A_k for k <= snap_until (interleaved, so every division
-            by eps sees an exactly vanishing constant).  Returns
-            (polys, max pre-snap residual)."""
-            b_full = list(b_vals) + [zero] * (degree + 2 - len(b_vals))
-            polys = [
-                None,
-                EpsilonPolynomial(tuple(b_full[: degree + 1])),                  # gamma'(0)
-                EpsilonPolynomial(tuple(-b_full[j + 1] for j in range(degree + 1))),  # gamma''(0)
-            ]
+        def run_stages(gamma1, gamma2, upto, snap_until):
+            """gamma^(k)(0; eps) polynomials for k = 1..upto from gamma'(0)
+            and gamma''(0); constant terms snapped to A_k for k <= snap_until
+            (interleaved, so every division by eps sees an exactly vanishing
+            constant).  Each polynomial carries the orders its inputs
+            determine.  Returns (polys, max pre-snap residual)."""
+            polys = [None, gamma1, gamma2]
             worst = 0.0
 
             def snap(k):
@@ -562,32 +589,55 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                     worst = max(worst, snap(k + 2))
             return polys, worst
 
+        def unresolved_step(consts):
+            """Advice when the unit trial step is below the rounding unit of
+            the eps^0 coefficients, so the measured slope is noise."""
+            size = max(abs(float(cv)) for cv in consts)
+            if 1.0 >= eps_m * size:
+                return ""
+            largest = max(size, *(abs(float(a[k])) for k in range(1, N + 2)))
+            needed = math.ceil(math.log2(largest / SLOPE_TOL)) + 1
+            return (f"; the trial step 1 is below the rounding unit of an eps^0 "
+                    f"coefficient of size {size:.3e} at {prec} bits: corrections "
+                    f"up to N = {N} need at least {needed} bits (--precision {needed} or more)")
+
         b = [a[1], -a[2]]
         slopes = []
         worst_snap = 0.0
         for m in range(2, N + 1):
+            # the stage-m trials know gamma'(0) = (B_0..B_{m-1}, t) through
+            # eps^m; they determine eps^j of gamma^(k)(0) for k + j <= m + 1
             consts = []
             for t in (0.0, 1.0, 2.0):
                 trial = b + [ctx.convert(t)]
-                polys, w = run_stages(trial, upto=m + 1, snap_until=m)
+                polys, w = run_stages(EpsilonPolynomial(trial),
+                                      EpsilonPolynomial([-x for x in trial[1:]]),
+                                      upto=m + 1, snap_until=m)
                 worst_snap = max(worst_snap, w)
                 consts.append(polys[m + 1].const)
             slope_ring = consts[1] - consts[0]
             slope = float(slope_ring)
             curvature = float(consts[2] - 2 * consts[1] + consts[0])
             scale = max(1.0, *(abs(float(cv)) for cv in consts))
-            if abs(curvature) > 1e-6 * scale:
+            if abs(curvature) > SLOPE_TOL * scale:
                 raise NonlinearDependence(
                     f"second difference {curvature:.3e} at correction order {m}"
+                    + unresolved_step(consts)
                 )
             expected = (-1.0) ** m
-            if abs(slope - expected) > 1e-6 * max(1.0, abs(expected)):
+            if abs(slope - expected) > SLOPE_TOL * max(1.0, abs(expected)):
                 raise NonlinearDependence(
                     f"slope {slope:.6f} at correction order {m}, expected {expected:+.0f}"
+                    + unresolved_step(consts)
                 )
             slopes.append(slope)
             b.append((a[m + 1] - consts[0]) / slope_ring)
-        polys, w = run_stages(b, upto=N + 1, snap_until=N + 1)
+        # the final run keeps gamma'(0) and gamma''(0) at the full degree
+        # N + 1, taking B_{N+1} = B_{N+2} = 0
+        padded = b + [zero, zero]
+        polys, w = run_stages(EpsilonPolynomial(padded[:N + 2]),
+                              EpsilonPolynomial([-x for x in padded[1:]]),
+                              upto=N + 1, snap_until=N + 1)
         worst_snap = max(worst_snap, w)
     return EpsilonCorrections(
         family=family, N=N, precision_bits=prec, B=tuple(b),

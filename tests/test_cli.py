@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -80,6 +81,23 @@ class TestCoeffs:
         if code == 0:
             rec = json.loads(out)
             assert max(rec["rel_error_estimates"]) < 1e-6
+
+    def test_corrections_precision_advice(self, capsys, tmp_path, monkeypatch):
+        # |A_8| of g3_m4 exceeds 2^53: at the default precision the unit trial
+        # step of the B_m fit is lost in rounding, and the failure says so
+        monkeypatch.delenv("CONESHRINK_PRECISION", raising=False)
+        flags = ["--g", "3", "--m", "4", "--n", "13", "--theta1", repr(math.pi / 12)]
+        code, _, err = run(["coeffs", *flags, "--corrections", "--out", str(tmp_path)],
+                           capsys)
+        assert code == 4
+        assert "NonlinearDependence" in err and "--precision" in err
+        code, _, err = run(["solve", *flags, "--eps-study", "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert "--precision" in err
+        code, out, _ = run(["coeffs", *flags, "--corrections", "--precision", "256",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(json.loads(out)["B"]) == 9
 
     def test_eq030_profile_mode_default_order(self, capsys, tmp_path):
         code, out, _ = run(["coeffs", *FAM1_FLAGS, "--profile-mode", "eq030",

@@ -1,11 +1,24 @@
 import math
+import re
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coneshrink.errors import DivisionByEpsilonFailed, OutOfRange
+from coneshrink import series as series_mod
+from coneshrink.catalog import CurvatureProfile, builtin_catalog
+from coneshrink.errors import (
+    ConeShrinkError,
+    DivisionByEpsilonFailed,
+    NonlinearDependence,
+    OutOfRange,
+)
+from coneshrink.numutil import RealContext, machine_eps
 from coneshrink.series import (
     EpsilonPolynomial,
     FormalSeries,
+    TaylorRecursion,
     compute_coefficients,
     compute_epsilon_corrections,
 )
@@ -28,13 +41,30 @@ class TestEpsilonPolynomial:
         assert (a / 2).coeffs == (0.5, 1.0)
 
     def test_degree_mismatch(self):
-        with pytest.raises(OutOfRange):
-            EpsilonPolynomial((1.0, 2.0)) + EpsilonPolynomial((1.0, 2.0, 3.0))
+        """Mixed degrees are known only through the lower one: the result is
+        the equal-degree operation truncated there."""
+        a = EpsilonPolynomial((1.0, 2.0))
+        b = EpsilonPolynomial((0.5, -1.0, 4.0))
+        b1 = EpsilonPolynomial(b.coeffs[:2])
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            assert op(a, b).degree == 1
+            assert op(a, b).coeffs == op(a, b1).coeffs
+            assert op(b, a).coeffs == op(b1, a).coeffs
+        assert (a * b).coeffs == (0.5, 0.0)
+        assert (b + a).coeffs == (1.5, 1.0)
 
     def test_divide_by_epsilon_shifts(self):
+        """The shift loses one order; nothing is invented at the top."""
         p = EpsilonPolynomial((0.0, 5.0, -2.0))
         q = p.divide_by_epsilon()
-        assert q.coeffs == (5.0, -2.0, 0.0)
+        assert q.coeffs == (5.0, -2.0)
+        assert q.degree == p.degree - 1
+
+    def test_no_order_left(self):
+        with pytest.raises(OutOfRange):
+            EpsilonPolynomial((0.0,)).divide_by_epsilon()
+        with pytest.raises(OutOfRange):
+            EpsilonPolynomial(())
 
     def test_divide_by_epsilon_requires_vanishing_constant(self):
         with pytest.raises(DivisionByEpsilonFailed):
@@ -43,6 +73,32 @@ class TestEpsilonPolynomial:
     def test_evaluation(self):
         p = EpsilonPolynomial((1.0, 2.0, 3.0))
         assert p(0.1) == pytest.approx(1.0 + 0.2 + 0.03)
+
+
+_coefficient = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coefficient, min_size=1, max_size=8),
+       st.lists(_coefficient, min_size=1, max_size=8))
+def test_mixed_degrees_truncate(xs, ys):
+    """Sum, difference and product of mixed-degree polynomials equal the
+    full-degree operations truncated at the lower degree, coefficient for
+    coefficient; every division by eps lowers the degree by one."""
+    a, b = EpsilonPolynomial(xs), EpsilonPolynomial(ys)
+    n = min(len(xs), len(ys))
+    pad = max(len(xs), len(ys))
+    a_full = EpsilonPolynomial(xs + [0.0] * (pad - len(xs)))
+    b_full = EpsilonPolynomial(ys + [0.0] * (pad - len(ys)))
+    assert (a + b).coeffs == (a_full + b_full).coeffs[:n]
+    assert (a - b).coeffs == (a_full - b_full).coeffs[:n]
+    assert (a * b).coeffs == (a_full * b_full).coeffs[:n]
+    p = a.with_constant(0.0)
+    while p.degree > 0:
+        q = p.divide_by_epsilon()
+        assert q.degree == p.degree - 1
+        assert q.coeffs == p.coeffs[1:]
+        p = q.with_constant(0.0)
 
 
 class TestCorrections:
@@ -134,3 +190,206 @@ class TestCorrections:
         scaled = compute_coefficients(fam1, 8, drift_coefficient=2.0)
         with pytest.raises(OutOfRange):
             compute_epsilon_corrections(fam1, 4, series=scaled)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the fixed-degree ring, which pads with zeros
+# ---------------------------------------------------------------------------
+
+def _oracle_dot(xs, ys):
+    return sum(map(lambda x, y: x * y, xs, ys))
+
+
+class _FixedDegreePolynomial:
+    """sum_i c_i eps^i at a fixed degree: products truncate at it and the
+    division by eps appends a zero."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def const(self):
+        return self.coeffs[0]
+
+    def with_constant(self, value):
+        return _FixedDegreePolynomial((value,) + self.coeffs[1:])
+
+    def _zip(self, other, op):
+        if isinstance(other, _FixedDegreePolynomial):
+            assert other.degree == self.degree
+            return _FixedDegreePolynomial(tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return _FixedDegreePolynomial((op(self.coeffs[0], other),) + self.coeffs[1:])
+
+    def __add__(self, other):
+        return self._zip(other, lambda a, b: a + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._zip(other, lambda a, b: a - b)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return _FixedDegreePolynomial(tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, _FixedDegreePolynomial):
+            assert other.degree == self.degree
+            a, b = self.coeffs, other.coeffs
+            dot = mpmath.fdot if isinstance(a[0], mpmath.mpf) else _oracle_dot
+            return _FixedDegreePolynomial(tuple(dot(a[:k + 1], b[k::-1])
+                                                for k in range(self.degree + 1)))
+        return _FixedDegreePolynomial(tuple(other * a for a in self.coeffs))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return _FixedDegreePolynomial(tuple(a / scalar for a in self.coeffs))
+
+    def divide_by_epsilon(self, tol_abs=0.0):
+        c0 = self.coeffs[0]
+        if abs(float(c0)) > tol_abs:
+            raise DivisionByEpsilonFailed(f"constant term {float(c0):.6e}")
+        return _FixedDegreePolynomial(self.coeffs[1:] + (0 * c0,))
+
+    def abs_floats(self):
+        return tuple(abs(float(c)) for c in self.coeffs)
+
+
+def _oracle_self_dot(dot, c, m):
+    """The engine's square coefficient with the seed c_0 on the left."""
+    half = (m + 1) // 2
+    acc = 2 * dot(c[:half], c[m:m - half:-1])
+    if m % 2 == 0:
+        acc = acc + c[half] * c[half]
+    return acc
+
+
+def _oracle_corrections(family, N, prec, series):
+    """B, slopes, max snap residual and the gamma^(k)(0; eps) of the
+    fixed-degree ring, every run at degree N + 1."""
+    profile = CurvatureProfile(family, series.profile_mode)
+    ctx = RealContext(prec)
+    degree = N + 1
+    eps_m = machine_eps(prec)
+    with ctx.workprec():
+        a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
+        zero = 0 * a[1]
+
+        def run_stages(b_vals, upto, snap_until):
+            b_full = list(b_vals) + [zero] * (degree + 2 - len(b_vals))
+            polys = [None, _FixedDegreePolynomial(b_full[:degree + 1]),
+                     _FixedDegreePolynomial(-b_full[j + 1] for j in range(degree + 1))]
+            worst = 0.0
+
+            def snap(k):
+                resid = abs(float(polys[k].const - a[k]))
+                if resid > 64 * math.sqrt(eps_m) * max(abs(float(a[k])), 1.0):
+                    raise DivisionByEpsilonFailed(f"derivative {k} off by {resid:.3e}")
+                polys[k] = polys[k].with_constant(a[k])
+                return resid
+
+            worst = max(worst, snap(1))
+            if snap_until >= 2:
+                worst = max(worst, snap(2))
+            engine = TaylorRecursion(profile, ctx)
+            for k in range(1, max(upto - 1, 0)):
+                numer = engine.push_derivatives(polys[1:k + 1]) - polys[k + 1]
+                tol_scale = max(max(numer.abs_floats()), 1.0)
+                polys.append(numer.divide_by_epsilon(64 * math.sqrt(eps_m) * tol_scale))
+                if k + 2 <= snap_until:
+                    worst = max(worst, snap(k + 2))
+            return polys, worst
+
+        b = [a[1], -a[2]]
+        slopes = []
+        worst_snap = 0.0
+        for m in range(2, N + 1):
+            consts = []
+            for t in (0.0, 1.0, 2.0):
+                polys, w = run_stages(b + [ctx.convert(t)], upto=m + 1, snap_until=m)
+                worst_snap = max(worst_snap, w)
+                consts.append(polys[m + 1].const)
+            slope_ring = consts[1] - consts[0]
+            slope = float(slope_ring)
+            curvature = float(consts[2] - 2 * consts[1] + consts[0])
+            scale = max(1.0, *(abs(float(cv)) for cv in consts))
+            if abs(curvature) > 1e-6 * scale:
+                raise NonlinearDependence(f"second difference at order {m}")
+            if abs(slope - (-1.0) ** m) > 1e-6:
+                raise NonlinearDependence(f"slope {slope} at order {m}")
+            slopes.append(slope)
+            b.append((a[m + 1] - consts[0]) / slope_ring)
+        polys, w = run_stages(b, upto=N + 1, snap_until=N + 1)
+        worst_snap = max(worst_snap, w)
+    return tuple(b), tuple(slopes), worst_snap, polys[1:N + 2]
+
+
+def _bits(x):
+    """The exact value with its sign of zero: mpf tuples, float hex."""
+    return x._mpf_ if isinstance(x, mpmath.mpf) else float(x).hex()
+
+
+@pytest.mark.parametrize("prec", [256, 53])
+def test_truncated_ring_matches_fixed_degree_oracle(prec, monkeypatch):
+    """Over all built-ins at N = 8 the order-tracking run gives bit-equal B,
+    slopes and snap residuals, and every gamma^(k)(0; eps) is an exact
+    prefix of the fixed-degree one; where the oracle raises, so does it."""
+    N = 8
+    for name, fam in builtin_catalog().items():
+        fs = compute_coefficients(fam, N + 2, prec)
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(series_mod, "_self_dot", _oracle_self_dot)
+                oracle = _oracle_corrections(fam, N, prec, fs)
+        except ConeShrinkError as exc:
+            assert prec == 53, name
+            with pytest.raises(type(exc)):
+                compute_epsilon_corrections(fam, N, prec, series=fs)
+            continue
+        corr = compute_epsilon_corrections(fam, N, prec, series=fs)
+        b, slopes, worst, polys = oracle
+        assert [_bits(x) for x in corr.B] == [_bits(x) for x in b], name
+        assert [_bits(x) for x in corr.slopes] == [_bits(x) for x in slopes], name
+        assert _bits(corr.max_snap_residual) == _bits(worst), name
+        assert len(corr.gamma_eps) == len(polys) == N + 1
+        for k, (got, ref) in enumerate(zip(corr.gamma_eps, polys), start=1):
+            assert got.degree == (N + 1 if k <= 2 else N + 3 - k), (name, k)
+            assert ([_bits(x) for x in got.coeffs]
+                    == [_bits(x) for x in ref.coeffs[:got.degree + 1]]), (name, k)
+
+
+def test_no_failed_mpmath_conversions(fam1, monkeypatch):
+    """No engine product hands an epsilon-polynomial to mpmath to convert:
+    each failed conversion formats the whole polynomial for its error."""
+    calls = []
+    original = mpmath.mp._convert_fallback
+
+    def counting(x, strings):
+        calls.append(type(x).__name__)
+        return original(x, strings)
+
+    monkeypatch.setattr(mpmath.mp, "_convert_fallback", counting)
+    for fam in (fam1, builtin_catalog()["g6_m2"]):
+        compute_epsilon_corrections(fam, 8, 256, series=compute_coefficients(fam, 10, 256))
+    assert calls == []
+
+
+def test_unresolved_trial_step_names_precision():
+    """At 53 bits |A_8| of g3_m4 exceeds 2^53, so the unit trial step is lost
+    in rounding; the failure says so and names the bits needed, which
+    suffice."""
+    fam = builtin_catalog()["g3_m4"]
+    with pytest.raises(NonlinearDependence, match=r"--precision (\d+)") as info:
+        compute_epsilon_corrections(fam, 8, 53, series=compute_coefficients(fam, 10, 53))
+    needed = int(re.search(r"--precision (\d+)", str(info.value)).group(1))
+    assert "rounding unit" in str(info.value)
+    corr = compute_epsilon_corrections(fam, 8, needed,
+                                       series=compute_coefficients(fam, 10, needed))
+    assert corr.slopes == pytest.approx([(-1.0) ** m for m in range(2, 9)], abs=1e-6)
