@@ -589,10 +589,9 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                     worst = max(worst, snap(k + 2))
             return polys, worst
 
-        def unresolved_step(consts):
+        def unresolved_step(size):
             """Advice when the unit trial step is below the rounding unit of
-            the eps^0 coefficients, so the measured slope is noise."""
-            size = max(abs(float(cv)) for cv in consts)
+            eps^0 coefficients of this size, so the measured slope is noise."""
             if 1.0 >= eps_m * size:
                 return ""
             largest = max(size, *(abs(float(a[k])) for k in range(1, N + 2)))
@@ -622,13 +621,13 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             if abs(curvature) > SLOPE_TOL * scale:
                 raise NonlinearDependence(
                     f"second difference {curvature:.3e} at correction order {m}"
-                    + unresolved_step(consts)
+                    + unresolved_step(scale)
                 )
             expected = (-1.0) ** m
             if abs(slope - expected) > SLOPE_TOL * max(1.0, abs(expected)):
                 raise NonlinearDependence(
                     f"slope {slope:.6f} at correction order {m}, expected {expected:+.0f}"
-                    + unresolved_step(consts)
+                    + unresolved_step(scale)
                 )
             slopes.append(slope)
             b.append((a[m + 1] - consts[0]) / slope_ring)
