@@ -2,19 +2,23 @@
 
 A family is the abstract tuple (g, m_minus, m_plus, n, theta1): g equally
 spaced principal angles theta_k = theta1 + (k-1)*pi/g carrying alternating
-focal multiplicities, living in S^n.  The parallel hypersurface at distance d
-has mean curvature
+focal multiplicities m_1 = m_plus, m_2 = m_minus, ..., living in S^n.  The
+parallel hypersurface at distance d has mean curvature, with x = theta1 + d,
 
-    H(d) = sum_k m_k * cot(theta_k + d),
+    H(d) = sum_k m_k cot(theta_k + d) = m_2 g cot(g x) + (m_1 - m_2) (g/2) cot(g x/2)
 
-strictly decreasing from H(0) > 0 to -inf at the focal distance
-d_focal = pi/g - theta1, with a unique zero d0 (the minimal member).
+by Muenzner (Math. Ann. 251, 1980; Cecil & Ryan, *Geometry of Hypersurfaces*,
+ch. 3).  The closed form is the only definition of H here: every path sums
+w f cot(f x) over the (weight, frequency) terms of
+:attr:`IsoparametricFamily.cot_terms`.  H decreases strictly from H(0) > 0
+to -inf at the focal distance d_focal = pi/g - theta1, with a unique zero
+d0 (the minimal member).
 
 Multiplicity convention: angles are assigned m_plus, m_minus, m_plus, ...
 starting at theta1.  For g = 2 with (p, q) = (m_minus, m_plus) this makes
 H(d) = q*cot(theta1+d) - p*tan(theta1+d), so the minimal distance satisfies
-tan^2(theta1 + d0) = q/p (the product-sphere law).  Only g in {2, 4} with
-m_minus != m_plus is sensitive to the choice.
+tan^2(theta1 + d0) = q/p (the product-sphere law).  Only the (m_1 - m_2)
+term sees the choice: g in {2, 4} with m_minus != m_plus.
 
 ``eq030_literal`` is an alternative profile mode driven by the level-set
 function f(d) = cos(g*(theta1+d)),
@@ -30,6 +34,9 @@ classical (p-q)/(p+q)), so cot_sum is the default everywhere.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import mpmath
+import numpy as np
 
 from .errors import (
     ConstraintViolation,
@@ -75,11 +82,12 @@ class IsoparametricFamily:
             "theta1": self.theta1,
         }
 
-    def angles(self, ctx: RealContext):
-        """Principal angles recomputed at the context's working precision."""
-        t1 = ctx.convert(self.theta1)
-        pi = ctx.pi
-        return [t1 + k * pi / self.g for k in range(self.g)]
+    @property
+    def cot_terms(self):
+        """(w, f) pairs with H(d) = sum w f cot(f (theta1 + d)): (m_minus, g)
+        and (m_plus - m_minus, g/2), zero weights dropped."""
+        terms = ((self.m_minus, self.g), (self.m_plus - self.m_minus, self.g // 2))
+        return tuple((w, f) for w, f in terms if w)
 
 
 @dataclass(frozen=True)
@@ -156,33 +164,71 @@ def make_family(g, m_minus, m_plus, n, theta1) -> IsoparametricFamily:
 
 
 def _check_d(family, d, name="d"):
+    """Reject d outside [0, d_focal), for an array at its first such element."""
+    if isinstance(d, np.ndarray):
+        outside = d[~((d >= 0) & (d < family.d_focal))]
+        if not outside.size:
+            return
+        d = float(outside[0])
     if not 0 <= d < family.d_focal:
         raise OutOfRange(
             f"{name} = {d!r} outside [0, d_focal) = [0, {family.d_focal!r})"
         )
 
 
-def mean_curvature(profile: CurvatureProfile, d, prec: int = DOUBLE_PREC):
-    """Mean curvature of the parallel hypersurface at distance d."""
+def _in_number_type(fam, d, prec):
+    """(theta1, d, elementary functions) in d's number type: mpmath above 53
+    bits (inside its workprec), numpy for arrays, math for binary64 scalars."""
+    if prec > DOUBLE_PREC:
+        return mpmath.mpf(fam.theta1), mpmath.mpf(d), mpmath
+    if isinstance(d, np.ndarray):
+        return fam.theta1, d, np
+    return fam.theta1, float(d), math
+
+
+def _cot_sum(terms, x, lib, order):
+    """sum w f^(order+1) P_order(cot(f x)) over the (weight, frequency) terms:
+    the order-th derivative of H in cot_sum mode."""
+    poly = _cot_derivative_poly(order)
+    total = 0
+    for w, f in terms:
+        y = f * x
+        total = total + w * f ** (order + 1) * _polyval_int(poly, lib.cos(y) / lib.sin(y))
+    return total
+
+
+def binary64_curvature(profile: CurvatureProfile):
+    """H(d) for integrator right-hand sides: mean_curvature's binary64 value,
+    bit for bit, without its per-call validation."""
     fam = profile.family
-    _check_d(fam, d)
-    ctx = RealContext(prec)
-    dd = ctx.convert(d)
-    if profile.mode == COT_SUM:
-        angles = fam.angles(ctx)
+    t1 = fam.theta1
+    if profile.mode != COT_SUM:
+        return lambda d: _eq030_value(fam, t1 + d, math)
+    terms = tuple((w * f, f) for w, f in fam.cot_terms)
+
+    def h(d):
+        x = t1 + d
         total = 0
-        for m_k, th in zip(fam.multiplicities, angles):
-            total = total + m_k * ctx.cot(th + dd)
+        for wf, f in terms:
+            y = f * x
+            total = total + wf * (math.cos(y) / math.sin(y))
         return total
-    return _eq030_value(fam, dd, ctx)
+
+    return h
 
 
-def _eq030_value(fam, dd, ctx):
-    # level function f = cos(g*(theta1+d)); overall sign fixed so H(0) > 0
-    # whenever the family is mean convex in this mode.
-    f = ctx.cos(fam.g * (ctx.convert(fam.theta1) + dd))
+def mean_curvature(profile: CurvatureProfile, d, prec: int = DOUBLE_PREC):
+    """Mean curvature of the parallel hypersurface at distance d: a scalar,
+    or an array of nodes at binary64."""
+    return curvature_derivative(profile, d, 0, prec)
+
+
+def _eq030_value(fam, x, lib):
+    # level function f = cos(g*(theta1+d)) at x = theta1 + d; overall sign
+    # fixed so H(0) > 0 whenever the family is mean convex in this mode.
+    f = lib.cos(fam.g * x)
     c = fam.g * (fam.m_minus - fam.m_plus) / 2.0
-    return ((fam.n + fam.g - 1) * f - c) / ctx.sqrt(1 - f * f)
+    return ((fam.n + fam.g - 1) * f - c) / lib.sqrt(1 - f * f)
 
 
 @lru_cache(maxsize=None)
@@ -209,29 +255,27 @@ def _polyval_int(coeffs, x):
 
 
 def curvature_derivative(profile: CurvatureProfile, d, order: int, prec: int = DOUBLE_PREC):
-    """Exact order-th derivative of H at d (cot_sum); finite differences in
-    eq030_literal mode (Richardson-extrapolated central stencil)."""
+    """Order-th derivative of H at d (order 0 is H): exact in cot_sum mode,
+    finite differences above order 0 in eq030_literal mode
+    (Richardson-extrapolated central stencil)."""
     fam = profile.family
     _check_d(fam, d)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise OutOfRange(f"derivative order {order} outside [0, {MAX_DERIVATIVE_ORDER}]")
-    if order == 0:
-        return mean_curvature(profile, d, prec)
     ctx = RealContext(prec)
-    if profile.mode == COT_SUM:
-        dd = ctx.convert(d)
-        poly = _cot_derivative_poly(order)
-        total = 0
-        for m_k, th in zip(fam.multiplicities, fam.angles(ctx)):
-            total = total + m_k * _polyval_int(poly, ctx.cot(th + dd))
-        return total
-    if order > MAX_FD_DERIVATIVE_ORDER:
-        raise OutOfRange(
-            f"eq030_literal derivatives stop at order {MAX_FD_DERIVATIVE_ORDER} "
-            "(finite-difference noise dominates beyond)"
-        )
-    return _fd_derivative(lambda x: _eq030_value(fam, x, ctx), ctx.convert(d), order, ctx,
-                          hi=fam.d_focal - float(d))
+    with ctx.workprec():
+        t1, dd, lib = _in_number_type(fam, d, prec)
+        if profile.mode == COT_SUM:
+            return _cot_sum(fam.cot_terms, t1 + dd, lib, order)
+        if order == 0:
+            return _eq030_value(fam, t1 + dd, lib)
+        if order > MAX_FD_DERIVATIVE_ORDER:
+            raise OutOfRange(
+                f"eq030_literal derivatives stop at order {MAX_FD_DERIVATIVE_ORDER} "
+                "(finite-difference noise dominates beyond)"
+            )
+        return _fd_derivative(lambda y: _eq030_value(fam, t1 + y, lib), dd, order, ctx,
+                              hi=fam.d_focal - float(d))
 
 
 def _fd_derivative(func, x, order, ctx, hi):
@@ -252,8 +296,9 @@ def _fd_derivative(func, x, order, ctx, hi):
 
 
 def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PREC):
-    """Antiderivative of H normalized to vanish at 0 (cot_sum only):
-    sum_k m_k * [ln sin(theta_k + x) - ln sin theta_k]."""
+    """Antiderivative of H normalized to vanish at 0 (cot_sum only), at a
+    scalar or an array of nodes: sum w [ln sin(f (theta1 + x)) - ln sin(f theta1)]
+    over the family's (weight, frequency) terms."""
     fam = profile.family
     if not profile.has_closed_antiderivative:
         raise UnsupportedMode(
@@ -261,12 +306,12 @@ def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PR
             "use curvature_antiderivative_numeric"
         )
     _check_d(fam, x, name="x")
-    ctx = RealContext(prec)
-    xx = ctx.convert(x)
-    total = 0
-    for m_k, th in zip(fam.multiplicities, fam.angles(ctx)):
-        total = total + m_k * (ctx.log(ctx.sin(th + xx)) - ctx.log(ctx.sin(th)))
-    return total
+    with RealContext(prec).workprec():
+        t1, xx, lib = _in_number_type(fam, x, prec)
+        total = 0
+        for w, f in fam.cot_terms:
+            total = total + w * (lib.log(lib.sin(f * (t1 + xx))) - lib.log(lib.sin(f * t1)))
+        return total
 
 
 def curvature_antiderivative_numeric(profile: CurvatureProfile, x, rel_tol: float = 1e-12):
@@ -332,7 +377,9 @@ def minimal_distance(family: IsoparametricFamily, mode: str = COT_SUM,
         dh = float(curvature_derivative(profile, d, 1))
         step = h / dh
         d_new = d - step
-        if not lo - 1e-3 <= d_new <= hi + 1e-3:  # Newton left the bracket
+        # Newton left the bracket, or left the domain when d0 is within
+        # rounding of 0 (theta1 at the mean-convex limit)
+        if not max(lo - 1e-3, 0.0) <= d_new <= hi + 1e-3:
             d_new = 0.5 * (lo + hi)
         if float(mean_curvature(profile, d_new)) > 0:
             lo = max(lo, min(d_new, hi))

@@ -227,8 +227,7 @@ def cmd_solve(args):
     prec = args.precision if args.precision is not None else _default_precision()
     config = ivp.SolverConfig(tol=args.tol, profile_mode=_mode(args),
                               series_K=args.K, series_prec=prec,
-                              correction_N=args.N,
-                              precision_bits=prec)
+                              correction_N=args.N)
     d_target = _parse_d_target(args.to_d, fam)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -301,10 +300,7 @@ def _verify_s_side(prof, fam, thresholds):
     if not ok:
         failures.append("energy_residual")
     profile_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
-    resid = np.array([
-        abs(ivp.equation_residual(si, gi, di, d2i, 0.0, profile_eq))
-        for si, gi, di, d2i in zip(s, gam, dgam, d2gam)
-    ])
+    resid = np.abs(ivp.equation_residual(s, gam, dgam, d2gam, 0.0, profile_eq))
     scale = 1.0 + np.abs(d2gam)
     worst = float(np.max(resid / scale))
     ok = worst <= thresholds["ode_residual"]
@@ -331,7 +327,7 @@ def _verify_d_side(prof, fam, thresholds):
     # equation residual with phi'' taken from the Hermite slope of dphi
     d2 = np.gradient(dphi, d)
     prof_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
-    h_vals = np.array([float(mean_curvature(prof_eq, dv)) for dv in d])
+    h_vals = mean_curvature(prof_eq, d)
     eq130 = d2 / (1 + dphi ** 2) + dphi * h_vals - fam.n + 0.5 * np.exp(2 * phi)
     worst = float(np.max(np.abs(eq130[1:-1])))
     ok = worst <= thresholds["eq130_residual"]

@@ -70,7 +70,7 @@ def shrinker_residual(profile_d: SolutionProfile, family: IsoparametricFamily,
     if d2phi is None:
         d2phi = profile_d["d2phi"]
     prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", "cot_sum"))
-    h_vals = np.array([float(mean_curvature(prof, dv)) for dv in d])
+    h_vals = mean_curvature(prof, d)
     vals = d2phi / (1 + dphi ** 2) + dphi * h_vals - family.n + 0.5 * np.exp(2 * phi)
     return ShrinkerResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
 

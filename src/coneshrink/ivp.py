@@ -35,6 +35,7 @@ from .catalog import (
     COT_SUM,
     CurvatureProfile,
     IsoparametricFamily,
+    binary64_curvature,
     curvature_antiderivative,
     mean_curvature,
 )
@@ -49,7 +50,7 @@ from .errors import (
     StepSizeCollapse,
     UnsupportedMode,
 )
-from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS
+from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients,
                      compute_epsilon_corrections, evaluate_truncated)
 from .stepper import integrate, integrate_implicit
@@ -69,7 +70,6 @@ class SolverConfig:
     bootstrap_factor: float = 0.01     # series error target = factor * tol
     s_bootstrap: Optional[float] = None  # explicit handoff point (overrides the scan)
     max_step: Optional[float] = None
-    precision_bits: int = 53           # recorded; the stepper runs in binary64
     monitor_cadence: int = 1
     profile_mode: str = COT_SUM
     series_K: int = DEFAULT_K
@@ -107,34 +107,6 @@ class SolutionProfile:
         return len(self.nodes)
 
 
-def _fast_curvature(profile: CurvatureProfile):
-    """(H, H') closures in plain binary64 for the inner integration loop."""
-    fam = profile.family
-    if profile.mode == COT_SUM:
-        pairs = tuple(zip(fam.multiplicities, fam.theta))
-
-        def h(d):
-            return math.fsum(m * math.cos(t + d) / math.sin(t + d) for m, t in pairs)
-
-        def dh(d):
-            return -math.fsum(m / math.sin(t + d) ** 2 for m, t in pairs)
-
-        return h, dh
-    g, n = fam.g, fam.n
-    c = g * (fam.m_minus - fam.m_plus) / 2.0
-    t1 = fam.theta1
-
-    def h_lit(d):
-        f = math.cos(g * (t1 + d))
-        return ((n + g - 1) * f - c) / math.sqrt(1.0 - f * f)
-
-    def dh_lit(d):
-        e = 1e-6
-        return (h_lit(d + e) - h_lit(d - e)) / (2 * e)
-
-    return h_lit, dh_lit
-
-
 def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile, prec: int = 53):
     """gamma'' solved from the (regularized) profile equation:
 
@@ -151,8 +123,8 @@ def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile, prec: int = 53):
 
 def equation_residual(s, gamma, dgamma, d2gamma, eps, profile: CurvatureProfile):
     """Left side of the profile equation at supplied state (exact zero for a
-    true solution)."""
-    h = float(mean_curvature(profile, gamma))
+    true solution); scalars or arrays of nodes."""
+    h = mean_curvature(profile, gamma)
     n = profile.family.n
     w2 = 1 + 4 * s * s * dgamma * dgamma
     return (eps * d2gamma + 4 * (s * s * d2gamma + s * dgamma) / w2
@@ -201,7 +173,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
      regularization for ablation runs).
     """
     profile = CurvatureProfile(family, config.profile_mode)
-    h_fast, _ = _fast_curvature(profile)
+    h_fast = binary64_curvature(profile)
     n = family.n
     eps = config.eps
     s_end = config.resolved_s_end(family)
@@ -275,7 +247,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     d2gam = result.fs[:, 1]
     res_energy = np.full_like(s_nodes, np.nan)
     if profile.has_closed_antiderivative:
-        cal = np.array([float(curvature_antiderivative(profile, gv)) for gv in gam])
+        cal = curvature_antiderivative(profile, gam)
         res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
                       + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
         if config.monitor_cadence > 1:
@@ -323,7 +295,7 @@ def energy_residual(profile_s: SolutionProfile, family: IsoparametricFamily,
     dgam = profile_s["dgamma"]
     d2gam = profile_s["d2gamma"]
     n = family.n
-    cal = np.array([float(curvature_antiderivative(prof, gv)) for gv in gam])
+    cal = curvature_antiderivative(prof, gam)
     core = eps * dgam ** 2 / 2.0 + 0.5 * np.log1p(4 * s ** 2 * dgam ** 2) - cal
     if "energy" in profile_s.columns:
         gp0 = profile_s.meta.get("gamma_prime0", dgam[0])
@@ -335,25 +307,30 @@ def energy_residual(profile_s: SolutionProfile, family: IsoparametricFamily,
     return EnergyResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
 
 
+def _gauss_points(s):
+    """4-point Gauss rule on each interval of the grid s: weights, points t
+    (intervals x nodes), widths h (a column), and hermite(y, dy) at t."""
+    h = np.diff(s)[:, None]
+    x = np.array(GAUSS4_NODES)
+
+    def hermite(y, dy):
+        return cubic_hermite(x, h, y[:-1, None], dy[:-1, None], y[1:, None], dy[1:, None])
+
+    return np.array(GAUSS4_WEIGHTS), s[:-1, None] + x * h, h, hermite
+
+
+def _cumulative(terms, h):
+    """Running sum from 0 of (node terms summed left to right) * width."""
+    per_interval = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    return np.concatenate(([0.0], np.cumsum(per_interval * h[:, 0])))
+
+
 def _cumulative_energy(s, dgam, d2gam, n):
     """Cumulative int (1-2nt) gamma'^2 dt over the node grid; gamma' is
     reconstructed per interval as the cubic Hermite matching (dgam, d2gam)."""
-    out = np.zeros_like(s)
-    for i in range(len(s) - 1):
-        a, b = s[i], s[i + 1]
-        h = b - a
-        total = 0.0
-        for x, w in zip(GAUSS4_NODES, GAUSS4_WEIGHTS):
-            h00 = (1 + 2 * x) * (1 - x) ** 2
-            h10 = x * (1 - x) ** 2
-            h01 = x * x * (3 - 2 * x)
-            h11 = x * x * (x - 1)
-            dg = (h00 * dgam[i] + h10 * h * d2gam[i]
-                  + h01 * dgam[i + 1] + h11 * h * d2gam[i + 1])
-            t = a + x * h
-            total += w * (1 - 2 * n * t) * dg * dg
-        out[i + 1] = out[i] + total * h
-    return out
+    w, t, h, hermite = _gauss_points(s)
+    dg = hermite(dgam, d2gam)
+    return _cumulative(w * (1 - 2 * n * t) * dg * dg, h)
 
 
 def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> SolutionProfile:
@@ -373,7 +350,7 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
     d2phi = (dgam + s * d2gam) / (2.0 * s ** 2 * dgam ** 3)
 
     prof = CurvatureProfile(family, profile_s.meta.get("profile_mode", COT_SUM))
-    h_vals = np.array([float(mean_curvature(prof, dv)) for dv in d])
+    h_vals = mean_curvature(prof, d)
     n = family.n
     # phi-equation residual (zero for the true solution)
     eq130 = d2phi / (1 + dphi ** 2) + dphi * h_vals - n + 0.5 * np.exp(2 * phi)
@@ -399,24 +376,12 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
 
 
 def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
-    h_of = _fast_curvature(prof)[0]
-    out = np.zeros_like(s)
-    for i in range(len(s) - 1):
-        a, b = s[i], s[i + 1]
-        h = b - a
-        total = 0.0
-        for x, w in zip(GAUSS4_NODES, GAUSS4_WEIGHTS):
-            h00 = (1 + 2 * x) * (1 - x) ** 2
-            h10 = x * (1 - x) ** 2
-            h01 = x * x * (3 - 2 * x)
-            h11 = x * x * (x - 1)
-            gv = h00 * gam[i] + h10 * h * dgam[i] + h01 * gam[i + 1] + h11 * h * dgam[i + 1]
-            dg = (h00 * dgam[i] + h10 * h * d2gam[i]
-                  + h01 * dgam[i + 1] + h11 * h * d2gam[i + 1])
-            t = a + x * h
-            total += w * h_of(gv) / (4.0 * t * t * dg)
-        out[i + 1] = out[i] + total * h
-    return out
+    """Cumulative int H(gamma) / (4 t^2 gamma') dt, gamma and gamma' as the
+    cubic Hermites through (gam, dgam) and (dgam, d2gam)."""
+    w, t, h, hermite = _gauss_points(s)
+    gv = hermite(gam, dgam)
+    dg = hermite(dgam, d2gam)
+    return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
 
 
 def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
@@ -447,7 +412,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     dphi_h = float(profile_d["dphi"][idx])
 
     prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", COT_SUM))
-    h_fast, _ = _fast_curvature(prof)
+    h_fast = binary64_curvature(prof)
     n = family.n
 
     def f(d, y):
@@ -487,7 +452,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     dphi = result.ys[:, 1]
     q = result.ys[:, 2]
     d2phi = result.fs[:, 1]
-    h_vals = np.array([h_fast(dv) for dv in d_nodes])
+    h_vals = mean_curvature(prof, d_nodes)
     eq130 = d2phi / (1 + dphi ** 2) + dphi * h_vals - n + 0.5 * np.exp(2 * phi)
     ident = np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
     drift = ident - ident[0]
@@ -528,11 +493,7 @@ def _hermite_eval(xs, ys, dys, x_query):
     x0, x1 = xs[idx], xs[idx + 1]
     h = x1 - x0
     t = np.where(h > 0, (x_query - x0) / np.where(h > 0, h, 1.0), 0.0)
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    return h00 * ys[idx] + h10 * h * dys[idx] + h01 * ys[idx + 1] + h11 * h * dys[idx + 1]
+    return cubic_hermite(t, h, ys[idx], dys[idx], ys[idx + 1], dys[idx + 1])
 
 
 def gamma_dense(profile_s: SolutionProfile, s_query):

@@ -40,13 +40,6 @@ class RealContext:
                 return mpmath.mpf(x)
         return float(x)
 
-    @property
-    def pi(self):
-        if self.is_mp:
-            with mpmath.workprec(self.prec):
-                return +mpmath.pi
-        return math.pi
-
     def _call(self, f_math, f_mp, x):
         if self.is_mp:
             with mpmath.workprec(self.prec):
@@ -64,18 +57,6 @@ class RealContext:
             with mpmath.workprec(self.prec):
                 return mpmath.cot(mpmath.mpf(x))
         return math.cos(x) / math.sin(x)
-
-    def log(self, x):
-        return self._call(math.log, mpmath.log, x)
-
-    def log1p(self, x):
-        return self._call(math.log1p, mpmath.log1p, x)
-
-    def exp(self, x):
-        return self._call(math.exp, mpmath.exp, x)
-
-    def sqrt(self, x):
-        return self._call(math.sqrt, mpmath.sqrt, x)
 
 
 def decimal_str(x, prec: int) -> str:
@@ -104,6 +85,16 @@ def loglog_slope(xs, ys):
     sxx = sum((u - mx) ** 2 for u in lx)
     sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
     return sxy / sxx
+
+
+def cubic_hermite(t, h, y0, dy0, y1, dy1):
+    """Cubic Hermite at local coordinate t in [0, 1] on an interval of width h
+    with end values y0, y1 and end slopes dy0, dy1."""
+    h00 = (1 + 2 * t) * (1 - t) ** 2
+    h10 = t * (1 - t) ** 2
+    h01 = t * t * (3 - 2 * t)
+    h11 = t * t * (t - 1)
+    return h00 * y0 + h10 * h * dy0 + h01 * y1 + h11 * h * dy1
 
 
 # 4-point Gauss-Legendre rule on [0, 1]; exact through degree 7, enough to

@@ -251,7 +251,8 @@ class TaylorRecursion:
     so the recursion reads a_{k+1} = T_k / (c (k+1)) with drift coefficient
     c; ``t0`` = H(0) = T_0 starts it.  The rules are
 
-    * cot_sum: c_i = cot(theta_i + gamma) from c_i' = -(1 + c_i^2) gamma';
+    * cot_sum: H = sum w f c over the (w, f) of ``family.cot_terms``, one
+      chain c = cot(f (theta1 + gamma)) per term from c' = -f (1 + c^2) gamma';
     * eq030_literal: the pair C = cos u, S = sin u, u = g (theta1 + gamma),
       from C' = -S u', S' = C u'; since u(0) = g theta1 lies in (0, pi),
       sqrt(1 - f^2) = S for f = C, and H = ((n+g-1) C - g(m_minus-m_plus)/2) / S
@@ -272,10 +273,11 @@ class TaylorRecursion:
         self.p = [1]        # [s^m] (1 + w^2)
         self.dot = _dot     # fixed by the ring of the first pushed coefficient
         if self.mode == COT_SUM:
-            self.mult = fam.multiplicities
-            self.cot = [[ctx.cot(th)] for th in fam.angles(ctx)]
-            self.q = [[] for _ in self.cot]          # [s^m] (1 + c_i^2)
-            self.t0 = sum(m_k * c[0] for m_k, c in zip(self.mult, self.cot))
+            t1 = ctx.convert(fam.theta1)
+            self.terms = fam.cot_terms
+            self.cot = [[ctx.cot(f * t1)] for _, f in self.terms]
+            self.q = [[] for _ in self.terms]        # [s^m] (1 + c_i^2)
+            self.t0 = sum(w * f * c[0] for (w, f), c in zip(self.terms, self.cot))
         else:
             u0 = fam.g * ctx.convert(fam.theta1)
             self.g = fam.g
@@ -313,10 +315,10 @@ class TaylorRecursion:
     def _h_cot(self, k):
         ja = self.ja[k:0:-1]
         h_k = 0
-        for m_k, c, q in zip(self.mult, self.cot, self.q):
+        for (w, f), c, q in zip(self.terms, self.cot, self.q):
             q.append(_self_dot(self.dot, c, k - 1) + (1 if k == 1 else 0))
-            c.append(-self.dot(ja, q) / k)
-            h_k = h_k + m_k * c[k]
+            c.append(-f * self.dot(ja, q) / k)
+            h_k = h_k + w * f * c[k]
         return h_k
 
     def _h_eq030(self, k):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeCollapse
+from .numutil import cubic_hermite
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -58,12 +59,8 @@ class IntegrationResult:
         t1 = self.ts[idx + 1]
         h = t1 - t0
         x = np.where(h > 0, (t_arr - t0) / np.where(h > 0, h, 1.0), 0.0)
-        h00 = (1 + 2 * x) * (1 - x) ** 2
-        h10 = x * (1 - x) ** 2
-        h01 = x * x * (3 - 2 * x)
-        h11 = x * x * (x - 1)
-        y = (h00[:, None] * self.ys[idx] + (h10 * h)[:, None] * self.fs[idx]
-             + h01[:, None] * self.ys[idx + 1] + (h11 * h)[:, None] * self.fs[idx + 1])
+        y = cubic_hermite(x[:, None], h[:, None], self.ys[idx], self.fs[idx],
+                          self.ys[idx + 1], self.fs[idx + 1])
         return y[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else y
 
 

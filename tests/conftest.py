@@ -1,9 +1,15 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from coneshrink import compute_coefficients, make_family
 from coneshrink.ivp import SolverConfig, continue_phi, integrate_gamma, to_d_profile
+
+# every property test draws the same examples on every run: the seed comes
+# from each test function (and no example database is replayed)
+settings.register_profile("coneshrink", derandomize=True, deadline=None)
+settings.load_profile("coneshrink")
 
 # reference families used throughout
 FAM1 = dict(g=1, m_minus=1, m_plus=1, n=2, theta1=math.pi / 4)

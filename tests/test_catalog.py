@@ -1,11 +1,16 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from coneshrink.catalog import (
     COT_SUM,
     EQ030_LITERAL,
     CurvatureProfile,
+    binary64_curvature,
     builtin_catalog,
     curvature_antiderivative,
     curvature_antiderivative_numeric,
@@ -93,6 +98,25 @@ class TestMeanCurvature:
             mean_curvature(prof, -0.1)
         with pytest.raises(OutOfRange):
             mean_curvature(prof, fam1.d_focal)
+
+    def test_out_of_range_array_element(self, fam2):
+        prof = CurvatureProfile(fam2)
+        for bad in (fam2.d_focal, -1e-3):
+            nodes = np.array([0.0, 0.1, bad, 0.2])
+            for evaluate in (lambda x: mean_curvature(prof, x),
+                             lambda x: curvature_derivative(prof, x, 2),
+                             lambda x: curvature_antiderivative(prof, x)):
+                with pytest.raises(OutOfRange):
+                    evaluate(nodes)
+
+    def test_binary64_closure_is_mean_curvature(self):
+        for fam in builtin_catalog().values():
+            for mode in (COT_SUM, EQ030_LITERAL):
+                prof = CurvatureProfile(fam, mode)
+                h = binary64_curvature(prof)
+                for i in range(40):
+                    d = fam.d_focal * i / 41.0
+                    assert h(d) == mean_curvature(prof, d)
 
     def test_geodesic_sphere_oracle(self):
         # every g=1 family matches (n-1) cot(theta1 + d)
@@ -220,6 +244,19 @@ class TestMinimalDistance:
         again = make_family(2, 1, 1, 3, math.pi / 6)
         assert again.d0 == fam2.d0
 
+    def test_mean_convex_limit(self):
+        # theta1 within an ulp of the minimal angle pi/(2g): H(0) is rounding
+        # noise, so the family is either rejected or has d0 within rounding of
+        # 0; the Newton polish must not step below d = 0
+        for g, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 8), (4, 2), (6, 1), (6, 2)):
+            limit = math.pi / (2 * g)
+            for theta1 in (math.nextafter(limit, 0), limit, math.nextafter(limit, 1)):
+                try:
+                    d0 = make_family(g, m, m, g * m + 1, theta1).d0
+                except NotMeanConvex:
+                    continue
+                assert 0 <= d0 <= 1e-12
+
     def test_root_not_bracketed(self, fam1):
         bad = make_family(2, 1, 1, 3, math.pi / 6)
         object.__setattr__(bad, "theta1", math.pi / 3)
@@ -252,3 +289,100 @@ class TestLiteralMode:
         vals = [mean_curvature(lit, d) for d in
                 [fam1.d_focal * i / 40 for i in range(39)]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Muenzner's closed form against the g-angle cot sum
+# ---------------------------------------------------------------------------
+
+def cot_sum_oracle(fam, d, order, prec):
+    """The order-th derivative of sum_k m_k cot(theta_k + d) (order -1: the
+    antiderivative sum_k m_k [ln sin(theta_k + d) - ln sin theta_k]), summed
+    over the g principal angles at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        total = mpmath.mpf(0)
+        for k, m_k in enumerate(fam.multiplicities):
+            th = mpmath.mpf(fam.theta1) + k * mpmath.pi / fam.g
+            c = mpmath.cot(th + d)
+            total += m_k * {
+                -1: lambda: mpmath.log(mpmath.sin(th + d)) - mpmath.log(mpmath.sin(th)),
+                0: lambda: c,
+                1: lambda: -(1 + c * c),
+                2: lambda: 2 * c * (1 + c * c),
+                3: lambda: -2 * (1 + c * c) * (1 + 3 * c * c),
+            }[order]()
+        return total
+
+
+def closed_form(prof, d, order, prec):
+    if order < 0:
+        return curvature_antiderivative(prof, d, prec)
+    return curvature_derivative(prof, d, order, prec)
+
+
+# (g, m_minus, m_plus): odd g forces equal multiplicities (g = 3 only as in
+# Cartan's list); g = 2 and g = 4 include unequal pairs in both orders
+ADMISSIBLE_MULTIPLICITIES = (
+    [(1, m, m) for m in (1, 2, 3, 5)]
+    + [(2, p, q) for p in (1, 2, 3) for q in (1, 2, 5)]
+    + [(3, m, m) for m in (1, 2, 4, 8)]
+    + [(4, p, q) for p, q in ((1, 1), (2, 2), (1, 2), (2, 1), (4, 5), (5, 4), (3, 4), (6, 9))]
+    + [(6, m, m) for m in (1, 2)]
+)
+
+
+@st.composite
+def family_and_distance(draw):
+    g, mm, mp_ = draw(st.sampled_from(ADMISSIBLE_MULTIPLICITIES))
+    n = 1 + (g * mm if g % 2 else g // 2 * (mm + mp_))
+    theta1 = draw(st.floats(0.005, 0.995)) * math.pi / g
+    try:
+        fam = make_family(g, mm, mp_, n, theta1)
+    except NotMeanConvex:
+        assume(False)
+    return fam, draw(st.floats(0.0, 0.95, exclude_max=True)) * fam.d_focal
+
+
+class TestMuenznerIdentity:
+    @given(family_and_distance())
+    def test_binary64(self, case):
+        fam, d = case
+        prof = CurvatureProfile(fam)
+        for order in (-1, 0, 1, 2, 3):
+            expect = cot_sum_oracle(fam, d, order, 120)
+            got = closed_form(prof, d, order, 53)
+            assert abs(got - expect) <= 1e-13 * (1 + abs(expect)), order
+
+    @given(family_and_distance())
+    def test_256_bits(self, case):
+        fam, d = case
+        prof = CurvatureProfile(fam)
+        for order in (-1, 0, 1, 2, 3):
+            expect = cot_sum_oracle(fam, d, order, 320)
+            got = closed_form(prof, d, order, 256)
+            with mpmath.workprec(320):
+                assert abs(got - expect) <= 1e-60 * (1 + abs(expect)), order
+
+    def test_multiplicity_anchor(self):
+        # swapping the multiplicities moves only the (m_1 - m_2) term:
+        # H - H_swapped = (m_plus - m_minus) g / sin(g x), x = theta1 + d
+        for g, mm, mp_, theta1 in ((2, 1, 2, math.pi / 6), (4, 4, 5, math.pi / 16)):
+            n = 1 + g // 2 * (mm + mp_)
+            fam, swapped = make_family(g, mm, mp_, n, theta1), make_family(g, mp_, mm, n, theta1)
+            for d in (0.0, 0.3 * fam.d_focal, 0.6 * fam.d_focal):
+                h, h_swapped = (mean_curvature(CurvatureProfile(f), d) for f in (fam, swapped))
+                assert h == pytest.approx(float(cot_sum_oracle(fam, d, 0, 120)), rel=1e-13)
+                assert h_swapped == pytest.approx(
+                    float(cot_sum_oracle(swapped, d, 0, 120)), rel=1e-13)
+                shift = (mp_ - mm) * g / math.sin(g * (theta1 + d))
+                assert abs(shift) > 1
+                assert h - h_swapped == pytest.approx(shift, rel=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        for fam in builtin_catalog().values():
+            prof = CurvatureProfile(fam)
+            nodes = np.linspace(0.0, 0.95 * fam.d_focal, 97)
+            for order in (-1, 0, 1, 3):
+                got = closed_form(prof, nodes, order, 53)
+                expect = np.array([closed_form(prof, float(d), order, 53) for d in nodes])
+                assert np.all(np.abs(got - expect) <= 1e-15 * (1 + np.abs(expect)))

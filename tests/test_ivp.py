@@ -21,8 +21,10 @@ from coneshrink.ivp import (
     read_profile_csv,
     to_d_profile,
     write_profile_csv,
+    _cumulative_energy,
+    _cumulative_q_from_s,
 )
-from coneshrink.numutil import loglog_slope
+from coneshrink.numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, loglog_slope
 from coneshrink.series import compute_epsilon_corrections, evaluate_truncated
 
 
@@ -166,6 +168,67 @@ class TestEnergyResidual:
                                columns=solved1.columns, meta=meta)
         with pytest.raises(UnsupportedMode):
             energy_residual(fake, fam1)
+
+
+# The per-interval loops the vectorised Gauss/Hermite quadrature replaced,
+# kept as oracles: same basis, same node order, same running sum.
+def _cumulative_energy_loop(s, dgam, d2gam, n):
+    out = np.zeros_like(s)
+    for i in range(len(s) - 1):
+        a, b = s[i], s[i + 1]
+        h = b - a
+        total = 0.0
+        for x, w in zip(GAUSS4_NODES, GAUSS4_WEIGHTS):
+            h00 = (1 + 2 * x) * (1 - x) ** 2
+            h10 = x * (1 - x) ** 2
+            h01 = x * x * (3 - 2 * x)
+            h11 = x * x * (x - 1)
+            dg = (h00 * dgam[i] + h10 * h * d2gam[i]
+                  + h01 * dgam[i + 1] + h11 * h * d2gam[i + 1])
+            t = a + x * h
+            total += w * (1 - 2 * n * t) * dg * dg
+        out[i + 1] = out[i] + total * h
+    return out
+
+
+def _cumulative_q_loop(s, gam, dgam, d2gam, h_of):
+    out = np.zeros_like(s)
+    for i in range(len(s) - 1):
+        a, b = s[i], s[i + 1]
+        h = b - a
+        total = 0.0
+        for x, w in zip(GAUSS4_NODES, GAUSS4_WEIGHTS):
+            h00 = (1 + 2 * x) * (1 - x) ** 2
+            h10 = x * (1 - x) ** 2
+            h01 = x * x * (3 - 2 * x)
+            h11 = x * x * (x - 1)
+            gv = h00 * gam[i] + h10 * h * dgam[i] + h01 * gam[i + 1] + h11 * h * dgam[i + 1]
+            dg = (h00 * dgam[i] + h10 * h * d2gam[i]
+                  + h01 * dgam[i + 1] + h11 * h * d2gam[i + 1])
+            t = a + x * h
+            total += w * h_of(gv) / (4.0 * t * t * dg)
+        out[i + 1] = out[i] + total * h
+    return out
+
+
+class TestGaussHermiteQuadrature:
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_bit_identical_to_interval_loops(self, which, request, series1, series2):
+        fam = request.getfixturevalue(which)
+        series = series1 if which == "fam1" else series2
+        run = integrate_gamma(fam, series, SolverConfig(tol=1e-10))
+        s, gam, dgam, d2gam = (run[c] for c in ("s", "gamma", "dgamma", "d2gamma"))
+        prof = CurvatureProfile(fam)
+        assert np.array_equal(_cumulative_energy(s, dgam, d2gam, fam.n),
+                              _cumulative_energy_loop(s, dgam, d2gam, fam.n))
+        # the loop is handed the same H: the array evaluation, one node at a time
+        h_of = lambda v: mean_curvature(prof, np.array([v]))[0]  # noqa: E731
+        assert np.array_equal(_cumulative_q_from_s(s, gam, dgam, d2gam, prof),
+                              _cumulative_q_loop(s, gam, dgam, d2gam, h_of))
+
+    def test_single_node(self, fam1):
+        s = np.array([0.01])
+        assert np.array_equal(_cumulative_energy(s, s, s, fam1.n), np.zeros(1))
 
 
 class TestEpsilonStudy:

@@ -56,6 +56,19 @@ class TestClosedForms:
         assert "precision" in str(err.value)
 
 
+class TestCotChains:
+    def test_one_chain_per_closed_form_term(self):
+        # Muenzner's form needs a second chain only for even g with unequal
+        # multiplicities; the g-angle sum ran one per principal angle
+        from coneshrink.catalog import CurvatureProfile
+        from coneshrink.numutil import RealContext
+        from coneshrink.series import TaylorRecursion
+        two = {"g2_product_12", "g4_m45"}
+        for name, fam in builtin_catalog().items():
+            engine = TaylorRecursion(CurvatureProfile(fam), RealContext(53))
+            assert len(engine.cot) == (2 if name in two else 1), name
+
+
 class TestStateOracle:
     def test_a3_from_integrated_solution(self, fam1, series1):
         """Fit gamma'''(0) from a high-precision integration bootstrapped with
