@@ -29,6 +29,7 @@ from .errors import (
     ConstraintViolation,
     ExportIOError,
     NotMeanConvex,
+    OutOfRange,
     PrecisionExhausted,
 )
 from .numutil import atomic_write_text, decimal_str
@@ -43,14 +44,24 @@ EXIT_IO = 6
 DEFAULT_EPS_LIST = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
-def _default_precision():
-    env = os.environ.get("CONESHRINK_PRECISION")
-    if env:
+def _precision(args):
+    """Working precision in bits: --precision (or its config key), else
+    CONESHRINK_PRECISION, else 53; OutOfRange for anything below 1 bit."""
+    if args.precision is not None:
+        bits = args.precision
+        source = "--precision" if args.config is None else f"--precision or {args.config}"
+    else:
+        env = os.environ.get("CONESHRINK_PRECISION")
+        if not env:
+            return 53
+        source = "CONESHRINK_PRECISION"
         try:
-            return int(env)
+            bits = int(env)
         except ValueError:
-            pass
-    return 53
+            raise OutOfRange(f"{source}={env!r} is not an integer") from None
+    if bits < 1:
+        raise OutOfRange(f"precision {bits} from {source} is below 1 bit")
+    return bits
 
 
 def _read_config_file(path):
@@ -76,49 +87,43 @@ def _family_from_args(args):
     return make_family(args.g, int(m_minus), int(m_plus), args.n, args.theta1)
 
 
-def _add_family_flags(p):
-    p.add_argument("--g", type=int, required=False)
-    p.add_argument("--m", type=int, default=None, help="both multiplicities at once")
-    p.add_argument("--m-minus", dest="m_minus", type=int, default=None)
-    p.add_argument("--m-plus", dest="m_plus", type=int, default=None)
-    p.add_argument("--n", type=int)
-    p.add_argument("--theta1", type=float)
+def _add_shared_flags(p):
+    """Flags that coeffs and solve both read; returns their actions."""
+    return [
+        p.add_argument("--g", type=int, required=False),
+        p.add_argument("--m", type=int, default=None, help="both multiplicities at once"),
+        p.add_argument("--m-minus", dest="m_minus", type=int, default=None),
+        p.add_argument("--m-plus", dest="m_plus", type=int, default=None),
+        p.add_argument("--n", type=int),
+        p.add_argument("--theta1", type=float),
+        p.add_argument("--config", default=None, help="flat key=value file; flags override"),
+        p.add_argument("--precision", type=int, default=None, help="working precision, bits"),
+        p.add_argument("--K", type=int, default=series_mod.DEFAULT_K, help="series order"),
+        p.add_argument("--N", type=int, default=8, help="correction order"),
+        p.add_argument("--profile-mode", dest="profile_mode",
+                       choices=["cot_sum", "eq030"], default="cot_sum"),
+        p.add_argument("--out", default=".", help="output directory"),
+    ]
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", default=None, help="flat key=value file; flags override")
-    p.add_argument("--precision", type=int, default=None, help="working precision, bits")
-    p.add_argument("--K", type=int, default=series_mod.DEFAULT_K, help="series order")
-    p.add_argument("--N", type=int, default=8, help="correction order")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--profile-mode", dest="profile_mode",
-                   choices=["cot_sum", "eq030"], default="cot_sum")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["csv", "json", "obj"], default="csv")
-    p.add_argument("--jobs", type=int, default=1)
-
-
-def _apply_config_file(args, subparser):
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    # flags given on the command line win; a value still at its default (or
-    # None) is eligible for replacement from the file
-    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
-    for key, raw in file_vals.items():
-        if key not in actions:
-            raise ConeShrinkError(f"{args.config}: unknown key {key!r}")
-        action = actions[key]
-        current = getattr(args, key, None)
-        if current == action.default or current is None:
-            typ = action.type
-            if isinstance(action.default, bool) or action.const is True:
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            elif typ in (int, float):
-                setattr(args, key, typ(float(raw)) if typ is int else typ(raw))
-            else:
-                setattr(args, key, raw)
-    return args
+def _config_defaults(subparser, actions, path):
+    """Make the config file's values the subparser's defaults, so that every
+    flag given on the command line wins."""
+    by_dest = {a.dest: a for a in actions}
+    defaults = {}
+    for key, raw in _read_config_file(path).items():
+        if key not in by_dest:
+            raise ConeShrinkError(f"{path}: unknown key {key!r}")
+        action = by_dest[key]
+        if isinstance(action.default, bool):
+            defaults[key] = raw.lower() in ("1", "true", "yes")
+        elif action.type is int:
+            defaults[key] = int(float(raw))
+        elif action.type is float:
+            defaults[key] = float(raw)
+        else:
+            defaults[key] = raw
+    subparser.set_defaults(**defaults)
 
 
 def _mode(args):
@@ -180,12 +185,8 @@ def cmd_catalog(args):
 
 def cmd_coeffs(args):
     fam = _family_from_args(args)
-    prec = args.precision if args.precision is not None else _default_precision()
-    try:
-        fs = series_mod.compute_coefficients(fam, args.K, prec, profile_mode=_mode(args))
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
+    prec = _precision(args)
+    fs = series_mod.compute_coefficients(fam, args.K, prec, profile_mode=_mode(args))
     record = series_mod.series_to_json_dict(fs)
     if args.corrections:
         corr = series_mod.compute_epsilon_corrections(fam, args.N, prec, series=fs)
@@ -224,26 +225,18 @@ def _parse_d_target(expr, fam):
 
 def cmd_solve(args):
     fam = _family_from_args(args)
-    prec = args.precision if args.precision is not None else _default_precision()
+    prec = _precision(args)
     config = ivp.SolverConfig(tol=args.tol, profile_mode=_mode(args),
                               series_K=args.K, series_prec=prec,
                               correction_N=args.N)
     d_target = _parse_d_target(args.to_d, fam)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    try:
-        fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
-                                             profile_mode=config.profile_mode)
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    try:
-        prof_s = ivp.integrate_gamma(fam, fs, config)
-        prof_d = ivp.to_d_profile(prof_s, fam)
-        prof_ext = ivp.continue_phi(prof_d, fam, d_target=d_target, config=config)
-    except ConeShrinkError as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
+                                         profile_mode=config.profile_mode)
+    prof_s = ivp.integrate_gamma(fam, fs, config)
+    prof_d = ivp.to_d_profile(prof_s, fam)
+    prof_ext = ivp.continue_phi(prof_d, fam, d_target=d_target, config=config)
     shr = geometry.shrinker_residual(prof_ext, fam)
     energy_col = prof_s["energy_residual"]
     max_energy = (float(np.nanmax(np.abs(energy_col)))
@@ -265,22 +258,17 @@ def cmd_solve(args):
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
     }
     if args.eps_study:
-        study = ivp.epsilon_convergence_study(fam, config, DEFAULT_EPS_LIST,
-                                              series=fs, jobs=args.jobs)
+        study = ivp.epsilon_convergence_study(fam, config, DEFAULT_EPS_LIST, series=fs)
         summary["eps_study"] = {
             "eps": list(study.eps_list),
             "errors": list(study.errors),
             "slope": study.slope,
             "monotone": study.monotone,
         }
-    try:
-        ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
-        ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))
-        _emit(os.path.join(out, "summary.json"),
-              json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except ExportIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
+    ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))
+    _emit(os.path.join(out, "summary.json"),
+          json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -289,25 +277,24 @@ def cmd_solve(args):
 # verify
 # ---------------------------------------------------------------------------
 
+def _monitor(name, worst, thresholds, failures, label=None):
+    """Print one thresholded monitor line; record ``name`` if it fails."""
+    ok = worst <= thresholds[name]
+    print(f"monitor {label or name}: max {worst:.3e} "
+          f"(threshold {thresholds[name]:.1e}) {'PASS' if ok else 'FAIL'}")
+    if not ok:
+        failures.append(name)
+
+
 def _verify_s_side(prof, fam, thresholds):
     failures = []
     s = prof["s"]
     gam, dgam, d2gam = prof["gamma"], prof["dgamma"], prof["d2gamma"]
-    rep = ivp.energy_residual(prof, fam)
-    ok = rep.max_abs <= thresholds["energy_residual"]
-    print(f"monitor energy_residual: max {rep.max_abs:.3e} "
-          f"(threshold {thresholds['energy_residual']:.1e}) {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append("energy_residual")
+    _monitor("energy_residual", ivp.energy_residual(prof, fam).max_abs, thresholds, failures)
     profile_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
     resid = np.abs(ivp.equation_residual(s, gam, dgam, d2gam, 0.0, profile_eq))
     scale = 1.0 + np.abs(d2gam)
-    worst = float(np.max(resid / scale))
-    ok = worst <= thresholds["ode_residual"]
-    print(f"monitor ode_residual: max {worst:.3e} "
-          f"(threshold {thresholds['ode_residual']:.1e}) {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append("ode_residual")
+    _monitor("ode_residual", float(np.max(resid / scale)), thresholds, failures)
     mono = bool(np.all(np.diff(gam) > 0) and np.all(dgam > 0))
     print(f"monitor monotonicity: {'PASS' if mono else 'FAIL'}")
     if not mono:
@@ -318,29 +305,15 @@ def _verify_s_side(prof, fam, thresholds):
 def _verify_d_side(prof, fam, thresholds):
     failures = []
     d, phi, dphi, g = prof["d"], prof["phi"], prof["dphi"], prof["g"]
-    g_ok = float(np.max(np.abs(g - np.exp(-2 * phi))))
-    ok = g_ok <= thresholds["g_consistency"]
-    print(f"monitor g_consistency: max {g_ok:.3e} "
-          f"(threshold {thresholds['g_consistency']:.1e}) {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append("g_consistency")
+    _monitor("g_consistency", float(np.max(np.abs(g - np.exp(-2 * phi)))),
+             thresholds, failures)
     # equation residual with phi'' taken from the Hermite slope of dphi
     d2 = np.gradient(dphi, d)
     prof_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
-    h_vals = mean_curvature(prof_eq, d)
-    eq130 = d2 / (1 + dphi ** 2) + dphi * h_vals - fam.n + 0.5 * np.exp(2 * phi)
-    worst = float(np.max(np.abs(eq130[1:-1])))
-    ok = worst <= thresholds["eq130_residual"]
-    print(f"monitor eq130_residual (finite-difference phi''): max {worst:.3e} "
-          f"(threshold {thresholds['eq130_residual']:.1e}) {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append("eq130_residual")
-    drift_col = prof["eq350_drift"]
-    ok = float(np.max(np.abs(drift_col))) <= thresholds["eq350_drift"]
-    print(f"monitor eq350_drift: max {float(np.max(np.abs(drift_col))):.3e} "
-          f"(threshold {thresholds['eq350_drift']:.1e}) {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append("eq350_drift")
+    eq130 = ivp.phi_equation_residual(phi, dphi, d2, mean_curvature(prof_eq, d), fam.n)
+    _monitor("eq130_residual", float(np.max(np.abs(eq130[1:-1]))), thresholds, failures,
+             label="eq130_residual (finite-difference phi'')")
+    _monitor("eq350_drift", float(np.max(np.abs(prof["eq350_drift"]))), thresholds, failures)
     return failures
 
 
@@ -425,7 +398,6 @@ def cmd_export(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="coneshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p_cat = sub.add_parser("catalog", help="list built-in families or --check one")
     p_cat.add_argument("--check", nargs="*", default=None,
@@ -433,18 +405,20 @@ def build_parser():
     p_cat.set_defaults(func=cmd_catalog)
 
     p_coef = sub.add_parser("coeffs", help="series coefficients, corrections, Gevrey report")
-    _add_family_flags(p_coef)
-    _add_common_flags(p_coef)
-    p_coef.add_argument("--gevrey", action="store_true")
-    p_coef.add_argument("--corrections", action="store_true")
+    coef_actions = _add_shared_flags(p_coef) + [
+        p_coef.add_argument("--format", choices=["csv", "json"], default="csv"),
+        p_coef.add_argument("--gevrey", action="store_true"),
+        p_coef.add_argument("--corrections", action="store_true"),
+    ]
     p_coef.set_defaults(func=cmd_coeffs)
 
     p_solve = sub.add_parser("solve", help="integrate, convert, continue, write artifacts")
-    _add_family_flags(p_solve)
-    _add_common_flags(p_solve)
-    p_solve.add_argument("--to-d", dest="to_d", default=None,
-                         help="continuation target, e.g. 'd0+0.05' or a number")
-    p_solve.add_argument("--eps-study", dest="eps_study", action="store_true")
+    solve_actions = _add_shared_flags(p_solve) + [
+        p_solve.add_argument("--tol", type=float, default=1e-10),
+        p_solve.add_argument("--to-d", dest="to_d", default=None,
+                             help="continuation target, e.g. 'd0+0.05' or a number"),
+        p_solve.add_argument("--eps-study", dest="eps_study", action="store_true"),
+    ]
     p_solve.set_defaults(func=cmd_solve)
 
     p_ver = sub.add_parser("verify", help="recompute monitors from a stored profile")
@@ -463,16 +437,17 @@ def build_parser():
     p_exp.add_argument("--format", choices=["csv", "json", "obj"], default="csv")
     p_exp.add_argument("--resolution", type=int, default=64)
     p_exp.set_defaults(func=cmd_export)
-    registry.update(catalog=p_cat, coeffs=p_coef, solve=p_solve,
-                    verify=p_ver, export=p_exp)
-    return parser, registry
+    # the subcommands that take --config, with the flags a config file may set
+    configurable = {"coeffs": (p_coef, coef_actions), "solve": (p_solve, solve_actions)}
+    return parser, configurable
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, configurable = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "config"):
-        args = _apply_config_file(args, registry[args.command])
+    if getattr(args, "config", None):
+        _config_defaults(*configurable[args.command], args.config)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConstraintViolation, NotMeanConvex) as exc:

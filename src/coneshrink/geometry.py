@@ -27,7 +27,7 @@ from .errors import (
     ResolutionTooLow,
     UnsupportedFamily,
 )
-from .ivp import D_SIDE, SolutionProfile, _hermite_eval
+from .ivp import D_SIDE, SolutionProfile, _hermite_eval, phi_equation_residual
 from .numutil import atomic_write_text, loglog_slope
 from .series import (
     FormalSeries,
@@ -70,8 +70,7 @@ def shrinker_residual(profile_d: SolutionProfile, family: IsoparametricFamily,
     if d2phi is None:
         d2phi = profile_d["d2phi"]
     prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", "cot_sum"))
-    h_vals = mean_curvature(prof, d)
-    vals = d2phi / (1 + dphi ** 2) + dphi * h_vals - family.n + 0.5 * np.exp(2 * phi)
+    vals = phi_equation_residual(phi, dphi, d2phi, mean_curvature(prof, d), family.n)
     return ShrinkerResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
 
 

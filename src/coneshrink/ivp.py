@@ -62,28 +62,28 @@ S_SIDE_COLUMNS = ("s", "gamma", "dgamma", "d2gamma", "local_err", "energy_residu
 D_SIDE_COLUMNS = ("d", "phi", "dphi", "g", "eq130_residual", "eq350_drift")
 
 
+BOOTSTRAP_FACTOR = 0.01   # series error target at the bootstrap point = factor * tol
+D_MARGIN = 0.05           # continuation overshoot past d0 (capped)
+HANDOFF_FRACTION = 0.5    # d-side handoff at s ~ fraction * s_end
+BLOWUP_DPHI = 1e8         # |phi'| past which continuation reports a blow-up
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10                 # local error tolerance (atol = rtol)
-    s_end: Optional[float] = None      # default 1/(4n)
     eps: float = 0.0                   # regularization (0 = direct singular problem)
-    bootstrap_factor: float = 0.01     # series error target = factor * tol
     s_bootstrap: Optional[float] = None  # explicit handoff point (overrides the scan)
-    max_step: Optional[float] = None
-    monitor_cadence: int = 1
     profile_mode: str = COT_SUM
     series_K: int = DEFAULT_K
     series_prec: int = 53
     correction_N: int = 8
     max_steps: int = 400_000
-    d_margin: float = 0.05             # continuation overshoot past d0 (capped)
-    handoff_fraction: float = 0.5      # handoff at s ~ fraction * s_end
     blowup_phi: float = 30.0
-    blowup_dphi: float = 1e8
     identity_drift_tol: float = 1e-5
 
     def resolved_s_end(self, family):
-        return self.s_end if self.s_end is not None else 1.0 / (4.0 * family.n)
+        """End of the s-side integration, 1/(4n)."""
+        return 1.0 / (4.0 * family.n)
 
 
 @dataclass
@@ -167,7 +167,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     """Integrate the s-side problem to s_end.
 
     Direct problem (eps = 0): bootstrap state comes from the truncated series
-    at s_b (series error <= bootstrap_factor * tol).  Regularized problem
+    at s_b (series error <= BOOTSTRAP_FACTOR * tol).  Regularized problem
     (eps > 0): starts at s = 0 with slope B(eps) from ``corrections`` (or
     ``initial_slope`` explicitly; a bare H(0) reproduces the uncorrected
      regularization for ablation runs).
@@ -198,7 +198,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
         if series is None:
             series = compute_coefficients(family, config.series_K, config.series_prec,
                                           profile_mode=config.profile_mode)
-        target = config.bootstrap_factor * tol
+        target = BOOTSTRAP_FACTOR * tol
         if config.s_bootstrap is not None:
             s_b = config.s_bootstrap
         else:
@@ -225,7 +225,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
         t0 = 0.0
         gamma_prime0 = initial_slope
 
-    max_step = config.max_step if config.max_step is not None else (s_end - t0) / 8
+    max_step = (s_end - t0) / 8
     try:
         result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
                            max_step=max_step, max_steps=config.max_steps,
@@ -250,10 +250,6 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
         cal = curvature_antiderivative(profile, gam)
         res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
                       + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
-        if config.monitor_cadence > 1:
-            mask = np.ones_like(res_energy, dtype=bool)
-            mask[:: config.monitor_cadence] = False
-            res_energy[mask] = np.nan
     return SolutionProfile(
         side=S_SIDE, family=family,
         columns={
@@ -333,6 +329,18 @@ def _cumulative_energy(s, dgam, d2gam, n):
     return _cumulative(w * (1 - 2 * n * t) * dg * dg, h)
 
 
+def phi_equation_residual(phi, dphi, d2phi, h, n):
+    """phi''/(1 + phi'^2) + phi' H - n + e^{2 phi}/2, zero for the true
+    solution; h holds H(d) at the nodes."""
+    return d2phi / (1 + dphi ** 2) + dphi * h - n + 0.5 * np.exp(2 * phi)
+
+
+def phi_first_integral(phi, dphi, q, n):
+    """ln(1 + phi'^2) + 2q - 2n phi + e^{2 phi}/2 with q = int H phi'^2, which
+    stays constant along a solution."""
+    return np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
+
+
 def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> SolutionProfile:
     """Invert s -> d = gamma(s) and change chart: g(d) = s, phi = -ln(s)/2,
     phi' = -1/(2 s gamma'); cross-checks the g-equation residual at each node."""
@@ -352,8 +360,7 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
     prof = CurvatureProfile(family, profile_s.meta.get("profile_mode", COT_SUM))
     h_vals = mean_curvature(prof, d)
     n = family.n
-    # phi-equation residual (zero for the true solution)
-    eq130 = d2phi / (1 + dphi ** 2) + dphi * h_vals - n + 0.5 * np.exp(2 * phi)
+    eq130 = phi_equation_residual(phi, dphi, d2phi, h_vals, n)
     # g-equation residual: g' = 1/gamma', g'' = -gamma''/gamma'^3
     gp = 1.0 / dgam
     gpp = -d2gam / dgam ** 3
@@ -362,7 +369,7 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
     # continuation first integral, anchored at the first node; the integral
     # int H phi'^2 dd is pulled back to the s-grid: H(gamma)/(4 s^2 gamma') ds
     q = _cumulative_q_from_s(s, gam, dgam, d2gam, prof)
-    ident = np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
+    ident = phi_first_integral(phi, dphi, q, n)
     drift = ident - ident[0]
     return SolutionProfile(
         side=D_SIDE, family=family,
@@ -392,7 +399,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     config = config or SolverConfig()
     d0 = family.d0
     margin_cap = 0.5 * (family.d_focal - d0)
-    margin = min(config.d_margin, margin_cap)
+    margin = min(D_MARGIN, margin_cap)
     if d_target is None:
         d_target = d0 + margin
     if not d_target < family.d_focal:
@@ -404,9 +411,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
 
     s_vals = profile_d["g"]
     s_top = float(s_vals[-1])
-    want = config.handoff_fraction * s_top
-    want = max(want, 0.1 * s_top)
-    idx = int(np.argmin(np.abs(s_vals - want)))
+    idx = int(np.argmin(np.abs(s_vals - HANDOFF_FRACTION * s_top)))
     d_h = float(profile_d["d"][idx])
     phi_h = float(profile_d["phi"][idx])
     dphi_h = float(profile_d["dphi"][idx])
@@ -424,8 +429,8 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     def guard(d, y):
         if abs(y[0]) > config.blowup_phi:
             raise BlowUpDetected(d, f"|phi| exceeded {config.blowup_phi}")
-        if abs(y[1]) > config.blowup_dphi:
-            raise BlowUpDetected(d, f"|phi'| exceeded {config.blowup_dphi}")
+        if abs(y[1]) > BLOWUP_DPHI:
+            raise BlowUpDetected(d, f"|phi'| exceeded {BLOWUP_DPHI}")
         # the mean curvature must stay nonnegative up to the minimal member;
         # the margin past d0 is where it may go negative
         if d <= d0 and h_fast(d) < -1e-12:
@@ -452,9 +457,8 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     dphi = result.ys[:, 1]
     q = result.ys[:, 2]
     d2phi = result.fs[:, 1]
-    h_vals = mean_curvature(prof, d_nodes)
-    eq130 = d2phi / (1 + dphi ** 2) + dphi * h_vals - n + 0.5 * np.exp(2 * phi)
-    ident = np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
+    eq130 = phi_equation_residual(phi, dphi, d2phi, mean_curvature(prof, d_nodes), n)
+    ident = phi_first_integral(phi, dphi, q, n)
     drift = ident - ident[0]
     max_drift = float(np.max(np.abs(drift)))
     if max_drift > config.identity_drift_tol:
@@ -518,26 +522,15 @@ class EpsilonStudyReport:
     control_d2_deviation: Optional[float] = None
 
 
-def _eps_run_worker(payload):
-    """Process-pool worker: one regularized run, returns the node arrays."""
-    fam_args, config_kwargs, eps, slope = payload
-    from .catalog import make_family
-    fam = make_family(*fam_args)
-    config = SolverConfig(**config_kwargs)
-    prof = integrate_gamma(fam, None, replace(config, eps=eps), initial_slope=slope)
-    return prof["s"], prof["gamma"], prof["dgamma"]
-
-
 def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
                               eps_list, include_control: bool = False,
                               series: Optional[FormalSeries] = None,
-                              corrections=None, jobs: int = 1) -> EpsilonStudyReport:
+                              corrections=None) -> EpsilonStudyReport:
     """Slope of max|gamma_eps - gamma_0| on [0, s_end] against eps
     (first-order convergence of the corrected regularization).
 
     The optional control repeats the sweep with B(eps) truncated to B_0,
-    quantifying what the corrections buy.  ``jobs > 1`` runs the independent
-    regularized solves in a process pool."""
+    quantifying what the corrections buy."""
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or any(e <= 0 for e in eps_list):
         raise OutOfRange("need >= 3 positive eps values")
@@ -562,24 +555,6 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
 
     def sweep(slope_source):
         errs, statuses = [], []
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            from dataclasses import asdict
-            fam_args = (family.g, family.m_minus, family.m_plus, family.n, family.theta1)
-            payloads = [(fam_args, asdict(config), e, float(slope_source(e)))
-                        for e in eps_list]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_eps_run_worker, p) for p in payloads]
-                for fut in futures:
-                    try:
-                        s_arr, g_arr, dg_arr = fut.result()
-                        g_eps = _hermite_eval(s_arr, g_arr, dg_arr, grid)
-                        errs.append(float(np.max(np.abs(g_eps - gamma0))))
-                        statuses.append("ok")
-                    except (StepSizeCollapse, MonotonicityLost, OutOfRange) as exc:
-                        errs.append(float("nan"))
-                        statuses.append(f"{type(exc).__name__}: {exc}")
-            return errs, statuses
         for e in eps_list:
             try:
                 prof = integrate_gamma(

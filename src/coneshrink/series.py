@@ -508,22 +508,13 @@ class EpsilonCorrections:
     slopes: tuple            # measured affine slopes, should be (-1)^m
     max_snap_residual: float
 
-    def slope_polynomial(self):
-        return EpsilonPolynomial(self.B)
-
     def initial_slope(self, eps):
         """B(eps) = sum B_i eps^i."""
-        acc = 0 * self.B[0]
-        for b in reversed(self.B):
-            acc = acc * eps + b
-        return acc
+        return EpsilonPolynomial(self.B)(eps)
 
     def initial_curvature(self, eps):
         """gamma''(0; eps) = -sum_{i>=1} B_i eps^{i-1}."""
-        acc = 0 * self.B[0]
-        for b in reversed(self.B[1:]):
-            acc = acc * eps + b
-        return -acc
+        return -EpsilonPolynomial(self.B[1:])(eps)
 
 
 # tolerance of the affine fit behind each B_m: slope (-1)^m and second difference

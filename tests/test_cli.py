@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from coneshrink.cli import main
+from coneshrink.errors import ConeShrinkError
 
 FAM1_FLAGS = ["--g", "1", "--m", "1", "--n", "2", "--theta1", "0.7853981633974483"]
 
@@ -179,7 +181,7 @@ class TestSolve:
 
     def test_eps_study_flag(self, tmp_path, capsys):
         code, out, _ = run(["solve", *FAM1_FLAGS, "--tol", "1e-8",
-                            "--eps-study", "--jobs", "2",
+                            "--eps-study",
                             "--out", str(tmp_path)], capsys)
         assert code == 0
         study = json.loads((tmp_path / "summary.json").read_text())["eps_study"]
@@ -288,3 +290,137 @@ class TestConfigAndEnv:
                             "--out", str(tmp_path)], capsys)
         assert code == 0
         assert json.loads(out)["precision_bits"] == 96
+
+    def test_flag_at_its_default_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g = 1\nm = 1\nn = 2\ntheta1 = 0.7853981633974483\nK = 7\n"
+                       "N = 4\nprofile_mode = eq030\n")
+        code, out, _ = run(["coeffs", "--config", str(cfg), "--K", "40", "--N", "8",
+                            "--profile-mode", "cot_sum", "--corrections", "--out", "-"],
+                           capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["K"] == 40
+        assert len(rec["B"]) == 9
+        assert rec["profile_mode"] == "cot_sum"
+
+    def test_config_conversions_and_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g = 1\nm = 1\nn = 2\ntheta1 = 0.7853981633974483\n"
+                       "K = 6.0  # int keys take a float spelling\ngevrey = yes\n")
+        code, out, _ = run(["coeffs", "--config", str(cfg), "--out", "-"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["K"] == 6 and "gevrey_report" in rec
+        cfg.write_text("tol = 1e-9\n")   # a solve flag; coeffs has no such key
+        with pytest.raises(ConeShrinkError, match="unknown key 'tol'"):
+            main(["coeffs", "--config", str(cfg), "--out", "-"])
+
+
+class TestPrecisionSource:
+    @pytest.mark.parametrize("env, message", [
+        ("abc", "CONESHRINK_PRECISION='abc' is not an integer"),
+        ("0", "precision 0 from CONESHRINK_PRECISION is below 1 bit"),
+        ("-7", "precision -7 from CONESHRINK_PRECISION is below 1 bit"),
+    ])
+    @pytest.mark.parametrize("command", ["coeffs", "solve"])
+    def test_bad_environment(self, command, env, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONESHRINK_PRECISION", env)
+        code, out, err = run([command, *FAM1_FLAGS, "--K", "4", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 4
+        assert out == ""
+        assert f"OutOfRange: {message}" in err
+
+    @pytest.mark.parametrize("bits", ["0", "-7"])
+    def test_bad_flag(self, bits, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONESHRINK_PRECISION", "96")   # the flag is the source
+        code, _, err = run(["coeffs", *FAM1_FLAGS, "--precision", bits, "--out", "-"],
+                           capsys)
+        assert code == 4
+        assert f"OutOfRange: precision {bits} from --precision is below 1 bit" in err
+
+    def test_bad_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision = 0\n")
+        code, _, err = run(["solve", *FAM1_FLAGS, "--config", str(cfg),
+                            "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert f"precision 0 from --precision or {cfg} is below 1 bit" in err
+
+    def test_unset_and_empty_environment_mean_53(self, capsys, monkeypatch):
+        for setting in (None, ""):
+            if setting is None:
+                monkeypatch.delenv("CONESHRINK_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("CONESHRINK_PRECISION", setting)
+            code, out, _ = run(["coeffs", *FAM1_FLAGS, "--K", "4", "--out", "-"], capsys)
+            assert code == 0
+            assert json.loads(out)["precision_bits"] == 53
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes are read once parsing is done."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryFlagIsRead:
+    """Each flag coeffs and solve accept is read by the command; a removed flag
+    is an unknown flag (exit 2)."""
+
+    # --m and the --m-minus/--m-plus pair are alternatives: one run each
+    MULTIPLICITIES = (["--m", "1"], ["--m-minus", "1", "--m-plus", "1"])
+    FLAGS = {
+        "coeffs": ["--g", "1", "--n", "2", "--theta1", "0.7853981633974483",
+                   "--precision", "64", "--K", "6", "--N", "3", "--profile-mode", "cot_sum",
+                   "--format", "json", "--gevrey", "--corrections"],
+        "solve": ["--g", "1", "--n", "2", "--theta1", "0.7853981633974483",
+                  "--precision", "53", "--K", "20", "--N", "4", "--profile-mode", "cot_sum",
+                  "--tol", "1e-8", "--to-d", "d0+0.05", "--eps-study"],
+    }
+
+    @pytest.mark.parametrize("command", ["coeffs", "solve"])
+    def test_every_given_flag_is_read(self, command, tmp_path, capsys, monkeypatch):
+        parse_args = argparse.ArgumentParser.parse_args
+        namespaces = []
+
+        def recording_parse(parser, args=None, namespace=None):
+            ns = parse_args(parser, args, _ReadRecorder())
+            ns._reads = set()
+            namespaces.append(ns)
+            return ns
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# every value comes from the command line\n")
+        covered = set()
+        for mult in self.MULTIPLICITIES:
+            namespaces.clear()
+            argv = [command, *mult, *self.FLAGS[command], "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]
+            code, _, _ = run(argv, capsys)
+            assert code == 0
+            given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+            read = set().union(*(ns._reads for ns in namespaces))
+            assert given - read == set()
+            covered |= given
+        # the runs gave every flag the command accepts
+        parsed = set(vars(namespaces[-1])) - {"_reads", "command", "func"}
+        assert parsed == covered
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--jobs", "2"],
+        ["coeffs", "--tol", "1e-9"],
+        ["coeffs", "--format", "obj"],
+        ["solve", "--jobs", "2"],
+        ["solve", "--format", "csv"],
+    ])
+    def test_removed_flags_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *FAM1_FLAGS, *argv[1:], "--out", str(tmp_path)])
+        assert exc.value.code == 2

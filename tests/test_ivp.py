@@ -250,23 +250,6 @@ class TestEpsilonStudy:
         with pytest.raises(OutOfRange):
             epsilon_convergence_study(fam1, SolverConfig(), (1e-2, 1e-3))
 
-    def test_parallel_jobs_match_sequential(self, fam1, series1):
-        eps_list = (1e-2, 3e-3, 1e-3)
-        seq = epsilon_convergence_study(fam1, SolverConfig(tol=1e-8), eps_list,
-                                        series=series1)
-        par = epsilon_convergence_study(fam1, SolverConfig(tol=1e-8), eps_list,
-                                        series=series1, jobs=2)
-        assert par.errors == seq.errors  # deterministic across the pool
-
-
-class TestMonitorCadence:
-    def test_thinned_monitor_columns(self, fam1, series1):
-        prof = integrate_gamma(fam1, series1,
-                               SolverConfig(tol=1e-8, monitor_cadence=3))
-        res = prof["energy_residual"]
-        assert np.all(np.isfinite(res[::3]))
-        assert np.all(np.isnan(np.delete(res, np.arange(0, len(res), 3))))
-
 
 class TestToDProfile:
     def test_chart_relations(self, dside1, solved1):
