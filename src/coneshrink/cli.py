@@ -4,7 +4,8 @@ Exit codes are a stable contract:
   0 success, 2 family constraint violation, 3 precision exhausted,
   4 solver failure, 5 verification failure, 6 I/O failure.
 
-A flat key=value config file mirrors the long flags; explicit flags win.
+A flat key=value config file mirrors the long flags; explicit flags win, and
+a bad line exits 2 as the flag would.
 CONESHRINK_PRECISION overrides the default working precision (bits).
 """
 
@@ -64,18 +65,24 @@ def _precision(args):
     return bits
 
 
-def _read_config_file(path):
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConeShrinkError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _setting(text):
+    """One ``key = value`` setting: a config-file line or a catalog --check token."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text.strip()!r}")
+    return key.strip().replace("-", "_"), value.strip()
+
+
+# the family fields of catalog --check, converted as their flags are
+_CHECK_FIELDS = {"g": int, "m": int, "m_minus": int, "m_plus": int, "n": int, "theta1": float}
+
+
+def _check_setting(token):
+    key, value = _setting(token)
+    try:
+        return key, _CHECK_FIELDS.get(key, str)(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{key}: invalid number {value!r}") from None
 
 
 def _family_from_args(args):
@@ -84,6 +91,8 @@ def _family_from_args(args):
     if m_minus is None or m_plus is None:
         raise ConstraintViolation("missing_multiplicity",
                                   "supply --m or both --m-minus and --m-plus")
+    if args.theta1 is None:
+        raise ConstraintViolation("missing_theta1", "supply --theta1")
     return make_family(args.g, int(m_minus), int(m_plus), args.n, args.theta1)
 
 
@@ -106,35 +115,43 @@ def _add_shared_flags(p):
     ]
 
 
+def _config_value(action, raw):
+    """A config-file value as its flag's type; int keys take a float spelling.
+    Other values stay text, for argparse to convert as it does a flag's."""
+    if isinstance(action.default, bool):
+        return raw.lower() in ("1", "true", "yes")
+    if action.type is int:
+        return int(float(raw))
+    if action.type is float:
+        return float(raw)
+    if action.choices is not None and raw not in action.choices:
+        raise ValueError(f"{action.dest} = {raw!r}: choose from {', '.join(action.choices)}")
+    return raw
+
+
 def _config_defaults(subparser, actions, path):
     """Make the config file's values the subparser's defaults, so that every
-    flag given on the command line wins."""
+    flag given on the command line wins.  A bad line is a usage error of the
+    subcommand (exit 2), as the same flag would be."""
     by_dest = {a.dest: a for a in actions}
     defaults = {}
-    for key, raw in _read_config_file(path).items():
-        if key not in by_dest:
-            raise ConeShrinkError(f"{path}: unknown key {key!r}")
-        action = by_dest[key]
-        if isinstance(action.default, bool):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
-        elif action.type is int:
-            defaults[key] = int(float(raw))
-        elif action.type is float:
-            defaults[key] = float(raw)
-        else:
-            defaults[key] = raw
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0]
+            if not line.strip():
+                continue
+            try:
+                key, raw = _setting(line)
+                if key not in by_dest:
+                    raise ValueError(f"unknown key {key!r}")
+                defaults[key] = _config_value(by_dest[key], raw)
+            except (argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
+                subparser.error(f"{path}:{ln}: {exc}")
     subparser.set_defaults(**defaults)
 
 
 def _mode(args):
     return EQ030_LITERAL if args.profile_mode == "eq030" else COT_SUM
-
-
-def _emit(path, text):
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise ExportIOError(path, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +160,9 @@ def _emit(path, text):
 
 def cmd_catalog(args):
     if args.check:
-        spec = {}
-        for token in args.check:
-            if "=" not in token:
-                print(f"catalog --check: expected key=value, got {token!r}", file=sys.stderr)
-                return EXIT_CONSTRAINT
-            k, v = token.split("=", 1)
-            spec[k.strip()] = v.strip()
-        try:
-            g = int(spec["g"])
-            n = int(spec["n"])
-            theta1 = float(spec["theta1"])
-            m_minus = int(spec.get("m_minus", spec.get("m", 0)))
-            m_plus = int(spec.get("m_plus", spec.get("m", 0)))
-            fam = make_family(g, m_minus, m_plus, n, theta1)
-        except KeyError as exc:
-            print(f"catalog --check: missing field {exc}", file=sys.stderr)
-            return EXIT_CONSTRAINT
-        except (ConstraintViolation, NotMeanConvex) as exc:
-            print(f"constraint violation: {exc}", file=sys.stderr)
-            return EXIT_CONSTRAINT
+        spec = dict.fromkeys(_CHECK_FIELDS)
+        spec.update(args.check)
+        fam = _family_from_args(argparse.Namespace(**spec))
         h0 = float(mean_curvature(CurvatureProfile(fam), 0.0))
         print(f"valid family: g={fam.g} m_minus={fam.m_minus} m_plus={fam.m_plus} "
               f"n={fam.n} theta1={fam.theta1!r}")
@@ -203,8 +203,8 @@ def cmd_coeffs(args):
         os.makedirs(args.out, exist_ok=True)
         if args.format == "csv":
             lines = ["k,A_k"] + [f"{k + 1},{v}" for k, v in enumerate(record["A"])]
-            _emit(os.path.join(args.out, "coeffs.csv"), "\n".join(lines) + "\n")
-        _emit(os.path.join(args.out, "coeffs.json"), text + "\n")
+            atomic_write_text(os.path.join(args.out, "coeffs.csv"), "\n".join(lines) + "\n")
+        atomic_write_text(os.path.join(args.out, "coeffs.json"), text + "\n")
     print(text)
     return EXIT_OK
 
@@ -213,14 +213,17 @@ def cmd_coeffs(args):
 # solve
 # ---------------------------------------------------------------------------
 
-def _parse_d_target(expr, fam):
-    if expr is None:
-        return None
+def _d_target(expr):
+    """The --to-d value: 'd0', 'd0+x', 'd0-x' or a number x, as the pair
+    (relative to d0, x)."""
     expr = expr.strip()
-    if expr.startswith("d0"):
-        rest = expr[2:].replace(" ", "")
-        return fam.d0 + (float(rest) if rest else 0.0)
-    return float(expr)
+    relative = expr.startswith("d0")
+    number = (expr[2:].replace(" ", "") or "0") if relative else expr
+    try:
+        return relative, float(number)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected d0, d0+x, d0-x or a number x, got {expr!r}") from None
 
 
 def cmd_solve(args):
@@ -229,7 +232,10 @@ def cmd_solve(args):
     config = ivp.SolverConfig(tol=args.tol, profile_mode=_mode(args),
                               series_K=args.K, series_prec=prec,
                               correction_N=args.N)
-    d_target = _parse_d_target(args.to_d, fam)
+    d_target = None
+    if args.to_d is not None:
+        relative, x = args.to_d
+        d_target = fam.d0 + x if relative else x
     out = args.out
     os.makedirs(out, exist_ok=True)
     fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
@@ -237,7 +243,6 @@ def cmd_solve(args):
     prof_s = ivp.integrate_gamma(fam, fs, config)
     prof_d = ivp.to_d_profile(prof_s, fam)
     prof_ext = ivp.continue_phi(prof_d, fam, d_target=d_target, config=config)
-    shr = geometry.shrinker_residual(prof_ext, fam)
     energy_col = prof_s["energy_residual"]
     max_energy = (float(np.nanmax(np.abs(energy_col)))
                   if np.any(np.isfinite(energy_col)) else None)
@@ -253,7 +258,7 @@ def cmd_solve(args):
         "d_handoff": prof_ext.meta["d_h"],
         "d_target": prof_ext.meta["d_target"],
         "max_energy_residual": max_energy,
-        "max_eq130_residual": shr.max_abs,
+        "max_eq130_residual": float(np.max(np.abs(prof_ext["eq130_residual"]))),
         "max_eq350_drift": prof_ext.meta["max_identity_drift"],
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
     }
@@ -267,8 +272,8 @@ def cmd_solve(args):
         }
     ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
     ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))
-    _emit(os.path.join(out, "summary.json"),
-          json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(out, "summary.json"),
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -317,23 +322,28 @@ def _verify_d_side(prof, fam, thresholds):
     return failures
 
 
-def cmd_verify(args):
+def _load_run(args):
+    """The family and the stored profile that verify and export read: the
+    summary is --summary, else summary.json next to the profile.  A summary
+    that does not parse is an I/O failure (exit 6), as one that cannot be read."""
     summary_path = args.summary or os.path.join(os.path.dirname(os.path.abspath(args.profile)),
                                                 "summary.json")
-    try:
-        with open(summary_path, "r", encoding="utf-8") as fh:
+    with open(summary_path, "r", encoding="utf-8") as fh:
+        try:
             summary = json.load(fh)
-    except OSError as exc:
-        print(f"i/o failure reading {summary_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    f = summary["family"]
-    fam = make_family(f["g"], f["m_minus"], f["m_plus"], f["n"], f["theta1"])
-    try:
-        prof = ivp.read_profile_csv(args.profile, fam)
-    except OSError as exc:
-        print(f"i/o failure reading {args.profile}: {exc}", file=sys.stderr)
-        return EXIT_IO
+            f = summary["family"]
+            family = [f[k] for k in ("g", "m_minus", "m_plus", "n", "theta1")]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise OSError(f"{summary_path} is not a solve summary: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    fam = make_family(*family)
+    prof = ivp.read_profile_csv(args.profile, fam)
     prof.meta["profile_mode"] = summary.get("profile_mode", COT_SUM)
+    return fam, prof
+
+
+def cmd_verify(args):
+    fam, prof = _load_run(args)
     thresholds = {
         "energy_residual": args.energy_threshold,
         "ode_residual": args.ode_threshold,
@@ -357,37 +367,17 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_export(args):
-    summary_path = args.summary or os.path.join(os.path.dirname(os.path.abspath(args.profile)),
-                                                "summary.json")
-    try:
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        f = summary["family"]
-        fam = make_family(f["g"], f["m_minus"], f["m_plus"], f["n"], f["theta1"])
-        prof = ivp.read_profile_csv(args.profile, fam)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if prof.side != ivp.D_SIDE:
-        print("export needs a d-side profile", file=sys.stderr)
-        return EXIT_SOLVER
+    fam, prof = _load_run(args)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        if args.format == "obj":
-            res = geometry.export_mesh(prof, fam, os.path.join(args.out, "end.obj"),
-                                       resolution=args.resolution)
-            print(f"wrote {res.path} ({res.vertex_count} vertices, "
-                  f"{res.face_count} faces, discrete residual {res.discrete_residual})")
-        else:
-            path = os.path.join(args.out, f"profile.{args.format}")
-            geometry.export_profile(prof, path, format=args.format)
-            print(f"wrote {path}")
-    except ExportIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConeShrinkError as exc:
-        print(f"export failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.format == "obj":
+        res = geometry.export_mesh(prof, fam, os.path.join(args.out, "end.obj"),
+                                   resolution=args.resolution)
+        print(f"wrote {res.path} ({res.vertex_count} vertices, "
+              f"{res.face_count} faces, discrete residual {res.discrete_residual})")
+    else:
+        path = os.path.join(args.out, f"profile.{args.format}")
+        geometry.export_profile(prof, path, format=args.format)
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -400,7 +390,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cat = sub.add_parser("catalog", help="list built-in families or --check one")
-    p_cat.add_argument("--check", nargs="*", default=None,
+    p_cat.add_argument("--check", nargs="*", default=None, type=_check_setting,
                        metavar="key=value", help="validate a family tuple")
     p_cat.set_defaults(func=cmd_catalog)
 
@@ -415,7 +405,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="integrate, convert, continue, write artifacts")
     solve_actions = _add_shared_flags(p_solve) + [
         p_solve.add_argument("--tol", type=float, default=1e-10),
-        p_solve.add_argument("--to-d", dest="to_d", default=None,
+        p_solve.add_argument("--to-d", dest="to_d", default=None, type=_d_target,
                              help="continuation target, e.g. 'd0+0.05' or a number"),
         p_solve.add_argument("--eps-study", dest="eps_study", action="store_true"),
     ]
@@ -443,12 +433,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command.  Usage errors exit 2 through argparse; every other
+    failure leaves through the mapping below, the only one in the program."""
     parser, configurable = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _config_defaults(*configurable[args.command], args.config)
-        args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _config_defaults(*configurable[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConstraintViolation, NotMeanConvex) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
@@ -456,7 +448,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except ExportIOError as exc:
+    except (ExportIOError, OSError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConeShrinkError as exc:

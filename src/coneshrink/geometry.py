@@ -21,14 +21,13 @@ import numpy as np
 
 from .catalog import CurvatureProfile, IsoparametricFamily, mean_curvature
 from .errors import (
-    ExportIOError,
     InsufficientRange,
     OutOfRange,
     ResolutionTooLow,
     UnsupportedFamily,
 )
 from .ivp import D_SIDE, SolutionProfile, _hermite_eval, phi_equation_residual
-from .numutil import atomic_write_text, loglog_slope
+from .numutil import atomic_write_text, loglog_slope, write_csv
 from .series import (
     FormalSeries,
     compute_coefficients,
@@ -157,25 +156,19 @@ def export_profile(profile_d: SolutionProfile, path, format: str = "csv"):
         "eq130_residual": profile_d["eq130_residual"],
         "eq350_drift": profile_d["eq350_drift"],
     }
-    try:
-        if format == "csv":
-            lines = [",".join(EXPORT_COLUMNS)]
-            for row in zip(*[cols[c] for c in EXPORT_COLUMNS]):
-                lines.append(",".join(repr(float(v)) for v in row))
-            atomic_write_text(path, "\n".join(lines) + "\n")
-        elif format == "json":
-            doc = {
-                "schema": "coneshrink/profile-v1",
-                "family": profile_d.family.as_dict(),
-                "columns": list(EXPORT_COLUMNS),
-                "rows": [[float(cols[c][i]) for c in EXPORT_COLUMNS]
-                         for i in range(len(d))],
-            }
-            atomic_write_text(path, json.dumps(doc, indent=1))
-        else:
-            raise OutOfRange(f"unknown export format {format!r}")
-    except OSError as exc:
-        raise ExportIOError(path, exc) from exc
+    if format == "csv":
+        write_csv(path, EXPORT_COLUMNS, [cols[c] for c in EXPORT_COLUMNS])
+    elif format == "json":
+        doc = {
+            "schema": "coneshrink/profile-v1",
+            "family": profile_d.family.as_dict(),
+            "columns": list(EXPORT_COLUMNS),
+            "rows": [[float(cols[c][i]) for c in EXPORT_COLUMNS]
+                     for i in range(len(d))],
+        }
+        atomic_write_text(path, json.dumps(doc, indent=1))
+    else:
+        raise OutOfRange(f"unknown export format {format!r}")
     return path
 
 
@@ -207,16 +200,13 @@ def export_mesh(profile_d: SolutionProfile, family: IsoparametricFamily, path,
     if profile_d.side != D_SIDE:
         raise OutOfRange("export_mesh needs a d-side profile")
     case = (family.n, family.g)
-    if case == (2, 1):
-        verts, faces = _revolution_mesh(profile_d, family, resolution)
-        residual = discrete_shrinker_residual(verts, faces, resolution)
-    elif case == (3, 2):
-        verts, faces = _torus_slice_mesh(profile_d, family, resolution, psi2_slice)
-        residual = float("nan")
-    else:
+    if case not in ((2, 1), (3, 2)):
         raise UnsupportedFamily(
             f"(n, g) = {case}: no closed-form ambient parameterization meshed here"
         )
+    verts, faces = _end_mesh(profile_d, family, resolution, psi2_slice)
+    residual = (discrete_shrinker_residual(verts, faces, resolution) if case == (2, 1)
+                else float("nan"))
     header = [
         "# radial-graph end mesh",
         f"# family g={family.g} m_minus={family.m_minus} m_plus={family.m_plus} "
@@ -230,10 +220,7 @@ def export_mesh(profile_d: SolutionProfile, family: IsoparametricFamily, path,
     chunks = ["\n".join(header) + "\n"]
     chunks += _obj_rows("v %r %r %r\n", verts)
     chunks += _obj_rows("f %d %d %d\n", faces + 1)
-    try:
-        atomic_write_text(path, "".join(chunks))
-    except OSError as exc:
-        raise ExportIOError(path, exc) from exc
+    atomic_write_text(path, "".join(chunks))
     return MeshResult(path=path, n_d=resolution, n_angular=resolution,
                       vertex_count=len(verts), face_count=len(faces),
                       discrete_residual=residual)
@@ -254,51 +241,32 @@ def _obj_rows(row_format, rows):
     return chunks
 
 
-def _mesh_phi_interp(profile_d, d_samples):
-    return _hermite_eval(profile_d["d"], profile_d["phi"], profile_d["dphi"],
-                         d_samples)
+def _end_mesh(profile_d, family, resolution, psi2):
+    """Vertices and outward faces of the end: ``resolution`` rows along d
+    by ``resolution`` angles psi, at radius r = e^phi.
 
-
-def _revolution_mesh(profile_d, family, resolution):
+    g = 1: th = theta1 + d is the colatitude of a circle on S^2.  g = 2: the
+    ambient S^3 point (cos th cos psi, cos th sin psi, sin th cos psi2,
+    sin th sin psi2), sliced at fixed psi2 and orthogonally projected to the
+    first three coordinates."""
     d_nodes = profile_d["d"]
     d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
-    phi = _mesh_phi_interp(profile_d, d_samples)
-    r = np.exp(phi)
-    chi = family.theta1 + d_samples          # colatitude of the circle on S^2
-    psi = 2 * np.pi * np.arange(resolution) / resolution
-    sin_chi = np.sin(chi)[:, None]
-    cos_chi = np.cos(chi)[:, None]
-    rr = r[:, None]
-    verts = np.stack([
-        (rr * sin_chi * np.cos(psi)[None, :]).ravel(),
-        (rr * sin_chi * np.sin(psi)[None, :]).ravel(),
-        (rr * cos_chi * np.ones_like(psi)[None, :]).ravel(),
-    ], axis=1)
-    faces = _grid_faces(resolution, resolution)
-    faces = _orient_outward(verts, faces)
-    return verts, faces
-
-
-def _torus_slice_mesh(profile_d, family, resolution, psi2):
-    d_nodes = profile_d["d"]
-    d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
-    phi = _mesh_phi_interp(profile_d, d_samples)
-    r = np.exp(phi)
+    phi = _hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)
+    rr = np.exp(phi)[:, None]
     th = family.theta1 + d_samples
-    psi1 = 2 * np.pi * np.arange(resolution) / resolution
-    # ambient S^3 point (cos th cos p1, cos th sin p1, sin th cos p2, sin th sin p2),
-    # sliced at fixed psi2 and orthogonally projected to the first three coordinates
-    rr = r[:, None]
-    cos_t = np.cos(th)[:, None]
+    psi = 2 * np.pi * np.arange(resolution) / resolution
     sin_t = np.sin(th)[:, None]
-    verts = np.stack([
-        (rr * cos_t * np.cos(psi1)[None, :]).ravel(),
-        (rr * cos_t * np.sin(psi1)[None, :]).ravel(),
-        (rr * sin_t * math.cos(psi2) * np.ones_like(psi1)[None, :]).ravel(),
-    ], axis=1)
-    faces = _grid_faces(resolution, resolution)
-    faces = _orient_outward(verts, faces)
-    return verts, faces
+    cos_t = np.cos(th)[:, None]
+    if family.g == 1:
+        coords = (rr * sin_t * np.cos(psi)[None, :],
+                  rr * sin_t * np.sin(psi)[None, :],
+                  rr * cos_t * np.ones_like(psi)[None, :])
+    else:
+        coords = (rr * cos_t * np.cos(psi)[None, :],
+                  rr * cos_t * np.sin(psi)[None, :],
+                  rr * sin_t * math.cos(psi2) * np.ones_like(psi)[None, :])
+    verts = np.stack([c.ravel() for c in coords], axis=1)
+    return verts, _orient_outward(verts, _grid_faces(resolution, resolution))
 
 
 def _grid_faces(n_rows, n_cols):

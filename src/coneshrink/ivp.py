@@ -50,7 +50,7 @@ from .errors import (
     StepSizeCollapse,
     UnsupportedMode,
 )
-from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite
+from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, write_csv
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients,
                      compute_epsilon_corrections, evaluate_truncated)
 from .stepper import integrate, integrate_implicit
@@ -606,14 +606,7 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
 
 def write_profile_csv(profile: SolutionProfile, path):
     cols = S_SIDE_COLUMNS if profile.side == S_SIDE else D_SIDE_COLUMNS
-    lines = [",".join(cols)]
-    arrays = [profile.columns[c] for c in cols]
-    for row in zip(*arrays):
-        lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    from .numutil import atomic_write_text
-    atomic_write_text(path, text)
-    return path
+    return write_csv(path, cols, [profile.columns[c] for c in cols])
 
 
 def read_profile_csv(path, family: IsoparametricFamily) -> SolutionProfile:

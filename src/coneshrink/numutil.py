@@ -13,6 +13,8 @@ import tempfile
 
 import mpmath
 
+from .errors import ExportIOError
+
 DOUBLE_PREC = 53
 
 
@@ -114,18 +116,33 @@ GAUSS4_WEIGHTS = (
 
 
 def atomic_write_text(path, text):
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file.
+
+    The one place a failed write becomes :class:`ExportIOError` naming the
+    path."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ExportIOError(path, exc) from exc
     return path
+
+
+def write_csv(path, header, columns):
+    """CSV with the ``header`` names, then one row per index of the
+    ``columns`` arrays, each value as its round-trip float repr."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return atomic_write_text(path, "\n".join(lines) + "\n")

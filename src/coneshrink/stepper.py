@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeCollapse
-from .numutil import cubic_hermite
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -50,18 +49,6 @@ class IntegrationResult:
     n_steps: int
     n_rejected: int
     used_fallback: bool = False
-
-    def sample(self, t):
-        """Cubic Hermite dense output at scalar or array t within the range."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, len(self.ts) - 2)
-        t0 = self.ts[idx]
-        t1 = self.ts[idx + 1]
-        h = t1 - t0
-        x = np.where(h > 0, (t_arr - t0) / np.where(h > 0, h, 1.0), 0.0)
-        y = cubic_hermite(x[:, None], h[:, None], self.ys[idx], self.fs[idx],
-                          self.ys[idx + 1], self.fs[idx + 1])
-        return y[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else y
 
 
 def _error_norm(err, y0, y1, atol, rtol):

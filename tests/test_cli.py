@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from coneshrink.cli import main
-from coneshrink.errors import ConeShrinkError
 
 FAM1_FLAGS = ["--g", "1", "--m", "1", "--n", "2", "--theta1", "0.7853981633974483"]
 
@@ -267,6 +266,60 @@ def test_closed_stdout_is_io_failure(argv):
     assert b"BrokenPipeError" not in proc.stderr
 
 
+class TestExitContract:
+    """Every failure leaves ``entry()`` with its documented exit code and no
+    traceback.  ``{run}`` stands for the directory of a solved run."""
+
+    COEFFS = ["coeffs", *FAM1_FLAGS, "--K", "5"]
+    CASES = {
+        # name: (files written first, argv, exit code)
+        "config_unknown_key": ({"c.cfg": "bogus = 1\n"}, [*COEFFS, "--config", "c.cfg"], 2),
+        "config_line_without_equals": ({"c.cfg": "K\n"}, [*COEFFS, "--config", "c.cfg"], 2),
+        "config_not_a_number": ({"c.cfg": "K = abc\n"}, [*COEFFS, "--config", "c.cfg"], 2),
+        "config_bad_choice": ({"c.cfg": "profile_mode = foo\n"},
+                              [*COEFFS, "--config", "c.cfg"], 2),
+        "config_missing": ({}, [*COEFFS, "--config", "missing.cfg"], 6),
+        "coeffs_out_under_a_file": ({"f": ""}, [*COEFFS, "--out", "f/x"], 6),
+        "solve_out_under_a_file": ({"f": ""}, ["solve", *FAM1_FLAGS, "--out", "f/x"], 6),
+        "export_out_under_a_file": ({"f": ""}, ["export", "{run}/d_side.csv", "--out", "f/x"], 6),
+        "solve_artifact_is_a_directory": ({"o/s_side.csv/keep": ""},
+                                          ["solve", *FAM1_FLAGS, "--out", "o"], 6),
+        "verify_summary_not_json": ({"r/summary.json": "not json\n"},
+                                    ["verify", "r/d_side.csv"], 6),
+        "export_summary_not_json": ({"r/summary.json": "not json\n"},
+                                    ["export", "r/d_side.csv", "--out", "o"], 6),
+        "solve_to_d_syntax": ({}, ["solve", *FAM1_FLAGS, "--to-d", "abc", "--out", "o"], 2),
+        "catalog_check_not_a_number": ({}, ["catalog", "--check", "g=x", "m=1", "n=2",
+                                            "theta1=0.7"], 2),
+        "coeffs_missing_theta1": ({}, ["coeffs", "--g", "1", "--m", "1", "--n", "2",
+                                       "--out", "-"], 2),
+        # handled before these cases were added; pinned unchanged
+        "verify_missing_csv": ({}, ["verify", "{run}/nope.csv"], 6),
+        "verify_unrecognized_header": ({"bad.csv": "x,y\n1,2\n"},
+                                       ["verify", "bad.csv", "--summary", "{run}/summary.json"], 4),
+        "export_resolution_too_low": ({}, ["export", "{run}/d_side.csv", "--format", "obj",
+                                           "--resolution", "4", "--out", "o"], 4),
+        "catalog_check_missing_field": ({}, ["catalog", "--check", "g=1", "m=1", "n=2"], 2),
+        "constraint": ({}, ["solve", "--g", "2", "--m", "1", "--n", "3", "--theta1", "1.04",
+                            "--out", "o"], 2),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exit_code(self, name, solve_dir, tmp_path):
+        files, argv, code = self.CASES[name]
+        for rel, text in files.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text(text)
+        argv = [a.replace("{run}", str(solve_dir)) for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from coneshrink.cli import entry; entry()", *argv],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip()
+
+
 class TestConfigAndEnv:
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -313,8 +366,10 @@ class TestConfigAndEnv:
         rec = json.loads(out)
         assert rec["K"] == 6 and "gevrey_report" in rec
         cfg.write_text("tol = 1e-9\n")   # a solve flag; coeffs has no such key
-        with pytest.raises(ConeShrinkError, match="unknown key 'tol'"):
+        with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--config", str(cfg), "--out", "-"])
+        assert exc.value.code == 2
+        assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 class TestPrecisionSource:

@@ -14,9 +14,8 @@ from coneshrink.geometry import (
     EXPORT_COLUMNS,
     PROFILE_JSON_SCHEMA,
     _grid_faces,
+    _end_mesh,
     _orient_outward,
-    _revolution_mesh,
-    _torus_slice_mesh,
     asymptotic_check,
     cone_profile,
     discrete_shrinker_residual,
@@ -25,7 +24,8 @@ from coneshrink.geometry import (
     read_profile_json,
     shrinker_residual,
 )
-from coneshrink.ivp import SolutionProfile, SolverConfig, continue_phi, integrate_gamma, to_d_profile
+from coneshrink.ivp import (SolutionProfile, SolverConfig, _hermite_eval, continue_phi,
+                           integrate_gamma, to_d_profile)
 
 
 class TestShrinkerResidual:
@@ -145,7 +145,6 @@ class TestExportMesh:
         assert r64.discrete_residual > r128.discrete_residual > r256.discrete_residual
 
     def test_vertex_radii_match_interpolant(self, continued1, fam1, tmp_path):
-        from coneshrink.geometry import _mesh_phi_interp
         path = tmp_path / "m.obj"
         export_mesh(continued1, fam1, path, resolution=16)
         verts = np.array([[float(t) for t in ln.split()[1:]]
@@ -153,7 +152,8 @@ class TestExportMesh:
                           if ln.startswith("v ")])
         radii = np.linalg.norm(verts, axis=1).reshape(16, 16)
         d_samples = np.linspace(continued1["d"][0], continued1["d"][-1], 16)
-        expect = np.exp(_mesh_phi_interp(continued1, d_samples))
+        expect = np.exp(_hermite_eval(continued1["d"], continued1["phi"], continued1["dphi"],
+                                      d_samples))
         for j in range(16):
             assert radii[:, j] == pytest.approx(expect, rel=1e-12)
 
@@ -293,7 +293,7 @@ class TestMeshOracles:
 
     @pytest.mark.parametrize("resolution", [8, 72])
     def test_residual_matches_oracle_exactly(self, continued1, fam1, resolution):
-        verts, faces = _revolution_mesh(continued1, fam1, resolution)
+        verts, faces = _end_mesh(continued1, fam1, resolution, 0.0)
         oracle_faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         assert np.array_equal(faces, np.array(oracle_faces))
         assert (discrete_shrinker_residual(verts, faces, resolution)
@@ -308,10 +308,7 @@ class TestMeshOracles:
         cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
         path = tmp_path / "m.obj"
         res = export_mesh(cont, fam, path, resolution=resolution)
-        if which == "fam1":
-            verts, _ = _revolution_mesh(cont, fam, resolution)
-        else:
-            verts, _ = _torus_slice_mesh(cont, fam, resolution, 0.0)
+        verts, _ = _end_mesh(cont, fam, resolution, 0.0)
         faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         residual = (_oracle_residual(verts, faces, resolution) if which == "fam1"
                     else float("nan"))
