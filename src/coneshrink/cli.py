@@ -115,11 +115,17 @@ def _add_shared_flags(p):
     ]
 
 
+# the spellings of a boolean config value, case-insensitive
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _config_value(action, raw):
     """A config-file value as its flag's type; int keys take a float spelling.
     Other values stay text, for argparse to convert as it does a flag's."""
     if isinstance(action.default, bool):
-        return raw.lower() in ("1", "true", "yes")
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"{action.dest} = {raw!r}: choose from {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[raw.lower()]
     if action.type is int:
         return int(float(raw))
     if action.type is float:
@@ -131,22 +137,27 @@ def _config_value(action, raw):
 
 def _config_defaults(subparser, actions, path):
     """Make the config file's values the subparser's defaults, so that every
-    flag given on the command line wins.  A bad line is a usage error of the
-    subcommand (exit 2), as the same flag would be."""
+    flag given on the command line wins.  A bad line, or a file that is not
+    UTF-8, is a usage error of the subcommand (exit 2), as the same flag
+    would be."""
     by_dest = {a.dest: a for a in actions}
     defaults = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0]
-            if not line.strip():
-                continue
-            try:
-                key, raw = _setting(line)
-                if key not in by_dest:
-                    raise ValueError(f"unknown key {key!r}")
-                defaults[key] = _config_value(by_dest[key], raw)
-            except (argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
-                subparser.error(f"{path}:{ln}: {exc}")
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            subparser.error(f"{path}: {exc}")
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0]
+        if not line.strip():
+            continue
+        try:
+            key, raw = _setting(line)
+            if key not in by_dest:
+                raise ValueError(f"unknown key {key!r}")
+            defaults[key] = _config_value(by_dest[key], raw)
+        except (argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
+            subparser.error(f"{path}:{ln}: {exc}")
     subparser.set_defaults(**defaults)
 
 

@@ -610,16 +610,35 @@ def write_profile_csv(profile: SolutionProfile, path):
 
 
 def read_profile_csv(path, family: IsoparametricFamily) -> SolutionProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = {name: np.array([float(r[i]) for r in rows])
-            for i, name in enumerate(header)}
+    """A profile as :func:`write_profile_csv` writes it.  The first header
+    column names the side (:class:`OutOfRange` if it names none); a file
+    that is not UTF-8, lacks a column of its side, or has a row that is not
+    one number per column is malformed, an ``OSError`` naming the file and
+    the line or the columns."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            lines = [(ln, line.strip()) for ln, line in enumerate(fh, start=2) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
     if header[0] == "s":
-        side = S_SIDE
+        side, pinned = S_SIDE, S_SIDE_COLUMNS
     elif header[0] == "d":
-        side = D_SIDE
+        side, pinned = D_SIDE, D_SIDE_COLUMNS
     else:
         raise OutOfRange(f"unrecognized profile header {header!r}")
+    missing = [name for name in pinned if name not in header]
+    if missing:
+        raise OSError(f"{path}: the header lacks the {side} column(s) {', '.join(missing)}")
+    rows = []
+    for ln, line in lines:
+        cells = line.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells under a header of {len(header)}")
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise OSError(f"{path}:{ln}: {exc}") from None
+    data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
     return SolutionProfile(side=side, family=family, columns=data,
                            meta={"source": str(path)})

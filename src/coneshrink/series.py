@@ -15,8 +15,8 @@ bits and the relative difference is kept per coefficient.  The series
 diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides
 the growth diagnostics and optimally truncated evaluation.
 
-The same recursion run in truncated epsilon-polynomial arithmetic determines
-the regularization corrections B_i: with initial slope
+The same recursion, run once in online (relaxed) series arithmetic in eps,
+determines the regularization corrections B_i: with initial slope
 gamma'(0) = B(eps) = sum B_i eps^i and gamma''(0) = -sum_{i>=1} B_i eps^{i-1},
 each derivative at zero is
 
@@ -24,7 +24,10 @@ each derivative at zero is
 
 and B_m is fixed so the eps^0 coefficient of gamma^(m+1)(0; eps) equals
 A_{m+1}.  That dependence is affine with slope (-1)^m, solved by a
-two-evaluation linear fit and cross-checked with a third point.
+two-evaluation linear fit and cross-checked with a third point.  The values
+[eps^j] gamma^(k)(0; eps) form a lattice whose diagonal k + j = D depends
+only on diagonals below it and on B_(D-1), so one pass fixes it diagonal by
+diagonal, each coefficient computed once, with no restarted runs.
 """
 
 import json
@@ -52,21 +55,110 @@ from .numutil import DOUBLE_PREC, RealContext, decimal_str, machine_eps, parse_r
 
 
 # ---------------------------------------------------------------------------
-# Truncated polynomials in the regularization parameter
+# Series in the regularization parameter
 # ---------------------------------------------------------------------------
+
+def _unknown(j):
+    raise IndexError(f"the eps^{j} coefficient of this series is not known yet")
+
+
+class _OnlineSeries:
+    """sum_j c_j eps^j whose coefficients are formed on first request, each
+    from its operands' coefficients up to the same order (relaxed, or online,
+    series arithmetic: van der Hoeven, "Relax, but don't be too lazy",
+    J. Symbolic Comput. 34, 2002).
+
+    A leaf holds the coefficients its owner appends to ``coeffs``; any other
+    series is a rule over its operands that forms coefficient j, once, by the
+    same operations however many coefficients are ever requested.  The ring
+    is closed under +, -, * and division by a scalar; a scalar operand
+    enters the constant term of a sum and every term of a product."""
+
+    __slots__ = ("coeffs", "_rule")
+
+    def __init__(self, rule=_unknown, coeffs=()):
+        self.coeffs = list(coeffs)
+        self._rule = rule
+
+    def __getitem__(self, j):
+        c = self.coeffs
+        while len(c) <= j:
+            c.append(self._rule(len(c)))
+        return c[j]
+
+    def _zip(self, other, op):
+        if isinstance(other, _OnlineSeries):
+            return _OnlineSeries(lambda j: op(self[j], other[j]))
+        return _OnlineSeries(lambda j: self[j] if j else op(self[0], other))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return _OnlineSeries(lambda j: -self[j])
+
+    def __mul__(self, other):
+        if isinstance(other, _OnlineSeries):
+            return _OnlineSeries(_product_rule(self, other))
+        return _OnlineSeries(lambda j: other * self[j])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return _OnlineSeries(lambda j: self[j] / scalar)
+
+
+def _product_rule(x, y):
+    """[eps^k] (x * y) from x_0..x_k and y_0..y_k.  For mpmath floats: the
+    exact products x_i y_(k-i), i = 0..k, summed with one rounding to the
+    working precision (mpmath.fdot's arithmetic, each operand converted once);
+    otherwise :func:`_dot` from 0."""
+    raw_x, raw_y = [], []
+
+    def rule(k):
+        x_k, y_k = x[k], y[k]
+        if not isinstance(x[0], mpmath.mpf):
+            return _dot(x.coeffs[:k + 1], y.coeffs[k::-1])
+        raw_x.append(_raw_mpf(x_k))
+        raw_y.append(_raw_mpf(y_k))
+        prec, rnd = mpmath.mp._prec_rounding
+        return mpmath.mp.make_mpf(mpf_sum([mpf_mul(p, q) for p, q in zip(raw_x, reversed(raw_y))],
+                                          prec, rnd))
+    return rule
+
+
+def _raw_mpf(x):
+    return x._mpf_ if type(x) is mpmath.mpf else mpmath.mp.convert(x)._mpf_
+
+
+def _require_vanishing(c0, tol_abs):
+    """The check behind each division by eps: the constant term it drops."""
+    if abs(float(c0)) > tol_abs:
+        raise DivisionByEpsilonFailed(
+            f"constant term {float(c0):.6e} exceeds tolerance {tol_abs:.6e}"
+        )
+
 
 @dataclass(frozen=True)
 class EpsilonPolynomial:
-    """sum_i c_i eps^i known through order ``degree``: a truncated power
-    series that tracks its order.
+    """sum_i c_i eps^i known through order ``degree``: a finite prefix of an
+    online series (:class:`_OnlineSeries`), which tracks its order.
 
     A sum or product of two of them is known only through the lower of the
-    two degrees, and is computed only that far; each coefficient is formed
-    by the same operations whatever the degrees, so truncating an operand
-    truncates the result without changing its leading coefficients.
-    Division by eps is the coefficient shift: it requires the constant term
-    to vanish (checked against an absolute tolerance by the caller) and
-    loses one order."""
+    two degrees, and is computed only that far, by the online ring's rules:
+    each coefficient is formed by the same operations whatever the degrees,
+    so truncating an operand truncates the result without changing its
+    leading coefficients.  Division by eps is the coefficient shift: it
+    requires the constant term to vanish (checked against an absolute
+    tolerance by the caller) and loses one order."""
 
     coeffs: tuple
 
@@ -74,10 +166,6 @@ class EpsilonPolynomial:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise OutOfRange("an epsilon-polynomial needs at least its constant term")
-
-    @classmethod
-    def constant(cls, value, degree: int):
-        return cls((value,) + (0 * value,) * degree)
 
     @property
     def degree(self):
@@ -93,45 +181,39 @@ class EpsilonPolynomial:
     def with_constant(self, value):
         return EpsilonPolynomial((value,) + self.coeffs[1:])
 
-    def _zip(self, other, op):
+    def _online(self, op, other=None):
+        """``op`` in the online ring, taken through the known orders."""
+        degree = self.degree
         if isinstance(other, EpsilonPolynomial):
-            return EpsilonPolynomial(tuple(map(op, self.coeffs, other.coeffs)))
-        return EpsilonPolynomial((op(self.coeffs[0], other),) + self.coeffs[1:])
+            degree = min(degree, other.degree)
+            other = _OnlineSeries(coeffs=other.coeffs)
+        result = op(_OnlineSeries(coeffs=self.coeffs), other)
+        return EpsilonPolynomial([result[j] for j in range(degree + 1)])
 
     def __add__(self, other):
-        return self._zip(other, operator.add)
+        return self._online(_OnlineSeries.__add__, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._zip(other, operator.sub)
+        return self._online(_OnlineSeries.__sub__, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._online(_OnlineSeries.__rsub__, other)
 
     def __neg__(self):
-        return EpsilonPolynomial(tuple(-a for a in self.coeffs))
+        return self._online(lambda x, _: -x)
 
     def __mul__(self, other):
-        if isinstance(other, EpsilonPolynomial):
-            a, b = self.coeffs, other.coeffs
-            if isinstance(a[0], mpmath.mpf):
-                return EpsilonPolynomial(_mpf_cauchy_product(a, b))
-            return EpsilonPolynomial(tuple(_dot(a[:k + 1], b[k::-1])
-                                           for k in range(min(len(a), len(b)))))
-        return EpsilonPolynomial(tuple(other * a for a in self.coeffs))
+        return self._online(_OnlineSeries.__mul__, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return EpsilonPolynomial(tuple(a / scalar for a in self.coeffs))
+        return self._online(_OnlineSeries.__truediv__, scalar)
 
     def divide_by_epsilon(self, tol_abs=0.0):
-        c0 = self.coeffs[0]
-        if abs(float(c0)) > tol_abs:
-            raise DivisionByEpsilonFailed(
-                f"constant term {float(c0):.6e} exceeds tolerance {tol_abs:.6e}"
-            )
+        _require_vanishing(self.coeffs[0], tol_abs)
         return EpsilonPolynomial(self.coeffs[1:])
 
     def __call__(self, eps):
@@ -139,24 +221,6 @@ class EpsilonPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * eps + c
         return acc
-
-    def abs_floats(self):
-        return tuple(abs(float(c)) for c in self.coeffs)
-
-
-def _mpf_cauchy_product(a, b):
-    """[eps^k] (a * b) for k < min(len(a), len(b)): per coefficient the exact
-    products a_i b_(k-i) for i = 0..k, summed with one rounding to the working
-    precision.  This is mpmath.fdot's arithmetic, with each operand converted
-    once per product instead of once per term."""
-    prec, rnd = mpmath.mp._prec_rounding
-    make = mpmath.mp.make_mpf
-    convert = mpmath.mp.convert
-    a = [x._mpf_ if type(x) is mpmath.mpf else convert(x)._mpf_ for x in a]
-    b = [x._mpf_ if type(x) is mpmath.mpf else convert(x)._mpf_ for x in b]
-    return tuple(make(mpf_sum([mpf_mul(x, y) for x, y in zip(a[:k + 1], b[k::-1])],
-                              prec, rnd))
-                 for k in range(min(len(a), len(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +588,26 @@ SLOPE_TOL = 1e-6
 def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                                 series: Optional[FormalSeries] = None) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
-    equals A_k (k <= N+1), by running the derivative recursion in
-    epsilon-polynomial arithmetic.
+    equals A_k (k <= N+1), in one pass over the lattice of values
+    [eps^j] gamma^(k)(0; eps), taken by diagonals D = k + j.
 
-    B_0 = H(0) and B_1 = -A_2 by construction; each later B_m comes from the
-    affine dependence of the eps^0 coefficient of gamma^(m+1)(0; eps), whose
-    slope is (-1)^m (asserted, with a third evaluation guarding affinity).
-    After each stage the constant term is pinned to the exact A_k, keeping the
-    divisions by eps exact."""
+    One engine runs in online epsilon-series arithmetic, and
+    [eps^j] gamma^(k+2) = [eps^(j+1)] (k! T_k) - [eps^(j+1)] gamma^(k+1),
+    with T_k as :meth:`TaylorRecursion.push` returns it; [eps^i] T_k
+    depends on the lattice only through diagonals <= k + i.  B_m enters as [eps^m] gamma'(0) and -[eps^(m-1)] gamma''(0),
+    both on diagonal m + 1, so stage m finds diagonals <= m fixed.  It takes
+    the engine's coefficients on diagonal m once, forms diagonal m + 1 for
+    each trial value t = 0, 1, 2 of B_m (m subtractions), fits B_m from the
+    affine dependence of its eps^0 end, with slope (-1)^m asserted and the
+    third point guarding affinity, and keeps the diagonal formed at t = B_m
+    with its constant pinned to A_(m+1), which keeps every division by eps
+    exact.  Two more diagonals, at B_(N+1) = B_(N+2) = 0, complete
+    ``gamma_eps``.
+
+    Each coefficient is formed by the same operations, in the same order, as
+    an engine run from scratch for one trial value forms it, and every check
+    a sequence of such runs makes is made here, with the same tolerance and
+    in the same order."""
     if N < 1:
         raise OutOfRange("N must be >= 1")
     if series is None:
@@ -543,44 +619,59 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     profile = CurvatureProfile(family, series.profile_mode)
     ctx = RealContext(prec)
     eps_m = machine_eps(prec)
+    vanishing = 64 * math.sqrt(eps_m)
     with ctx.workprec():
         a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
         zero = 0 * a[1]
+        # rows[k]: [eps^j] gamma^(k)(0; eps), one coefficient per diagonal,
+        # the constant pinned to A_k; resid[k]: that constant's offset
+        rows, resid = [None], [None]
+        # rhs[k] = k! T_k; numer0[k] and numer_max[k]: the constant of
+        # k! T_k - gamma^(k+1) and the running max of its |coefficients|
+        rhs, numer0, numer_max = [None], [None], [None]
+        engine = TaylorRecursion(profile, ctx)
 
-        def run_stages(gamma1, gamma2, upto, snap_until):
-            """gamma^(k)(0; eps) polynomials for k = 1..upto from gamma'(0)
-            and gamma''(0); constant terms snapped to A_k for k <= snap_until
-            (interleaved, so every division by eps sees an exactly vanishing
-            constant).  Each polynomial carries the orders its inputs
-            determine.  Returns (polys, max pre-snap residual)."""
-            polys = [None, gamma1, gamma2]
-            worst = 0.0
+        def fix(col):
+            """Append diagonal ``col`` (indexed by k) to the lattice."""
+            for k, value in enumerate(col[1:], start=1):
+                if value is None:
+                    continue
+                if k < len(rows):
+                    rows[k].coeffs.append(value)
+                else:
+                    rows.append(_OnlineSeries(coeffs=[a[k]]))
+                    resid.append(abs(float(value - a[k])))
+            for k in range(1, len(col) - 2):
+                numer_max[k] = max(numer_max[k], abs(float(col[k + 2])))
 
-            def snap(k):
-                target = a[k]
-                resid = abs(float(polys[k].const - target))
-                scale = max(abs(float(target)), 1.0)
-                if resid > 64 * math.sqrt(eps_m) * scale:
-                    raise DivisionByEpsilonFailed(
-                        f"eps^0 coefficient of derivative {k} is off by {resid:.3e}; "
-                        "inconsistent series coefficients or precision loss"
-                    )
-                polys[k] = polys[k].with_constant(target)
-                return resid
+        def diagonal(d, *head):
+            """Diagonal d from its entries in the rows of gamma'(0) and
+            gamma''(0): [eps^(d-k)] gamma^(k)(0; eps) at index k."""
+            col = [None, *head]
+            for k in range(1, min(d - 1, N)):
+                col.append(rhs[k][d - 1 - k] - col[k + 1])
+            return col
 
-            worst = max(worst, snap(1))
-            if snap_until >= 2:
-                worst = max(worst, snap(2))
-            engine = TaylorRecursion(profile, ctx)
-            for k in range(1, max(upto - 1, 0)):
-                rhs = engine.push_derivatives(polys[1: k + 1])
-                numer = rhs - polys[k + 1]
-                tol_scale = max(max(numer.abs_floats()), 1.0)
-                nxt = numer.divide_by_epsilon(tol_abs=64 * math.sqrt(eps_m) * tol_scale)
-                polys.append(nxt)
-                if k + 2 <= snap_until:
-                    worst = max(worst, snap(k + 2))
-            return polys, worst
+        def check_pin(k):
+            if resid[k] > vanishing * max(abs(float(a[k])), 1.0):
+                raise DivisionByEpsilonFailed(
+                    f"eps^0 coefficient of derivative {k} is off by {resid[k]:.3e}; "
+                    "inconsistent series coefficients or precision loss"
+                )
+
+        def audit(upto, pinned, trial=None):
+            """The checks of an engine run through gamma^(upto) with the
+            constants through gamma^(pinned) pinned, in that run's order; the
+            tolerance of each dropped constant is set by the whole numerator,
+            whose newest coefficient is the trial diagonal's, if one is given."""
+            check_pin(1)
+            check_pin(2)
+            for k in range(1, upto - 1):
+                scale = numer_max[k] if trial is None else max(numer_max[k],
+                                                               abs(float(trial[k + 2])))
+                _require_vanishing(numer0[k], vanishing * max(scale, 1.0))
+                if k + 2 <= pinned:
+                    check_pin(k + 2)
 
         def unresolved_step(size):
             """Advice when the unit trial step is below the rounding unit of
@@ -594,19 +685,19 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                     f"up to N = {N} need at least {needed} bits (--precision {needed} or more)")
 
         b = [a[1], -a[2]]
+        fix([None, b[0]])
+        fix([None, b[1], -b[1]])
         slopes = []
-        worst_snap = 0.0
         for m in range(2, N + 1):
-            # the stage-m trials know gamma'(0) = (B_0..B_{m-1}, t) through
-            # eps^m; they determine eps^j of gamma^(k)(0) for k + j <= m + 1
+            rhs.append(engine.push_derivatives(rows[1:m]))
+            numer0.append(rhs[m - 1][0] - rows[m][0])
+            numer_max.append(abs(float(numer0[m - 1])))
             consts = []
             for t in (0.0, 1.0, 2.0):
-                trial = b + [ctx.convert(t)]
-                polys, w = run_stages(EpsilonPolynomial(trial),
-                                      EpsilonPolynomial([-x for x in trial[1:]]),
-                                      upto=m + 1, snap_until=m)
-                worst_snap = max(worst_snap, w)
-                consts.append(polys[m + 1].const)
+                t = ctx.convert(t)
+                trial = diagonal(m + 1, t, -t)
+                audit(m + 1, m, trial)
+                consts.append(trial[m + 1])
             slope_ring = consts[1] - consts[0]
             slope = float(slope_ring)
             curvature = float(consts[2] - 2 * consts[1] + consts[0])
@@ -624,17 +715,19 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                 )
             slopes.append(slope)
             b.append((a[m + 1] - consts[0]) / slope_ring)
-        # the final run keeps gamma'(0) and gamma''(0) at the full degree
-        # N + 1, taking B_{N+1} = B_{N+2} = 0
-        padded = b + [zero, zero]
-        polys, w = run_stages(EpsilonPolynomial(padded[:N + 2]),
-                              EpsilonPolynomial([-x for x in padded[1:]]),
-                              upto=N + 1, snap_until=N + 1)
-        worst_snap = max(worst_snap, w)
+            fix(diagonal(m + 1, b[m], -b[m]))
+        # gamma'(0) and gamma''(0) at the full degree N + 1, taking
+        # B_(N+1) = B_(N+2) = 0
+        fix(diagonal(N + 2, zero, -zero))
+        fix(diagonal(N + 3, None, -zero))
+        audit(N + 1, N + 1)
+        worst_snap = 0.0
+        for r in resid[1:]:
+            worst_snap = max(worst_snap, r)
     return EpsilonCorrections(
         family=family, N=N, precision_bits=prec, B=tuple(b),
-        gamma_eps=tuple(polys[1: N + 2]), slopes=tuple(slopes),
-        max_snap_residual=worst_snap,
+        gamma_eps=tuple(EpsilonPolynomial(row.coeffs) for row in rows[1:]),
+        slopes=tuple(slopes), max_snap_residual=worst_snap,
     )
 
 

@@ -52,8 +52,16 @@ class IntegrationResult:
 
 
 def _error_norm(err, y0, y1, atol, rtol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of err / (atol + rtol * max(|y0|, |y1|)) in Python floats.  Below
+    8 components this is numpy's value to the bit: squares as x * x, summed
+    left to right from 0.0, divided by the count; a zero scale divides as
+    IEEE does (inf, or nan for 0 / 0)."""
+    acc = 0.0
+    for e, u, v in zip(err, y0, y1):
+        scale = atol + rtol * max(abs(u), abs(v))
+        x = e / scale if scale else e * math.inf
+        acc = acc + x * x
+    return math.sqrt(acc / len(err))
 
 
 def _combine(y, h, coeffs, ks):
@@ -121,7 +129,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
         y5 = _combine(y, h, _B5, ks)
         y4 = _combine(y, h, _B4, ks)
         err_vec = [a - b for a, b in zip(y5, y4)]
-        err = _error_norm(np.array(err_vec), y, y5, atol, rtol)
+        err = _error_norm(err_vec, y, y5, atol, rtol)
         if err <= 1.0:
             t = t + h
             y = y5

@@ -293,6 +293,15 @@ class TestExitContract:
                                             "theta1=0.7"], 2),
         "coeffs_missing_theta1": ({}, ["coeffs", "--g", "1", "--m", "1", "--n", "2",
                                        "--out", "-"], 2),
+        "verify_csv_cell_not_a_number": ({"bad.csv": "s,gamma,dgamma,d2gamma,local_err,"
+                                                     "energy_residual\n0.1,abc,1,0,0,0\n"},
+                                         ["verify", "bad.csv", "--summary", "{run}/summary.json"],
+                                         6),
+        "verify_csv_missing_column": ({"bad.csv": "d,phi\n1.0,0.5\n"},
+                                      ["verify", "bad.csv", "--summary", "{run}/summary.json"],
+                                      6),
+        "config_not_utf8": ({"c.cfg": b"\xff\xfeK = 5\n"}, [*COEFFS, "--config", "c.cfg"], 2),
+        "config_bad_boolean": ({"c.cfg": "gevrey = maybe\n"}, [*COEFFS, "--config", "c.cfg"], 2),
         # handled before these cases were added; pinned unchanged
         "verify_missing_csv": ({}, ["verify", "{run}/nope.csv"], 6),
         "verify_unrecognized_header": ({"bad.csv": "x,y\n1,2\n"},
@@ -303,13 +312,23 @@ class TestExitContract:
         "constraint": ({}, ["solve", "--g", "2", "--m", "1", "--n", "3", "--theta1", "1.04",
                             "--out", "o"], 2),
     }
+    # what the message of a case must name
+    NAMES = {
+        "verify_csv_cell_not_a_number": ["bad.csv:2:", "'abc'"],
+        "verify_csv_missing_column": ["bad.csv", "dphi"],
+        "config_not_utf8": ["c.cfg", "utf-8"],
+        "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
+    }
 
     @pytest.mark.parametrize("name", CASES)
     def test_exit_code(self, name, solve_dir, tmp_path):
         files, argv, code = self.CASES[name]
-        for rel, text in files.items():
+        for rel, content in files.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / rel).write_text(text)
+            if isinstance(content, bytes):
+                (tmp_path / rel).write_bytes(content)
+            else:
+                (tmp_path / rel).write_text(content)
         argv = [a.replace("{run}", str(solve_dir)) for a in argv]
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         proc = subprocess.run(
@@ -318,6 +337,8 @@ class TestExitContract:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip()
+        for part in self.NAMES.get(name, ()):
+            assert part in proc.stderr, proc.stderr
 
 
 class TestConfigAndEnv:

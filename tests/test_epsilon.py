@@ -393,3 +393,20 @@ def test_unresolved_trial_step_names_precision():
     corr = compute_epsilon_corrections(fam, 8, needed,
                                        series=compute_coefficients(fam, 10, needed))
     assert corr.slopes == pytest.approx([(-1.0) ** m for m in range(2, 9)], abs=1e-6)
+
+
+def test_one_engine_per_corrections_call(monkeypatch):
+    """The corrections run one Taylor engine, extended by one diagonal per
+    stage, where restarted trials built 3(N-1) + 1 of them."""
+    built = []
+
+    class Counting(TaylorRecursion):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    fam = builtin_catalog()["g3_m1"]
+    fs = compute_coefficients(fam, 10, 256)
+    monkeypatch.setattr(series_mod, "TaylorRecursion", Counting)
+    compute_epsilon_corrections(fam, 8, 256, series=fs)
+    assert len(built) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coneshrink import ivp
 from coneshrink.catalog import builtin_catalog
@@ -110,6 +112,11 @@ def test_rhs_gets_and_may_return_ndarray():
 # scalar loop must reproduce it bit for bit, RHS calls included.
 # ---------------------------------------------------------------------------
 
+def _numpy_error_norm(err, y0, y1, atol, rtol):
+    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
 def _integrate_oracle(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
                       first_step=None, max_steps=1_000_000, accept_hook=None):
     y = np.asarray(y0, dtype=float).copy()
@@ -148,7 +155,7 @@ def _integrate_oracle(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
         y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
         y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
         err_vec = y5 - y4
-        err = _error_norm(err_vec, y, y5, atol, rtol)
+        err = _numpy_error_norm(err_vec, y, y5, atol, rtol)
         if err <= 1.0:
             t = t + h
             y = y5
@@ -294,3 +301,29 @@ def test_solver_chain_matches_numpy_oracle(name, monkeypatch):
             _assert_profiles_equal(g, w)
     # g6_m2 meets its vertical tangent before the default target
     assert isinstance(got[1], BlowUpDetected) == (name == "g6_m2")
+
+
+_component = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e300, -1.7e308,
+                                        1.0, 1e-8, -3e-9]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+_tolerance = st.one_of(st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 5e-324, 1e300]),
+                       st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(
+           lambda n: st.tuples(*[st.lists(_component, min_size=n, max_size=n)] * 3)),
+       _tolerance, _tolerance)
+# squares 1, 1e-16, 1e-16: summed left to right they round to 1
+@example(([1.0, 1e-8, 1e-8], [0.0] * 3, [0.0] * 3), 1.0, 0.0)
+@example(([1e-8, 1e-8, 1.0], [0.0] * 3, [0.0] * 3), 1.0, 0.0)
+def test_error_norm_matches_numpy(vectors, atol, rtol):
+    """The scalar error norm equals numpy's to the bit on states of
+    dimension 1-7, zero, subnormal and huge components and zero scales
+    included; the explicit loop passes lists, the implicit one arrays."""
+    err, y0, y1 = vectors
+    with np.errstate(all="ignore"):
+        want = _numpy_error_norm(np.array(err), np.array(y0), np.array(y1), atol, rtol)
+        got_arrays = _error_norm(np.array(err), np.array(y0), np.array(y1), atol, rtol)
+    got = _error_norm(err, y0, y1, atol, rtol)
+    assert type(got) is float
+    assert got.hex() == want.hex() == float(got_arrays).hex()
