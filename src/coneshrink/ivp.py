@@ -181,7 +181,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     tol = config.tol
 
     def f(s, y):
-        g_val, dg, _ = y
+        g_val, dg, _ = y.tolist()
         if not 0 <= g_val < d_focal:
             raise OutOfRange(f"gamma = {g_val!r} left [0, d_focal) during integration")
         w2 = 1 + 4 * s * s * dg * dg
@@ -421,7 +421,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     n = family.n
 
     def f(d, y):
-        phi, dphi, _ = y
+        phi, dphi, _ = y.tolist()
         h = h_fast(d)
         d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h)
         return (dphi, d2, h * dphi * dphi)

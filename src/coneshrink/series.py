@@ -678,8 +678,10 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             eps^0 coefficients of this size, so the measured slope is noise."""
             if 1.0 >= eps_m * size:
                 return ""
-            largest = max(size, *(abs(float(a[k])) for k in range(1, N + 2)))
-            needed = math.ceil(math.log2(largest / SLOPE_TOL)) + 1
+            # |A_k| may exceed the float range: the bit count comes from
+            # the mpf values (mag(x) = floor(log2 |x|) + 1)
+            largest = max(size, *(abs(a[k]) for k in range(1, N + 2)))
+            needed = mpmath.mag(largest / SLOPE_TOL) + 1
             return (f"; the trial step 1 is below the rounding unit of an eps^0 "
                     f"coefficient of size {size:.3e} at {prec} bits: corrections "
                     f"up to N = {N} need at least {needed} bits (--precision {needed} or more)")

@@ -9,12 +9,16 @@ stage with a damped Newton iteration on a finite-difference Jacobian.
 
 The explicit pair runs its stage arithmetic on Python floats: the state has
 two or three components, where numpy's per-call overhead outweighs the work.
-Each stage value is formed in one fixed order, per component
-``acc = 0; acc = acc + c * k[j]`` over the tableau row from left to right,
-then ``y[j] + h * acc``, with the zero weights of the tableau kept in the
-rows.  Reordering these sums moves results in the last bits, and a stored
-trajectory with them.  The builtin ``sum`` must not replace the loop: from
-Python 3.12 it compensates float sums and would round differently.
+The seven stage states and the two solutions are written out as straight-line
+sums, one list comprehension each over the state and the stages it reads,
+with the tableau's constants unpacked once from ``_A``, ``_B5``, ``_B4`` and
+``_C``.  Each stage value is formed in one fixed order, per component
+``y[j] + h * (((0 + a1 * k1[j]) + a2 * k2[j]) + ...)`` over the tableau row
+from left to right, with the zero weights of the tableau kept in the rows.
+Reordering these sums moves results in the last bits, and a stored
+trajectory with them.  The builtin ``sum`` must not replace the written-out
+sums: from Python 3.12 it compensates float sums and would round
+differently.
 """
 
 import math
@@ -38,6 +42,13 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
        -92097 / 339200, 187 / 2100, 1 / 40)
+
+# the same constants by name, for the written-out stage sums
+_C2, _C3, _C4, _C5, _C6, _C7 = _C[1:]
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
+_B51, _B52, _B53, _B54, _B55, _B56, _B57 = _B5
+_B41, _B42, _B43, _B44, _B45, _B46, _B47 = _B4
 
 
 @dataclass
@@ -64,16 +75,57 @@ def _error_norm(err, y0, y1, atol, rtol):
     return math.sqrt(acc / len(err))
 
 
-def _combine(y, h, coeffs, ks):
-    """``y + h * sum(c * k)`` on lists of floats, in the order the module
-    docstring fixes."""
-    out = []
-    for j, yj in enumerate(y):
-        acc = 0
-        for c, k in zip(coeffs, ks):
-            acc = acc + c * k[j]
-        out.append(yj + h * acc)
-    return out
+def _stage(f, t, yi):
+    """f(t, yi) as a list of floats, or None when the stage state yi or the
+    derivative has a non-finite component (f is not called on a non-finite
+    state)."""
+    if not all(map(math.isfinite, yi)):
+        return None
+    k = list(map(float, f(t, np.array(yi))))
+    return k if all(map(math.isfinite, k)) else None
+
+
+def _dp_step(f, t, y, h, k1):
+    """One Dormand-Prince attempt from (t, y) with k1 = f(t, y): the 5th- and
+    4th-order solutions and k7 = f(t + h, y5 stage), or None at the first
+    non-finite stage.  Every tableau row ends in a nonzero weight, so the
+    state after a non-finite k_i (k1 included) is non-finite too: stopping
+    at k_i skips no RHS call that a finite attempt would need."""
+    k2 = _stage(f, t + _C2 * h, [v + h * (0 + _A21 * p1) for v, p1 in zip(y, k1)])
+    if k2 is None:
+        return None
+    k3 = _stage(f, t + _C3 * h, [v + h * ((0 + _A31 * p1) + _A32 * p2)
+                                 for v, p1, p2 in zip(y, k1, k2)])
+    if k3 is None:
+        return None
+    k4 = _stage(f, t + _C4 * h, [v + h * (((0 + _A41 * p1) + _A42 * p2) + _A43 * p3)
+                                 for v, p1, p2, p3 in zip(y, k1, k2, k3)])
+    if k4 is None:
+        return None
+    k5 = _stage(f, t + _C5 * h,
+                [v + h * ((((0 + _A51 * p1) + _A52 * p2) + _A53 * p3) + _A54 * p4)
+                 for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+    if k5 is None:
+        return None
+    k6 = _stage(f, t + _C6 * h,
+                [v + h * (((((0 + _A61 * p1) + _A62 * p2) + _A63 * p3) + _A64 * p4)
+                          + _A65 * p5)
+                 for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+    if k6 is None:
+        return None
+    k7 = _stage(f, t + _C7 * h,
+                [v + h * ((((((0 + _A71 * p1) + _A72 * p2) + _A73 * p3) + _A74 * p4)
+                           + _A75 * p5) + _A76 * p6)
+                 for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)])
+    if k7 is None:
+        return None
+    y5 = [v + h * (((((((0 + _B51 * p1) + _B52 * p2) + _B53 * p3) + _B54 * p4)
+                     + _B55 * p5) + _B56 * p6) + _B57 * p7)
+          for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)]
+    y4 = [v + h * (((((((0 + _B41 * p1) + _B42 * p2) + _B43 * p3) + _B44 * p4)
+                     + _B45 * p5) + _B46 * p6) + _B47 * p7)
+          for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)]
+    return y5, y4, k7
 
 
 def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
@@ -110,30 +162,18 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
         h = min(h, t_end - t, max_step)
         if h < h_floor:
             raise StepSizeCollapse("step size underflow", last_good=t)
-        ks = [k1]
-        for i in range(1, 7):
-            yi = _combine(y, h, _A[i], ks)
-            if not all(map(math.isfinite, yi)):
-                break
-            k = list(map(float, f(t + _C[i] * h, np.array(yi))))
-            if not all(map(math.isfinite, k)):
-                break
-            ks.append(k)
-        if len(ks) < 7:
-            # a non-finite stage: reject.  Every tableau row ends in a nonzero
-            # weight, so the state after a non-finite k_i (k1 included) is
-            # non-finite too: stopping at k_i skips no RHS call
+        attempt = _dp_step(f, t, y, h, k1)
+        if attempt is None:
             n_rejected += 1
             h *= 0.25
             continue
-        y5 = _combine(y, h, _B5, ks)
-        y4 = _combine(y, h, _B4, ks)
+        y5, y4, k7 = attempt
         err_vec = [a - b for a, b in zip(y5, y4)]
         err = _error_norm(err_vec, y, y5, atol, rtol)
         if err <= 1.0:
             t = t + h
             y = y5
-            k1 = ks[6]  # FSAL: last stage is f at the new point
+            k1 = k7  # FSAL: last stage is f at the new point
             ts.append(t)
             ys.append(y)
             fs.append(k1)
