@@ -673,17 +673,18 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                 if k + 2 <= pinned:
                     check_pin(k + 2)
 
-        def unresolved_step(size):
+        def unresolved_step(consts):
             """Advice when the unit trial step is below the rounding unit of
-            eps^0 coefficients of this size, so the measured slope is noise."""
-            if 1.0 >= eps_m * size:
+            the eps^0 coefficients ``consts``, so the measured slope is noise.
+            In mpf arithmetic: |A_k| may exceed the float range."""
+            size = mpmath.mpf(max(1, *(abs(cv) for cv in consts)))
+            if 1 >= eps_m * size:
                 return ""
-            # |A_k| may exceed the float range: the bit count comes from
-            # the mpf values (mag(x) = floor(log2 |x|) + 1)
             largest = max(size, *(abs(a[k]) for k in range(1, N + 2)))
-            needed = mpmath.mag(largest / SLOPE_TOL) + 1
+            needed = mpmath.mag(largest / SLOPE_TOL) + 1  # floor(log2) + 1
+            shown = mpmath.nstr(size, 4, strip_zeros=False, min_fixed=0, max_fixed=0)
             return (f"; the trial step 1 is below the rounding unit of an eps^0 "
-                    f"coefficient of size {size:.3e} at {prec} bits: corrections "
+                    f"coefficient of size {shown} at {prec} bits: corrections "
                     f"up to N = {N} need at least {needed} bits (--precision {needed} or more)")
 
         b = [a[1], -a[2]]
@@ -707,13 +708,13 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             if abs(curvature) > SLOPE_TOL * scale:
                 raise NonlinearDependence(
                     f"second difference {curvature:.3e} at correction order {m}"
-                    + unresolved_step(scale)
+                    + unresolved_step(consts)
                 )
             expected = (-1.0) ** m
             if abs(slope - expected) > SLOPE_TOL * max(1.0, abs(expected)):
                 raise NonlinearDependence(
                     f"slope {slope:.6f} at correction order {m}, expected {expected:+.0f}"
-                    + unresolved_step(scale)
+                    + unresolved_step(consts)
                 )
             slopes.append(slope)
             b.append((a[m + 1] - consts[0]) / slope_ring)

@@ -87,8 +87,8 @@ def _stage(f, t, yi):
 
 def _dp_step(f, t, y, h, k1):
     """One Dormand-Prince attempt from (t, y) with k1 = f(t, y): the 5th- and
-    4th-order solutions and k7 = f(t + h, y5 stage), or None at the first
-    non-finite stage.  Every tableau row ends in a nonzero weight, so the
+    4th-order solutions and k7, f at the last stage (t + h), or None at the
+    first non-finite stage.  Every tableau row ends in a nonzero weight, so the
     state after a non-finite k_i (k1 included) is non-finite too: stopping
     at k_i skips no RHS call that a finite attempt would need."""
     k2 = _stage(f, t + _C2 * h, [v + h * (0 + _A21 * p1) for v, p1 in zip(y, k1)])
@@ -163,7 +163,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
         if h < h_floor:
             raise StepSizeCollapse("step size underflow", last_good=t)
         attempt = _dp_step(f, t, y, h, k1)
-        if attempt is None:
+        if attempt is None:  # a non-finite stage: reject
             n_rejected += 1
             h *= 0.25
             continue

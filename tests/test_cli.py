@@ -302,6 +302,12 @@ class TestExitContract:
                                       6),
         "config_not_utf8": ({"c.cfg": b"\xff\xfeK = 5\n"}, [*COEFFS, "--config", "c.cfg"], 2),
         "config_bad_boolean": ({"c.cfg": "gevrey = maybe\n"}, [*COEFFS, "--config", "c.cfg"], 2),
+        # |A_91| of g3_m1 exceeds the float range; the precision advice names
+        # the bits all the same
+        "corrections_advice_past_float_range": (
+            {}, ["coeffs", "--g", "3", "--m", "1", "--n", "4", "--theta1", repr(math.pi / 12),
+                 "--K", "92", "--N", "90", "--precision", "64", "--corrections", "--out", "-"],
+            4),
         # handled before these cases were added; pinned unchanged
         "verify_missing_csv": ({}, ["verify", "{run}/nope.csv"], 6),
         "verify_unrecognized_header": ({"bad.csv": "x,y\n1,2\n"},
@@ -318,6 +324,7 @@ class TestExitContract:
         "verify_csv_missing_column": ["bad.csv", "dphi"],
         "config_not_utf8": ["c.cfg", "utf-8"],
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
+        "corrections_advice_past_float_range": ["NonlinearDependence", "--precision 1120"],
     }
 
     @pytest.mark.parametrize("name", CASES)

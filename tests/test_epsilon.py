@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -410,3 +412,34 @@ def test_one_engine_per_corrections_call(monkeypatch):
     monkeypatch.setattr(series_mod, "TaylorRecursion", Counting)
     compute_epsilon_corrections(fam, 8, 256, series=fs)
     assert len(built) == 1
+
+
+def test_precision_advice_past_the_float_range():
+    """With N = 90, A_91 of g3_m1 exceeds the float range; the unresolved
+    unit trial step still raises NonlinearDependence naming the bits needed,
+    ceil(log2(max |A_k| / SLOPE_TOL)) + 1 over k <= N + 1."""
+    fam = builtin_catalog()["g3_m1"]
+    N, prec = 90, 64
+    fs = compute_coefficients(fam, N + 2, prec)
+    largest = max(abs(fs.coefficient(k)) for k in range(1, N + 2))
+    assert largest > mpmath.mpf(sys.float_info.max)
+    with pytest.raises(NonlinearDependence, match=r"--precision (\d+) or more") as info:
+        compute_epsilon_corrections(fam, N, prec, series=fs)
+    needed = int(re.search(r"--precision (\d+)", str(info.value)).group(1))
+    with mpmath.workprec(4 * prec):
+        assert needed == int(mpmath.ceil(mpmath.log(largest / series_mod.SLOPE_TOL, 2))) + 1
+    assert "rounding unit" in str(info.value)
+
+
+def test_vanishing_constant_tolerance_is_the_programs(fam1):
+    """The tolerance of a dropped constant is set by its numerator at the
+    stage's own degree: on the g=1 reference family at 53 bits, A_4 off by
+    0.567 leaves the constant 0.567 where 64 sqrt(eps) times the largest
+    |coefficient| allows 3.210978e-02.  (The fixed-degree oracle pads every
+    numerator to degree N + 1 and allows more.)"""
+    fs = compute_coefficients(fam1, 10, 53)
+    a = list(fs.a)
+    a[3] = a[3] - 0.567
+    with pytest.raises(DivisionByEpsilonFailed) as info:
+        compute_epsilon_corrections(fam1, 8, 53, series=replace(fs, a=tuple(a)))
+    assert str(info.value) == "constant term 5.670000e-01 exceeds tolerance 3.210978e-02"

@@ -113,6 +113,17 @@ class TestIntegrateGamma:
         with pytest.raises(MonotonicityLost):
             integrate_gamma(fam1, series1, cfg, initial_slope=150.0)
 
+    def test_out_of_range_message_prints_plain_float(self, fam1, series1):
+        # a negative slope at gamma(0) = 0 sends the second stage state below
+        # 0: the RHS refuses it, naming gamma as Python prints a float
+        cfg = SolverConfig(tol=1e-8, eps=1e-2)
+        with pytest.raises(OutOfRange, match=r"^gamma = (\S+) left \[0, d_focal\)") as info:
+            integrate_gamma(fam1, series1, cfg, initial_slope=-1.0)
+        message = str(info.value)
+        assert "np.float64" not in message
+        value = message.split()[2]
+        assert value == repr(float(value)) and float(value) < 0
+
     def test_fallback_engages_for_regularized(self, fam1, series1):
         # eps small enough that the explicit layer needs more steps than the
         # budget allows: the implicit fallback takes over and finishes
