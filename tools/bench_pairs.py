@@ -1,17 +1,18 @@
 """Alternating parent/change benchmark pairs, written to BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --label L --workload W [--workload W2 ...] \
-        [--pairs 10] [--seeds 1-10] [--seconds 30] [--trace 0|1] \
+        [--pairs 10] [--seeds 1-10] [--trace 0|1] \
         [--base HEAD~1] [--head HEAD] [--workdir DIR] [--out FILE] [--append]
 
 Run from the root of the repository.  Exports the two commits (``git
 archive``, so nothing is added to the repository's own metadata) into fresh
 directories under ``--workdir`` (the system temporary directory by default),
 then, per workload and pair, runs each checkout's own
-``perfbench/run.py --workload W --seed S --seconds N --trace T`` once, the
-base first in even pairs and the change first in odd ones, so a slow stretch
-of the machine does not favour one side.  Pair i uses the i-th seed of
-``--seeds``.  The exports are removed at the end, also on failure.
+``perfbench/run.py --workload W --seed S --seconds N --trace T`` once, with
+N the ``run_seconds`` of BENCHMARK.json, the base first in even pairs and
+the change first in odd ones, so a slow stretch of the machine does not
+favour one side.  Pair i uses the i-th seed of ``--seeds``.  The exports
+are removed at the end, also on failure.
 
 The output holds each pair's metrics (the final JSON line of run.py, plus
 the wall-time op_s.p50, fail_frac and calibration-kernel median from its
@@ -112,8 +113,6 @@ def main(argv=None):
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", default=None, help="one seed per pair (default 1-PAIRS)")
-    p.add_argument("--seconds", type=int, default=None,
-                   help="run length (default BENCHMARK.json's run_seconds)")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--base", default="HEAD~1")
     p.add_argument("--head", default="HEAD")
@@ -133,7 +132,7 @@ def main(argv=None):
         commits = {side: export(getattr(args, side), d) for side, d in dirs.items()}
         with open(os.path.join(dirs["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         better = {m["name"]: m["better"]
                   for m in bench["end_to_end"] + bench.get("per_layer", [])}
         better["wall_op_s.p50"] = "lower"
