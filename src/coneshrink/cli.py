@@ -11,6 +11,7 @@ CONESHRINK_PRECISION overrides the default working precision (bits).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -274,7 +275,8 @@ def cmd_solve(args):
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
     }
     if args.eps_study:
-        study = ivp.epsilon_convergence_study(fam, config, DEFAULT_EPS_LIST, series=fs)
+        study = ivp.epsilon_convergence_study(fam, config, DEFAULT_EPS_LIST, series=fs,
+                                              direct=prof_s)
         summary["eps_study"] = {
             "eps": list(study.eps_list),
             "errors": list(study.errors),
@@ -283,10 +285,22 @@ def cmd_solve(args):
         }
     ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
     ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))
-    atomic_write_text(os.path.join(out, "summary.json"),
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(os.path.join(out, "summary.json"), text + "\n")
+    print(text)
     return EXIT_OK
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float (a failed eps run's error) as
+    None, so that the summary is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -233,11 +233,27 @@ def _obj_rows(row_format, rows):
     """OBJ lines for the rows of an (N, 3) array, one %-format per block.
 
     ``%r`` of a Python float is its round-trip repr, so the text matches a
-    per-row f-string; blocks bound the size of the argument tuple."""
+    per-row f-string; blocks bound the size of the argument tuple.  A float
+    block reprs each of its distinct bit patterns once (grid rows share
+    their z, and x and y share their ``a_i cos psi_j`` products) and fills
+    the format with those strings through ``%s``; keying on the bits keeps
+    ``-0.0`` apart from ``0.0``.  Integer blocks (faces) keep ``%d``, since
+    their values rarely repeat within a block and dedupe costs more than
+    it saves."""
+    floats = rows.dtype.kind == "f"
+    if floats:
+        row_format = row_format.replace("%r", "%s")
     chunks = []
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
         block = rows[lo:lo + _OBJ_BLOCK_ROWS]
-        chunks.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+        if floats:
+            flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
+            bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+            texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+            values = texts[inverse].tolist()
+        else:
+            values = block.ravel().tolist()
+        chunks.append((row_format * len(block)) % tuple(values))
     return chunks
 
 
@@ -281,10 +297,10 @@ def _grid_faces(n_rows, n_cols):
 
 def _orient_outward(verts, faces):
     """Flip all faces if normals point inward (radial component negative)."""
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    normals = np.cross(b - a, c - a)
+    a, b, c = _corner_columns(verts, faces)
+    normals = _cross(b - a, c - a)
     centers = (a + b + c) / 3.0
-    score = float(np.sum(np.einsum("ij,ij->i", normals, centers)))
+    score = float(np.sum(_dot(normals, centers)))
     if score < 0:
         return faces[:, [0, 2, 1]]
     return faces
@@ -297,12 +313,13 @@ def discrete_shrinker_residual(verts, faces, n_cols):
     outward vertex normals from area-weighted face normals)."""
     nv = len(verts)
     faces = np.asarray(faces)
-    cots, face_normals = _face_geometry(verts, faces)
-    areas = 0.5 * np.linalg.norm(face_normals, axis=1)
+    cots, face_normals, normal_norms = _face_geometry(verts, faces)
+    areas = 0.5 * normal_norms
     corners = faces.ravel()
     vertex_area = np.bincount(corners, np.repeat(areas / 3.0, 3), minlength=nv)
-    vertex_normal = np.stack([np.bincount(corners, np.repeat(face_normals[:, k], 3),
+    vertex_normal = np.stack([np.bincount(corners, np.repeat(face_normals[k], 3),
                                           minlength=nv) for k in range(3)], axis=1)
+    del face_normals, normal_norms
     # corner k's cotangent w weights the opposite edge (a, b): a gets
     # (-w/2) (x_a - x_b) and b gets (w/2) (x_a - x_b).  Rows of `ends` are a
     # and b of each edge in turn, so bincount adds every vertex's terms in
@@ -336,20 +353,53 @@ def discrete_shrinker_residual(verts, faces, n_cols):
 
 def _face_geometry(verts, faces):
     """Cotangents of the three corner angles of every face, as a (3, F)
-    array, and the unnormalised face normals (v1 - v0) x (v2 - v0).
+    array, the unnormalised face normals (v1 - v0) x (v2 - v0) as (3, F)
+    coordinate rows, and their lengths.
 
-    A function of its own so that the per-corner vertex copies are freed
-    before the residual allocates its scatter buffers."""
-    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    The arithmetic runs on coordinate rows, one operation per component,
+    bit-equal to the (F, 3) kernels: the cross product as ``np.cross``
+    forms it, the length as ``np.linalg.norm(axis=1)`` sums its squares,
+    and the dot product in the order ``np.einsum("ij,ij->i")`` sums it
+    (``(u0 w0 + u2 w2) + u1 w1``, see :func:`_dot`).  A function of its own
+    so that the per-corner vertex copies are freed before the residual
+    allocates its scatter buffers."""
+    v0, v1, v2 = _corner_columns(verts, faces)
 
     def cot_angle(p, q, r):
         u, w = q - p, r - p
-        cross = np.cross(u, w)
-        denom = np.linalg.norm(cross, axis=1)
-        return np.einsum("ij,ij->i", u, w) / np.where(denom > 0, denom, 1.0)
+        cross = _cross(u, w)
+        denom = _norm(cross)
+        return _dot(u, w) / np.where(denom > 0, denom, 1.0), cross, denom
 
-    cots = np.stack([cot_angle(v0, v1, v2), cot_angle(v1, v2, v0), cot_angle(v2, v0, v1)])
-    return cots, np.cross(v1 - v0, v2 - v0)
+    cot0, normals, lengths = cot_angle(v0, v1, v2)
+    cots = np.stack([cot0, cot_angle(v1, v2, v0)[0], cot_angle(v2, v0, v1)[0]])
+    return cots, normals, lengths
+
+
+def _corner_columns(verts, faces):
+    """The corners of every face, one (3, F) array of coordinate rows per
+    corner position."""
+    columns = np.ascontiguousarray(verts.T)
+    return [columns.take(corner, axis=1) for corner in faces.T]
+
+
+def _cross(u, w):
+    """Per-column cross product of (3, F) rows, as ``np.cross`` forms it."""
+    return (u[1] * w[2] - u[2] * w[1],
+            u[2] * w[0] - u[0] * w[2],
+            u[0] * w[1] - u[1] * w[0])
+
+
+def _norm(u):
+    """Per-column length of (3, F) rows, as ``np.linalg.norm(axis=1)``."""
+    return np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
+
+
+def _dot(u, w):
+    """Per-column dot product of (3, F) rows in the order numpy 2.4's
+    ``einsum("ij,ij->i")`` sums three products; left to right differs by
+    an ulp on about 30% of random rows."""
+    return (u[0] * w[0] + u[2] * w[2]) + u[1] * w[1]
 
 
 def read_profile_json(path):

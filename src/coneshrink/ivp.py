@@ -154,10 +154,13 @@ def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: in
     series polynomial (exact polynomial integration)."""
     c = np.array([float(series.coefficient(k)) / math.factorial(k - 1)
                   for k in range(1, k_star + 1)])
-    sq = np.convolve(c, c)  # coefficients of gamma'(t)^2
-    powers = np.arange(len(sq))
-    val = np.sum(sq * s_b ** (powers + 1) / (powers + 1))
-    val -= 2.0 * n * np.sum(sq * s_b ** (powers + 2) / (powers + 2))
+    # at large k* the products overflow binary64; the caller rejects the
+    # non-finite result, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.convolve(c, c)  # coefficients of gamma'(t)^2
+        powers = np.arange(len(sq))
+        val = np.sum(sq * s_b ** (powers + 1) / (powers + 1))
+        val -= 2.0 * n * np.sum(sq * s_b ** (powers + 2) / (powers + 2))
     return float(val)
 
 
@@ -208,6 +211,13 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
         g0, dg0 = float(ev0.value), float(ev1.value)
         e0 = _series_energy_integral(series, s_b, n, ev1.k_star)
         y0 = (g0, dg0, e0)
+        if not all(math.isfinite(v) for v in y0):
+            raise OutOfRange(
+                f"bootstrap state (gamma, gamma', energy) = {y0!r} at s_b = {s_b!r} is "
+                f"not finite: the series energy integral over the K = {series.K} series, "
+                f"cut at k* = {ev1.k_star}, overflows binary64; retry with a smaller --K "
+                f"(the default is {DEFAULT_K})"
+            )
         t0 = s_b
         gamma_prime0 = float(series.coefficient(1))
         series_meta = {
@@ -525,12 +535,16 @@ class EpsilonStudyReport:
 def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
                               eps_list, include_control: bool = False,
                               series: Optional[FormalSeries] = None,
-                              corrections=None) -> EpsilonStudyReport:
+                              corrections=None,
+                              direct: Optional[SolutionProfile] = None) -> EpsilonStudyReport:
     """Slope of max|gamma_eps - gamma_0| on [0, s_end] against eps
     (first-order convergence of the corrected regularization).
 
-    The optional control repeats the sweep with B(eps) truncated to B_0,
-    quantifying what the corrections buy."""
+    ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
+    for this family, ``series`` and ``config``, if the caller holds it
+    already; otherwise it is integrated here.  The optional control repeats
+    the sweep with B(eps) truncated to B_0, quantifying what the
+    corrections buy."""
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or any(e <= 0 for e in eps_list):
         raise OutOfRange("need >= 3 positive eps values")
@@ -542,7 +556,8 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
     if corrections is None:
         corrections = compute_epsilon_corrections(family, config.correction_N,
                                                   config.series_prec, series=series)
-    direct = integrate_gamma(family, series, replace(config, eps=0.0))
+    if direct is None:
+        direct = integrate_gamma(family, series, replace(config, eps=0.0))
     s_end = config.resolved_s_end(family)
     s_b = direct.meta["s_b"]
     grid = np.linspace(0.0, s_end, 401)

@@ -585,6 +585,15 @@ class EpsilonCorrections:
 SLOPE_TOL = 1e-6
 
 
+def _scientific(x):
+    """``x`` as ``%.3e`` prints its float; an mpf past the float range
+    through ``mpmath.nstr``, with the same four significant digits."""
+    value = float(x)
+    if math.isinf(value) and isinstance(x, mpmath.mpf):
+        return mpmath.nstr(x, 4, strip_zeros=False, min_fixed=0, max_fixed=0)
+    return f"{value:.3e}"
+
+
 def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                                 series: Optional[FormalSeries] = None) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
@@ -703,11 +712,12 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                 consts.append(trial[m + 1])
             slope_ring = consts[1] - consts[0]
             slope = float(slope_ring)
-            curvature = float(consts[2] - 2 * consts[1] + consts[0])
-            scale = max(1.0, *(abs(float(cv)) for cv in consts))
+            # in the ring: the eps^0 coefficients may exceed the float range
+            curvature = consts[2] - 2 * consts[1] + consts[0]
+            scale = max(1, *(abs(cv) for cv in consts))
             if abs(curvature) > SLOPE_TOL * scale:
                 raise NonlinearDependence(
-                    f"second difference {curvature:.3e} at correction order {m}"
+                    f"second difference {_scientific(curvature)} at correction order {m}"
                     + unresolved_step(consts)
                 )
             expected = (-1.0) ** m

@@ -188,6 +188,43 @@ class TestSolve:
         assert len(study["errors"]) == 5
 
 
+# g3_m8 with binary64 A_k: at K = 80 the series energy integral overflows
+G3_M8_FLAGS = ["--g", "3", "--m-minus", "8", "--m-plus", "8", "--n", "25",
+               "--theta1", "0.2617993877991494"]
+
+
+def test_bootstrap_overflow_names_k_and_advises(tmp_path):
+    """An overflowing bootstrap state exits 4 naming K, k* and the overflow,
+    with no numpy warning, where it ran into a step-size collapse."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from coneshrink.cli import entry; entry()",
+         "solve", *G3_M8_FLAGS, "--K", "80", "--out", "o"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("solver failure: OutOfRange: bootstrap state")
+    for part in ("K = 80", "k* = 80", "energy integral", "overflows binary64", "smaller --K"):
+        assert part in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_summary_is_strict_json_with_failed_eps_runs(tmp_path, capsys):
+    """A failed eps run's error is written as null, in the file and on
+    stdout alike, so that a strict parser reads both."""
+    def no_constants(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run(["solve", "--g", "3", "--m-minus", "2", "--m-plus", "2", "--n", "7",
+                        "--theta1", "0.2617993877991494", "--eps-study", "--precision", "128",
+                        "--to-d", "d0+0.005", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    text = (tmp_path / "summary.json").read_text()
+    assert text == out
+    errors = json.loads(text, parse_constant=no_constants)["eps_study"]["errors"]
+    assert errors[0] is None
+    assert all(e > 0 for e in errors[1:])
+
+
 class TestVerify:
     def test_untouched_passes(self, solve_dir, capsys):
         for name in ("s_side.csv", "d_side.csv"):

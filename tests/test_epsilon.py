@@ -431,6 +431,38 @@ def test_precision_advice_past_the_float_range():
     assert "rounding unit" in str(info.value)
 
 
+class _CurvedEntry:
+    """Stands for one entry of k! T_k: minus a trial value x it gives
+    10^400 - x + 10^396 x^2, an eps^0 coefficient past the float range
+    that is not affine in x."""
+
+    def __sub__(self, x):
+        return mpmath.mpf("1e400") - x + mpmath.mpf("1e396") * x * x
+
+
+def test_second_difference_check_past_the_float_range(fam1, monkeypatch):
+    """The second-difference check compares in the ring: with eps^0
+    coefficients near 1e400, a second difference of 2e396 exceeds
+    SLOPE_TOL times their size and raises before the slope check, where
+    float scales (inf > 1e-6 * inf) let it pass."""
+
+    class Curved(TaylorRecursion):
+        def push_derivatives(self, derivs):
+            rhs = super().push_derivatives(derivs)
+            if len(derivs) != 1:
+                return rhs
+            # stage 2 forms its trial constants as [eps^1] (1! T_1) + t
+            return [rhs[0], _CurvedEntry()]
+
+    monkeypatch.setattr(series_mod, "TaylorRecursion", Curved)
+    fs = compute_coefficients(fam1, 10, 64)
+    with pytest.raises(NonlinearDependence) as info:
+        compute_epsilon_corrections(fam1, 8, 64, series=fs)
+    message = str(info.value)
+    assert message.startswith("second difference 2.000e+396 at correction order 2; ")
+    assert "coefficient of size 1.000e+400 at 64 bits" in message
+
+
 def test_vanishing_constant_tolerance_is_the_programs(fam1):
     """The tolerance of a dropped constant is set by its numerator at the
     stage's own degree: on the g=1 reference family at 53 bits, A_4 off by

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneshrink.catalog import make_family
 from coneshrink.errors import (
@@ -13,8 +15,10 @@ from coneshrink.errors import (
 from coneshrink.geometry import (
     EXPORT_COLUMNS,
     PROFILE_JSON_SCHEMA,
+    _face_geometry,
     _grid_faces,
     _end_mesh,
+    _obj_rows,
     _orient_outward,
     asymptotic_check,
     cone_profile,
@@ -315,6 +319,54 @@ class TestMeshOracles:
         assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces, residual)
         assert res.vertex_count == resolution ** 2
         assert res.face_count == len(faces)
+
+
+# values a vertex coordinate can take that a naive dedupe would merge or
+# print wrongly: both zeros, both NaN signs, infinities, subnormals
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                   5e-324, -2.5e-310, 2.2250738585072014e-308]
+
+
+def _oracle_face_geometry(verts, faces):
+    v0, v1, v2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+
+    def cot_angle(p, q, r):
+        u, w = q - p, r - p
+        denom = np.linalg.norm(np.cross(u, w), axis=1)
+        return np.einsum("ij,ij->i", u, w) / np.where(denom > 0, denom, 1.0)
+
+    normals = np.cross(v1 - v0, v2 - v0)
+    cots = np.stack([cot_angle(v0, v1, v2), cot_angle(v1, v2, v0), cot_angle(v2, v0, v1)])
+    return cots, normals, np.linalg.norm(normals, axis=1)
+
+
+class TestExportKernels:
+    """The column-wise face geometry and the deduplicating OBJ text against
+    the (F, 3) numpy kernels and the per-row f-string, bit for bit."""
+
+    # row counts one short of, at, and past the text block of 4096 rows
+    @settings(max_examples=30)
+    @given(n_rows=st.sampled_from([1, 4095, 4096, 4097, 9000]),
+           pool=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_obj_rows_match_per_row_oracle(self, n_rows, pool, seed):
+        values = np.array(pool + _SPECIAL_FLOATS)
+        # few distinct values, so that they repeat within and across blocks
+        rows = values[np.random.default_rng(seed).integers(len(values), size=(n_rows, 3))]
+        oracle = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows.tolist())
+        assert "".join(_obj_rows("v %r %r %r\n", rows)) == oracle
+
+    def test_face_geometry_matches_numpy_kernels(self):
+        verts = np.vstack([_sphere_grid(8), [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]])
+        nv = len(verts)
+        # the last face is collinear: exact zero area, the denom > 0 branch
+        faces = np.vstack([_grid_faces(8, 8), [[nv - 3, nv - 2, nv - 1]]])
+        cots, normals, lengths = _face_geometry(verts, faces)
+        oracle_cots, oracle_normals, oracle_lengths = _oracle_face_geometry(verts, faces)
+        assert oracle_lengths[-1] == 0.0 and oracle_cots[0, -1] == 28.0
+        assert np.array_equal(cots, oracle_cots)
+        assert np.array_equal(np.stack(normals, axis=1), oracle_normals)
+        assert np.array_equal(lengths, oracle_lengths)
 
 
 def test_residual_pair_consistency(dside1):

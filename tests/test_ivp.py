@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coneshrink import ivp as ivp_mod
 from coneshrink.catalog import CurvatureProfile, mean_curvature
 from coneshrink.errors import (
     MonotonicityLost,
@@ -254,6 +255,25 @@ class TestEpsilonStudy:
         # pinned at 0, an O(1) defect; corrected B tracks A_2 to O(eps)
         assert rep.corrected_d2_deviation <= 0.05 * rep.control_d2_deviation
         assert rep.control_d2_deviation == pytest.approx(2.0, rel=1e-6)
+
+    def test_given_direct_profile_gives_the_same_report(self, fam1, series1, solved1,
+                                                         monkeypatch):
+        """A caller that holds the eps = 0 profile passes it in; the study
+        then integrates only the eps > 0 runs and reports the same values."""
+        config = SolverConfig(tol=1e-10)
+        eps_list = (1e-2, 3e-3, 1e-3)
+        own = epsilon_convergence_study(fam1, config, eps_list, series=series1)
+        seen = []
+
+        def recording(family, series, cfg, **kwargs):
+            seen.append(cfg.eps)
+            return integrate_gamma(family, series, cfg, **kwargs)
+
+        monkeypatch.setattr(ivp_mod, "integrate_gamma", recording)
+        given = epsilon_convergence_study(fam1, config, eps_list, series=series1,
+                                          direct=solved1)
+        assert seen == list(eps_list)
+        assert given == own
 
     def test_eps_list_validation(self, fam1):
         with pytest.raises(OutOfRange):

@@ -1,0 +1,154 @@
+"""Byte-identity sweep of the CLI outputs of two commits.
+
+    python3 tools/output_sweep.py [--base HEAD~1] [--head HEAD] [--workdir DIR]
+
+Run from the root of the repository.  Exports both commits the way
+``tools/bench_pairs.py`` does (its ``export``) into fresh directories
+under ``--workdir`` (the system temporary directory by default), runs one
+fixed list of ``coneshrink`` calls against each, one process per call,
+and compares, call by call, the exit code, stdout and stderr (the run
+directory's path replaced by ``<run>``) and the sha256 of every file the
+calls leave behind.  The calls:
+
+- solve sweep (46 calls): default ``solve`` on the 14 built-ins at theta1
+  x{0.93, 1.00, 1.07}, and ``solve --K 20 --tol 1e-12 --eps-study`` on
+  g1_sphere_n2 and g2_product_11 at theta1 x{0.95, 1.00};
+- mesh sweep (80 calls): on g1_sphere_n2 and g2_product_11 at theta1
+  x{0.90, 0.95, 1.00, 1.05, 1.10}, ``solve --K 20 --tol 1e-12
+  --eps-study``, ``verify`` of both profiles, and ``export --format obj``
+  of the d-side profile at resolutions 8, 64, 128, 256 and 300.
+
+Prints every difference and exits 1 if there is one, else 0.  The exports
+are removed at the end, also on failure.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_pairs import export  # noqa: E402
+
+CALL_TIMEOUT_S = 300.0
+SOLVE_SCALES = (0.93, 1.00, 1.07)
+EPS_STUDY_SCALES = (0.95, 1.00)
+MESH_SCALES = (0.90, 0.95, 1.00, 1.05, 1.10)
+MESH_FAMILIES = ("g1_sphere_n2", "g2_product_11")
+MESH_RESOLUTIONS = (8, 64, 128, 256, 300)
+EPS_STUDY_FLAGS = ["--K", "20", "--tol", "1e-12", "--eps-study"]
+
+CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; "
+                  "print(json.dumps({k: [f.g, f.m_minus, f.m_plus, f.n, f.theta1] "
+                  "for k, f in builtin_catalog().items()}))")
+
+
+def _env(checkout):
+    env = {k: v for k, v in os.environ.items() if k != "CONESHRINK_PRECISION"}
+    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    return env
+
+
+def family_flags(family, scale):
+    g, m_minus, m_plus, n, theta1 = family
+    return ["--g", str(g), "--m-minus", str(m_minus), "--m-plus", str(m_plus),
+            "--n", str(n), "--theta1", repr(theta1 * scale)]
+
+
+def calls(catalog):
+    """(run label, argv) pairs; argv paths are relative to the run directory."""
+    out = []
+    for name, family in catalog.items():
+        for scale in SOLVE_SCALES:
+            label = f"solve/{name}@{scale:.2f}"
+            out.append((label, ["solve", *family_flags(family, scale), "--out", label]))
+    for name in MESH_FAMILIES:
+        for scale in EPS_STUDY_SCALES:
+            label = f"eps_study/{name}@{scale:.2f}"
+            out.append((label, ["solve", *family_flags(catalog[name], scale),
+                                *EPS_STUDY_FLAGS, "--out", label]))
+    for name in MESH_FAMILIES:
+        for scale in MESH_SCALES:
+            run = f"mesh/{name}@{scale:.2f}"
+            out.append((run, ["solve", *family_flags(catalog[name], scale),
+                              *EPS_STUDY_FLAGS, "--out", run]))
+            for side in ("s_side", "d_side"):
+                out.append((f"{run}/verify_{side}", ["verify", f"{run}/{side}.csv"]))
+            for res in MESH_RESOLUTIONS:
+                out.append((f"{run}/obj_{res}",
+                            ["export", f"{run}/d_side.csv", "--format", "obj",
+                             "--resolution", str(res), "--out", f"{run}/obj_{res}"]))
+    return out
+
+
+def run_calls(checkout, call_list):
+    """Per call: exit code and normalised stdout/stderr; per file left in
+    the run directory: its sha256."""
+    run_dir = os.path.join(checkout, "sweep_runs")
+    os.makedirs(run_dir)
+    records = {}
+    for label, argv in call_list:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from coneshrink.cli import entry; entry()", *argv],
+            cwd=run_dir, env=_env(checkout), capture_output=True, text=True,
+            timeout=CALL_TIMEOUT_S)
+        records[label] = {"exit": proc.returncode,
+                          "stdout": proc.stdout.replace(run_dir, "<run>"),
+                          "stderr": proc.stderr.replace(run_dir, "<run>")}
+    hashes = {}
+    for root, _, files in os.walk(run_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, run_dir)] = hashlib.sha256(fh.read()).hexdigest()
+    return records, hashes
+
+
+def differences(base, head):
+    """Lines naming every call field and artifact that differ."""
+    (base_calls, base_files), (head_calls, head_files) = base, head
+    lines = []
+    for label, rec in base_calls.items():
+        for key in ("exit", "stdout", "stderr"):
+            if rec[key] != head_calls[label][key]:
+                lines.append(f"{label}: {key} differs\n  base: {rec[key]!r}\n"
+                             f"  head: {head_calls[label][key]!r}")
+    for path in sorted(set(base_files) | set(head_files)):
+        b, h = base_files.get(path), head_files.get(path)
+        if b != h:
+            lines.append(f"{path}: sha256 base {b} head {h}")
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", default="HEAD~1")
+    p.add_argument("--head", default="HEAD")
+    p.add_argument("--workdir", default=None)
+    args = p.parse_args(argv)
+    top = tempfile.mkdtemp(prefix="output_sweep-", dir=args.workdir)
+    try:
+        dirs = {"base": os.path.join(top, "base"), "head": os.path.join(top, "head")}
+        commits = {side: export(getattr(args, side), d) for side, d in dirs.items()}
+        catalog = json.loads(subprocess.run(
+            [sys.executable, "-c", CATALOG_SCRIPT], env=_env(dirs["base"]),
+            capture_output=True, text=True, check=True).stdout)
+        call_list = calls(catalog)
+        results = {side: run_calls(d, call_list) for side, d in dirs.items()}
+    finally:
+        shutil.rmtree(top, ignore_errors=True)
+    lines = differences(results["base"], results["head"])
+    for line in lines:
+        print(line)
+    n_files = len(set(results["base"][1]) | set(results["head"][1]))
+    print(f"base {commits['base'][:12]} head {commits['head'][:12]}: {len(call_list)} calls, "
+          f"{n_files} artifacts, {len(lines)} difference(s)")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
