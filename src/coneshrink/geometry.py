@@ -237,9 +237,9 @@ def _obj_rows(row_format, rows):
     block reprs each of its distinct bit patterns once (grid rows share
     their z, and x and y share their ``a_i cos psi_j`` products) and fills
     the format with those strings through ``%s``; keying on the bits keeps
-    ``-0.0`` apart from ``0.0``.  Integer blocks (faces) keep ``%d``, since
-    their values rarely repeat within a block and dedupe costs more than
-    it saves."""
+    ``-0.0`` apart from ``0.0``.  Integer blocks (faces) keep ``%d``: an
+    int formats about as fast as a lookup in the distinct strings, so the
+    sort that finds them does not pay for itself there."""
     floats = rows.dtype.kind == "f"
     if floats:
         row_format = row_format.replace("%r", "%s")
@@ -247,8 +247,7 @@ def _obj_rows(row_format, rows):
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
         block = rows[lo:lo + _OBJ_BLOCK_ROWS]
         if floats:
-            flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
-            bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+            bits, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
             texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
             values = texts[inverse].tolist()
         else:
@@ -319,7 +318,7 @@ def discrete_shrinker_residual(verts, faces, n_cols):
     vertex_area = np.bincount(corners, np.repeat(areas / 3.0, 3), minlength=nv)
     vertex_normal = np.stack([np.bincount(corners, np.repeat(face_normals[k], 3),
                                           minlength=nv) for k in range(3)], axis=1)
-    del face_normals, normal_norms
+    del face_normals, normal_norms   # freed before the scatter buffers below
     # corner k's cotangent w weights the opposite edge (a, b): a gets
     # (-w/2) (x_a - x_b) and b gets (w/2) (x_a - x_b).  Rows of `ends` are a
     # and b of each edge in turn, so bincount adds every vertex's terms in
@@ -353,7 +352,7 @@ def discrete_shrinker_residual(verts, faces, n_cols):
 
 def _face_geometry(verts, faces):
     """Cotangents of the three corner angles of every face, as a (3, F)
-    array, the unnormalised face normals (v1 - v0) x (v2 - v0) as (3, F)
+    array, the unnormalised face normals (v1 - v0) x (v2 - v0) as three
     coordinate rows, and their lengths.
 
     The arithmetic runs on coordinate rows, one operation per component,
