@@ -12,6 +12,7 @@ import os
 import tempfile
 
 import mpmath
+import numpy as np
 
 from .errors import ExportIOError
 
@@ -143,6 +144,6 @@ def write_csv(path, header, columns):
     """CSV with the ``header`` names, then one row per index of the
     ``columns`` arrays, each value as its round-trip float repr."""
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return atomic_write_text(path, "\n".join(lines) + "\n")

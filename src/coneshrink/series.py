@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import from_man_exp, fzero
 
 from .catalog import COT_SUM, CurvatureProfile, IsoparametricFamily, curvature_derivative, make_family
 from .errors import (
@@ -52,6 +52,99 @@ from .errors import (
 # module among those namespaces.
 from .jets import arctan_term_abs_mass, arctan_term_at_zero, fdb_kth_derivative  # noqa: F401
 from .numutil import DOUBLE_PREC, RealContext, decimal_str, machine_eps, parse_real
+
+
+# ---------------------------------------------------------------------------
+# Dot products
+# ---------------------------------------------------------------------------
+
+def _dot(xs, ys):
+    """sum_i xs[i] * ys[i], accumulated left to right from 0 (any ring)."""
+    return sum(map(operator.mul, xs, ys))
+
+
+class _Aligned:
+    """Signed integer mantissas over one exponent: entry i stands for
+    ``man[i] * 2**exp`` exactly.  Runs cut from one sequence share its
+    exponent, so two of them concatenate."""
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man, exp):
+        self.man = man
+        self.exp = exp
+
+    def __add__(self, other):
+        return _Aligned(self.man + other.man, self.exp)
+
+
+class _MpSequence(list):
+    """A growing sequence of mpmath floats that keeps, beside its items,
+    their signed integer mantissas over one exponent, the least among its
+    nonzero items: item i is exactly ``man[i] * 2**exp``.  Each item is
+    converted once, when appended; one with a lower exponent shifts the
+    earlier mantissas to it.  An index gives the item, a slice the run of
+    mantissas (:class:`_Aligned`) that :func:`_exact_dot` multiplies."""
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, items=()):
+        super().__init__()
+        self.man = []
+        self.exp = None
+        for x in items:
+            self.append(x)
+
+    def append(self, x):
+        list.append(self, x)
+        sign, man, exp, _ = x._mpf_ if type(x) is mpmath.mpf else mpmath.mp.convert(x)._mpf_
+        if not man:
+            if exp:
+                raise OutOfRange(f"non-finite value {x} in the series arithmetic")
+            self.man.append(0)
+            return
+        if sign:
+            man = -man
+        if self.exp is None:
+            self.exp = exp
+        elif exp < self.exp:
+            shift = self.exp - exp
+            self.man = [m << shift for m in self.man]
+            self.exp = exp
+        else:
+            man <<= exp - self.exp
+        self.man.append(man)
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            return _Aligned(self.man[index], self.exp)
+        return list.__getitem__(self, index)
+
+
+def _exact_dot(xs, ys):
+    """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
+    :class:`_MpSequence`): the exact sum of the exact products, one integer,
+    rounded once to the working precision.  That is the arithmetic of
+    mpmath's own exact dot product, and its result bit for bit while the
+    exponents of the nonzero products span at most twice the precision;
+    beyond that span mpmath's summation may drop a term or a partial sum,
+    where this still rounds the exact sum."""
+    total = sum(map(operator.mul, xs.man, ys.man))
+    if not total:       # a sequence of zeros has no exponent
+        return mpmath.mp.make_mpf(fzero)
+    prec, rnd = mpmath.mp._prec_rounding
+    return mpmath.mp.make_mpf(from_man_exp(total, xs.exp + ys.exp, prec, rnd))
+
+
+def _dot_for(value):
+    """The dot product and the sequence type of the ring of ``value``: for
+    mpmath floats :func:`_exact_dot` over :class:`_MpSequence`, whose slices
+    are aligned mantissas; else :func:`_dot` over lists, whose left-to-right
+    sum fixes the rounding of binary64 and whose operand order the
+    epsilon-polynomial ring relies on."""
+    if isinstance(value, mpmath.mpf):
+        return _exact_dot, _MpSequence
+    return _dot, list
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +210,37 @@ class _OnlineSeries:
 
 
 def _product_rule(x, y):
-    """[eps^k] (x * y) from x_0..x_k and y_0..y_k.  For mpmath floats: the
-    exact products x_i y_(k-i), i = 0..k, summed with one rounding to the
-    working precision (mpmath.fdot's arithmetic, each operand converted once);
-    otherwise :func:`_dot` from 0."""
-    raw_x, raw_y = [], []
+    """[eps^k] (x * y) = sum_i x_i y_(k-i) from x_0..x_k and y_0..y_k.  For
+    mpmath floats: :func:`_exact_dot` over the two operands' aligned
+    mantissas, each coefficient converted once, when first used; otherwise
+    :func:`_dot` from 0."""
+    xs, ys = _MpSequence(), _MpSequence()
 
     def rule(k):
         x_k, y_k = x[k], y[k]
         if not isinstance(x[0], mpmath.mpf):
             return _dot(x.coeffs[:k + 1], y.coeffs[k::-1])
-        raw_x.append(_raw_mpf(x_k))
-        raw_y.append(_raw_mpf(y_k))
-        prec, rnd = mpmath.mp._prec_rounding
-        return mpmath.mp.make_mpf(mpf_sum([mpf_mul(p, q) for p, q in zip(raw_x, reversed(raw_y))],
-                                          prec, rnd))
+        xs.append(x_k)
+        ys.append(y_k)
+        return _exact_dot(xs, ys[::-1])
     return rule
 
 
-def _raw_mpf(x):
-    return x._mpf_ if type(x) is mpmath.mpf else mpmath.mp.convert(x)._mpf_
+def _scientific(x, digits=3):
+    """``x`` as ``%.<digits>e`` prints its float; an mpf past the float
+    range through ``mpmath.nstr``, with the same significant digits."""
+    value = float(x)
+    if math.isinf(value) and isinstance(x, mpmath.mpf):
+        return mpmath.nstr(x, digits + 1, strip_zeros=False, min_fixed=0, max_fixed=0)
+    return f"{value:.{digits}e}"
 
 
 def _require_vanishing(c0, tol_abs):
-    """The check behind each division by eps: the constant term it drops."""
-    if abs(float(c0)) > tol_abs:
+    """The check behind each division by eps: the constant term it drops,
+    compared in its ring, so also past the float range."""
+    if abs(c0) > tol_abs:
         raise DivisionByEpsilonFailed(
-            f"constant term {float(c0):.6e} exceeds tolerance {tol_abs:.6e}"
+            f"constant term {_scientific(c0, 6)} exceeds tolerance {_scientific(tol_abs, 6)}"
         )
 
 
@@ -277,25 +374,16 @@ def _rho(a_k, k):
 # Taylor engine
 # ---------------------------------------------------------------------------
 
-def _dot(xs, ys):
-    """sum_i xs[i] * ys[i], accumulated left to right from 0 (any ring)."""
-    return sum(map(operator.mul, xs, ys))
-
-
-def _dot_for(value):
-    """Dot product for coefficients like ``value``: mpmath's fdot (exact
-    products, one rounding) for mpmath floats, else :func:`_dot`."""
-    return mpmath.fdot if isinstance(value, mpmath.mpf) else _dot
-
-
 def _self_dot(dot, c, m):
     """[s^m] of the square of the series with coefficients c (needs c_0..c_m).
 
     The s = 0 seed c_0 is a scalar and multiplies c_m from the right, so an
     epsilon-polynomial c_m forms the product itself (a scalar product is
-    commutative, and mpmath would otherwise try, and fail, to convert c_m)."""
+    commutative, and mpmath would otherwise try, and fail, to convert c_m).
+    Its operands are slices only, so mpmath floats enter as runs of aligned
+    mantissas (:class:`_MpSequence`)."""
     half = (m + 1) // 2
-    acc = 2 * dot([c[m]] + c[1:half], [c[0]] + c[m - 1:m - half:-1]) if half else 0
+    acc = 2 * dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]) if half else 0
     if m % 2 == 0:
         acc = acc + c[half] * c[half]
     return acc
@@ -345,6 +433,7 @@ class TaylorRecursion:
         else:
             u0 = fam.g * ctx.convert(fam.theta1)
             self.g = fam.g
+            self.ju = [0]   # j u_j = g j a_j, the coefficients of s u'
             self.cos = [ctx.cos(u0)]
             self.sin = [ctx.sin(u0)]
             self.lead = fam.n + fam.g - 1
@@ -355,7 +444,7 @@ class TaylorRecursion:
     def push(self, a_k):
         k = len(self.ja)
         if k == 1:
-            self.dot = _dot_for(a_k)
+            self._bind(a_k)
         self.ja.append(k * a_k)
         h_k = self._h_cot(k) if self.mode == COT_SUM else self._h_eq030(k)
         # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
@@ -364,6 +453,17 @@ class TaylorRecursion:
         iz_k = 2 * k * self.ja[k] - self.dot(self.iz[1:k], self.p[k - 1:0:-1])
         self.iz.append(iz_k)
         return 2 * (self.n * self.ja[k] - iz_k) + h_k
+
+    def _bind(self, a_1):
+        """Fix the ring by the first pushed coefficient: the dot product,
+        and the type of the sequences it reads, each holding its seed."""
+        self.dot, seq = _dot_for(a_1)
+        self.ja, self.iz, self.p = seq(self.ja), seq(self.iz), seq(self.p)
+        if self.mode == COT_SUM:
+            self.cot = [seq(c) for c in self.cot]
+            self.q = [seq(q) for q in self.q]
+        else:
+            self.ju, self.cos, self.sin, self.quot = map(seq, (self.ju, self.cos, self.sin, self.quot))
 
     def push_derivatives(self, derivs):
         """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
@@ -386,9 +486,9 @@ class TaylorRecursion:
         return h_k
 
     def _h_eq030(self, k):
-        ju = [self.g * x for x in self.ja[1:k + 1]]
-        cos_k = -self.dot(ju, self.sin[::-1]) / k
-        sin_k = self.dot(ju, self.cos[::-1]) / k
+        self.ju.append(self.g * self.ja[k])
+        cos_k = -self.dot(self.ju[1:], self.sin[::-1]) / k
+        sin_k = self.dot(self.ju[1:], self.cos[::-1]) / k
         self.cos.append(cos_k)
         self.sin.append(sin_k)
         q_k = (self.lead * cos_k - self.dot(self.sin[k:0:-1], self.quot)) / self.sin[0]
@@ -585,15 +685,6 @@ class EpsilonCorrections:
 SLOPE_TOL = 1e-6
 
 
-def _scientific(x):
-    """``x`` as ``%.3e`` prints its float; an mpf past the float range
-    through ``mpmath.nstr``, with the same four significant digits."""
-    value = float(x)
-    if math.isinf(value) and isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, 4, strip_zeros=False, min_fixed=0, max_fixed=0)
-    return f"{value:.3e}"
-
-
 def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                                 series: Optional[FormalSeries] = None) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
@@ -649,9 +740,9 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                     rows[k].coeffs.append(value)
                 else:
                     rows.append(_OnlineSeries(coeffs=[a[k]]))
-                    resid.append(abs(float(value - a[k])))
+                    resid.append(abs(value - a[k]))
             for k in range(1, len(col) - 2):
-                numer_max[k] = max(numer_max[k], abs(float(col[k + 2])))
+                numer_max[k] = max(numer_max[k], abs(col[k + 2]))
 
         def diagonal(d, *head):
             """Diagonal d from its entries in the rows of gamma'(0) and
@@ -662,9 +753,9 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             return col
 
         def check_pin(k):
-            if resid[k] > vanishing * max(abs(float(a[k])), 1.0):
+            if resid[k] > vanishing * max(abs(a[k]), 1.0):
                 raise DivisionByEpsilonFailed(
-                    f"eps^0 coefficient of derivative {k} is off by {resid[k]:.3e}; "
+                    f"eps^0 coefficient of derivative {k} is off by {_scientific(resid[k])}; "
                     "inconsistent series coefficients or precision loss"
                 )
 
@@ -676,8 +767,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             check_pin(1)
             check_pin(2)
             for k in range(1, upto - 1):
-                scale = numer_max[k] if trial is None else max(numer_max[k],
-                                                               abs(float(trial[k + 2])))
+                scale = numer_max[k] if trial is None else max(numer_max[k], abs(trial[k + 2]))
                 _require_vanishing(numer0[k], vanishing * max(scale, 1.0))
                 if k + 2 <= pinned:
                     check_pin(k + 2)
@@ -703,7 +793,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
         for m in range(2, N + 1):
             rhs.append(engine.push_derivatives(rows[1:m]))
             numer0.append(rhs[m - 1][0] - rows[m][0])
-            numer_max.append(abs(float(numer0[m - 1])))
+            numer_max.append(abs(numer0[m - 1]))
             consts = []
             for t in (0.0, 1.0, 2.0):
                 t = ctx.convert(t)
@@ -734,13 +824,10 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
         fix(diagonal(N + 2, zero, -zero))
         fix(diagonal(N + 3, None, -zero))
         audit(N + 1, N + 1)
-        worst_snap = 0.0
-        for r in resid[1:]:
-            worst_snap = max(worst_snap, r)
     return EpsilonCorrections(
         family=family, N=N, precision_bits=prec, B=tuple(b),
         gamma_eps=tuple(EpsilonPolynomial(row.coeffs) for row in rows[1:]),
-        slopes=tuple(slopes), max_snap_residual=worst_snap,
+        slopes=tuple(slopes), max_snap_residual=float(max(resid[1:])),
     )
 
 

@@ -475,3 +475,77 @@ def test_vanishing_constant_tolerance_is_the_programs(fam1):
     with pytest.raises(DivisionByEpsilonFailed) as info:
         compute_epsilon_corrections(fam1, 8, 53, series=replace(fs, a=tuple(a)))
     assert str(info.value) == "constant term 5.670000e-01 exceeds tolerance 3.210978e-02"
+
+
+def test_dropped_constant_past_the_float_range_raises(monkeypatch):
+    """A numerator whose own constant, 1e400, is its largest coefficient:
+    the tolerance 64 sqrt(eps) times that maximum is formed in the ring, so
+    the constant exceeds it, where float scales (inf > inf) let it pass."""
+
+    class Shifted(TaylorRecursion):
+        def push_derivatives(self, derivs):
+            rhs = super().push_derivatives(derivs)
+            # stage 2 drops the constant of 1! T_1 - gamma''(0; eps)
+            return rhs + mpmath.mpf("1e400") if len(derivs) == 1 else rhs
+
+    fam = builtin_catalog()["g1_sphere_n2"]
+    fs = compute_coefficients(fam, 10, 64)
+    monkeypatch.setattr(series_mod, "TaylorRecursion", Shifted)
+    with pytest.raises(DivisionByEpsilonFailed) as info:
+        compute_epsilon_corrections(fam, 8, 64, series=fs)
+    assert str(info.value) == "constant term 1.000000e+400 exceeds tolerance 2.107342e+392"
+
+
+def test_dropped_constant_under_a_trial_past_the_float_range_raises():
+    """A_6 of g1_sphere_n2 scaled by 1 + 10^300 at 64 bits leaves the
+    constant 2.0e306 in the stage-6 numerator, whose newest coefficient, from
+    the trial diagonal, is 3.4e308: past the float range, and still the
+    scale of the tolerance, which the constant exceeds.  (Float scales let
+    it pass, and the run ended in a slope that asked for more bits.)"""
+    fam = builtin_catalog()["g1_sphere_n2"]
+    fs = compute_coefficients(fam, 10, 64)
+    a = list(fs.a)
+    with mpmath.workprec(64):
+        a[5] = a[5] * (1 + mpmath.mpf(10) ** 300)
+    with pytest.raises(DivisionByEpsilonFailed) as info:
+        compute_epsilon_corrections(fam, 8, 64, series=replace(fs, a=tuple(a)))
+    assert str(info.value) == "constant term 2.008896e+306 exceeds tolerance 7.196834e+300"
+
+
+class _Replaced:
+    """A series with its eps^j coefficient replaced by ``entry``."""
+
+    def __init__(self, series, j, entry):
+        self.series, self.j, self.entry = series, j, entry
+
+    def __getitem__(self, i):
+        return self.entry if i == self.j else self.series[i]
+
+
+class _MisfitEntry:
+    """Stands for the entry [eps^1] (1! T_1): minus x it gives -x at the
+    trial values x = 0, -1, -2 of stage 2, a slope that fits, and 1e400 more
+    at any other x, so the diagonal formed at the fitted B_2 misses A_3."""
+
+    def __sub__(self, x):
+        return -x if abs(x) <= 2 else -x + mpmath.mpf("1e400")
+
+
+def test_pin_residual_past_the_float_range_raises(fam1, monkeypatch):
+    """With A_3 = 1e400 the pin of gamma'''(0; eps) allows 64 sqrt(eps) |A_3|,
+    past the float range; formed in the ring, the miss of 1e400 exceeds it."""
+
+    class Misfit(TaylorRecursion):
+        def push_derivatives(self, derivs):
+            rhs = super().push_derivatives(derivs)
+            if len(derivs) != 1:
+                return rhs
+            return _Replaced(rhs, 1, _MisfitEntry())
+
+    fs = compute_coefficients(fam1, 10, 64)
+    a = list(fs.a)
+    a[2] = mpmath.mpf("1e400")
+    monkeypatch.setattr(series_mod, "TaylorRecursion", Misfit)
+    with pytest.raises(DivisionByEpsilonFailed) as info:
+        compute_epsilon_corrections(fam1, 8, 64, series=replace(fs, a=tuple(a)))
+    assert str(info.value).startswith("eps^0 coefficient of derivative 3 is off by 1.000e+400; ")

@@ -1,0 +1,165 @@
+"""The series engine's one mpmath dot product: signed integer mantissas
+aligned per sequence, multiplied and summed exactly, rounded once."""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, from_rational
+
+from coneshrink import series as series_mod
+from coneshrink.catalog import builtin_catalog
+from coneshrink.errors import OutOfRange
+from coneshrink.series import compute_coefficients, compute_epsilon_corrections
+
+_MpSequence = series_mod._MpSequence
+_exact_dot = series_mod._exact_dot
+
+
+def _exact_value(x):
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _rounded(fraction, prec):
+    """``fraction`` rounded once to ``prec`` bits, to nearest."""
+    return from_rational(fraction.numerator, fraction.denominator, prec, "n")
+
+
+@st.composite
+def _operands(draw):
+    """Two equally long lists of mpmath floats at ``prec`` bits whose nonzero
+    products have exponents within ``spread`` < 2 prec of each other: each
+    x exponent in [base, base + spread // 2], each y exponent in
+    [0, spread - spread // 2], mantissas odd, so normalization keeps them."""
+    prec = draw(st.integers(53, 1024))
+    n = draw(st.integers(0, 60))
+    spread = draw(st.integers(0, 2 * prec - 1))
+    base = draw(st.integers(-3000, 3000))
+
+    def values(lo, hi):
+        entry = st.one_of(
+            st.just(0),
+            st.tuples(st.booleans(), st.integers(0, 2 ** (prec - 1) - 1), st.integers(lo, hi)),
+        )
+        out = []
+        for item in draw(st.lists(entry, min_size=n, max_size=n)):
+            if item == 0:
+                out.append(mpmath.mpf(0))
+                continue
+            negative, half, exp = item
+            man = 2 * half + 1
+            out.append(mpmath.mp.make_mpf(from_man_exp(-man if negative else man, exp)))
+        return out
+
+    return prec, values(base, base + spread // 2), values(0, spread - spread // 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_kernel_is_fdot_bit_for_bit(case):
+    """Below an exponent spread of 2 prec, mpmath.fdot sums exactly, and the
+    kernel gives its result bit for bit: over whole sequences and over the
+    reversed slices the engine takes; both are the exact sum rounded once."""
+    prec, xs, ys = case
+    with mpmath.workprec(prec):
+        want = mpmath.fdot(xs, ys)
+        got = _exact_dot(_MpSequence(xs), _MpSequence(ys))
+        assert got._mpf_ == want._mpf_
+        got_rev = _exact_dot(_MpSequence(xs)[:], _MpSequence(ys)[::-1])
+        assert got_rev._mpf_ == mpmath.fdot(xs, ys[::-1])._mpf_
+    exact = sum((_exact_value(x) * _exact_value(y) for x, y in zip(xs, ys)), Fraction(0))
+    assert got._mpf_ == _rounded(exact, prec)
+
+
+def test_beyond_twice_the_precision_the_kernel_rounds_the_exact_sum():
+    """Exponents 200 apart at 53 bits: fdot's summation replaces the partial
+    sum 2^-200 by the term 1 and returns 0 in this order (the exact value in
+    the reverse order); the kernel returns the exact sum 2^-200 in both."""
+    with mpmath.workprec(53):
+        xs = [mpmath.mpf(2) ** -200, mpmath.mpf(1), mpmath.mpf(-1)]
+        ones = [mpmath.mpf(1)] * 3
+        exact = sum((_exact_value(x) for x in xs), Fraction(0))
+        assert exact == Fraction(1, 2 ** 200)
+        assert mpmath.fdot(xs, ones) == 0
+        assert mpmath.fdot(xs[::-1], ones) == mpmath.mpf(2) ** -200
+        for order in (xs, xs[::-1]):
+            got = _exact_dot(_MpSequence(order), _MpSequence(ones))
+            assert got._mpf_ == _rounded(exact, 53)
+
+
+def test_alignment_follows_the_least_exponent():
+    """Appending an item below the shared exponent shifts the earlier
+    mantissas to it; every item stays exactly man * 2^exp."""
+    seq = _MpSequence([0, mpmath.mpf(3), mpmath.mpf(-0.25), mpmath.mpf(2) ** 40])
+    assert seq.exp == -2
+    assert seq.man == [0, 12, -1, 2 ** 42]
+    assert [seq[i] for i in range(4)] == [0, 3, -0.25, 2 ** 40]
+    assert _MpSequence([0, 0]).exp is None
+    with mpmath.workprec(53):
+        assert _exact_dot(_MpSequence([0, 0]), seq[:2]) == 0
+
+
+def test_non_finite_items_are_refused():
+    with pytest.raises(OutOfRange, match="non-finite"):
+        _MpSequence([mpmath.mpf(1), mpmath.inf])
+
+
+_fdot_calls = []
+
+
+def _fdot(xs, ys):
+    _fdot_calls.append(1)
+    return mpmath.fdot(xs, ys)
+
+
+def _fdot_dot_for(value):
+    if isinstance(value, mpmath.mpf):
+        return _fdot, list
+    return series_mod._dot, list
+
+
+def _fdot_product_rule(x, y):
+    def rule(k):
+        x[k], y[k]
+        if not isinstance(x[0], mpmath.mpf):
+            return series_mod._dot(x.coeffs[:k + 1], y.coeffs[k::-1])
+        return _fdot(x.coeffs[:k + 1], y.coeffs[k::-1])
+    return rule
+
+
+def _bits(x):
+    return x._mpf_ if isinstance(x, mpmath.mpf) else float(x).hex()
+
+
+def _record(fam, prec, mode):
+    fs = compute_coefficients(fam, 24, prec, profile_mode=mode)
+    corr = compute_epsilon_corrections(fam, 8, prec, series=fs)
+    return {
+        "A": [_bits(v) for v in fs.a],
+        "rel_error_estimates": [_bits(v) for v in fs.rel_error_estimates],
+        "B": [_bits(v) for v in corr.B],
+        "slopes": [_bits(v) for v in corr.slopes],
+        "max_snap_residual": _bits(corr.max_snap_residual),
+        "gamma_eps": [[_bits(v) for v in p.coeffs] for p in corr.gamma_eps],
+    }
+
+
+@pytest.mark.parametrize("prec", [117, 256])
+@pytest.mark.parametrize("mode", ["cot_sum", "eq030_literal"])
+def test_engine_matches_an_fdot_run(prec, mode, monkeypatch):
+    """The series and its corrections, the shadow run's error estimates
+    included, are bit-equal to a run whose Taylor engine and epsilon
+    product rule use mpmath.fdot over lists of mpmath floats."""
+    catalog = builtin_catalog()
+    for name in ("g1_sphere_n2", "g3_m1", "g6_m2"):
+        got = _record(catalog[name], prec, mode)
+        with monkeypatch.context() as mp:
+            mp.setattr(series_mod, "_dot_for", _fdot_dot_for)
+            mp.setattr(series_mod, "_product_rule", _fdot_product_rule)
+            _fdot_calls.clear()
+            want = _record(catalog[name], prec, mode)
+        assert _fdot_calls, name
+        assert got == want, name

@@ -25,7 +25,7 @@ from coneshrink.ivp import (
     _cumulative_energy,
     _cumulative_q_from_s,
 )
-from coneshrink.numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, loglog_slope
+from coneshrink.numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, loglog_slope, write_csv
 from coneshrink.series import compute_epsilon_corrections, evaluate_truncated
 
 
@@ -400,6 +400,17 @@ class TestCsvRoundTrip:
         write_profile_csv(solved1, path)
         header = path.read_text().splitlines()[0]
         assert header == "s,gamma,dgamma,d2gamma,local_err,energy_residual"
+
+    def test_values_print_as_their_float_repr(self, tmp_path):
+        """Every value as repr(float(v)): an int column prints 1.0, a float32
+        column its exact widening, and -0.0, nan and inf keep their text."""
+        cols = [np.array([1, 2, 3]), np.array([0.1, -0.0, np.nan], dtype=np.float32),
+                [1e-310, float("inf"), 2.0 ** 60 + 1]]
+        path = tmp_path / "c.csv"
+        write_csv(path, ["a", "b", "c"], cols)
+        rows = [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+        assert path.read_text() == "\n".join(["a,b,c", *rows]) + "\n"
+        assert path.read_text().splitlines()[1].startswith("1.0,0.10000000149011612,1e-310")
 
 
 def test_gamma_dense_interpolation(solved1):

@@ -16,7 +16,12 @@ calls leave behind.  The calls:
 - mesh sweep (80 calls): on g1_sphere_n2 and g2_product_11 at theta1
   x{0.90, 0.95, 1.00, 1.05, 1.10}, ``solve --K 20 --tol 1e-12
   --eps-study``, ``verify`` of both profiles, and ``export --format obj``
-  of the d-side profile at resolutions 8, 64, 128, 256 and 300.
+  of the d-side profile at resolutions 8, 64, 128, 256 and 300;
+- coeffs sweep (84 calls): on the 14 built-ins at theta1 x{0.93, 1.00,
+  1.07}, ``coeffs --K 32 --precision 256 --gevrey --corrections --N 8
+  --out -`` (the series_deep benchmark's flags), and the default ``coeffs
+  --format json --out -``, which prints the 117-bit shadow run's
+  ``rel_error_estimates``.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -41,6 +46,11 @@ MESH_SCALES = (0.90, 0.95, 1.00, 1.05, 1.10)
 MESH_FAMILIES = ("g1_sphere_n2", "g2_product_11")
 MESH_RESOLUTIONS = (8, 64, 128, 256, 300)
 EPS_STUDY_FLAGS = ["--K", "20", "--tol", "1e-12", "--eps-study"]
+COEFFS_FLAGS = {
+    "coeffs_deep": ["--K", "32", "--precision", "256", "--gevrey", "--corrections",
+                    "--N", "8", "--out", "-"],
+    "coeffs": ["--format", "json", "--out", "-"],
+}
 
 CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; "
                   "print(json.dumps({k: [f.g, f.m_minus, f.m_plus, f.n, f.theta1] "
@@ -82,6 +92,11 @@ def calls(catalog):
                 out.append((f"{run}/obj_{res}",
                             ["export", f"{run}/d_side.csv", "--format", "obj",
                              "--resolution", str(res), "--out", f"{run}/obj_{res}"]))
+    for name, family in catalog.items():
+        for scale in SOLVE_SCALES:
+            for kind, flags in COEFFS_FLAGS.items():
+                out.append((f"{kind}/{name}@{scale:.2f}",
+                            ["coeffs", *family_flags(family, scale), *flags]))
     return out
 
 
