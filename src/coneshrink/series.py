@@ -463,7 +463,8 @@ class TaylorRecursion:
             self.cot = [seq(c) for c in self.cot]
             self.q = [seq(q) for q in self.q]
         else:
-            self.ju, self.cos, self.sin, self.quot = map(seq, (self.ju, self.cos, self.sin, self.quot))
+            self.ju, self.cos, self.sin = seq(self.ju), seq(self.cos), seq(self.sin)
+            self.quot = seq(self.quot)
 
     def push_derivatives(self, derivs):
         """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
