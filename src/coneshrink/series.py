@@ -720,13 +720,15 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     profile = CurvatureProfile(family, series.profile_mode)
     ctx = RealContext(prec)
     eps_m = machine_eps(prec)
-    vanishing = 64 * math.sqrt(eps_m)
     with ctx.workprec():
+        # the tolerances are formed in the ring: |A_k| may pass the float range
+        vanishing, one = ctx.convert(64 * math.sqrt(eps_m)), ctx.convert(1)
         a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
         zero = 0 * a[1]
         # rows[k]: [eps^j] gamma^(k)(0; eps), one coefficient per diagonal,
-        # the constant pinned to A_k; resid[k]: that constant's offset
-        rows, resid = [None], [None]
+        # the constant pinned to A_k; resid[k]: that constant's offset, and
+        # off[k]: whether it exceeds 64 sqrt(eps) max(|A_k|, 1)
+        rows, resid, off = [None], [None], [None]
         # rhs[k] = k! T_k; numer0[k] and numer_max[k]: the constant of
         # k! T_k - gamma^(k+1) and the running max of its |coefficients|
         rhs, numer0, numer_max = [None], [None], [None]
@@ -742,6 +744,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                 else:
                     rows.append(_OnlineSeries(coeffs=[a[k]]))
                     resid.append(abs(value - a[k]))
+                    off.append(resid[k] > vanishing * max(abs(a[k]), one))
             for k in range(1, len(col) - 2):
                 numer_max[k] = max(numer_max[k], abs(col[k + 2]))
 
@@ -754,7 +757,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             return col
 
         def check_pin(k):
-            if resid[k] > vanishing * max(abs(a[k]), 1.0):
+            if off[k]:
                 raise DivisionByEpsilonFailed(
                     f"eps^0 coefficient of derivative {k} is off by {_scientific(resid[k])}; "
                     "inconsistent series coefficients or precision loss"
@@ -769,7 +772,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
             check_pin(2)
             for k in range(1, upto - 1):
                 scale = numer_max[k] if trial is None else max(numer_max[k], abs(trial[k + 2]))
-                _require_vanishing(numer0[k], vanishing * max(scale, 1.0))
+                _require_vanishing(numer0[k], vanishing * max(scale, one))
                 if k + 2 <= pinned:
                     check_pin(k + 2)
 
