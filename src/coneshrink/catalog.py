@@ -10,7 +10,7 @@ parallel hypersurface at distance d has mean curvature, with x = theta1 + d,
 by Muenzner (Math. Ann. 251, 1980; Cecil & Ryan, *Geometry of Hypersurfaces*,
 ch. 3).  The closed form is the only definition of H here: every path sums
 w f cot(f x) over the (weight, frequency) terms of
-:attr:`IsoparametricFamily.cot_terms`.  H decreases strictly from H(0) > 0
+:attr:`CurvatureProfile.terms`.  H decreases strictly from H(0) > 0
 to -inf at the focal distance d_focal = pi/g - theta1, with a unique zero
 d0 (the minimal member).
 
@@ -25,15 +25,19 @@ function f(d) = cos(g*(theta1+d)),
 
     H(f) = [(n+g-1)*f - g*(m_minus-m_plus)/2] / sqrt(1-f^2),
 
-signed so H(0) > 0.  It is kept for fidelity experiments; it disagrees with
-the cot-sum profile for g = 1 (coefficient n instead of n-1) and for g = 2
-with unequal multiplicities (minimal level (p-q)/(p+q+2) instead of the
-classical (p-q)/(p+q)), so cot_sum is the default everywhere.
+signed so H(0) > 0.  Since sqrt(1 - f^2) = sin(g x) and
+cot(y/2) = cot y + 1/sin y, it is the cot sum plus g cot(g x): the same sum
+with weight m_minus + 1 at frequency g, so both modes run one algorithm.
+It is kept for fidelity experiments; it disagrees with the cot-sum profile
+for g = 1 (coefficient n instead of n-1) and for g = 2 with unequal
+multiplicities (minimal level (p-q)/(p+q+2) instead of the classical
+(p-q)/(p+q)), so cot_sum is the default everywhere, and a run in this mode
+has its own minimal distance :attr:`CurvatureProfile.d0`.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 import numpy as np
@@ -54,9 +58,6 @@ EQ030_LITERAL = "eq030_literal"
 PROFILE_MODES = (COT_SUM, EQ030_LITERAL)
 
 MAX_DERIVATIVE_ORDER = 80
-# highest derivative the literal mode's finite differences can deliver with
-# meaningful accuracy at binary64; cot_sum derivatives are exact to any order
-MAX_FD_DERIVATIVE_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,11 @@ class IsoparametricFamily:
             "theta1": self.theta1,
         }
 
-    @property
-    def cot_terms(self):
-        """(w, f) pairs with H(d) = sum w f cot(f (theta1 + d)): (m_minus, g)
-        and (m_plus - m_minus, g/2), zero weights dropped."""
-        terms = ((self.m_minus, self.g), (self.m_plus - self.m_minus, self.g // 2))
-        return tuple((w, f) for w, f in terms if w)
-
 
 @dataclass(frozen=True)
 class CurvatureProfile:
+    """The mean-curvature profile of ``family`` in profile mode ``mode``."""
+
     family: IsoparametricFamily
     mode: str = COT_SUM
 
@@ -99,9 +95,20 @@ class CurvatureProfile:
         if self.mode not in PROFILE_MODES:
             raise UnsupportedMode(f"unknown profile mode {self.mode!r}")
 
-    @property
-    def has_closed_antiderivative(self):
-        return self.mode == COT_SUM
+    @cached_property
+    def terms(self):
+        """(w, f) pairs with H(d) = sum w f cot(f (theta1 + d)): (m_minus, g)
+        and (m_plus - m_minus, g/2), zero weights dropped; eq030_literal adds
+        g cot(g (theta1 + d)), one more unit of weight at frequency g."""
+        fam = self.family
+        lead = fam.m_minus + (1 if self.mode == EQ030_LITERAL else 0)
+        terms = ((lead, fam.g), (fam.m_plus - fam.m_minus, fam.g // 2))
+        return tuple((w, f) for w, f in terms if w)
+
+    @cached_property
+    def d0(self):
+        """The unique zero of this H on (0, d_focal): the minimal member."""
+        return minimal_distance(self.family, self.mode)
 
 
 def _validate(g, m_minus, m_plus, n, theta1):
@@ -158,8 +165,7 @@ def make_family(g, m_minus, m_plus, n, theta1) -> IsoparametricFamily:
     h0 = mean_curvature(profile, 0.0)
     if h0 <= 0.0:
         raise NotMeanConvex(f"H(0) = {h0:.6g} <= 0 for theta1 = {theta1:.6g}")
-    d0 = minimal_distance(fam)
-    object.__setattr__(fam, "d0", d0)
+    object.__setattr__(fam, "d0", profile.d0)
     return fam
 
 
@@ -188,7 +194,7 @@ def _in_number_type(fam, d, prec):
 
 def _cot_sum(terms, x, lib, order):
     """sum w f^(order+1) P_order(cot(f x)) over the (weight, frequency) terms:
-    the order-th derivative of H in cot_sum mode."""
+    the order-th derivative of H."""
     poly = _cot_derivative_poly(order)
     total = 0
     for w, f in terms:
@@ -200,11 +206,8 @@ def _cot_sum(terms, x, lib, order):
 def binary64_curvature(profile: CurvatureProfile):
     """H(d) for integrator right-hand sides: mean_curvature's binary64 value,
     bit for bit, without its per-call validation."""
-    fam = profile.family
-    t1 = fam.theta1
-    if profile.mode != COT_SUM:
-        return lambda d: _eq030_value(fam, t1 + d, math)
-    terms = tuple((w * f, f) for w, f in fam.cot_terms)
+    t1 = profile.family.theta1
+    terms = tuple((w * f, f) for w, f in profile.terms)
 
     def h(d):
         x = t1 + d
@@ -221,14 +224,6 @@ def mean_curvature(profile: CurvatureProfile, d, prec: int = DOUBLE_PREC):
     """Mean curvature of the parallel hypersurface at distance d: a scalar,
     or an array of nodes at binary64."""
     return curvature_derivative(profile, d, 0, prec)
-
-
-def _eq030_value(fam, x, lib):
-    # level function f = cos(g*(theta1+d)) at x = theta1 + d; overall sign
-    # fixed so H(0) > 0 whenever the family is mean convex in this mode.
-    f = lib.cos(fam.g * x)
-    c = fam.g * (fam.m_minus - fam.m_plus) / 2.0
-    return ((fam.n + fam.g - 1) * f - c) / lib.sqrt(1 - f * f)
 
 
 @lru_cache(maxsize=None)
@@ -255,116 +250,40 @@ def _polyval_int(coeffs, x):
 
 
 def curvature_derivative(profile: CurvatureProfile, d, order: int, prec: int = DOUBLE_PREC):
-    """Order-th derivative of H at d (order 0 is H): exact in cot_sum mode,
-    finite differences above order 0 in eq030_literal mode
-    (Richardson-extrapolated central stencil)."""
+    """Order-th derivative of H at d (order 0 is H), exact at every order."""
     fam = profile.family
     _check_d(fam, d)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise OutOfRange(f"derivative order {order} outside [0, {MAX_DERIVATIVE_ORDER}]")
-    ctx = RealContext(prec)
-    with ctx.workprec():
+    with RealContext(prec).workprec():
         t1, dd, lib = _in_number_type(fam, d, prec)
-        if profile.mode == COT_SUM:
-            return _cot_sum(fam.cot_terms, t1 + dd, lib, order)
-        if order == 0:
-            return _eq030_value(fam, t1 + dd, lib)
-        if order > MAX_FD_DERIVATIVE_ORDER:
-            raise OutOfRange(
-                f"eq030_literal derivatives stop at order {MAX_FD_DERIVATIVE_ORDER} "
-                "(finite-difference noise dominates beyond)"
-            )
-        return _fd_derivative(lambda y: _eq030_value(fam, t1 + y, lib), dd, order, ctx,
-                              hi=fam.d_focal - float(d))
-
-
-def _fd_derivative(func, x, order, ctx, hi):
-    # central stencil of width `order`, one Richardson level (h, h/2)
-    h = min(ctx.eps ** (1.0 / (order + 3)), max(hi, 1e-12) / (order + 1))
-    h = ctx.convert(h)
-
-    def stencil(step):
-        acc = 0
-        for i in range(order + 1):
-            w = (-1) ** i * math.comb(order, i)
-            acc = acc + w * func(x + (order / 2.0 - i) * step)
-        return acc / step ** order
-
-    c1 = stencil(h)
-    c2 = stencil(h / 2)
-    return (4 * c2 - c1) / 3
+        return _cot_sum(profile.terms, t1 + dd, lib, order)
 
 
 def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PREC):
-    """Antiderivative of H normalized to vanish at 0 (cot_sum only), at a
-    scalar or an array of nodes: sum w [ln sin(f (theta1 + x)) - ln sin(f theta1)]
-    over the family's (weight, frequency) terms."""
+    """Antiderivative of H normalized to vanish at 0, at a scalar or an array
+    of nodes: sum w [ln sin(f (theta1 + x)) - ln sin(f theta1)] over the
+    profile's (weight, frequency) terms."""
     fam = profile.family
-    if not profile.has_closed_antiderivative:
-        raise UnsupportedMode(
-            "no closed-form antiderivative in eq030_literal mode; "
-            "use curvature_antiderivative_numeric"
-        )
     _check_d(fam, x, name="x")
     with RealContext(prec).workprec():
         t1, xx, lib = _in_number_type(fam, x, prec)
         total = 0
-        for w, f in fam.cot_terms:
+        for w, f in profile.terms:
             total = total + w * (lib.log(lib.sin(f * (t1 + xx))) - lib.log(lib.sin(f * t1)))
         return total
 
 
-def curvature_antiderivative_numeric(profile: CurvatureProfile, x, rel_tol: float = 1e-12):
-    """Adaptive-Simpson fallback for modes without a closed form.
-
-    Returns (value, error_estimate)."""
-    fam = profile.family
-    _check_d(fam, x, name="x")
-    if x == 0:
-        return 0.0, 0.0
-
-    def f(t):
-        return float(mean_curvature(profile, t))
-
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def adapt(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol or depth > 40:
-            return left + right + err, abs(err)
-        lv, le = adapt(a, m, fa, flm, fm, left, tol / 2, depth + 1)
-        rv, re = adapt(m, b, fm, frm, fb, right, tol / 2, depth + 1)
-        return lv + rv, le + re
-
-    fa, fb = f(0.0), f(float(x))
-    fm = f(0.5 * float(x))
-    whole = simpson(0.0, float(x), fa, fm, fb)
-    tol = rel_tol * max(abs(whole), 1.0)
-    return adapt(0.0, float(x), fa, fm, fb, whole, tol, 0)
-
-
 def minimal_distance(family: IsoparametricFamily, mode: str = COT_SUM,
                      tol: float = 1e-14) -> float:
-    """Unique zero of H on (0, d_focal): bracketed bisection to 1e-3 followed
-    by a Newton polish using the exact derivative (cot_sum) or finite
-    differences (eq030_literal)."""
+    """Unique zero of the mode's H on (0, d_focal): bracketed bisection to
+    1e-3 followed by a Newton polish using the exact derivative."""
     profile = CurvatureProfile(family, mode)
     h0 = float(mean_curvature(profile, 0.0))
     if h0 <= 0:
         raise RootNotBracketed(f"H(0) = {h0:.6g} <= 0")
-    # keep hi strictly interior: both modes blow down to -inf at d_focal and
-    # the literal mode's sqrt(1 - f^2) underflows right at the focal distance
+    # keep hi strictly interior: H blows down to -inf at d_focal
     lo, hi = 0.0, family.d_focal * (1 - 1e-7)
-    f_hi = float(mean_curvature(profile, hi))
-    while f_hi > 0:  # cannot happen for cot_sum; guards literal mode
-        hi = 0.5 * (hi + family.d_focal)
-        f_hi = float(mean_curvature(profile, hi))
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if float(mean_curvature(profile, mid)) > 0:

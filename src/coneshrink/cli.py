@@ -247,7 +247,7 @@ def cmd_solve(args):
     d_target = None
     if args.to_d is not None:
         relative, x = args.to_d
-        d_target = fam.d0 + x if relative else x
+        d_target = CurvatureProfile(fam, config.profile_mode).d0 + x if relative else x
     out = args.out
     os.makedirs(out, exist_ok=True)
     fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
@@ -255,21 +255,18 @@ def cmd_solve(args):
     prof_s = ivp.integrate_gamma(fam, fs, config)
     prof_d = ivp.to_d_profile(prof_s, fam)
     prof_ext = ivp.continue_phi(prof_d, fam, d_target=d_target, config=config)
-    energy_col = prof_s["energy_residual"]
-    max_energy = (float(np.nanmax(np.abs(energy_col)))
-                  if np.any(np.isfinite(energy_col)) else None)
 
     summary = {
         "family": fam.as_dict(),
         "profile_mode": config.profile_mode,
         "tol": config.tol,
-        "d0": fam.d0,
+        "d0": prof_ext.meta["d0"],
         "d_focal": fam.d_focal,
         "s_end": prof_s.meta["s_end"],
         "s_bootstrap": prof_s.meta.get("s_b"),
         "d_handoff": prof_ext.meta["d_h"],
         "d_target": prof_ext.meta["d_target"],
-        "max_energy_residual": max_energy,
+        "max_energy_residual": float(np.nanmax(np.abs(prof_s["energy_residual"]))),
         "max_eq130_residual": float(np.max(np.abs(prof_ext["eq130_residual"]))),
         "max_eq350_drift": prof_ext.meta["max_identity_drift"],
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],

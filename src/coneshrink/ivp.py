@@ -48,7 +48,6 @@ from .errors import (
     OutOfRange,
     SingularDenominator,
     StepSizeCollapse,
-    UnsupportedMode,
 )
 from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, write_csv
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients,
@@ -255,11 +254,9 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     dgam = result.ys[:, 1]
     energy = result.ys[:, 2]
     d2gam = result.fs[:, 1]
-    res_energy = np.full_like(s_nodes, np.nan)
-    if profile.has_closed_antiderivative:
-        cal = curvature_antiderivative(profile, gam)
-        res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
-                      + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
+    cal = curvature_antiderivative(profile, gam)
+    res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
+                  + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
     return SolutionProfile(
         side=S_SIDE, family=family,
         columns={
@@ -290,10 +287,7 @@ def energy_residual(profile_s: SolutionProfile, family: IsoparametricFamily,
     by per-interval Gauss quadrature on the cubic Hermite reconstruction of
     gamma', anchored so the first node has zero residual.
     """
-    mode = profile_s.meta.get("profile_mode", COT_SUM)
-    prof = CurvatureProfile(family, mode)
-    if not prof.has_closed_antiderivative:
-        raise UnsupportedMode("energy identity needs the closed-form antiderivative")
+    prof = CurvatureProfile(family, profile_s.meta.get("profile_mode", COT_SUM))
     if eps is None:
         eps = profile_s.meta.get("eps", 0.0)
     s = profile_s["s"]
@@ -405,9 +399,11 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
                  d_target: Optional[float] = None,
                  config: Optional[SolverConfig] = None) -> SolutionProfile:
     """Continue the d-side solution from a handoff node to d_target
-    (default d0 + margin), guarding with the first-integral drift."""
+    (default d0 + margin), guarding with the first-integral drift; d0 is the
+    zero of the run's own profile (:attr:`CurvatureProfile.d0`)."""
     config = config or SolverConfig()
-    d0 = family.d0
+    prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", COT_SUM))
+    d0 = prof.d0
     margin_cap = 0.5 * (family.d_focal - d0)
     margin = min(D_MARGIN, margin_cap)
     if d_target is None:
@@ -426,7 +422,6 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
     phi_h = float(profile_d["phi"][idx])
     dphi_h = float(profile_d["dphi"][idx])
 
-    prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", COT_SUM))
     h_fast = binary64_curvature(prof)
     n = family.n
 

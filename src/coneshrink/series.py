@@ -403,12 +403,10 @@ class TaylorRecursion:
     so the recursion reads a_{k+1} = T_k / (c (k+1)) with drift coefficient
     c; ``t0`` = H(0) = T_0 starts it.  The rules are
 
-    * cot_sum: H = sum w f c over the (w, f) of ``family.cot_terms``, one
-      chain c = cot(f (theta1 + gamma)) per term from c' = -f (1 + c^2) gamma';
-    * eq030_literal: the pair C = cos u, S = sin u, u = g (theta1 + gamma),
-      from C' = -S u', S' = C u'; since u(0) = g theta1 lies in (0, pi),
-      sqrt(1 - f^2) = S for f = C, and H = ((n+g-1) C - g(m_minus-m_plus)/2) / S
-      is a series quotient;
+    * H = sum w f c over the (w, f) of ``profile.terms``, one chain
+      c = cot(f (theta1 + gamma)) per term from c' = -f (1 + c^2) gamma';
+      in either profile mode, as eq030_literal is the cot sum with weight
+      m_minus + 1 at frequency g;
     * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
 
     They divide only by integers and by values at s = 0, so the pushed
@@ -419,34 +417,22 @@ class TaylorRecursion:
     def __init__(self, profile: CurvatureProfile, ctx: RealContext):
         fam = profile.family
         self.n = fam.n
-        self.mode = profile.mode
         self.ja = [0]       # j a_j, the coefficients of s gamma'
         self.iz = [0]       # i z_i, z = arctan(w)
         self.p = [1]        # [s^m] (1 + w^2)
         self.dot = _dot     # fixed by the ring of the first pushed coefficient
-        if self.mode == COT_SUM:
-            t1 = ctx.convert(fam.theta1)
-            self.terms = fam.cot_terms
-            self.cot = [[ctx.cot(f * t1)] for _, f in self.terms]
-            self.q = [[] for _ in self.terms]        # [s^m] (1 + c_i^2)
-            self.t0 = sum(w * f * c[0] for (w, f), c in zip(self.terms, self.cot))
-        else:
-            u0 = fam.g * ctx.convert(fam.theta1)
-            self.g = fam.g
-            self.ju = [0]   # j u_j = g j a_j, the coefficients of s u'
-            self.cos = [ctx.cos(u0)]
-            self.sin = [ctx.sin(u0)]
-            self.lead = fam.n + fam.g - 1
-            self.quot = [(self.lead * self.cos[0]
-                          - fam.g * (fam.m_minus - fam.m_plus) / 2.0) / self.sin[0]]
-            self.t0 = self.quot[0]
+        t1 = ctx.convert(fam.theta1)
+        self.terms = profile.terms
+        self.cot = [[ctx.cot(f * t1)] for _, f in self.terms]
+        self.q = [[] for _ in self.terms]        # [s^m] (1 + c_i^2)
+        self.t0 = sum(w * f * c[0] for (w, f), c in zip(self.terms, self.cot))
 
     def push(self, a_k):
         k = len(self.ja)
         if k == 1:
             self._bind(a_k)
         self.ja.append(k * a_k)
-        h_k = self._h_cot(k) if self.mode == COT_SUM else self._h_eq030(k)
+        h_k = self._h_cot(k)
         # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
         if k > 1:
             self.p.append(4 * _self_dot(self.dot, self.ja, k - 1))
@@ -459,12 +445,8 @@ class TaylorRecursion:
         and the type of the sequences it reads, each holding its seed."""
         self.dot, seq = _dot_for(a_1)
         self.ja, self.iz, self.p = seq(self.ja), seq(self.iz), seq(self.p)
-        if self.mode == COT_SUM:
-            self.cot = [seq(c) for c in self.cot]
-            self.q = [seq(q) for q in self.q]
-        else:
-            self.ju, self.cos, self.sin = seq(self.ju), seq(self.cos), seq(self.sin)
-            self.quot = seq(self.quot)
+        self.cot = [seq(c) for c in self.cot]
+        self.q = [seq(q) for q in self.q]
 
     def push_derivatives(self, derivs):
         """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
@@ -485,16 +467,6 @@ class TaylorRecursion:
             c.append(-f * self.dot(ja, q) / k)
             h_k = h_k + w * f * c[k]
         return h_k
-
-    def _h_eq030(self, k):
-        self.ju.append(self.g * self.ja[k])
-        cos_k = -self.dot(self.ju[1:], self.sin[::-1]) / k
-        sin_k = self.dot(self.ju[1:], self.cos[::-1]) / k
-        self.cos.append(cos_k)
-        self.sin.append(sin_k)
-        q_k = (self.lead * cos_k - self.dot(self.sin[k:0:-1], self.quot)) / self.sin[0]
-        self.quot.append(q_k)
-        return q_k
 
 
 def _taylor_coefficients(profile, K, prec, drift_coefficient):
@@ -717,6 +689,10 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
         raise OutOfRange(f"series must carry at least N+1 = {N + 1} coefficients")
     if series.drift_coefficient != 1.0:
         raise OutOfRange("corrections require a series with drift coefficient 1")
+    # every check below compares False against a nan: reject it at the source
+    for k in range(1, N + 2):
+        if not mpmath.isfinite(series.coefficient(k)):
+            raise OutOfRange(f"A_{k} is not finite: {series.coefficient(k)}")
     profile = CurvatureProfile(family, series.profile_mode)
     ctx = RealContext(prec)
     eps_m = machine_eps(prec)

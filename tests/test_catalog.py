@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from coneshrink.catalog import (
     COT_SUM,
     EQ030_LITERAL,
+    MAX_DERIVATIVE_ORDER,
     CurvatureProfile,
     binary64_curvature,
     builtin_catalog,
     curvature_antiderivative,
-    curvature_antiderivative_numeric,
     curvature_derivative,
     make_family,
     mean_curvature,
@@ -24,7 +24,6 @@ from coneshrink.errors import (
     NotMeanConvex,
     OutOfRange,
     RootNotBracketed,
-    UnsupportedMode,
 )
 
 
@@ -173,7 +172,7 @@ class TestCurvatureDerivative:
 
     def test_literal_mode_fd_matches_low_orders(self, fam1):
         # literal g=1 curvature is exactly 2x the cot-sum one, so its
-        # derivatives are too; the FD route must reproduce that
+        # derivatives are too
         lit = CurvatureProfile(fam1, EQ030_LITERAL)
         cot = CurvatureProfile(fam1, COT_SUM)
         for order in (1, 2, 3):
@@ -182,9 +181,15 @@ class TestCurvatureDerivative:
             assert got == pytest.approx(expect, rel=1e-6)
 
     def test_literal_mode_order_cap(self, fam1):
+        # exact up to the cot-sum cap, where finite differences stopped at 8
         lit = CurvatureProfile(fam1, EQ030_LITERAL)
+        cot = CurvatureProfile(fam1, COT_SUM)
+        for order in (9, 10, 20, MAX_DERIVATIVE_ORDER):
+            got = curvature_derivative(lit, 0.1, order)
+            expect = 2.0 * curvature_derivative(cot, 0.1, order)
+            assert got == pytest.approx(expect, rel=1e-14), order
         with pytest.raises(OutOfRange):
-            curvature_derivative(lit, 0.1, 9)
+            curvature_derivative(lit, 0.1, MAX_DERIVATIVE_ORDER + 1)
 
 
 class TestAntiderivative:
@@ -213,17 +218,20 @@ class TestAntiderivative:
             assert second < 0
 
     def test_literal_mode_unsupported(self, fam1):
-        prof = CurvatureProfile(fam1, EQ030_LITERAL)
-        with pytest.raises(UnsupportedMode):
-            curvature_antiderivative(prof, 0.3)
+        # the literal mode has the closed form too: its g=1 curvature is
+        # n*cot, so the antiderivative is n times the log-ratio
+        lit = CurvatureProfile(fam1, EQ030_LITERAL)
+        expect = 2.0 * math.log(math.sin(math.pi / 4 + 0.5) / math.sin(math.pi / 4))
+        assert curvature_antiderivative(lit, 0.5) == pytest.approx(expect, rel=1e-14)
 
     def test_numeric_fallback(self, fam1):
+        # no quadrature fallback is left: the closed form holds at 256 bits
         lit = CurvatureProfile(fam1, EQ030_LITERAL)
-        val, err = curvature_antiderivative_numeric(lit, 0.5)
-        # literal g=1 curvature is n*cot, so the antiderivative is n*log-ratio
-        expect = 2.0 * (math.log(math.sin(math.pi / 4 + 0.5)) - math.log(math.sin(math.pi / 4)))
-        assert val == pytest.approx(expect, rel=1e-9)
-        assert err < 1e-8
+        got = curvature_antiderivative(lit, mpmath.mpf(0.5), 256)
+        with mpmath.workprec(320):
+            t1 = mpmath.mpf(fam1.theta1)
+            expect = 2 * mpmath.log(mpmath.sin(t1 + mpmath.mpf(0.5)) / mpmath.sin(t1))
+            assert abs(got - expect) <= 1e-60 * abs(expect)
 
 
 class TestMinimalDistance:
@@ -386,3 +394,48 @@ class TestMuenznerIdentity:
                 got = closed_form(prof, nodes, order, 53)
                 expect = np.array([closed_form(prof, float(d), order, 53) for d in nodes])
                 assert np.all(np.abs(got - expect) <= 1e-15 * (1 + np.abs(expect)))
+
+
+def level_set_oracle(fam, d, order, prec):
+    """The order-th derivative in d of the level-set formula
+    [(n+g-1) f - g (m_minus - m_plus)/2] / sqrt(1 - f^2), f = cos(g (theta1 + d)),
+    by mpmath's numerical differentiation at ``prec`` bits (order -1: its
+    integral from 0, by quadrature)."""
+    with mpmath.workprec(prec):
+        g, t1 = fam.g, mpmath.mpf(fam.theta1)
+        shift = mpmath.mpf(g * (fam.m_minus - fam.m_plus)) / 2
+
+        def h(y):
+            f = mpmath.cos(g * (t1 + y))
+            return ((fam.n + g - 1) * f - shift) / mpmath.sqrt(1 - f * f)
+
+        if order < 0:
+            return mpmath.quad(h, [0, d])
+        return mpmath.diff(h, d, order)
+
+
+class TestLevelSetIdentity:
+    """eq030_literal is the cot sum with weight m_minus + 1 at frequency g:
+    its closed forms match the level-set formula itself."""
+
+    @given(family_and_distance())
+    def test_binary64(self, case):
+        fam, d = case
+        prof = CurvatureProfile(fam, EQ030_LITERAL)
+        for order in (-1, 0, 1, 2, 3):
+            expect = level_set_oracle(fam, d, order, 120)
+            got = closed_form(prof, d, order, 53)
+            # plus the rounding of each cot's argument f (theta1 + d) to
+            # binary64, which moves the value by about x H^(order+1) ulps
+            slack = abs(level_set_oracle(fam, d, order + 1, 120)) * (fam.theta1 + d) * 2 ** -52
+            assert abs(got - expect) <= 1e-13 * (1 + abs(expect)) + slack, order
+
+    @given(family_and_distance())
+    def test_256_bits(self, case):
+        fam, d = case
+        prof = CurvatureProfile(fam, EQ030_LITERAL)
+        for order in (-1, 0, 1, 2, 3):
+            expect = level_set_oracle(fam, d, order, 320)
+            got = closed_form(prof, d, order, 256)
+            with mpmath.workprec(320):
+                assert abs(got - expect) <= 1e-60 * (1 + abs(expect)), order

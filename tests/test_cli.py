@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coneshrink.catalog import EQ030_LITERAL, builtin_catalog, minimal_distance
 from coneshrink.cli import main
 
 FAM1_FLAGS = ["--g", "1", "--m", "1", "--n", "2", "--theta1", "0.7853981633974483"]
@@ -247,6 +248,48 @@ class TestVerify:
     def test_missing_file_is_io_error(self, solve_dir, capsys):
         code, _, err = run(["verify", str(solve_dir / "nope.csv")], capsys)
         assert code == 6
+
+
+def _builtin_flags(name):
+    fam = builtin_catalog()[name]
+    return ["--g", str(fam.g), "--m-minus", str(fam.m_minus), "--m-plus", str(fam.m_plus),
+            "--n", str(fam.n), "--theta1", repr(fam.theta1)]
+
+
+class TestEq030Solve:
+    """eq030 runs continue toward the zero of their own profile and carry
+    the energy monitor."""
+
+    def test_verify_both_profiles(self, tmp_path, capsys):
+        code, out, _ = run(["solve", *_builtin_flags("g1_sphere_n2"), "--profile-mode", "eq030",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert isinstance(json.loads(out)["max_energy_residual"], float)
+        for name in ("s_side.csv", "d_side.csv"):
+            code, out, _ = run(["verify", str(tmp_path / name)], capsys)
+            assert code == 0, name
+            assert "verification passed" in out
+
+    def test_unequal_multiplicities_use_their_own_d0(self, tmp_path, capsys):
+        # the eq030 H of g2_product_12 changes sign before the cot-sum d0
+        fam = builtin_catalog()["g2_product_12"]
+        d0 = minimal_distance(fam, EQ030_LITERAL)
+        assert d0 < fam.d0 - 0.01
+        code, out, err = run(["solve", *_builtin_flags("g2_product_12"),
+                              "--profile-mode", "eq030", "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        summary = json.loads(out)
+        assert summary["d0"] == d0
+        assert summary["d_target"] == d0 + 0.05
+
+    def test_vertical_tangent_past_their_own_d0(self, tmp_path, capsys):
+        # g4_m45 passes its eq030 d0 and stops where its cot_sum run does:
+        # at the chart's vertical tangent
+        code, _, err = run(["solve", *_builtin_flags("g4_m45"), "--profile-mode", "eq030",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert "vertical tangent" in err
+        assert "before d0" not in err
 
 
 class TestExport:

@@ -4,9 +4,8 @@ The oracle runs the derivative form of the recursion,
 
     A_{k+1} = 2nk A_k + (d/ds)^k H(gamma)(0) - 2k (d/ds)^k arctan(2 s gamma')(0),
 
-with Faa di Bruno partition sums over the derivatives of H at 0 (exact for
-cot_sum, finite differences for eq030_literal) and the partition form of the
-arctan term.  It shares no code with the engine in :mod:`coneshrink.series`.
+with Faa di Bruno partition sums over the exact derivatives of H at 0 and
+the partition form of the arctan term.  It shares no code with the engine in :mod:`coneshrink.series`.
 """
 
 import mpmath
@@ -65,10 +64,14 @@ class TestPartitionOracle:
         assert max_rel_diff(got, partition_oracle(fam, 40, 256), 256) <= 1e-60
 
     def test_eq030_literal_first_nine(self, fam1):
-        # the oracle's finite-difference derivatives of H stop at order 8
         got = compute_coefficients(fam1, 9, 256, profile_mode=EQ030_LITERAL).a
         expect = partition_oracle(fam1, 9, 256, EQ030_LITERAL)
         assert max_rel_diff(got, expect, 256) <= 1e-10
+
+    def test_eq030_literal_256_bits_k40(self, fam1):
+        got = compute_coefficients(fam1, 40, 256, profile_mode=EQ030_LITERAL).a
+        expect = partition_oracle(fam1, 40, 256, EQ030_LITERAL)
+        assert max_rel_diff(got, expect, 256) <= 1e-60
 
     def test_eq030_literal_default_order(self, fam1):
         fs = compute_coefficients(fam1, 40, profile_mode=EQ030_LITERAL)

@@ -549,3 +549,15 @@ def test_pin_residual_past_the_float_range_raises(fam1, monkeypatch):
     with pytest.raises(DivisionByEpsilonFailed) as info:
         compute_epsilon_corrections(fam1, 8, 64, series=replace(fs, a=tuple(a)))
     assert str(info.value).startswith("eps^0 coefficient of derivative 3 is off by 1.000e+400; ")
+
+
+@pytest.mark.parametrize("prec", [53, 256])
+def test_non_finite_series_raises(fam1, prec):
+    """A non-finite A_k is rejected at entry, naming k: at 53 bits every
+    later check would compare False against a nan and pass."""
+    fs = compute_coefficients(fam1, 10, prec)
+    a = list(fs.a)
+    a[4] = a[4] * math.inf
+    with pytest.raises(OutOfRange) as info:
+        compute_epsilon_corrections(fam1, 8, prec, series=replace(fs, a=tuple(a)))
+    assert re.fullmatch(r"A_5 is not finite: \+?inf", str(info.value))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coneshrink import ivp as ivp_mod
-from coneshrink.catalog import CurvatureProfile, mean_curvature
+from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, mean_curvature
 from coneshrink.errors import (
     MonotonicityLost,
     NotInvertible,
@@ -172,14 +172,13 @@ class TestEnergyResidual:
         rep = energy_residual(rebuilt, fam1)
         assert rep.max_abs <= 1e-9
 
-    def test_unsupported_without_closed_antiderivative(self, solved1, fam1):
-        from coneshrink.errors import UnsupportedMode
-        meta = dict(solved1.meta)
-        meta["profile_mode"] = "eq030_literal"
-        fake = SolutionProfile(side="s_side", family=fam1,
-                               columns=solved1.columns, meta=meta)
-        with pytest.raises(UnsupportedMode):
-            energy_residual(fake, fam1)
+    def test_unsupported_without_closed_antiderivative(self, fam1):
+        # the literal mode has the closed antiderivative too, so a real
+        # eq030_literal solve carries the energy monitor
+        prof = integrate_gamma(fam1, None, SolverConfig(tol=1e-10, profile_mode=EQ030_LITERAL))
+        assert prof.meta["profile_mode"] == EQ030_LITERAL
+        assert energy_residual(prof, fam1).max_abs <= 1e-9
+        assert np.nanmax(np.abs(prof["energy_residual"])) <= 1e-9
 
 
 # The per-interval loops the vectorised Gauss/Hermite quadrature replaced,

@@ -21,7 +21,10 @@ calls leave behind.  The calls:
   1.07}, ``coeffs --K 32 --precision 256 --gevrey --corrections --N 8
   --out -`` (the series_deep benchmark's flags), and the default ``coeffs
   --format json --out -``, which prints the 117-bit shadow run's
-  ``rel_error_estimates``.
+  ``rel_error_estimates``;
+- eq030 sweep (56 calls): on the 14 built-ins at theta1 x1.00, ``solve
+  --profile-mode eq030``, ``verify`` of both profiles, and ``coeffs --K 32
+  --precision 256 --corrections --N 8 --profile-mode eq030 --out -``.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -51,6 +54,9 @@ COEFFS_FLAGS = {
                     "--N", "8", "--out", "-"],
     "coeffs": ["--format", "json", "--out", "-"],
 }
+EQ030_FLAGS = ["--profile-mode", "eq030"]
+EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
+                      *EQ030_FLAGS, "--out", "-"]
 
 CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; "
                   "print(json.dumps({k: [f.g, f.m_minus, f.m_plus, f.n, f.theta1] "
@@ -97,6 +103,13 @@ def calls(catalog):
             for kind, flags in COEFFS_FLAGS.items():
                 out.append((f"{kind}/{name}@{scale:.2f}",
                             ["coeffs", *family_flags(family, scale), *flags]))
+    for name, family in catalog.items():
+        run = f"eq030/{name}@1.00"
+        out.append((run, ["solve", *family_flags(family, 1.0), *EQ030_FLAGS, "--out", run]))
+        for side in ("s_side", "d_side"):
+            out.append((f"{run}/verify_{side}", ["verify", f"{run}/{side}.csv"]))
+        out.append((f"eq030_coeffs/{name}@1.00",
+                    ["coeffs", *family_flags(family, 1.0), *EQ030_COEFFS_FLAGS]))
     return out
 
 
