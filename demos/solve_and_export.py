@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from coneshrink import (
+    CurvatureProfile,
     SolverConfig,
     asymptotic_check,
     compute_coefficients,
@@ -31,21 +32,21 @@ print(f"family: geodesic sphere cone in R^3, d0 = {fam.d0:.6f}")
 series = compute_coefficients(fam, 36)
 config = SolverConfig(tol=1e-10)
 
-prof_s = integrate_gamma(fam, series, config)
+prof_s = integrate_gamma(CurvatureProfile(fam), series, config)
 print(f"s-side solve: bootstrap at s = {prof_s.meta['s_b']:.5f}, "
       f"{prof_s.meta['n_steps']} steps to s = {prof_s.meta['s_end']}")
 print(f"  max energy-identity residual: "
       f"{np.nanmax(np.abs(prof_s['energy_residual'])):.2e}")
 
-prof_d = to_d_profile(prof_s, fam)
+prof_d = to_d_profile(prof_s)
 print(f"d-side chart: d in [{prof_d['d'][0]:.5f}, {prof_d['d'][-1]:.5f}], "
       f"g-equation residual {np.max(np.abs(prof_d['eq140_residual'])):.2e}")
 
-cont = continue_phi(prof_d, fam, config=config)
+cont = continue_phi(prof_d, config=config)
 print(f"continuation: handoff d = {cont.meta['d_h']:.5f} -> "
       f"d = {cont['d'][-1]:.5f} (past d0 = {fam.d0:.5f})")
 print(f"  first-integral drift: {cont.meta['max_identity_drift']:.2e}")
-print(f"  shrinker residual:    {shrinker_residual(cont, fam).max_abs:.2e}")
+print(f"  shrinker residual:    {shrinker_residual(cont).max_abs:.2e}")
 
 asym = asymptotic_check(cont, series)
 print(f"cone asymptotics: deviation slope {asym.slope:.3f} "
@@ -53,7 +54,7 @@ print(f"cone asymptotics: deviation slope {asym.slope:.3f} "
 
 export_profile(cont, os.path.join(out, "profile.csv"), format="csv")
 export_profile(cont, os.path.join(out, "profile.json"), format="json")
-mesh = export_mesh(cont, fam, os.path.join(out, "end.obj"), resolution=96)
+mesh = export_mesh(cont, os.path.join(out, "end.obj"), resolution=96)
 print(f"\nwrote {out}/profile.csv, {out}/profile.json, {out}/end.obj "
       f"({mesh.vertex_count} vertices, discrete check "
       f"{mesh.discrete_residual:.2e})")

@@ -239,26 +239,27 @@ def _d_target(expr):
 
 
 def cmd_solve(args):
-    fam = _family_from_args(args)
+    curvature = CurvatureProfile(_family_from_args(args), _mode(args))
+    fam = curvature.family
     prec = _precision(args)
-    config = ivp.SolverConfig(tol=args.tol, profile_mode=_mode(args),
-                              series_K=args.K, series_prec=prec,
+    config = ivp.SolverConfig(tol=args.tol, series_K=args.K, series_prec=prec,
                               correction_N=args.N)
-    d_target = None
-    if args.to_d is not None:
-        relative, x = args.to_d
-        d_target = CurvatureProfile(fam, config.profile_mode).d0 + x if relative else x
     out = args.out
     os.makedirs(out, exist_ok=True)
     fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
-                                         profile_mode=config.profile_mode)
-    prof_s = ivp.integrate_gamma(fam, fs, config)
-    prof_d = ivp.to_d_profile(prof_s, fam)
-    prof_ext = ivp.continue_phi(prof_d, fam, d_target=d_target, config=config)
+                                         profile_mode=curvature.mode)
+    # integrate_gamma rejects a profile that is not mean convex, which has no d0
+    prof_s = ivp.integrate_gamma(curvature, fs, config)
+    d_target = None
+    if args.to_d is not None:
+        relative, x = args.to_d
+        d_target = curvature.d0 + x if relative else x
+    prof_d = ivp.to_d_profile(prof_s)
+    prof_ext = ivp.continue_phi(prof_d, d_target=d_target, config=config)
 
     summary = {
         "family": fam.as_dict(),
-        "profile_mode": config.profile_mode,
+        "profile_mode": curvature.mode,
         "tol": config.tol,
         "d0": prof_ext.meta["d0"],
         "d_focal": fam.d_focal,
@@ -272,8 +273,8 @@ def cmd_solve(args):
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
     }
     if args.eps_study:
-        study = ivp.epsilon_convergence_study(fam, config, DEFAULT_EPS_LIST, series=fs,
-                                              direct=prof_s)
+        study = ivp.epsilon_convergence_study(curvature, config, DEFAULT_EPS_LIST,
+                                              series=fs, direct=prof_s)
         summary["eps_study"] = {
             "eps": list(study.eps_list),
             "errors": list(study.errors),
@@ -313,13 +314,12 @@ def _monitor(name, worst, thresholds, failures, label=None):
         failures.append(name)
 
 
-def _verify_s_side(prof, fam, thresholds):
+def _verify_s_side(prof, thresholds):
     failures = []
     s = prof["s"]
     gam, dgam, d2gam = prof["gamma"], prof["dgamma"], prof["d2gamma"]
-    _monitor("energy_residual", ivp.energy_residual(prof, fam).max_abs, thresholds, failures)
-    profile_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
-    resid = np.abs(ivp.equation_residual(s, gam, dgam, d2gam, 0.0, profile_eq))
+    _monitor("energy_residual", ivp.energy_residual(prof).max_abs, thresholds, failures)
+    resid = np.abs(ivp.equation_residual(s, gam, dgam, d2gam, 0.0, prof.curvature))
     scale = 1.0 + np.abs(d2gam)
     _monitor("ode_residual", float(np.max(resid / scale)), thresholds, failures)
     mono = bool(np.all(np.diff(gam) > 0) and np.all(dgam > 0))
@@ -329,15 +329,15 @@ def _verify_s_side(prof, fam, thresholds):
     return failures
 
 
-def _verify_d_side(prof, fam, thresholds):
+def _verify_d_side(prof, thresholds):
     failures = []
     d, phi, dphi, g = prof["d"], prof["phi"], prof["dphi"], prof["g"]
     _monitor("g_consistency", float(np.max(np.abs(g - np.exp(-2 * phi)))),
              thresholds, failures)
     # equation residual with phi'' taken from the Hermite slope of dphi
     d2 = np.gradient(dphi, d)
-    prof_eq = CurvatureProfile(fam, prof.meta.get("profile_mode", COT_SUM))
-    eq130 = ivp.phi_equation_residual(phi, dphi, d2, mean_curvature(prof_eq, d), fam.n)
+    h = mean_curvature(prof.curvature, d)
+    eq130 = ivp.phi_equation_residual(phi, dphi, d2, h, prof.curvature.family.n)
     _monitor("eq130_residual", float(np.max(np.abs(eq130[1:-1]))), thresholds, failures,
              label="eq130_residual (finite-difference phi'')")
     _monitor("eq350_drift", float(np.max(np.abs(prof["eq350_drift"]))), thresholds, failures)
@@ -345,9 +345,9 @@ def _verify_d_side(prof, fam, thresholds):
 
 
 def _load_run(args):
-    """The family and the stored profile that verify and export read: the
-    summary is --summary, else summary.json next to the profile.  A summary
-    that does not parse is an I/O failure (exit 6), as one that cannot be read."""
+    """The stored profile that verify and export read, in the family and profile
+    mode of its summary (--summary, else summary.json next to the profile).  A
+    summary that does not parse is an I/O failure (exit 6), as one that cannot be read."""
     summary_path = args.summary or os.path.join(os.path.dirname(os.path.abspath(args.profile)),
                                                 "summary.json")
     with open(summary_path, "r", encoding="utf-8") as fh:
@@ -355,17 +355,15 @@ def _load_run(args):
             summary = json.load(fh)
             f = summary["family"]
             family = [f[k] for k in ("g", "m_minus", "m_plus", "n", "theta1")]
+            mode = summary["profile_mode"]
         except (ValueError, LookupError, TypeError) as exc:
             raise OSError(f"{summary_path} is not a solve summary: "
                           f"{type(exc).__name__}: {exc}") from exc
-    fam = make_family(*family)
-    prof = ivp.read_profile_csv(args.profile, fam)
-    prof.meta["profile_mode"] = summary.get("profile_mode", COT_SUM)
-    return fam, prof
+    return ivp.read_profile_csv(args.profile, CurvatureProfile(make_family(*family), mode))
 
 
 def cmd_verify(args):
-    fam, prof = _load_run(args)
+    prof = _load_run(args)
     thresholds = {
         "energy_residual": args.energy_threshold,
         "ode_residual": args.ode_threshold,
@@ -374,9 +372,9 @@ def cmd_verify(args):
         "eq350_drift": args.drift_threshold,
     }
     if prof.side == ivp.S_SIDE:
-        failures = _verify_s_side(prof, fam, thresholds)
+        failures = _verify_s_side(prof, thresholds)
     else:
-        failures = _verify_d_side(prof, fam, thresholds)
+        failures = _verify_d_side(prof, thresholds)
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFY
@@ -389,10 +387,10 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_export(args):
-    fam, prof = _load_run(args)
+    prof = _load_run(args)
     os.makedirs(args.out, exist_ok=True)
     if args.format == "obj":
-        res = geometry.export_mesh(prof, fam, os.path.join(args.out, "end.obj"),
+        res = geometry.export_mesh(prof, os.path.join(args.out, "end.obj"),
                                    resolution=args.resolution)
         print(f"wrote {res.path} ({res.vertex_count} vertices, "
               f"{res.face_count} faces, discrete residual {res.discrete_residual})")

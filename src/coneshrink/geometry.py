@@ -9,7 +9,7 @@ The end is the radial graph r = e^{phi(d)} over the annular region
 is the reduction of the shrinker equation H = -X.nu/2 to this chart and is
 the authoritative verification.  Meshes exist for the two cases with a
 closed-form ambient parameterization: surfaces of revolution (n = 2, g = 1)
-and sphere-product tori (n = 3, g = 2, exported as a fixed-psi2 slice
+and sphere-product tori (n = 3, g = 2, exported as the psi2 = 0 slice
 projected to the first three coordinates).
 """
 
@@ -55,34 +55,27 @@ class ShrinkerResidualReport:
     max_abs: float
 
 
-def shrinker_residual(profile_d: SolutionProfile, family: IsoparametricFamily,
-                      d2phi=None) -> ShrinkerResidualReport:
-    """Radial-graph shrinker residual at the stored nodes.
-
-    ``d2phi`` overrides the profile's second derivative (used to evaluate
-    synthetic profiles that carry their own)."""
+def shrinker_residual(profile_d: SolutionProfile) -> ShrinkerResidualReport:
+    """Radial-graph shrinker residual at the stored nodes."""
     if profile_d.side != D_SIDE:
         raise OutOfRange("shrinker residual needs a d-side profile")
     d = profile_d["d"]
-    phi = profile_d["phi"]
-    dphi = profile_d["dphi"]
-    if d2phi is None:
-        d2phi = profile_d["d2phi"]
-    prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", "cot_sum"))
-    vals = phi_equation_residual(phi, dphi, d2phi, mean_curvature(prof, d), family.n)
+    prof = profile_d.curvature
+    vals = phi_equation_residual(profile_d["phi"], profile_d["dphi"], profile_d["d2phi"],
+                                 mean_curvature(prof, d), prof.family.n)
     return ShrinkerResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
 
 
 def cone_profile(family: IsoparametricFamily, d_values) -> SolutionProfile:
-    """The leading asymptote phi = -ln(d/A1)/2 packaged as a d-side profile
-    (it solves nothing; used to show the cone itself fails the residual)."""
+    """The leading asymptote phi = -ln(d/A1)/2 as a d-side profile of the cot-sum
+    H (it solves nothing; used to show the cone itself fails the residual)."""
     a1 = float(compute_coefficients(family, 1).coefficient(1))
     d = np.asarray(d_values, dtype=float)
     phi = -0.5 * np.log(d / a1)
     dphi = -0.5 / d
     d2phi = 0.5 / d ** 2
     return SolutionProfile(
-        side=D_SIDE, family=family,
+        side=D_SIDE, curvature=CurvatureProfile(family),
         columns={"d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi,
                  "g": d / a1,
                  "eq130_residual": np.zeros_like(d), "eq350_drift": np.zeros_like(d)},
@@ -105,8 +98,7 @@ class AsymptoticReport:
 
 
 def asymptotic_check(profile_d: SolutionProfile, series: FormalSeries,
-                     d_lo: float = 1e-6, d_hi: float = 1e-2,
-                     points_per_decade: int = 8) -> AsymptoticReport:
+                     d_lo: float = 1e-6, d_hi: float = 1e-2) -> AsymptoticReport:
     """Cone-asymptotics verification on [d_lo, d_hi] via series-backed samples.
 
     phi(d) + ln(d/A1)/2 = ln(A1 * gamma(s)/ (A1^2 s)) / 2 is computed
@@ -118,7 +110,7 @@ def asymptotic_check(profile_d: SolutionProfile, series: FormalSeries,
     if d_hi / d_lo < 100.0:
         raise InsufficientRange("need at least two decades of d")
     a1 = float(series.coefficient(1))
-    n_pts = max(3, int(round(points_per_decade * math.log10(d_hi / d_lo))))
+    n_pts = max(3, int(round(8 * math.log10(d_hi / d_lo))))   # 8 points per decade
     # choose s so that d = gamma(s) covers [d_lo, d_hi]; gamma(s) ~ A1 s
     s_grid = np.exp(np.linspace(math.log(d_lo / a1), math.log(d_hi / a1), n_pts))
     d_samples, deviations, products = [], [], []
@@ -161,7 +153,7 @@ def export_profile(profile_d: SolutionProfile, path, format: str = "csv"):
     elif format == "json":
         doc = {
             "schema": "coneshrink/profile-v1",
-            "family": profile_d.family.as_dict(),
+            "family": profile_d.curvature.family.as_dict(),
             "columns": list(EXPORT_COLUMNS),
             "rows": [[float(cols[c][i]) for c in EXPORT_COLUMNS]
                      for i in range(len(d))],
@@ -186,25 +178,25 @@ class MeshResult:
     discrete_residual: float   # max |H_disc + X.nu/2| / max |H_disc|, nan if unchecked
 
 
-def export_mesh(profile_d: SolutionProfile, family: IsoparametricFamily, path,
-                resolution: int = 64, psi2_slice: float = 0.0) -> MeshResult:
+def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshResult:
     """Triangulated OBJ of the reconstructed end.
 
     n = 2, g = 1: surface of revolution, watertight in the angular direction,
     with a cotangent-Laplacian shrinker check reported in the header comment.
-    n = 3, g = 2: the fixed-psi2 slice of the torus chart projected to the
+    n = 3, g = 2: the psi2 = 0 slice of the torus chart projected to the
     first three coordinates.
     """
     if resolution < 8:
         raise ResolutionTooLow(f"resolution {resolution} < 8 angular samples")
     if profile_d.side != D_SIDE:
         raise OutOfRange("export_mesh needs a d-side profile")
+    family = profile_d.curvature.family
     case = (family.n, family.g)
     if case not in ((2, 1), (3, 2)):
         raise UnsupportedFamily(
             f"(n, g) = {case}: no closed-form ambient parameterization meshed here"
         )
-    verts, faces = _end_mesh(profile_d, family, resolution, psi2_slice)
+    verts, faces = _end_mesh(profile_d, resolution)
     residual = (discrete_shrinker_residual(verts, faces, resolution) if case == (2, 1)
                 else float("nan"))
     header = [
@@ -256,14 +248,15 @@ def _obj_rows(row_format, rows):
     return chunks
 
 
-def _end_mesh(profile_d, family, resolution, psi2):
+def _end_mesh(profile_d, resolution):
     """Vertices and outward faces of the end: ``resolution`` rows along d
     by ``resolution`` angles psi, at radius r = e^phi.
 
     g = 1: th = theta1 + d is the colatitude of a circle on S^2.  g = 2: the
     ambient S^3 point (cos th cos psi, cos th sin psi, sin th cos psi2,
-    sin th sin psi2), sliced at fixed psi2 and orthogonally projected to the
+    sin th sin psi2), sliced at psi2 = 0 and orthogonally projected to the
     first three coordinates."""
+    family = profile_d.curvature.family
     d_nodes = profile_d["d"]
     d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
     phi = _hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)
@@ -279,7 +272,7 @@ def _end_mesh(profile_d, family, resolution, psi2):
     else:
         coords = (rr * cos_t * np.cos(psi)[None, :],
                   rr * cos_t * np.sin(psi)[None, :],
-                  rr * sin_t * math.cos(psi2) * np.ones_like(psi)[None, :])
+                  rr * sin_t * np.ones_like(psi)[None, :])
     verts = np.stack([c.ravel() for c in coords], axis=1)
     return verts, _orient_outward(verts, _grid_faces(resolution, resolution))
 

@@ -31,19 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (
-    COT_SUM,
-    CurvatureProfile,
-    IsoparametricFamily,
-    binary64_curvature,
-    curvature_antiderivative,
-    mean_curvature,
-)
+from .catalog import (CurvatureProfile, binary64_curvature, curvature_antiderivative,
+                      mean_curvature)
 from .errors import (
     BlowUpDetected,
     IdentityDrift,
     MonotonicityLost,
     NotInvertible,
+    NotMeanConvex,
     NoUsefulTruncation,
     OutOfRange,
     SingularDenominator,
@@ -72,7 +67,6 @@ class SolverConfig:
     tol: float = 1e-10                 # local error tolerance (atol = rtol)
     eps: float = 0.0                   # regularization (0 = direct singular problem)
     s_bootstrap: Optional[float] = None  # explicit handoff point (overrides the scan)
-    profile_mode: str = COT_SUM
     series_K: int = DEFAULT_K
     series_prec: int = 53
     correction_N: int = 8
@@ -87,11 +81,11 @@ class SolverConfig:
 
 @dataclass
 class SolutionProfile:
-    """Sampled solution on one chart; ``columns`` maps names to equal-length
-    arrays, ``meta`` carries run provenance (family, eps, tolerances, ...)."""
+    """Sampled solution on one chart of the run whose H is ``curvature``; ``columns``
+    maps names to equal-length arrays, ``meta`` carries run provenance (eps, tol, ...)."""
 
     side: str
-    family: IsoparametricFamily
+    curvature: CurvatureProfile
     columns: dict
     meta: dict = field(default_factory=dict)
 
@@ -163,19 +157,30 @@ def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: in
     return float(val)
 
 
-def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
+def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                     config: SolverConfig, initial_slope: Optional[float] = None,
                     corrections=None) -> SolutionProfile:
-    """Integrate the s-side problem to s_end.
+    """Integrate the s-side problem of ``curvature`` to s_end.
 
     Direct problem (eps = 0): bootstrap state comes from the truncated series
     at s_b (series error <= BOOTSTRAP_FACTOR * tol).  Regularized problem
     (eps > 0): starts at s = 0 with slope B(eps) from ``corrections`` (or
     ``initial_slope`` explicitly; a bare H(0) reproduces the uncorrected
      regularization for ablation runs).
+
+    Raises :class:`OutOfRange` for a series of another profile mode or
+    family, and :class:`NotMeanConvex` when this H has H(0) <= 0.
     """
-    profile = CurvatureProfile(family, config.profile_mode)
-    h_fast = binary64_curvature(profile)
+    family = curvature.family
+    if series is not None and (series.profile_mode, series.family or family) != (
+            curvature.mode, family):
+        raise OutOfRange(f"a series of profile mode {series.profile_mode} and family "
+                         f"{(series.family or family).as_dict()} for a run of profile mode "
+                         f"{curvature.mode} and family {family.as_dict()}")
+    h_fast = binary64_curvature(curvature)
+    if h_fast(0.0) <= 0.0:
+        raise NotMeanConvex(f"H(0) = {h_fast(0.0):.6g} <= 0 in profile mode {curvature.mode} "
+                            f"for theta1 = {family.theta1:.6g}")
     n = family.n
     eps = config.eps
     s_end = config.resolved_s_end(family)
@@ -199,7 +204,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     if eps == 0:
         if series is None:
             series = compute_coefficients(family, config.series_K, config.series_prec,
-                                          profile_mode=config.profile_mode)
+                                          profile_mode=curvature.mode)
         target = BOOTSTRAP_FACTOR * tol
         if config.s_bootstrap is not None:
             s_b = config.s_bootstrap
@@ -254,11 +259,11 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
     dgam = result.ys[:, 1]
     energy = result.ys[:, 2]
     d2gam = result.fs[:, 1]
-    cal = curvature_antiderivative(profile, gam)
+    cal = curvature_antiderivative(curvature, gam)
     res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
                   + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
     return SolutionProfile(
-        side=S_SIDE, family=family,
+        side=S_SIDE, curvature=curvature,
         columns={
             "s": s_nodes, "gamma": gam, "dgamma": dgam, "d2gamma": d2gam,
             "local_err": result.errs, "energy": energy,
@@ -266,7 +271,7 @@ def integrate_gamma(family: IsoparametricFamily, series: Optional[FormalSeries],
         },
         meta={
             "eps": eps, "tol": tol, "s_end": s_end, "gamma_prime0": gamma_prime0,
-            "profile_mode": config.profile_mode, "used_fallback": result.used_fallback,
+            "used_fallback": result.used_fallback,
             "n_steps": result.n_steps, "n_rejected": result.n_rejected,
             "sum_local_err": float(np.sum(result.errs)), **series_meta,
         },
@@ -279,23 +284,21 @@ class EnergyResidualReport:
     max_abs: float
 
 
-def energy_residual(profile_s: SolutionProfile, family: IsoparametricFamily,
-                    eps: Optional[float] = None) -> EnergyResidualReport:
+def energy_residual(profile_s: SolutionProfile, eps: Optional[float] = None) -> EnergyResidualReport:
     """Recompute the energy-identity residual at the stored nodes.
 
     Uses the stored accumulated integral when present; otherwise rebuilds it
     by per-interval Gauss quadrature on the cubic Hermite reconstruction of
     gamma', anchored so the first node has zero residual.
     """
-    prof = CurvatureProfile(family, profile_s.meta.get("profile_mode", COT_SUM))
     if eps is None:
         eps = profile_s.meta.get("eps", 0.0)
     s = profile_s["s"]
     gam = profile_s["gamma"]
     dgam = profile_s["dgamma"]
     d2gam = profile_s["d2gamma"]
-    n = family.n
-    cal = curvature_antiderivative(prof, gam)
+    n = profile_s.curvature.family.n
+    cal = curvature_antiderivative(profile_s.curvature, gam)
     core = eps * dgam ** 2 / 2.0 + 0.5 * np.log1p(4 * s ** 2 * dgam ** 2) - cal
     if "energy" in profile_s.columns:
         gp0 = profile_s.meta.get("gamma_prime0", dgam[0])
@@ -345,7 +348,7 @@ def phi_first_integral(phi, dphi, q, n):
     return np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
 
 
-def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> SolutionProfile:
+def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
     """Invert s -> d = gamma(s) and change chart: g(d) = s, phi = -ln(s)/2,
     phi' = -1/(2 s gamma'); cross-checks the g-equation residual at each node."""
     s_all = profile_s["s"]
@@ -361,9 +364,9 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
     dphi = -1.0 / (2.0 * s * dgam)
     d2phi = (dgam + s * d2gam) / (2.0 * s ** 2 * dgam ** 3)
 
-    prof = CurvatureProfile(family, profile_s.meta.get("profile_mode", COT_SUM))
+    prof = profile_s.curvature
     h_vals = mean_curvature(prof, d)
-    n = family.n
+    n = prof.family.n
     eq130 = phi_equation_residual(phi, dphi, d2phi, h_vals, n)
     # g-equation residual: g' = 1/gamma', g'' = -gamma''/gamma'^3
     gp = 1.0 / dgam
@@ -376,7 +379,7 @@ def to_d_profile(profile_s: SolutionProfile, family: IsoparametricFamily) -> Sol
     ident = phi_first_integral(phi, dphi, q, n)
     drift = ident - ident[0]
     return SolutionProfile(
-        side=D_SIDE, family=family,
+        side=D_SIDE, curvature=prof,
         columns={
             "d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi, "g": s,
             "eq130_residual": eq130, "eq140_residual": eq140,
@@ -395,14 +398,14 @@ def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
     return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
 
 
-def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
-                 d_target: Optional[float] = None,
+def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
                  config: Optional[SolverConfig] = None) -> SolutionProfile:
     """Continue the d-side solution from a handoff node to d_target
     (default d0 + margin), guarding with the first-integral drift; d0 is the
     zero of the run's own profile (:attr:`CurvatureProfile.d0`)."""
     config = config or SolverConfig()
-    prof = CurvatureProfile(family, profile_d.meta.get("profile_mode", COT_SUM))
+    prof = profile_d.curvature
+    family = prof.family
     d0 = prof.d0
     margin_cap = 0.5 * (family.d_focal - d0)
     margin = min(D_MARGIN, margin_cap)
@@ -480,7 +483,7 @@ def continue_phi(profile_d: SolutionProfile, family: IsoparametricFamily,
         overlap_max = float(np.max(np.abs(phi_cont - profile_d["phi"][mask])))
 
     return SolutionProfile(
-        side=D_SIDE, family=family,
+        side=D_SIDE, curvature=prof,
         columns={
             "d": d_nodes, "phi": phi, "dphi": dphi, "d2phi": d2phi,
             "g": np.exp(-2 * phi),
@@ -527,7 +530,7 @@ class EpsilonStudyReport:
     control_d2_deviation: Optional[float] = None
 
 
-def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
+def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
                               eps_list, include_control: bool = False,
                               series: Optional[FormalSeries] = None,
                               corrections=None,
@@ -536,7 +539,7 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
     (first-order convergence of the corrected regularization).
 
     ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
-    for this family, ``series`` and ``config``, if the caller holds it
+    for this ``curvature``, ``series`` and ``config``, if the caller holds it
     already; otherwise it is integrated here.  The optional control repeats
     the sweep with B(eps) truncated to B_0, quantifying what the
     corrections buy."""
@@ -545,14 +548,15 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
         raise OutOfRange("need >= 3 positive eps values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise OutOfRange("eps values must decrease")
+    family = curvature.family
     if series is None:
         series = compute_coefficients(family, config.series_K, config.series_prec,
-                                      profile_mode=config.profile_mode)
+                                      profile_mode=curvature.mode)
     if corrections is None:
         corrections = compute_epsilon_corrections(family, config.correction_N,
                                                   config.series_prec, series=series)
     if direct is None:
-        direct = integrate_gamma(family, series, replace(config, eps=0.0))
+        direct = integrate_gamma(curvature, series, replace(config, eps=0.0))
     s_end = config.resolved_s_end(family)
     s_b = direct.meta["s_b"]
     grid = np.linspace(0.0, s_end, 401)
@@ -568,7 +572,7 @@ def epsilon_convergence_study(family: IsoparametricFamily, config: SolverConfig,
         for e in eps_list:
             try:
                 prof = integrate_gamma(
-                    family, series, replace(config, eps=e),
+                    curvature, series, replace(config, eps=e),
                     initial_slope=float(slope_source(e)))
                 g_eps = _hermite_eval(prof["s"], prof["gamma"], prof["dgamma"], grid)
                 errs.append(float(np.max(np.abs(g_eps - gamma0))))
@@ -619,8 +623,9 @@ def write_profile_csv(profile: SolutionProfile, path):
     return write_csv(path, cols, [profile.columns[c] for c in cols])
 
 
-def read_profile_csv(path, family: IsoparametricFamily) -> SolutionProfile:
-    """A profile as :func:`write_profile_csv` writes it.  The first header
+def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
+    """A profile of the run whose H is ``curvature``, as
+    :func:`write_profile_csv` writes it.  The first header
     column names the side (:class:`OutOfRange` if it names none); a file
     that is not UTF-8, lacks a column of its side, or has a row that is not
     one number per column is malformed, an ``OSError`` naming the file and
@@ -650,5 +655,5 @@ def read_profile_csv(path, family: IsoparametricFamily) -> SolutionProfile:
         except ValueError as exc:
             raise OSError(f"{path}:{ln}: {exc}") from None
     data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
-    return SolutionProfile(side=side, family=family, columns=data,
+    return SolutionProfile(side=side, curvature=curvature, columns=data,
                            meta={"source": str(path)})

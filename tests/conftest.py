@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from coneshrink import compute_coefficients, make_family
+from coneshrink import CurvatureProfile, compute_coefficients, make_family
 from coneshrink.ivp import SolverConfig, continue_phi, integrate_gamma, to_d_profile
 
 # every property test draws the same examples on every run: the seed comes
@@ -39,14 +39,14 @@ def series2(fam2):
 @pytest.fixture(scope="session")
 def solved1(fam1, series1):
     """Direct tol=1e-10 solve of the reference g=1 family."""
-    return integrate_gamma(fam1, series1, SolverConfig(tol=1e-10))
+    return integrate_gamma(CurvatureProfile(fam1), series1, SolverConfig(tol=1e-10))
 
 
 @pytest.fixture(scope="session")
-def dside1(fam1, solved1):
-    return to_d_profile(solved1, fam1)
+def dside1(solved1):
+    return to_d_profile(solved1)
 
 
 @pytest.fixture(scope="session")
-def continued1(fam1, dside1):
-    return continue_phi(dside1, fam1, config=SolverConfig(tol=1e-10))
+def continued1(dside1):
+    return continue_phi(dside1, config=SolverConfig(tol=1e-10))

@@ -164,7 +164,7 @@ def test_criterion_06_epsilon_convergence():
     with criterion(6, 60.0, "log-log slope of max|gamma_eps - gamma_0| in [0.8, 1.2]"):
         fam = make_family(**FAM1)
         rep = epsilon_convergence_study(
-            fam, SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
+            CurvatureProfile(fam), SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
         assert all(s == "ok" for s in rep.statuses)
         assert 0.8 <= rep.slope <= 1.2, rep.slope
 
@@ -175,7 +175,7 @@ def test_criterion_07_energy_identity():
         fs = compute_coefficients(fam, 36)
         res = []
         for tol in (1e-8, 1e-10, 1e-12):
-            prof = integrate_gamma(fam, fs, SolverConfig(tol=tol))
+            prof = integrate_gamma(CurvatureProfile(fam), fs, SolverConfig(tol=tol))
             res.append(float(np.nanmax(np.abs(prof["energy_residual"]))))
         assert res[1] <= 1e-8
         slope = loglog_slope((1e-8, 1e-10, 1e-12), res)
@@ -193,19 +193,19 @@ def test_criterion_09_continuation_past_d0():
         fam = make_family(**FAM1)
         fs = compute_coefficients(fam, 36)
         cfg = SolverConfig(tol=1e-10)
-        prof = integrate_gamma(fam, fs, cfg)
-        dside = to_d_profile(prof, fam)
-        cont = continue_phi(dside, fam, config=cfg)
+        prof = integrate_gamma(CurvatureProfile(fam), fs, cfg)
+        dside = to_d_profile(prof)
+        cont = continue_phi(dside, config=cfg)
         assert cont["d"][-1] == pytest.approx(fam.d0 + 0.05, abs=1e-12)
         assert np.all(np.isfinite(cont["phi"])) and np.all(np.isfinite(cont["dphi"]))
-        assert shrinker_residual(cont, fam).max_abs <= 1e-6
+        assert shrinker_residual(cont).max_abs <= 1e-6
         assert cont.meta["max_identity_drift"] <= 1e-6
         # coverage of (0, d0 + 0.05]: the converted chart reaches below 1e-2
         # (the series extends it to arbitrarily small d, criterion 10), the
         # continuation joins it consistently and carries it past d0
         assert dside["d"][0] < 1e-2
         assert cont.meta["overlap_max_diff"] <= 1e-7
-        assert shrinker_residual(dside, fam).max_abs <= 1e-6
+        assert shrinker_residual(dside).max_abs <= 1e-6
 
 
 def test_criterion_10_cone_asymptotics():
@@ -213,8 +213,8 @@ def test_criterion_10_cone_asymptotics():
         fam = make_family(**FAM1)
         fs = compute_coefficients(fam, 36)
         cfg = SolverConfig(tol=1e-10)
-        cont = continue_phi(to_d_profile(integrate_gamma(fam, fs, cfg), fam),
-                            fam, config=cfg)
+        cont = continue_phi(to_d_profile(integrate_gamma(CurvatureProfile(fam), fs, cfg)),
+                            config=cfg)
         rep = asymptotic_check(cont, fs, d_lo=1e-6, d_hi=1e-2)
         # A_1 = 1 for this family, so the report's phi + ln(d/A_1)/2 is the
         # same quantity as phi + ln(A_1 d)/2 to rounding
@@ -254,12 +254,12 @@ def test_criterion_12_mesh_discrete_check():
         fam = make_family(**FAM1)
         fs = compute_coefficients(fam, 36)
         cfg = SolverConfig(tol=1e-10)
-        cont = continue_phi(to_d_profile(integrate_gamma(fam, fs, cfg), fam),
-                            fam, config=cfg)
+        cont = continue_phi(to_d_profile(integrate_gamma(CurvatureProfile(fam), fs, cfg)),
+                            config=cfg)
         import tempfile, os
         with tempfile.TemporaryDirectory() as tmp:
-            r128 = export_mesh(cont, fam, os.path.join(tmp, "m128.obj"), 128)
-            r256 = export_mesh(cont, fam, os.path.join(tmp, "m256.obj"), 256)
+            r128 = export_mesh(cont, os.path.join(tmp, "m128.obj"), 128)
+            r256 = export_mesh(cont, os.path.join(tmp, "m256.obj"), 256)
         assert r128.discrete_residual <= 5e-2
         assert r256.discrete_residual < r128.discrete_residual
 
@@ -268,10 +268,10 @@ def test_criterion_13_self_convergence():
     with criterion(13, 30.0, "tolerance refinement agrees <= 1e-7; handoff invariance"):
         fam = make_family(**FAM1)
         fs = compute_coefficients(fam, 36)
-        p8 = integrate_gamma(fam, fs, SolverConfig(tol=1e-8))
-        p10 = integrate_gamma(fam, fs, SolverConfig(tol=1e-10))
+        p8 = integrate_gamma(CurvatureProfile(fam), fs, SolverConfig(tol=1e-8))
+        p10 = integrate_gamma(CurvatureProfile(fam), fs, SolverConfig(tol=1e-10))
         assert abs(p8["gamma"][-1] - p10["gamma"][-1]) <= 1e-7
-        half = integrate_gamma(fam, fs, SolverConfig(
+        half = integrate_gamma(CurvatureProfile(fam), fs, SolverConfig(
             tol=1e-10, s_bootstrap=p10.meta["s_b"] / 2))
         diff = abs(half["gamma"][-1] - p10["gamma"][-1])
         budget = (p10.meta["sum_local_err"] + half.meta["sum_local_err"]

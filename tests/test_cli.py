@@ -260,6 +260,16 @@ class TestEq030Solve:
     """eq030 runs continue toward the zero of their own profile and carry
     the energy monitor."""
 
+    @pytest.mark.parametrize("to_d", [[], ["--to-d", "d0+0.01"]])
+    def test_not_mean_convex_is_a_constraint_violation(self, to_d, tmp_path, capsys):
+        # cot-sum H(0) > 0, eq030 H(0) < 0: the family is valid, the mode's
+        # profile is not mean convex, and it has no d0 for --to-d
+        code, _, err = run(["solve", "--g", "2", "--m-minus", "1", "--m-plus", "2",
+                            "--n", "4", "--theta1", "0.95", "--profile-mode", "eq030",
+                            *to_d, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "H(0) = -0.65143 <= 0 in profile mode eq030_literal" in err
+
     def test_verify_both_profiles(self, tmp_path, capsys):
         code, out, _ = run(["solve", *_builtin_flags("g1_sphere_n2"), "--profile-mode", "eq030",
                             "--out", str(tmp_path)], capsys)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coneshrink.catalog import make_family
+from coneshrink.catalog import CurvatureProfile, make_family
 from coneshrink.errors import (
     InsufficientRange,
     OutOfRange,
@@ -34,12 +34,12 @@ from coneshrink.ivp import (SolutionProfile, SolverConfig, _hermite_eval, contin
 
 class TestShrinkerResidual:
     def test_converged_solution(self, continued1, fam1):
-        rep = shrinker_residual(continued1, fam1)
+        rep = shrinker_residual(continued1)
         assert rep.max_abs <= 1e-6
 
     def test_cone_is_not_a_shrinker(self, fam1):
         cone = cone_profile(fam1, np.linspace(0.1, 0.8, 40))
-        rep = shrinker_residual(cone, fam1)
+        rep = shrinker_residual(cone)
         assert np.all(np.isfinite(rep.values))
         assert rep.max_abs > 0.1
         assert abs(rep.values[-1]) > 0.05  # stays away from zero as d grows
@@ -47,14 +47,14 @@ class TestShrinkerResidual:
     def test_perturbed_profile_detected(self, continued1, fam1):
         cols = {k: v.copy() for k, v in continued1.columns.items()}
         cols["phi"] = cols["phi"] + 0.01
-        bad = SolutionProfile(side="d_side", family=fam1, columns=cols,
+        bad = SolutionProfile(side="d_side", curvature=continued1.curvature, columns=cols,
                               meta=dict(continued1.meta))
-        rep = shrinker_residual(bad, fam1)
+        rep = shrinker_residual(bad)
         assert rep.max_abs >= 0.005
 
     def test_needs_d_side(self, solved1, fam1):
         with pytest.raises(OutOfRange):
-            shrinker_residual(solved1, fam1)
+            shrinker_residual(solved1)
 
 
 class TestAsymptotics:
@@ -87,9 +87,8 @@ class TestAsymptotics:
             asymptotic_check(continued1, series1, d_lo=1e-3, d_hi=1e-2)
 
     def test_second_family(self, fam2, series2):
-        prof = integrate_gamma(fam2, series2, SolverConfig(tol=1e-10))
-        cont = continue_phi(to_d_profile(prof, fam2), fam2,
-                            config=SolverConfig(tol=1e-10))
+        prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
+        cont = continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
         rep = asymptotic_check(cont, series2)
         assert 0.7 <= rep.slope <= 1.3
         assert rep.monotone
@@ -123,7 +122,7 @@ class TestExportProfile:
 
 class TestExportMesh:
     def test_revolution_mesh_watertight(self, continued1, fam1, tmp_path):
-        res = export_mesh(continued1, fam1, tmp_path / "m.obj", resolution=64)
+        res = export_mesh(continued1, tmp_path / "m.obj", resolution=64)
         # angular direction identified: grid vertices only, no seam duplicates
         assert res.vertex_count == 64 * 64
         assert res.face_count == 2 * 63 * 64
@@ -136,21 +135,21 @@ class TestExportMesh:
         assert used == set(range(64 * 64))
 
     def test_header_carries_discrete_check(self, continued1, fam1, tmp_path):
-        export_mesh(continued1, fam1, tmp_path / "m.obj", resolution=32)
+        export_mesh(continued1, tmp_path / "m.obj", resolution=32)
         head = (tmp_path / "m.obj").read_text().splitlines()[:6]
         assert any("discrete shrinker check" in ln for ln in head)
 
     def test_discrete_residual_small_and_decreasing(self, continued1, fam1, tmp_path):
         # monotone trend over three refinements
-        r64 = export_mesh(continued1, fam1, tmp_path / "m64.obj", resolution=64)
-        r128 = export_mesh(continued1, fam1, tmp_path / "m128.obj", resolution=128)
-        r256 = export_mesh(continued1, fam1, tmp_path / "m256.obj", resolution=256)
+        r64 = export_mesh(continued1, tmp_path / "m64.obj", resolution=64)
+        r128 = export_mesh(continued1, tmp_path / "m128.obj", resolution=128)
+        r256 = export_mesh(continued1, tmp_path / "m256.obj", resolution=256)
         assert r128.discrete_residual <= 5e-2
         assert r64.discrete_residual > r128.discrete_residual > r256.discrete_residual
 
     def test_vertex_radii_match_interpolant(self, continued1, fam1, tmp_path):
         path = tmp_path / "m.obj"
-        export_mesh(continued1, fam1, path, resolution=16)
+        export_mesh(continued1, path, resolution=16)
         verts = np.array([[float(t) for t in ln.split()[1:]]
                           for ln in path.read_text().splitlines()
                           if ln.startswith("v ")])
@@ -162,10 +161,9 @@ class TestExportMesh:
             assert radii[:, j] == pytest.approx(expect, rel=1e-12)
 
     def test_torus_slice_case(self, fam2, series2, tmp_path):
-        prof = integrate_gamma(fam2, series2, SolverConfig(tol=1e-10))
-        cont = continue_phi(to_d_profile(prof, fam2), fam2,
-                            config=SolverConfig(tol=1e-10))
-        res = export_mesh(cont, fam2, tmp_path / "t.obj", resolution=32)
+        prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
+        cont = continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
+        res = export_mesh(cont, tmp_path / "t.obj", resolution=32)
         assert res.vertex_count == 32 * 32
         assert math.isnan(res.discrete_residual)
 
@@ -173,11 +171,11 @@ class TestExportMesh:
         fam = make_family(3, 1, 1, 4, math.pi / 12)
         dummy = cone_profile(fam, np.linspace(0.1, 0.3, 10))
         with pytest.raises(UnsupportedFamily):
-            export_mesh(dummy, fam, tmp_path / "x.obj", resolution=32)
+            export_mesh(dummy, tmp_path / "x.obj", resolution=32)
 
     def test_resolution_floor(self, continued1, fam1, tmp_path):
         with pytest.raises(ResolutionTooLow):
-            export_mesh(continued1, fam1, tmp_path / "x.obj", resolution=7)
+            export_mesh(continued1, tmp_path / "x.obj", resolution=7)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +263,8 @@ def _oracle_obj(family, resolution, verts, faces, residual):
 
 @pytest.fixture(scope="module")
 def continued2(fam2, series2):
-    prof = integrate_gamma(fam2, series2, SolverConfig(tol=1e-10))
-    return continue_phi(to_d_profile(prof, fam2), fam2, config=SolverConfig(tol=1e-10))
+    prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
+    return continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
 
 
 def _sphere_grid(n):
@@ -297,7 +295,7 @@ class TestMeshOracles:
 
     @pytest.mark.parametrize("resolution", [8, 72])
     def test_residual_matches_oracle_exactly(self, continued1, fam1, resolution):
-        verts, faces = _end_mesh(continued1, fam1, resolution, 0.0)
+        verts, faces = _end_mesh(continued1, resolution)
         oracle_faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         assert np.array_equal(faces, np.array(oracle_faces))
         assert (discrete_shrinker_residual(verts, faces, resolution)
@@ -311,8 +309,8 @@ class TestMeshOracles:
         fam = request.getfixturevalue(which)
         cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
         path = tmp_path / "m.obj"
-        res = export_mesh(cont, fam, path, resolution=resolution)
-        verts, _ = _end_mesh(cont, fam, resolution, 0.0)
+        res = export_mesh(cont, path, resolution=resolution)
+        verts, _ = _end_mesh(cont, resolution)
         faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         residual = (_oracle_residual(verts, faces, resolution) if which == "fam1"
                     else float("nan"))

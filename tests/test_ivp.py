@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from coneshrink import ivp as ivp_mod
-from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, mean_curvature
+from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, make_family, mean_curvature
 from coneshrink.errors import (
     MonotonicityLost,
     NotInvertible,
+    NotMeanConvex,
     OutOfRange,
     SingularDenominator,
 )
@@ -26,7 +27,8 @@ from coneshrink.ivp import (
     _cumulative_q_from_s,
 )
 from coneshrink.numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, loglog_slope, write_csv
-from coneshrink.series import compute_epsilon_corrections, evaluate_truncated
+from coneshrink.series import (compute_coefficients, compute_epsilon_corrections,
+                               evaluate_truncated)
 
 
 class TestGammaRhs:
@@ -95,12 +97,12 @@ class TestIntegrateGamma:
             assert abs(r) <= 10 * max(solved1.meta["tol"], 1e-13)
 
     def test_self_convergence(self, fam1, series1, solved1):
-        loose = integrate_gamma(fam1, series1, SolverConfig(tol=1e-8))
+        loose = integrate_gamma(CurvatureProfile(fam1), series1, SolverConfig(tol=1e-8))
         assert abs(loose["gamma"][-1] - solved1["gamma"][-1]) <= 1e-7
 
     def test_bootstrap_invariance(self, fam1, series1, solved1):
         s_b = solved1.meta["s_b"]
-        half = integrate_gamma(fam1, series1,
+        half = integrate_gamma(CurvatureProfile(fam1), series1,
                                SolverConfig(tol=1e-10, s_bootstrap=s_b / 2))
         diff = abs(half["gamma"][-1] - solved1["gamma"][-1])
         budget = (solved1.meta["sum_local_err"] + half.meta["sum_local_err"]
@@ -112,18 +114,34 @@ class TestIntegrateGamma:
         # through zero (the equation relaxes gamma' toward H(gamma))
         cfg = SolverConfig(tol=1e-8, eps=1e-2)
         with pytest.raises(MonotonicityLost):
-            integrate_gamma(fam1, series1, cfg, initial_slope=150.0)
+            integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=150.0)
 
     def test_out_of_range_message_prints_plain_float(self, fam1, series1):
         # a negative slope at gamma(0) = 0 sends the second stage state below
         # 0: the RHS refuses it, naming gamma as Python prints a float
         cfg = SolverConfig(tol=1e-8, eps=1e-2)
         with pytest.raises(OutOfRange, match=r"^gamma = (\S+) left \[0, d_focal\)") as info:
-            integrate_gamma(fam1, series1, cfg, initial_slope=-1.0)
+            integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=-1.0)
         message = str(info.value)
         assert "np.float64" not in message
         value = message.split()[2]
         assert value == repr(float(value)) and float(value) < 0
+
+    def test_series_of_another_mode_or_family_raises(self, fam1, fam2, series1):
+        # the run's profile owns its H: an eq030_literal run refuses the
+        # cot_sum series, whose bootstrap state solves another equation
+        with pytest.raises(OutOfRange, match="profile mode cot_sum.*profile mode eq030_literal"):
+            integrate_gamma(CurvatureProfile(fam1, EQ030_LITERAL), series1, SolverConfig())
+        with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
+            integrate_gamma(CurvatureProfile(fam2), series1, SolverConfig())
+
+    def test_not_mean_convex_profile_raises(self):
+        # cot-sum H(0) > 0, so make_family accepts the family; the level-set
+        # H(0) of eq030_literal is negative
+        fam = make_family(2, 1, 2, 4, 0.95)
+        with pytest.raises(NotMeanConvex, match="H\\(0\\) = -0.65143 <= 0 in profile mode "
+                                                "eq030_literal"):
+            integrate_gamma(CurvatureProfile(fam, EQ030_LITERAL), None, SolverConfig())
 
     def test_fallback_engages_for_regularized(self, fam1, series1):
         # eps small enough that the explicit layer needs more steps than the
@@ -131,7 +149,7 @@ class TestIntegrateGamma:
         corr = compute_epsilon_corrections(fam1, 6, series=series1)
         eps = 1e-6
         cfg = SolverConfig(tol=1e-8, eps=eps, max_steps=100)
-        prof = integrate_gamma(fam1, series1, cfg,
+        prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg,
                                initial_slope=float(corr.initial_slope(eps)))
         assert prof.meta["used_fallback"]
         assert prof["s"][-1] == pytest.approx(cfg.resolved_s_end(fam1))
@@ -142,14 +160,14 @@ class TestIntegrateGamma:
 
 class TestEnergyResidual:
     def test_small_on_converged_run(self, solved1, fam1):
-        rep = energy_residual(solved1, fam1)
+        rep = energy_residual(solved1)
         assert rep.max_abs <= 1e-8
 
     def test_scales_with_tolerance(self, fam1, series1):
         tols = (1e-8, 1e-10, 1e-12)
         res = []
         for tol in tols:
-            p = integrate_gamma(fam1, series1, SolverConfig(tol=tol))
+            p = integrate_gamma(CurvatureProfile(fam1), series1, SolverConfig(tol=tol))
             res.append(float(np.nanmax(np.abs(p["energy_residual"]))))
         slope = loglog_slope(tols, res)
         assert 0.7 <= slope <= 1.3
@@ -159,25 +177,26 @@ class TestEnergyResidual:
         for name in ("gamma", "dgamma", "d2gamma"):
             cols[name] = cols[name] * 1.01
         del cols["energy"]
-        bad = SolutionProfile(side="s_side", family=fam1, columns=cols,
+        bad = SolutionProfile(side="s_side", curvature=solved1.curvature, columns=cols,
                               meta=dict(solved1.meta))
-        rep = energy_residual(bad, fam1)
+        rep = energy_residual(bad)
         assert rep.max_abs > 1e-3
 
     def test_quadrature_route_matches_stored(self, solved1, fam1):
         cols = {k: v.copy() for k, v in solved1.columns.items()}
         del cols["energy"]
-        rebuilt = SolutionProfile(side="s_side", family=fam1, columns=cols,
+        rebuilt = SolutionProfile(side="s_side", curvature=solved1.curvature, columns=cols,
                                   meta=dict(solved1.meta))
-        rep = energy_residual(rebuilt, fam1)
+        rep = energy_residual(rebuilt)
         assert rep.max_abs <= 1e-9
 
     def test_unsupported_without_closed_antiderivative(self, fam1):
         # the literal mode has the closed antiderivative too, so a real
         # eq030_literal solve carries the energy monitor
-        prof = integrate_gamma(fam1, None, SolverConfig(tol=1e-10, profile_mode=EQ030_LITERAL))
-        assert prof.meta["profile_mode"] == EQ030_LITERAL
-        assert energy_residual(prof, fam1).max_abs <= 1e-9
+        prof = integrate_gamma(CurvatureProfile(fam1, EQ030_LITERAL), None,
+                               SolverConfig(tol=1e-10))
+        assert prof.curvature.mode == EQ030_LITERAL
+        assert energy_residual(prof).max_abs <= 1e-9
         assert np.nanmax(np.abs(prof["energy_residual"])) <= 1e-9
 
 
@@ -227,7 +246,7 @@ class TestGaussHermiteQuadrature:
     def test_bit_identical_to_interval_loops(self, which, request, series1, series2):
         fam = request.getfixturevalue(which)
         series = series1 if which == "fam1" else series2
-        run = integrate_gamma(fam, series, SolverConfig(tol=1e-10))
+        run = integrate_gamma(CurvatureProfile(fam), series, SolverConfig(tol=1e-10))
         s, gam, dgam, d2gam = (run[c] for c in ("s", "gamma", "dgamma", "d2gamma"))
         prof = CurvatureProfile(fam)
         assert np.array_equal(_cumulative_energy(s, dgam, d2gam, fam.n),
@@ -245,7 +264,7 @@ class TestGaussHermiteQuadrature:
 class TestEpsilonStudy:
     def test_first_order_convergence(self, fam1, series1):
         rep = epsilon_convergence_study(
-            fam1, SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+            CurvatureProfile(fam1), SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
             include_control=True, series=series1)
         assert 0.8 <= rep.slope <= 1.2
         assert rep.monotone
@@ -261,24 +280,26 @@ class TestEpsilonStudy:
         then integrates only the eps > 0 runs and reports the same values."""
         config = SolverConfig(tol=1e-10)
         eps_list = (1e-2, 3e-3, 1e-3)
-        own = epsilon_convergence_study(fam1, config, eps_list, series=series1)
+        own = epsilon_convergence_study(solved1.curvature, config, eps_list, series=series1)
         seen = []
 
-        def recording(family, series, cfg, **kwargs):
+        def recording(curvature, series, cfg, **kwargs):
             seen.append(cfg.eps)
-            return integrate_gamma(family, series, cfg, **kwargs)
+            return integrate_gamma(curvature, series, cfg, **kwargs)
 
         monkeypatch.setattr(ivp_mod, "integrate_gamma", recording)
-        given = epsilon_convergence_study(fam1, config, eps_list, series=series1,
+        given = epsilon_convergence_study(solved1.curvature, config, eps_list, series=series1,
                                           direct=solved1)
         assert seen == list(eps_list)
         assert given == own
 
     def test_eps_list_validation(self, fam1):
         with pytest.raises(OutOfRange):
-            epsilon_convergence_study(fam1, SolverConfig(), (1e-3, 1e-2, 1e-4))
+            epsilon_convergence_study(CurvatureProfile(fam1), SolverConfig(),
+                                      (1e-3, 1e-2, 1e-4))
         with pytest.raises(OutOfRange):
-            epsilon_convergence_study(fam1, SolverConfig(), (1e-2, 1e-3))
+            epsilon_convergence_study(CurvatureProfile(fam1), SolverConfig(),
+                                      (1e-2, 1e-3))
 
 
 class TestToDProfile:
@@ -304,8 +325,8 @@ class TestToDProfile:
     def test_g_over_d_limit(self, fam2, series2):
         # g(d)/d -> 1/A_1 (inverse slope of gamma) checked on a family with
         # A_1 != 1 so the direction of the inversion is unambiguous
-        prof = integrate_gamma(fam2, series2, SolverConfig(tol=1e-10))
-        dp = to_d_profile(prof, fam2)
+        prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
+        dp = to_d_profile(prof)
         a1 = float(series2.coefficient(1))
         ratio = dp["g"][0] / dp["d"][0]
         assert ratio == pytest.approx(1.0 / a1, rel=2e-2)
@@ -313,10 +334,10 @@ class TestToDProfile:
     def test_not_invertible(self, fam1, solved1):
         cols = {k: v.copy() for k, v in solved1.columns.items()}
         cols["dgamma"][5] = -1e-3
-        bad = SolutionProfile(side="s_side", family=fam1, columns=cols,
+        bad = SolutionProfile(side="s_side", curvature=solved1.curvature, columns=cols,
                               meta=dict(solved1.meta))
         with pytest.raises(NotInvertible):
-            to_d_profile(bad, fam1)
+            to_d_profile(bad)
 
 
 class TestContinuePhi:
@@ -339,9 +360,9 @@ class TestContinuePhi:
 
     def test_target_validation(self, dside1, fam1):
         with pytest.raises(OutOfRange):
-            continue_phi(dside1, fam1, d_target=fam1.d_focal + 0.1)
+            continue_phi(dside1, d_target=fam1.d_focal + 0.1)
         with pytest.raises(OutOfRange):
-            continue_phi(dside1, fam1, d_target=fam1.d0 + 0.4)
+            continue_phi(dside1, d_target=fam1.d0 + 0.4)
 
     def test_g_column_consistent(self, continued1):
         assert np.allclose(continued1["g"], np.exp(-2 * continued1["phi"]))
@@ -350,13 +371,13 @@ class TestContinuePhi:
         from coneshrink.errors import BlowUpDetected
         cfg = SolverConfig(tol=1e-10, blowup_phi=0.5)  # phi starts above 0.5
         with pytest.raises(BlowUpDetected):
-            continue_phi(dside1, fam1, config=cfg)
+            continue_phi(dside1, config=cfg)
 
     def test_identity_drift_guard(self, dside1, fam1):
         from coneshrink.errors import IdentityDrift
         cfg = SolverConfig(tol=1e-10, identity_drift_tol=1e-15)
         with pytest.raises(IdentityDrift):
-            continue_phi(dside1, fam1, config=cfg)
+            continue_phi(dside1, config=cfg)
 
     def test_family_dependent_existence_window(self):
         # every family continues past d0, but the chart reaches a vertical
@@ -368,11 +389,11 @@ class TestContinuePhi:
         fam = builtin_catalog()["g6_m2"]
         fs = compute_coefficients(fam, 36)
         cfg = SolverConfig(tol=1e-10)
-        dp = to_d_profile(integrate_gamma(fam, fs, cfg), fam)
+        dp = to_d_profile(integrate_gamma(CurvatureProfile(fam), fs, cfg))
         with pytest.raises(BlowUpDetected) as err:
-            continue_phi(dp, fam, config=cfg)
+            continue_phi(dp, config=cfg)
         assert err.value.d > fam.d0  # it did get past the minimal member
-        ext = continue_phi(dp, fam, d_target=fam.d0 + 0.005, config=cfg)
+        ext = continue_phi(dp, d_target=fam.d0 + 0.005, config=cfg)
         assert ext["d"][-1] > fam.d0
         assert np.all(np.isfinite(ext["dphi"]))
 
@@ -381,7 +402,7 @@ class TestCsvRoundTrip:
     def test_s_side(self, solved1, fam1, tmp_path):
         path = tmp_path / "s.csv"
         write_profile_csv(solved1, path)
-        back = read_profile_csv(path, fam1)
+        back = read_profile_csv(path, CurvatureProfile(fam1))
         assert back.side == "s_side"
         for col in ("s", "gamma", "dgamma", "d2gamma", "local_err"):
             assert np.array_equal(back[col], solved1[col])
@@ -389,10 +410,24 @@ class TestCsvRoundTrip:
     def test_d_side(self, continued1, fam1, tmp_path):
         path = tmp_path / "d.csv"
         write_profile_csv(continued1, path)
-        back = read_profile_csv(path, fam1)
+        back = read_profile_csv(path, CurvatureProfile(fam1))
         assert back.side == "d_side"
         header = path.read_text().splitlines()[0]
         assert header == "d,phi,dphi,g,eq130_residual,eq350_drift"
+
+    def test_eq030_s_side_keeps_its_mode(self, tmp_path):
+        # read back under its own profile, an eq030_literal run keeps its
+        # energy monitor; under the cot-sum H it reads 0.1 on this family
+        from coneshrink.catalog import builtin_catalog
+        curvature = CurvatureProfile(builtin_catalog()["g2_product_12"], EQ030_LITERAL)
+        series = compute_coefficients(curvature.family, 40, profile_mode=EQ030_LITERAL)
+        run = integrate_gamma(curvature, series, SolverConfig(tol=1e-10))
+        assert np.max(np.abs(run["energy_residual"])) <= 1e-8
+        path = tmp_path / "s.csv"
+        write_profile_csv(run, path)
+        back = read_profile_csv(path, curvature)
+        assert back.curvature.mode == EQ030_LITERAL
+        assert energy_residual(back).max_abs <= 1e-8
 
     def test_s_header_pinned(self, solved1, tmp_path):
         path = tmp_path / "s.csv"

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coneshrink import ivp
-from coneshrink.catalog import builtin_catalog
+from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import BlowUpDetected, StepSizeCollapse
 from coneshrink.series import compute_coefficients
 from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _error_norm, integrate,
@@ -315,12 +315,13 @@ def _solve_chain(fam):
     """(s-side profile, d-side continuation or the BlowUpDetected it raised)."""
     cfg = ivp.SolverConfig(tol=1e-10)
     series = compute_coefficients(fam, cfg.series_K)
-    prof = ivp.integrate_gamma(fam, series, cfg)
+    prof = ivp.integrate_gamma(CurvatureProfile(fam), series, cfg)
     try:
-        cont = ivp.continue_phi(ivp.to_d_profile(prof, fam), fam, config=cfg)
+        cont = ivp.continue_phi(ivp.to_d_profile(prof), config=cfg)
     except BlowUpDetected as exc:
         cont = exc
-    reg = ivp.integrate_gamma(fam, None, ivp.SolverConfig(tol=1e-8, eps=1e-2),
+    reg = ivp.integrate_gamma(CurvatureProfile(fam), None,
+                              ivp.SolverConfig(tol=1e-8, eps=1e-2),
                               initial_slope=float(series.coefficient(1)))
     return prof, cont, reg
 

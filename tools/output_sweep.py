@@ -13,10 +13,11 @@ calls leave behind.  The calls:
 - solve sweep (46 calls): default ``solve`` on the 14 built-ins at theta1
   x{0.93, 1.00, 1.07}, and ``solve --K 20 --tol 1e-12 --eps-study`` on
   g1_sphere_n2 and g2_product_11 at theta1 x{0.95, 1.00};
-- mesh sweep (80 calls): on g1_sphere_n2 and g2_product_11 at theta1
+- mesh sweep (100 calls): on g1_sphere_n2 and g2_product_11 at theta1
   x{0.90, 0.95, 1.00, 1.05, 1.10}, ``solve --K 20 --tol 1e-12
-  --eps-study``, ``verify`` of both profiles, and ``export --format obj``
-  of the d-side profile at resolutions 8, 64, 128, 256 and 300;
+  --eps-study``, ``verify`` of both profiles, ``export --format obj``
+  of the d-side profile at resolutions 8, 64, 128, 256 and 300, and
+  ``export --format csv`` and ``--format json`` of the d-side profile;
 - coeffs sweep (84 calls): on the 14 built-ins at theta1 x{0.93, 1.00,
   1.07}, ``coeffs --K 32 --precision 256 --gevrey --corrections --N 8
   --out -`` (the series_deep benchmark's flags), and the default ``coeffs
@@ -98,6 +99,10 @@ def calls(catalog):
                 out.append((f"{run}/obj_{res}",
                             ["export", f"{run}/d_side.csv", "--format", "obj",
                              "--resolution", str(res), "--out", f"{run}/obj_{res}"]))
+            for fmt in ("csv", "json"):
+                out.append((f"{run}/profile_{fmt}",
+                            ["export", f"{run}/d_side.csv", "--format", fmt,
+                             "--out", f"{run}/profile_{fmt}"]))
     for name, family in catalog.items():
         for scale in SOLVE_SCALES:
             for kind, flags in COEFFS_FLAGS.items():
