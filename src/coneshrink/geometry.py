@@ -196,7 +196,7 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
         raise UnsupportedFamily(
             f"(n, g) = {case}: no closed-form ambient parameterization meshed here"
         )
-    verts, faces = _end_mesh(profile_d, resolution)
+    verts, faces = _end_mesh(profile_d, family, resolution)
     residual = (discrete_shrinker_residual(verts, faces, resolution) if case == (2, 1)
                 else float("nan"))
     header = [
@@ -248,7 +248,7 @@ def _obj_rows(row_format, rows):
     return chunks
 
 
-def _end_mesh(profile_d, resolution):
+def _end_mesh(profile_d, family, resolution):
     """Vertices and outward faces of the end: ``resolution`` rows along d
     by ``resolution`` angles psi, at radius r = e^phi.
 
@@ -256,7 +256,6 @@ def _end_mesh(profile_d, resolution):
     ambient S^3 point (cos th cos psi, cos th sin psi, sin th cos psi2,
     sin th sin psi2), sliced at psi2 = 0 and orthogonally projected to the
     first three coordinates."""
-    family = profile_d.curvature.family
     d_nodes = profile_d["d"]
     d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
     phi = _hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)

@@ -31,8 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import (CurvatureProfile, binary64_curvature, curvature_antiderivative,
-                      mean_curvature)
+from .catalog import (
+    CurvatureProfile,
+    binary64_curvature,
+    curvature_antiderivative,
+    mean_curvature,
+)
 from .errors import (
     BlowUpDetected,
     IdentityDrift,

@@ -295,7 +295,7 @@ class TestMeshOracles:
 
     @pytest.mark.parametrize("resolution", [8, 72])
     def test_residual_matches_oracle_exactly(self, continued1, fam1, resolution):
-        verts, faces = _end_mesh(continued1, resolution)
+        verts, faces = _end_mesh(continued1, fam1, resolution)
         oracle_faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         assert np.array_equal(faces, np.array(oracle_faces))
         assert (discrete_shrinker_residual(verts, faces, resolution)
@@ -310,7 +310,7 @@ class TestMeshOracles:
         cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
         path = tmp_path / "m.obj"
         res = export_mesh(cont, path, resolution=resolution)
-        verts, _ = _end_mesh(cont, resolution)
+        verts, _ = _end_mesh(cont, fam, resolution)
         faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         residual = (_oracle_residual(verts, faces, resolution) if which == "fam1"
                     else float("nan"))
