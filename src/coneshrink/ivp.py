@@ -49,7 +49,7 @@ from .errors import (
     StepSizeCollapse,
 )
 from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, write_csv
-from .series import (DEFAULT_K, FormalSeries, compute_coefficients,
+from .series import (DEFAULT_K, FormalSeries, check_series_matches, compute_coefficients,
                      compute_epsilon_corrections, evaluate_truncated)
 from .stepper import integrate, integrate_implicit
 
@@ -64,6 +64,10 @@ BOOTSTRAP_FACTOR = 0.01   # series error target at the bootstrap point = factor 
 D_MARGIN = 0.05           # continuation overshoot past d0 (capped)
 HANDOFF_FRACTION = 0.5    # d-side handoff at s ~ fraction * s_end
 BLOWUP_DPHI = 1e8         # |phi'| past which continuation reports a blow-up
+# continuation probes once for a vertical tangent at the first step past this
+# |phi'|; no run that reaches its default target comes near it (max ~15)
+TANGENT_PROBE_DPHI = 32.0
+TANGENT_PROBE_ARCLENGTH = 1.0  # arclength the probe covers before it gives up
 
 
 @dataclass(frozen=True)
@@ -162,25 +166,22 @@ def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: in
 
 
 def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
-                    config: SolverConfig, initial_slope: Optional[float] = None,
-                    corrections=None) -> SolutionProfile:
+                    config: SolverConfig,
+                    initial_slope: Optional[float] = None) -> SolutionProfile:
     """Integrate the s-side problem of ``curvature`` to s_end.
 
     Direct problem (eps = 0): bootstrap state comes from the truncated series
     at s_b (series error <= BOOTSTRAP_FACTOR * tol).  Regularized problem
-    (eps > 0): starts at s = 0 with slope B(eps) from ``corrections`` (or
-    ``initial_slope`` explicitly; a bare H(0) reproduces the uncorrected
-     regularization for ablation runs).
+    (eps > 0): starts at s = 0 with slope ``initial_slope``, the corrected
+    B(eps) (a bare H(0) reproduces the uncorrected regularization for
+    ablation runs).
 
     Raises :class:`OutOfRange` for a series of another profile mode or
     family, and :class:`NotMeanConvex` when this H has H(0) <= 0.
     """
     family = curvature.family
-    if series is not None and (series.profile_mode, series.family or family) != (
-            curvature.mode, family):
-        raise OutOfRange(f"a series of profile mode {series.profile_mode} and family "
-                         f"{(series.family or family).as_dict()} for a run of profile mode "
-                         f"{curvature.mode} and family {family.as_dict()}")
+    if series is not None:
+        check_series_matches(series, family, curvature.mode)
     h_fast = binary64_curvature(curvature)
     if h_fast(0.0) <= 0.0:
         raise NotMeanConvex(f"H(0) = {h_fast(0.0):.6g} <= 0 in profile mode {curvature.mode} "
@@ -236,9 +237,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
         }
     else:
         if initial_slope is None:
-            if corrections is None:
-                raise OutOfRange("eps > 0 needs corrections or an explicit initial slope")
-            initial_slope = float(corrections.initial_slope(eps))
+            raise OutOfRange("eps > 0 needs an explicit initial slope")
         y0 = (0.0, initial_slope, 0.0)
         t0 = 0.0
         gamma_prime0 = initial_slope
@@ -288,15 +287,16 @@ class EnergyResidualReport:
     max_abs: float
 
 
-def energy_residual(profile_s: SolutionProfile, eps: Optional[float] = None) -> EnergyResidualReport:
-    """Recompute the energy-identity residual at the stored nodes.
+def energy_residual(profile_s: SolutionProfile) -> EnergyResidualReport:
+    """Recompute the energy-identity residual at the stored nodes, with the
+    run's eps from ``meta["eps"]`` (0 when absent, as in a profile read back
+    from CSV).
 
     Uses the stored accumulated integral when present; otherwise rebuilds it
     by per-interval Gauss quadrature on the cubic Hermite reconstruction of
     gamma', anchored so the first node has zero residual.
     """
-    if eps is None:
-        eps = profile_s.meta.get("eps", 0.0)
+    eps = profile_s.meta.get("eps", 0.0)
     s = profile_s["s"]
     gam = profile_s["gamma"]
     dgam = profile_s["dgamma"]
@@ -402,11 +402,87 @@ def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
     return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
 
 
+class _ProbeDone(Exception):
+    """Ends the tangent probe's integration without a window to report."""
+
+
+def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
+    """Raise :class:`BlowUpDetected` at the first vertical tangent of the
+    curve (d, phi) past the point (d, phi, phi') if it lies clearly below
+    ``d_target``; return when the curve reaches ``d_target`` first, or when
+    the probe cannot tell within TANGENT_PROBE_ARCLENGTH.
+
+    In arclength sigma and tangent angle alpha = atan(phi') the phi chart's
+    equation is regular through the tangent (Kleene & Moller, Trans. AMS 366,
+    2014):
+
+        d' = cos(alpha),  phi' = sin(alpha),
+        alpha' = (n - e^{2 phi}/2) cos(alpha) - H(d) sin(alpha),
+
+    and the tangent is the event cos(alpha) = 0, located on the step that
+    crosses it by cubic Hermite interpolation of alpha (slopes alpha') and
+    of d (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): the located d
+    was within 1e-3 sqrt(tol) of the phi chart's step-collapse abscissa on
+    every built-in window at tol 1e-12 to 1e-6."""
+
+    def slopes(d, phi, a):
+        c = math.cos(a)
+        s = math.sin(a)
+        return c, s, (n - 0.5 * math.exp(2 * phi)) * c - h_fast(d) * s
+
+    a = math.atan(dphi)
+    c, _, da = slopes(d, phi, a)
+    last = (0.0, d, a, c, da)  # sigma, d, alpha, cos(alpha), alpha' at the last node
+
+    def stop(sigma1, y):
+        nonlocal last
+        d1, phi1, a1 = map(float, y)  # floats also where y arrives as an ndarray
+        c1, _, da1 = slopes(d1, phi1, a1)
+        if c1 <= 0.0:
+            sigma0, d0, a0, c0, da0 = last
+            h = sigma1 - sigma0
+            # bisect for the odd multiple of pi/2 that alpha crossed on this step
+            a_cross = math.pi * (round((a0 + a1) / (2 * math.pi) - 0.5) + 0.5)
+            side = a0 - a_cross
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (cubic_hermite(mid, h, a0, da0, a1, da1) - a_cross) * side > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            d_window = float(cubic_hermite(0.5 * (lo + hi), h, d0, c0, d1, c1))
+            if d_window < d_target - math.sqrt(tol):
+                raise BlowUpDetected(
+                    d_window, "vertical tangent of the curve (d, phi); "
+                    f"retry with d_target below {d_window!r}")
+            raise _ProbeDone
+        if d1 >= d_target:
+            raise _ProbeDone
+        last = (sigma1, d1, a1, c1, da1)
+
+    try:
+        integrate(lambda sigma, y: slopes(*y.tolist()), 0.0, np.array((d, phi, a)),
+                  TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol, accept_hook=stop)
+    except (_ProbeDone, StepSizeCollapse):
+        pass
+
+
 def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
                  config: Optional[SolverConfig] = None) -> SolutionProfile:
     """Continue the d-side solution from a handoff node to d_target
     (default d0 + margin), guarding with the first-integral drift; d0 is the
-    zero of the run's own profile (:attr:`CurvatureProfile.d0`)."""
+    zero of the run's own profile (:attr:`CurvatureProfile.d0`).
+
+    Past d0 the chart exists only for a family-dependent distance: the curve
+    (d, phi) can meet a vertical tangent before d_target.  At the first
+    accepted step with |phi'| > TANGENT_PROBE_DPHI the accept hook probes for
+    that tangent once, in the tangent-angle chart
+    (:func:`_probe_vertical_tangent`), and raises :class:`BlowUpDetected` at
+    the tangent's d if it lies clearly below d_target; the phi chart's own
+    steps are left as they are.  A step-size collapse of the phi chart (a
+    tangent the probe left to it) raises :class:`BlowUpDetected` at the last
+    good d."""
     config = config or SolverConfig()
     prof = profile_d.curvature
     family = prof.family
@@ -438,7 +514,10 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
         d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h)
         return (dphi, d2, h * dphi * dphi)
 
+    probed = False
+
     def guard(d, y):
+        nonlocal probed
         if abs(y[0]) > config.blowup_phi:
             raise BlowUpDetected(d, f"|phi| exceeded {config.blowup_phi}")
         if abs(y[1]) > BLOWUP_DPHI:
@@ -447,6 +526,10 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
         # the margin past d0 is where it may go negative
         if d <= d0 and h_fast(d) < -1e-12:
             raise OutOfRange(f"H({d!r}) < 0 before d0 = {d0!r}")
+        if not probed and abs(y[1]) > TANGENT_PROBE_DPHI:
+            probed = True
+            _probe_vertical_tangent(h_fast, n, d, float(y[0]), float(y[1]), d_target,
+                                    config.tol)
 
     # the step cap keeps the stored nodes dense enough that downstream cubic
     # Hermite resampling (meshing) stays below the discrete-operator error
@@ -537,12 +620,12 @@ class EpsilonStudyReport:
 def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
                               eps_list, include_control: bool = False,
                               series: Optional[FormalSeries] = None,
-                              corrections=None,
                               direct: Optional[SolutionProfile] = None) -> EpsilonStudyReport:
     """Slope of max|gamma_eps - gamma_0| on [0, s_end] against eps
     (first-order convergence of the corrected regularization).
 
-    ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
+    The corrections B(eps) are fitted here to order ``config.correction_N``
+    from ``series`` (computed from ``config`` when not given).  ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
     for this ``curvature``, ``series`` and ``config``, if the caller holds it
     already; otherwise it is integrated here.  The optional control repeats
     the sweep with B(eps) truncated to B_0, quantifying what the
@@ -556,9 +639,8 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
     if series is None:
         series = compute_coefficients(family, config.series_K, config.series_prec,
                                       profile_mode=curvature.mode)
-    if corrections is None:
-        corrections = compute_epsilon_corrections(family, config.correction_N,
-                                                  config.series_prec, series=series)
+    corrections = compute_epsilon_corrections(family, config.correction_N,
+                                              config.series_prec, series=series)
     if direct is None:
         direct = integrate_gamma(curvature, series, replace(config, eps=0.0))
     s_end = config.resolved_s_end(family)

@@ -658,6 +658,16 @@ class EpsilonCorrections:
 SLOPE_TOL = 1e-6
 
 
+def check_series_matches(series: FormalSeries, family, mode: str):
+    """Raise :class:`OutOfRange` when ``series`` belongs to another family or
+    profile mode than ``family`` and ``mode``, naming both; a series without a
+    family (:meth:`FormalSeries.from_coefficients`) matches any family."""
+    if (series.profile_mode, series.family or family) != (mode, family):
+        raise OutOfRange(f"a series of profile mode {series.profile_mode} and family "
+                         f"{(series.family or family).as_dict()} for a run of profile mode "
+                         f"{mode} and family {family.as_dict()}")
+
+
 def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
                                 series: Optional[FormalSeries] = None) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
@@ -680,11 +690,13 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     Each coefficient is formed by the same operations, in the same order, as
     an engine run from scratch for one trial value forms it, and every check
     a sequence of such runs makes is made here, with the same tolerance and
-    in the same order."""
+    in the same order.  A ``series`` of another family than ``family`` raises
+    :class:`OutOfRange` naming both (:func:`check_series_matches`)."""
     if N < 1:
         raise OutOfRange("N must be >= 1")
     if series is None:
         series = compute_coefficients(family, K=N + 2, prec=prec)
+    check_series_matches(series, family, series.profile_mode)
     if series.K < N + 1:
         raise OutOfRange(f"series must carry at least N+1 = {N + 1} coefficients")
     if series.drift_coefficient != 1.0:
