@@ -67,7 +67,9 @@ BLOWUP_DPHI = 1e8         # |phi'| past which continuation reports a blow-up
 # continuation probes once for a vertical tangent at the first step past this
 # |phi'|; no run that reaches its default target comes near it (max ~15)
 TANGENT_PROBE_DPHI = 32.0
-TANGENT_PROBE_ARCLENGTH = 1.0  # arclength the probe covers before it gives up
+# arclength the probe covers before it gives up; its steps are capped at a
+# hundredth of it, so the cubic Hermite that locates the tangent stays sharp
+TANGENT_PROBE_ARCLENGTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -421,9 +423,9 @@ def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
 
     and the tangent is the event cos(alpha) = 0, located on the step that
     crosses it by cubic Hermite interpolation of alpha (slopes alpha') and
-    of d (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): the located d
-    was within 1e-3 sqrt(tol) of the phi chart's step-collapse abscissa on
-    every built-in window at tol 1e-12 to 1e-6."""
+    of d (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): on every
+    built-in window, at tol 1e-12 to 1e-6, the located d was within
+    1e-4 sqrt(tol) of the phi chart's step-collapse abscissa at tol 1e-12."""
 
     def slopes(d, phi, a):
         c = math.cos(a)
@@ -463,7 +465,8 @@ def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
 
     try:
         integrate(lambda sigma, y: slopes(*y.tolist()), 0.0, np.array((d, phi, a)),
-                  TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol, accept_hook=stop)
+                  TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
+                  max_step=TANGENT_PROBE_ARCLENGTH / 100, accept_hook=stop)
     except (_ProbeDone, StepSizeCollapse):
         pass
 
