@@ -209,6 +209,30 @@ def test_bootstrap_overflow_names_k_and_advises(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+# d where the default continuation of the five window families meets its
+# vertical tangent (the stall table of ROADMAP item 1, to 5 decimals); the
+# other nine built-ins solve.  perfbench/reference.json records the same
+# outcomes for catalog_solve.
+WINDOW_STALL_D = {"g3_m8": 0.29916, "g4_m22": 0.22993, "g4_m45": 0.24295,
+                  "g6_m1": 0.14350, "g6_m2": 0.13688}
+
+
+@pytest.mark.parametrize("name", sorted(builtin_catalog()))
+def test_default_solve_outcome(name, tmp_path, capsys):
+    fam = builtin_catalog()[name]
+    flags = ["--g", str(fam.g), "--m-minus", str(fam.m_minus), "--m-plus", str(fam.m_plus),
+             "--n", str(fam.n), "--theta1", repr(fam.theta1)]
+    code, _, err = run(["solve", *flags, "--out", str(tmp_path)], capsys)
+    if name not in WINDOW_STALL_D:
+        assert code == 0, err
+        return
+    assert code == 4
+    assert err.startswith("solver failure: BlowUpDetected: ")
+    assert "vertical tangent" in err
+    d = float(re.fullmatch(r".* at d = (\S+)", err.strip()).group(1))
+    assert abs(d - WINDOW_STALL_D[name]) <= 1e-5
+
+
 def test_summary_is_strict_json_with_failed_eps_runs(tmp_path, capsys):
     """A failed eps run's error is written as null, in the file and on
     stdout alike, so that a strict parser reads both."""

@@ -193,6 +193,13 @@ class TestCorrections:
         with pytest.raises(OutOfRange):
             compute_epsilon_corrections(fam1, 4, series=scaled)
 
+    def test_series_of_another_family_raises(self):
+        # named up front, where the fit would fail on a constant that must vanish
+        cat = builtin_catalog()
+        series = compute_coefficients(cat["g1_sphere_n2"], 12)
+        with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
+            compute_epsilon_corrections(cat["g2_product_11"], 6, series=series)
+
 
 # ---------------------------------------------------------------------------
 # Oracle: the fixed-degree ring, which pads with zeros

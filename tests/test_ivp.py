@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from coneshrink import ivp as ivp_mod
-from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, make_family, mean_curvature
+from coneshrink import stepper
+from coneshrink.catalog import (EQ030_LITERAL, CurvatureProfile, builtin_catalog, make_family,
+                                mean_curvature)
 from coneshrink.errors import (
+    BlowUpDetected,
     MonotonicityLost,
     NotInvertible,
     NotMeanConvex,
@@ -134,6 +139,10 @@ class TestIntegrateGamma:
             integrate_gamma(CurvatureProfile(fam1, EQ030_LITERAL), series1, SolverConfig())
         with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
             integrate_gamma(CurvatureProfile(fam2), series1, SolverConfig())
+
+    def test_regularized_run_needs_initial_slope(self, fam1):
+        with pytest.raises(OutOfRange, match="eps > 0 needs an explicit initial slope"):
+            integrate_gamma(CurvatureProfile(fam1), None, SolverConfig(eps=1e-3))
 
     def test_not_mean_convex_profile_raises(self):
         # cot-sum H(0) > 0, so make_family accepts the family; the level-set
@@ -396,6 +405,104 @@ class TestContinuePhi:
         ext = continue_phi(dp, d_target=fam.d0 + 0.005, config=cfg)
         assert ext["d"][-1] > fam.d0
         assert np.all(np.isfinite(ext["dphi"]))
+
+
+# ---------------------------------------------------------------------------
+# The tangent-angle probe against the phi chart alone: with
+# TANGENT_PROBE_DPHI = inf the probe never runs, and a vertical tangent is
+# found only by the phi chart's step-size collapse.
+# ---------------------------------------------------------------------------
+
+WINDOW_FAMILIES = ("g3_m8", "g4_m22", "g4_m45", "g6_m1", "g6_m2")
+SOLVING_FAMILIES = tuple(sorted(set(builtin_catalog()) - set(WINDOW_FAMILIES)))
+
+
+@pytest.fixture(scope="module")
+def builtin_d_profile():
+    """The d-side profile of a built-in family at the default config, cached."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            fam = builtin_catalog()[name]
+            config = SolverConfig()
+            series = compute_coefficients(fam, config.series_K)
+            cache[name] = to_d_profile(integrate_gamma(CurvatureProfile(fam), series, config))
+        return cache[name]
+
+    return get
+
+
+def _continue_counted(monkeypatch, profile_d, probe_dphi, d_target=None):
+    """(continuation or the BlowUpDetected it raised, RHS calls, integrate
+    calls) of ``continue_phi`` with the probe threshold ``probe_dphi``."""
+    rhs_calls = integrate_calls = 0
+
+    def counting(f, *args, **kwargs):
+        nonlocal integrate_calls
+
+        def counted(t, y):
+            nonlocal rhs_calls
+            rhs_calls += 1
+            return f(t, y)
+
+        integrate_calls += 1
+        return stepper.integrate(counted, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ivp_mod, "integrate", counting)
+        m.setattr(ivp_mod, "TANGENT_PROBE_DPHI", probe_dphi)
+        try:
+            out = continue_phi(profile_d, d_target=d_target)
+        except BlowUpDetected as exc:
+            out = exc
+    return out, rhs_calls, integrate_calls
+
+
+def _assert_bit_identical(got, want):
+    assert got.columns.keys() == want.columns.keys()
+    for name in want.columns:
+        assert np.array_equal(got[name], want[name]), name
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("name", WINDOW_FAMILIES)
+def test_probe_locates_the_window_at_the_collapse_abscissa(name, builtin_d_profile,
+                                                           monkeypatch):
+    profile_d = builtin_d_profile(name)
+    got, got_calls, _ = _continue_counted(monkeypatch, profile_d, ivp_mod.TANGENT_PROBE_DPHI)
+    want, want_calls, _ = _continue_counted(monkeypatch, profile_d, math.inf)
+    assert type(got) is type(want) is BlowUpDetected
+    assert "step collapse" in str(want)
+    assert "vertical tangent of the curve (d, phi)" in str(got)
+    assert type(got.d) is float
+    assert abs(got.d - want.d) <= 1e-5
+    assert 2 * got_calls <= want_calls, (got_calls, want_calls)
+
+
+@pytest.mark.parametrize("name", SOLVING_FAMILIES)
+def test_probe_leaves_solving_runs_bit_identical(name, builtin_d_profile, monkeypatch):
+    profile_d = builtin_d_profile(name)
+    got, _, got_integrations = _continue_counted(monkeypatch, profile_d,
+                                                 ivp_mod.TANGENT_PROBE_DPHI)
+    want, _, _ = _continue_counted(monkeypatch, profile_d, math.inf)
+    assert got_integrations == 1  # no step came near the probe threshold
+    _assert_bit_identical(got, want)
+
+
+def test_probe_short_of_the_window_solves_bit_identical(builtin_d_profile, monkeypatch):
+    # g6_m2 to just short of its tangent: the probe runs, reaches d_target
+    # before the tangent, and leaves the phi chart to finish
+    profile_d = builtin_d_profile("g6_m2")
+    window, _, _ = _continue_counted(monkeypatch, profile_d, ivp_mod.TANGENT_PROBE_DPHI)
+    d_target = window.d - 1e-6
+    got, _, got_integrations = _continue_counted(monkeypatch, profile_d,
+                                                 ivp_mod.TANGENT_PROBE_DPHI, d_target)
+    want, _, _ = _continue_counted(monkeypatch, profile_d, math.inf, d_target)
+    assert got_integrations == 2  # the phi chart and the probe
+    assert np.max(np.abs(got["dphi"])) > ivp_mod.TANGENT_PROBE_DPHI
+    assert got["d"][-1] == pytest.approx(d_target, abs=1e-12)
+    _assert_bit_identical(got, want)
 
 
 class TestCsvRoundTrip:
