@@ -10,6 +10,7 @@ solution to exponentially small error near s = 0.
 import math
 
 from coneshrink import (
+    CurvatureProfile,
     compute_coefficients,
     compute_epsilon_corrections,
     evaluate_truncated,
@@ -17,9 +18,9 @@ from coneshrink import (
     make_family,
 )
 
-fam = make_family(1, 1, 1, 2, math.pi / 4)
+curvature = CurvatureProfile(make_family(1, 1, 1, 2, math.pi / 4))
 
-fs = compute_coefficients(fam, 24)
+fs = compute_coefficients(curvature, 24)
 print("First coefficients (A_1 = H(0) = 1, A_2 = -2, then factorial growth):")
 for k in range(1, 11):
     a = float(fs.coefficient(k))
@@ -42,11 +43,12 @@ s = 0 but perturbs the derivatives there; the slope polynomial
 B(eps) = sum B_i eps^i is chosen so every gamma^(k)(0; eps) returns to A_k
 as eps -> 0 at first order.
 """)
-corr = compute_epsilon_corrections(fam, 8, series=compute_coefficients(fam, 12))
+short = compute_coefficients(curvature, 12)
+corr = compute_epsilon_corrections(short, 8)
 for i, b in enumerate(corr.B):
     print(f"  B_{i} = {float(b): .6e}")
 print("\nconstruction invariants: B_0 = H(0), B_1 = -A_2, and the eps^0")
 print("coefficient of gamma^(k)(0; eps) equals A_k exactly for k <= 9:")
-ok = all(float(corr.gamma_eps[k - 1].const) == float(
-    compute_coefficients(fam, 12).coefficient(k)) for k in range(1, 10))
+ok = all(float(corr.gamma_eps[k - 1].const) == float(short.coefficient(k))
+         for k in range(1, 10))
 print(f"  verified: {ok}")

@@ -29,10 +29,11 @@ os.makedirs(out, exist_ok=True)
 fam = make_family(1, 1, 1, 2, math.pi / 4)
 print(f"family: geodesic sphere cone in R^3, d0 = {fam.d0:.6f}")
 
-series = compute_coefficients(fam, 36)
+curvature = CurvatureProfile(fam)
+series = compute_coefficients(curvature, 36)
 config = SolverConfig(tol=1e-10)
 
-prof_s = integrate_gamma(CurvatureProfile(fam), series, config)
+prof_s = integrate_gamma(curvature, series, config)
 print(f"s-side solve: bootstrap at s = {prof_s.meta['s_b']:.5f}, "
       f"{prof_s.meta['n_steps']} steps to s = {prof_s.meta['s_end']}")
 print(f"  max energy-identity residual: "

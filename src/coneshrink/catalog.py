@@ -108,7 +108,7 @@ class CurvatureProfile:
     @cached_property
     def d0(self):
         """The unique zero of this H on (0, d_focal): the minimal member."""
-        return minimal_distance(self.family, self.mode)
+        return minimal_distance(self)
 
 
 def _validate(g, m_minus, m_plus, n, theta1):
@@ -274,16 +274,18 @@ def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PR
         return total
 
 
-def minimal_distance(family: IsoparametricFamily, mode: str = COT_SUM,
-                     tol: float = 1e-14) -> float:
-    """Unique zero of the mode's H on (0, d_focal): bracketed bisection to
+# relative step at which the Newton polish of minimal_distance stops
+MINIMAL_DISTANCE_TOL = 1e-14
+
+
+def minimal_distance(profile: CurvatureProfile) -> float:
+    """Unique zero of the profile's H on (0, d_focal): bracketed bisection to
     1e-3 followed by a Newton polish using the exact derivative."""
-    profile = CurvatureProfile(family, mode)
     h0 = float(mean_curvature(profile, 0.0))
     if h0 <= 0:
         raise RootNotBracketed(f"H(0) = {h0:.6g} <= 0")
     # keep hi strictly interior: H blows down to -inf at d_focal
-    lo, hi = 0.0, family.d_focal * (1 - 1e-7)
+    lo, hi = 0.0, profile.family.d_focal * (1 - 1e-7)
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if float(mean_curvature(profile, mid)) > 0:
@@ -304,7 +306,7 @@ def minimal_distance(family: IsoparametricFamily, mode: str = COT_SUM,
             lo = max(lo, min(d_new, hi))
         else:
             hi = min(hi, max(d_new, lo))
-        if abs(d_new - d) <= tol * max(1.0, abs(d_new)):
+        if abs(d_new - d) <= MINIMAL_DISTANCE_TOL * max(1.0, abs(d_new)):
             return d_new
         d = d_new
     return d

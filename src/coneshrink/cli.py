@@ -196,12 +196,12 @@ def cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    fam = _family_from_args(args)
+    curvature = CurvatureProfile(_family_from_args(args), _mode(args))
     prec = _precision(args)
-    fs = series_mod.compute_coefficients(fam, args.K, prec, profile_mode=_mode(args))
+    fs = series_mod.compute_coefficients(curvature, args.K, prec)
     record = series_mod.series_to_json_dict(fs)
     if args.corrections:
-        corr = series_mod.compute_epsilon_corrections(fam, args.N, prec, series=fs)
+        corr = series_mod.compute_epsilon_corrections(fs, args.N)
         record["B"] = [decimal_str(b, prec) for b in corr.B]
     if args.gevrey:
         rep = series_mod.gevrey_diagnostics(fs)
@@ -246,8 +246,7 @@ def cmd_solve(args):
                               correction_N=args.N)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    fs = series_mod.compute_coefficients(fam, config.series_K, config.series_prec,
-                                         profile_mode=curvature.mode)
+    fs = series_mod.compute_coefficients(curvature, config.series_K, config.series_prec)
     # integrate_gamma rejects a profile that is not mean convex, which has no d0
     prof_s = ivp.integrate_gamma(curvature, fs, config)
     d_target = None

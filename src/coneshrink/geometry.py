@@ -69,13 +69,14 @@ def shrinker_residual(profile_d: SolutionProfile) -> ShrinkerResidualReport:
 def cone_profile(family: IsoparametricFamily, d_values) -> SolutionProfile:
     """The leading asymptote phi = -ln(d/A1)/2 as a d-side profile of the cot-sum
     H (it solves nothing; used to show the cone itself fails the residual)."""
-    a1 = float(compute_coefficients(family, 1).coefficient(1))
+    curvature = CurvatureProfile(family)
+    a1 = float(compute_coefficients(curvature, 1).coefficient(1))
     d = np.asarray(d_values, dtype=float)
     phi = -0.5 * np.log(d / a1)
     dphi = -0.5 / d
     d2phi = 0.5 / d ** 2
     return SolutionProfile(
-        side=D_SIDE, curvature=CurvatureProfile(family),
+        side=D_SIDE, curvature=curvature,
         columns={"d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi,
                  "g": d / a1,
                  "eq130_residual": np.zeros_like(d), "eq350_drift": np.zeros_like(d)},

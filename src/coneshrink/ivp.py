@@ -49,8 +49,8 @@ from .errors import (
     StepSizeCollapse,
 )
 from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, write_csv
-from .series import (DEFAULT_K, FormalSeries, check_series_matches, compute_coefficients,
-                     compute_epsilon_corrections, evaluate_truncated)
+from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
+                     evaluate_truncated)
 from .stepper import integrate, integrate_implicit
 
 S_SIDE = "s_side"
@@ -167,6 +167,16 @@ def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: in
     return float(val)
 
 
+def _require_series_of(curvature: CurvatureProfile, series: FormalSeries):
+    """Raise :class:`OutOfRange` naming both when ``series`` is of another
+    profile mode or family than the run's ``curvature``."""
+    if series.curvature != curvature:
+        theirs = series.curvature
+        raise OutOfRange(f"a series of profile mode {theirs.mode} and family "
+                         f"{theirs.family.as_dict()} for a run of profile mode "
+                         f"{curvature.mode} and family {curvature.family.as_dict()}")
+
+
 def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                     config: SolverConfig,
                     initial_slope: Optional[float] = None) -> SolutionProfile:
@@ -183,7 +193,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     """
     family = curvature.family
     if series is not None:
-        check_series_matches(series, family, curvature.mode)
+        _require_series_of(curvature, series)
     h_fast = binary64_curvature(curvature)
     if h_fast(0.0) <= 0.0:
         raise NotMeanConvex(f"H(0) = {h_fast(0.0):.6g} <= 0 in profile mode {curvature.mode} "
@@ -210,8 +220,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     series_meta = {}
     if eps == 0:
         if series is None:
-            series = compute_coefficients(family, config.series_K, config.series_prec,
-                                          profile_mode=curvature.mode)
+            series = compute_coefficients(curvature, config.series_K, config.series_prec)
         target = BOOTSTRAP_FACTOR * tol
         if config.s_bootstrap is not None:
             s_b = config.s_bootstrap
@@ -628,7 +637,9 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
     (first-order convergence of the corrected regularization).
 
     The corrections B(eps) are fitted here to order ``config.correction_N``
-    from ``series`` (computed from ``config`` when not given).  ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
+    from ``series`` (computed from ``config`` when not given), at its
+    precision; a series of another profile raises :class:`OutOfRange`.
+    ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
     for this ``curvature``, ``series`` and ``config``, if the caller holds it
     already; otherwise it is integrated here.  The optional control repeats
     the sweep with B(eps) truncated to B_0, quantifying what the
@@ -640,10 +651,9 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
         raise OutOfRange("eps values must decrease")
     family = curvature.family
     if series is None:
-        series = compute_coefficients(family, config.series_K, config.series_prec,
-                                      profile_mode=curvature.mode)
-    corrections = compute_epsilon_corrections(family, config.correction_N,
-                                              config.series_prec, series=series)
+        series = compute_coefficients(curvature, config.series_K, config.series_prec)
+    _require_series_of(curvature, series)
+    corrections = compute_epsilon_corrections(series, config.correction_N)
     if direct is None:
         direct = integrate_gamma(curvature, series, replace(config, eps=0.0))
     s_end = config.resolved_s_end(family)

@@ -34,12 +34,11 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 from mpmath.libmp import from_man_exp, fzero
 
-from .catalog import COT_SUM, CurvatureProfile, IsoparametricFamily, curvature_derivative, make_family
+from .catalog import COT_SUM, CurvatureProfile, curvature_derivative, make_family
 from .errors import (
     DivisionByEpsilonFailed,
     NonlinearDependence,
@@ -140,8 +139,8 @@ def _dot_for(value):
     """The dot product and the sequence type of the ring of ``value``: for
     mpmath floats :func:`_exact_dot` over :class:`_MpSequence`, whose slices
     are aligned mantissas; else :func:`_dot` over lists, whose left-to-right
-    sum fixes the rounding of binary64 and whose operand order the
-    epsilon-polynomial ring relies on."""
+    sum fixes the rounding of binary64 and whose operand order the eps
+    series ring relies on."""
     if isinstance(value, mpmath.mpf):
         return _exact_dot, _MpSequence
     return _dot, list
@@ -247,15 +246,7 @@ def _require_vanishing(c0, tol_abs):
 @dataclass(frozen=True)
 class EpsilonPolynomial:
     """sum_i c_i eps^i known through order ``degree``: a finite prefix of an
-    online series (:class:`_OnlineSeries`), which tracks its order.
-
-    A sum or product of two of them is known only through the lower of the
-    two degrees, and is computed only that far, by the online ring's rules:
-    each coefficient is formed by the same operations whatever the degrees,
-    so truncating an operand truncates the result without changing its
-    leading coefficients.  Division by eps is the coefficient shift: it
-    requires the constant term to vanish (checked against an absolute
-    tolerance by the caller) and loses one order."""
+    online series (:class:`_OnlineSeries`), whose ring forms it."""
 
     coeffs: tuple
 
@@ -272,47 +263,6 @@ class EpsilonPolynomial:
     def const(self):
         return self.coeffs[0]
 
-    def coefficient(self, i: int):
-        return self.coeffs[i]
-
-    def with_constant(self, value):
-        return EpsilonPolynomial((value,) + self.coeffs[1:])
-
-    def _online(self, op, other=None):
-        """``op`` in the online ring, taken through the known orders."""
-        degree = self.degree
-        if isinstance(other, EpsilonPolynomial):
-            degree = min(degree, other.degree)
-            other = _OnlineSeries(coeffs=other.coeffs)
-        result = op(_OnlineSeries(coeffs=self.coeffs), other)
-        return EpsilonPolynomial([result[j] for j in range(degree + 1)])
-
-    def __add__(self, other):
-        return self._online(_OnlineSeries.__add__, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._online(_OnlineSeries.__sub__, other)
-
-    def __rsub__(self, other):
-        return self._online(_OnlineSeries.__rsub__, other)
-
-    def __neg__(self):
-        return self._online(lambda x, _: -x)
-
-    def __mul__(self, other):
-        return self._online(_OnlineSeries.__mul__, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self._online(_OnlineSeries.__truediv__, scalar)
-
-    def divide_by_epsilon(self, tol_abs=0.0):
-        _require_vanishing(self.coeffs[0], tol_abs)
-        return EpsilonPolynomial(self.coeffs[1:])
-
     def __call__(self, eps):
         acc = 0 * self.coeffs[0]
         for c in reversed(self.coeffs):
@@ -326,19 +276,19 @@ class EpsilonPolynomial:
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Coefficients A_1..A_K with Gevrey diagnostics baked in.
+    """Coefficients A_1..A_K of the profile ``curvature``, with Gevrey
+    diagnostics baked in.
 
     ``a`` stores A_{k} at index k-1 (floats at 53 bits, mpmath floats above).
     ``rel_error_estimates`` carry the measured per-coefficient relative
     difference from a run of the same recursion at ``precision_bits + 64``."""
 
-    family: Optional[IsoparametricFamily]
+    curvature: CurvatureProfile
     K: int
     precision_bits: int
     a: tuple
     gevrey_rho: tuple
     rel_error_estimates: tuple
-    profile_mode: str = COT_SUM
     drift_coefficient: float = 1.0
 
     def coefficient(self, k: int):
@@ -347,11 +297,11 @@ class FormalSeries:
         return self.a[k - 1]
 
     @classmethod
-    def from_coefficients(cls, a_values, precision_bits=DOUBLE_PREC, family=None):
+    def from_coefficients(cls, curvature, a_values, precision_bits=DOUBLE_PREC):
         """Wrap externally supplied coefficients (synthetic series in tests)."""
         a = tuple(a_values)
         return cls(
-            family=family, K=len(a), precision_bits=precision_bits, a=a,
+            curvature=curvature, K=len(a), precision_bits=precision_bits, a=a,
             gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
             rel_error_estimates=(0.0,) * len(a),
         )
@@ -378,7 +328,7 @@ def _self_dot(dot, c, m):
     """[s^m] of the square of the series with coefficients c (needs c_0..c_m).
 
     The s = 0 seed c_0 is a scalar and multiplies c_m from the right, so an
-    epsilon-polynomial c_m forms the product itself (a scalar product is
+    eps series c_m forms the product itself (a scalar product is
     commutative, and mpmath would otherwise try, and fail, to convert c_m).
     Its operands are slices only, so mpmath floats enter as runs of aligned
     mantissas (:class:`_MpSequence`)."""
@@ -410,8 +360,8 @@ class TaylorRecursion:
     * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
 
     They divide only by integers and by values at s = 0, so the pushed
-    coefficients may be floats, mpmath floats or epsilon-polynomials.  Run
-    it inside the working precision of ``ctx``.
+    coefficients may be floats, mpmath floats or eps series.  Run it inside
+    the working precision of ``ctx``.
     """
 
     def __init__(self, profile: CurvatureProfile, ctx: RealContext):
@@ -494,11 +444,11 @@ DEFAULT_K = 40
 SHADOW_EXTRA_BITS = 64
 
 
-def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
-                         profile_mode: str = COT_SUM,
+def compute_coefficients(curvature: CurvatureProfile, K: int, prec: int = DOUBLE_PREC,
                          drift_coefficient: float = 1.0,
                          rel_error_limit: float = 1e-6) -> FormalSeries:
-    """Run the explicit recursion up to A_K at ``prec`` bits.
+    """Run the explicit recursion of the profile ``curvature`` up to A_K at
+    ``prec`` bits.
 
     ``drift_coefficient`` c replaces the drift factor (1 - 2ns) by (c - 2ns),
     which rescales the solution; it exists for the rescaling cross-check and
@@ -509,8 +459,7 @@ def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
     """
     if K < 1:
         raise OutOfRange("K must be >= 1")
-    profile = CurvatureProfile(family, profile_mode)
-    a = _taylor_coefficients(profile, K, prec, drift_coefficient)
+    a = _taylor_coefficients(curvature, K, prec, drift_coefficient)
     for k, v in enumerate(a, start=1):
         if not mpmath.isfinite(v):
             raise PrecisionExhausted(
@@ -518,7 +467,7 @@ def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
                 f"A_{k} overflows at {prec} bits; raise the working precision",
             )
     shadow_prec = prec + SHADOW_EXTRA_BITS
-    shadow = _taylor_coefficients(profile, K, shadow_prec, drift_coefficient)
+    shadow = _taylor_coefficients(curvature, K, shadow_prec, drift_coefficient)
     rel_errs = []
     with mpmath.workprec(shadow_prec):
         for k, (v, ref) in enumerate(zip(a, shadow), start=1):
@@ -532,16 +481,14 @@ def compute_coefficients(family, K: int, prec: int = DOUBLE_PREC,
                 )
             rel_errs.append(rel_err)
     return FormalSeries(
-        family=family, K=K, precision_bits=prec, a=tuple(a),
+        curvature=curvature, K=K, precision_bits=prec, a=tuple(a),
         gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
         rel_error_estimates=tuple(rel_errs),
-        profile_mode=profile_mode,
         drift_coefficient=float(drift_coefficient),
     )
 
 
-def probe_linear_coefficient(family, k: int, prec: int = DOUBLE_PREC,
-                             profile_mode: str = COT_SUM):
+def probe_linear_coefficient(curvature: CurvatureProfile, k: int, prec: int = DOUBLE_PREC):
     """Measured d A_{k+1} / d A_k of the recursion (exactly linear, probed with
     a unit shift), together with the two closed-form candidates.
 
@@ -549,17 +496,17 @@ def probe_linear_coefficient(family, k: int, prec: int = DOUBLE_PREC,
     ``printed`` ((2n + H'(0))k - 4k^2); the recursion follows ``derived``,
     which the k = 1 closed form pins down; the ``printed`` variant differs
     for k >= 2 and the mismatch is reported, not assumed."""
-    series = compute_coefficients(family, K=k, prec=prec, profile_mode=profile_mode)
-    profile = CurvatureProfile(family, profile_mode)
+    series = compute_coefficients(curvature, K=k, prec=prec)
     ctx = RealContext(prec)
     with ctx.workprec():
         gd = list(series.a)
-        base = TaylorRecursion(profile, ctx).push_derivatives(gd)
-        shifted = TaylorRecursion(profile, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
+        base = TaylorRecursion(curvature, ctx).push_derivatives(gd)
+        shifted = TaylorRecursion(curvature, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
         measured = float(shifted - base)
-        hp0 = float(curvature_derivative(profile, ctx.convert(0.0), 1, prec))
-    derived = 2.0 * family.n * k - 4.0 * k * k + hp0
-    printed = (2.0 * family.n + hp0) * k - 4.0 * k * k
+        hp0 = float(curvature_derivative(curvature, ctx.convert(0.0), 1, prec))
+    n = curvature.family.n
+    derived = 2.0 * n * k - 4.0 * k * k + hp0
+    printed = (2.0 * n + hp0) * k - 4.0 * k * k
     return {
         "k": k,
         "measured": measured,
@@ -637,9 +584,6 @@ class EpsilonCorrections:
     (taking B_{N+1} = B_{N+2} = 0): degree N + 1 for k <= 2, N + 3 - k
     above; its constant term is A_k."""
 
-    family: IsoparametricFamily
-    N: int
-    precision_bits: int
     B: tuple                 # B_0 .. B_N
     gamma_eps: tuple         # EpsilonPolynomial for gamma^(k)(0; eps), k = 1..N+1
     slopes: tuple            # measured affine slopes, should be (-1)^m
@@ -658,27 +602,18 @@ class EpsilonCorrections:
 SLOPE_TOL = 1e-6
 
 
-def check_series_matches(series: FormalSeries, family, mode: str):
-    """Raise :class:`OutOfRange` when ``series`` belongs to another family or
-    profile mode than ``family`` and ``mode``, naming both; a series without a
-    family (:meth:`FormalSeries.from_coefficients`) matches any family."""
-    if (series.profile_mode, series.family or family) != (mode, family):
-        raise OutOfRange(f"a series of profile mode {series.profile_mode} and family "
-                         f"{(series.family or family).as_dict()} for a run of profile mode "
-                         f"{mode} and family {family.as_dict()}")
-
-
-def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
-                                series: Optional[FormalSeries] = None) -> EpsilonCorrections:
+def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrections:
     """Determine B_0..B_N so the eps^0 coefficient of every gamma^(k)(0; eps)
-    equals A_k (k <= N+1), in one pass over the lattice of values
+    equals A_k (k <= N+1), for the profile of ``series`` and at its
+    precision, in one pass over the lattice of values
     [eps^j] gamma^(k)(0; eps), taken by diagonals D = k + j.
 
     One engine runs in online epsilon-series arithmetic, and
     [eps^j] gamma^(k+2) = [eps^(j+1)] (k! T_k) - [eps^(j+1)] gamma^(k+1),
     with T_k as :meth:`TaylorRecursion.push` returns it; [eps^i] T_k
-    depends on the lattice only through diagonals <= k + i.  B_m enters as [eps^m] gamma'(0) and -[eps^(m-1)] gamma''(0),
-    both on diagonal m + 1, so stage m finds diagonals <= m fixed.  It takes
+    depends on the lattice only through diagonals <= k + i.  B_m enters as
+    [eps^m] gamma'(0) and -[eps^(m-1)] gamma''(0), both on diagonal m + 1,
+    so stage m finds diagonals <= m fixed.  It takes
     the engine's coefficients on diagonal m once, forms diagonal m + 1 for
     each trial value t = 0, 1, 2 of B_m (m subtractions), fits B_m from the
     affine dependence of its eps^0 end, with slope (-1)^m asserted and the
@@ -690,13 +625,9 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     Each coefficient is formed by the same operations, in the same order, as
     an engine run from scratch for one trial value forms it, and every check
     a sequence of such runs makes is made here, with the same tolerance and
-    in the same order.  A ``series`` of another family than ``family`` raises
-    :class:`OutOfRange` naming both (:func:`check_series_matches`)."""
+    in the same order."""
     if N < 1:
         raise OutOfRange("N must be >= 1")
-    if series is None:
-        series = compute_coefficients(family, K=N + 2, prec=prec)
-    check_series_matches(series, family, series.profile_mode)
     if series.K < N + 1:
         raise OutOfRange(f"series must carry at least N+1 = {N + 1} coefficients")
     if series.drift_coefficient != 1.0:
@@ -705,7 +636,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
     for k in range(1, N + 2):
         if not mpmath.isfinite(series.coefficient(k)):
             raise OutOfRange(f"A_{k} is not finite: {series.coefficient(k)}")
-    profile = CurvatureProfile(family, series.profile_mode)
+    profile, prec = series.curvature, series.precision_bits
     ctx = RealContext(prec)
     eps_m = machine_eps(prec)
     with ctx.workprec():
@@ -817,7 +748,7 @@ def compute_epsilon_corrections(family, N: int, prec: int = DOUBLE_PREC,
         fix(diagonal(N + 3, None, -zero))
         audit(N + 1, N + 1)
     return EpsilonCorrections(
-        family=family, N=N, precision_bits=prec, B=tuple(b),
+        B=tuple(b),
         gamma_eps=tuple(EpsilonPolynomial(row.coeffs) for row in rows[1:]),
         slopes=tuple(slopes), max_snap_residual=float(max(resid[1:])),
     )
@@ -888,8 +819,8 @@ def series_value_tail(series: FormalSeries, s, start_k: int = 2) -> TruncatedVal
 
 def series_to_json_dict(series: FormalSeries) -> dict:
     return {
-        "family": series.family.as_dict() if series.family else None,
-        "profile_mode": series.profile_mode,
+        "family": series.curvature.family.as_dict(),
+        "profile_mode": series.curvature.mode,
         "K": series.K,
         "precision_bits": series.precision_bits,
         "A": [decimal_str(v, series.precision_bits) for v in series.a],
@@ -903,16 +834,16 @@ def series_to_json(series: FormalSeries) -> str:
 
 
 def series_from_json(text: str) -> FormalSeries:
+    """The series of a ``coeffs`` record; its family and profile mode are
+    validated as they are read (:class:`UnsupportedMode` for an unknown mode)."""
     rec = json.loads(text)
-    fam = None
-    if rec.get("family"):
-        f = rec["family"]
-        fam = make_family(f["g"], f["m_minus"], f["m_plus"], f["n"], f["theta1"])
+    f = rec["family"]
+    fam = make_family(f["g"], f["m_minus"], f["m_plus"], f["n"], f["theta1"])
     prec = rec["precision_bits"]
     a = tuple(parse_real(t, prec) for t in rec["A"])
     return FormalSeries(
-        family=fam, K=rec["K"], precision_bits=prec, a=a,
+        curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
+        K=rec["K"], precision_bits=prec, a=a,
         gevrey_rho=tuple(rec["gevrey"]),
         rel_error_estimates=tuple(rec.get("rel_error_estimates", [0.0] * len(a))),
-        profile_mode=rec.get("profile_mode", COT_SUM),
     )

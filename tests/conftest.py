@@ -28,12 +28,12 @@ def fam2():
 
 @pytest.fixture(scope="session")
 def series1(fam1):
-    return compute_coefficients(fam1, 36)
+    return compute_coefficients(CurvatureProfile(fam1), 36)
 
 
 @pytest.fixture(scope="session")
 def series2(fam2):
-    return compute_coefficients(fam2, 36)
+    return compute_coefficients(CurvatureProfile(fam2), 36)
 
 
 @pytest.fixture(scope="session")

@@ -270,7 +270,7 @@ class TestMinimalDistance:
         object.__setattr__(bad, "theta1", math.pi / 3)
         object.__setattr__(bad, "theta", (math.pi / 3, math.pi / 3 + math.pi / 2))
         with pytest.raises(RootNotBracketed):
-            minimal_distance(bad)
+            minimal_distance(CurvatureProfile(bad))
 
 
 class TestLiteralMode:
@@ -286,7 +286,7 @@ class TestLiteralMode:
     def test_g2_minimal_level_discrepancy(self):
         # literal zero at f = (p-q)/(p+q+2); classical at tan^2 = q/p
         fam = make_family(2, 1, 2, 4, math.pi / 6)
-        d0_lit = minimal_distance(fam, mode=EQ030_LITERAL)
+        d0_lit = minimal_distance(CurvatureProfile(fam, EQ030_LITERAL))
         f_star = (1 - 2) / (1 + 2 + 2)
         expect = math.acos(f_star) / 2 - math.pi / 6
         assert d0_lit == pytest.approx(expect, abs=1e-9)

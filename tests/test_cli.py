@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coneshrink.catalog import EQ030_LITERAL, builtin_catalog, minimal_distance
+from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, minimal_distance
 from coneshrink.cli import main
 
 FAM1_FLAGS = ["--g", "1", "--m", "1", "--n", "2", "--theta1", "0.7853981633974483"]
@@ -155,9 +155,9 @@ class TestSolve:
         seen = []
         original = series.compute_coefficients
 
-        def recording(family, K, prec, **kw):
+        def recording(curvature, K, prec, **kw):
             seen.append(prec)
-            return original(family, K, prec, **kw)
+            return original(curvature, K, prec, **kw)
 
         monkeypatch.setattr(series, "compute_coefficients", recording)
         code, _, _ = run(["solve", *FAM1_FLAGS, "--tol", "1e-10", "--precision", "256",
@@ -307,7 +307,7 @@ class TestEq030Solve:
     def test_unequal_multiplicities_use_their_own_d0(self, tmp_path, capsys):
         # the eq030 H of g2_product_12 changes sign before the cot-sum d0
         fam = builtin_catalog()["g2_product_12"]
-        d0 = minimal_distance(fam, EQ030_LITERAL)
+        d0 = minimal_distance(CurvatureProfile(fam, EQ030_LITERAL))
         assert d0 < fam.d0 - 0.01
         code, out, err = run(["solve", *_builtin_flags("g2_product_12"),
                               "--profile-mode", "eq030", "--out", str(tmp_path)], capsys)

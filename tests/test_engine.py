@@ -54,35 +54,35 @@ class TestPartitionOracle:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_binary64_k30(self, name):
         fam = CATALOG[name]
-        got = compute_coefficients(fam, 30).a
+        got = compute_coefficients(CurvatureProfile(fam), 30).a
         assert max_rel_diff(got, partition_oracle(fam, 30, 53), 53) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_256_bits_k40(self, name):
         fam = CATALOG[name]
-        got = compute_coefficients(fam, 40, 256).a
+        got = compute_coefficients(CurvatureProfile(fam), 40, 256).a
         assert max_rel_diff(got, partition_oracle(fam, 40, 256), 256) <= 1e-60
 
     def test_eq030_literal_first_nine(self, fam1):
-        got = compute_coefficients(fam1, 9, 256, profile_mode=EQ030_LITERAL).a
+        got = compute_coefficients(CurvatureProfile(fam1, EQ030_LITERAL), 9, 256).a
         expect = partition_oracle(fam1, 9, 256, EQ030_LITERAL)
         assert max_rel_diff(got, expect, 256) <= 1e-10
 
     def test_eq030_literal_256_bits_k40(self, fam1):
-        got = compute_coefficients(fam1, 40, 256, profile_mode=EQ030_LITERAL).a
+        got = compute_coefficients(CurvatureProfile(fam1, EQ030_LITERAL), 40, 256).a
         expect = partition_oracle(fam1, 40, 256, EQ030_LITERAL)
         assert max_rel_diff(got, expect, 256) <= 1e-60
 
     def test_eq030_literal_default_order(self, fam1):
-        fs = compute_coefficients(fam1, 40, profile_mode=EQ030_LITERAL)
+        fs = compute_coefficients(CurvatureProfile(fam1, EQ030_LITERAL), 40)
         assert all(mpmath.isfinite(v) for v in fs.a)
         assert max(fs.rel_error_estimates) < 1e-6
 
 
 class TestShadowAudit:
     def test_estimates_are_measured_differences(self, fam1):
-        fs = compute_coefficients(fam1, 40)
-        shadow = compute_coefficients(fam1, 40, 53 + SHADOW_EXTRA_BITS).a
+        fs = compute_coefficients(CurvatureProfile(fam1), 40)
+        shadow = compute_coefficients(CurvatureProfile(fam1), 40, 53 + SHADOW_EXTRA_BITS).a
         with mpmath.workprec(53 + SHADOW_EXTRA_BITS):
             expect = [float(abs(v - ref) / abs(ref)) for v, ref in zip(fs.a, shadow)]
         assert list(fs.rel_error_estimates) == expect
@@ -91,19 +91,19 @@ class TestShadowAudit:
     def test_binary64_overflow_raises(self, fam1):
         # |A_k| passes the binary64 range near k = 87
         with pytest.raises(PrecisionExhausted) as err:
-            compute_coefficients(fam1, 100)
+            compute_coefficients(CurvatureProfile(fam1), 100)
         assert "overflows" in str(err.value)
         assert "precision" in str(err.value)
 
     def test_deep_order_at_512_bits(self, fam1):
-        deep = compute_coefficients(fam1, 150, 512)
+        deep = compute_coefficients(CurvatureProfile(fam1), 150, 512)
         assert all(mpmath.isfinite(v) for v in deep.a)
-        assert deep.a[:40] == compute_coefficients(fam1, 40, 512).a
+        assert deep.a[:40] == compute_coefficients(CurvatureProfile(fam1), 40, 512).a
 
 
 class TestNoPartitionSums:
     def test_partition_cache_stays_empty(self, fam1):
         jets._partition_cache.clear()
-        fs = compute_coefficients(fam1, 40)
-        compute_epsilon_corrections(fam1, 8, series=fs)
+        fs = compute_coefficients(CurvatureProfile(fam1), 40)
+        compute_epsilon_corrections(fs, 8)
         assert len(jets._partition_cache) == 0

@@ -19,58 +19,67 @@ from coneshrink.errors import (
 from coneshrink.numutil import RealContext, machine_eps
 from coneshrink.series import (
     EpsilonPolynomial,
-    FormalSeries,
     TaylorRecursion,
     compute_coefficients,
     compute_epsilon_corrections,
 )
 
 
+def _leaf(coeffs):
+    """An online series that knows ``coeffs`` and no more."""
+    return series_mod._OnlineSeries(coeffs=coeffs)
+
+
+def _prefix(x, n):
+    """The bits of the first n coefficients of the online series x."""
+    return [_bits(x[j]) for j in range(n)]
+
+
+def _bits_of(values):
+    return [_bits(v) for v in values]
+
+
 class TestEpsilonPolynomial:
+    """The online eps-series ring (:class:`_OnlineSeries`) on leaves, and the
+    :class:`EpsilonPolynomial` prefixes it hands out."""
+
     def test_ring_ops_close_at_degree(self):
-        a = EpsilonPolynomial((1.0, 2.0, 3.0))
-        b = EpsilonPolynomial((0.5, -1.0, 4.0))
-        assert (a + b).coeffs == (1.5, 1.0, 7.0)
-        assert (a - b).coeffs == (0.5, 3.0, -1.0)
+        a = _leaf((1.0, 2.0, 3.0))
+        b = _leaf((0.5, -1.0, 4.0))
+        assert _prefix(a + b, 3) == _bits_of((1.5, 1.0, 7.0))
+        assert _prefix(a - b, 3) == _bits_of((0.5, 3.0, -1.0))
         prod = a * b
-        assert prod.degree == 2
-        assert prod.coeffs == (0.5, 0.0, 3.5)  # truncated at degree 2
+        assert _prefix(prod, 3) == _bits_of((0.5, 0.0, 3.5))
+        with pytest.raises(IndexError):  # known through degree 2 only
+            prod[3]
 
     def test_scalar_ops(self):
-        a = EpsilonPolynomial((1.0, 2.0))
-        assert (3 * a).coeffs == (3.0, 6.0)
-        assert (a + 1.5).coeffs == (2.5, 2.0)
-        assert (a / 2).coeffs == (0.5, 1.0)
+        a = _leaf((1.0, 2.0))
+        assert _prefix(3 * a, 2) == _bits_of((3.0, 6.0))
+        assert _prefix(a + 1.5, 2) == _bits_of((2.5, 2.0))
+        assert _prefix(a / 2, 2) == _bits_of((0.5, 1.0))
 
     def test_degree_mismatch(self):
         """Mixed degrees are known only through the lower one: the result is
         the equal-degree operation truncated there."""
-        a = EpsilonPolynomial((1.0, 2.0))
-        b = EpsilonPolynomial((0.5, -1.0, 4.0))
-        b1 = EpsilonPolynomial(b.coeffs[:2])
+        a = _leaf((1.0, 2.0))
+        b = _leaf((0.5, -1.0, 4.0))
+        b1 = _leaf(b.coeffs[:2])
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-            assert op(a, b).degree == 1
-            assert op(a, b).coeffs == op(a, b1).coeffs
-            assert op(b, a).coeffs == op(b1, a).coeffs
-        assert (a * b).coeffs == (0.5, 0.0)
-        assert (b + a).coeffs == (1.5, 1.0)
-
-    def test_divide_by_epsilon_shifts(self):
-        """The shift loses one order; nothing is invented at the top."""
-        p = EpsilonPolynomial((0.0, 5.0, -2.0))
-        q = p.divide_by_epsilon()
-        assert q.coeffs == (5.0, -2.0)
-        assert q.degree == p.degree - 1
+            with pytest.raises(IndexError):
+                op(a, b)[2]
+            assert _prefix(op(a, b), 2) == _prefix(op(a, b1), 2)
+            assert _prefix(op(b, a), 2) == _prefix(op(b1, a), 2)
+        assert _prefix(a * b, 2) == _bits_of((0.5, 0.0))
+        assert _prefix(b + a, 2) == _bits_of((1.5, 1.0))
 
     def test_no_order_left(self):
-        with pytest.raises(OutOfRange):
-            EpsilonPolynomial((0.0,)).divide_by_epsilon()
         with pytest.raises(OutOfRange):
             EpsilonPolynomial(())
 
     def test_divide_by_epsilon_requires_vanishing_constant(self):
         with pytest.raises(DivisionByEpsilonFailed):
-            EpsilonPolynomial((1e-3, 5.0)).divide_by_epsilon(tol_abs=1e-9)
+            series_mod._require_vanishing(1e-3, 1e-9)
 
     def test_evaluation(self):
         p = EpsilonPolynomial((1.0, 2.0, 3.0))
@@ -84,46 +93,41 @@ _coefficient = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @given(st.lists(_coefficient, min_size=1, max_size=8),
        st.lists(_coefficient, min_size=1, max_size=8))
 def test_mixed_degrees_truncate(xs, ys):
-    """Sum, difference and product of mixed-degree polynomials equal the
+    """Sum, difference and product of mixed-degree online series equal the
     full-degree operations truncated at the lower degree, coefficient for
-    coefficient; every division by eps lowers the degree by one."""
-    a, b = EpsilonPolynomial(xs), EpsilonPolynomial(ys)
+    coefficient, and know no order beyond it."""
+    a, b = _leaf(xs), _leaf(ys)
     n = min(len(xs), len(ys))
     pad = max(len(xs), len(ys))
-    a_full = EpsilonPolynomial(xs + [0.0] * (pad - len(xs)))
-    b_full = EpsilonPolynomial(ys + [0.0] * (pad - len(ys)))
-    assert (a + b).coeffs == (a_full + b_full).coeffs[:n]
-    assert (a - b).coeffs == (a_full - b_full).coeffs[:n]
-    assert (a * b).coeffs == (a_full * b_full).coeffs[:n]
-    p = a.with_constant(0.0)
-    while p.degree > 0:
-        q = p.divide_by_epsilon()
-        assert q.degree == p.degree - 1
-        assert q.coeffs == p.coeffs[1:]
-        p = q.with_constant(0.0)
+    a_full = _leaf(xs + [0.0] * (pad - len(xs)))
+    b_full = _leaf(ys + [0.0] * (pad - len(ys)))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        assert _prefix(op(a, b), n) == _prefix(op(a_full, b_full), n)
+        with pytest.raises(IndexError):
+            op(a, b)[n]
 
 
 class TestCorrections:
     def test_b0_b1(self, fam1, series1):
-        corr = compute_epsilon_corrections(fam1, 4, series=series1)
+        corr = compute_epsilon_corrections(series1, 4)
         assert float(corr.B[0]) == float(series1.coefficient(1))  # H(0)
         assert float(corr.B[1]) == -float(series1.coefficient(2))
         assert float(corr.B[1]) == pytest.approx(2.0, abs=1e-13)
 
     def test_constant_terms_match_exactly(self, fam1, series1):
         n = 8
-        corr = compute_epsilon_corrections(fam1, n, series=series1)
+        corr = compute_epsilon_corrections(series1, n)
         for k in range(1, n + 2):
             assert float(corr.gamma_eps[k - 1].const) == float(series1.coefficient(k))
 
     def test_affine_slopes_alternate(self, fam1, series1):
-        corr = compute_epsilon_corrections(fam1, 6, series=series1)
+        corr = compute_epsilon_corrections(series1, 6)
         for i, slope in enumerate(corr.slopes):
             m = i + 2
             assert slope == pytest.approx((-1.0) ** m, abs=1e-9)
 
     def test_second_family(self, fam2, series2):
-        corr = compute_epsilon_corrections(fam2, 6, series=series2)
+        corr = compute_epsilon_corrections(series2, 6)
         assert float(corr.B[0]) == pytest.approx(2 / math.sqrt(3), rel=1e-14)
         for k in range(1, 8):
             assert float(corr.gamma_eps[k - 1].const) == float(series2.coefficient(k))
@@ -133,25 +137,23 @@ class TestCorrections:
         gamma^(j)(0; eps) by (-1)^(j-1) delta and leaves the eps^0
         coefficients through order j untouched."""
         n = 6
-        base = compute_epsilon_corrections(fam1, n, series=series1)
-        from coneshrink.catalog import CurvatureProfile
-        from coneshrink.numutil import RealContext
-        from coneshrink.series import TaylorRecursion
+        base = compute_epsilon_corrections(series1, n)
         prof = CurvatureProfile(fam1)
         ctx = RealContext(53)
         delta = 0.125
 
         def run(b_vals, upto, degree):
-            g1 = EpsilonPolynomial(tuple(b_vals) + (0.0,) * (degree + 1 - len(b_vals)))
+            g1 = _FixedDegreePolynomial(tuple(b_vals)
+                                        + (0.0,) * (degree + 1 - len(b_vals)))
             g2_coeffs = tuple(-b for b in (list(b_vals[1:]) + [0.0] * (degree + 2)))
-            polys = [None, g1, EpsilonPolynomial(g2_coeffs[: degree + 1])]
+            polys = [None, g1, _FixedDegreePolynomial(g2_coeffs[: degree + 1])]
             engine = TaylorRecursion(prof, ctx)
             for k in range(1, upto - 1):
                 rhs = engine.push_derivatives(polys[1: k + 1])
                 num = rhs - polys[k + 1]
                 # perturbed runs have nonvanishing constants downstream of j:
                 # drop them explicitly to keep shifting
-                polys.append(EpsilonPolynomial(num.coeffs[1:] + (0.0,)))
+                polys.append(_FixedDegreePolynomial(num.coeffs[1:] + (0.0,)))
             return polys
 
         degree = n + 1
@@ -165,22 +167,18 @@ class TestCorrections:
                 assert float(pert[l].const) == pytest.approx(float(ref[l].const),
                                                              rel=1e-12)
             # eps^1 of gamma^(j) moves by (-1)^(j-1) delta
-            shift = float(pert[j].coefficient(1) - ref[j].coefficient(1))
+            shift = float(pert[j].coeffs[1] - ref[j].coeffs[1])
             assert shift == pytest.approx((-1.0) ** (j - 1) * delta, rel=1e-9)
 
     def test_inconsistent_series_detected(self, fam1, series1):
         bad_a = list(series1.a)
         bad_a[2] = bad_a[2] + 0.5  # corrupt A_3
-        bad = FormalSeries(
-            family=series1.family, K=series1.K, precision_bits=53,
-            a=tuple(bad_a), gevrey_rho=series1.gevrey_rho,
-            rel_error_estimates=series1.rel_error_estimates,
-        )
+        bad = replace(series1, a=tuple(bad_a))
         with pytest.raises(DivisionByEpsilonFailed):
-            compute_epsilon_corrections(fam1, 6, series=bad)
+            compute_epsilon_corrections(bad, 6)
 
     def test_initial_slope_and_curvature(self, fam1, series1):
-        corr = compute_epsilon_corrections(fam1, 4, series=series1)
+        corr = compute_epsilon_corrections(series1, 4)
         eps = 1e-3
         b_direct = sum(float(b) * eps ** i for i, b in enumerate(corr.B))
         assert float(corr.initial_slope(eps)) == pytest.approx(b_direct, rel=1e-14)
@@ -189,16 +187,9 @@ class TestCorrections:
         assert float(corr.initial_curvature(eps)) == pytest.approx(c_direct, rel=1e-13)
 
     def test_needs_drift_one(self, fam1):
-        scaled = compute_coefficients(fam1, 8, drift_coefficient=2.0)
+        scaled = compute_coefficients(CurvatureProfile(fam1), 8, drift_coefficient=2.0)
         with pytest.raises(OutOfRange):
-            compute_epsilon_corrections(fam1, 4, series=scaled)
-
-    def test_series_of_another_family_raises(self):
-        # named up front, where the fit would fail on a constant that must vanish
-        cat = builtin_catalog()
-        series = compute_coefficients(cat["g1_sphere_n2"], 12)
-        with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
-            compute_epsilon_corrections(cat["g2_product_11"], 6, series=series)
+            compute_epsilon_corrections(scaled, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +271,10 @@ def _oracle_self_dot(dot, c, m):
     return acc
 
 
-def _oracle_corrections(family, N, prec, series):
+def _oracle_corrections(series, N):
     """B, slopes, max snap residual and the gamma^(k)(0; eps) of the
     fixed-degree ring, every run at degree N + 1."""
-    profile = CurvatureProfile(family, series.profile_mode)
+    profile, prec = series.curvature, series.precision_bits
     ctx = RealContext(prec)
     degree = N + 1
     eps_m = machine_eps(prec)
@@ -352,17 +343,17 @@ def test_truncated_ring_matches_fixed_degree_oracle(prec, monkeypatch):
     prefix of the fixed-degree one; where the oracle raises, so does it."""
     N = 8
     for name, fam in builtin_catalog().items():
-        fs = compute_coefficients(fam, N + 2, prec)
+        fs = compute_coefficients(CurvatureProfile(fam), N + 2, prec)
         try:
             with monkeypatch.context() as mp:
                 mp.setattr(series_mod, "_self_dot", _oracle_self_dot)
-                oracle = _oracle_corrections(fam, N, prec, fs)
+                oracle = _oracle_corrections(fs, N)
         except ConeShrinkError as exc:
             assert prec == 53, name
             with pytest.raises(type(exc)):
-                compute_epsilon_corrections(fam, N, prec, series=fs)
+                compute_epsilon_corrections(fs, N)
             continue
-        corr = compute_epsilon_corrections(fam, N, prec, series=fs)
+        corr = compute_epsilon_corrections(fs, N)
         b, slopes, worst, polys = oracle
         assert [_bits(x) for x in corr.B] == [_bits(x) for x in b], name
         assert [_bits(x) for x in corr.slopes] == [_bits(x) for x in slopes], name
@@ -386,7 +377,7 @@ def test_no_failed_mpmath_conversions(fam1, monkeypatch):
 
     monkeypatch.setattr(mpmath.mp, "_convert_fallback", counting)
     for fam in (fam1, builtin_catalog()["g6_m2"]):
-        compute_epsilon_corrections(fam, 8, 256, series=compute_coefficients(fam, 10, 256))
+        compute_epsilon_corrections(compute_coefficients(CurvatureProfile(fam), 10, 256), 8)
     assert calls == []
 
 
@@ -396,11 +387,11 @@ def test_unresolved_trial_step_names_precision():
     suffice."""
     fam = builtin_catalog()["g3_m4"]
     with pytest.raises(NonlinearDependence, match=r"--precision (\d+)") as info:
-        compute_epsilon_corrections(fam, 8, 53, series=compute_coefficients(fam, 10, 53))
+        compute_epsilon_corrections(compute_coefficients(CurvatureProfile(fam), 10, 53), 8)
     needed = int(re.search(r"--precision (\d+)", str(info.value)).group(1))
     assert "rounding unit" in str(info.value)
-    corr = compute_epsilon_corrections(fam, 8, needed,
-                                       series=compute_coefficients(fam, 10, needed))
+    corr = compute_epsilon_corrections(
+        compute_coefficients(CurvatureProfile(fam), 10, needed), 8)
     assert corr.slopes == pytest.approx([(-1.0) ** m for m in range(2, 9)], abs=1e-6)
 
 
@@ -415,9 +406,9 @@ def test_one_engine_per_corrections_call(monkeypatch):
             super().__init__(*args)
 
     fam = builtin_catalog()["g3_m1"]
-    fs = compute_coefficients(fam, 10, 256)
+    fs = compute_coefficients(CurvatureProfile(fam), 10, 256)
     monkeypatch.setattr(series_mod, "TaylorRecursion", Counting)
-    compute_epsilon_corrections(fam, 8, 256, series=fs)
+    compute_epsilon_corrections(fs, 8)
     assert len(built) == 1
 
 
@@ -427,11 +418,11 @@ def test_precision_advice_past_the_float_range():
     ceil(log2(max |A_k| / SLOPE_TOL)) + 1 over k <= N + 1."""
     fam = builtin_catalog()["g3_m1"]
     N, prec = 90, 64
-    fs = compute_coefficients(fam, N + 2, prec)
+    fs = compute_coefficients(CurvatureProfile(fam), N + 2, prec)
     largest = max(abs(fs.coefficient(k)) for k in range(1, N + 2))
     assert largest > mpmath.mpf(sys.float_info.max)
     with pytest.raises(NonlinearDependence, match=r"--precision (\d+) or more") as info:
-        compute_epsilon_corrections(fam, N, prec, series=fs)
+        compute_epsilon_corrections(fs, N)
     needed = int(re.search(r"--precision (\d+)", str(info.value)).group(1))
     with mpmath.workprec(4 * prec):
         assert needed == int(mpmath.ceil(mpmath.log(largest / series_mod.SLOPE_TOL, 2))) + 1
@@ -462,9 +453,9 @@ def test_second_difference_check_past_the_float_range(fam1, monkeypatch):
             return [rhs[0], _CurvedEntry()]
 
     monkeypatch.setattr(series_mod, "TaylorRecursion", Curved)
-    fs = compute_coefficients(fam1, 10, 64)
+    fs = compute_coefficients(CurvatureProfile(fam1), 10, 64)
     with pytest.raises(NonlinearDependence) as info:
-        compute_epsilon_corrections(fam1, 8, 64, series=fs)
+        compute_epsilon_corrections(fs, 8)
     message = str(info.value)
     assert message.startswith("second difference 2.000e+396 at correction order 2; ")
     assert "coefficient of size 1.000e+400 at 64 bits" in message
@@ -476,11 +467,11 @@ def test_vanishing_constant_tolerance_is_the_programs(fam1):
     0.567 leaves the constant 0.567 where 64 sqrt(eps) times the largest
     |coefficient| allows 3.210978e-02.  (The fixed-degree oracle pads every
     numerator to degree N + 1 and allows more.)"""
-    fs = compute_coefficients(fam1, 10, 53)
+    fs = compute_coefficients(CurvatureProfile(fam1), 10, 53)
     a = list(fs.a)
     a[3] = a[3] - 0.567
     with pytest.raises(DivisionByEpsilonFailed) as info:
-        compute_epsilon_corrections(fam1, 8, 53, series=replace(fs, a=tuple(a)))
+        compute_epsilon_corrections(replace(fs, a=tuple(a)), 8)
     assert str(info.value) == "constant term 5.670000e-01 exceeds tolerance 3.210978e-02"
 
 
@@ -496,10 +487,10 @@ def test_dropped_constant_past_the_float_range_raises(monkeypatch):
             return rhs + mpmath.mpf("1e400") if len(derivs) == 1 else rhs
 
     fam = builtin_catalog()["g1_sphere_n2"]
-    fs = compute_coefficients(fam, 10, 64)
+    fs = compute_coefficients(CurvatureProfile(fam), 10, 64)
     monkeypatch.setattr(series_mod, "TaylorRecursion", Shifted)
     with pytest.raises(DivisionByEpsilonFailed) as info:
-        compute_epsilon_corrections(fam, 8, 64, series=fs)
+        compute_epsilon_corrections(fs, 8)
     assert str(info.value) == "constant term 1.000000e+400 exceeds tolerance 2.107342e+392"
 
 
@@ -510,12 +501,12 @@ def test_dropped_constant_under_a_trial_past_the_float_range_raises():
     scale of the tolerance, which the constant exceeds.  (Float scales let
     it pass, and the run ended in a slope that asked for more bits.)"""
     fam = builtin_catalog()["g1_sphere_n2"]
-    fs = compute_coefficients(fam, 10, 64)
+    fs = compute_coefficients(CurvatureProfile(fam), 10, 64)
     a = list(fs.a)
     with mpmath.workprec(64):
         a[5] = a[5] * (1 + mpmath.mpf(10) ** 300)
     with pytest.raises(DivisionByEpsilonFailed) as info:
-        compute_epsilon_corrections(fam, 8, 64, series=replace(fs, a=tuple(a)))
+        compute_epsilon_corrections(replace(fs, a=tuple(a)), 8)
     assert str(info.value) == "constant term 2.008896e+306 exceeds tolerance 7.196834e+300"
 
 
@@ -549,12 +540,12 @@ def test_pin_residual_past_the_float_range_raises(fam1, monkeypatch):
                 return rhs
             return _Replaced(rhs, 1, _MisfitEntry())
 
-    fs = compute_coefficients(fam1, 10, 64)
+    fs = compute_coefficients(CurvatureProfile(fam1), 10, 64)
     a = list(fs.a)
     a[2] = mpmath.mpf("1e400")
     monkeypatch.setattr(series_mod, "TaylorRecursion", Misfit)
     with pytest.raises(DivisionByEpsilonFailed) as info:
-        compute_epsilon_corrections(fam1, 8, 64, series=replace(fs, a=tuple(a)))
+        compute_epsilon_corrections(replace(fs, a=tuple(a)), 8)
     assert str(info.value).startswith("eps^0 coefficient of derivative 3 is off by 1.000e+400; ")
 
 
@@ -562,9 +553,9 @@ def test_pin_residual_past_the_float_range_raises(fam1, monkeypatch):
 def test_non_finite_series_raises(fam1, prec):
     """A non-finite A_k is rejected at entry, naming k: at 53 bits every
     later check would compare False against a nan and pass."""
-    fs = compute_coefficients(fam1, 10, prec)
+    fs = compute_coefficients(CurvatureProfile(fam1), 10, prec)
     a = list(fs.a)
     a[4] = a[4] * math.inf
     with pytest.raises(OutOfRange) as info:
-        compute_epsilon_corrections(fam1, 8, prec, series=replace(fs, a=tuple(a)))
+        compute_epsilon_corrections(replace(fs, a=tuple(a)), 8)
     assert re.fullmatch(r"A_5 is not finite: \+?inf", str(info.value))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, from_rational
 
 from coneshrink import series as series_mod
-from coneshrink.catalog import builtin_catalog
+from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import OutOfRange
 from coneshrink.series import compute_coefficients, compute_epsilon_corrections
 
@@ -135,8 +135,8 @@ def _bits(x):
 
 
 def _record(fam, prec, mode):
-    fs = compute_coefficients(fam, 24, prec, profile_mode=mode)
-    corr = compute_epsilon_corrections(fam, 8, prec, series=fs)
+    fs = compute_coefficients(CurvatureProfile(fam, mode), 24, prec)
+    corr = compute_epsilon_corrections(fs, 8)
     return {
         "A": [_bits(v) for v in fs.a],
         "rel_error_estimates": [_bits(v) for v in fs.rel_error_estimates],

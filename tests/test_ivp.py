@@ -43,7 +43,7 @@ class TestGammaRhs:
 
     def test_regularized_initial_curvature(self, fam1, series1):
         # at s = 0 with slope B(eps): gamma'' = (H(0) - B(eps))/eps
-        corr = compute_epsilon_corrections(fam1, 6, series=series1)
+        corr = compute_epsilon_corrections(series1, 6)
         prof = CurvatureProfile(fam1)
         for eps in (1e-2, 1e-3):
             b = float(corr.initial_slope(eps))
@@ -155,7 +155,7 @@ class TestIntegrateGamma:
     def test_fallback_engages_for_regularized(self, fam1, series1):
         # eps small enough that the explicit layer needs more steps than the
         # budget allows: the implicit fallback takes over and finishes
-        corr = compute_epsilon_corrections(fam1, 6, series=series1)
+        corr = compute_epsilon_corrections(series1, 6)
         eps = 1e-6
         cfg = SolverConfig(tol=1e-8, eps=eps, max_steps=100)
         prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg,
@@ -302,6 +302,13 @@ class TestEpsilonStudy:
         assert seen == list(eps_list)
         assert given == own
 
+    def test_series_of_another_family_raises(self, fam2, series1, solved1):
+        # named up front: with the eps = 0 profile given, every eps > 0 run
+        # would fail alone and the study would report too few runs instead
+        with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
+            epsilon_convergence_study(CurvatureProfile(fam2), SolverConfig(tol=1e-10),
+                                      (1e-2, 3e-3, 1e-3), series=series1, direct=solved1)
+
     def test_eps_list_validation(self, fam1):
         with pytest.raises(OutOfRange):
             epsilon_convergence_study(CurvatureProfile(fam1), SolverConfig(),
@@ -396,9 +403,10 @@ class TestContinuePhi:
         from coneshrink.errors import BlowUpDetected
         from coneshrink.series import compute_coefficients
         fam = builtin_catalog()["g6_m2"]
-        fs = compute_coefficients(fam, 36)
+        curvature = CurvatureProfile(fam)
+        fs = compute_coefficients(curvature, 36)
         cfg = SolverConfig(tol=1e-10)
-        dp = to_d_profile(integrate_gamma(CurvatureProfile(fam), fs, cfg))
+        dp = to_d_profile(integrate_gamma(curvature, fs, cfg))
         with pytest.raises(BlowUpDetected) as err:
             continue_phi(dp, config=cfg)
         assert err.value.d > fam.d0  # it did get past the minimal member
@@ -424,10 +432,10 @@ def builtin_d_profile():
 
     def get(name):
         if name not in cache:
-            fam = builtin_catalog()[name]
+            curvature = CurvatureProfile(builtin_catalog()[name])
             config = SolverConfig()
-            series = compute_coefficients(fam, config.series_K)
-            cache[name] = to_d_profile(integrate_gamma(CurvatureProfile(fam), series, config))
+            series = compute_coefficients(curvature, config.series_K)
+            cache[name] = to_d_profile(integrate_gamma(curvature, series, config))
         return cache[name]
 
     return get
@@ -527,7 +535,7 @@ class TestCsvRoundTrip:
         # energy monitor; under the cot-sum H it reads 0.1 on this family
         from coneshrink.catalog import builtin_catalog
         curvature = CurvatureProfile(builtin_catalog()["g2_product_12"], EQ030_LITERAL)
-        series = compute_coefficients(curvature.family, 40, profile_mode=EQ030_LITERAL)
+        series = compute_coefficients(curvature, 40)
         run = integrate_gamma(curvature, series, SolverConfig(tol=1e-10))
         assert np.max(np.abs(run["energy_residual"])) <= 1e-8
         path = tmp_path / "s.csv"

@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from coneshrink.catalog import builtin_catalog
-from coneshrink.errors import NoUsefulTruncation, OutOfRange, PrecisionExhausted
+from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog
+from coneshrink.errors import NoUsefulTruncation, OutOfRange, PrecisionExhausted, UnsupportedMode
 from coneshrink.series import (
     FormalSeries,
     compute_coefficients,
@@ -26,10 +26,10 @@ class TestClosedForms:
         assert float(series1.coefficient(3)) == pytest.approx(24.0, abs=1e-11)
 
     def test_a1_a2_all_catalog_families(self):
-        from coneshrink.catalog import CurvatureProfile, curvature_derivative, mean_curvature
+        from coneshrink.catalog import curvature_derivative, mean_curvature
         for name, fam in builtin_catalog().items():
-            fs = compute_coefficients(fam, 2)
             prof = CurvatureProfile(fam)
+            fs = compute_coefficients(prof, 2)
             h0 = mean_curvature(prof, 0.0)
             hp = curvature_derivative(prof, 0.0, 1)
             a1 = float(fs.coefficient(1))
@@ -38,21 +38,21 @@ class TestClosedForms:
             assert a2 == pytest.approx((2 * fam.n + hp - 4) * h0, rel=1e-13), name
 
     def test_prefix_stability(self, fam1):
-        short = compute_coefficients(fam1, 8)
-        longer = compute_coefficients(fam1, 14)
+        short = compute_coefficients(CurvatureProfile(fam1), 8)
+        longer = compute_coefficients(CurvatureProfile(fam1), 14)
         for k in range(1, 9):
             assert float(short.coefficient(k)) == float(longer.coefficient(k))
 
     def test_precision_agreement_k15(self, fam1):
-        lo = compute_coefficients(fam1, 15, prec=53)
-        hi = compute_coefficients(fam1, 15, prec=256)
+        lo = compute_coefficients(CurvatureProfile(fam1), 15, prec=53)
+        hi = compute_coefficients(CurvatureProfile(fam1), 15, prec=256)
         for k in range(1, 16):
             a, b = float(lo.coefficient(k)), float(hi.coefficient(k))
             assert abs(a - b) <= 1e-10 * abs(b)  # >= 10 significant digits
 
     def test_precision_exhausted_raised(self, fam1):
         with pytest.raises(PrecisionExhausted) as err:
-            compute_coefficients(fam1, 30, rel_error_limit=1e-18)
+            compute_coefficients(CurvatureProfile(fam1), 30, rel_error_limit=1e-18)
         assert "precision" in str(err.value)
 
 
@@ -60,7 +60,6 @@ class TestCotChains:
     def test_one_chain_per_closed_form_term(self):
         # Muenzner's form needs a second chain only for even g with unequal
         # multiplicities; the g-angle sum ran one per principal angle
-        from coneshrink.catalog import CurvatureProfile
         from coneshrink.numutil import RealContext
         from coneshrink.series import TaylorRecursion
         two = {"g2_product_12", "g4_m45"}
@@ -124,8 +123,8 @@ class TestScaling:
         # gamma(lambda s) solves the equation with drift (1/lambda - 2ns);
         # its coefficients are lambda^k A_k
         lam = 0.37
-        base = compute_coefficients(fam1, 6)
-        scaled = compute_coefficients(fam1, 6, drift_coefficient=1.0 / lam)
+        base = compute_coefficients(CurvatureProfile(fam1), 6)
+        scaled = compute_coefficients(CurvatureProfile(fam1), 6, drift_coefficient=1.0 / lam)
         for k in range(1, 7):
             expect = lam ** k * float(base.coefficient(k))
             assert float(scaled.coefficient(k)) == pytest.approx(expect, rel=1e-11)
@@ -138,7 +137,7 @@ class TestLinearCoefficient:
         # records the mismatch for k >= 2 rather than asserting it
         for fam in (fam1, fam2):
             for k in (1, 2, 3, 5):
-                rep = probe_linear_coefficient(fam, k)
+                rep = probe_linear_coefficient(CurvatureProfile(fam), k)
                 assert rep["matches_derived"], rep
                 if k == 1:
                     assert rep["matches_printed"]
@@ -147,18 +146,18 @@ class TestLinearCoefficient:
 
 
 class TestGevrey:
-    def test_exact_gevrey2_bounded(self):
+    def test_exact_gevrey2_bounded(self, fam1):
         a = [float(math.factorial(k)) ** 2 for k in range(1, 41)]
-        fs = FormalSeries.from_coefficients(a)
+        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a)
         rep = gevrey_diagnostics(fs)
         assert rep.verdict == "bounded"
         assert all(abs(r - 1.0) < 1e-12 for r in rep.rho)
         assert rep.C_est == pytest.approx(1.0)
 
-    def test_super_gevrey_unbounded(self):
+    def test_super_gevrey_unbounded(self, fam1):
         with mpmath.workprec(400):
             a = [mpmath.mpf(math.factorial(k)) ** 3 for k in range(1, 41)]
-        fs = FormalSeries.from_coefficients(a, precision_bits=400)
+        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a, precision_bits=400)
         rep = gevrey_diagnostics(fs)
         assert rep.verdict == "unbounded"
 
@@ -168,7 +167,7 @@ class TestGevrey:
         assert rep.running_sup[-1] == rep.C_est
 
     def test_needs_five(self, fam1):
-        fs = compute_coefficients(fam1, 4)
+        fs = compute_coefficients(CurvatureProfile(fam1), 4)
         with pytest.raises(OutOfRange):
             gevrey_diagnostics(fs)
 
@@ -180,10 +179,10 @@ class TestEvaluateTruncated:
             assert float(ev.value) / s == pytest.approx(float(series1.coefficient(1)),
                                                         rel=1e-4)
 
-    def test_synthetic_kstar_location(self):
+    def test_synthetic_kstar_location(self, fam1):
         with mpmath.workprec(400):
             a = [mpmath.mpf(math.factorial(k)) ** 2 for k in range(1, 121)]
-        fs = FormalSeries.from_coefficients(a, precision_bits=400)
+        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a, precision_bits=400)
         s = 0.01
         ev = evaluate_truncated(fs, s, threshold=float("inf"))
         assert 0.7 / s <= ev.k_star <= 1.3 / s
@@ -222,7 +221,7 @@ class TestEvaluateTruncated:
         The optimal-truncation error estimate at this s is far below any
         attainable integrator accuracy, so the comparison budget adds the
         integrator's own error (measured by step halving)."""
-        fs = compute_coefficients(fam1, 40, prec=160)
+        fs = compute_coefficients(CurvatureProfile(fam1), 40, prec=160)
         target = mpmath.mpf("1e-3")
 
         def integrate(step_scale):
@@ -262,17 +261,25 @@ class TestEvaluateTruncated:
 
 
 class TestSerialization:
-    def test_round_trip_double(self, series1):
-        text = series_to_json(series1)
-        back = series_from_json(text)
-        assert back.K == series1.K
-        assert back.precision_bits == series1.precision_bits
-        for k in range(1, series1.K + 1):
-            assert float(back.coefficient(k)) == float(series1.coefficient(k))
-        assert back.family.as_dict() == series1.family.as_dict()
+    def test_round_trip_double(self, fam2, series1):
+        eq030 = compute_coefficients(CurvatureProfile(fam2, EQ030_LITERAL), 12)
+        for fs in (series1, eq030):
+            back = series_from_json(series_to_json(fs))
+            assert back.K == fs.K
+            assert back.precision_bits == fs.precision_bits
+            for k in range(1, fs.K + 1):
+                assert float(back.coefficient(k)) == float(fs.coefficient(k))
+            assert back.curvature == fs.curvature
+
+    def test_unknown_profile_mode_raises_on_read(self, series1):
+        # the profile is built as the record is read, not when a run uses it
+        rec = json.loads(series_to_json(series1))
+        rec["profile_mode"] = "bogus"
+        with pytest.raises(UnsupportedMode, match="unknown profile mode 'bogus'"):
+            series_from_json(json.dumps(rec))
 
     def test_round_trip_mpf(self, fam1):
-        fs = compute_coefficients(fam1, 10, prec=192)
+        fs = compute_coefficients(CurvatureProfile(fam1), 10, prec=192)
         back = series_from_json(series_to_json(fs))
         with mpmath.workprec(192):
             for k in range(1, 11):

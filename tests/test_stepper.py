@@ -314,8 +314,9 @@ def test_straight_line_stages_match_numpy_oracle(case):
 def _solve_chain(fam):
     """(s-side profile, d-side continuation or the BlowUpDetected it raised)."""
     cfg = ivp.SolverConfig(tol=1e-10)
-    series = compute_coefficients(fam, cfg.series_K)
-    prof = ivp.integrate_gamma(CurvatureProfile(fam), series, cfg)
+    curvature = CurvatureProfile(fam)
+    series = compute_coefficients(curvature, cfg.series_K)
+    prof = ivp.integrate_gamma(curvature, series, cfg)
     try:
         cont = ivp.continue_phi(ivp.to_d_profile(prof), config=cfg)
     except BlowUpDetected as exc:
