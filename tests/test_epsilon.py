@@ -108,37 +108,37 @@ def test_mixed_degrees_truncate(xs, ys):
 
 
 class TestCorrections:
-    def test_b0_b1(self, fam1, series1):
+    def test_b0_b1(self, series1):
         corr = compute_epsilon_corrections(series1, 4)
         assert float(corr.B[0]) == float(series1.coefficient(1))  # H(0)
         assert float(corr.B[1]) == -float(series1.coefficient(2))
         assert float(corr.B[1]) == pytest.approx(2.0, abs=1e-13)
 
-    def test_constant_terms_match_exactly(self, fam1, series1):
+    def test_constant_terms_match_exactly(self, series1):
         n = 8
         corr = compute_epsilon_corrections(series1, n)
         for k in range(1, n + 2):
             assert float(corr.gamma_eps[k - 1].const) == float(series1.coefficient(k))
 
-    def test_affine_slopes_alternate(self, fam1, series1):
+    def test_affine_slopes_alternate(self, series1):
         corr = compute_epsilon_corrections(series1, 6)
         for i, slope in enumerate(corr.slopes):
             m = i + 2
             assert slope == pytest.approx((-1.0) ** m, abs=1e-9)
 
-    def test_second_family(self, fam2, series2):
+    def test_second_family(self, series2):
         corr = compute_epsilon_corrections(series2, 6)
         assert float(corr.B[0]) == pytest.approx(2 / math.sqrt(3), rel=1e-14)
         for k in range(1, 8):
             assert float(corr.gamma_eps[k - 1].const) == float(series2.coefficient(k))
 
-    def test_perturbation_structure(self, fam1, series1):
+    def test_perturbation_structure(self, series1):
         """Shifting B_j by delta moves the eps^1 coefficient of
         gamma^(j)(0; eps) by (-1)^(j-1) delta and leaves the eps^0
         coefficients through order j untouched."""
         n = 6
         base = compute_epsilon_corrections(series1, n)
-        prof = CurvatureProfile(fam1)
+        prof = series1.curvature
         ctx = RealContext(53)
         delta = 0.125
 
@@ -170,14 +170,14 @@ class TestCorrections:
             shift = float(pert[j].coeffs[1] - ref[j].coeffs[1])
             assert shift == pytest.approx((-1.0) ** (j - 1) * delta, rel=1e-9)
 
-    def test_inconsistent_series_detected(self, fam1, series1):
+    def test_inconsistent_series_detected(self, series1):
         bad_a = list(series1.a)
         bad_a[2] = bad_a[2] + 0.5  # corrupt A_3
         bad = replace(series1, a=tuple(bad_a))
         with pytest.raises(DivisionByEpsilonFailed):
             compute_epsilon_corrections(bad, 6)
 
-    def test_initial_slope_and_curvature(self, fam1, series1):
+    def test_initial_slope_and_curvature(self, series1):
         corr = compute_epsilon_corrections(series1, 4)
         eps = 1e-3
         b_direct = sum(float(b) * eps ** i for i, b in enumerate(corr.B))
