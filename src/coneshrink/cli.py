@@ -10,6 +10,7 @@ CONESHRINK_PRECISION overrides the default working precision (bits).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -136,13 +137,15 @@ def _config_value(action, raw):
     return raw
 
 
-def _config_defaults(subparser, actions, path):
-    """Make the config file's values the subparser's defaults, so that every
-    flag given on the command line wins.  A bad line, or a file that is not
+def _config_args(subparser, actions, path):
+    """The config file's settings as ``--flag=value`` arguments, to go before
+    the command line's own flags: argparse keeps the last occurrence, so
+    every flag given on the command line wins.  A true boolean is its bare
+    flag, a false one adds nothing.  A bad line, or a file that is not
     UTF-8, is a usage error of the subcommand (exit 2), as the same flag
     would be."""
     by_dest = {a.dest: a for a in actions}
-    defaults = {}
+    settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().split("\n")
@@ -156,10 +159,17 @@ def _config_defaults(subparser, actions, path):
             key, raw = _setting(line)
             if key not in by_dest:
                 raise ValueError(f"unknown key {key!r}")
-            defaults[key] = _config_value(by_dest[key], raw)
+            settings[key] = _config_value(by_dest[key], raw)
         except (argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
             subparser.error(f"{path}:{ln}: {exc}")
-    subparser.set_defaults(**defaults)
+    args = []
+    for key, value in settings.items():
+        flag = by_dest[key].option_strings[0]
+        if isinstance(value, bool):
+            args += [flag] if value else []
+        else:
+            args.append(f"{flag}={value if isinstance(value, str) else repr(value)}")
+    return args
 
 
 def _mode(args):
@@ -404,7 +414,11 @@ def cmd_export(args):
 # entry
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser and, for each subcommand that takes --config, its
+    subparser and the flags a config file may set; built once per process
+    and never changed after."""
     parser = argparse.ArgumentParser(prog="coneshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -455,10 +469,12 @@ def main(argv=None) -> int:
     """Run one command.  Usage errors exit 2 through argparse; every other
     failure leaves through the mapping below, the only one in the program."""
     parser, configurable = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _config_defaults(*configurable[args.command], args.config)
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_args(*configurable[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (ConstraintViolation, NotMeanConvex) as exc:

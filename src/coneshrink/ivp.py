@@ -48,7 +48,7 @@ from .errors import (
     SingularDenominator,
     StepSizeCollapse,
 )
-from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, write_csv
+from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, loglog_slope, write_csv
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
                      evaluate_truncated)
 from .stepper import integrate, integrate_implicit
@@ -63,7 +63,10 @@ D_SIDE_COLUMNS = ("d", "phi", "dphi", "g", "eq130_residual", "eq350_drift")
 BOOTSTRAP_FACTOR = 0.01   # series error target at the bootstrap point = factor * tol
 D_MARGIN = 0.05           # continuation overshoot past d0 (capped)
 HANDOFF_FRACTION = 0.5    # d-side handoff at s ~ fraction * s_end
+BLOWUP_PHI = 30.0         # |phi| past which continuation reports a blow-up
 BLOWUP_DPHI = 1e8         # |phi'| past which continuation reports a blow-up
+IDENTITY_DRIFT_TOL = 1e-5  # largest first-integral drift continuation accepts
+MAX_STEPS = 400_000       # step budget (accepted + rejected) of each explicit integration
 # continuation probes once for a vertical tangent at the first step past this
 # |phi'|; no run that reaches its default target comes near it (max ~15)
 TANGENT_PROBE_DPHI = 32.0
@@ -80,9 +83,6 @@ class SolverConfig:
     series_K: int = DEFAULT_K
     series_prec: int = 53
     correction_N: int = 8
-    max_steps: int = 400_000
-    blowup_phi: float = 30.0
-    identity_drift_tol: float = 1e-5
 
     def resolved_s_end(self, family):
         """End of the s-side integration, 1/(4n)."""
@@ -110,7 +110,7 @@ class SolutionProfile:
         return len(self.nodes)
 
 
-def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile, prec: int = 53):
+def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile):
     """gamma'' solved from the (regularized) profile equation:
 
     [(H(gamma) - (1-2ns) gamma') (1 + 4 s^2 gamma'^2) - 4 s gamma']
@@ -118,7 +118,7 @@ def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile, prec: int = 53):
     """
     if eps == 0 and s == 0:
         raise SingularDenominator("s = 0 with eps = 0")
-    h = mean_curvature(profile, gamma, prec)
+    h = mean_curvature(profile, gamma)
     n = profile.family.n
     w2 = 1 + 4 * s * s * dgamma * dgamma
     return ((h - (1 - 2 * n * s) * dgamma) * w2 - 4 * s * dgamma) / (4 * s * s + eps * w2)
@@ -256,8 +256,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     max_step = (s_end - t0) / 8
     try:
         result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
-                           max_step=max_step, max_steps=config.max_steps,
-                           accept_hook=guard)
+                           max_step=max_step, max_steps=MAX_STEPS, accept_hook=guard)
     except StepSizeCollapse as collapse:
         if eps <= 0:
             raise
@@ -484,7 +483,9 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
                  config: Optional[SolverConfig] = None) -> SolutionProfile:
     """Continue the d-side solution from a handoff node to d_target
     (default d0 + margin), guarding with the first-integral drift; d0 is the
-    zero of the run's own profile (:attr:`CurvatureProfile.d0`).
+    zero of the run's own profile (:attr:`CurvatureProfile.d0`).  A target
+    at or below the handoff node d_h, or past d0 + margin or d_focal, raises
+    :class:`OutOfRange`.
 
     Past d0 the chart exists only for a family-dependent distance: the curve
     (d, phi) can meet a vertical tangent before d_target.  At the first
@@ -516,6 +517,9 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     d_h = float(profile_d["d"][idx])
     phi_h = float(profile_d["phi"][idx])
     dphi_h = float(profile_d["dphi"][idx])
+    if not d_target > d_h:
+        raise OutOfRange(f"d_target {d_target!r} must exceed the hand-over d_h = {d_h!r}, "
+                         "where continuation starts")
 
     h_fast = binary64_curvature(prof)
     n = family.n
@@ -530,8 +534,8 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
 
     def guard(d, y):
         nonlocal probed
-        if abs(y[0]) > config.blowup_phi:
-            raise BlowUpDetected(d, f"|phi| exceeded {config.blowup_phi}")
+        if abs(y[0]) > BLOWUP_PHI:
+            raise BlowUpDetected(d, f"|phi| exceeded {BLOWUP_PHI}")
         if abs(y[1]) > BLOWUP_DPHI:
             raise BlowUpDetected(d, f"|phi'| exceeded {BLOWUP_DPHI}")
         # the mean curvature must stay nonnegative up to the minimal member;
@@ -549,7 +553,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
         result = integrate(f, d_h, np.array((phi_h, dphi_h, 0.0)), d_target,
                            rtol=config.tol, atol=config.tol,
                            max_step=(d_target - d_h) / 64,
-                           max_steps=config.max_steps, accept_hook=guard)
+                           max_steps=MAX_STEPS, accept_hook=guard)
     except StepSizeCollapse as collapse:
         # existence past d0 is only guaranteed for a family-dependent margin;
         # a stall en route marks the chart's vertical tangent
@@ -568,9 +572,9 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     ident = phi_first_integral(phi, dphi, q, n)
     drift = ident - ident[0]
     max_drift = float(np.max(np.abs(drift)))
-    if max_drift > config.identity_drift_tol:
+    if max_drift > IDENTITY_DRIFT_TOL:
         raise IdentityDrift(
-            f"first-integral drift {max_drift:.3e} exceeds {config.identity_drift_tol:.3e}"
+            f"first-integral drift {max_drift:.3e} exceeds {IDENTITY_DRIFT_TOL:.3e}"
         )
 
     # overlap against the incoming profile on [d_h, d_max]
@@ -620,18 +624,10 @@ class EpsilonStudyReport:
     slope: float
     monotone: bool
     statuses: tuple
-    control_errors: Optional[tuple] = None
-    control_slope: Optional[float] = None
-    # second-derivative convergence at s = 0: |gamma''(0; eps_min) - A_2|.
-    # The corrected slope polynomial drives this to O(eps); truncating B to
-    # B_0 pins gamma''(0) at 0, an O(1) defect -- the ablation signal.
-    corrected_d2_deviation: Optional[float] = None
-    control_d2_deviation: Optional[float] = None
 
 
 def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
-                              eps_list, include_control: bool = False,
-                              series: Optional[FormalSeries] = None,
+                              eps_list, series: Optional[FormalSeries] = None,
                               direct: Optional[SolutionProfile] = None) -> EpsilonStudyReport:
     """Slope of max|gamma_eps - gamma_0| on [0, s_end] against eps
     (first-order convergence of the corrected regularization).
@@ -641,9 +637,7 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
     precision; a series of another profile raises :class:`OutOfRange`.
     ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
     for this ``curvature``, ``series`` and ``config``, if the caller holds it
-    already; otherwise it is integrated here.  The optional control repeats
-    the sweep with B(eps) truncated to B_0, quantifying what the
-    corrections buy."""
+    already; otherwise it is integrated here."""
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or any(e <= 0 for e in eps_list):
         raise OutOfRange("need >= 3 positive eps values")
@@ -666,50 +660,27 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
         gamma0[i] = 0.0 if grid[i] == 0 else float(
             evaluate_truncated(series, grid[i]).value)
 
-    def sweep(slope_source):
-        errs, statuses = [], []
-        for e in eps_list:
-            try:
-                prof = integrate_gamma(
-                    curvature, series, replace(config, eps=e),
-                    initial_slope=float(slope_source(e)))
-                g_eps = _hermite_eval(prof["s"], prof["gamma"], prof["dgamma"], grid)
-                errs.append(float(np.max(np.abs(g_eps - gamma0))))
-                statuses.append("ok")
-            except (StepSizeCollapse, MonotonicityLost, OutOfRange) as exc:
-                errs.append(float("nan"))
-                statuses.append(f"{type(exc).__name__}: {exc}")
-        return errs, statuses
-
-    errors, statuses = sweep(lambda e: corrections.initial_slope(e))
+    errors, statuses = [], []
+    for e in eps_list:
+        try:
+            prof = integrate_gamma(
+                curvature, series, replace(config, eps=e),
+                initial_slope=float(corrections.initial_slope(e)))
+            g_eps = _hermite_eval(prof["s"], prof["gamma"], prof["dgamma"], grid)
+            errors.append(float(np.max(np.abs(g_eps - gamma0))))
+            statuses.append("ok")
+        except (StepSizeCollapse, MonotonicityLost, OutOfRange) as exc:
+            errors.append(float("nan"))
+            statuses.append(f"{type(exc).__name__}: {exc}")
     good = [(e, v) for e, v in zip(eps_list, errors) if math.isfinite(v) and v > 0]
     if len(good) < 3:
         raise StepSizeCollapse("too few successful eps runs for a slope fit",
                                last_good=float("nan"))
-    from .numutil import loglog_slope
     slope = loglog_slope([e for e, _ in good], [v for _, v in good])
     monotone = all(a >= b for a, b in zip(errors, errors[1:]))
-
-    control_errors = control_slope = None
-    corrected_dev = control_dev = None
-    if include_control:
-        b0 = float(corrections.B[0])
-        control_errors, _ = sweep(lambda e: b0)
-        cg = [(e, v) for e, v in zip(eps_list, control_errors)
-              if math.isfinite(v) and v > 0]
-        if len(cg) >= 3:
-            control_slope = loglog_slope([e for e, _ in cg], [v for _, v in cg])
-        control_errors = tuple(control_errors)
-        a2 = float(series.coefficient(2))
-        e_min = eps_list[-1]
-        corrected_dev = abs(float(corrections.initial_curvature(e_min)) - a2)
-        control_dev = abs(0.0 - a2)  # B = B_0 alone forces gamma''(0; eps) = 0
-
     return EpsilonStudyReport(
         eps_list=eps_list, errors=tuple(errors), slope=float(slope),
         monotone=monotone, statuses=tuple(statuses),
-        control_errors=control_errors, control_slope=control_slope,
-        corrected_d2_deviation=corrected_dev, control_d2_deviation=control_dev,
     )
 
 

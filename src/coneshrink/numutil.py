@@ -30,7 +30,6 @@ class RealContext:
     def __init__(self, prec: int = DOUBLE_PREC):
         self.prec = prec
         self.is_mp = prec > DOUBLE_PREC
-        self.eps = machine_eps(prec)
 
     def workprec(self):
         if self.is_mp:
@@ -42,18 +41,6 @@ class RealContext:
             with mpmath.workprec(self.prec):
                 return mpmath.mpf(x)
         return float(x)
-
-    def _call(self, f_math, f_mp, x):
-        if self.is_mp:
-            with mpmath.workprec(self.prec):
-                return f_mp(mpmath.mpf(x))
-        return f_math(x)
-
-    def sin(self, x):
-        return self._call(math.sin, mpmath.sin, x)
-
-    def cos(self, x):
-        return self._call(math.cos, mpmath.cos, x)
 
     def cot(self, x):
         if self.is_mp:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import from_man_exp, fzero
 
-from .catalog import COT_SUM, CurvatureProfile, curvature_derivative, make_family
+from .catalog import COT_SUM, CurvatureProfile, make_family
 from .errors import (
     DivisionByEpsilonFailed,
     NonlinearDependence,
@@ -289,7 +289,6 @@ class FormalSeries:
     a: tuple
     gevrey_rho: tuple
     rel_error_estimates: tuple
-    drift_coefficient: float = 1.0
 
     def coefficient(self, k: int):
         if not 1 <= k <= self.K:
@@ -350,8 +349,8 @@ class TaylorRecursion:
 
         T_k = 2nk a_k + [s^k] H(gamma) - 2k [s^k] arctan(2 s gamma'),
 
-    so the recursion reads a_{k+1} = T_k / (c (k+1)) with drift coefficient
-    c; ``t0`` = H(0) = T_0 starts it.  The rules are
+    so the recursion reads a_{k+1} = T_k / (k+1); ``t0`` = H(0) = T_0
+    starts it.  The rules are
 
     * H = sum w f c over the (w, f) of ``profile.terms``, one chain
       c = cot(f (theta1 + gamma)) per term from c' = -f (1 + c^2) gamma';
@@ -419,17 +418,16 @@ class TaylorRecursion:
         return h_k
 
 
-def _taylor_coefficients(profile, K, prec, drift_coefficient):
-    """A_1..A_K at ``prec`` bits: a_{k+1} = T_k / (c (k+1)), A_k = k! a_k."""
+def _taylor_coefficients(profile, K, prec):
+    """A_1..A_K at ``prec`` bits: a_{k+1} = T_k / (k+1), A_k = k! a_k."""
     ctx = RealContext(prec)
     with ctx.workprec():
         engine = TaylorRecursion(profile, ctx)
-        c = ctx.convert(drift_coefficient)
         t = engine.t0
         fact = ctx.convert(1)
         out = []
         for k in range(1, K + 1):
-            a_k = t / (c * k)
+            a_k = t / k
             fact = fact * k
             out.append(fact * a_k)
             if k < K:
@@ -442,24 +440,24 @@ DEFAULT_K = 40
 
 # the shadow run that measures the rounding error of the working-precision run
 SHADOW_EXTRA_BITS = 64
+# largest measured relative rounding error of a coefficient before the
+# working precision counts as exhausted
+REL_ERROR_LIMIT = 1e-6
 
 
-def compute_coefficients(curvature: CurvatureProfile, K: int, prec: int = DOUBLE_PREC,
-                         drift_coefficient: float = 1.0,
-                         rel_error_limit: float = 1e-6) -> FormalSeries:
+def compute_coefficients(curvature: CurvatureProfile, K: int,
+                         prec: int = DOUBLE_PREC) -> FormalSeries:
     """Run the explicit recursion of the profile ``curvature`` up to A_K at
     ``prec`` bits.
 
-    ``drift_coefficient`` c replaces the drift factor (1 - 2ns) by (c - 2ns),
-    which rescales the solution; it exists for the rescaling cross-check and
-    defaults to 1.  The same recursion is run again at ``prec + 64`` bits and
-    the measured relative difference is stored per coefficient; raises
+    The same recursion is run again at ``prec + 64`` bits and the measured
+    relative difference is stored per coefficient; raises
     :class:`PrecisionExhausted` when a coefficient overflows or that
-    difference crosses ``rel_error_limit``.
+    difference crosses REL_ERROR_LIMIT.
     """
     if K < 1:
         raise OutOfRange("K must be >= 1")
-    a = _taylor_coefficients(curvature, K, prec, drift_coefficient)
+    a = _taylor_coefficients(curvature, K, prec)
     for k, v in enumerate(a, start=1):
         if not mpmath.isfinite(v):
             raise PrecisionExhausted(
@@ -467,13 +465,13 @@ def compute_coefficients(curvature: CurvatureProfile, K: int, prec: int = DOUBLE
                 f"A_{k} overflows at {prec} bits; raise the working precision",
             )
     shadow_prec = prec + SHADOW_EXTRA_BITS
-    shadow = _taylor_coefficients(curvature, K, shadow_prec, drift_coefficient)
+    shadow = _taylor_coefficients(curvature, K, shadow_prec)
     rel_errs = []
     with mpmath.workprec(shadow_prec):
         for k, (v, ref) in enumerate(zip(a, shadow), start=1):
             diff = abs(v - ref)
             rel_err = float(diff / abs(ref)) if ref else (0.0 if not diff else math.inf)
-            if rel_err > rel_error_limit:
+            if rel_err > REL_ERROR_LIMIT:
                 raise PrecisionExhausted(
                     k, rel_err,
                     f"raise the working precision above {prec} bits "
@@ -484,37 +482,7 @@ def compute_coefficients(curvature: CurvatureProfile, K: int, prec: int = DOUBLE
         curvature=curvature, K=K, precision_bits=prec, a=tuple(a),
         gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
         rel_error_estimates=tuple(rel_errs),
-        drift_coefficient=float(drift_coefficient),
     )
-
-
-def probe_linear_coefficient(curvature: CurvatureProfile, k: int, prec: int = DOUBLE_PREC):
-    """Measured d A_{k+1} / d A_k of the recursion (exactly linear, probed with
-    a unit shift), together with the two closed-form candidates.
-
-    Returns dict with ``measured``, ``derived`` (2nk - 4k^2 + H'(0)) and
-    ``printed`` ((2n + H'(0))k - 4k^2); the recursion follows ``derived``,
-    which the k = 1 closed form pins down; the ``printed`` variant differs
-    for k >= 2 and the mismatch is reported, not assumed."""
-    series = compute_coefficients(curvature, K=k, prec=prec)
-    ctx = RealContext(prec)
-    with ctx.workprec():
-        gd = list(series.a)
-        base = TaylorRecursion(curvature, ctx).push_derivatives(gd)
-        shifted = TaylorRecursion(curvature, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
-        measured = float(shifted - base)
-        hp0 = float(curvature_derivative(curvature, ctx.convert(0.0), 1, prec))
-    n = curvature.family.n
-    derived = 2.0 * n * k - 4.0 * k * k + hp0
-    printed = (2.0 * n + hp0) * k - 4.0 * k * k
-    return {
-        "k": k,
-        "measured": measured,
-        "derived": derived,
-        "printed": printed,
-        "matches_derived": abs(measured - derived) <= 1e-8 * max(1.0, abs(derived)),
-        "matches_printed": abs(measured - printed) <= 1e-8 * max(1.0, abs(printed)),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +598,6 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         raise OutOfRange("N must be >= 1")
     if series.K < N + 1:
         raise OutOfRange(f"series must carry at least N+1 = {N + 1} coefficients")
-    if series.drift_coefficient != 1.0:
-        raise OutOfRange("corrections require a series with drift coefficient 1")
     # every check below compares False against a nan: reject it at the source
     for k in range(1, N + 2):
         if not mpmath.isfinite(series.coefficient(k)):
@@ -806,11 +772,10 @@ def evaluate_truncated(series: FormalSeries, s, derivative: int = 0,
     return TruncatedValue(value=value, error_estimate=max(omitted, floor), k_star=k_star)
 
 
-def series_value_tail(series: FormalSeries, s, start_k: int = 2) -> TruncatedValue:
-    """sum_{k >= start_k} A_k s^k / k! with the same truncation policy; used
-    for cancellation-free asymptotic deviations."""
-    return evaluate_truncated(series, s, derivative=0, threshold=float("inf"),
-                              start_k=start_k)
+def series_value_tail(series: FormalSeries, s) -> TruncatedValue:
+    """sum_{k >= 2} A_k s^k / k! with the same truncation policy; used for
+    cancellation-free asymptotic deviations."""
+    return evaluate_truncated(series, s, derivative=0, threshold=float("inf"), start_k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -833,17 +798,58 @@ def series_to_json(series: FormalSeries) -> str:
     return json.dumps(series_to_json_dict(series), indent=2)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+def _field(rec, key, ok, kind, prefix=""):
+    """``rec[key]`` of a series record if ``ok`` holds of it; else
+    :class:`OutOfRange` naming the field as missing or not ``kind``."""
+    if key not in rec:
+        raise OutOfRange(f"series record: no field '{prefix}{key}'")
+    value = rec[key]
+    if not ok(value):
+        raise OutOfRange(f"series record: field '{prefix}{key}' is {value!r}, not {kind}")
+    return value
+
+
+def _numbers(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
 def series_from_json(text: str) -> FormalSeries:
     """The series of a ``coeffs`` record; its family and profile mode are
-    validated as they are read (:class:`UnsupportedMode` for an unknown mode)."""
+    validated as they are read (:class:`ConstraintViolation` for an
+    inadmissible family, :class:`UnsupportedMode` for an unknown mode), and
+    a field that is missing or malformed raises :class:`OutOfRange` naming
+    it."""
     rec = json.loads(text)
-    f = rec["family"]
-    fam = make_family(f["g"], f["m_minus"], f["m_plus"], f["n"], f["theta1"])
-    prec = rec["precision_bits"]
-    a = tuple(parse_real(t, prec) for t in rec["A"])
+    if not isinstance(rec, dict):
+        raise OutOfRange(f"series record: a JSON object expected, got {rec!r}")
+    f = _field(rec, "family", lambda v: isinstance(v, dict), "an object")
+    fam = make_family(*(_field(f, key, _is_number, "a number", prefix="family.")
+                        for key in ("g", "m_minus", "m_plus", "n", "theta1")))
+    prec = _field(rec, "precision_bits", _is_int, "an integer")
+    K = _field(rec, "K", _is_int, "an integer")
+    texts = _field(rec, "A", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+                   "a list of decimal strings")
+    try:
+        a = tuple(parse_real(t, prec) for t in texts)
+    except ValueError as exc:
+        raise OutOfRange(f"series record: field 'A' holds a malformed number: {exc}") from None
+    gevrey = _field(rec, "gevrey", _numbers, "a list of numbers")
+    rel = [0.0] * len(a)
+    if "rel_error_estimates" in rec:
+        rel = _field(rec, "rel_error_estimates", _numbers, "a list of numbers")
+    if not K == len(a) == len(gevrey) == len(rel):
+        raise OutOfRange(f"series record: K = {K} with {len(a)} coefficients in 'A', "
+                         f"{len(gevrey)} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
     return FormalSeries(
         curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
-        K=rec["K"], precision_bits=prec, a=a,
-        gevrey_rho=tuple(rec["gevrey"]),
-        rel_error_estimates=tuple(rec.get("rel_error_estimates", [0.0] * len(a))),
+        K=K, precision_bits=prec, a=a,
+        gevrey_rho=tuple(gevrey), rel_error_estimates=tuple(rel),
     )

@@ -403,6 +403,8 @@ class TestExitContract:
         "export_summary_not_json": ({"r/summary.json": "not json\n"},
                                     ["export", "r/d_side.csv", "--out", "o"], 6),
         "solve_to_d_syntax": ({}, ["solve", *FAM1_FLAGS, "--to-d", "abc", "--out", "o"], 2),
+        "solve_to_d_below_handoff": ({}, ["solve", *FAM1_FLAGS, "--to-d", "0.01", "--out", "o"],
+                                     4),
         "catalog_check_not_a_number": ({}, ["catalog", "--check", "g=x", "m=1", "n=2",
                                             "theta1=0.7"], 2),
         "coeffs_missing_theta1": ({}, ["coeffs", "--g", "1", "--m", "1", "--n", "2",
@@ -439,6 +441,7 @@ class TestExitContract:
         "config_not_utf8": ["c.cfg", "utf-8"],
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
         "corrections_advice_past_float_range": ["NonlinearDependence", "--precision 1120"],
+        "solve_to_d_below_handoff": ["OutOfRange", "d_target 0.01", "hand-over d_h"],
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -512,6 +515,22 @@ class TestConfigAndEnv:
             main(["coeffs", "--config", str(cfg), "--out", "-"])
         assert exc.value.code == 2
         assert "unknown key 'tol'" in capsys.readouterr().err
+
+
+    def test_config_leaves_the_next_call_its_defaults(self, tmp_path, capsys):
+        # the parser is built once per process: a config file applies to its
+        # own call only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K = 5\ngevrey = yes\n")
+        code, out, _ = run(["coeffs", *FAM1_FLAGS, "--config", str(cfg), "--out", "-"],
+                           capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["K"] == 5 and "gevrey_report" in rec
+        code, out, _ = run(["coeffs", *FAM1_FLAGS, "--out", "-"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["K"] == 40 and "gevrey_report" not in rec
 
 
 class TestPrecisionSource:

@@ -186,11 +186,6 @@ class TestCorrections:
                         for i, b in enumerate(corr.B) if i >= 1)
         assert float(corr.initial_curvature(eps)) == pytest.approx(c_direct, rel=1e-13)
 
-    def test_needs_drift_one(self, fam1):
-        scaled = compute_coefficients(CurvatureProfile(fam1), 8, drift_coefficient=2.0)
-        with pytest.raises(OutOfRange):
-            compute_epsilon_corrections(scaled, 4)
-
 
 # ---------------------------------------------------------------------------
 # Oracle: the fixed-degree ring, which pads with zeros

@@ -152,12 +152,13 @@ class TestIntegrateGamma:
                                                 "eq030_literal"):
             integrate_gamma(CurvatureProfile(fam, EQ030_LITERAL), None, SolverConfig())
 
-    def test_fallback_engages_for_regularized(self, fam1, series1):
+    def test_fallback_engages_for_regularized(self, fam1, series1, monkeypatch):
         # eps small enough that the explicit layer needs more steps than the
         # budget allows: the implicit fallback takes over and finishes
         corr = compute_epsilon_corrections(series1, 6)
         eps = 1e-6
-        cfg = SolverConfig(tol=1e-8, eps=eps, max_steps=100)
+        monkeypatch.setattr(ivp_mod, "MAX_STEPS", 100)
+        cfg = SolverConfig(tol=1e-8, eps=eps)
         prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg,
                                initial_slope=float(corr.initial_slope(eps)))
         assert prof.meta["used_fallback"]
@@ -272,16 +273,19 @@ class TestGaussHermiteQuadrature:
 
 class TestEpsilonStudy:
     def test_first_order_convergence(self, fam1, series1):
+        config = SolverConfig(tol=1e-10)
         rep = epsilon_convergence_study(
-            CurvatureProfile(fam1), SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
-            include_control=True, series=series1)
+            CurvatureProfile(fam1), config, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), series=series1)
         assert 0.8 <= rep.slope <= 1.2
         assert rep.monotone
         assert all(s == "ok" for s in rep.statuses)
         # ablation: with B truncated to B_0 the initial second derivative is
-        # pinned at 0, an O(1) defect; corrected B tracks A_2 to O(eps)
-        assert rep.corrected_d2_deviation <= 0.05 * rep.control_d2_deviation
-        assert rep.control_d2_deviation == pytest.approx(2.0, rel=1e-6)
+        # pinned at 0, an O(1) defect |A_2|; corrected B tracks A_2 to O(eps)
+        corr = compute_epsilon_corrections(series1, config.correction_N)
+        a2 = float(series1.coefficient(2))
+        corrected = abs(float(corr.initial_curvature(rep.eps_list[-1])) - a2)
+        assert corrected <= 0.05 * abs(a2)
+        assert abs(a2) == pytest.approx(2.0, rel=1e-6)
 
     def test_given_direct_profile_gives_the_same_report(self, fam1, series1, solved1,
                                                          monkeypatch):
@@ -380,20 +384,28 @@ class TestContinuePhi:
         with pytest.raises(OutOfRange):
             continue_phi(dside1, d_target=fam1.d0 + 0.4)
 
+    def test_target_at_or_below_handoff(self, dside1, continued1):
+        # the phi chart starts at the handoff node; a target there or below
+        # names it, where the stepper would reject the empty span
+        d_h = continued1.meta["d_h"]
+        for d_target in (d_h, 0.5 * d_h, 0.0):
+            with pytest.raises(OutOfRange, match=f"hand-over d_h = {d_h!r}"):
+                continue_phi(dside1, d_target=d_target)
+
     def test_g_column_consistent(self, continued1):
         assert np.allclose(continued1["g"], np.exp(-2 * continued1["phi"]))
 
-    def test_blowup_guard(self, dside1, fam1):
+    def test_blowup_guard(self, dside1, fam1, monkeypatch):
         from coneshrink.errors import BlowUpDetected
-        cfg = SolverConfig(tol=1e-10, blowup_phi=0.5)  # phi starts above 0.5
+        monkeypatch.setattr(ivp_mod, "BLOWUP_PHI", 0.5)  # phi starts above 0.5
         with pytest.raises(BlowUpDetected):
-            continue_phi(dside1, config=cfg)
+            continue_phi(dside1, config=SolverConfig(tol=1e-10))
 
-    def test_identity_drift_guard(self, dside1, fam1):
+    def test_identity_drift_guard(self, dside1, fam1, monkeypatch):
         from coneshrink.errors import IdentityDrift
-        cfg = SolverConfig(tol=1e-10, identity_drift_tol=1e-15)
+        monkeypatch.setattr(ivp_mod, "IDENTITY_DRIFT_TOL", 1e-15)
         with pytest.raises(IdentityDrift):
-            continue_phi(dside1, config=cfg)
+            continue_phi(dside1, config=SolverConfig(tol=1e-10))
 
     def test_family_dependent_existence_window(self):
         # every family continues past d0, but the chart reaches a vertical

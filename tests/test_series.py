@@ -1,18 +1,22 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog
-from coneshrink.errors import NoUsefulTruncation, OutOfRange, PrecisionExhausted, UnsupportedMode
+from coneshrink import series as series_mod
+from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, curvature_derivative
+from coneshrink.errors import (ConstraintViolation, NoUsefulTruncation, OutOfRange,
+                               PrecisionExhausted, UnsupportedMode)
+from coneshrink.numutil import DOUBLE_PREC, RealContext
 from coneshrink.series import (
     FormalSeries,
+    TaylorRecursion,
     compute_coefficients,
     evaluate_truncated,
     gevrey_diagnostics,
-    probe_linear_coefficient,
     series_from_json,
     series_to_json,
     series_value_tail,
@@ -50,9 +54,10 @@ class TestClosedForms:
             a, b = float(lo.coefficient(k)), float(hi.coefficient(k))
             assert abs(a - b) <= 1e-10 * abs(b)  # >= 10 significant digits
 
-    def test_precision_exhausted_raised(self, fam1):
+    def test_precision_exhausted_raised(self, fam1, monkeypatch):
+        monkeypatch.setattr(series_mod, "REL_ERROR_LIMIT", 1e-18)
         with pytest.raises(PrecisionExhausted) as err:
-            compute_coefficients(CurvatureProfile(fam1), 30, rel_error_limit=1e-18)
+            compute_coefficients(CurvatureProfile(fam1), 30)
         assert "precision" in str(err.value)
 
 
@@ -118,16 +123,59 @@ class TestStateOracle:
         assert abs(a3_fit - a3_expect) <= 2e-3 * abs(a3_expect)
 
 
+def _drifted_coefficients(curvature, K, c):
+    """A_1..A_K at binary64 of the equation whose drift factor (1 - 2ns) is
+    replaced by (c - 2ns): a_{k+1} = T_k / (c (k+1)), A_k = k! a_k."""
+    engine = TaylorRecursion(curvature, RealContext(DOUBLE_PREC))
+    t, fact, out = engine.t0, 1, []
+    for k in range(1, K + 1):
+        a_k = t / (c * k)
+        fact *= k
+        out.append(fact * a_k)
+        if k < K:
+            t = engine.push(a_k)
+    return out
+
+
 class TestScaling:
     def test_rescaled_coefficients(self, fam1):
         # gamma(lambda s) solves the equation with drift (1/lambda - 2ns);
         # its coefficients are lambda^k A_k
         lam = 0.37
         base = compute_coefficients(CurvatureProfile(fam1), 6)
-        scaled = compute_coefficients(CurvatureProfile(fam1), 6, drift_coefficient=1.0 / lam)
+        scaled = _drifted_coefficients(CurvatureProfile(fam1), 6, 1.0 / lam)
         for k in range(1, 7):
             expect = lam ** k * float(base.coefficient(k))
-            assert float(scaled.coefficient(k)) == pytest.approx(expect, rel=1e-11)
+            assert float(scaled[k - 1]) == pytest.approx(expect, rel=1e-11)
+
+
+def probe_linear_coefficient(curvature, k, prec=DOUBLE_PREC):
+    """Measured d A_{k+1} / d A_k of the recursion (exactly linear, probed with
+    a unit shift), together with the two closed-form candidates.
+
+    Returns dict with ``measured``, ``derived`` (2nk - 4k^2 + H'(0)) and
+    ``printed`` ((2n + H'(0))k - 4k^2); the recursion follows ``derived``,
+    which the k = 1 closed form pins down; the ``printed`` variant differs
+    for k >= 2 and the mismatch is reported, not assumed."""
+    series = compute_coefficients(curvature, K=k, prec=prec)
+    ctx = RealContext(prec)
+    with ctx.workprec():
+        gd = list(series.a)
+        base = TaylorRecursion(curvature, ctx).push_derivatives(gd)
+        shifted = TaylorRecursion(curvature, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
+        measured = float(shifted - base)
+        hp0 = float(curvature_derivative(curvature, ctx.convert(0.0), 1, prec))
+    n = curvature.family.n
+    derived = 2.0 * n * k - 4.0 * k * k + hp0
+    printed = (2.0 * n + hp0) * k - 4.0 * k * k
+    return {
+        "k": k,
+        "measured": measured,
+        "derived": derived,
+        "printed": printed,
+        "matches_derived": abs(measured - derived) <= 1e-8 * max(1.0, abs(derived)),
+        "matches_printed": abs(measured - printed) <= 1e-8 * max(1.0, abs(printed)),
+    }
 
 
 class TestLinearCoefficient:
@@ -276,6 +324,30 @@ class TestSerialization:
         rec = json.loads(series_to_json(series1))
         rec["profile_mode"] = "bogus"
         with pytest.raises(UnsupportedMode, match="unknown profile mode 'bogus'"):
+            series_from_json(json.dumps(rec))
+
+    @pytest.mark.parametrize("edit, names", [
+        # "family": null is what a series without a family was written as
+        (lambda rec: rec.update(family=None), "field 'family' is None"),
+        (lambda rec: rec.pop("K"), "no field 'K'"),
+        (lambda rec: rec.pop("A"), "no field 'A'"),
+        (lambda rec: rec.pop("gevrey"), "no field 'gevrey'"),
+        (lambda rec: rec["family"].pop("theta1"), "no field 'family.theta1'"),
+        (lambda rec: rec.update(K="12"), "field 'K' is '12'"),
+        (lambda rec: rec["A"].__setitem__(0, "abc"), "field 'A' holds a malformed number"),
+        (lambda rec: rec["A"].pop(), "K = 36 with 35 coefficients"),
+    ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "A_text",
+            "A_short"])
+    def test_malformed_record_names_the_field(self, series1, edit, names):
+        rec = json.loads(series_to_json(series1))
+        edit(rec)
+        with pytest.raises(OutOfRange, match=f"series record: {re.escape(names)}"):
+            series_from_json(json.dumps(rec))
+
+    def test_inadmissible_family_stays_a_constraint_violation(self, series1):
+        rec = json.loads(series_to_json(series1))
+        rec["family"]["g"] = 5
+        with pytest.raises(ConstraintViolation, match="g must be in"):
             series_from_json(json.dumps(rec))
 
     def test_round_trip_mpf(self, fam1):

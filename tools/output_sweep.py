@@ -25,7 +25,13 @@ calls leave behind.  The calls:
   ``rel_error_estimates``;
 - eq030 sweep (56 calls): on the 14 built-ins at theta1 x1.00, ``solve
   --profile-mode eq030``, ``verify`` of both profiles, and ``coeffs --K 32
-  --precision 256 --corrections --N 8 --profile-mode eq030 --out -``.
+  --precision 256 --corrections --N 8 --profile-mode eq030 --out -``;
+- config sweep (12 calls): on g1_sphere_n2 and g2_product_11 at theta1
+  x1.00, ``coeffs`` and ``solve`` with the ``--config`` files of
+  ``CONFIG_FILES``, written to the run directory first.  They set an int
+  key spelled as a float, true and false booleans, a choice key, a float
+  key and a ``--to-d`` expression; three of the six files go with flags
+  that override them.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -58,6 +64,20 @@ COEFFS_FLAGS = {
 EQ030_FLAGS = ["--profile-mode", "eq030"]
 EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
                       *EQ030_FLAGS, "--out", "-"]
+
+# config file name -> (its text, the flags of its call after the family's)
+CONFIG_FILES = {
+    "int_as_float.cfg": ("K = 6.0\ngevrey = yes\n", ["coeffs", "--out", "-"]),
+    "choice.cfg": ("profile_mode = eq030\nK = 32\nN = 8\nprecision = 256\n"
+                   "corrections = true\ngevrey = no\n", ["coeffs", "--out", "-"]),
+    "overridden.cfg": ("K = 6\nN = 4\nprofile_mode = eq030\nformat = json\n",
+                       ["coeffs", "--K", "12", "--profile-mode", "cot_sum", "--corrections",
+                        "--out", "-"]),
+    "solve.cfg": ("K = 20.0\ntol = 1e-12\neps_study = yes\nto_d = d0+0.02\n", ["solve"]),
+    "solve_overridden.cfg": ("tol = 1e-8\nprofile_mode = eq030\nto_d = d0\n",
+                             ["solve", "--tol", "1e-11", "--profile-mode", "cot_sum"]),
+    "solve_to_d_overridden.cfg": ("K = 30\nto_d = d0+0.01\n", ["solve", "--to-d", "d0+0.03"]),
+}
 
 CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; "
                   "print(json.dumps({k: [f.g, f.m_minus, f.m_plus, f.n, f.theta1] "
@@ -115,6 +135,11 @@ def calls(catalog):
             out.append((f"{run}/verify_{side}", ["verify", f"{run}/{side}.csv"]))
         out.append((f"eq030_coeffs/{name}@1.00",
                     ["coeffs", *family_flags(family, 1.0), *EQ030_COEFFS_FLAGS]))
+    for name in MESH_FAMILIES:
+        for cfg, (_, (command, *flags)) in CONFIG_FILES.items():
+            label = f"config/{name}@1.00/{cfg}"
+            argv = [command, *family_flags(catalog[name], 1.0), "--config", cfg, *flags]
+            out.append((label, argv + (["--out", label] if command == "solve" else [])))
     return out
 
 
@@ -123,6 +148,9 @@ def run_calls(checkout, call_list):
     the run directory: its sha256."""
     run_dir = os.path.join(checkout, "sweep_runs")
     os.makedirs(run_dir)
+    for cfg, (text, _) in CONFIG_FILES.items():
+        with open(os.path.join(run_dir, cfg), "w", encoding="utf-8") as fh:
+            fh.write(text)
     records = {}
     for label, argv in call_list:
         proc = subprocess.run(
