@@ -121,29 +121,30 @@ def _add_shared_flags(p):
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _config_value(action, raw):
-    """A config-file value as its flag's type; int keys take a float spelling.
+def _config_flag(action, raw):
+    """A config-file value as the arguments of its flag: a true boolean is
+    the bare flag and a false one none; int keys take a float spelling.
     Other values stay text, for argparse to convert as it does a flag's."""
+    flag = action.option_strings[0]
     if isinstance(action.default, bool):
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"{action.dest} = {raw!r}: choose from {', '.join(_BOOLEANS)}")
-        return _BOOLEANS[raw.lower()]
+        return [flag] if _BOOLEANS[raw.lower()] else []
     if action.type is int:
-        return int(float(raw))
-    if action.type is float:
-        return float(raw)
-    if action.choices is not None and raw not in action.choices:
+        raw = str(int(float(raw)))
+    elif action.type is float:
+        float(raw)   # a bad number names its line here, not in argparse
+    elif action.choices is not None and raw not in action.choices:
         raise ValueError(f"{action.dest} = {raw!r}: choose from {', '.join(action.choices)}")
-    return raw
+    return [f"{flag}={raw}"]
 
 
 def _config_args(subparser, actions, path):
-    """The config file's settings as ``--flag=value`` arguments, to go before
-    the command line's own flags: argparse keeps the last occurrence, so
-    every flag given on the command line wins.  A true boolean is its bare
-    flag, a false one adds nothing.  A bad line, or a file that is not
-    UTF-8, is a usage error of the subcommand (exit 2), as the same flag
-    would be."""
+    """The config file's settings as flag arguments, the last line of each
+    key winning, to go before the command line's own flags: argparse keeps
+    the last occurrence, so every flag given on the command line wins.  A
+    bad line, or a file that is not UTF-8, is a usage error of the
+    subcommand (exit 2), as the same flag would be."""
     by_dest = {a.dest: a for a in actions}
     settings = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -159,17 +160,10 @@ def _config_args(subparser, actions, path):
             key, raw = _setting(line)
             if key not in by_dest:
                 raise ValueError(f"unknown key {key!r}")
-            settings[key] = _config_value(by_dest[key], raw)
+            settings[key] = _config_flag(by_dest[key], raw)
         except (argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
             subparser.error(f"{path}:{ln}: {exc}")
-    args = []
-    for key, value in settings.items():
-        flag = by_dest[key].option_strings[0]
-        if isinstance(value, bool):
-            args += [flag] if value else []
-        else:
-            args.append(f"{flag}={value if isinstance(value, str) else repr(value)}")
-    return args
+    return [arg for flag_args in settings.values() for arg in flag_args]
 
 
 def _mode(args):
@@ -414,11 +408,8 @@ def cmd_export(args):
 # entry
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)   # once per process; nothing changes it after
 def build_parser():
-    """The argument parser and, for each subcommand that takes --config, its
-    subparser and the flags a config file may set; built once per process
-    and never changed after."""
     parser = argparse.ArgumentParser(prog="coneshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

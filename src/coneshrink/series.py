@@ -798,58 +798,40 @@ def series_to_json(series: FormalSeries) -> str:
     return json.dumps(series_to_json_dict(series), indent=2)
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return _is_int(value) or isinstance(value, float)
-
-
-def _field(rec, key, ok, kind, prefix=""):
-    """``rec[key]`` of a series record if ``ok`` holds of it; else
-    :class:`OutOfRange` naming the field as missing or not ``kind``."""
-    if key not in rec:
-        raise OutOfRange(f"series record: no field '{prefix}{key}'")
-    value = rec[key]
-    if not ok(value):
-        raise OutOfRange(f"series record: field '{prefix}{key}' is {value!r}, not {kind}")
+def _field(rec, key, kind=(int, float)):
+    """``rec[key]`` of a series record if it is a ``kind``; else
+    :class:`OutOfRange` naming the field."""
+    value = rec.get(key)
+    if not isinstance(value, kind):
+        raise OutOfRange(f"series record: field {key!r} is missing or malformed: {value!r}")
     return value
 
 
-def _numbers(value):
-    return isinstance(value, list) and all(map(_is_number, value))
+def _numbers(rec, key, convert):
+    try:
+        return tuple(map(convert, _field(rec, key, list)))
+    except (TypeError, ValueError):
+        raise OutOfRange(f"series record: field {key!r} holds a malformed number") from None
 
 
 def series_from_json(text: str) -> FormalSeries:
     """The series of a ``coeffs`` record; its family and profile mode are
     validated as they are read (:class:`ConstraintViolation` for an
     inadmissible family, :class:`UnsupportedMode` for an unknown mode), and
-    a field that is missing or malformed raises :class:`OutOfRange` naming
-    it."""
+    a missing or malformed field raises :class:`OutOfRange` naming it."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise OutOfRange(f"series record: a JSON object expected, got {rec!r}")
-    f = _field(rec, "family", lambda v: isinstance(v, dict), "an object")
-    fam = make_family(*(_field(f, key, _is_number, "a number", prefix="family.")
-                        for key in ("g", "m_minus", "m_plus", "n", "theta1")))
-    prec = _field(rec, "precision_bits", _is_int, "an integer")
-    K = _field(rec, "K", _is_int, "an integer")
-    texts = _field(rec, "A", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
-                   "a list of decimal strings")
-    try:
-        a = tuple(parse_real(t, prec) for t in texts)
-    except ValueError as exc:
-        raise OutOfRange(f"series record: field 'A' holds a malformed number: {exc}") from None
-    gevrey = _field(rec, "gevrey", _numbers, "a list of numbers")
-    rel = [0.0] * len(a)
-    if "rel_error_estimates" in rec:
-        rel = _field(rec, "rel_error_estimates", _numbers, "a list of numbers")
+    family = _field(rec, "family", dict)
+    fam = make_family(*(_field(family, key) for key in ("g", "m_minus", "m_plus", "n", "theta1")))
+    prec, K = _field(rec, "precision_bits", int), _field(rec, "K", int)
+    a = _numbers(rec, "A", lambda t: parse_real(t, prec))
+    gevrey = _numbers(rec, "gevrey", float)
+    rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
     if not K == len(a) == len(gevrey) == len(rel):
         raise OutOfRange(f"series record: K = {K} with {len(a)} coefficients in 'A', "
                          f"{len(gevrey)} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
     return FormalSeries(
         curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
-        K=K, precision_bits=prec, a=a,
-        gevrey_rho=tuple(gevrey), rel_error_estimates=tuple(rel),
+        K=K, precision_bits=prec, a=a, gevrey_rho=gevrey, rel_error_estimates=rel,
     )

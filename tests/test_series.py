@@ -328,12 +328,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, names", [
         # "family": null is what a series without a family was written as
-        (lambda rec: rec.update(family=None), "field 'family' is None"),
-        (lambda rec: rec.pop("K"), "no field 'K'"),
-        (lambda rec: rec.pop("A"), "no field 'A'"),
-        (lambda rec: rec.pop("gevrey"), "no field 'gevrey'"),
-        (lambda rec: rec["family"].pop("theta1"), "no field 'family.theta1'"),
-        (lambda rec: rec.update(K="12"), "field 'K' is '12'"),
+        (lambda rec: rec.update(family=None), "field 'family' is missing or malformed: None"),
+        (lambda rec: rec.pop("K"), "field 'K' is missing"),
+        (lambda rec: rec.pop("A"), "field 'A' is missing"),
+        (lambda rec: rec.pop("gevrey"), "field 'gevrey' is missing"),
+        (lambda rec: rec["family"].pop("theta1"), "field 'theta1' is missing"),
+        (lambda rec: rec.update(K="12"), "field 'K' is missing or malformed: '12'"),
         (lambda rec: rec["A"].__setitem__(0, "abc"), "field 'A' holds a malformed number"),
         (lambda rec: rec["A"].pop(), "K = 36 with 35 coefficients"),
     ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "A_text",
