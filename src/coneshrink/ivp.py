@@ -518,7 +518,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     phi_h = float(profile_d["phi"][idx])
     dphi_h = float(profile_d["dphi"][idx])
     if not d_target > d_h:
-        raise OutOfRange(f"d_target {d_target!r} must exceed the hand-over d_h = {d_h!r}, "
+        raise OutOfRange(f"d_target {d_target!r} must exceed the handoff d_h = {d_h!r}, "
                          "where continuation starts")
 
     h_fast = binary64_curvature(prof)

@@ -799,10 +799,10 @@ def series_to_json(series: FormalSeries) -> str:
 
 
 def _field(rec, key, kind=(int, float)):
-    """``rec[key]`` of a series record if it is a ``kind``; else
-    :class:`OutOfRange` naming the field."""
+    """``rec[key]`` of a series record if it is a ``kind`` (a JSON boolean
+    is no number); else :class:`OutOfRange` naming the field."""
     value = rec.get(key)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise OutOfRange(f"series record: field {key!r} is missing or malformed: {value!r}")
     return value
 

@@ -441,7 +441,7 @@ class TestExitContract:
         "config_not_utf8": ["c.cfg", "utf-8"],
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
         "corrections_advice_past_float_range": ["NonlinearDependence", "--precision 1120"],
-        "solve_to_d_below_handoff": ["OutOfRange", "d_target 0.01", "hand-over d_h"],
+        "solve_to_d_below_handoff": ["OutOfRange", "d_target 0.01", "handoff d_h"],
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -515,7 +515,6 @@ class TestConfigAndEnv:
             main(["coeffs", "--config", str(cfg), "--out", "-"])
         assert exc.value.code == 2
         assert "unknown key 'tol'" in capsys.readouterr().err
-
 
     def test_config_leaves_the_next_call_its_defaults(self, tmp_path, capsys):
         # the parser is built once per process: a config file applies to its

@@ -389,7 +389,7 @@ class TestContinuePhi:
         # names it, where the stepper would reject the empty span
         d_h = continued1.meta["d_h"]
         for d_target in (d_h, 0.5 * d_h, 0.0):
-            with pytest.raises(OutOfRange, match=f"hand-over d_h = {d_h!r}"):
+            with pytest.raises(OutOfRange, match=f"handoff d_h = {d_h!r}"):
                 continue_phi(dside1, d_target=d_target)
 
     def test_g_column_consistent(self, continued1):

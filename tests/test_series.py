@@ -334,10 +334,12 @@ class TestSerialization:
         (lambda rec: rec.pop("gevrey"), "field 'gevrey' is missing"),
         (lambda rec: rec["family"].pop("theta1"), "field 'theta1' is missing"),
         (lambda rec: rec.update(K="12"), "field 'K' is missing or malformed: '12'"),
+        (lambda rec: rec.update(precision_bits=True), "field 'precision_bits' is missing or "
+                                                      "malformed: True"),
         (lambda rec: rec["A"].__setitem__(0, "abc"), "field 'A' holds a malformed number"),
         (lambda rec: rec["A"].pop(), "K = 36 with 35 coefficients"),
-    ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "A_text",
-            "A_short"])
+    ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "precision_bool",
+            "A_text", "A_short"])
     def test_malformed_record_names_the_field(self, series1, edit, names):
         rec = json.loads(series_to_json(series1))
         edit(rec)
