@@ -62,17 +62,39 @@ MAX_DERIVATIVE_ORDER = 80
 
 @dataclass(frozen=True)
 class IsoparametricFamily:
-    """Validated cone data; construct through :func:`make_family`."""
+    """Validated cone data: the five defining numbers, everything else
+    derived from them; construct through :func:`make_family`."""
 
     g: int
     m_minus: int
     m_plus: int
     n: int
     theta1: float
-    theta: tuple          # principal angles theta_k, ascending
-    multiplicities: tuple  # m_k matched to theta, alternating from m_plus
-    d_focal: float
-    d0: float
+
+    @property
+    def theta(self):
+        """Principal angles theta_k, ascending."""
+        return tuple(self.theta1 + k * math.pi / self.g for k in range(self.g))
+
+    @property
+    def multiplicities(self):
+        """m_k matched to theta, alternating from m_plus."""
+        return _multiplicities(self.g, self.m_minus, self.m_plus)
+
+    @property
+    def d_focal(self):
+        """Focal distance, where H blows down to -inf."""
+        return math.pi / self.g - self.theta1
+
+    @property
+    def s_end(self):
+        """End of the s-side integration, 1/(4n)."""
+        return 1.0 / (4.0 * self.n)
+
+    @cached_property
+    def d0(self):
+        """The minimal distance of the cot-sum profile."""
+        return CurvatureProfile(self).d0
 
     def as_dict(self):
         return {
@@ -104,6 +126,11 @@ class CurvatureProfile:
         lead = fam.m_minus + (1 if self.mode == EQ030_LITERAL else 0)
         terms = ((lead, fam.g), (fam.m_plus - fam.m_minus, fam.g // 2))
         return tuple((w, f) for w, f in terms if w)
+
+    @cached_property
+    def h0(self):
+        """H(0) at binary64: positive exactly when this profile is mean convex."""
+        return float(mean_curvature(self, 0.0))
 
     @cached_property
     def d0(self):
@@ -141,7 +168,7 @@ def _validate(g, m_minus, m_plus, n, theta1):
         raise ConstraintViolation(
             "theta1_range", f"theta1 must lie in (0, pi/g) = (0, {math.pi / g:.6g}), got {theta1}"
         )
-    return mult, theta1
+    return theta1
 
 
 def _multiplicities(g, m_minus, m_plus):
@@ -149,23 +176,16 @@ def _multiplicities(g, m_minus, m_plus):
 
 
 def make_family(g, m_minus, m_plus, n, theta1) -> IsoparametricFamily:
-    """Validate the structural constraints and populate derived data.
+    """Validate the structural constraints.
 
     Raises :class:`ConstraintViolation` naming the failed invariant, or
     :class:`NotMeanConvex` when H(0) <= 0.
     """
-    mult, theta1 = _validate(g, m_minus, m_plus, n, theta1)
-    theta = tuple(theta1 + k * math.pi / g for k in range(g))
-    d_focal = math.pi / g - theta1
-    fam = IsoparametricFamily(
-        g=g, m_minus=m_minus, m_plus=m_plus, n=n, theta1=theta1,
-        theta=theta, multiplicities=mult, d_focal=d_focal, d0=math.nan,
-    )
-    profile = CurvatureProfile(fam, COT_SUM)
-    h0 = mean_curvature(profile, 0.0)
+    theta1 = _validate(g, m_minus, m_plus, n, theta1)
+    fam = IsoparametricFamily(g=g, m_minus=m_minus, m_plus=m_plus, n=n, theta1=theta1)
+    h0 = CurvatureProfile(fam, COT_SUM).h0
     if h0 <= 0.0:
         raise NotMeanConvex(f"H(0) = {h0:.6g} <= 0 for theta1 = {theta1:.6g}")
-    object.__setattr__(fam, "d0", profile.d0)
     return fam
 
 
@@ -281,9 +301,8 @@ MINIMAL_DISTANCE_TOL = 1e-14
 def minimal_distance(profile: CurvatureProfile) -> float:
     """Unique zero of the profile's H on (0, d_focal): bracketed bisection to
     1e-3 followed by a Newton polish using the exact derivative."""
-    h0 = float(mean_curvature(profile, 0.0))
-    if h0 <= 0:
-        raise RootNotBracketed(f"H(0) = {h0:.6g} <= 0")
+    if profile.h0 <= 0:
+        raise RootNotBracketed(f"H(0) = {profile.h0:.6g} <= 0")
     # keep hi strictly interior: H blows down to -inf at d_focal
     lo, hi = 0.0, profile.family.d_focal * (1 - 1e-7)
     while hi - lo > 1e-3:

@@ -179,7 +179,7 @@ def cmd_catalog(args):
         spec = dict.fromkeys(_CHECK_FIELDS)
         spec.update(args.check)
         fam = _family_from_args(argparse.Namespace(**spec))
-        h0 = float(mean_curvature(CurvatureProfile(fam), 0.0))
+        h0 = CurvatureProfile(fam).h0
         print(f"valid family: g={fam.g} m_minus={fam.m_minus} m_plus={fam.m_plus} "
               f"n={fam.n} theta1={fam.theta1!r}")
         print(f"d_focal = {fam.d_focal!r}")
@@ -189,7 +189,7 @@ def cmd_catalog(args):
     print(f"{'name':<16}{'g':>3}{'m-':>4}{'m+':>4}{'n':>4}  "
           f"{'theta1':<22}{'d0':<22}{'H(0)':<22}")
     for name, fam in builtin_catalog().items():
-        h0 = float(mean_curvature(CurvatureProfile(fam), 0.0))
+        h0 = CurvatureProfile(fam).h0
         print(f"{name:<16}{fam.g:>3}{fam.m_minus:>4}{fam.m_plus:>4}{fam.n:>4}  "
               f"{fam.theta1:<22.17g}{fam.d0:<22.17g}{h0:<22.17g}")
     return EXIT_OK

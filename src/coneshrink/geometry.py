@@ -26,8 +26,8 @@ from .errors import (
     ResolutionTooLow,
     UnsupportedFamily,
 )
-from .ivp import D_SIDE, SolutionProfile, _hermite_eval, phi_equation_residual
-from .numutil import atomic_write_text, loglog_slope, write_csv
+from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
+from .numutil import atomic_write_text, hermite_eval, loglog_slope, write_csv
 from .series import (
     FormalSeries,
     compute_coefficients,
@@ -49,13 +49,7 @@ PROFILE_JSON_SCHEMA = {
 EXPORT_COLUMNS = ("d", "r", "phi", "eq130_residual", "eq350_drift")
 
 
-@dataclass(frozen=True)
-class ShrinkerResidualReport:
-    values: np.ndarray
-    max_abs: float
-
-
-def shrinker_residual(profile_d: SolutionProfile) -> ShrinkerResidualReport:
+def shrinker_residual(profile_d: SolutionProfile) -> ResidualReport:
     """Radial-graph shrinker residual at the stored nodes."""
     if profile_d.side != D_SIDE:
         raise OutOfRange("shrinker residual needs a d-side profile")
@@ -63,7 +57,7 @@ def shrinker_residual(profile_d: SolutionProfile) -> ShrinkerResidualReport:
     prof = profile_d.curvature
     vals = phi_equation_residual(profile_d["phi"], profile_d["dphi"], profile_d["d2phi"],
                                  mean_curvature(prof, d), prof.family.n)
-    return ShrinkerResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
+    return ResidualReport.of(vals)
 
 
 def cone_profile(family: IsoparametricFamily, d_values) -> SolutionProfile:
@@ -80,7 +74,6 @@ def cone_profile(family: IsoparametricFamily, d_values) -> SolutionProfile:
         columns={"d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi,
                  "g": d / a1,
                  "eq130_residual": np.zeros_like(d), "eq350_drift": np.zeros_like(d)},
-        meta={"source": "cone_profile"},
     )
 
 
@@ -172,8 +165,7 @@ def export_profile(profile_d: SolutionProfile, path, format: str = "csv"):
 @dataclass(frozen=True)
 class MeshResult:
     path: object
-    n_d: int
-    n_angular: int
+    resolution: int            # samples along d and around each circle
     vertex_count: int
     face_count: int
     discrete_residual: float   # max |H_disc + X.nu/2| / max |H_disc|, nan if unchecked
@@ -214,8 +206,7 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     chunks += _obj_rows("v %r %r %r\n", verts)
     chunks += _obj_rows("f %d %d %d\n", faces + 1)
     atomic_write_text(path, "".join(chunks))
-    return MeshResult(path=path, n_d=resolution, n_angular=resolution,
-                      vertex_count=len(verts), face_count=len(faces),
+    return MeshResult(path=path, resolution=resolution, vertex_count=len(verts), face_count=len(faces),
                       discrete_residual=residual)
 
 
@@ -259,7 +250,7 @@ def _end_mesh(profile_d, family, resolution):
     first three coordinates."""
     d_nodes = profile_d["d"]
     d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
-    phi = _hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)
+    phi = hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)
     rr = np.exp(phi)[:, None]
     th = family.theta1 + d_samples
     psi = 2 * np.pi * np.arange(resolution) / resolution
@@ -392,8 +383,3 @@ def _dot(u, w):
     ``einsum("ij,ij->i")`` sums three products; left to right differs by
     an ulp on about 30% of random rows."""
     return (u[0] * w[0] + u[2] * w[2]) + u[1] * w[1]
-
-
-def read_profile_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -48,7 +48,8 @@ from .errors import (
     SingularDenominator,
     StepSizeCollapse,
 )
-from .numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, loglog_slope, write_csv
+from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, loglog_slope,
+                      write_csv)
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
                      evaluate_truncated)
 from .stepper import integrate, integrate_implicit
@@ -84,10 +85,6 @@ class SolverConfig:
     series_prec: int = 53
     correction_N: int = 8
 
-    def resolved_s_end(self, family):
-        """End of the s-side integration, 1/(4n)."""
-        return 1.0 / (4.0 * family.n)
-
 
 @dataclass
 class SolutionProfile:
@@ -101,13 +98,6 @@ class SolutionProfile:
 
     def __getitem__(self, name):
         return self.columns[name]
-
-    @property
-    def nodes(self):
-        return self.columns["s" if self.side == S_SIDE else "d"]
-
-    def n_nodes(self):
-        return len(self.nodes)
 
 
 def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile):
@@ -194,13 +184,13 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     family = curvature.family
     if series is not None:
         _require_series_of(curvature, series)
-    h_fast = binary64_curvature(curvature)
-    if h_fast(0.0) <= 0.0:
-        raise NotMeanConvex(f"H(0) = {h_fast(0.0):.6g} <= 0 in profile mode {curvature.mode} "
+    if curvature.h0 <= 0.0:
+        raise NotMeanConvex(f"H(0) = {curvature.h0:.6g} <= 0 in profile mode {curvature.mode} "
                             f"for theta1 = {family.theta1:.6g}")
+    h_fast = binary64_curvature(curvature)
     n = family.n
     eps = config.eps
-    s_end = config.resolved_s_end(family)
+    s_end = family.s_end
     d_focal = family.d_focal
     tol = config.tol
 
@@ -292,12 +282,18 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
 
 
 @dataclass(frozen=True)
-class EnergyResidualReport:
+class ResidualReport:
+    """A monitor's residual at the stored nodes and its largest magnitude."""
+
     values: np.ndarray
     max_abs: float
 
+    @classmethod
+    def of(cls, values):
+        return cls(values=values, max_abs=float(np.max(np.abs(values))))
 
-def energy_residual(profile_s: SolutionProfile) -> EnergyResidualReport:
+
+def energy_residual(profile_s: SolutionProfile) -> ResidualReport:
     """Recompute the energy-identity residual at the stored nodes, with the
     run's eps from ``meta["eps"]`` (0 when absent, as in a profile read back
     from CSV).
@@ -321,7 +317,7 @@ def energy_residual(profile_s: SolutionProfile) -> EnergyResidualReport:
         inc = _cumulative_energy(s, dgam, d2gam, n)
         vals = core + inc
         vals = vals - vals[0]
-    return EnergyResidualReport(values=vals, max_abs=float(np.max(np.abs(vals))))
+    return ResidualReport.of(vals)
 
 
 def _gauss_points(s):
@@ -399,7 +395,6 @@ def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
             "eq130_residual": eq130, "eq140_residual": eq140,
             "eq350_drift": drift,
         },
-        meta={**profile_s.meta, "source": "to_d_profile"},
     )
 
 
@@ -582,7 +577,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     mask = d_old >= d_h
     overlap_max = 0.0
     if np.any(mask):
-        phi_cont = _hermite_eval(d_nodes, phi, dphi, d_old[mask])
+        phi_cont = hermite_eval(d_nodes, phi, dphi, d_old[mask])
         overlap_max = float(np.max(np.abs(phi_cont - profile_d["phi"][mask])))
 
     return SolutionProfile(
@@ -594,27 +589,12 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
             "local_err": result.errs,
         },
         meta={
-            **profile_d.meta, "source": "continue_phi", "d_h": d_h,
-            "s_h": float(s_vals[idx]), "d_target": d_target, "d0": d0,
+            "d_h": d_h, "s_h": float(s_vals[idx]), "d_target": d_target, "d0": d0,
             "max_identity_drift": max_drift, "overlap_max_diff": overlap_max,
-            "n_steps": result.n_steps,
+            "n_steps": result.n_steps, "n_rejected": result.n_rejected,
             "sum_local_err": float(np.sum(result.errs)),
         },
     )
-
-
-def _hermite_eval(xs, ys, dys, x_query):
-    idx = np.clip(np.searchsorted(xs, x_query, side="right") - 1, 0, len(xs) - 2)
-    x0, x1 = xs[idx], xs[idx + 1]
-    h = x1 - x0
-    t = np.where(h > 0, (x_query - x0) / np.where(h > 0, h, 1.0), 0.0)
-    return cubic_hermite(t, h, ys[idx], dys[idx], ys[idx + 1], dys[idx + 1])
-
-
-def gamma_dense(profile_s: SolutionProfile, s_query):
-    """gamma at arbitrary s inside the stored range (cubic Hermite)."""
-    return _hermite_eval(profile_s["s"], profile_s["gamma"], profile_s["dgamma"],
-                         np.asarray(s_query, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -643,19 +623,18 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
         raise OutOfRange("need >= 3 positive eps values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise OutOfRange("eps values must decrease")
-    family = curvature.family
     if series is None:
         series = compute_coefficients(curvature, config.series_K, config.series_prec)
     _require_series_of(curvature, series)
     corrections = compute_epsilon_corrections(series, config.correction_N)
     if direct is None:
         direct = integrate_gamma(curvature, series, replace(config, eps=0.0))
-    s_end = config.resolved_s_end(family)
+    s_end = curvature.family.s_end
     s_b = direct.meta["s_b"]
     grid = np.linspace(0.0, s_end, 401)
     gamma0 = np.empty_like(grid)
     low = grid < s_b
-    gamma0[~low] = gamma_dense(direct, grid[~low])
+    gamma0[~low] = hermite_eval(direct["s"], direct["gamma"], direct["dgamma"], grid[~low])
     for i in np.nonzero(low)[0]:
         gamma0[i] = 0.0 if grid[i] == 0 else float(
             evaluate_truncated(series, grid[i]).value)
@@ -666,7 +645,7 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
             prof = integrate_gamma(
                 curvature, series, replace(config, eps=e),
                 initial_slope=float(corrections.initial_slope(e)))
-            g_eps = _hermite_eval(prof["s"], prof["gamma"], prof["dgamma"], grid)
+            g_eps = hermite_eval(prof["s"], prof["gamma"], prof["dgamma"], grid)
             errors.append(float(np.max(np.abs(g_eps - gamma0))))
             statuses.append("ok")
         except (StepSizeCollapse, MonotonicityLost, OutOfRange) as exc:
@@ -724,6 +703,7 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise OSError(f"{path}:{ln}: {exc}") from None
+    if len(rows) < 2:
+        raise OSError(f"{path}: {len(rows)} data row(s); a {side} profile needs at least 2")
     data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
-    return SolutionProfile(side=side, curvature=curvature, columns=data,
-                           meta={"source": str(path)})
+    return SolutionProfile(side=side, curvature=curvature, columns=data)

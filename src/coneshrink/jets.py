@@ -133,9 +133,6 @@ class Jet:
     derivs: tuple
     basepoint: object = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "derivs", tuple(self.derivs))
-
     @property
     def order(self):
         return len(self.derivs) - 1

@@ -87,6 +87,17 @@ def cubic_hermite(t, h, y0, dy0, y1, dy1):
     return h00 * y0 + h10 * h * dy0 + h01 * y1 + h11 * h * dy1
 
 
+def hermite_eval(xs, ys, dys, x_query):
+    """The piecewise cubic Hermite through the nodes xs (ascending) with
+    values ys and slopes dys, at x_query; beyond the nodes the end
+    intervals' cubics extend."""
+    idx = np.clip(np.searchsorted(xs, x_query, side="right") - 1, 0, len(xs) - 2)
+    x0, x1 = xs[idx], xs[idx + 1]
+    h = x1 - x0
+    t = np.where(h > 0, (x_query - x0) / np.where(h > 0, h, 1.0), 0.0)
+    return cubic_hermite(t, h, ys[idx], dys[idx], ys[idx + 1], dys[idx + 1])
+
+
 # 4-point Gauss-Legendre rule on [0, 1]; exact through degree 7, enough to
 # integrate products of cubic Hermite reconstructions against linear weights.
 GAUSS4_NODES = (

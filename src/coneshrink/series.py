@@ -34,6 +34,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath
 from mpmath.libmp import from_man_exp, fzero
@@ -251,7 +252,6 @@ class EpsilonPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise OutOfRange("an epsilon-polynomial needs at least its constant term")
 
@@ -276,41 +276,38 @@ class EpsilonPolynomial:
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Coefficients A_1..A_K of the profile ``curvature``, with Gevrey
-    diagnostics baked in.
+    """Coefficients A_1..A_K of the profile ``curvature``.
 
     ``a`` stores A_{k} at index k-1 (floats at 53 bits, mpmath floats above).
     ``rel_error_estimates`` carry the measured per-coefficient relative
     difference from a run of the same recursion at ``precision_bits + 64``."""
 
     curvature: CurvatureProfile
-    K: int
     precision_bits: int
     a: tuple
-    gevrey_rho: tuple
     rel_error_estimates: tuple
+
+    @property
+    def K(self):
+        return len(self.a)
+
+    @cached_property
+    def gevrey_rho(self):
+        """rho_k = (|A_k| / (k!)^2)^(1/k) for k = 1..K."""
+        return tuple(_rho(v, k) for k, v in enumerate(self.a, start=1))
 
     def coefficient(self, k: int):
         if not 1 <= k <= self.K:
             raise OutOfRange(f"coefficient index {k} outside 1..{self.K}")
         return self.a[k - 1]
 
-    @classmethod
-    def from_coefficients(cls, curvature, a_values, precision_bits=DOUBLE_PREC):
-        """Wrap externally supplied coefficients (synthetic series in tests)."""
-        a = tuple(a_values)
-        return cls(
-            curvature=curvature, K=len(a), precision_bits=precision_bits, a=a,
-            gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
-            rel_error_estimates=(0.0,) * len(a),
-        )
-
 
 def _rho(a_k, k):
     if isinstance(a_k, mpmath.mpf):
         if a_k == 0:
             return 0.0
-        ln = float(mpmath.log(abs(a_k)))
+        with mpmath.workprec(DOUBLE_PREC):
+            ln = float(mpmath.log(abs(a_k)))
     else:
         mag = abs(float(a_k))
         if mag == 0:
@@ -478,11 +475,8 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
                     f"(measured against a {shadow_prec}-bit run)",
                 )
             rel_errs.append(rel_err)
-    return FormalSeries(
-        curvature=curvature, K=K, precision_bits=prec, a=tuple(a),
-        gevrey_rho=tuple(_rho(v, k + 1) for k, v in enumerate(a)),
-        rel_error_estimates=tuple(rel_errs),
-    )
+    return FormalSeries(curvature=curvature, precision_bits=prec, a=tuple(a),
+                        rel_error_estimates=tuple(rel_errs))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +485,6 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
 
 @dataclass(frozen=True)
 class GevreyReport:
-    rho: tuple
     running_sup: tuple
     C_est: float
     verdict: str
@@ -533,7 +526,7 @@ def gevrey_diagnostics(series: FormalSeries) -> GevreyReport:
     med_mid = _median(mid) if mid else med_late
     bounded = max_late <= 2.0 * med_late and max_late <= 2.0 * med_mid
     return GevreyReport(
-        rho=rho, running_sup=tuple(sup), C_est=sup[-1],
+        running_sup=tuple(sup), C_est=sup[-1],
         verdict="bounded" if bounded else "unbounded",
         max_late=max_late, median_late=med_late, median_mid=med_mid,
     )
@@ -715,7 +708,7 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         audit(N + 1, N + 1)
     return EpsilonCorrections(
         B=tuple(b),
-        gamma_eps=tuple(EpsilonPolynomial(row.coeffs) for row in rows[1:]),
+        gamma_eps=tuple(EpsilonPolynomial(tuple(row.coeffs)) for row in rows[1:]),
         slopes=tuple(slopes), max_snap_residual=float(max(resid[1:])),
     )
 
@@ -750,8 +743,6 @@ def evaluate_truncated(series: FormalSeries, s, derivative: int = 0,
         mags = []
         for k in range(k_lo, series.K + 1):
             p = k - derivative
-            if p < 0:
-                continue
             t = series.coefficient(k) * ss ** p / math.factorial(p)
             terms.append(t)
             mags.append(abs(float(t)))
@@ -826,12 +817,10 @@ def series_from_json(text: str) -> FormalSeries:
     fam = make_family(*(_field(family, key) for key in ("g", "m_minus", "m_plus", "n", "theta1")))
     prec, K = _field(rec, "precision_bits", int), _field(rec, "K", int)
     a = _numbers(rec, "A", lambda t: parse_real(t, prec))
-    gevrey = _numbers(rec, "gevrey", float)
+    n_gevrey = len(_numbers(rec, "gevrey", float))
     rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
-    if not K == len(a) == len(gevrey) == len(rel):
+    if not K == len(a) == n_gevrey == len(rel):
         raise OutOfRange(f"series record: K = {K} with {len(a)} coefficients in 'A', "
-                         f"{len(gevrey)} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
-    return FormalSeries(
-        curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
-        K=K, precision_bits=prec, a=a, gevrey_rho=gevrey, rel_error_estimates=rel,
-    )
+                         f"{n_gevrey} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
+    return FormalSeries(curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
+                        precision_bits=prec, a=a, rel_error_estimates=rel)

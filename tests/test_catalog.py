@@ -11,6 +11,7 @@ from coneshrink.catalog import (
     EQ030_LITERAL,
     MAX_DERIVATIVE_ORDER,
     CurvatureProfile,
+    IsoparametricFamily,
     binary64_curvature,
     builtin_catalog,
     curvature_antiderivative,
@@ -266,9 +267,7 @@ class TestMinimalDistance:
                 assert 0 <= d0 <= 1e-12
 
     def test_root_not_bracketed(self, fam1):
-        bad = make_family(2, 1, 1, 3, math.pi / 6)
-        object.__setattr__(bad, "theta1", math.pi / 3)
-        object.__setattr__(bad, "theta", (math.pi / 3, math.pi / 3 + math.pi / 2))
+        bad = IsoparametricFamily(2, 1, 1, 3, math.pi / 3)
         with pytest.raises(RootNotBracketed):
             minimal_distance(CurvatureProfile(bad))
 

@@ -385,6 +385,8 @@ class TestExitContract:
     traceback.  ``{run}`` stands for the directory of a solved run."""
 
     COEFFS = ["coeffs", *FAM1_FLAGS, "--K", "5"]
+    S_SIDE_HEADER = "s,gamma,dgamma,d2gamma,local_err,energy_residual\n"
+    D_SIDE_HEADER = "d,phi,dphi,g,eq130_residual,eq350_drift\n"
     CASES = {
         # name: (files written first, argv, exit code)
         "config_unknown_key": ({"c.cfg": "bogus = 1\n"}, [*COEFFS, "--config", "c.cfg"], 2),
@@ -416,6 +418,18 @@ class TestExitContract:
         "verify_csv_missing_column": ({"bad.csv": "d,phi\n1.0,0.5\n"},
                                       ["verify", "bad.csv", "--summary", "{run}/summary.json"],
                                       6),
+        # a profile needs two rows: one checks nothing, none fails the monitors
+        "verify_s_side_header_only": ({"s_side.csv": S_SIDE_HEADER},
+                                      ["verify", "s_side.csv", "--summary", "{run}/summary.json"],
+                                      6),
+        "verify_s_side_one_row": ({"s_side.csv": S_SIDE_HEADER + "0.01,0.01,1,-2,0,0\n"},
+                                  ["verify", "s_side.csv", "--summary", "{run}/summary.json"], 6),
+        "verify_d_side_header_only": ({"d_side.csv": D_SIDE_HEADER},
+                                      ["verify", "d_side.csv", "--summary", "{run}/summary.json"],
+                                      6),
+        "export_d_side_header_only": ({"d_side.csv": D_SIDE_HEADER},
+                                      ["export", "d_side.csv", "--summary", "{run}/summary.json",
+                                       "--out", "o"], 6),
         "config_not_utf8": ({"c.cfg": b"\xff\xfeK = 5\n"}, [*COEFFS, "--config", "c.cfg"], 2),
         "config_bad_boolean": ({"c.cfg": "gevrey = maybe\n"}, [*COEFFS, "--config", "c.cfg"], 2),
         # |A_91| of g3_m1 exceeds the float range; the precision advice names
@@ -438,6 +452,10 @@ class TestExitContract:
     NAMES = {
         "verify_csv_cell_not_a_number": ["bad.csv:2:", "'abc'"],
         "verify_csv_missing_column": ["bad.csv", "dphi"],
+        "verify_s_side_header_only": ["s_side.csv: 0 data row(s)"],
+        "verify_s_side_one_row": ["s_side.csv: 1 data row(s)"],
+        "verify_d_side_header_only": ["d_side.csv: 0 data row(s)"],
+        "export_d_side_header_only": ["d_side.csv: 0 data row(s)"],
         "config_not_utf8": ["c.cfg", "utf-8"],
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
         "corrections_advice_past_float_range": ["NonlinearDependence", "--precision 1120"],

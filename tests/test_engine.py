@@ -1,12 +1,17 @@
-"""The Taylor-arithmetic series engine against the partition-sum oracle.
+"""The Taylor-arithmetic series engine against two independent oracles.
 
-The oracle runs the derivative form of the recursion,
+Both run the derivative form of the recursion,
 
     A_{k+1} = 2nk A_k + (d/ds)^k H(gamma)(0) - 2k (d/ds)^k arctan(2 s gamma')(0),
 
-with Faa di Bruno partition sums over the exact derivatives of H at 0 and
-the partition form of the arctan term.  It shares no code with the engine in :mod:`coneshrink.series`.
+from the exact derivatives of H at 0.  The partition oracle takes Faa di
+Bruno partition sums and the partition form of the arctan term from
+:mod:`coneshrink.jets`; the Bell oracle builds the partial Bell polynomials
+by their recurrence and needs only :mod:`math`.  Neither shares code with
+the engine in :mod:`coneshrink.series`.
 """
+
+import math
 
 import mpmath
 import pytest
@@ -45,6 +50,39 @@ def partition_oracle(family, K, prec, mode=COT_SUM):
     return gd
 
 
+def _bell_row(rows, x, k):
+    """B_{k,0..k}(x_1, x_2, ...) from the rows below k, by
+    B_{k,l} = sum_i C(k-1, i-1) x_i B_{k-i,l-1} (B_{0,0} = 1, B_{k,0} = 0)."""
+    row = [0] * (k + 1)
+    for l in range(1, k + 1):
+        row[l] = sum(math.comb(k - 1, i - 1) * x[i] * rows[k - i][l - 1]
+                     for i in range(1, k - l + 2))
+    return row
+
+
+def bell_oracle(family, K, prec, mode=COT_SUM):
+    """A_1..A_K by partial Bell polynomials: (d/ds)^k F(u)(0) is
+    sum_l F^(l)(u(0)) B_{k,l}(u'(0), u''(0), ...), for F = H with u = gamma,
+    and for F = arctan with u = w = 2 s gamma', whose derivatives at 0 are
+    w^(j)(0) = 2j gamma^(j)(0), and arctan^(l)(0) = (-1)^((l-1)/2) (l-1)!
+    for odd l, 0 for even l."""
+    profile = CurvatureProfile(family, mode)
+    ctx = RealContext(prec)
+    with ctx.workprec():
+        h = [curvature_derivative(profile, ctx.convert(0.0), l, prec) for l in range(K)]
+        atan = [(-1) ** ((l - 1) // 2) * math.factorial(l - 1) if l % 2 else 0 for l in range(K)]
+        gd, wd = [None, h[0]], [None, 2 * h[0]]   # gamma^(j)(0) and w^(j)(0) at index j
+        bell_g, bell_w = [[1]], [[1]]
+        for k in range(1, K):
+            bell_g.append(_bell_row(bell_g, gd, k))
+            bell_w.append(_bell_row(bell_w, wd, k))
+            d_h = sum(h[l] * bell_g[k][l] for l in range(1, k + 1))
+            d_atan = sum(atan[l] * bell_w[k][l] for l in range(1, k + 1, 2))
+            gd.append(2 * family.n * k * gd[k] + d_h - 2 * k * d_atan)
+            wd.append(2 * (k + 1) * gd[k + 1])
+    return gd[1:]
+
+
 def max_rel_diff(got, expect, prec):
     with mpmath.workprec(prec):
         return max(float(abs(a - b) / abs(b)) for a, b in zip(got, expect, strict=True))
@@ -61,7 +99,7 @@ class TestPartitionOracle:
     def test_256_bits_k40(self, name):
         fam = CATALOG[name]
         got = compute_coefficients(CurvatureProfile(fam), 40, 256).a
-        assert max_rel_diff(got, partition_oracle(fam, 40, 256), 256) <= 1e-60
+        assert max_rel_diff(got, bell_oracle(fam, 40, 256), 256) <= 1e-60
 
     def test_eq030_literal_first_nine(self, fam1):
         got = compute_coefficients(CurvatureProfile(fam1, EQ030_LITERAL), 9, 256).a

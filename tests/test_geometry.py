@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ from coneshrink.geometry import (
     discrete_shrinker_residual,
     export_mesh,
     export_profile,
-    read_profile_json,
     shrinker_residual,
 )
-from coneshrink.ivp import (SolutionProfile, SolverConfig, _hermite_eval, continue_phi,
-                           integrate_gamma, to_d_profile)
+from coneshrink.ivp import (SolutionProfile, SolverConfig, continue_phi, integrate_gamma,
+                           to_d_profile)
+from coneshrink.numutil import hermite_eval
 
 
 class TestShrinkerResidual:
@@ -100,7 +101,7 @@ class TestExportProfile:
         export_profile(continued1, path, format="csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(EXPORT_COLUMNS)
-        assert len(lines) - 1 == continued1.n_nodes()
+        assert len(lines) - 1 == len(continued1["d"])
 
     def test_csv_round_trip(self, continued1, tmp_path):
         path = tmp_path / "p.csv"
@@ -115,9 +116,9 @@ class TestExportProfile:
         import jsonschema
         path = tmp_path / "p.json"
         export_profile(continued1, path, format="json")
-        doc = read_profile_json(path)
+        doc = json.loads(path.read_text())
         jsonschema.validate(doc, PROFILE_JSON_SCHEMA)
-        assert len(doc["rows"]) == continued1.n_nodes()
+        assert len(doc["rows"]) == len(continued1["d"])
 
 
 class TestExportMesh:
@@ -155,7 +156,7 @@ class TestExportMesh:
                           if ln.startswith("v ")])
         radii = np.linalg.norm(verts, axis=1).reshape(16, 16)
         d_samples = np.linspace(continued1["d"][0], continued1["d"][-1], 16)
-        expect = np.exp(_hermite_eval(continued1["d"], continued1["phi"], continued1["dphi"],
+        expect = np.exp(hermite_eval(continued1["d"], continued1["phi"], continued1["dphi"],
                                       d_samples))
         for j in range(16):
             assert radii[:, j] == pytest.approx(expect, rel=1e-12)

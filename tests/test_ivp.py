@@ -22,7 +22,6 @@ from coneshrink.ivp import (
     energy_residual,
     epsilon_convergence_study,
     equation_residual,
-    gamma_dense,
     gamma_rhs,
     integrate_gamma,
     read_profile_csv,
@@ -31,7 +30,8 @@ from coneshrink.ivp import (
     _cumulative_energy,
     _cumulative_q_from_s,
 )
-from coneshrink.numutil import GAUSS4_NODES, GAUSS4_WEIGHTS, loglog_slope, write_csv
+from coneshrink.numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_eval, loglog_slope,
+                               write_csv)
 from coneshrink.series import (compute_coefficients, compute_epsilon_corrections,
                                evaluate_truncated)
 
@@ -95,7 +95,7 @@ class TestIntegrateGamma:
 
     def test_ode_residual_at_nodes(self, solved1, fam1):
         prof = CurvatureProfile(fam1)
-        for i in range(0, solved1.n_nodes(), 7):
+        for i in range(0, len(solved1["s"]), 7):
             r = equation_residual(solved1["s"][i], solved1["gamma"][i],
                                   solved1["dgamma"][i], solved1["d2gamma"][i],
                                   0.0, prof)
@@ -162,7 +162,7 @@ class TestIntegrateGamma:
         prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg,
                                initial_slope=float(corr.initial_slope(eps)))
         assert prof.meta["used_fallback"]
-        assert prof["s"][-1] == pytest.approx(cfg.resolved_s_end(fam1))
+        assert prof["s"][-1] == pytest.approx(fam1.s_end)
         # regularized runs start at s = 0 where every identity term vanishes
         assert prof["s"][0] == 0.0
         assert prof["energy_residual"][0] == 0.0
@@ -378,6 +378,24 @@ class TestContinuePhi:
     def test_handoff_is_not_tiny(self, continued1, solved1):
         assert continued1.meta["s_h"] >= 0.1 * solved1.meta["s_end"]
 
+    def test_reports_its_own_steps_and_rejects(self, monkeypatch):
+        # on g3_m4 the continuation rejects 6 steps and the s-side 1; the
+        # continued profile counts its own integration, not the s-side's
+        prof_s = integrate_gamma(CurvatureProfile(builtin_catalog()["g3_m4"]), None,
+                                 SolverConfig())
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(stepper.integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ivp_mod, "integrate", recording)
+        cont = continue_phi(to_d_profile(prof_s))
+        (run,) = [r for r in runs if r.ts[0] == cont.meta["d_h"]]
+        assert (cont.meta["n_steps"], cont.meta["n_rejected"]) == (run.n_steps, run.n_rejected)
+        assert run.n_rejected != prof_s.meta["n_rejected"]
+        assert "n_rejected" not in to_d_profile(prof_s).meta
+
     def test_target_validation(self, dside1, fam1):
         with pytest.raises(OutOfRange):
             continue_phi(dside1, d_target=fam1.d_focal + 0.1)
@@ -577,5 +595,5 @@ class TestCsvRoundTrip:
 def test_gamma_dense_interpolation(solved1):
     s = solved1["s"]
     mid = 0.5 * (s[10] + s[11])
-    val = gamma_dense(solved1, mid)
+    val = hermite_eval(s, solved1["gamma"], solved1["dgamma"], mid)
     assert solved1["gamma"][10] < val < solved1["gamma"][11]

@@ -196,16 +196,16 @@ class TestLinearCoefficient:
 class TestGevrey:
     def test_exact_gevrey2_bounded(self, fam1):
         a = [float(math.factorial(k)) ** 2 for k in range(1, 41)]
-        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a)
+        fs = FormalSeries(CurvatureProfile(fam1), DOUBLE_PREC, tuple(a), (0.0,) * len(a))
         rep = gevrey_diagnostics(fs)
         assert rep.verdict == "bounded"
-        assert all(abs(r - 1.0) < 1e-12 for r in rep.rho)
+        assert all(abs(r - 1.0) < 1e-12 for r in fs.gevrey_rho)
         assert rep.C_est == pytest.approx(1.0)
 
     def test_super_gevrey_unbounded(self, fam1):
         with mpmath.workprec(400):
             a = [mpmath.mpf(math.factorial(k)) ** 3 for k in range(1, 41)]
-        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a, precision_bits=400)
+        fs = FormalSeries(CurvatureProfile(fam1), 400, tuple(a), (0.0,) * len(a))
         rep = gevrey_diagnostics(fs)
         assert rep.verdict == "unbounded"
 
@@ -230,7 +230,7 @@ class TestEvaluateTruncated:
     def test_synthetic_kstar_location(self, fam1):
         with mpmath.workprec(400):
             a = [mpmath.mpf(math.factorial(k)) ** 2 for k in range(1, 121)]
-        fs = FormalSeries.from_coefficients(CurvatureProfile(fam1), a, precision_bits=400)
+        fs = FormalSeries(CurvatureProfile(fam1), 400, tuple(a), (0.0,) * len(a))
         s = 0.01
         ev = evaluate_truncated(fs, s, threshold=float("inf"))
         assert 0.7 / s <= ev.k_star <= 1.3 / s

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coneshrink import ivp
 from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import BlowUpDetected, StepSizeCollapse
+from coneshrink.numutil import hermite_eval
 from coneshrink.series import compute_coefficients
 from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _error_norm, integrate,
                                 integrate_implicit)
@@ -31,7 +32,7 @@ def test_dense_output():
     res = integrate(f, 0.0, np.array([0.0]), 3.0, rtol=1e-9, atol=1e-9,
                     max_step=0.05)
     for t in (0.37, 1.51, 2.93):
-        y = ivp._hermite_eval(res.ts, res.ys[:, 0], res.fs[:, 0], t)
+        y = hermite_eval(res.ts, res.ys[:, 0], res.fs[:, 0], t)
         assert y == pytest.approx(math.sin(t), abs=1e-7)
 
 

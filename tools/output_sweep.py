@@ -31,7 +31,10 @@ calls leave behind.  The calls:
   ``CONFIG_FILES``, written to the run directory first.  They set an int
   key spelled as a float, true and false booleans, a choice key, a float
   key and a ``--to-d`` expression; three of the six files go with flags
-  that override them.
+  that override them;
+- catalog sweep (44 calls): ``catalog``, ``catalog --check`` of the 14
+  built-ins at the solve sweep's theta1 scales, and one ``--check`` of a
+  family that is not mean convex (exit 2).
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -62,6 +65,8 @@ COEFFS_FLAGS = {
     "coeffs": ["--format", "json", "--out", "-"],
 }
 EQ030_FLAGS = ["--profile-mode", "eq030"]
+# g = 2, m = 1 in S^3 at theta1 past pi/4, where H(0) < 0
+NOT_MEAN_CONVEX_CHECK = ["g=2", "m=1", "n=3", "theta1=1.04"]
 EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
                       *EQ030_FLAGS, "--out", "-"]
 
@@ -94,6 +99,12 @@ def family_flags(family, scale):
     g, m_minus, m_plus, n, theta1 = family
     return ["--g", str(g), "--m-minus", str(m_minus), "--m-plus", str(m_plus),
             "--n", str(n), "--theta1", repr(theta1 * scale)]
+
+
+def check_tokens(family, scale):
+    g, m_minus, m_plus, n, theta1 = family
+    return [f"g={g}", f"m_minus={m_minus}", f"m_plus={m_plus}", f"n={n}",
+            f"theta1={theta1 * scale!r}"]
 
 
 def calls(catalog):
@@ -140,6 +151,12 @@ def calls(catalog):
             label = f"config/{name}@1.00/{cfg}"
             argv = [command, *family_flags(catalog[name], 1.0), "--config", cfg, *flags]
             out.append((label, argv + (["--out", label] if command == "solve" else [])))
+    out.append(("catalog", ["catalog"]))
+    for name, family in catalog.items():
+        for scale in SOLVE_SCALES:
+            out.append((f"catalog_check/{name}@{scale:.2f}",
+                        ["catalog", "--check", *check_tokens(family, scale)]))
+    out.append(("catalog_check/not_mean_convex", ["catalog", "--check", *NOT_MEAN_CONVEX_CHECK]))
     return out
 
 
