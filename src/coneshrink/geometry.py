@@ -206,8 +206,8 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     chunks += _obj_rows("v %r %r %r\n", verts)
     chunks += _obj_rows("f %d %d %d\n", faces + 1)
     atomic_write_text(path, "".join(chunks))
-    return MeshResult(path=path, resolution=resolution, vertex_count=len(verts), face_count=len(faces),
-                      discrete_residual=residual)
+    return MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
+                      face_count=len(faces), discrete_residual=residual)
 
 
 _OBJ_BLOCK_ROWS = 4096

@@ -74,6 +74,8 @@ TANGENT_PROBE_DPHI = 32.0
 # arclength the probe covers before it gives up; its steps are capped at a
 # hundredth of it, so the cubic Hermite that locates the tangent stays sharp
 TANGENT_PROBE_ARCLENGTH = 1.0
+# rows a stored profile needs: the d-side check differences phi' at interior nodes
+MIN_PROFILE_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class SolverConfig:
 @dataclass
 class SolutionProfile:
     """Sampled solution on one chart of the run whose H is ``curvature``; ``columns``
-    maps names to equal-length arrays, ``meta`` carries run provenance (eps, tol, ...)."""
+    maps names to equal-length arrays, ``meta`` records this chart's own
+    integration (eps, tol, steps, rejects, ...) and no other's."""
 
     side: str
     curvature: CurvatureProfile
@@ -676,9 +679,10 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
     """A profile of the run whose H is ``curvature``, as
     :func:`write_profile_csv` writes it.  The first header
     column names the side (:class:`OutOfRange` if it names none); a file
-    that is not UTF-8, lacks a column of its side, or has a row that is not
-    one number per column is malformed, an ``OSError`` naming the file and
-    the line or the columns."""
+    that is not UTF-8, lacks a column of its side, has a row that is not
+    one number per column, or has fewer than MIN_PROFILE_ROWS rows is
+    malformed, an ``OSError`` naming the file and the line, the columns or
+    the row count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -703,7 +707,8 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise OSError(f"{path}:{ln}: {exc}") from None
-    if len(rows) < 2:
-        raise OSError(f"{path}: {len(rows)} data row(s); a {side} profile needs at least 2")
+    if len(rows) < MIN_PROFILE_ROWS:
+        raise OSError(f"{path}: {len(rows)} data row(s); a {side} profile needs at least "
+                      f"{MIN_PROFILE_ROWS}")
     data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
     return SolutionProfile(side=side, curvature=curvature, columns=data)

@@ -418,12 +418,16 @@ class TestExitContract:
         "verify_csv_missing_column": ({"bad.csv": "d,phi\n1.0,0.5\n"},
                                       ["verify", "bad.csv", "--summary", "{run}/summary.json"],
                                       6),
-        # a profile needs two rows: one checks nothing, none fails the monitors
+        # a profile needs three rows: none fails the monitors, one checks
+        # nothing, and two leave the d-side check no interior node
         "verify_s_side_header_only": ({"s_side.csv": S_SIDE_HEADER},
                                       ["verify", "s_side.csv", "--summary", "{run}/summary.json"],
                                       6),
         "verify_s_side_one_row": ({"s_side.csv": S_SIDE_HEADER + "0.01,0.01,1,-2,0,0\n"},
                                   ["verify", "s_side.csv", "--summary", "{run}/summary.json"], 6),
+        "verify_d_side_two_rows": ({"d_side.csv": D_SIDE_HEADER + "0.1,0.5,-1,0.3,0,0\n"
+                                                   "0.2,0.4,-1,0.4,0,0\n"},
+                                   ["verify", "d_side.csv", "--summary", "{run}/summary.json"], 6),
         "verify_d_side_header_only": ({"d_side.csv": D_SIDE_HEADER},
                                       ["verify", "d_side.csv", "--summary", "{run}/summary.json"],
                                       6),
@@ -455,6 +459,7 @@ class TestExitContract:
         "verify_s_side_header_only": ["s_side.csv: 0 data row(s)"],
         "verify_s_side_one_row": ["s_side.csv: 1 data row(s)"],
         "verify_d_side_header_only": ["d_side.csv: 0 data row(s)"],
+        "verify_d_side_two_rows": ["d_side.csv: 2 data row(s)"],
         "export_d_side_header_only": ["d_side.csv: 0 data row(s)"],
         "config_not_utf8": ["c.cfg", "utf-8"],
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],

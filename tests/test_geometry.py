@@ -157,7 +157,7 @@ class TestExportMesh:
         radii = np.linalg.norm(verts, axis=1).reshape(16, 16)
         d_samples = np.linspace(continued1["d"][0], continued1["d"][-1], 16)
         expect = np.exp(hermite_eval(continued1["d"], continued1["phi"], continued1["dphi"],
-                                      d_samples))
+                                     d_samples))
         for j in range(16):
             assert radii[:, j] == pytest.approx(expect, rel=1e-12)
 
