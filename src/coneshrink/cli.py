@@ -80,9 +80,13 @@ _CHECK_FIELDS = {"g": int, "m": int, "m_minus": int, "m_plus": int, "n": int, "t
 
 
 def _check_setting(token):
+    """One catalog --check token as (field, number); an unknown field or a
+    bad number is a usage error, as in a config file."""
     key, value = _setting(token)
+    if key not in _CHECK_FIELDS:
+        raise argparse.ArgumentTypeError(f"unknown key {key!r}")
     try:
-        return key, _CHECK_FIELDS.get(key, str)(value)
+        return key, _CHECK_FIELDS[key](value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{key}: invalid number {value!r}") from None
 
@@ -175,7 +179,7 @@ def _mode(args):
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args):
-    if args.check:
+    if args.check is not None:
         spec = dict.fromkeys(_CHECK_FIELDS)
         spec.update(args.check)
         fam = _family_from_args(argparse.Namespace(**spec))
@@ -246,11 +250,10 @@ def cmd_solve(args):
     curvature = CurvatureProfile(_family_from_args(args), _mode(args))
     fam = curvature.family
     prec = _precision(args)
-    config = ivp.SolverConfig(tol=args.tol, series_K=args.K, series_prec=prec,
-                              correction_N=args.N)
+    config = ivp.SolverConfig(tol=args.tol, correction_N=args.N)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    fs = series_mod.compute_coefficients(curvature, config.series_K, config.series_prec)
+    fs = series_mod.compute_coefficients(curvature, args.K, prec)
     # integrate_gamma rejects a profile that is not mean convex, which has no d0
     prof_s = ivp.integrate_gamma(curvature, fs, config)
     d_target = None
@@ -276,8 +279,7 @@ def cmd_solve(args):
         "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
     }
     if args.eps_study:
-        study = ivp.epsilon_convergence_study(curvature, config, DEFAULT_EPS_LIST,
-                                              series=fs, direct=prof_s)
+        study = ivp.epsilon_convergence_study(curvature, config, DEFAULT_EPS_LIST, fs, prof_s)
         summary["eps_study"] = {
             "eps": list(study.eps_list),
             "errors": list(study.errors),

@@ -265,7 +265,11 @@ def _end_mesh(profile_d, family, resolution):
                   rr * cos_t * np.sin(psi)[None, :],
                   rr * sin_t * np.ones_like(psi)[None, :])
     verts = np.stack([c.ravel() for c in coords], axis=1)
-    return verts, _orient_outward(verts, _grid_faces(resolution, resolution))
+    # the grid's winding gives each face the normal X_psi x X_d, whose radial
+    # component is -r^3 sin(th) for g = 1 (th a colatitude) and +r^3 cos(th)
+    # for g = 2 (th a latitude), whatever r(d) is: only g = 1 is reversed
+    faces = _grid_faces(resolution, resolution)
+    return verts, (faces[:, [0, 2, 1]] if family.g == 1 else faces)
 
 
 def _grid_faces(n_rows, n_cols):
@@ -276,17 +280,6 @@ def _grid_faces(n_rows, n_cols):
     b = i + (j + 1) % n_cols
     c, d = a + n_cols, b + n_cols
     return np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
-
-
-def _orient_outward(verts, faces):
-    """Flip all faces if normals point inward (radial component negative)."""
-    a, b, c = _corner_columns(verts, faces)
-    normals = _cross(b - a, c - a)
-    centers = (a + b + c) / 3.0
-    score = float(np.sum(_dot(normals, centers)))
-    if score < 0:
-        return faces[:, [0, 2, 1]]
-    return faces
 
 
 def discrete_shrinker_residual(verts, faces, n_cols):

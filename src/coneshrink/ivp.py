@@ -50,8 +50,10 @@ from .errors import (
 )
 from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, loglog_slope,
                       write_csv)
-from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
-                     evaluate_truncated)
+from .series import DEFAULT_K, FormalSeries, compute_epsilon_corrections, evaluate_truncated
+# Unused here.  The per-layer tracing (perfbench/tracing.py) wraps it in every
+# namespace that binds it, and its tests expect this module among those.
+from .series import compute_coefficients  # noqa: F401
 from .stepper import integrate, integrate_implicit
 
 S_SIDE = "s_side"
@@ -83,8 +85,6 @@ class SolverConfig:
     tol: float = 1e-10                 # local error tolerance (atol = rtol)
     eps: float = 0.0                   # regularization (0 = direct singular problem)
     s_bootstrap: Optional[float] = None  # explicit handoff point (overrides the scan)
-    series_K: int = DEFAULT_K
-    series_prec: int = 53
     correction_N: int = 8
 
 
@@ -128,15 +128,16 @@ def equation_residual(s, gamma, dgamma, d2gamma, eps, profile: CurvatureProfile)
 
 
 def _bootstrap_point(series: FormalSeries, target: float, s_hi: float):
-    """Largest s with the series error model for gamma and gamma' below
-    ``target``; raises NoUsefulTruncation when no sampled point qualifies."""
+    """(s, gamma, gamma') at the largest sampled s where both truncations
+    (:func:`evaluate_truncated`) estimate their error below ``target``;
+    raises NoUsefulTruncation when no sampled point qualifies."""
     s = s_hi
     while s > 1e-8:
         try:
-            e0 = evaluate_truncated(series, s, derivative=0).error_estimate
-            e1 = evaluate_truncated(series, s, derivative=1).error_estimate
-            if max(e0, e1) <= target:
-                return s
+            ev0 = evaluate_truncated(series, s, derivative=0)
+            ev1 = evaluate_truncated(series, s, derivative=1)
+            if max(ev0.error_estimate, ev1.error_estimate) <= target:
+                return s, ev0, ev1
         except NoUsefulTruncation:
             pass
         s *= 0.85
@@ -181,8 +182,9 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     B(eps) (a bare H(0) reproduces the uncorrected regularization for
     ablation runs).
 
-    Raises :class:`OutOfRange` for a series of another profile mode or
-    family, and :class:`NotMeanConvex` when this H has H(0) <= 0.
+    Raises :class:`NotMeanConvex` when this H has H(0) <= 0, and
+    :class:`OutOfRange` for a series of another profile mode or family, or
+    for a direct run without a series (a regularized run reads none).
     """
     family = curvature.family
     if series is not None:
@@ -213,14 +215,14 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     series_meta = {}
     if eps == 0:
         if series is None:
-            series = compute_coefficients(curvature, config.series_K, config.series_prec)
-        target = BOOTSTRAP_FACTOR * tol
+            raise OutOfRange("a direct run (eps = 0) needs the formal series of its profile "
+                             "for its bootstrap state; none was given")
         if config.s_bootstrap is not None:
             s_b = config.s_bootstrap
+            ev0 = evaluate_truncated(series, s_b, derivative=0)
+            ev1 = evaluate_truncated(series, s_b, derivative=1)
         else:
-            s_b = _bootstrap_point(series, target, s_end / 2)
-        ev0 = evaluate_truncated(series, s_b, derivative=0)
-        ev1 = evaluate_truncated(series, s_b, derivative=1)
+            s_b, ev0, ev1 = _bootstrap_point(series, BOOTSTRAP_FACTOR * tol, s_end / 2)
         g0, dg0 = float(ev0.value), float(ev1.value)
         e0 = _series_energy_integral(series, s_b, n, ev1.k_star)
         y0 = (g0, dg0, e0)
@@ -232,7 +234,6 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                 f"(the default is {DEFAULT_K})"
             )
         t0 = s_b
-        gamma_prime0 = float(series.coefficient(1))
         series_meta = {
             "s_b": s_b,
             "series_error_gamma": ev0.error_estimate,
@@ -244,13 +245,12 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
             raise OutOfRange("eps > 0 needs an explicit initial slope")
         y0 = (0.0, initial_slope, 0.0)
         t0 = 0.0
-        gamma_prime0 = initial_slope
 
     max_step = (s_end - t0) / 8
     try:
         result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
                            max_step=max_step, max_steps=MAX_STEPS, accept_hook=guard)
-    except StepSizeCollapse as collapse:
+    except StepSizeCollapse:
         if eps <= 0:
             raise
         # stiff regularized stretch: restart the remaining span implicitly
@@ -258,7 +258,6 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                                     rtol=tol * 100, atol=tol * 100,
                                     max_step=max_step, accept_hook=guard)
         result.used_fallback = True
-        del collapse
 
     s_nodes = result.ts
     gam = result.ys[:, 0]
@@ -266,7 +265,8 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     energy = result.ys[:, 2]
     d2gam = result.fs[:, 1]
     cal = curvature_antiderivative(curvature, gam)
-    res_energy = (eps * (dgam ** 2 - gamma_prime0 ** 2) / 2.0
+    # dgam[0] is the initial slope of a regularized run; at eps = 0 the term is 0
+    res_energy = (eps * (dgam ** 2 - dgam[0] ** 2) / 2.0
                   + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
     return SolutionProfile(
         side=S_SIDE, curvature=curvature,
@@ -276,7 +276,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
             "energy_residual": res_energy,
         },
         meta={
-            "eps": eps, "tol": tol, "s_end": s_end, "gamma_prime0": gamma_prime0,
+            "eps": eps, "tol": tol, "s_end": s_end,
             "used_fallback": result.used_fallback,
             "n_steps": result.n_steps, "n_rejected": result.n_rejected,
             "sum_local_err": float(np.sum(result.errs)), **series_meta,
@@ -299,12 +299,9 @@ class ResidualReport:
 def energy_residual(profile_s: SolutionProfile) -> ResidualReport:
     """Recompute the energy-identity residual at the stored nodes, with the
     run's eps from ``meta["eps"]`` (0 when absent, as in a profile read back
-    from CSV).
-
-    Uses the stored accumulated integral when present; otherwise rebuilds it
-    by per-interval Gauss quadrature on the cubic Hermite reconstruction of
-    gamma', anchored so the first node has zero residual.
-    """
+    from CSV), the integral rebuilt by per-interval Gauss quadrature on the
+    cubic Hermite reconstruction of gamma' and anchored so the first node
+    has zero residual."""
     eps = profile_s.meta.get("eps", 0.0)
     s = profile_s["s"]
     gam = profile_s["gamma"]
@@ -312,15 +309,9 @@ def energy_residual(profile_s: SolutionProfile) -> ResidualReport:
     d2gam = profile_s["d2gamma"]
     n = profile_s.curvature.family.n
     cal = curvature_antiderivative(profile_s.curvature, gam)
-    core = eps * dgam ** 2 / 2.0 + 0.5 * np.log1p(4 * s ** 2 * dgam ** 2) - cal
-    if "energy" in profile_s.columns:
-        gp0 = profile_s.meta.get("gamma_prime0", dgam[0])
-        vals = core + profile_s["energy"] - eps * gp0 ** 2 / 2.0
-    else:
-        inc = _cumulative_energy(s, dgam, d2gam, n)
-        vals = core + inc
-        vals = vals - vals[0]
-    return ResidualReport.of(vals)
+    vals = (eps * dgam ** 2 / 2.0 + 0.5 * np.log1p(4 * s ** 2 * dgam ** 2) - cal
+            + _cumulative_energy(s, dgam, d2gam, n))
+    return ResidualReport.of(vals - vals[0])
 
 
 def _gauss_points(s):
@@ -410,15 +401,12 @@ def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
     return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
 
 
-class _ProbeDone(Exception):
-    """Ends the tangent probe's integration without a window to report."""
-
-
 def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
     """Raise :class:`BlowUpDetected` at the first vertical tangent of the
     curve (d, phi) past the point (d, phi, phi') if it lies clearly below
-    ``d_target``; return when the curve reaches ``d_target`` first, or when
-    the probe cannot tell within TANGENT_PROBE_ARCLENGTH.
+    ``d_target``; otherwise return the probe's run (None if its steps
+    collapse), which stops at the tangent, at ``d_target`` or after
+    TANGENT_PROBE_ARCLENGTH.
 
     In arclength sigma and tangent angle alpha = atan(phi') the phi chart's
     equation is regular through the tangent (Kleene & Moller, Trans. AMS 366,
@@ -427,54 +415,46 @@ def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
         d' = cos(alpha),  phi' = sin(alpha),
         alpha' = (n - e^{2 phi}/2) cos(alpha) - H(d) sin(alpha),
 
-    and the tangent is the event cos(alpha) = 0, located on the step that
-    crosses it by cubic Hermite interpolation of alpha (slopes alpha') and
-    of d (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): on every
+    and the tangent is the event cos(alpha) = 0, located on the run's last
+    step by cubic Hermite interpolation of alpha (slopes alpha') and of d
+    (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): on every
     built-in window, at tol 1e-12 to 1e-6, the located d was within
     1e-4 sqrt(tol) of the phi chart's step-collapse abscissa at tol 1e-12."""
 
-    def slopes(d, phi, a):
+    def slopes(sigma, y):
+        d, phi, a = y.tolist()
         c = math.cos(a)
         s = math.sin(a)
         return c, s, (n - 0.5 * math.exp(2 * phi)) * c - h_fast(d) * s
 
-    a = math.atan(dphi)
-    c, _, da = slopes(d, phi, a)
-    last = (0.0, d, a, c, da)  # sigma, d, alpha, cos(alpha), alpha' at the last node
-
-    def stop(sigma1, y):
-        nonlocal last
-        d1, phi1, a1 = map(float, y)  # floats also where y arrives as an ndarray
-        c1, _, da1 = slopes(d1, phi1, a1)
-        if c1 <= 0.0:
-            sigma0, d0, a0, c0, da0 = last
-            h = sigma1 - sigma0
-            # bisect for the odd multiple of pi/2 that alpha crossed on this step
-            a_cross = math.pi * (round((a0 + a1) / (2 * math.pi) - 0.5) + 0.5)
-            side = a0 - a_cross
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if (cubic_hermite(mid, h, a0, da0, a1, da1) - a_cross) * side > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            d_window = float(cubic_hermite(0.5 * (lo + hi), h, d0, c0, d1, c1))
-            if d_window < d_target - math.sqrt(tol):
-                raise BlowUpDetected(
-                    d_window, "vertical tangent of the curve (d, phi); "
-                    f"retry with d_target below {d_window!r}")
-            raise _ProbeDone
-        if d1 >= d_target:
-            raise _ProbeDone
-        last = (sigma1, d1, a1, c1, da1)
-
     try:
-        integrate(lambda sigma, y: slopes(*y.tolist()), 0.0, np.array((d, phi, a)),
-                  TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
-                  max_step=TANGENT_PROBE_ARCLENGTH / 100, accept_hook=stop)
-    except (_ProbeDone, StepSizeCollapse):
-        pass
+        run = integrate(slopes, 0.0, np.array((d, phi, math.atan(dphi))),
+                        TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
+                        max_step=TANGENT_PROBE_ARCLENGTH / 100,
+                        accept_hook=lambda sigma, y: math.cos(y[2]) <= 0.0 or y[0] >= d_target)
+    except StepSizeCollapse:
+        return None
+    sigma0, sigma1 = run.ts[-2:].tolist()
+    (d0, _, a0), (d1, _, a1) = run.ys[-2:].tolist()
+    (c0, _, da0), (c1, _, da1) = run.fs[-2:].tolist()
+    if c1 > 0.0:
+        return run
+    h = sigma1 - sigma0
+    # bisect for the odd multiple of pi/2 that alpha crossed on this step
+    a_cross = math.pi * (round((a0 + a1) / (2 * math.pi) - 0.5) + 0.5)
+    side = a0 - a_cross
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (cubic_hermite(mid, h, a0, da0, a1, da1) - a_cross) * side > 0:
+            lo = mid
+        else:
+            hi = mid
+    d_window = float(cubic_hermite(0.5 * (lo + hi), h, d0, c0, d1, c1))
+    if d_window < d_target - math.sqrt(tol):
+        raise BlowUpDetected(d_window, "vertical tangent of the curve (d, phi); "
+                                       f"retry with d_target below {d_window!r}")
+    return run
 
 
 def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
@@ -610,28 +590,23 @@ class EpsilonStudyReport:
 
 
 def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
-                              eps_list, series: Optional[FormalSeries] = None,
-                              direct: Optional[SolutionProfile] = None) -> EpsilonStudyReport:
+                              eps_list, series: FormalSeries,
+                              direct: SolutionProfile) -> EpsilonStudyReport:
     """Slope of max|gamma_eps - gamma_0| on [0, s_end] against eps
     (first-order convergence of the corrected regularization).
 
     The corrections B(eps) are fitted here to order ``config.correction_N``
-    from ``series`` (computed from ``config`` when not given), at its
-    precision; a series of another profile raises :class:`OutOfRange`.
-    ``direct`` is the eps = 0 profile that :func:`integrate_gamma` returns
-    for this ``curvature``, ``series`` and ``config``, if the caller holds it
-    already; otherwise it is integrated here."""
+    from ``series``, at its precision; a series of another profile raises
+    :class:`OutOfRange`.  ``direct`` is the eps = 0 profile that
+    :func:`integrate_gamma` returns for this ``curvature``, ``series`` and
+    ``config``; only the eps > 0 runs are integrated here."""
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3 or any(e <= 0 for e in eps_list):
         raise OutOfRange("need >= 3 positive eps values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise OutOfRange("eps values must decrease")
-    if series is None:
-        series = compute_coefficients(curvature, config.series_K, config.series_prec)
     _require_series_of(curvature, series)
     corrections = compute_epsilon_corrections(series, config.correction_N)
-    if direct is None:
-        direct = integrate_gamma(curvature, series, replace(config, eps=0.0))
     s_end = curvature.family.s_end
     s_b = direct.meta["s_b"]
     grid = np.linspace(0.0, s_end, 401)
@@ -680,9 +655,10 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
     :func:`write_profile_csv` writes it.  The first header
     column names the side (:class:`OutOfRange` if it names none); a file
     that is not UTF-8, lacks a column of its side, has a row that is not
-    one number per column, or has fewer than MIN_PROFILE_ROWS rows is
-    malformed, an ``OSError`` naming the file and the line, the columns or
-    the row count."""
+    one number per column or whose first column (s or d) does not exceed
+    the row before, or has fewer than MIN_PROFILE_ROWS rows is malformed,
+    an ``OSError`` naming the file and the line, the columns or the row
+    count."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -704,7 +680,11 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
         try:
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells under a header of {len(header)}")
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
+            if rows and not row[0] > rows[-1][0]:
+                raise ValueError(f"{header[0]} = {row[0]!r} does not exceed the previous "
+                                 f"row's {rows[-1][0]!r}: {header[0]} must strictly increase")
+            rows.append(row)
         except ValueError as exc:
             raise OSError(f"{path}:{ln}: {exc}") from None
     if len(rows) < MIN_PROFILE_ROWS:

@@ -432,7 +432,7 @@ def _taylor_coefficients(profile, K, prec):
     return out
 
 
-# series order when none is given: `--K` on the CLI and SolverConfig.series_K
+# series order when none is given: the default of `--K` on the CLI
 DEFAULT_K = 40
 
 # the shadow run that measures the rounding error of the working-precision run

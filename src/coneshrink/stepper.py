@@ -134,20 +134,24 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
 
     ``f`` receives the state as a 1-d ndarray and may return any sequence of
     numbers.  ``accept_hook(t, y)`` runs after every accepted step, with the
-    state as a list of floats, and may raise to abort with a domain-specific
-    error.  Raises :class:`StepSizeCollapse` when the controller stalls (step
-    underflow or step budget exhausted).
+    state as a list of floats; it may raise to abort with a domain-specific
+    error, or return a true value to end the run at that node, the result
+    holding the nodes so far.  Raises :class:`StepSizeCollapse` when the
+    controller stalls (step underflow or step budget exhausted); its
+    abscissa is a Python float, as is every step.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
-    span = float(t_end) - t
+    t_end = float(t_end)
+    max_step = float(max_step)
+    span = t_end - t
     if span <= 0:
         raise ValueError("t_end must exceed t0")
     k1 = np.asarray(f(t, y), dtype=float)
     if first_step is None:
         scale = np.max(np.abs(k1)) + 1e-30
         first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)
-    h = max(min(first_step, max_step, span), 1e-300)
+    h = float(max(min(first_step, max_step, span), 1e-300))
     h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
 
     # states and stages are lists of floats from here on; none is mutated
@@ -179,8 +183,8 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
             fs.append(k1)
             errs.append(max(abs(e) for e in err_vec))
             n_steps += 1
-            if accept_hook is not None:
-                accept_hook(t, y)
+            if accept_hook is not None and accept_hook(t, y):
+                break
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:

@@ -32,6 +32,7 @@ from coneshrink.ivp import (
 from coneshrink.jets import Jet, compose, enumerate_partitions
 from coneshrink.numutil import loglog_slope
 from coneshrink.series import (
+    DEFAULT_K,
     compute_coefficients,
     compute_epsilon_corrections,
     gevrey_diagnostics,
@@ -162,9 +163,11 @@ def test_criterion_05_epsilon_corrections():
 
 def test_criterion_06_epsilon_convergence():
     with criterion(6, 60.0, "log-log slope of max|gamma_eps - gamma_0| in [0.8, 1.2]"):
-        fam = make_family(**FAM1)
-        rep = epsilon_convergence_study(
-            CurvatureProfile(fam), SolverConfig(tol=1e-10), (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
+        curvature = CurvatureProfile(make_family(**FAM1))
+        config = SolverConfig(tol=1e-10)
+        fs = compute_coefficients(curvature, DEFAULT_K)
+        rep = epsilon_convergence_study(curvature, config, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+                                        fs, integrate_gamma(curvature, fs, config))
         assert all(s == "ok" for s in rep.statuses)
         assert 0.8 <= rep.slope <= 1.2, rep.slope
 

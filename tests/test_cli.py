@@ -380,9 +380,27 @@ def test_closed_stdout_is_io_failure(argv):
     assert b"BrokenPipeError" not in proc.stderr
 
 
+def _rows_edited(name, edit):
+    """File content: the solved run's ``name`` with ``edit`` applied to its
+    list of data lines (the header kept)."""
+    def content(run):
+        header, *rows = (run / name).read_text().splitlines(keepends=True)
+        return header + "".join(edit(rows))
+    return content
+
+
+def _swap_10_11(rows):
+    return [*rows[:10], rows[11], rows[10], *rows[12:]]
+
+
+def _repeat_10(rows):
+    return [*rows[:11], rows[10], *rows[11:]]
+
+
 class TestExitContract:
     """Every failure leaves ``entry()`` with its documented exit code and no
-    traceback.  ``{run}`` stands for the directory of a solved run."""
+    traceback.  ``{run}`` stands for the directory of a solved run; a file
+    whose content is a function is made from that directory."""
 
     COEFFS = ["coeffs", *FAM1_FLAGS, "--K", "5"]
     S_SIDE_HEADER = "s,gamma,dgamma,d2gamma,local_err,energy_residual\n"
@@ -449,6 +467,33 @@ class TestExitContract:
         "export_resolution_too_low": ({}, ["export", "{run}/d_side.csv", "--format", "obj",
                                            "--resolution", "4", "--out", "o"], 4),
         "catalog_check_missing_field": ({}, ["catalog", "--check", "g=1", "m=1", "n=2"], 2),
+        "catalog_check_unknown_key": ({}, ["catalog", "--check", "g=1", "m=1", "n=2",
+                                           "theta1=0.7", "bogus=1"], 2),
+        "catalog_check_misspelt_key": ({}, ["catalog", "--check", "g=2", "m=1", "mplus=2",
+                                            "n=4", "theta1=0.5"], 2),
+        "catalog_check_bare": ({}, ["catalog", "--check"], 2),
+        # a stored profile's first column must strictly increase: the mesh
+        # interpolates between ascending nodes
+        "verify_d_side_swapped_rows": ({"d_side.csv": _rows_edited("d_side.csv", _swap_10_11)},
+                                       ["verify", "d_side.csv", "--summary",
+                                        "{run}/summary.json"], 6),
+        "verify_d_side_repeated_row": ({"d_side.csv": _rows_edited("d_side.csv", _repeat_10)},
+                                       ["verify", "d_side.csv", "--summary",
+                                        "{run}/summary.json"], 6),
+        "export_d_side_swapped_rows": ({"d_side.csv": _rows_edited("d_side.csv", _swap_10_11)},
+                                       ["export", "d_side.csv", "--summary",
+                                        "{run}/summary.json", "--format", "obj", "--out", "o"],
+                                       6),
+        "export_d_side_repeated_row": ({"d_side.csv": _rows_edited("d_side.csv", _repeat_10)},
+                                       ["export", "d_side.csv", "--summary",
+                                        "{run}/summary.json", "--format", "obj", "--out", "o"],
+                                       6),
+        "verify_s_side_swapped_rows": ({"s_side.csv": _rows_edited("s_side.csv", _swap_10_11)},
+                                       ["verify", "s_side.csv", "--summary",
+                                        "{run}/summary.json"], 6),
+        # the collapse abscissa prints as a plain float
+        "solve_step_collapse": ({}, ["solve", "--g", "2", "--m", "1", "--n", "3",
+                                     "--theta1", "0.785", "--out", "o"], 4),
         "constraint": ({}, ["solve", "--g", "2", "--m", "1", "--n", "3", "--theta1", "1.04",
                             "--out", "o"], 2),
     }
@@ -465,6 +510,16 @@ class TestExitContract:
         "config_bad_boolean": ["c.cfg:1:", "gevrey = 'maybe'"],
         "corrections_advice_past_float_range": ["NonlinearDependence", "--precision 1120"],
         "solve_to_d_below_handoff": ["OutOfRange", "d_target 0.01", "handoff d_h"],
+        "catalog_check_unknown_key": ["unknown key 'bogus'"],
+        "catalog_check_misspelt_key": ["unknown key 'mplus'"],
+        "catalog_check_bare": ["missing_multiplicity"],
+        "verify_d_side_swapped_rows": ["d_side.csv:13:", "d must strictly increase"],
+        "verify_d_side_repeated_row": ["d_side.csv:13:", "d must strictly increase"],
+        "export_d_side_swapped_rows": ["d_side.csv:13:", "d must strictly increase"],
+        "export_d_side_repeated_row": ["d_side.csv:13:", "d must strictly increase"],
+        "verify_s_side_swapped_rows": ["s_side.csv:13:", "s must strictly increase"],
+        "solve_step_collapse": ["retry with d_target below 0.0019406397184254178 "
+                                "at d = 0.0019406397184254178"],
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -472,6 +527,8 @@ class TestExitContract:
         files, argv, code = self.CASES[name]
         for rel, content in files.items():
             (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            if callable(content):
+                content = content(solve_dir)
             if isinstance(content, bytes):
                 (tmp_path / rel).write_bytes(content)
             else:

@@ -108,7 +108,7 @@ class TestPartitionOracle:
 
     def test_eq030_literal_256_bits_k40(self, fam1):
         got = compute_coefficients(CurvatureProfile(fam1, EQ030_LITERAL), 40, 256).a
-        expect = partition_oracle(fam1, 40, 256, EQ030_LITERAL)
+        expect = bell_oracle(fam1, 40, 256, EQ030_LITERAL)
         assert max_rel_diff(got, expect, 256) <= 1e-60
 
     def test_eq030_literal_default_order(self, fam1):

@@ -20,7 +20,6 @@ from coneshrink.geometry import (
     _grid_faces,
     _end_mesh,
     _obj_rows,
-    _orient_outward,
     asymptotic_check,
     cone_profile,
     discrete_shrinker_residual,
@@ -283,20 +282,12 @@ class TestMeshOracles:
         assert faces.shape == (2 * (shape[0] - 1) * shape[1], 3)
         assert np.array_equal(faces, np.array(_oracle_grid_faces(*shape)))
 
-    def test_orient_outward_flips_reversed_winding(self):
-        verts = _sphere_grid(8)
-        grid = _grid_faces(8, 8)
-        outward = _orient_outward(verts, grid)
-        oracle = _oracle_orient_outward(verts, _oracle_grid_faces(8, 8))
-        assert np.array_equal(outward, np.array(oracle))
-        reversed_winding = outward[:, [0, 2, 1]]
-        assert not np.array_equal(reversed_winding, outward)
-        assert np.array_equal(_orient_outward(verts, reversed_winding), outward)
-        assert np.array_equal(_orient_outward(verts, outward), outward)
-
     @pytest.mark.parametrize("resolution", [8, 72])
-    def test_residual_matches_oracle_exactly(self, continued1, fam1, resolution):
-        verts, faces = _end_mesh(continued1, fam1, resolution)
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_residual_matches_oracle_exactly(self, which, resolution, request):
+        fam = request.getfixturevalue(which)
+        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
+        verts, faces = _end_mesh(cont, fam, resolution)
         oracle_faces = _oracle_orient_outward(verts, _oracle_grid_faces(resolution, resolution))
         assert np.array_equal(faces, np.array(oracle_faces))
         assert (discrete_shrinker_residual(verts, faces, resolution)

@@ -32,7 +32,7 @@ from coneshrink.ivp import (
 )
 from coneshrink.numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_eval, loglog_slope,
                                write_csv)
-from coneshrink.series import (compute_coefficients, compute_epsilon_corrections,
+from coneshrink.series import (DEFAULT_K, compute_coefficients, compute_epsilon_corrections,
                                evaluate_truncated)
 
 
@@ -140,6 +140,11 @@ class TestIntegrateGamma:
         with pytest.raises(OutOfRange, match="'g': 1.*for a run .*'g': 2"):
             integrate_gamma(CurvatureProfile(fam2), series1, SolverConfig())
 
+    def test_direct_run_needs_a_series(self, fam1):
+        # the caller computes the series; the run computes none of its own
+        with pytest.raises(OutOfRange, match="direct run .* needs the formal series"):
+            integrate_gamma(CurvatureProfile(fam1), None, SolverConfig())
+
     def test_regularized_run_needs_initial_slope(self, fam1):
         with pytest.raises(OutOfRange, match="eps > 0 needs an explicit initial slope"):
             integrate_gamma(CurvatureProfile(fam1), None, SolverConfig(eps=1e-3))
@@ -193,17 +198,14 @@ class TestEnergyResidual:
         assert rep.max_abs > 1e-3
 
     def test_quadrature_route_matches_stored(self, solved1, fam1):
-        cols = {k: v.copy() for k, v in solved1.columns.items()}
-        del cols["energy"]
-        rebuilt = SolutionProfile(side="s_side", curvature=solved1.curvature, columns=cols,
-                                  meta=dict(solved1.meta))
-        rep = energy_residual(rebuilt)
-        assert rep.max_abs <= 1e-9
+        rep = energy_residual(solved1)
+        assert np.max(np.abs(rep.values - solved1["energy_residual"])) <= 1e-9
 
     def test_unsupported_without_closed_antiderivative(self, fam1):
         # the literal mode has the closed antiderivative too, so a real
         # eq030_literal solve carries the energy monitor
-        prof = integrate_gamma(CurvatureProfile(fam1, EQ030_LITERAL), None,
+        curvature = CurvatureProfile(fam1, EQ030_LITERAL)
+        prof = integrate_gamma(curvature, compute_coefficients(curvature, DEFAULT_K),
                                SolverConfig(tol=1e-10))
         assert prof.curvature.mode == EQ030_LITERAL
         assert energy_residual(prof).max_abs <= 1e-9
@@ -272,10 +274,10 @@ class TestGaussHermiteQuadrature:
 
 
 class TestEpsilonStudy:
-    def test_first_order_convergence(self, fam1, series1):
+    def test_first_order_convergence(self, fam1, series1, solved1):
         config = SolverConfig(tol=1e-10)
         rep = epsilon_convergence_study(
-            CurvatureProfile(fam1), config, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), series=series1)
+            CurvatureProfile(fam1), config, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), series1, solved1)
         assert 0.8 <= rep.slope <= 1.2
         assert rep.monotone
         assert all(s == "ok" for s in rep.statuses)
@@ -293,7 +295,8 @@ class TestEpsilonStudy:
         then integrates only the eps > 0 runs and reports the same values."""
         config = SolverConfig(tol=1e-10)
         eps_list = (1e-2, 3e-3, 1e-3)
-        own = epsilon_convergence_study(solved1.curvature, config, eps_list, series=series1)
+        own = epsilon_convergence_study(solved1.curvature, config, eps_list, series1,
+                                        integrate_gamma(solved1.curvature, series1, config))
         seen = []
 
         def recording(curvature, series, cfg, **kwargs):
@@ -313,13 +316,13 @@ class TestEpsilonStudy:
             epsilon_convergence_study(CurvatureProfile(fam2), SolverConfig(tol=1e-10),
                                       (1e-2, 3e-3, 1e-3), series=series1, direct=solved1)
 
-    def test_eps_list_validation(self, fam1):
+    def test_eps_list_validation(self, fam1, series1, solved1):
         with pytest.raises(OutOfRange):
             epsilon_convergence_study(CurvatureProfile(fam1), SolverConfig(),
-                                      (1e-3, 1e-2, 1e-4))
+                                      (1e-3, 1e-2, 1e-4), series1, solved1)
         with pytest.raises(OutOfRange):
             epsilon_convergence_study(CurvatureProfile(fam1), SolverConfig(),
-                                      (1e-2, 1e-3))
+                                      (1e-2, 1e-3), series1, solved1)
 
 
 class TestToDProfile:
@@ -381,7 +384,8 @@ class TestContinuePhi:
     def test_reports_its_own_steps_and_rejects(self, monkeypatch):
         # on g3_m4 the continuation rejects 6 steps and the s-side 1; the
         # continued profile counts its own integration, not the s-side's
-        prof_s = integrate_gamma(CurvatureProfile(builtin_catalog()["g3_m4"]), None,
+        curvature = CurvatureProfile(builtin_catalog()["g3_m4"])
+        prof_s = integrate_gamma(curvature, compute_coefficients(curvature, DEFAULT_K),
                                  SolverConfig())
         runs = []
 
@@ -464,7 +468,7 @@ def builtin_d_profile():
         if name not in cache:
             curvature = CurvatureProfile(builtin_catalog()[name])
             config = SolverConfig()
-            series = compute_coefficients(curvature, config.series_K)
+            series = compute_coefficients(curvature, DEFAULT_K)
             cache[name] = to_d_profile(integrate_gamma(curvature, series, config))
         return cache[name]
 
@@ -526,6 +530,27 @@ def test_probe_leaves_solving_runs_bit_identical(name, builtin_d_profile, monkey
     want, _, _ = _continue_counted(monkeypatch, profile_d, math.inf)
     assert got_integrations == 1  # no step came near the probe threshold
     _assert_bit_identical(got, want)
+
+
+def test_probe_returns_its_run_up_to_the_target(builtin_d_profile, monkeypatch):
+    # g6_m2 to just short of its tangent: the probe's run stops at its first
+    # node with cos(alpha) <= 0 or d >= d_target, and the probe returns it
+    profile_d = builtin_d_profile("g6_m2")
+    window, _, _ = _continue_counted(monkeypatch, profile_d, ivp_mod.TANGENT_PROBE_DPHI)
+    d_target = window.d - 1e-6
+    probe, runs = ivp_mod._probe_vertical_tangent, []
+
+    def recording(*args):
+        runs.append(probe(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(ivp_mod, "_probe_vertical_tangent", recording)
+    continue_phi(profile_d, d_target=d_target)
+    (run,) = runs
+    d, alpha = run.ys[:, 0], run.ys[:, 2]
+    assert np.all(d[:-1] < d_target) and np.all(np.cos(alpha[:-1]) > 0)
+    assert d[-1] >= d_target or math.cos(alpha[-1]) <= 0
+    assert run.n_steps == len(run.ts) - 1
 
 
 def test_probe_short_of_the_window_solves_bit_identical(builtin_d_profile, monkeypatch):

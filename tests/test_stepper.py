@@ -10,7 +10,7 @@ from coneshrink import ivp
 from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import BlowUpDetected, StepSizeCollapse
 from coneshrink.numutil import hermite_eval
-from coneshrink.series import compute_coefficients
+from coneshrink.series import DEFAULT_K, compute_coefficients
 from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _error_norm, integrate,
                                 integrate_implicit)
 
@@ -95,6 +95,29 @@ def test_accept_hook_abort():
                   accept_hook=hook)
 
 
+def test_accept_hook_true_ends_the_run():
+    """A hook that returns a true value ends the run at that node; the nodes
+    up to it are those of the run without the hook."""
+    def f(t, y):
+        return (1.0,)
+
+    full = integrate(f, 0.0, np.array([0.0]), 1.0, rtol=1e-8, atol=1e-8)
+    cut = integrate(f, 0.0, np.array([0.0]), 1.0, rtol=1e-8, atol=1e-8,
+                    accept_hook=lambda t, y: y[0] > 0.5)
+    assert cut.ys[-1, 0] > 0.5 >= cut.ys[-2, 0]
+    assert len(cut.ts) < len(full.ts) and cut.n_steps == len(cut.ts) - 1
+    for field in ("ts", "ys", "fs", "errs"):
+        assert np.array_equal(getattr(cut, field), getattr(full, field)[:len(cut.ts)]), field
+
+
+def test_abscissa_stays_a_python_float():
+    # the first step comes from np.max; a collapse message prints the abscissa
+    with pytest.raises(StepSizeCollapse) as err:
+        integrate(lambda t, y: (1.0 / (1.0 - t),), 0.0, np.array([0.0]), 2.0)
+    assert type(err.value.last_good) is float
+    assert "np.float64" not in repr(err.value.last_good)
+
+
 def test_rhs_gets_and_may_return_ndarray():
     seen = []
 
@@ -122,14 +145,16 @@ def _integrate_oracle(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
                       first_step=None, max_steps=1_000_000, accept_hook=None):
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
-    span = float(t_end) - t
+    t_end = float(t_end)
+    max_step = float(max_step)
+    span = t_end - t
     if span <= 0:
         raise ValueError("t_end must exceed t0")
     k1 = np.asarray(f(t, y), dtype=float)
     if first_step is None:
         scale = np.max(np.abs(k1)) + 1e-30
         first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)
-    h = max(min(first_step, max_step, span), 1e-300)
+    h = float(max(min(first_step, max_step, span), 1e-300))
     h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
 
     ts, ys, fs, errs = [t], [y.copy()], [k1.copy()], [0.0]
@@ -166,8 +191,8 @@ def _integrate_oracle(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
             fs.append(k1.copy())
             errs.append(float(np.max(np.abs(err_vec))))
             n_steps += 1
-            if accept_hook is not None:
-                accept_hook(t, y)
+            if accept_hook is not None and accept_hook(t, y):
+                break
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= factor
         else:
@@ -316,7 +341,7 @@ def _solve_chain(fam):
     """(s-side profile, d-side continuation or the BlowUpDetected it raised)."""
     cfg = ivp.SolverConfig(tol=1e-10)
     curvature = CurvatureProfile(fam)
-    series = compute_coefficients(curvature, cfg.series_K)
+    series = compute_coefficients(curvature, DEFAULT_K)
     prof = ivp.integrate_gamma(curvature, series, cfg)
     try:
         cont = ivp.continue_phi(ivp.to_d_profile(prof), config=cfg)

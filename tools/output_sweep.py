@@ -34,7 +34,11 @@ calls leave behind.  The calls:
   that override them;
 - catalog sweep (44 calls): ``catalog``, ``catalog --check`` of the 14
   built-ins at the solve sweep's theta1 scales, and one ``--check`` of a
-  family that is not mean convex (exit 2).
+  family that is not mean convex (exit 2);
+- window sweep (5 calls): ``solve --to-d X`` on the five families whose
+  default solve meets a vertical tangent, at theta1 x1.00, with X of
+  ``WINDOW_TARGETS`` 1e-4 below the tangent: the tangent probe runs and
+  the curve reaches the target first.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -83,6 +87,10 @@ CONFIG_FILES = {
                              ["solve", "--tol", "1e-11", "--profile-mode", "cot_sum"]),
     "solve_to_d_overridden.cfg": ("K = 30\nto_d = d0+0.01\n", ["solve", "--to-d", "d0+0.03"]),
 }
+
+# d 1e-4 below the vertical tangent of each window family's default solve
+WINDOW_TARGETS = {"g3_m8": "0.29906", "g4_m22": "0.22983", "g4_m45": "0.24285",
+                  "g6_m1": "0.14340", "g6_m2": "0.13678"}
 
 CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; "
                   "print(json.dumps({k: [f.g, f.m_minus, f.m_plus, f.n, f.theta1] "
@@ -157,6 +165,10 @@ def calls(catalog):
             out.append((f"catalog_check/{name}@{scale:.2f}",
                         ["catalog", "--check", *check_tokens(family, scale)]))
     out.append(("catalog_check/not_mean_convex", ["catalog", "--check", *NOT_MEAN_CONVEX_CHECK]))
+    for name, d_target in WINDOW_TARGETS.items():
+        label = f"window/{name}@1.00"
+        out.append((label, ["solve", *family_flags(catalog[name], 1.0), "--to-d", d_target,
+                            "--out", label]))
     return out
 
 
