@@ -51,8 +51,7 @@ from .errors import (
 from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, loglog_slope,
                       write_csv)
 from .series import DEFAULT_K, FormalSeries, compute_epsilon_corrections, evaluate_truncated
-# Unused here.  The per-layer tracing (perfbench/tracing.py) wraps it in every
-# namespace that binds it, and its tests expect this module among those.
+# unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
 from .series import compute_coefficients  # noqa: F401
 from .stepper import integrate, integrate_implicit
 

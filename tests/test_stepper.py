@@ -115,7 +115,6 @@ def test_abscissa_stays_a_python_float():
     with pytest.raises(StepSizeCollapse) as err:
         integrate(lambda t, y: (1.0 / (1.0 - t),), 0.0, np.array([0.0]), 2.0)
     assert type(err.value.last_good) is float
-    assert "np.float64" not in repr(err.value.last_good)
 
 
 def test_rhs_gets_and_may_return_ndarray():
