@@ -116,6 +116,10 @@ class ResolutionTooLow(ConeShrinkError):
     """Mesh resolution below the minimum angular sample count."""
 
 
+class ResolutionTooHigh(ConeShrinkError):
+    """Mesh resolution above the bound on the export's memory."""
+
+
 class ExportIOError(ConeShrinkError):
     """File output failed; message carries the target path."""
 

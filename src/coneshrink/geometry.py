@@ -23,6 +23,7 @@ from .catalog import CurvatureProfile, IsoparametricFamily, mean_curvature
 from .errors import (
     InsufficientRange,
     OutOfRange,
+    ResolutionTooHigh,
     ResolutionTooLow,
     UnsupportedFamily,
 )
@@ -171,6 +172,15 @@ class MeshResult:
     discrete_residual: float   # max |H_disc + X.nu/2| / max |H_disc|, nan if unchecked
 
 
+# Largest mesh resolution.  Peak RSS of `coneshrink export --format obj` on
+# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 72 MB at
+# resolution 256, 182 MB at 512 and 618 MB at 1024.  That is the 34 MB of
+# the imports plus 557-580 bytes per vertex, of which there are
+# resolution^2, so 1024 keeps the peak near 0.6 GB where 2048 would take
+# about 2.4 GB.
+MAX_RESOLUTION = 1024
+
+
 def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshResult:
     """Triangulated OBJ of the reconstructed end.
 
@@ -181,6 +191,11 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     """
     if resolution < 8:
         raise ResolutionTooLow(f"resolution {resolution} < 8 angular samples")
+    if resolution > MAX_RESOLUTION:
+        raise ResolutionTooHigh(
+            f"resolution {resolution} > {MAX_RESOLUTION}, the largest exported: the mesh "
+            f"has resolution^2 vertices and needs about 0.6 kB of memory per vertex"
+        )
     if profile_d.side != D_SIDE:
         raise OutOfRange("export_mesh needs a d-side profile")
     family = profile_d.curvature.family

@@ -9,14 +9,17 @@ recursion
 
 evaluated by truncated Taylor arithmetic (:class:`TaylorRecursion`): the
 Taylor series of H(gamma) and arctan(2 s gamma') grow by one coefficient per
-A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  The rounding
-error is measured, not modelled: the recursion runs a second time at 64 more
-bits and the relative difference is kept per coefficient.  The series
-diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides
-the growth diagnostics and optimally truncated evaluation.
+A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  At 53 bits the
+ring is Python's floats; above, raw mpmath values (``_mpf_`` tuples) through
+libmp (:class:`_MpRing`, :class:`_MpRecursion`), each operation rounded as
+mpmath's operator rounds it, with mpmath objects only at the edges.  The
+rounding error is measured, not modelled: the recursion runs a second time
+at 64 more bits and the relative difference is kept per coefficient.  The
+series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
+provides the growth diagnostics and optimally truncated evaluation.
 
-The same recursion, run once in online (relaxed) series arithmetic in eps,
-determines the regularization corrections B_i: with initial slope
+The same recursion, run once on series in eps, determines the
+regularization corrections B_i: with initial slope
 gamma'(0) = B(eps) = sum B_i eps^i and gamma''(0) = -sum_{i>=1} B_i eps^{i-1},
 each derivative at zero is
 
@@ -27,6 +30,8 @@ A_{m+1}.  That dependence is affine with slope (-1)^m, solved by a
 two-evaluation linear fit and cross-checked with a third point.  The values
 [eps^j] gamma^(k)(0; eps) form a lattice whose diagonal k + j = D depends
 only on diagonals below it and on B_(D-1), so one pass fixes it diagonal by
+diagonal.  Every eps series is a plain list of its coefficients, and the
+recursion (:class:`_EpsilonRecursion`) extends each by one coefficient per
 diagonal, each coefficient computed once, with no restarted runs.
 """
 
@@ -37,7 +42,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    to_float,
+)
 
 from .catalog import COT_SUM, CurvatureProfile, make_family
 from .errors import (
@@ -79,7 +97,7 @@ class _Aligned:
 
 
 class _MpSequence(list):
-    """A growing sequence of mpmath floats that keeps, beside its items,
+    """A growing sequence of raw mpmath values that keeps, beside its items,
     their signed integer mantissas over one exponent, the least among its
     nonzero items: item i is exactly ``man[i] * 2**exp``.  Each item is
     converted once, when appended; one with a lower exponent shifts the
@@ -97,10 +115,10 @@ class _MpSequence(list):
 
     def append(self, x):
         list.append(self, x)
-        sign, man, exp, _ = x._mpf_ if type(x) is mpmath.mpf else mpmath.mp.convert(x)._mpf_
+        sign, man, exp, _ = x
         if not man:
             if exp:
-                raise OutOfRange(f"non-finite value {x} in the series arithmetic")
+                raise OutOfRange(f"non-finite value {mpmath.mp.make_mpf(x)} in the series arithmetic")
             self.man.append(0)
             return
         if sign:
@@ -124,106 +142,167 @@ class _MpSequence(list):
 def _exact_dot(xs, ys):
     """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
     :class:`_MpSequence`): the exact sum of the exact products, one integer,
-    rounded once to the working precision.  That is the arithmetic of
-    mpmath's own exact dot product, and its result bit for bit while the
-    exponents of the nonzero products span at most twice the precision;
-    beyond that span mpmath's summation may drop a term or a partial sum,
-    where this still rounds the exact sum."""
+    rounded once to the working precision, as a raw value.  That is the
+    arithmetic of mpmath's own exact dot product, and its result bit for bit
+    while the exponents of the nonzero products span at most twice the
+    precision; beyond that span mpmath's summation may drop a term or a
+    partial sum, where this still rounds the exact sum."""
     total = sum(map(operator.mul, xs.man, ys.man))
     if not total:       # a sequence of zeros has no exponent
-        return mpmath.mp.make_mpf(fzero)
+        return fzero
     prec, rnd = mpmath.mp._prec_rounding
-    return mpmath.mp.make_mpf(from_man_exp(total, xs.exp + ys.exp, prec, rnd))
-
-
-def _dot_for(value):
-    """The dot product and the sequence type of the ring of ``value``: for
-    mpmath floats :func:`_exact_dot` over :class:`_MpSequence`, whose slices
-    are aligned mantissas; else :func:`_dot` over lists, whose left-to-right
-    sum fixes the rounding of binary64 and whose operand order the eps
-    series ring relies on."""
-    if isinstance(value, mpmath.mpf):
-        return _exact_dot, _MpSequence
-    return _dot, list
+    return from_man_exp(total, xs.exp + ys.exp, prec, rnd)
 
 
 # ---------------------------------------------------------------------------
-# Series in the regularization parameter
+# Scalar rings
 # ---------------------------------------------------------------------------
 
-def _unknown(j):
-    raise IndexError(f"the eps^{j} coefficient of this series is not known yet")
+def _known(xs, ys, j):
+    if j >= len(xs) or j >= len(ys):
+        raise IndexError(f"the eps^{j} coefficient of a factor is not known yet")
 
 
-class _OnlineSeries:
-    """sum_j c_j eps^j whose coefficients are formed on first request, each
-    from its operands' coefficients up to the same order (relaxed, or online,
-    series arithmetic: van der Hoeven, "Relax, but don't be too lazy",
-    J. Symbolic Comput. 34, 2002).
+class _FloatRing:
+    """Scalar arithmetic by Python's operators: binary64 floats in the
+    53-bit runs.  An integer operand mixes in as Python mixes it.  An eps
+    series is a list of its known coefficients, and a coefficient of a
+    product is a :func:`_dot` sum from 0."""
 
-    A leaf holds the coefficients its owner appends to ``coeffs``; any other
-    series is a rule over its operands that forms coefficient j, once, by the
-    same operations however many coefficients are ever requested.  The ring
-    is closed under +, -, * and division by a scalar; a scalar operand
-    enters the constant term of a sum and every term of a product."""
+    seq = list
 
-    __slots__ = ("coeffs", "_rule")
+    def value(self, x):
+        return float(x)
 
-    def __init__(self, rule=_unknown, coeffs=()):
-        self.coeffs = list(coeffs)
-        self._rule = rule
+    def out(self, x):
+        return x
 
-    def __getitem__(self, j):
-        c = self.coeffs
-        while len(c) <= j:
-            c.append(self._rule(len(c)))
-        return c[j]
+    def add(self, x, y):
+        return x + y
 
-    def _zip(self, other, op):
-        if isinstance(other, _OnlineSeries):
-            return _OnlineSeries(lambda j: op(self[j], other[j]))
-        return _OnlineSeries(lambda j: self[j] if j else op(self[0], other))
+    def sub(self, x, y):
+        return x - y
 
-    def __add__(self, other):
-        return self._zip(other, operator.add)
+    def mul(self, x, y):
+        return x * y
 
-    __radd__ = __add__
+    def div(self, x, y):
+        return x / y
 
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
+    def neg(self, x):
+        return -x
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def abs(self, x):
+        return abs(x)
 
-    def __neg__(self):
-        return _OnlineSeries(lambda j: -self[j])
+    def gt(self, x, y):
+        return x > y
 
-    def __mul__(self, other):
-        if isinstance(other, _OnlineSeries):
-            return _OnlineSeries(_product_rule(self, other))
-        return _OnlineSeries(lambda j: other * self[j])
+    def add_int(self, x, n):
+        return x + n
 
-    __rmul__ = __mul__
+    def sub_int(self, x, n):
+        return x - n
 
-    def __truediv__(self, scalar):
-        return _OnlineSeries(lambda j: self[j] / scalar)
+    def mul_int(self, x, n):
+        return n * x
+
+    def div_int(self, x, n):
+        return x / n
+
+    def max(self, x, y):
+        return max(x, y)
+
+    def to_float(self, x):
+        return float(x)
+
+    def sum(self, xs):
+        return sum(xs)
+
+    def conv(self, xs, ys, j):
+        """[eps^j] of the product of the eps series ``xs`` and ``ys``."""
+        _known(xs, ys, j)
+        return _dot(xs[:j + 1], ys[j::-1])
 
 
-def _product_rule(x, y):
-    """[eps^k] (x * y) = sum_i x_i y_(k-i) from x_0..x_k and y_0..y_k.  For
-    mpmath floats: :func:`_exact_dot` over the two operands' aligned
-    mantissas, each coefficient converted once, when first used; otherwise
-    :func:`_dot` from 0."""
-    xs, ys = _MpSequence(), _MpSequence()
+class _MpRing:
+    """Scalar arithmetic on raw mpmath values (``_mpf_`` tuples) through
+    libmp, at mpmath's working precision and rounding when the ring is made:
+    each operation rounds as mpmath's operator on mpf objects rounds it
+    there.  An integer operand enters exactly, through ``from_int``; so
+    ``mul_int`` rounds the exact product, as ``mpf_mul_int`` does.  An eps
+    series is an :class:`_MpSequence`, and a coefficient of a product the
+    exact sum of its terms rounded once, as :func:`_exact_dot` rounds."""
 
-    def rule(k):
-        x_k, y_k = x[k], y[k]
-        if not isinstance(x[0], mpmath.mpf):
-            return _dot(x.coeffs[:k + 1], y.coeffs[k::-1])
-        xs.append(x_k)
-        ys.append(y_k)
-        return _exact_dot(xs, ys[::-1])
-    return rule
+    seq = _MpSequence
+
+    def __init__(self):
+        self.prec, self.rnd = mpmath.mp._prec_rounding
+
+    def value(self, x):
+        """An int, float or mpf as mpmath converts it."""
+        return mpmath.mp.convert(x)._mpf_
+
+    def out(self, x):
+        return mpmath.mp.make_mpf(x)
+
+    def add(self, x, y):
+        return mpf_add(x, y, self.prec, self.rnd)
+
+    def sub(self, x, y):
+        return mpf_sub(x, y, self.prec, self.rnd)
+
+    def mul(self, x, y):
+        return mpf_mul(x, y, self.prec, self.rnd)
+
+    def div(self, x, y):
+        return mpf_div(x, y, self.prec, self.rnd)
+
+    def neg(self, x):
+        return mpf_neg(x, self.prec, self.rnd)
+
+    def abs(self, x):
+        return mpf_abs(x, self.prec, self.rnd)
+
+    def gt(self, x, y):
+        return mpf_gt(x, y)
+
+    def add_int(self, x, n):
+        return mpf_add(x, from_int(n), self.prec, self.rnd)
+
+    def sub_int(self, x, n):
+        return mpf_sub(x, from_int(n), self.prec, self.rnd)
+
+    def mul_int(self, x, n):
+        return mpf_mul(x, from_int(n), self.prec, self.rnd)
+
+    def div_int(self, x, n):
+        return mpf_div(x, from_int(n), self.prec, self.rnd)
+
+    def max(self, x, y):
+        """``max(x, y)`` of the mpf objects: x unless y is greater."""
+        return y if mpf_gt(y, x) else x
+
+    def to_float(self, x):
+        return to_float(x, rnd=self.rnd)
+
+    def sum(self, xs):
+        """``sum(xs)`` of the mpf objects, from the integer 0."""
+        total = None
+        for x in xs:
+            total = self.add_int(x, 0) if total is None else self.add(total, x)
+        return total
+
+    def conv(self, xs, ys, j):
+        """[eps^j] of the product of the eps series ``xs`` and ``ys``."""
+        _known(xs, ys, j)
+        total = sum(map(operator.mul, xs.man[:j + 1], ys.man[j::-1]))
+        return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd) if total else fzero
+
+
+def _ring(ctx):
+    """The scalar ring of ``ctx``; make it inside the context's precision."""
+    return _MpRing() if ctx.is_mp else _FloatRing()
 
 
 def _scientific(x, digits=3):
@@ -235,19 +314,20 @@ def _scientific(x, digits=3):
     return f"{value:.{digits}e}"
 
 
-def _require_vanishing(c0, tol_abs):
+def _require_vanishing(ring, c0, tol_abs):
     """The check behind each division by eps: the constant term it drops,
     compared in its ring, so also past the float range."""
-    if abs(c0) > tol_abs:
+    if ring.gt(ring.abs(c0), tol_abs):
         raise DivisionByEpsilonFailed(
-            f"constant term {_scientific(c0, 6)} exceeds tolerance {_scientific(tol_abs, 6)}"
+            f"constant term {_scientific(ring.out(c0), 6)} "
+            f"exceeds tolerance {_scientific(ring.out(tol_abs), 6)}"
         )
 
 
 @dataclass(frozen=True)
 class EpsilonPolynomial:
-    """sum_i c_i eps^i known through order ``degree``: a finite prefix of an
-    online series (:class:`_OnlineSeries`), whose ring forms it."""
+    """sum_i c_i eps^i known through order ``degree``: the coefficients one
+    eps series of :func:`compute_epsilon_corrections` holds when it ends."""
 
     coeffs: tuple
 
@@ -323,11 +403,9 @@ def _rho(a_k, k):
 def _self_dot(dot, c, m):
     """[s^m] of the square of the series with coefficients c (needs c_0..c_m).
 
-    The s = 0 seed c_0 is a scalar and multiplies c_m from the right, so an
-    eps series c_m forms the product itself (a scalar product is
-    commutative, and mpmath would otherwise try, and fail, to convert c_m).
-    Its operands are slices only, so mpmath floats enter as runs of aligned
-    mantissas (:class:`_MpSequence`)."""
+    The s = 0 seed c_0 multiplies c_m from the right.  Its operands are
+    slices only, so an :class:`_MpSequence` enters as runs of aligned
+    mantissas."""
     half = (m + 1) // 2
     acc = 2 * dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]) if half else 0
     if m % 2 == 0:
@@ -355,28 +433,34 @@ class TaylorRecursion:
       m_minus + 1 at frequency g;
     * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
 
-    They divide only by integers and by values at s = 0, so the pushed
-    coefficients may be floats, mpmath floats or eps series.  Run it inside
-    the working precision of ``ctx``.
+    They divide only by integers and by values at s = 0.  This class runs
+    them in Python's operators with :func:`_dot` sums, on the floats of a
+    53-bit run (or any other ring of Python numbers, over seeds of
+    ``ctx``); :class:`_MpRecursion` runs them on raw mpmath values.  Run it
+    inside the working precision of ``ctx``.
     """
+
+    ring = _FloatRing()
 
     def __init__(self, profile: CurvatureProfile, ctx: RealContext):
         fam = profile.family
         self.n = fam.n
+        self.terms = profile.terms
+        self.dot = _dot
+        t1 = ctx.convert(fam.theta1)
+        self._start([ctx.cot(f * t1) for _, f in self.terms])
+
+    def _start(self, seeds):
+        """The sequences, each holding its s = 0 seed, and T_0 = H(0)."""
         self.ja = [0]       # j a_j, the coefficients of s gamma'
         self.iz = [0]       # i z_i, z = arctan(w)
         self.p = [1]        # [s^m] (1 + w^2)
-        self.dot = _dot     # fixed by the ring of the first pushed coefficient
-        t1 = ctx.convert(fam.theta1)
-        self.terms = profile.terms
-        self.cot = [[ctx.cot(f * t1)] for _, f in self.terms]
-        self.q = [[] for _ in self.terms]        # [s^m] (1 + c_i^2)
-        self.t0 = sum(w * f * c[0] for (w, f), c in zip(self.terms, self.cot))
+        self.cot = [[c] for c in seeds]
+        self.q = [[] for _ in seeds]        # [s^m] (1 + c_i^2)
+        self.t0 = sum(w * f * c for (w, f), c in zip(self.terms, seeds))
 
     def push(self, a_k):
         k = len(self.ja)
-        if k == 1:
-            self._bind(a_k)
         self.ja.append(k * a_k)
         h_k = self._h_cot(k)
         # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
@@ -385,14 +469,6 @@ class TaylorRecursion:
         iz_k = 2 * k * self.ja[k] - self.dot(self.iz[1:k], self.p[k - 1:0:-1])
         self.iz.append(iz_k)
         return 2 * (self.n * self.ja[k] - iz_k) + h_k
-
-    def _bind(self, a_1):
-        """Fix the ring by the first pushed coefficient: the dot product,
-        and the type of the sequences it reads, each holding its seed."""
-        self.dot, seq = _dot_for(a_1)
-        self.ja, self.iz, self.p = seq(self.ja), seq(self.iz), seq(self.p)
-        self.cot = [seq(c) for c in self.cot]
-        self.q = [seq(q) for q in self.q]
 
     def push_derivatives(self, derivs):
         """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
@@ -415,21 +491,160 @@ class TaylorRecursion:
         return h_k
 
 
+class _MpRecursion(TaylorRecursion):
+    """:class:`TaylorRecursion` on raw mpmath values in :class:`_MpRing`:
+    every operation of the operator run on mpf objects, in the same order
+    and with the same rounding, but each dot an :func:`_exact_dot` over
+    aligned mantissas.  Make it inside the working precision."""
+
+    def _start(self, seeds):
+        self.ring = ring = _MpRing()
+        seeds = [c._mpf_ for c in seeds]
+        self.ja, self.iz, self.p = _MpSequence([fzero]), _MpSequence([fzero]), _MpSequence([fone])
+        self.cot = [_MpSequence([c]) for c in seeds]
+        self.q = [_MpSequence() for _ in seeds]
+        self.t0 = ring.sum(ring.mul_int(c, w * f) for (w, f), c in zip(self.terms, seeds))
+
+    def _square(self, c, m):
+        """:func:`_self_dot` with the exact dot."""
+        r = self.ring
+        half = (m + 1) // 2
+        if not half:
+            return r.add_int(r.mul(c[0], c[0]), 0)
+        acc = r.mul_int(_exact_dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]), 2)
+        if m % 2 == 0:
+            acc = r.add(acc, r.mul(c[half], c[half]))
+        return acc
+
+    def push(self, a_k):
+        r = self.ring
+        k = len(self.ja)
+        self.ja.append(r.mul_int(a_k, k))
+        h_k = self._h_cot(k)
+        if k > 1:
+            self.p.append(r.mul_int(self._square(self.ja, k - 1), 4))
+        iz_k = r.sub(r.mul_int(self.ja[k], 2 * k), _exact_dot(self.iz[1:k], self.p[k - 1:0:-1]))
+        self.iz.append(iz_k)
+        return r.add(r.mul_int(r.sub(r.mul_int(self.ja[k], self.n), iz_k), 2), h_k)
+
+    def _h_cot(self, k):
+        r = self.ring
+        ja = self.ja[k:0:-1]
+        terms = []
+        for (w, f), c, q in zip(self.terms, self.cot, self.q):
+            q.append(r.add_int(self._square(c, k - 1), 1 if k == 1 else 0))
+            c.append(r.div_int(r.mul_int(_exact_dot(ja, q), -f), k))
+            terms.append(r.mul_int(c[k], w * f))
+        return r.sum(terms)
+
+
 def _taylor_coefficients(profile, K, prec):
-    """A_1..A_K at ``prec`` bits: a_{k+1} = T_k / (k+1), A_k = k! a_k."""
+    """A_1..A_K at ``prec`` bits, a_{k+1} = T_k / (k+1) and A_k = k! a_k,
+    as values of the run's ring, and that ring."""
     ctx = RealContext(prec)
     with ctx.workprec():
-        engine = TaylorRecursion(profile, ctx)
-        t = engine.t0
-        fact = ctx.convert(1)
-        out = []
+        engine = (_MpRecursion if ctx.is_mp else TaylorRecursion)(profile, ctx)
+        r = engine.ring
+        t, fact, out = engine.t0, r.value(1), []
         for k in range(1, K + 1):
-            a_k = t / k
-            fact = fact * k
-            out.append(fact * a_k)
+            a_k = r.div_int(t, k)
+            fact = r.mul_int(fact, k)
+            out.append(r.mul(fact, a_k))
             if k < K:
                 t = engine.push(a_k)
-    return out
+    return out, r
+
+
+class _EpsilonRecursion:
+    """:class:`TaylorRecursion` on series in eps, each held as the list of
+    its known coefficients [eps^0], [eps^1], ... in ``ring``.
+
+    ``push(row)`` adds the next order k, whose pushed derivative
+    gamma^(k)(0; eps) is the list ``row`` that the caller extends, and
+    returns the list of [eps^j] k! T_k.  ``extend(d)`` appends to that list,
+    for every order k pushed, its coefficient on diagonal d: j = d - 1 - k.
+    Every eps series of order k (j a_j, the cot chains, their squares,
+    (i z_i), [s^(k-1)] (1 + w^2)) grows by the same coefficient then, each
+    formed once by the operations, in the operand order, of the operator
+    run on series objects whose sums and scalar multiples act coefficient
+    by coefficient and whose products are :meth:`conv`: its dots are sums
+    from the integer 0, which enters coefficient 0 only.  So [eps^j] k! T_k
+    reads only coefficients <= j of the rows of orders <= k."""
+
+    def __init__(self, profile: CurvatureProfile, ctx: RealContext, ring):
+        fam = profile.family
+        self.n, self.terms, self.ring = fam.n, profile.terms, ring
+        t1 = ctx.convert(fam.theta1)
+        seeds = [ring.value(ctx.cot(f * t1)) for _, f in self.terms]
+        # index k: the series of order k; index 0 holds the s = 0 seed
+        self.rows, self.fact, self.rhs = [None], [1], [None]
+        self.ja, self.iz, self.p = [0], [None], [None]
+        self.cot = [[c] for c in seeds]
+        self.q = [[ring.add_int(ring.add_int(ring.mul(c, c), 0), 1)] for c in seeds]
+
+    def push(self, row):
+        seq = self.ring.seq
+        k = len(self.rows)
+        self.rows.append(row)
+        self.fact.append(self.fact[-1] * k)
+        for lists in (self.ja, self.iz, *self.cot):
+            lists.append(seq())
+        if k > 1:
+            for lists in (self.p, *self.q):
+                lists.append(seq())
+        self.rhs.append([])
+        return self.rhs[k]
+
+    def extend(self, d):
+        for k in range(1, len(self.rows)):
+            while len(self.rhs[k]) < d - k:
+                self._next(k, len(self.rhs[k]))
+
+    def _fold(self, j, first, rest):
+        """[eps^j] of ``sum([first, *rest])`` from the integer 0."""
+        add = self.ring.add
+        acc = self.ring.add_int(first, 0) if j == 0 else first
+        for x in rest:
+            acc = add(acc, x)
+        return acc
+
+    def _square(self, c, m, j, seed_term):
+        """[eps^j] of :func:`_self_dot` of c at m >= 1, whose seed product
+        c_m c_0 is ``seed_term``."""
+        r = self.ring
+        half = (m + 1) // 2
+        acc = r.mul_int(self._fold(j, seed_term, (r.conv(c[i], c[m - i], j)
+                                                  for i in range(1, half))), 2)
+        if m % 2 == 0:
+            acc = r.add(acc, r.conv(c[half], c[half], j))
+        return acc
+
+    def _next(self, k, j):
+        """The coefficient [eps^j] of every series of order k."""
+        r = self.ring
+        conv, mul_int, ja = r.conv, r.mul_int, self.ja
+        ja[k].append(mul_int(r.div_int(self.rows[k][j], self.fact[k]), k))
+        if k > 1:
+            self.p[k - 1].append(mul_int(self._square(ja, k - 1, j, mul_int(ja[k - 1][j], 0)), 4))
+        h = None
+        for (w, f), c, q in zip(self.terms, self.cot, self.q):
+            if k > 1:
+                square = self._square(c, k - 1, j, r.mul(c[0], c[k - 1][j]))
+                q[k - 1].append(r.add_int(square, 0) if j == 0 else square)
+            dot = self._fold(j, r.mul(q[0], ja[k][j]),
+                             (conv(ja[k - i], q[i], j) for i in range(1, k)))
+            c[k].append(r.div_int(mul_int(dot, -f), k))
+            term = mul_int(c[k][j], w * f)
+            h = self._fold(j, term, ()) if h is None else r.add(h, term)
+        iz = mul_int(ja[k][j], 2 * k)
+        if k == 1:
+            iz = r.sub_int(iz, 0) if j == 0 else iz
+        else:
+            iz = r.sub(iz, self._fold(j, conv(self.iz[1], self.p[k - 1], j),
+                                      (conv(self.iz[i], self.p[k - i], j) for i in range(2, k))))
+        self.iz[k].append(iz)
+        t = r.add(mul_int(r.sub(mul_int(ja[k][j], self.n), iz), 2), h)
+        self.rhs[k].append(mul_int(t, self.fact[k]))
 
 
 # series order when none is given: the default of `--K` on the CLI
@@ -454,7 +669,8 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
     """
     if K < 1:
         raise OutOfRange("K must be >= 1")
-    a = _taylor_coefficients(curvature, K, prec)
+    a, ring = _taylor_coefficients(curvature, K, prec)
+    a = [ring.out(v) for v in a]
     for k, v in enumerate(a, start=1):
         if not mpmath.isfinite(v):
             raise PrecisionExhausted(
@@ -462,12 +678,14 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
                 f"A_{k} overflows at {prec} bits; raise the working precision",
             )
     shadow_prec = prec + SHADOW_EXTRA_BITS
-    shadow = _taylor_coefficients(curvature, K, shadow_prec)
+    shadow, _ = _taylor_coefficients(curvature, K, shadow_prec)
     rel_errs = []
     with mpmath.workprec(shadow_prec):
+        r = _MpRing()
         for k, (v, ref) in enumerate(zip(a, shadow), start=1):
-            diff = abs(v - ref)
-            rel_err = float(diff / abs(ref)) if ref else (0.0 if not diff else math.inf)
+            diff = r.abs(r.sub(r.value(v), ref))
+            rel_err = (r.to_float(r.div(diff, r.abs(ref))) if ref != fzero
+                       else (0.0 if diff == fzero else math.inf))
             if rel_err > REL_ERROR_LIMIT:
                 raise PrecisionExhausted(
                     k, rel_err,
@@ -569,19 +787,22 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
     precision, in one pass over the lattice of values
     [eps^j] gamma^(k)(0; eps), taken by diagonals D = k + j.
 
-    One engine runs in online epsilon-series arithmetic, and
+    One engine (:class:`_EpsilonRecursion`) runs on eps series held as
+    coefficient lists, and
     [eps^j] gamma^(k+2) = [eps^(j+1)] (k! T_k) - [eps^(j+1)] gamma^(k+1),
     with T_k as :meth:`TaylorRecursion.push` returns it; [eps^i] T_k
     depends on the lattice only through diagonals <= k + i.  B_m enters as
     [eps^m] gamma'(0) and -[eps^(m-1)] gamma''(0), both on diagonal m + 1,
-    so stage m finds diagonals <= m fixed.  It takes
-    the engine's coefficients on diagonal m once, forms diagonal m + 1 for
-    each trial value t = 0, 1, 2 of B_m (m subtractions), fits B_m from the
-    affine dependence of its eps^0 end, with slope (-1)^m asserted and the
-    third point guarding affinity, and keeps the diagonal formed at t = B_m
-    with its constant pinned to A_(m+1), which keeps every division by eps
+    so stage m finds diagonals <= m fixed.  It extends the engine by
+    diagonal m + 1 once, forms that diagonal for each trial value
+    t = 0, 1, 2 of B_m (m subtractions), fits B_m from the affine
+    dependence of its eps^0 end, with slope (-1)^m asserted and the third
+    point guarding affinity, and keeps the diagonal formed at t = B_m with
+    its constant pinned to A_(m+1), which keeps every division by eps
     exact.  Two more diagonals, at B_(N+1) = B_(N+2) = 0, complete
-    ``gamma_eps``.
+    ``gamma_eps``.  Above 53 bits every value is a raw mpmath value
+    (:class:`_MpRing`); mpf objects are made only for the results and the
+    messages.
 
     Each coefficient is formed by the same operations, in the same order, as
     an engine run from scratch for one trial value forms it, and every check
@@ -599,10 +820,13 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
     ctx = RealContext(prec)
     eps_m = machine_eps(prec)
     with ctx.workprec():
+        ring = _ring(ctx)
+        sub, absolute, gt, larger = ring.sub, ring.abs, ring.gt, ring.max
         # the tolerances are formed in the ring: |A_k| may pass the float range
-        vanishing, one = ctx.convert(64 * math.sqrt(eps_m)), ctx.convert(1)
-        a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
-        zero = 0 * a[1]
+        vanishing, one = ring.value(64 * math.sqrt(eps_m)), ring.value(1)
+        slope_tol = ring.value(SLOPE_TOL)
+        a = [None] + [ring.value(series.coefficient(k)) for k in range(1, series.K + 1)]
+        zero = ring.mul_int(a[1], 0)
         # rows[k]: [eps^j] gamma^(k)(0; eps), one coefficient per diagonal,
         # the constant pinned to A_k; resid[k]: that constant's offset, and
         # off[k]: whether it exceeds 64 sqrt(eps) max(|A_k|, 1)
@@ -610,7 +834,7 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         # rhs[k] = k! T_k; numer0[k] and numer_max[k]: the constant of
         # k! T_k - gamma^(k+1) and the running max of its |coefficients|
         rhs, numer0, numer_max = [None], [None], [None]
-        engine = TaylorRecursion(profile, ctx)
+        engine = _EpsilonRecursion(profile, ctx, ring)
 
         def fix(col):
             """Append diagonal ``col`` (indexed by k) to the lattice."""
@@ -618,26 +842,28 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
                 if value is None:
                     continue
                 if k < len(rows):
-                    rows[k].coeffs.append(value)
+                    rows[k].append(value)
                 else:
-                    rows.append(_OnlineSeries(coeffs=[a[k]]))
-                    resid.append(abs(value - a[k]))
-                    off.append(resid[k] > vanishing * max(abs(a[k]), one))
+                    rows.append([a[k]])
+                    resid.append(absolute(sub(value, a[k])))
+                    off.append(gt(resid[k], ring.mul(vanishing, larger(absolute(a[k]), one))))
             for k in range(1, len(col) - 2):
-                numer_max[k] = max(numer_max[k], abs(col[k + 2]))
+                numer_max[k] = larger(numer_max[k], absolute(col[k + 2]))
 
         def diagonal(d, *head):
             """Diagonal d from its entries in the rows of gamma'(0) and
             gamma''(0): [eps^(d-k)] gamma^(k)(0; eps) at index k."""
+            engine.extend(d)
             col = [None, *head]
             for k in range(1, min(d - 1, N)):
-                col.append(rhs[k][d - 1 - k] - col[k + 1])
+                col.append(sub(rhs[k][d - 1 - k], col[k + 1]))
             return col
 
         def check_pin(k):
             if off[k]:
                 raise DivisionByEpsilonFailed(
-                    f"eps^0 coefficient of derivative {k} is off by {_scientific(resid[k])}; "
+                    f"eps^0 coefficient of derivative {k} is off by "
+                    f"{_scientific(ring.out(resid[k]))}; "
                     "inconsistent series coefficients or precision loss"
                 )
 
@@ -649,8 +875,8 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
             check_pin(1)
             check_pin(2)
             for k in range(1, upto - 1):
-                scale = numer_max[k] if trial is None else max(numer_max[k], abs(trial[k + 2]))
-                _require_vanishing(numer0[k], vanishing * max(scale, one))
+                scale = numer_max[k] if trial is None else larger(numer_max[k], absolute(trial[k + 2]))
+                _require_vanishing(ring, numer0[k], ring.mul(vanishing, larger(scale, one)))
                 if k + 2 <= pinned:
                     check_pin(k + 2)
 
@@ -658,39 +884,42 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
             """Advice when the unit trial step is below the rounding unit of
             the eps^0 coefficients ``consts``, so the measured slope is noise.
             In mpf arithmetic: |A_k| may exceed the float range."""
-            size = mpmath.mpf(max(1, *(abs(cv) for cv in consts)))
+            size = mpmath.mpf(max(1, *(abs(ring.out(cv)) for cv in consts)))
             if 1 >= eps_m * size:
                 return ""
-            largest = max(size, *(abs(a[k]) for k in range(1, N + 2)))
+            largest = max(size, *(abs(ring.out(a[k])) for k in range(1, N + 2)))
             needed = mpmath.mag(largest / SLOPE_TOL) + 1  # floor(log2) + 1
             shown = mpmath.nstr(size, 4, strip_zeros=False, min_fixed=0, max_fixed=0)
             return (f"; the trial step 1 is below the rounding unit of an eps^0 "
                     f"coefficient of size {shown} at {prec} bits: corrections "
                     f"up to N = {N} need at least {needed} bits (--precision {needed} or more)")
 
-        b = [a[1], -a[2]]
+        b = [a[1], ring.neg(a[2])]
         fix([None, b[0]])
-        fix([None, b[1], -b[1]])
+        fix([None, b[1], ring.neg(b[1])])
         slopes = []
         for m in range(2, N + 1):
-            rhs.append(engine.push_derivatives(rows[1:m]))
-            numer0.append(rhs[m - 1][0] - rows[m][0])
-            numer_max.append(abs(numer0[m - 1]))
+            rhs.append(engine.push(rows[m - 1]))
+            engine.extend(m)
+            numer0.append(sub(rhs[m - 1][0], rows[m][0]))
+            numer_max.append(absolute(numer0[m - 1]))
             consts = []
             for t in (0.0, 1.0, 2.0):
-                t = ctx.convert(t)
-                trial = diagonal(m + 1, t, -t)
+                t = ring.value(t)
+                trial = diagonal(m + 1, t, ring.neg(t))
                 audit(m + 1, m, trial)
                 consts.append(trial[m + 1])
-            slope_ring = consts[1] - consts[0]
-            slope = float(slope_ring)
+            slope_ring = sub(consts[1], consts[0])
+            slope = ring.to_float(slope_ring)
             # in the ring: the eps^0 coefficients may exceed the float range
-            curvature = consts[2] - 2 * consts[1] + consts[0]
-            scale = max(1, *(abs(cv) for cv in consts))
-            if abs(curvature) > SLOPE_TOL * scale:
+            curvature = ring.add(sub(consts[2], ring.mul_int(consts[1], 2)), consts[0])
+            scale = one
+            for cv in consts:
+                scale = larger(scale, absolute(cv))
+            if gt(absolute(curvature), ring.mul(slope_tol, scale)):
                 raise NonlinearDependence(
-                    f"second difference {_scientific(curvature)} at correction order {m}"
-                    + unresolved_step(consts)
+                    f"second difference {_scientific(ring.out(curvature))} "
+                    f"at correction order {m}" + unresolved_step(consts)
                 )
             expected = (-1.0) ** m
             if abs(slope - expected) > SLOPE_TOL * max(1.0, abs(expected)):
@@ -699,18 +928,21 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
                     + unresolved_step(consts)
                 )
             slopes.append(slope)
-            b.append((a[m + 1] - consts[0]) / slope_ring)
-            fix(diagonal(m + 1, b[m], -b[m]))
+            b.append(ring.div(sub(a[m + 1], consts[0]), slope_ring))
+            fix(diagonal(m + 1, b[m], ring.neg(b[m])))
         # gamma'(0) and gamma''(0) at the full degree N + 1, taking
         # B_(N+1) = B_(N+2) = 0
-        fix(diagonal(N + 2, zero, -zero))
-        fix(diagonal(N + 3, None, -zero))
+        fix(diagonal(N + 2, zero, ring.neg(zero)))
+        fix(diagonal(N + 3, None, ring.neg(zero)))
         audit(N + 1, N + 1)
-    return EpsilonCorrections(
-        B=tuple(b),
-        gamma_eps=tuple(EpsilonPolynomial(tuple(row.coeffs)) for row in rows[1:]),
-        slopes=tuple(slopes), max_snap_residual=float(max(resid[1:])),
-    )
+        worst = resid[1]
+        for r in resid[2:]:
+            worst = larger(worst, r)
+        return EpsilonCorrections(
+            B=tuple(map(ring.out, b)),
+            gamma_eps=tuple(EpsilonPolynomial(tuple(map(ring.out, row))) for row in rows[1:]),
+            slopes=tuple(slopes), max_snap_residual=ring.to_float(worst),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coneshrink import geometry
 from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, minimal_distance
 from coneshrink.cli import main
 
@@ -340,6 +341,21 @@ class TestExport:
         assert code == 0
         doc = json.loads((tmp_path / "profile.json").read_text())
         assert doc["schema"] == "coneshrink/profile-v1"
+
+    def test_resolution_past_the_bound_exits_4_before_meshing(self, solve_dir, tmp_path,
+                                                              capsys, monkeypatch):
+        """--resolution 100000 would ask numpy for 74.5 GiB: it exits 4 with a
+        message naming the bound, and never reaches the mesh (patched here to
+        fail if it is called)."""
+        def no_mesh(*args):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(geometry, "_end_mesh", no_mesh)
+        code, _, err = run(["export", str(solve_dir / "d_side.csv"), "--format", "obj",
+                            "--resolution", "100000", "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert err.startswith("solver failure: ResolutionTooHigh: resolution 100000 > 1024, ")
+        assert not (tmp_path / "end.obj").exists()
 
     def test_obj_deterministic(self, solve_dir, tmp_path, capsys):
         outs = []

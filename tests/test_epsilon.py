@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import mpmath
 import pytest
+from mpmath.libmp import fzero
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,14 +26,29 @@ from coneshrink.series import (
 )
 
 
+_FLOATS = series_mod._FloatRing()
+
+
 def _leaf(coeffs):
-    """An online series that knows ``coeffs`` and no more."""
-    return series_mod._OnlineSeries(coeffs=coeffs)
+    """An eps series as the engine holds it: the list of its known
+    coefficients."""
+    return list(coeffs)
 
 
-def _prefix(x, n):
-    """The bits of the first n coefficients of the online series x."""
-    return [_bits(x[j]) for j in range(n)]
+def _add(x, y, j):
+    return _FLOATS.add(x[j], y[j])
+
+
+def _sub(x, y, j):
+    return _FLOATS.sub(x[j], y[j])
+
+
+_OPS = (_add, _sub, _FLOATS.conv)
+
+
+def _prefix(op, x, y, n):
+    """The bits of the first n coefficients of ``op`` on the series x, y."""
+    return [_bits(op(x, y, j)) for j in range(n)]
 
 
 def _bits_of(values):
@@ -40,38 +56,38 @@ def _bits_of(values):
 
 
 class TestEpsilonPolynomial:
-    """The online eps-series ring (:class:`_OnlineSeries`) on leaves, and the
-    :class:`EpsilonPolynomial` prefixes it hands out."""
+    """The eps series of the engine, coefficient lists with the ring's
+    coefficientwise sums and :meth:`conv` products, and the
+    :class:`EpsilonPolynomial` prefixes handed out."""
 
     def test_ring_ops_close_at_degree(self):
         a = _leaf((1.0, 2.0, 3.0))
         b = _leaf((0.5, -1.0, 4.0))
-        assert _prefix(a + b, 3) == _bits_of((1.5, 1.0, 7.0))
-        assert _prefix(a - b, 3) == _bits_of((0.5, 3.0, -1.0))
-        prod = a * b
-        assert _prefix(prod, 3) == _bits_of((0.5, 0.0, 3.5))
+        assert _prefix(_add, a, b, 3) == _bits_of((1.5, 1.0, 7.0))
+        assert _prefix(_sub, a, b, 3) == _bits_of((0.5, 3.0, -1.0))
+        assert _prefix(_FLOATS.conv, a, b, 3) == _bits_of((0.5, 0.0, 3.5))
         with pytest.raises(IndexError):  # known through degree 2 only
-            prod[3]
+            _FLOATS.conv(a, b, 3)
 
     def test_scalar_ops(self):
         a = _leaf((1.0, 2.0))
-        assert _prefix(3 * a, 2) == _bits_of((3.0, 6.0))
-        assert _prefix(a + 1.5, 2) == _bits_of((2.5, 2.0))
-        assert _prefix(a / 2, 2) == _bits_of((0.5, 1.0))
+        assert [_bits(_FLOATS.mul_int(x, 3)) for x in a] == _bits_of((3.0, 6.0))
+        assert [_bits(_FLOATS.add(a[0], 1.5)), _bits(a[1])] == _bits_of((2.5, 2.0))
+        assert [_bits(_FLOATS.div_int(x, 2)) for x in a] == _bits_of((0.5, 1.0))
 
     def test_degree_mismatch(self):
         """Mixed degrees are known only through the lower one: the result is
         the equal-degree operation truncated there."""
         a = _leaf((1.0, 2.0))
         b = _leaf((0.5, -1.0, 4.0))
-        b1 = _leaf(b.coeffs[:2])
-        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        b1 = _leaf(b[:2])
+        for op in _OPS:
             with pytest.raises(IndexError):
-                op(a, b)[2]
-            assert _prefix(op(a, b), 2) == _prefix(op(a, b1), 2)
-            assert _prefix(op(b, a), 2) == _prefix(op(b1, a), 2)
-        assert _prefix(a * b, 2) == _bits_of((0.5, 0.0))
-        assert _prefix(b + a, 2) == _bits_of((1.5, 1.0))
+                op(a, b, 2)
+            assert _prefix(op, a, b, 2) == _prefix(op, a, b1, 2)
+            assert _prefix(op, b, a, 2) == _prefix(op, b1, a, 2)
+        assert _prefix(_FLOATS.conv, a, b, 2) == _bits_of((0.5, 0.0))
+        assert _prefix(_add, b, a, 2) == _bits_of((1.5, 1.0))
 
     def test_no_order_left(self):
         with pytest.raises(OutOfRange):
@@ -79,7 +95,7 @@ class TestEpsilonPolynomial:
 
     def test_divide_by_epsilon_requires_vanishing_constant(self):
         with pytest.raises(DivisionByEpsilonFailed):
-            series_mod._require_vanishing(1e-3, 1e-9)
+            series_mod._require_vanishing(_FLOATS, 1e-3, 1e-9)
 
     def test_evaluation(self):
         p = EpsilonPolynomial((1.0, 2.0, 3.0))
@@ -93,7 +109,7 @@ _coefficient = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @given(st.lists(_coefficient, min_size=1, max_size=8),
        st.lists(_coefficient, min_size=1, max_size=8))
 def test_mixed_degrees_truncate(xs, ys):
-    """Sum, difference and product of mixed-degree online series equal the
+    """Sum, difference and product of mixed-degree eps series equal the
     full-degree operations truncated at the lower degree, coefficient for
     coefficient, and know no order beyond it."""
     a, b = _leaf(xs), _leaf(ys)
@@ -101,10 +117,10 @@ def test_mixed_degrees_truncate(xs, ys):
     pad = max(len(xs), len(ys))
     a_full = _leaf(xs + [0.0] * (pad - len(xs)))
     b_full = _leaf(ys + [0.0] * (pad - len(ys)))
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-        assert _prefix(op(a, b), n) == _prefix(op(a_full, b_full), n)
+    for op in _OPS:
+        assert _prefix(op, a, b, n) == _prefix(op, a_full, b_full, n)
         with pytest.raises(IndexError):
-            op(a, b)[n]
+            op(a, b, n)
 
 
 class TestCorrections:
@@ -395,14 +411,14 @@ def test_one_engine_per_corrections_call(monkeypatch):
     stage, where restarted trials built 3(N-1) + 1 of them."""
     built = []
 
-    class Counting(TaylorRecursion):
+    class Counting(series_mod._EpsilonRecursion):
         def __init__(self, *args):
             built.append(1)
             super().__init__(*args)
 
     fam = builtin_catalog()["g3_m1"]
     fs = compute_coefficients(CurvatureProfile(fam), 10, 256)
-    monkeypatch.setattr(series_mod, "TaylorRecursion", Counting)
+    monkeypatch.setattr(series_mod, "_EpsilonRecursion", Counting)
     compute_epsilon_corrections(fs, 8)
     assert len(built) == 1
 
@@ -424,13 +440,45 @@ def test_precision_advice_past_the_float_range():
     assert "rounding unit" in str(info.value)
 
 
-class _CurvedEntry:
-    """Stands for one entry of k! T_k: minus a trial value x it gives
-    10^400 - x + 10^396 x^2, an eps^0 coefficient past the float range
-    that is not affine in x."""
+class _Entry(tuple):
+    """A raw mpmath value that stands for one entry of k! T_k: the
+    corrections' ring (:class:`_EntryRing`) forms ``entry - x`` as
+    ``minus(x)`` in mpf arithmetic at the working precision."""
 
-    def __sub__(self, x):
-        return mpmath.mpf("1e400") - x + mpmath.mpf("1e396") * x * x
+    def __new__(cls, minus):
+        entry = super().__new__(cls, fzero)
+        entry.minus = minus
+        return entry
+
+
+class _EntryRing(series_mod._MpRing):
+    def sub(self, x, y):
+        if isinstance(x, _Entry):
+            return x.minus(self.out(y))._mpf_
+        return super().sub(x, y)
+
+
+def _replace_entry(monkeypatch, k, j, replace_with):
+    """Let the corrections read ``replace_with(v)`` for the entry v of
+    [eps^j] k! T_k, once the engine has formed it, and subtract an
+    :class:`_Entry` by its own rule."""
+
+    class Replacing(series_mod._EpsilonRecursion):
+        def extend(self, d):
+            rhs = self.rhs
+            known = len(rhs) > k and len(rhs[k]) > j
+            super().extend(d)
+            if not known and len(rhs) > k and len(rhs[k]) > j:
+                rhs[k][j] = replace_with(rhs[k][j])
+
+    monkeypatch.setattr(series_mod, "_EpsilonRecursion", Replacing)
+    monkeypatch.setattr(series_mod, "_ring", lambda ctx: _EntryRing())
+
+
+def _curved(x):
+    """10^400 - x + 10^396 x^2: an eps^0 coefficient past the float range
+    that is not affine in the trial value x."""
+    return mpmath.mpf("1e400") - x + mpmath.mpf("1e396") * x * x
 
 
 def test_second_difference_check_past_the_float_range(fam1, monkeypatch):
@@ -439,16 +487,9 @@ def test_second_difference_check_past_the_float_range(fam1, monkeypatch):
     SLOPE_TOL times their size and raises before the slope check, where
     float scales (inf > 1e-6 * inf) let it pass."""
 
-    class Curved(TaylorRecursion):
-        def push_derivatives(self, derivs):
-            rhs = super().push_derivatives(derivs)
-            if len(derivs) != 1:
-                return rhs
-            # stage 2 forms its trial constants as [eps^1] (1! T_1) + t
-            return [rhs[0], _CurvedEntry()]
-
-    monkeypatch.setattr(series_mod, "TaylorRecursion", Curved)
     fs = compute_coefficients(CurvatureProfile(fam1), 10, 64)
+    # stage 2 forms its trial constants as [eps^1] (1! T_1) + t
+    _replace_entry(monkeypatch, 1, 1, lambda v: _Entry(_curved))
     with pytest.raises(NonlinearDependence) as info:
         compute_epsilon_corrections(fs, 8)
     message = str(info.value)
@@ -475,15 +516,11 @@ def test_dropped_constant_past_the_float_range_raises(monkeypatch):
     the tolerance 64 sqrt(eps) times that maximum is formed in the ring, so
     the constant exceeds it, where float scales (inf > inf) let it pass."""
 
-    class Shifted(TaylorRecursion):
-        def push_derivatives(self, derivs):
-            rhs = super().push_derivatives(derivs)
-            # stage 2 drops the constant of 1! T_1 - gamma''(0; eps)
-            return rhs + mpmath.mpf("1e400") if len(derivs) == 1 else rhs
-
     fam = builtin_catalog()["g1_sphere_n2"]
     fs = compute_coefficients(CurvatureProfile(fam), 10, 64)
-    monkeypatch.setattr(series_mod, "TaylorRecursion", Shifted)
+    # stage 2 drops the constant of 1! T_1 - gamma''(0; eps)
+    _replace_entry(monkeypatch, 1, 0,
+                   lambda v: (mpmath.mp.make_mpf(v) + mpmath.mpf("1e400"))._mpf_)
     with pytest.raises(DivisionByEpsilonFailed) as info:
         compute_epsilon_corrections(fs, 8)
     assert str(info.value) == "constant term 1.000000e+400 exceeds tolerance 2.107342e+392"
@@ -505,40 +542,21 @@ def test_dropped_constant_under_a_trial_past_the_float_range_raises():
     assert str(info.value) == "constant term 2.008896e+306 exceeds tolerance 7.196834e+300"
 
 
-class _Replaced:
-    """A series with its eps^j coefficient replaced by ``entry``."""
-
-    def __init__(self, series, j, entry):
-        self.series, self.j, self.entry = series, j, entry
-
-    def __getitem__(self, i):
-        return self.entry if i == self.j else self.series[i]
-
-
-class _MisfitEntry:
-    """Stands for the entry [eps^1] (1! T_1): minus x it gives -x at the
-    trial values x = 0, -1, -2 of stage 2, a slope that fits, and 1e400 more
-    at any other x, so the diagonal formed at the fitted B_2 misses A_3."""
-
-    def __sub__(self, x):
-        return -x if abs(x) <= 2 else -x + mpmath.mpf("1e400")
+def _misfit(x):
+    """For the entry [eps^1] (1! T_1) minus x: -x at the trial values
+    x = 0, -1, -2 of stage 2, a slope that fits, and 1e400 more at any other
+    x, so the diagonal formed at the fitted B_2 misses A_3."""
+    return -x if abs(x) <= 2 else -x + mpmath.mpf("1e400")
 
 
 def test_pin_residual_past_the_float_range_raises(fam1, monkeypatch):
     """With A_3 = 1e400 the pin of gamma'''(0; eps) allows 64 sqrt(eps) |A_3|,
     past the float range; formed in the ring, the miss of 1e400 exceeds it."""
 
-    class Misfit(TaylorRecursion):
-        def push_derivatives(self, derivs):
-            rhs = super().push_derivatives(derivs)
-            if len(derivs) != 1:
-                return rhs
-            return _Replaced(rhs, 1, _MisfitEntry())
-
     fs = compute_coefficients(CurvatureProfile(fam1), 10, 64)
     a = list(fs.a)
     a[2] = mpmath.mpf("1e400")
-    monkeypatch.setattr(series_mod, "TaylorRecursion", Misfit)
+    _replace_entry(monkeypatch, 1, 1, lambda v: _Entry(_misfit))
     with pytest.raises(DivisionByEpsilonFailed) as info:
         compute_epsilon_corrections(replace(fs, a=tuple(a)), 8)
     assert str(info.value).startswith("eps^0 coefficient of derivative 3 is off by 1.000e+400; ")

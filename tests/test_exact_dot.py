@@ -7,15 +7,28 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import from_man_exp, from_rational, fzero
 
 from coneshrink import series as series_mod
 from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import OutOfRange
-from coneshrink.series import compute_coefficients, compute_epsilon_corrections
+from coneshrink.numutil import RealContext
+from coneshrink.series import (
+    SHADOW_EXTRA_BITS,
+    FormalSeries,
+    TaylorRecursion,
+    compute_coefficients,
+    compute_epsilon_corrections,
+)
+from test_epsilon import _oracle_corrections, _oracle_self_dot
 
 _MpSequence = series_mod._MpSequence
 _exact_dot = series_mod._exact_dot
+
+
+def _sequence(values):
+    """An :class:`_MpSequence` of the raw values of ``values``."""
+    return _MpSequence(mpmath.mpf(v)._mpf_ for v in values)
 
 
 def _exact_value(x):
@@ -66,12 +79,12 @@ def test_kernel_is_fdot_bit_for_bit(case):
     prec, xs, ys = case
     with mpmath.workprec(prec):
         want = mpmath.fdot(xs, ys)
-        got = _exact_dot(_MpSequence(xs), _MpSequence(ys))
-        assert got._mpf_ == want._mpf_
-        got_rev = _exact_dot(_MpSequence(xs)[:], _MpSequence(ys)[::-1])
-        assert got_rev._mpf_ == mpmath.fdot(xs, ys[::-1])._mpf_
+        got = _exact_dot(_sequence(xs), _sequence(ys))
+        assert got == want._mpf_
+        got_rev = _exact_dot(_sequence(xs)[:], _sequence(ys)[::-1])
+        assert got_rev == mpmath.fdot(xs, ys[::-1])._mpf_
     exact = sum((_exact_value(x) * _exact_value(y) for x, y in zip(xs, ys)), Fraction(0))
-    assert got._mpf_ == _rounded(exact, prec)
+    assert got == _rounded(exact, prec)
 
 
 def test_beyond_twice_the_precision_the_kernel_rounds_the_exact_sum():
@@ -86,25 +99,26 @@ def test_beyond_twice_the_precision_the_kernel_rounds_the_exact_sum():
         assert mpmath.fdot(xs, ones) == 0
         assert mpmath.fdot(xs[::-1], ones) == mpmath.mpf(2) ** -200
         for order in (xs, xs[::-1]):
-            got = _exact_dot(_MpSequence(order), _MpSequence(ones))
-            assert got._mpf_ == _rounded(exact, 53)
+            got = _exact_dot(_sequence(order), _sequence(ones))
+            assert got == _rounded(exact, 53)
 
 
 def test_alignment_follows_the_least_exponent():
     """Appending an item below the shared exponent shifts the earlier
     mantissas to it; every item stays exactly man * 2^exp."""
-    seq = _MpSequence([0, mpmath.mpf(3), mpmath.mpf(-0.25), mpmath.mpf(2) ** 40])
+    values = [0, 3, -0.25, 2 ** 40]
+    seq = _sequence(values)
     assert seq.exp == -2
     assert seq.man == [0, 12, -1, 2 ** 42]
-    assert [seq[i] for i in range(4)] == [0, 3, -0.25, 2 ** 40]
-    assert _MpSequence([0, 0]).exp is None
+    assert [seq[i] for i in range(4)] == [mpmath.mpf(v)._mpf_ for v in values]
+    assert _sequence([0, 0]).exp is None
     with mpmath.workprec(53):
-        assert _exact_dot(_MpSequence([0, 0]), seq[:2]) == 0
+        assert _exact_dot(_sequence([0, 0]), seq[:2]) == fzero
 
 
 def test_non_finite_items_are_refused():
     with pytest.raises(OutOfRange, match="non-finite"):
-        _MpSequence([mpmath.mpf(1), mpmath.inf])
+        _sequence([1, mpmath.inf])
 
 
 _fdot_calls = []
@@ -115,35 +129,51 @@ def _fdot(xs, ys):
     return mpmath.fdot(xs, ys)
 
 
-def _fdot_dot_for(value):
-    if isinstance(value, mpmath.mpf):
-        return _fdot, list
-    return series_mod._dot, list
+class _FdotRecursion(TaylorRecursion):
+    """The recursion in Python's operators on mpf objects, each dot
+    mpmath.fdot over lists."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.dot = _fdot
 
 
-def _fdot_product_rule(x, y):
-    def rule(k):
-        x[k], y[k]
-        if not isinstance(x[0], mpmath.mpf):
-            return series_mod._dot(x.coeffs[:k + 1], y.coeffs[k::-1])
-        return _fdot(x.coeffs[:k + 1], y.coeffs[k::-1])
-    return rule
+def _fdot_series(curvature, K, prec):
+    """A_1..A_K and their rel_error_estimates from mpf-operator runs of
+    :class:`_FdotRecursion` at ``prec`` and ``prec + SHADOW_EXTRA_BITS``."""
+    def run(bits):
+        ctx = RealContext(bits)
+        with ctx.workprec():
+            engine = _FdotRecursion(curvature, ctx)
+            t, fact, out = engine.t0, ctx.convert(1), []
+            for k in range(1, K + 1):
+                a_k = t / k
+                fact = fact * k
+                out.append(fact * a_k)
+                if k < K:
+                    t = engine.push(a_k)
+        return out
+
+    a, shadow = run(prec), run(prec + SHADOW_EXTRA_BITS)
+    with mpmath.workprec(prec + SHADOW_EXTRA_BITS):
+        rel = [float(abs(v - ref) / abs(ref)) for v, ref in zip(a, shadow)]
+    return FormalSeries(curvature=curvature, precision_bits=prec, a=tuple(a),
+                        rel_error_estimates=tuple(rel))
 
 
 def _bits(x):
     return x._mpf_ if isinstance(x, mpmath.mpf) else float(x).hex()
 
 
-def _record(fam, prec, mode):
-    fs = compute_coefficients(CurvatureProfile(fam, mode), 24, prec)
-    corr = compute_epsilon_corrections(fs, 8)
+def _record(fs, corr):
+    B, slopes, snap, gamma_eps = corr
     return {
         "A": [_bits(v) for v in fs.a],
         "rel_error_estimates": [_bits(v) for v in fs.rel_error_estimates],
-        "B": [_bits(v) for v in corr.B],
-        "slopes": [_bits(v) for v in corr.slopes],
-        "max_snap_residual": _bits(corr.max_snap_residual),
-        "gamma_eps": [[_bits(v) for v in p.coeffs] for p in corr.gamma_eps],
+        "B": [_bits(v) for v in B],
+        "slopes": [_bits(v) for v in slopes],
+        "max_snap_residual": _bits(snap),
+        "gamma_eps": [[_bits(v) for v in coeffs] for coeffs in gamma_eps],
     }
 
 
@@ -151,15 +181,24 @@ def _record(fam, prec, mode):
 @pytest.mark.parametrize("mode", ["cot_sum", "eq030_literal"])
 def test_engine_matches_an_fdot_run(prec, mode, monkeypatch):
     """The series and its corrections, the shadow run's error estimates
-    included, are bit-equal to a run whose Taylor engine and epsilon
-    product rule use mpmath.fdot over lists of mpmath floats."""
+    included, are bit-equal to mpf-operator runs: the series from a Taylor
+    engine whose dots are mpmath.fdot over lists of mpmath floats, the
+    corrections from the fixed-degree eps ring of tests/test_epsilon.py,
+    whose products are mpmath.fdot (each gamma^(k)(0; eps) a prefix of
+    its fixed-degree one)."""
     catalog = builtin_catalog()
     for name in ("g1_sphere_n2", "g3_m1", "g6_m2"):
-        got = _record(catalog[name], prec, mode)
-        with monkeypatch.context() as mp:
-            mp.setattr(series_mod, "_dot_for", _fdot_dot_for)
-            mp.setattr(series_mod, "_product_rule", _fdot_product_rule)
-            _fdot_calls.clear()
-            want = _record(catalog[name], prec, mode)
+        curvature = CurvatureProfile(catalog[name], mode)
+        fs = compute_coefficients(curvature, 24, prec)
+        corr = compute_epsilon_corrections(fs, 8)
+        _fdot_calls.clear()
+        oracle = _fdot_series(curvature, 24, prec)
         assert _fdot_calls, name
+        with monkeypatch.context() as mp:
+            mp.setattr(series_mod, "_self_dot", _oracle_self_dot)
+            B, slopes, snap, polys = _oracle_corrections(oracle, 8)
+        want = _record(oracle, (B, slopes, snap, [p.coeffs[:got.degree + 1]
+                                                  for p, got in zip(polys, corr.gamma_eps)]))
+        got = _record(fs, (corr.B, corr.slopes, corr.max_snap_residual,
+                           [p.coeffs for p in corr.gamma_eps]))
         assert got == want, name

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coneshrink import geometry as geometry_mod
 from coneshrink.catalog import CurvatureProfile, make_family
 from coneshrink.errors import (
     InsufficientRange,
     OutOfRange,
+    ResolutionTooHigh,
     ResolutionTooLow,
     UnsupportedFamily,
 )
 from coneshrink.geometry import (
+    MAX_RESOLUTION,
     EXPORT_COLUMNS,
     PROFILE_JSON_SCHEMA,
     _face_geometry,
@@ -176,6 +179,19 @@ class TestExportMesh:
     def test_resolution_floor(self, continued1, fam1, tmp_path):
         with pytest.raises(ResolutionTooLow):
             export_mesh(continued1, tmp_path / "x.obj", resolution=7)
+
+    def test_resolution_ceiling_is_checked_before_meshing(self, continued1, tmp_path,
+                                                         monkeypatch):
+        """One past MAX_RESOLUTION raises naming the bound; the mesh is
+        patched to fail if called, so a missing check cannot allocate."""
+        def no_mesh(*args):
+            raise AssertionError("the mesh was built")
+
+        monkeypatch.setattr(geometry_mod, "_end_mesh", no_mesh)
+        for resolution in (MAX_RESOLUTION + 1, 100000):
+            with pytest.raises(ResolutionTooHigh, match=f"> {MAX_RESOLUTION}, "):
+                export_mesh(continued1, tmp_path / "x.obj", resolution=resolution)
+        assert not (tmp_path / "x.obj").exists()
 
 
 # ---------------------------------------------------------------------------

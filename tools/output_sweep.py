@@ -38,7 +38,14 @@ calls leave behind.  The calls:
 - window sweep (5 calls): ``solve --to-d X`` on the five families whose
   default solve meets a vertical tangent, at theta1 x1.00, with X of
   ``WINDOW_TARGETS`` 1e-4 below the tangent: the tangent probe runs and
-  the curve reaches the target first.
+  the curve reaches the target first;
+- corrections sweep (28 calls): on the 14 built-ins at theta1 x1.00,
+  ``coeffs --corrections --N 8 --out -`` at the default 53 bits, where
+  the corrections run on floats and the g >= 3 families exit 4 with a
+  ``DivisionByEpsilonFailed`` or ``NonlinearDependence`` message, and at
+  ``--precision 128``, a second mpmath precision.
+
+375 calls in all.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -71,6 +78,10 @@ COEFFS_FLAGS = {
 EQ030_FLAGS = ["--profile-mode", "eq030"]
 # g = 2, m = 1 in S^3 at theta1 past pi/4, where H(0) < 0
 NOT_MEAN_CONVEX_CHECK = ["g=2", "m=1", "n=3", "theta1=1.04"]
+CORRECTIONS_FLAGS = {
+    "corrections_53": ["--corrections", "--N", "8", "--out", "-"],
+    "corrections_128": ["--precision", "128", "--corrections", "--N", "8", "--out", "-"],
+}
 EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
                       *EQ030_FLAGS, "--out", "-"]
 
@@ -169,6 +180,9 @@ def calls(catalog):
         label = f"window/{name}@1.00"
         out.append((label, ["solve", *family_flags(catalog[name], 1.0), "--to-d", d_target,
                             "--out", label]))
+    for kind, flags in CORRECTIONS_FLAGS.items():
+        for name, family in catalog.items():
+            out.append((f"{kind}/{name}@1.00", ["coeffs", *family_flags(family, 1.0), *flags]))
     return out
 
 
