@@ -170,56 +170,15 @@ class _FloatRing:
     product is a :func:`_dot` sum from 0."""
 
     seq = list
+    value = out = to_float = float
+    add = add_int = operator.add
+    sub = sub_int = operator.sub
+    mul = mul_int = operator.mul
+    div = div_int = operator.truediv
+    neg, abs, gt, max = operator.neg, abs, operator.gt, max
 
-    def value(self, x):
-        return float(x)
-
-    def out(self, x):
-        return x
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def div(self, x, y):
-        return x / y
-
-    def neg(self, x):
-        return -x
-
-    def abs(self, x):
-        return abs(x)
-
-    def gt(self, x, y):
-        return x > y
-
-    def add_int(self, x, n):
-        return x + n
-
-    def sub_int(self, x, n):
-        return x - n
-
-    def mul_int(self, x, n):
-        return n * x
-
-    def div_int(self, x, n):
-        return x / n
-
-    def max(self, x, y):
-        return max(x, y)
-
-    def to_float(self, x):
-        return float(x)
-
-    def sum(self, xs):
-        return sum(xs)
-
-    def conv(self, xs, ys, j):
+    @staticmethod
+    def conv(xs, ys, j):
         """[eps^j] of the product of the eps series ``xs`` and ``ys``."""
         _known(xs, ys, j)
         return _dot(xs[:j + 1], ys[j::-1])
@@ -264,8 +223,7 @@ class _MpRing:
     def abs(self, x):
         return mpf_abs(x, self.prec, self.rnd)
 
-    def gt(self, x, y):
-        return mpf_gt(x, y)
+    gt = staticmethod(mpf_gt)
 
     def add_int(self, x, n):
         return mpf_add(x, from_int(n), self.prec, self.rnd)
