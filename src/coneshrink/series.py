@@ -9,14 +9,15 @@ recursion
 
 evaluated by truncated Taylor arithmetic (:class:`TaylorRecursion`): the
 Taylor series of H(gamma) and arctan(2 s gamma') grow by one coefficient per
-A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  At 53 bits the
-ring is Python's floats; above, raw mpmath values (``_mpf_`` tuples) through
-libmp (:class:`_MpRing`, :class:`_MpRecursion`), each operation rounded as
-mpmath's operator rounds it, with mpmath objects only at the edges.  The
-rounding error is measured, not modelled: the recursion runs a second time
-at 64 more bits and the relative difference is kept per coefficient.  The
-series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
-provides the growth diagnostics and optimally truncated evaluation.
+A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  The recursion is
+written once, in the methods of a scalar ring: at 53 bits Python's floats
+(:class:`_FloatRing`); above, raw mpmath values (``_mpf_`` tuples) through
+libmp (:class:`_MpRing`), each operation rounded as mpmath's operator rounds
+it, with mpmath objects only at the edges.  The rounding error is measured,
+not modelled: the recursion runs a second time at 64 more bits and the
+relative difference is kept per coefficient.  The series diverges like a
+Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
+diagnostics and optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
 regularization corrections B_i: with initial slope
@@ -43,7 +44,6 @@ from functools import cached_property
 
 import mpmath
 from mpmath.libmp import (
-    fone,
     from_int,
     from_man_exp,
     fzero,
@@ -165,9 +165,9 @@ def _known(xs, ys, j):
 
 class _FloatRing:
     """Scalar arithmetic by Python's operators: binary64 floats in the
-    53-bit runs.  An integer operand mixes in as Python mixes it.  An eps
-    series is a list of its known coefficients, and a coefficient of a
-    product is a :func:`_dot` sum from 0."""
+    53-bit runs.  An integer operand mixes in as Python mixes it.  A dot
+    product is a :func:`_dot` sum from 0; so is a coefficient of a product
+    of eps series, each a list of its known coefficients."""
 
     seq = list
     value = out = to_float = float
@@ -175,7 +175,8 @@ class _FloatRing:
     sub = sub_int = operator.sub
     mul = mul_int = operator.mul
     div = div_int = operator.truediv
-    neg, abs, gt, max = operator.neg, abs, operator.gt, max
+    neg, abs, gt, max, sum = operator.neg, abs, operator.gt, max, sum
+    dot = staticmethod(_dot)
 
     @staticmethod
     def conv(xs, ys, j):
@@ -189,9 +190,10 @@ class _MpRing:
     libmp, at mpmath's working precision and rounding when the ring is made:
     each operation rounds as mpmath's operator on mpf objects rounds it
     there.  An integer operand enters exactly, through ``from_int``; so
-    ``mul_int`` rounds the exact product, as ``mpf_mul_int`` does.  An eps
-    series is an :class:`_MpSequence`, and a coefficient of a product the
-    exact sum of its terms rounded once, as :func:`_exact_dot` rounds."""
+    ``mul_int`` rounds the exact product, as ``mpf_mul_int`` does.  A
+    sequence is an :class:`_MpSequence`, and a dot product, or a coefficient
+    of a product of eps series, the exact sum of its terms rounded once, as
+    :func:`_exact_dot` rounds."""
 
     seq = _MpSequence
 
@@ -224,6 +226,7 @@ class _MpRing:
         return mpf_abs(x, self.prec, self.rnd)
 
     gt = staticmethod(mpf_gt)
+    dot = staticmethod(_exact_dot)
 
     def add_int(self, x, n):
         return mpf_add(x, from_int(n), self.prec, self.rnd)
@@ -358,16 +361,18 @@ def _rho(a_k, k):
 # Taylor engine
 # ---------------------------------------------------------------------------
 
-def _self_dot(dot, c, m):
+def _self_dot(ring, c, m):
     """[s^m] of the square of the series with coefficients c (needs c_0..c_m).
 
     The s = 0 seed c_0 multiplies c_m from the right.  Its operands are
     slices only, so an :class:`_MpSequence` enters as runs of aligned
     mantissas."""
     half = (m + 1) // 2
-    acc = 2 * dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]) if half else 0
+    if not half:
+        return ring.add_int(ring.mul(c[0], c[0]), 0)
+    acc = ring.mul_int(ring.dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]), 2)
     if m % 2 == 0:
-        acc = acc + c[half] * c[half]
+        acc = ring.add(acc, ring.mul(c[half], c[half]))
     return acc
 
 
@@ -391,97 +396,40 @@ class TaylorRecursion:
       m_minus + 1 at frequency g;
     * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
 
-    They divide only by integers and by values at s = 0.  This class runs
-    them in Python's operators with :func:`_dot` sums, on the floats of a
-    53-bit run (or any other ring of Python numbers, over seeds of
-    ``ctx``); :class:`_MpRecursion` runs them on raw mpmath values.  Run it
-    inside the working precision of ``ctx``.
+    They divide only by integers and by values at s = 0.  Every value is
+    one of ``ring``, which provides ``value`` (a number of ``ctx`` into the
+    ring), ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
+    integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
+    (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
+    :class:`_MpRing` above.  The operand order is that of the operator
+    expressions ``n * x``, ``sum(...)`` and ``dot(...)`` in which the
+    recursion was first written, with the seed c_0 on the right of its
+    products; in floats every operation rounds, so that order fixes the
+    bits of A_k.  Run it inside the working precision of ``ctx``.
     """
 
-    ring = _FloatRing()
-
-    def __init__(self, profile: CurvatureProfile, ctx: RealContext):
+    def __init__(self, profile: CurvatureProfile, ctx: RealContext, ring):
         fam = profile.family
-        self.n = fam.n
-        self.terms = profile.terms
-        self.dot = _dot
+        self.n, self.terms, self.ring = fam.n, profile.terms, ring
         t1 = ctx.convert(fam.theta1)
-        self._start([ctx.cot(f * t1) for _, f in self.terms])
-
-    def _start(self, seeds):
-        """The sequences, each holding its s = 0 seed, and T_0 = H(0)."""
-        self.ja = [0]       # j a_j, the coefficients of s gamma'
-        self.iz = [0]       # i z_i, z = arctan(w)
-        self.p = [1]        # [s^m] (1 + w^2)
-        self.cot = [[c] for c in seeds]
-        self.q = [[] for _ in seeds]        # [s^m] (1 + c_i^2)
-        self.t0 = sum(w * f * c for (w, f), c in zip(self.terms, seeds))
-
-    def push(self, a_k):
-        k = len(self.ja)
-        self.ja.append(k * a_k)
-        h_k = self._h_cot(k)
-        # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
-        if k > 1:
-            self.p.append(4 * _self_dot(self.dot, self.ja, k - 1))
-        iz_k = 2 * k * self.ja[k] - self.dot(self.iz[1:k], self.p[k - 1:0:-1])
-        self.iz.append(iz_k)
-        return 2 * (self.n * self.ja[k] - iz_k) + h_k
-
-    def push_derivatives(self, derivs):
-        """Push a_j = derivs[j-1] / j! for the orders j not yet pushed, up to
-        k = len(derivs), and return k! T_k: the derivative form
-        2nk gamma^(k)(0) + (d/ds)^k{H(gamma) - 2k arctan(2 s gamma')}(0)."""
-        fact = math.factorial(len(self.ja) - 1)
-        t = None
-        for j in range(len(self.ja), len(derivs) + 1):
-            fact *= j
-            t = self.push(derivs[j - 1] / fact)
-        return t * fact
-
-    def _h_cot(self, k):
-        ja = self.ja[k:0:-1]
-        h_k = 0
-        for (w, f), c, q in zip(self.terms, self.cot, self.q):
-            q.append(_self_dot(self.dot, c, k - 1) + (1 if k == 1 else 0))
-            c.append(-f * self.dot(ja, q) / k)
-            h_k = h_k + w * f * c[k]
-        return h_k
-
-
-class _MpRecursion(TaylorRecursion):
-    """:class:`TaylorRecursion` on raw mpmath values in :class:`_MpRing`:
-    every operation of the operator run on mpf objects, in the same order
-    and with the same rounding, but each dot an :func:`_exact_dot` over
-    aligned mantissas.  Make it inside the working precision."""
-
-    def _start(self, seeds):
-        self.ring = ring = _MpRing()
-        seeds = [c._mpf_ for c in seeds]
-        self.ja, self.iz, self.p = _MpSequence([fzero]), _MpSequence([fzero]), _MpSequence([fone])
-        self.cot = [_MpSequence([c]) for c in seeds]
-        self.q = [_MpSequence() for _ in seeds]
+        seeds = [ring.value(ctx.cot(f * t1)) for _, f in self.terms]
+        zero = ring.value(0)
+        self.ja = ring.seq([zero])      # j a_j, the coefficients of s gamma'
+        self.iz = ring.seq([zero])      # i z_i, z = arctan(w)
+        self.p = ring.seq([ring.value(1)])      # [s^m] (1 + w^2)
+        self.cot = [ring.seq([c]) for c in seeds]
+        self.q = [ring.seq() for _ in seeds]        # [s^m] (1 + c_i^2)
         self.t0 = ring.sum(ring.mul_int(c, w * f) for (w, f), c in zip(self.terms, seeds))
-
-    def _square(self, c, m):
-        """:func:`_self_dot` with the exact dot."""
-        r = self.ring
-        half = (m + 1) // 2
-        if not half:
-            return r.add_int(r.mul(c[0], c[0]), 0)
-        acc = r.mul_int(_exact_dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]), 2)
-        if m % 2 == 0:
-            acc = r.add(acc, r.mul(c[half], c[half]))
-        return acc
 
     def push(self, a_k):
         r = self.ring
         k = len(self.ja)
         self.ja.append(r.mul_int(a_k, k))
         h_k = self._h_cot(k)
+        # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
         if k > 1:
-            self.p.append(r.mul_int(self._square(self.ja, k - 1), 4))
-        iz_k = r.sub(r.mul_int(self.ja[k], 2 * k), _exact_dot(self.iz[1:k], self.p[k - 1:0:-1]))
+            self.p.append(r.mul_int(_self_dot(r, self.ja, k - 1), 4))
+        iz_k = r.sub(r.mul_int(self.ja[k], 2 * k), r.dot(self.iz[1:k], self.p[k - 1:0:-1]))
         self.iz.append(iz_k)
         return r.add(r.mul_int(r.sub(r.mul_int(self.ja[k], self.n), iz_k), 2), h_k)
 
@@ -490,8 +438,8 @@ class _MpRecursion(TaylorRecursion):
         ja = self.ja[k:0:-1]
         terms = []
         for (w, f), c, q in zip(self.terms, self.cot, self.q):
-            q.append(r.add_int(self._square(c, k - 1), 1 if k == 1 else 0))
-            c.append(r.div_int(r.mul_int(_exact_dot(ja, q), -f), k))
+            q.append(r.add_int(_self_dot(r, c, k - 1), 1 if k == 1 else 0))
+            c.append(r.div_int(r.mul_int(r.dot(ja, q), -f), k))
             terms.append(r.mul_int(c[k], w * f))
         return r.sum(terms)
 
@@ -501,8 +449,8 @@ def _taylor_coefficients(profile, K, prec):
     as values of the run's ring, and that ring."""
     ctx = RealContext(prec)
     with ctx.workprec():
-        engine = (_MpRecursion if ctx.is_mp else TaylorRecursion)(profile, ctx)
-        r = engine.ring
+        r = _ring(ctx)
+        engine = TaylorRecursion(profile, ctx, r)
         t, fact, out = engine.t0, r.value(1), []
         for k in range(1, K + 1):
             a_k = r.div_int(t, k)
@@ -729,10 +677,6 @@ class EpsilonCorrections:
     def initial_slope(self, eps):
         """B(eps) = sum B_i eps^i."""
         return EpsilonPolynomial(self.B)(eps)
-
-    def initial_curvature(self, eps):
-        """gamma''(0; eps) = -sum_{i>=1} B_i eps^{i-1}."""
-        return -EpsilonPolynomial(self.B[1:])(eps)
 
 
 # tolerance of the affine fit behind each B_m: slope (-1)^m and second difference
@@ -988,6 +932,15 @@ def _field(rec, key, kind=(int, float)):
     return value
 
 
+def _count(rec, key):
+    """``rec[key]`` if it is an integer >= 1, as ``compute_coefficients``
+    writes it; else :class:`OutOfRange` naming the field."""
+    value = _field(rec, key, int)
+    if value < 1:
+        raise OutOfRange(f"series record: field {key!r} must be >= 1, got {value}")
+    return value
+
+
 def _numbers(rec, key, convert):
     try:
         return tuple(map(convert, _field(rec, key, list)))
@@ -999,14 +952,18 @@ def series_from_json(text: str) -> FormalSeries:
     """The series of a ``coeffs`` record; its family and profile mode are
     validated as they are read (:class:`ConstraintViolation` for an
     inadmissible family, :class:`UnsupportedMode` for an unknown mode), and
-    a missing or malformed field raises :class:`OutOfRange` naming it."""
+    a missing or malformed field raises :class:`OutOfRange` naming it, as do
+    values ``compute_coefficients`` never writes: ``precision_bits`` or
+    ``K`` below 1 and a non-finite A_k."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise OutOfRange(f"series record: a JSON object expected, got {rec!r}")
     family = _field(rec, "family", dict)
     fam = make_family(*(_field(family, key) for key in ("g", "m_minus", "m_plus", "n", "theta1")))
-    prec, K = _field(rec, "precision_bits", int), _field(rec, "K", int)
+    prec, K = _count(rec, "precision_bits"), _count(rec, "K")
     a = _numbers(rec, "A", lambda t: parse_real(t, prec))
+    if not all(map(mpmath.isfinite, a)):
+        raise OutOfRange("series record: field 'A' holds a non-finite number")
     n_gevrey = len(_numbers(rec, "gevrey", float))
     rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
     if not K == len(a) == n_gevrey == len(rel):

@@ -29,6 +29,30 @@ from coneshrink.series import (
 _FLOATS = series_mod._FloatRing()
 
 
+class _OperatorRing(series_mod._FloatRing):
+    """Python's operators on any numbers, which enter as they are: the
+    ring of the oracles, whose values are floats, mpf objects or
+    fixed-degree eps polynomials."""
+
+    value = staticmethod(lambda x: x)
+
+
+_OPERATORS = _OperatorRing()
+
+
+def push_derivatives(engine, derivs):
+    """Push a_j = derivs[j-1] / j! into the Taylor ``engine`` for the orders
+    j not yet pushed, up to k = len(derivs), and return k! T_k: the
+    derivative form
+    2nk gamma^(k)(0) + (d/ds)^k{H(gamma) - 2k arctan(2 s gamma')}(0)."""
+    fact = math.factorial(len(engine.ja) - 1)
+    t = None
+    for j in range(len(engine.ja), len(derivs) + 1):
+        fact *= j
+        t = engine.push(derivs[j - 1] / fact)
+    return t * fact
+
+
 def _leaf(coeffs):
     """An eps series as the engine holds it: the list of its known
     coefficients."""
@@ -163,9 +187,9 @@ class TestCorrections:
                                         + (0.0,) * (degree + 1 - len(b_vals)))
             g2_coeffs = tuple(-b for b in (list(b_vals[1:]) + [0.0] * (degree + 2)))
             polys = [None, g1, _FixedDegreePolynomial(g2_coeffs[: degree + 1])]
-            engine = TaylorRecursion(prof, ctx)
+            engine = TaylorRecursion(prof, ctx, _OPERATORS)
             for k in range(1, upto - 1):
-                rhs = engine.push_derivatives(polys[1: k + 1])
+                rhs = push_derivatives(engine, polys[1: k + 1])
                 num = rhs - polys[k + 1]
                 # perturbed runs have nonvanishing constants downstream of j:
                 # drop them explicitly to keep shifting
@@ -200,7 +224,7 @@ class TestCorrections:
         assert float(corr.initial_slope(eps)) == pytest.approx(b_direct, rel=1e-14)
         c_direct = -sum(float(b) * eps ** (i - 1)
                         for i, b in enumerate(corr.B) if i >= 1)
-        assert float(corr.initial_curvature(eps)) == pytest.approx(c_direct, rel=1e-13)
+        assert float(-EpsilonPolynomial(corr.B[1:])(eps)) == pytest.approx(c_direct, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +297,10 @@ class _FixedDegreePolynomial:
         return tuple(abs(float(c)) for c in self.coeffs)
 
 
-def _oracle_self_dot(dot, c, m):
+def _oracle_self_dot(ring, c, m):
     """The engine's square coefficient with the seed c_0 on the left."""
     half = (m + 1) // 2
-    acc = 2 * dot(c[:half], c[m:m - half:-1])
+    acc = 2 * ring.dot(c[:half], c[m:m - half:-1])
     if m % 2 == 0:
         acc = acc + c[half] * c[half]
     return acc
@@ -309,9 +333,9 @@ def _oracle_corrections(series, N):
             worst = max(worst, snap(1))
             if snap_until >= 2:
                 worst = max(worst, snap(2))
-            engine = TaylorRecursion(profile, ctx)
+            engine = TaylorRecursion(profile, ctx, _OPERATORS)
             for k in range(1, max(upto - 1, 0)):
-                numer = engine.push_derivatives(polys[1:k + 1]) - polys[k + 1]
+                numer = push_derivatives(engine, polys[1:k + 1]) - polys[k + 1]
                 tol_scale = max(max(numer.abs_floats()), 1.0)
                 polys.append(numer.divide_by_epsilon(64 * math.sqrt(eps_m) * tol_scale))
                 if k + 2 <= snap_until:

@@ -20,7 +20,7 @@ from coneshrink.series import (
     compute_coefficients,
     compute_epsilon_corrections,
 )
-from test_epsilon import _oracle_corrections, _oracle_self_dot
+from test_epsilon import _OperatorRing, _oracle_corrections, _oracle_self_dot
 
 _MpSequence = series_mod._MpSequence
 _exact_dot = series_mod._exact_dot
@@ -129,22 +129,20 @@ def _fdot(xs, ys):
     return mpmath.fdot(xs, ys)
 
 
-class _FdotRecursion(TaylorRecursion):
-    """The recursion in Python's operators on mpf objects, each dot
-    mpmath.fdot over lists."""
+class _FdotRing(_OperatorRing):
+    """Python's operators on mpf objects, each dot mpmath.fdot over lists."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.dot = _fdot
+    dot = staticmethod(_fdot)
 
 
 def _fdot_series(curvature, K, prec):
     """A_1..A_K and their rel_error_estimates from mpf-operator runs of
-    :class:`_FdotRecursion` at ``prec`` and ``prec + SHADOW_EXTRA_BITS``."""
+    :class:`TaylorRecursion` in :class:`_FdotRing` at ``prec`` and
+    ``prec + SHADOW_EXTRA_BITS``."""
     def run(bits):
         ctx = RealContext(bits)
         with ctx.workprec():
-            engine = _FdotRecursion(curvature, ctx)
+            engine = TaylorRecursion(curvature, ctx, _FdotRing())
             t, fact, out = engine.t0, ctx.convert(1), []
             for k in range(1, K + 1):
                 a_k = t / k

@@ -32,8 +32,8 @@ from coneshrink.ivp import (
 )
 from coneshrink.numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_eval, loglog_slope,
                                write_csv)
-from coneshrink.series import (DEFAULT_K, compute_coefficients, compute_epsilon_corrections,
-                               evaluate_truncated)
+from coneshrink.series import (DEFAULT_K, EpsilonPolynomial, compute_coefficients,
+                               compute_epsilon_corrections, evaluate_truncated)
 
 
 class TestGammaRhs:
@@ -50,7 +50,7 @@ class TestGammaRhs:
             got = gamma_rhs(0.0, 0.0, b, eps, prof)
             expect = (float(mean_curvature(prof, 0.0)) - b) / eps
             assert got == pytest.approx(expect, rel=1e-12)
-            assert got == pytest.approx(float(corr.initial_curvature(eps)), rel=1e-9)
+            assert got == pytest.approx(float(-EpsilonPolynomial(corr.B[1:])(eps)), rel=1e-9)
 
     def test_residual_is_algebraic_inverse(self, fam1):
         prof = CurvatureProfile(fam1)
@@ -285,7 +285,7 @@ class TestEpsilonStudy:
         # pinned at 0, an O(1) defect |A_2|; corrected B tracks A_2 to O(eps)
         corr = compute_epsilon_corrections(series1, config.correction_N)
         a2 = float(series1.coefficient(2))
-        corrected = abs(float(corr.initial_curvature(rep.eps_list[-1])) - a2)
+        corrected = abs(float(-EpsilonPolynomial(corr.B[1:])(rep.eps_list[-1])) - a2)
         assert corrected <= 0.05 * abs(a2)
         assert abs(a2) == pytest.approx(2.0, rel=1e-6)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from coneshrink.series import (
     series_to_json,
     series_value_tail,
 )
+from test_epsilon import _OPERATORS, push_derivatives
 
 
 class TestClosedForms:
@@ -47,6 +49,19 @@ class TestClosedForms:
         for k in range(1, 9):
             assert float(short.coefficient(k)) == float(longer.coefficient(k))
 
+    def test_53_bit_coefficients_are_pinned(self):
+        """The bits of A_1..A_40 at 53 bits over the built-ins in both
+        profile modes: one line per family and mode, the float.hex of each
+        coefficient joined by spaces, hashed.  A change of operand order in
+        the float recursion changes them."""
+        lines = []
+        for fam in builtin_catalog().values():
+            for mode in ("cot_sum", "eq030_literal"):
+                fs = compute_coefficients(CurvatureProfile(fam, mode), 40)
+                lines.append(" ".join(float(a).hex() for a in fs.a) + "\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "9e4ef14151edb968f3352c2b837e2a2bb8d75760e92ebc5c5d3e1eec20cd0a2e"
+
     def test_precision_agreement_k15(self, fam1):
         lo = compute_coefficients(CurvatureProfile(fam1), 15, prec=53)
         hi = compute_coefficients(CurvatureProfile(fam1), 15, prec=256)
@@ -69,7 +84,8 @@ class TestCotChains:
         from coneshrink.series import TaylorRecursion
         two = {"g2_product_12", "g4_m45"}
         for name, fam in builtin_catalog().items():
-            engine = TaylorRecursion(CurvatureProfile(fam), RealContext(53))
+            engine = TaylorRecursion(CurvatureProfile(fam), RealContext(53),
+                                     series_mod._FloatRing())
             assert len(engine.cot) == (2 if name in two else 1), name
 
 
@@ -126,7 +142,7 @@ class TestStateOracle:
 def _drifted_coefficients(curvature, K, c):
     """A_1..A_K at binary64 of the equation whose drift factor (1 - 2ns) is
     replaced by (c - 2ns): a_{k+1} = T_k / (c (k+1)), A_k = k! a_k."""
-    engine = TaylorRecursion(curvature, RealContext(DOUBLE_PREC))
+    engine = TaylorRecursion(curvature, RealContext(DOUBLE_PREC), series_mod._FloatRing())
     t, fact, out = engine.t0, 1, []
     for k in range(1, K + 1):
         a_k = t / (c * k)
@@ -161,8 +177,9 @@ def probe_linear_coefficient(curvature, k, prec=DOUBLE_PREC):
     ctx = RealContext(prec)
     with ctx.workprec():
         gd = list(series.a)
-        base = TaylorRecursion(curvature, ctx).push_derivatives(gd)
-        shifted = TaylorRecursion(curvature, ctx).push_derivatives(gd[:-1] + [gd[-1] + 1])
+        base = push_derivatives(TaylorRecursion(curvature, ctx, _OPERATORS), gd)
+        shifted = push_derivatives(TaylorRecursion(curvature, ctx, _OPERATORS),
+                                   gd[:-1] + [gd[-1] + 1])
         measured = float(shifted - base)
         hp0 = float(curvature_derivative(curvature, ctx.convert(0.0), 1, prec))
     n = curvature.family.n
@@ -338,8 +355,12 @@ class TestSerialization:
                                                       "malformed: True"),
         (lambda rec: rec["A"].__setitem__(0, "abc"), "field 'A' holds a malformed number"),
         (lambda rec: rec["A"].pop(), "K = 36 with 35 coefficients"),
+        # values compute_coefficients never writes
+        (lambda rec: rec.update(precision_bits=0), "field 'precision_bits' must be >= 1, got 0"),
+        (lambda rec: rec.update(K=0), "field 'K' must be >= 1, got 0"),
+        (lambda rec: rec["A"].__setitem__(0, "nan"), "field 'A' holds a non-finite number"),
     ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "precision_bool",
-            "A_text", "A_short"])
+            "A_text", "A_short", "precision_zero", "K_zero", "A_nan"])
     def test_malformed_record_names_the_field(self, series1, edit, names):
         rec = json.loads(series_to_json(series1))
         edit(rec)
