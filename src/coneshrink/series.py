@@ -401,11 +401,11 @@ class TaylorRecursion:
     ring), ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
-    :class:`_MpRing` above.  The operand order is that of the operator
-    expressions ``n * x``, ``sum(...)`` and ``dot(...)`` in which the
-    recursion was first written, with the seed c_0 on the right of its
-    products; in floats every operation rounds, so that order fixes the
-    bits of A_k.  Run it inside the working precision of ``ctx``.
+    :class:`_MpRing` above.  In floats every operation rounds, so the
+    operand order fixes the bits of the 53-bit A_k and is kept as it is:
+    each integer factor enters through ``mul_int`` (``n * x``), each sum
+    starts from the integer 0, and the seed c_0 multiplies from the right.
+    Run it inside the working precision of ``ctx``.
     """
 
     def __init__(self, profile: CurvatureProfile, ctx: RealContext, ring):
@@ -414,11 +414,11 @@ class TaylorRecursion:
         t1 = ctx.convert(fam.theta1)
         seeds = [ring.value(ctx.cot(f * t1)) for _, f in self.terms]
         zero = ring.value(0)
-        self.ja = ring.seq([zero])      # j a_j, the coefficients of s gamma'
-        self.iz = ring.seq([zero])      # i z_i, z = arctan(w)
+        self.ja = ring.seq([zero])              # j a_j, the coefficients of s gamma'
+        self.iz = ring.seq([zero])              # i z_i, z = arctan(w)
         self.p = ring.seq([ring.value(1)])      # [s^m] (1 + w^2)
         self.cot = [ring.seq([c]) for c in seeds]
-        self.q = [ring.seq() for _ in seeds]        # [s^m] (1 + c_i^2)
+        self.q = [ring.seq() for _ in seeds]    # [s^m] (1 + c_i^2)
         self.t0 = ring.sum(ring.mul_int(c, w * f) for (w, f), c in zip(self.terms, seeds))
 
     def push(self, a_k):

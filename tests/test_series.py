@@ -357,7 +357,8 @@ class TestSerialization:
         (lambda rec: rec["A"].pop(), "K = 36 with 35 coefficients"),
         # values compute_coefficients never writes
         (lambda rec: rec.update(precision_bits=0), "field 'precision_bits' must be >= 1, got 0"),
-        (lambda rec: rec.update(K=0), "field 'K' must be >= 1, got 0"),
+        (lambda rec: rec.update(K=0, A=[], gevrey=[], rel_error_estimates=[]),
+         "field 'K' must be >= 1, got 0"),
         (lambda rec: rec["A"].__setitem__(0, "nan"), "field 'A' holds a non-finite number"),
     ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "precision_bool",
             "A_text", "A_short", "precision_zero", "K_zero", "A_nan"])
