@@ -35,6 +35,7 @@ multiplicities (minimal level (p-q)/(p+q+2) instead of the classical
 has its own minimal distance :attr:`CurvatureProfile.d0`.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -49,7 +50,7 @@ from .errors import (
     RootNotBracketed,
     UnsupportedMode,
 )
-from .numutil import DOUBLE_PREC, RealContext
+from .numutil import DOUBLE_PREC
 
 ALLOWED_G = (1, 2, 3, 4, 6)
 
@@ -202,14 +203,16 @@ def _check_d(family, d, name="d"):
         )
 
 
+@contextlib.contextmanager
 def _in_number_type(fam, d, prec):
-    """(theta1, d, elementary functions) in d's number type: mpmath above 53
-    bits (inside its workprec), numpy for arrays, math for binary64 scalars."""
+    """(theta1, d, elementary functions) in d's number type for a ``with``
+    block: mpmath above 53 bits, at ``prec`` bits for the block; numpy for
+    arrays, math for binary64 scalars."""
     if prec > DOUBLE_PREC:
-        return mpmath.mpf(fam.theta1), mpmath.mpf(d), mpmath
-    if isinstance(d, np.ndarray):
-        return fam.theta1, d, np
-    return fam.theta1, float(d), math
+        with mpmath.workprec(prec):
+            yield mpmath.mpf(fam.theta1), mpmath.mpf(d), mpmath
+    else:
+        yield (fam.theta1, d, np) if isinstance(d, np.ndarray) else (fam.theta1, float(d), math)
 
 
 def _cot_sum(terms, x, lib, order):
@@ -275,8 +278,7 @@ def curvature_derivative(profile: CurvatureProfile, d, order: int, prec: int = D
     _check_d(fam, d)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise OutOfRange(f"derivative order {order} outside [0, {MAX_DERIVATIVE_ORDER}]")
-    with RealContext(prec).workprec():
-        t1, dd, lib = _in_number_type(fam, d, prec)
+    with _in_number_type(fam, d, prec) as (t1, dd, lib):
         return _cot_sum(profile.terms, t1 + dd, lib, order)
 
 
@@ -286,8 +288,7 @@ def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PR
     profile's (weight, frequency) terms."""
     fam = profile.family
     _check_d(fam, x, name="x")
-    with RealContext(prec).workprec():
-        t1, xx, lib = _in_number_type(fam, x, prec)
+    with _in_number_type(fam, x, prec) as (t1, xx, lib):
         total = 0
         for w, f in profile.terms:
             total = total + w * (lib.log(lib.sin(f * (t1 + xx))) - lib.log(lib.sin(f * t1)))

@@ -86,6 +86,12 @@ class SolverConfig:
     s_bootstrap: Optional[float] = None  # explicit handoff point (overrides the scan)
     correction_N: int = 8
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise OutOfRange(f"SolverConfig: tol must be finite and > 0, got {self.tol!r}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise OutOfRange(f"SolverConfig: eps must be finite and >= 0, got {self.eps!r}")
+
 
 @dataclass
 class SolutionProfile:

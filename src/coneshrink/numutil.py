@@ -1,12 +1,10 @@
-"""Precision dispatch: binary64 through ``math`` by default, mpmath above 53 bits.
-
-All numerical kernels take a ``prec`` argument in bits and route elementary
-functions through a :class:`RealContext`, so the same code runs at binary64
-and at software precision.  mpmath's global context is adjusted with
-``workprec`` only inside the calls that need it.
+"""Shared numerical helpers: precision, decimal text, Hermite interpolation,
+Gauss-Legendre nodes and atomic file writes.  A ``prec`` in bits means
+binary64 at 53 bits and below, mpmath above; mpmath's global precision is
+set with ``workprec`` only inside the calls that make mpf objects (the
+series' scalar rings carry their own).
 """
 
-import contextlib
 import math
 import os
 import tempfile
@@ -24,31 +22,6 @@ def machine_eps(prec: int) -> float:
     return 2.0 ** (1 - prec)
 
 
-class RealContext:
-    """Elementary functions and constants at a fixed working precision."""
-
-    def __init__(self, prec: int = DOUBLE_PREC):
-        self.prec = prec
-        self.is_mp = prec > DOUBLE_PREC
-
-    def workprec(self):
-        if self.is_mp:
-            return mpmath.workprec(self.prec)
-        return contextlib.nullcontext()
-
-    def convert(self, x):
-        if self.is_mp:
-            with mpmath.workprec(self.prec):
-                return mpmath.mpf(x)
-        return float(x)
-
-    def cot(self, x):
-        if self.is_mp:
-            with mpmath.workprec(self.prec):
-                return mpmath.cot(mpmath.mpf(x))
-        return math.cos(x) / math.sin(x)
-
-
 def decimal_str(x, prec: int) -> str:
     """Decimal text carrying the full information content of ``prec`` bits."""
     if prec <= DOUBLE_PREC:
@@ -58,11 +31,13 @@ def decimal_str(x, prec: int) -> str:
         return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
-def parse_real(text: str, prec: int):
+def to_real(x, prec: int):
+    """``x``, a number or its decimal text, as a float at 53 bits and below,
+    else as an mpf rounded to ``prec`` bits."""
     if prec <= DOUBLE_PREC:
-        return float(text)
+        return float(x)
     with mpmath.workprec(prec):
-        return mpmath.mpf(text)
+        return mpmath.mpf(x)
 
 
 def loglog_slope(xs, ys):

@@ -12,10 +12,10 @@ Taylor series of H(gamma) and arctan(2 s gamma') grow by one coefficient per
 A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  The recursion is
 written once, in the methods of a scalar ring: at 53 bits Python's floats
 (:class:`_FloatRing`); above, raw mpmath values (``_mpf_`` tuples) through
-libmp (:class:`_MpRing`), each operation rounded as mpmath's operator rounds
-it, with mpmath objects only at the edges.  The rounding error is measured,
-not modelled: the recursion runs a second time at 64 more bits and the
-relative difference is kept per coefficient.  The series diverges like a
+libmp (:class:`_MpRing`), each operation rounded at the ring's precision as
+mpmath's operator rounds it, with mpmath objects only at the edges.  The
+rounding error is measured, not modelled: the recursion runs a second time
+at 64 more bits and the relative difference is kept per coefficient.  The series diverges like a
 Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
 diagnostics and optimally truncated evaluation.
 
@@ -54,6 +54,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_sub,
+    round_nearest,
     to_float,
 )
 
@@ -69,7 +70,7 @@ from .errors import (
 # kernels in every namespace that binds them, and its tests expect this
 # module among those namespaces.
 from .jets import arctan_term_abs_mass, arctan_term_at_zero, fdb_kth_derivative  # noqa: F401
-from .numutil import DOUBLE_PREC, RealContext, decimal_str, machine_eps, parse_real
+from .numutil import DOUBLE_PREC, decimal_str, machine_eps, to_real
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +140,17 @@ class _MpSequence(list):
         return list.__getitem__(self, index)
 
 
-def _exact_dot(xs, ys):
+def _exact_dot(xs, ys, prec, rnd):
     """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
     :class:`_MpSequence`): the exact sum of the exact products, one integer,
-    rounded once to the working precision, as a raw value.  That is the
-    arithmetic of mpmath's own exact dot product, and its result bit for bit
-    while the exponents of the nonzero products span at most twice the
+    rounded once to ``prec`` bits in the rounding ``rnd``, as a raw value.
+    That is the arithmetic of mpmath's own exact dot product, and its result
+    bit for bit while the exponents of the nonzero products span at most twice the
     precision; beyond that span mpmath's summation may drop a term or a
     partial sum, where this still rounds the exact sum."""
     total = sum(map(operator.mul, xs.man, ys.man))
     if not total:       # a sequence of zeros has no exponent
         return fzero
-    prec, rnd = mpmath.mp._prec_rounding
     return from_man_exp(total, xs.exp + ys.exp, prec, rnd)
 
 
@@ -169,6 +169,7 @@ class _FloatRing:
     product is a :func:`_dot` sum from 0; so is a coefficient of a product
     of eps series, each a list of its known coefficients."""
 
+    prec = DOUBLE_PREC
     seq = list
     value = out = to_float = float
     add = add_int = operator.add
@@ -177,6 +178,7 @@ class _FloatRing:
     div = div_int = operator.truediv
     neg, abs, gt, max, sum = operator.neg, abs, operator.gt, max, sum
     dot = staticmethod(_dot)
+    cot = staticmethod(lambda x: math.cos(x) / math.sin(x))
 
     @staticmethod
     def conv(xs, ys, j):
@@ -187,22 +189,27 @@ class _FloatRing:
 
 class _MpRing:
     """Scalar arithmetic on raw mpmath values (``_mpf_`` tuples) through
-    libmp, at mpmath's working precision and rounding when the ring is made:
-    each operation rounds as mpmath's operator on mpf objects rounds it
-    there.  An integer operand enters exactly, through ``from_int``; so
-    ``mul_int`` rounds the exact product, as ``mpf_mul_int`` does.  A
-    sequence is an :class:`_MpSequence`, and a dot product, or a coefficient
-    of a product of eps series, the exact sum of its terms rounded once, as
-    :func:`_exact_dot` rounds."""
+    libmp, at ``prec`` bits rounded to nearest: each operation rounds as
+    mpmath's operator on mpf objects rounds it at that working precision,
+    whatever mpmath's global precision is.  An integer operand enters
+    exactly, through ``from_int``; so ``mul_int`` rounds the exact product,
+    as ``mpf_mul_int`` does.  A sequence is an :class:`_MpSequence`, and a
+    dot product, or a coefficient of a product of eps series, the exact sum
+    of its terms rounded once, as :func:`_exact_dot` rounds."""
 
     seq = _MpSequence
 
-    def __init__(self):
-        self.prec, self.rnd = mpmath.mp._prec_rounding
+    def __init__(self, prec):
+        self.prec, self.rnd = prec, round_nearest
 
     def value(self, x):
-        """An int, float or mpf as mpmath converts it."""
+        """An int, float or mpf, exactly, as mpmath converts it."""
         return mpmath.mp.convert(x)._mpf_
+
+    def cot(self, x):
+        """``mpmath.cot`` at the ring's precision."""
+        with mpmath.workprec(self.prec):
+            return mpmath.cot(mpmath.mp.make_mpf(x))._mpf_
 
     def out(self, x):
         return mpmath.mp.make_mpf(x)
@@ -226,7 +233,9 @@ class _MpRing:
         return mpf_abs(x, self.prec, self.rnd)
 
     gt = staticmethod(mpf_gt)
-    dot = staticmethod(_exact_dot)
+
+    def dot(self, xs, ys):
+        return _exact_dot(xs, ys, self.prec, self.rnd)
 
     def add_int(self, x, n):
         return mpf_add(x, from_int(n), self.prec, self.rnd)
@@ -261,9 +270,16 @@ class _MpRing:
         return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd) if total else fzero
 
 
-def _ring(ctx):
-    """The scalar ring of ``ctx``; make it inside the context's precision."""
-    return _MpRing() if ctx.is_mp else _FloatRing()
+def _ring(prec):
+    """The scalar ring of a run at ``prec`` bits: floats up to 53, else libmp."""
+    return _MpRing(prec) if prec > DOUBLE_PREC else _FloatRing()
+
+
+def _cot_seeds(profile, ring):
+    """cot(f theta1) in ``ring``, one per (weight, frequency) term of
+    ``profile``: the s = 0 values of the recursions' cot chains."""
+    t1 = ring.value(profile.family.theta1)
+    return [ring.cot(ring.mul_int(t1, f)) for _, f in profile.terms]
 
 
 def _scientific(x, digits=3):
@@ -397,22 +413,19 @@ class TaylorRecursion:
     * z = arctan(w), w = 2 s gamma', from z' (1 + w^2) = w'.
 
     They divide only by integers and by values at s = 0.  Every value is
-    one of ``ring``, which provides ``value`` (a number of ``ctx`` into the
-    ring), ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
+    one of ``ring``, which provides ``value`` (a number into the ring),
+    ``cot``, ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
-    :class:`_MpRing` above.  In floats every operation rounds, so the
+    :class:`_MpRing` above, which carries the run's precision.  In floats every operation rounds, so the
     operand order fixes the bits of the 53-bit A_k and is kept as it is:
     each integer factor enters through ``mul_int`` (``n * x``), each sum
     starts from the integer 0, and the seed c_0 multiplies from the right.
-    Run it inside the working precision of ``ctx``.
     """
 
-    def __init__(self, profile: CurvatureProfile, ctx: RealContext, ring):
-        fam = profile.family
-        self.n, self.terms, self.ring = fam.n, profile.terms, ring
-        t1 = ctx.convert(fam.theta1)
-        seeds = [ring.value(ctx.cot(f * t1)) for _, f in self.terms]
+    def __init__(self, profile: CurvatureProfile, ring):
+        self.n, self.terms, self.ring = profile.family.n, profile.terms, ring
+        seeds = _cot_seeds(profile, ring)
         zero = ring.value(0)
         self.ja = ring.seq([zero])              # j a_j, the coefficients of s gamma'
         self.iz = ring.seq([zero])              # i z_i, z = arctan(w)
@@ -447,17 +460,15 @@ class TaylorRecursion:
 def _taylor_coefficients(profile, K, prec):
     """A_1..A_K at ``prec`` bits, a_{k+1} = T_k / (k+1) and A_k = k! a_k,
     as values of the run's ring, and that ring."""
-    ctx = RealContext(prec)
-    with ctx.workprec():
-        r = _ring(ctx)
-        engine = TaylorRecursion(profile, ctx, r)
-        t, fact, out = engine.t0, r.value(1), []
-        for k in range(1, K + 1):
-            a_k = r.div_int(t, k)
-            fact = r.mul_int(fact, k)
-            out.append(r.mul(fact, a_k))
-            if k < K:
-                t = engine.push(a_k)
+    r = _ring(prec)
+    engine = TaylorRecursion(profile, r)
+    t, fact, out = engine.t0, r.value(1), []
+    for k in range(1, K + 1):
+        a_k = r.div_int(t, k)
+        fact = r.mul_int(fact, k)
+        out.append(r.mul(fact, a_k))
+        if k < K:
+            t = engine.push(a_k)
     return out, r
 
 
@@ -477,11 +488,9 @@ class _EpsilonRecursion:
     from the integer 0, which enters coefficient 0 only.  So [eps^j] k! T_k
     reads only coefficients <= j of the rows of orders <= k."""
 
-    def __init__(self, profile: CurvatureProfile, ctx: RealContext, ring):
-        fam = profile.family
-        self.n, self.terms, self.ring = fam.n, profile.terms, ring
-        t1 = ctx.convert(fam.theta1)
-        seeds = [ring.value(ctx.cot(f * t1)) for _, f in self.terms]
+    def __init__(self, profile: CurvatureProfile, ring):
+        self.n, self.terms, self.ring = profile.family.n, profile.terms, ring
+        seeds = _cot_seeds(profile, ring)
         # index k: the series of order k; index 0 holds the s = 0 seed
         self.rows, self.fact, self.rhs = [None], [1], [None]
         self.ja, self.iz, self.p = [0], [None], [None]
@@ -586,19 +595,18 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
     shadow_prec = prec + SHADOW_EXTRA_BITS
     shadow, _ = _taylor_coefficients(curvature, K, shadow_prec)
     rel_errs = []
-    with mpmath.workprec(shadow_prec):
-        r = _MpRing()
-        for k, (v, ref) in enumerate(zip(a, shadow), start=1):
-            diff = r.abs(r.sub(r.value(v), ref))
-            rel_err = (r.to_float(r.div(diff, r.abs(ref))) if ref != fzero
-                       else (0.0 if diff == fzero else math.inf))
-            if rel_err > REL_ERROR_LIMIT:
-                raise PrecisionExhausted(
-                    k, rel_err,
-                    f"raise the working precision above {prec} bits "
-                    f"(measured against a {shadow_prec}-bit run)",
-                )
-            rel_errs.append(rel_err)
+    r = _MpRing(shadow_prec)
+    for k, (v, ref) in enumerate(zip(a, shadow), start=1):
+        diff = r.abs(r.sub(r.value(v), ref))
+        rel_err = (r.to_float(r.div(diff, r.abs(ref))) if ref != fzero
+                   else (0.0 if diff == fzero else math.inf))
+        if rel_err > REL_ERROR_LIMIT:
+            raise PrecisionExhausted(
+                k, rel_err,
+                f"raise the working precision above {prec} bits "
+                f"(measured against a {shadow_prec}-bit run)",
+            )
+        rel_errs.append(rel_err)
     return FormalSeries(curvature=curvature, precision_bits=prec, a=tuple(a),
                         rel_error_estimates=tuple(rel_errs))
 
@@ -719,10 +727,10 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         if not mpmath.isfinite(series.coefficient(k)):
             raise OutOfRange(f"A_{k} is not finite: {series.coefficient(k)}")
     profile, prec = series.curvature, series.precision_bits
-    ctx = RealContext(prec)
     eps_m = machine_eps(prec)
-    with ctx.workprec():
-        ring = _ring(ctx)
+    ring = _ring(prec)
+    # the mpf arithmetic of the messages, at the ring's precision
+    with mpmath.workprec(ring.prec):
         sub, absolute, gt, larger = ring.sub, ring.abs, ring.gt, ring.max
         # the tolerances are formed in the ring: |A_k| may pass the float range
         vanishing, one = ring.value(64 * math.sqrt(eps_m)), ring.value(1)
@@ -736,7 +744,7 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         # rhs[k] = k! T_k; numer0[k] and numer_max[k]: the constant of
         # k! T_k - gamma^(k+1) and the running max of its |coefficients|
         rhs, numer0, numer_max = [None], [None], [None]
-        engine = _EpsilonRecursion(profile, ctx, ring)
+        engine = _EpsilonRecursion(profile, ring)
 
         def fix(col):
             """Append diagonal ``col`` (indexed by k) to the lattice."""
@@ -869,9 +877,8 @@ def evaluate_truncated(series: FormalSeries, s, derivative: int = 0,
         raise OutOfRange(f"series evaluation needs s > 0, got {s!r}")
     if derivative < 0:
         raise OutOfRange("derivative order must be >= 0")
-    ctx = RealContext(series.precision_bits)
-    with ctx.workprec():
-        ss = ctx.convert(s)
+    with mpmath.workprec(series.precision_bits):
+        ss = to_real(s, series.precision_bits)
         k_lo = max(start_k, derivative if derivative > 0 else 1)
         terms = []
         mags = []
@@ -954,20 +961,27 @@ def series_from_json(text: str) -> FormalSeries:
     inadmissible family, :class:`UnsupportedMode` for an unknown mode), and
     a missing or malformed field raises :class:`OutOfRange` naming it, as do
     values ``compute_coefficients`` never writes: ``precision_bits`` or
-    ``K`` below 1 and a non-finite A_k."""
+    ``K`` below 1, a non-finite A_k, a ``gevrey`` entry that is not finite
+    and >= 0, and a ``rel_error_estimates`` entry outside
+    [0, REL_ERROR_LIMIT]."""
     rec = json.loads(text)
     if not isinstance(rec, dict):
         raise OutOfRange(f"series record: a JSON object expected, got {rec!r}")
     family = _field(rec, "family", dict)
     fam = make_family(*(_field(family, key) for key in ("g", "m_minus", "m_plus", "n", "theta1")))
     prec, K = _count(rec, "precision_bits"), _count(rec, "K")
-    a = _numbers(rec, "A", lambda t: parse_real(t, prec))
+    a = _numbers(rec, "A", lambda t: to_real(t, prec))
     if not all(map(mpmath.isfinite, a)):
         raise OutOfRange("series record: field 'A' holds a non-finite number")
-    n_gevrey = len(_numbers(rec, "gevrey", float))
+    gevrey = _numbers(rec, "gevrey", float)
+    if not all(math.isfinite(r) and r >= 0 for r in gevrey):
+        raise OutOfRange("series record: field 'gevrey' holds a number that is not finite and >= 0")
     rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
-    if not K == len(a) == n_gevrey == len(rel):
+    if not all(0 <= e <= REL_ERROR_LIMIT for e in rel):
+        raise OutOfRange("series record: field 'rel_error_estimates' holds a number outside "
+                         f"[0, {REL_ERROR_LIMIT}]")
+    if not K == len(a) == len(gevrey) == len(rel):
         raise OutOfRange(f"series record: K = {K} with {len(a)} coefficients in 'A', "
-                         f"{n_gevrey} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
+                         f"{len(gevrey)} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
     return FormalSeries(curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
                         precision_bits=prec, a=a, rel_error_estimates=rel)

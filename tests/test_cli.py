@@ -175,6 +175,12 @@ class TestSolve:
         assert code == 4
         assert "OutOfRange" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_outside_its_domain_is_named(self, tol, tmp_path, capsys):
+        code, _, err = run(["solve", *FAM1_FLAGS, "--tol", tol, "--out", str(tmp_path)], capsys)
+        assert code == 4
+        assert "OutOfRange" in err and "tol must be finite and > 0" in err
+
     def test_constraint_exit_code(self, tmp_path, capsys):
         code, _, err = run(["solve", "--g", "2", "--m", "1", "--n", "3",
                             "--theta1", "1.04", "--out", str(tmp_path)], capsys)

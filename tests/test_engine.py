@@ -26,7 +26,7 @@ from coneshrink.catalog import (
 )
 from coneshrink.errors import PrecisionExhausted
 from coneshrink.jets import arctan_term_at_zero, fdb_kth_derivative
-from coneshrink.numutil import RealContext
+from coneshrink.numutil import to_real
 from coneshrink.series import (
     SHADOW_EXTRA_BITS,
     compute_coefficients,
@@ -39,9 +39,8 @@ CATALOG = builtin_catalog()
 def partition_oracle(family, K, prec, mode=COT_SUM):
     """A_1..A_K by partition sums (drift coefficient 1)."""
     profile = CurvatureProfile(family, mode)
-    ctx = RealContext(prec)
-    with ctx.workprec():
-        zero = ctx.convert(0.0)
+    with mpmath.workprec(prec):
+        zero = to_real(0.0, prec)
         h = [curvature_derivative(profile, zero, l, prec) for l in range(K)]
         gd = [h[0]]
         for k in range(1, K):
@@ -67,9 +66,8 @@ def bell_oracle(family, K, prec, mode=COT_SUM):
     w^(j)(0) = 2j gamma^(j)(0), and arctan^(l)(0) = (-1)^((l-1)/2) (l-1)!
     for odd l, 0 for even l."""
     profile = CurvatureProfile(family, mode)
-    ctx = RealContext(prec)
-    with ctx.workprec():
-        h = [curvature_derivative(profile, ctx.convert(0.0), l, prec) for l in range(K)]
+    with mpmath.workprec(prec):
+        h = [curvature_derivative(profile, to_real(0.0, prec), l, prec) for l in range(K)]
         atan = [(-1) ** ((l - 1) // 2) * math.factorial(l - 1) if l % 2 else 0 for l in range(K)]
         gd, wd = [None, h[0]], [None, 2 * h[0]]   # gamma^(j)(0) and w^(j)(0) at index j
         bell_g, bell_w = [[1]], [[1]]

@@ -17,7 +17,7 @@ from coneshrink.errors import (
     NonlinearDependence,
     OutOfRange,
 )
-from coneshrink.numutil import RealContext, machine_eps
+from coneshrink.numutil import DOUBLE_PREC, machine_eps, to_real
 from coneshrink.series import (
     EpsilonPolynomial,
     TaylorRecursion,
@@ -32,9 +32,14 @@ _FLOATS = series_mod._FloatRing()
 class _OperatorRing(series_mod._FloatRing):
     """Python's operators on any numbers, which enter as they are: the
     ring of the oracles, whose values are floats, mpf objects or
-    fixed-degree eps polynomials."""
+    fixed-degree eps polynomials.  Above 53 bits a number enters as an mpf
+    object, and the oracle runs inside that precision's mpmath.workprec."""
 
     value = staticmethod(lambda x: x)
+
+    def __init__(self, prec=DOUBLE_PREC):
+        if prec > DOUBLE_PREC:
+            self.value, self.cot = mpmath.mpf, mpmath.cot
 
 
 _OPERATORS = _OperatorRing()
@@ -179,7 +184,6 @@ class TestCorrections:
         n = 6
         base = compute_epsilon_corrections(series1, n)
         prof = series1.curvature
-        ctx = RealContext(53)
         delta = 0.125
 
         def run(b_vals, upto, degree):
@@ -187,7 +191,7 @@ class TestCorrections:
                                         + (0.0,) * (degree + 1 - len(b_vals)))
             g2_coeffs = tuple(-b for b in (list(b_vals[1:]) + [0.0] * (degree + 2)))
             polys = [None, g1, _FixedDegreePolynomial(g2_coeffs[: degree + 1])]
-            engine = TaylorRecursion(prof, ctx, _OPERATORS)
+            engine = TaylorRecursion(prof, _OPERATORS)
             for k in range(1, upto - 1):
                 rhs = push_derivatives(engine, polys[1: k + 1])
                 num = rhs - polys[k + 1]
@@ -310,10 +314,10 @@ def _oracle_corrections(series, N):
     """B, slopes, max snap residual and the gamma^(k)(0; eps) of the
     fixed-degree ring, every run at degree N + 1."""
     profile, prec = series.curvature, series.precision_bits
-    ctx = RealContext(prec)
+    ring = _OperatorRing(prec)
     degree = N + 1
     eps_m = machine_eps(prec)
-    with ctx.workprec():
+    with mpmath.workprec(prec):
         a = [None] + [series.coefficient(k) for k in range(1, series.K + 1)]
         zero = 0 * a[1]
 
@@ -333,7 +337,7 @@ def _oracle_corrections(series, N):
             worst = max(worst, snap(1))
             if snap_until >= 2:
                 worst = max(worst, snap(2))
-            engine = TaylorRecursion(profile, ctx, _OPERATORS)
+            engine = TaylorRecursion(profile, ring)
             for k in range(1, max(upto - 1, 0)):
                 numer = push_derivatives(engine, polys[1:k + 1]) - polys[k + 1]
                 tol_scale = max(max(numer.abs_floats()), 1.0)
@@ -348,7 +352,7 @@ def _oracle_corrections(series, N):
         for m in range(2, N + 1):
             consts = []
             for t in (0.0, 1.0, 2.0):
-                polys, w = run_stages(b + [ctx.convert(t)], upto=m + 1, snap_until=m)
+                polys, w = run_stages(b + [to_real(t, prec)], upto=m + 1, snap_until=m)
                 worst_snap = max(worst_snap, w)
                 consts.append(polys[m + 1].const)
             slope_ring = consts[1] - consts[0]
@@ -496,7 +500,7 @@ def _replace_entry(monkeypatch, k, j, replace_with):
                 rhs[k][j] = replace_with(rhs[k][j])
 
     monkeypatch.setattr(series_mod, "_EpsilonRecursion", Replacing)
-    monkeypatch.setattr(series_mod, "_ring", lambda ctx: _EntryRing())
+    monkeypatch.setattr(series_mod, "_ring", _EntryRing)
 
 
 def _curved(x):

@@ -12,7 +12,6 @@ from mpmath.libmp import from_man_exp, from_rational, fzero
 from coneshrink import series as series_mod
 from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import OutOfRange
-from coneshrink.numutil import RealContext
 from coneshrink.series import (
     SHADOW_EXTRA_BITS,
     FormalSeries,
@@ -79,9 +78,9 @@ def test_kernel_is_fdot_bit_for_bit(case):
     prec, xs, ys = case
     with mpmath.workprec(prec):
         want = mpmath.fdot(xs, ys)
-        got = _exact_dot(_sequence(xs), _sequence(ys))
+        got = _exact_dot(_sequence(xs), _sequence(ys), prec, "n")
         assert got == want._mpf_
-        got_rev = _exact_dot(_sequence(xs)[:], _sequence(ys)[::-1])
+        got_rev = _exact_dot(_sequence(xs)[:], _sequence(ys)[::-1], prec, "n")
         assert got_rev == mpmath.fdot(xs, ys[::-1])._mpf_
     exact = sum((_exact_value(x) * _exact_value(y) for x, y in zip(xs, ys)), Fraction(0))
     assert got == _rounded(exact, prec)
@@ -99,7 +98,7 @@ def test_beyond_twice_the_precision_the_kernel_rounds_the_exact_sum():
         assert mpmath.fdot(xs, ones) == 0
         assert mpmath.fdot(xs[::-1], ones) == mpmath.mpf(2) ** -200
         for order in (xs, xs[::-1]):
-            got = _exact_dot(_sequence(order), _sequence(ones))
+            got = _exact_dot(_sequence(order), _sequence(ones), 53, "n")
             assert got == _rounded(exact, 53)
 
 
@@ -112,8 +111,7 @@ def test_alignment_follows_the_least_exponent():
     assert seq.man == [0, 12, -1, 2 ** 42]
     assert [seq[i] for i in range(4)] == [mpmath.mpf(v)._mpf_ for v in values]
     assert _sequence([0, 0]).exp is None
-    with mpmath.workprec(53):
-        assert _exact_dot(_sequence([0, 0]), seq[:2]) == fzero
+    assert _exact_dot(_sequence([0, 0]), seq[:2], 53, "n") == fzero
 
 
 def test_non_finite_items_are_refused():
@@ -140,10 +138,10 @@ def _fdot_series(curvature, K, prec):
     :class:`TaylorRecursion` in :class:`_FdotRing` at ``prec`` and
     ``prec + SHADOW_EXTRA_BITS``."""
     def run(bits):
-        ctx = RealContext(bits)
-        with ctx.workprec():
-            engine = TaylorRecursion(curvature, ctx, _FdotRing())
-            t, fact, out = engine.t0, ctx.convert(1), []
+        ring = _FdotRing(bits)
+        with mpmath.workprec(bits):
+            engine = TaylorRecursion(curvature, ring)
+            t, fact, out = engine.t0, ring.value(1), []
             for k in range(1, K + 1):
                 a_k = t / k
                 fact = fact * k

@@ -145,6 +145,13 @@ class TestIntegrateGamma:
         with pytest.raises(OutOfRange, match="direct run .* needs the formal series"):
             integrate_gamma(CurvatureProfile(fam1), None, SolverConfig())
 
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1.0), ("tol", math.nan),
+                                              ("tol", math.inf), ("eps", -1e-3),
+                                              ("eps", math.nan), ("eps", math.inf)])
+    def test_config_outside_its_domain_names_the_field(self, field, value):
+        with pytest.raises(OutOfRange, match=f"SolverConfig: {field} must be finite"):
+            SolverConfig(**{field: value})
+
     def test_regularized_run_needs_initial_slope(self, fam1):
         with pytest.raises(OutOfRange, match="eps > 0 needs an explicit initial slope"):
             integrate_gamma(CurvatureProfile(fam1), None, SolverConfig(eps=1e-3))

@@ -39,7 +39,7 @@ def _case(draw):
 def test_raw_ops_equal_the_mpf_operators(case):
     prec, x, y, n = case
     with mpmath.workprec(prec):
-        ring = series_mod._MpRing()
+        ring = series_mod._MpRing(prec)
         X, Y = mpmath.mp.make_mpf(x), mpmath.mp.make_mpf(y)
         assert ring.add(x, y) == (X + Y)._mpf_
         assert ring.sub(x, y) == (X - Y)._mpf_
@@ -67,7 +67,7 @@ def test_products_of_eps_series_are_exact_dots(prec):
     """[eps^j] of a product is the exact sum of x_i y_(j-i), rounded once,
     as mpmath.fdot gives it for exponents this close."""
     with mpmath.workprec(prec):
-        ring = series_mod._MpRing()
+        ring = series_mod._MpRing(prec)
         xs = [mpmath.mpf(1) / 3, mpmath.mpf(-2) ** 40, mpmath.mpf(0), mpmath.mpf(7) / 5]
         ys = [mpmath.mpf(-5) / 7, mpmath.mpf(3), mpmath.mpf(2) ** -30, mpmath.mpf(11)]
         x_seq, y_seq = ring.seq(v._mpf_ for v in xs), ring.seq(v._mpf_ for v in ys)
@@ -76,3 +76,21 @@ def test_products_of_eps_series_are_exact_dots(prec):
             assert ring.conv(x_seq, y_seq, j) == want._mpf_
         with pytest.raises(IndexError):
             ring.conv(x_seq, y_seq, 4)
+
+
+def test_operations_read_the_ring_precision_not_the_global_one():
+    """A 256-bit ring gives the same values, cot seeds, dot products and eps
+    products whatever mpmath's global precision is when it is used."""
+    ring = series_mod._MpRing(256)
+
+    def results():
+        third, t1 = ring.div_int(ring.value(1), 3), ring.value(0.7853981633974483)
+        xs = ring.seq([third, ring.value(-2.5), ring.mul(third, third)])
+        ys = ring.seq([ring.value(7), third, ring.value(2.0 ** -40)])
+        return (ring.value(0.1), ring.value(3), ring.cot(ring.mul_int(t1, 3)),
+                ring.dot(xs[:], ys[::-1]), [ring.conv(xs, ys, j) for j in range(3)])
+
+    with mpmath.workprec(256):
+        want = results()
+    with mpmath.workprec(30):
+        assert results() == want

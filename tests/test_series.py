@@ -11,7 +11,7 @@ from coneshrink import series as series_mod
 from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, curvature_derivative
 from coneshrink.errors import (ConstraintViolation, NoUsefulTruncation, OutOfRange,
                                PrecisionExhausted, UnsupportedMode)
-from coneshrink.numutil import DOUBLE_PREC, RealContext
+from coneshrink.numutil import DOUBLE_PREC, to_real
 from coneshrink.series import (
     FormalSeries,
     TaylorRecursion,
@@ -22,7 +22,7 @@ from coneshrink.series import (
     series_to_json,
     series_value_tail,
 )
-from test_epsilon import _OPERATORS, push_derivatives
+from test_epsilon import _OperatorRing, push_derivatives
 
 
 class TestClosedForms:
@@ -80,12 +80,10 @@ class TestCotChains:
     def test_one_chain_per_closed_form_term(self):
         # Muenzner's form needs a second chain only for even g with unequal
         # multiplicities; the g-angle sum ran one per principal angle
-        from coneshrink.numutil import RealContext
         from coneshrink.series import TaylorRecursion
         two = {"g2_product_12", "g4_m45"}
         for name, fam in builtin_catalog().items():
-            engine = TaylorRecursion(CurvatureProfile(fam), RealContext(53),
-                                     series_mod._FloatRing())
+            engine = TaylorRecursion(CurvatureProfile(fam), series_mod._FloatRing())
             assert len(engine.cot) == (2 if name in two else 1), name
 
 
@@ -142,7 +140,7 @@ class TestStateOracle:
 def _drifted_coefficients(curvature, K, c):
     """A_1..A_K at binary64 of the equation whose drift factor (1 - 2ns) is
     replaced by (c - 2ns): a_{k+1} = T_k / (c (k+1)), A_k = k! a_k."""
-    engine = TaylorRecursion(curvature, RealContext(DOUBLE_PREC), series_mod._FloatRing())
+    engine = TaylorRecursion(curvature, series_mod._FloatRing())
     t, fact, out = engine.t0, 1, []
     for k in range(1, K + 1):
         a_k = t / (c * k)
@@ -174,14 +172,14 @@ def probe_linear_coefficient(curvature, k, prec=DOUBLE_PREC):
     which the k = 1 closed form pins down; the ``printed`` variant differs
     for k >= 2 and the mismatch is reported, not assumed."""
     series = compute_coefficients(curvature, K=k, prec=prec)
-    ctx = RealContext(prec)
-    with ctx.workprec():
+    ring = _OperatorRing(prec)
+    with mpmath.workprec(prec):
         gd = list(series.a)
-        base = push_derivatives(TaylorRecursion(curvature, ctx, _OPERATORS), gd)
-        shifted = push_derivatives(TaylorRecursion(curvature, ctx, _OPERATORS),
+        base = push_derivatives(TaylorRecursion(curvature, ring), gd)
+        shifted = push_derivatives(TaylorRecursion(curvature, ring),
                                    gd[:-1] + [gd[-1] + 1])
         measured = float(shifted - base)
-        hp0 = float(curvature_derivative(curvature, ctx.convert(0.0), 1, prec))
+        hp0 = float(curvature_derivative(curvature, to_real(0.0, prec), 1, prec))
     n = curvature.family.n
     derived = 2.0 * n * k - 4.0 * k * k + hp0
     printed = (2.0 * n + hp0) * k - 4.0 * k * k
@@ -360,8 +358,17 @@ class TestSerialization:
         (lambda rec: rec.update(K=0, A=[], gevrey=[], rel_error_estimates=[]),
          "field 'K' must be >= 1, got 0"),
         (lambda rec: rec["A"].__setitem__(0, "nan"), "field 'A' holds a non-finite number"),
+        (lambda rec: rec["rel_error_estimates"].__setitem__(0, math.nan),
+         "field 'rel_error_estimates' holds a number outside"),
+        (lambda rec: rec["rel_error_estimates"].__setitem__(0, -1.0),
+         "field 'rel_error_estimates' holds a number outside"),
+        (lambda rec: rec["rel_error_estimates"].__setitem__(0, 0.5),
+         "field 'rel_error_estimates' holds a number outside"),
+        (lambda rec: rec["gevrey"].__setitem__(0, math.inf),
+         "field 'gevrey' holds a number that is not finite"),
     ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "precision_bool",
-            "A_text", "A_short", "precision_zero", "K_zero", "A_nan"])
+            "A_text", "A_short", "precision_zero", "K_zero", "A_nan", "rel_nan", "rel_negative",
+            "rel_over_limit", "gevrey_inf"])
     def test_malformed_record_names_the_field(self, series1, edit, names):
         rec = json.loads(series_to_json(series1))
         edit(rec)

@@ -43,9 +43,13 @@ calls leave behind.  The calls:
   ``coeffs --corrections --N 8 --out -`` at the default 53 bits, where
   the corrections run on floats and the g >= 3 families exit 4 with a
   ``DivisionByEpsilonFailed`` or ``NonlinearDependence`` message, and at
-  ``--precision 128``, a second mpmath precision.
+  ``--precision 128``, a second mpmath precision;
+- precision sweep (16 calls): at theta1 x1.00, ``solve --precision 128``
+  on the 14 built-ins, and ``solve --precision 128 --K 20 --tol 1e-12
+  --eps-study`` on g1_sphere_n2 and g2_product_11: the bootstrap scan,
+  ``evaluate_truncated`` and the eps study on an mpmath series.
 
-375 calls in all.
+391 calls in all.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -82,6 +86,7 @@ CORRECTIONS_FLAGS = {
     "corrections_53": ["--corrections", "--N", "8", "--out", "-"],
     "corrections_128": ["--precision", "128", "--corrections", "--N", "8", "--out", "-"],
 }
+PRECISION_FLAGS = ["--precision", "128"]
 EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
                       *EQ030_FLAGS, "--out", "-"]
 
@@ -183,6 +188,14 @@ def calls(catalog):
     for kind, flags in CORRECTIONS_FLAGS.items():
         for name, family in catalog.items():
             out.append((f"{kind}/{name}@1.00", ["coeffs", *family_flags(family, 1.0), *flags]))
+    for name, family in catalog.items():
+        label = f"precision/{name}@1.00"
+        out.append((label, ["solve", *family_flags(family, 1.0), *PRECISION_FLAGS,
+                            "--out", label]))
+    for name in MESH_FAMILIES:
+        label = f"precision_eps_study/{name}@1.00"
+        out.append((label, ["solve", *family_flags(catalog[name], 1.0), *PRECISION_FLAGS,
+                            *EPS_STUDY_FLAGS, "--out", label]))
     return out
 
 
