@@ -15,9 +15,9 @@ written once, in the methods of a scalar ring: at 53 bits Python's floats
 libmp (:class:`_MpRing`), each operation rounded at the ring's precision as
 mpmath's operator rounds it, with mpmath objects only at the edges.  The
 rounding error is measured, not modelled: the recursion runs a second time
-at 64 more bits and the relative difference is kept per coefficient.  The series diverges like a
-Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
-diagnostics and optimally truncated evaluation.
+at 64 more bits and the relative difference is kept per coefficient.  The
+series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
+provides the growth diagnostics and optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
 regularization corrections B_i: with initial slope
@@ -103,7 +103,7 @@ class _MpSequence(list):
     nonzero items: item i is exactly ``man[i] * 2**exp``.  Each item is
     converted once, when appended; one with a lower exponent shifts the
     earlier mantissas to it.  An index gives the item, a slice the run of
-    mantissas (:class:`_Aligned`) that :func:`_exact_dot` multiplies."""
+    mantissas (:class:`_Aligned`) that :meth:`_MpRing.dot` multiplies."""
 
     __slots__ = ("man", "exp")
 
@@ -138,20 +138,6 @@ class _MpSequence(list):
         if type(index) is slice:
             return _Aligned(self.man[index], self.exp)
         return list.__getitem__(self, index)
-
-
-def _exact_dot(xs, ys, prec, rnd):
-    """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
-    :class:`_MpSequence`): the exact sum of the exact products, one integer,
-    rounded once to ``prec`` bits in the rounding ``rnd``, as a raw value.
-    That is the arithmetic of mpmath's own exact dot product, and its result
-    bit for bit while the exponents of the nonzero products span at most twice the
-    precision; beyond that span mpmath's summation may drop a term or a
-    partial sum, where this still rounds the exact sum."""
-    total = sum(map(operator.mul, xs.man, ys.man))
-    if not total:       # a sequence of zeros has no exponent
-        return fzero
-    return from_man_exp(total, xs.exp + ys.exp, prec, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,7 @@ class _MpRing:
     exactly, through ``from_int``; so ``mul_int`` rounds the exact product,
     as ``mpf_mul_int`` does.  A sequence is an :class:`_MpSequence`, and a
     dot product, or a coefficient of a product of eps series, the exact sum
-    of its terms rounded once, as :func:`_exact_dot` rounds."""
+    of its terms rounded once, as :meth:`dot` rounds."""
 
     seq = _MpSequence
 
@@ -235,7 +221,17 @@ class _MpRing:
     gt = staticmethod(mpf_gt)
 
     def dot(self, xs, ys):
-        return _exact_dot(xs, ys, self.prec, self.rnd)
+        """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
+        :class:`_MpSequence`): the exact sum of the exact products, one
+        integer, rounded once at the ring's precision, as a raw value.  That
+        is the arithmetic of mpmath's own exact dot product, and its result
+        bit for bit while the exponents of the nonzero products span at most
+        twice the precision; beyond that span mpmath's summation may drop a
+        term or a partial sum, where this still rounds the exact sum."""
+        total = sum(map(operator.mul, xs.man, ys.man))
+        if not total:       # a sequence of zeros has no exponent
+            return fzero
+        return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd)
 
     def add_int(self, x, n):
         return mpf_add(x, from_int(n), self.prec, self.rnd)
@@ -417,10 +413,11 @@ class TaylorRecursion:
     ``cot``, ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
-    :class:`_MpRing` above, which carries the run's precision.  In floats every operation rounds, so the
-    operand order fixes the bits of the 53-bit A_k and is kept as it is:
-    each integer factor enters through ``mul_int`` (``n * x``), each sum
-    starts from the integer 0, and the seed c_0 multiplies from the right.
+    :class:`_MpRing` above, which carries the run's precision.  In floats
+    every operation rounds, so the operand order fixes the bits of the
+    53-bit A_k and is kept as it is: each integer factor enters through
+    ``mul_int`` (``n * x``), each sum starts from the integer 0, and the
+    seed c_0 multiplies from the right.
     """
 
     def __init__(self, profile: CurvatureProfile, ring):
@@ -975,7 +972,7 @@ def series_from_json(text: str) -> FormalSeries:
         raise OutOfRange("series record: field 'A' holds a non-finite number")
     gevrey = _numbers(rec, "gevrey", float)
     if not all(math.isfinite(r) and r >= 0 for r in gevrey):
-        raise OutOfRange("series record: field 'gevrey' holds a number that is not finite and >= 0")
+        raise OutOfRange("series record: field 'gevrey' holds a negative or non-finite number")
     rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
     if not all(0 <= e <= REL_ERROR_LIMIT for e in rel):
         raise OutOfRange("series record: field 'rel_error_estimates' holds a number outside "

@@ -22,7 +22,10 @@ from coneshrink.series import (
 from test_epsilon import _OperatorRing, _oracle_corrections, _oracle_self_dot
 
 _MpSequence = series_mod._MpSequence
-_exact_dot = series_mod._exact_dot
+
+
+def _exact_dot(xs, ys, prec):
+    return series_mod._MpRing(prec).dot(xs, ys)
 
 
 def _sequence(values):
@@ -78,9 +81,9 @@ def test_kernel_is_fdot_bit_for_bit(case):
     prec, xs, ys = case
     with mpmath.workprec(prec):
         want = mpmath.fdot(xs, ys)
-        got = _exact_dot(_sequence(xs), _sequence(ys), prec, "n")
+        got = _exact_dot(_sequence(xs), _sequence(ys), prec)
         assert got == want._mpf_
-        got_rev = _exact_dot(_sequence(xs)[:], _sequence(ys)[::-1], prec, "n")
+        got_rev = _exact_dot(_sequence(xs)[:], _sequence(ys)[::-1], prec)
         assert got_rev == mpmath.fdot(xs, ys[::-1])._mpf_
     exact = sum((_exact_value(x) * _exact_value(y) for x, y in zip(xs, ys)), Fraction(0))
     assert got == _rounded(exact, prec)
@@ -98,7 +101,7 @@ def test_beyond_twice_the_precision_the_kernel_rounds_the_exact_sum():
         assert mpmath.fdot(xs, ones) == 0
         assert mpmath.fdot(xs[::-1], ones) == mpmath.mpf(2) ** -200
         for order in (xs, xs[::-1]):
-            got = _exact_dot(_sequence(order), _sequence(ones), 53, "n")
+            got = _exact_dot(_sequence(order), _sequence(ones), 53)
             assert got == _rounded(exact, 53)
 
 
@@ -111,7 +114,7 @@ def test_alignment_follows_the_least_exponent():
     assert seq.man == [0, 12, -1, 2 ** 42]
     assert [seq[i] for i in range(4)] == [mpmath.mpf(v)._mpf_ for v in values]
     assert _sequence([0, 0]).exp is None
-    assert _exact_dot(_sequence([0, 0]), seq[:2], 53, "n") == fzero
+    assert _exact_dot(_sequence([0, 0]), seq[:2], 53) == fzero
 
 
 def test_non_finite_items_are_refused():

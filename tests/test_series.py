@@ -365,7 +365,7 @@ class TestSerialization:
         (lambda rec: rec["rel_error_estimates"].__setitem__(0, 0.5),
          "field 'rel_error_estimates' holds a number outside"),
         (lambda rec: rec["gevrey"].__setitem__(0, math.inf),
-         "field 'gevrey' holds a number that is not finite"),
+         "field 'gevrey' holds a negative or non-finite number"),
     ], ids=["family_null", "no_K", "no_A", "no_gevrey", "no_theta1", "K_text", "precision_bool",
             "A_text", "A_short", "precision_zero", "K_zero", "A_nan", "rel_nan", "rel_negative",
             "rel_over_limit", "gevrey_inf"])
