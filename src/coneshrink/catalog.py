@@ -35,7 +35,6 @@ multiplicities (minimal level (p-q)/(p+q+2) instead of the classical
 has its own minimal distance :attr:`CurvatureProfile.d0`.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -50,7 +49,6 @@ from .errors import (
     RootNotBracketed,
     UnsupportedMode,
 )
-from .numutil import DOUBLE_PREC
 
 ALLOWED_G = (1, 2, 3, 4, 6)
 
@@ -203,16 +201,14 @@ def _check_d(family, d, name="d"):
         )
 
 
-@contextlib.contextmanager
-def _in_number_type(fam, d, prec):
-    """(theta1, d, elementary functions) in d's number type for a ``with``
-    block: mpmath above 53 bits, at ``prec`` bits for the block; numpy for
-    arrays, math for binary64 scalars."""
-    if prec > DOUBLE_PREC:
-        with mpmath.workprec(prec):
-            yield mpmath.mpf(fam.theta1), mpmath.mpf(d), mpmath
-    else:
-        yield (fam.theta1, d, np) if isinstance(d, np.ndarray) else (fam.theta1, float(d), math)
+def _in_number_type(fam, d):
+    """(theta1, d, elementary functions) in d's number type: numpy for an
+    array, mpmath at the caller's working precision for an mpf, else math."""
+    if isinstance(d, np.ndarray):
+        return fam.theta1, d, np
+    if isinstance(d, mpmath.mpf):
+        return mpmath.mpf(fam.theta1), d, mpmath
+    return fam.theta1, float(d), math
 
 
 def _cot_sum(terms, x, lib, order):
@@ -243,10 +239,10 @@ def binary64_curvature(profile: CurvatureProfile):
     return h
 
 
-def mean_curvature(profile: CurvatureProfile, d, prec: int = DOUBLE_PREC):
-    """Mean curvature of the parallel hypersurface at distance d: a scalar,
-    or an array of nodes at binary64."""
-    return curvature_derivative(profile, d, 0, prec)
+def mean_curvature(profile: CurvatureProfile, d):
+    """Mean curvature of the parallel hypersurface at distance d, in d's
+    number type: an array of nodes, an mpf or a binary64 scalar."""
+    return curvature_derivative(profile, d, 0)
 
 
 @lru_cache(maxsize=None)
@@ -272,27 +268,27 @@ def _polyval_int(coeffs, x):
     return acc
 
 
-def curvature_derivative(profile: CurvatureProfile, d, order: int, prec: int = DOUBLE_PREC):
-    """Order-th derivative of H at d (order 0 is H), exact at every order."""
+def curvature_derivative(profile: CurvatureProfile, d, order: int):
+    """Order-th derivative of H at d (order 0 is H) in d's number type, exact at every order."""
     fam = profile.family
     _check_d(fam, d)
     if order < 0 or order > MAX_DERIVATIVE_ORDER:
         raise OutOfRange(f"derivative order {order} outside [0, {MAX_DERIVATIVE_ORDER}]")
-    with _in_number_type(fam, d, prec) as (t1, dd, lib):
-        return _cot_sum(profile.terms, t1 + dd, lib, order)
+    t1, dd, lib = _in_number_type(fam, d)
+    return _cot_sum(profile.terms, t1 + dd, lib, order)
 
 
-def curvature_antiderivative(profile: CurvatureProfile, x, prec: int = DOUBLE_PREC):
-    """Antiderivative of H normalized to vanish at 0, at a scalar or an array
-    of nodes: sum w [ln sin(f (theta1 + x)) - ln sin(f theta1)] over the
-    profile's (weight, frequency) terms."""
+def curvature_antiderivative(profile: CurvatureProfile, x):
+    """Antiderivative of H normalized to vanish at 0, in x's number type, at a
+    scalar or an array of nodes: sum w [ln sin(f (theta1 + x)) - ln sin(f theta1)]
+    over the profile's (weight, frequency) terms."""
     fam = profile.family
     _check_d(fam, x, name="x")
-    with _in_number_type(fam, x, prec) as (t1, xx, lib):
-        total = 0
-        for w, f in profile.terms:
-            total = total + w * (lib.log(lib.sin(f * (t1 + xx))) - lib.log(lib.sin(f * t1)))
-        return total
+    t1, xx, lib = _in_number_type(fam, x)
+    total = 0
+    for w, f in profile.terms:
+        total = total + w * (lib.log(lib.sin(f * (t1 + xx))) - lib.log(lib.sin(f * t1)))
+    return total
 
 
 # relative step at which the Newton polish of minimal_distance stops

@@ -310,6 +310,15 @@ def _finite_or_null(value):
 # verify
 # ---------------------------------------------------------------------------
 
+def _threshold(text):
+    """A verify threshold: a finite number >= 0, else a usage error (a NaN or
+    negative one fails every monitor, an infinite one passes any)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _monitor(name, worst, thresholds, failures, label=None):
     """Print one thresholded monitor line; record ``name`` if it fails."""
     ok = worst <= thresholds[name]
@@ -440,10 +449,8 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="recompute monitors from a stored profile")
     p_ver.add_argument("profile")
     p_ver.add_argument("--summary", default=None)
-    p_ver.add_argument("--energy-threshold", type=float, default=1e-6)
-    p_ver.add_argument("--ode-threshold", type=float, default=1e-8)
-    p_ver.add_argument("--eq130-threshold", type=float, default=0.05)
-    p_ver.add_argument("--drift-threshold", type=float, default=1e-5)
+    for name, default in (("energy", 1e-6), ("ode", 1e-8), ("eq130", 0.05), ("drift", 1e-5)):
+        p_ver.add_argument(f"--{name}-threshold", type=_threshold, default=default)
     p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("export", help="profile CSV/JSON or OBJ mesh")

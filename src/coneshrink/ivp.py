@@ -51,9 +51,9 @@ from .errors import (
 from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, loglog_slope,
                       write_csv)
 from .series import DEFAULT_K, FormalSeries, compute_epsilon_corrections, evaluate_truncated
-# unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
+# unused here: perfbench's tracing tests expect this module to bind them (EXPECTED_BINDINGS)
 from .series import compute_coefficients  # noqa: F401
-from .stepper import integrate, integrate_implicit
+from .stepper import integrate, integrate_implicit  # noqa: F401
 
 S_SIDE = "s_side"
 D_SIDE = "d_side"
@@ -251,18 +251,8 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
         y0 = (0.0, initial_slope, 0.0)
         t0 = 0.0
 
-    max_step = (s_end - t0) / 8
-    try:
-        result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
-                           max_step=max_step, max_steps=MAX_STEPS, accept_hook=guard)
-    except StepSizeCollapse:
-        if eps <= 0:
-            raise
-        # stiff regularized stretch: restart the remaining span implicitly
-        result = integrate_implicit(f, t0, np.array(y0), s_end,
-                                    rtol=tol * 100, atol=tol * 100,
-                                    max_step=max_step, accept_hook=guard)
-        result.used_fallback = True
+    result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
+                       max_step=(s_end - t0) / 8, max_steps=MAX_STEPS, accept_hook=guard)
 
     s_nodes = result.ts
     gam = result.ys[:, 0]
@@ -282,7 +272,6 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
         },
         meta={
             "eps": eps, "tol": tol, "s_end": s_end,
-            "used_fallback": result.used_fallback,
             "n_steps": result.n_steps, "n_rejected": result.n_rejected,
             "sum_local_err": float(np.sum(result.errs)), **series_meta,
         },

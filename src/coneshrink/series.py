@@ -778,9 +778,8 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
             """The checks of an engine run through gamma^(upto) with the
             constants through gamma^(pinned) pinned, in that run's order; the
             tolerance of each dropped constant is set by the whole numerator,
-            whose newest coefficient is the trial diagonal's, if one is given."""
-            check_pin(1)
-            check_pin(2)
+            whose newest coefficient is the trial diagonal's, if one is given.
+            gamma' and gamma'' need no pin check: their constants are A_1, A_2."""
             for k in range(1, upto - 1):
                 scale = numer_max[k] if trial is None else larger(numer_max[k], absolute(trial[k + 2]))
                 _require_vanishing(ring, numer0[k], ring.mul(vanishing, larger(scale, one)))

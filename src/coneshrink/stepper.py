@@ -1,11 +1,10 @@
-"""Adaptive one-step integration: Dormand-Prince 5(4) with an implicit
-trapezoid fallback for stiff stretches.
+"""Adaptive one-step integration: Dormand-Prince 5(4).
 
 The explicit pair carries an embedded 4th-order error estimate and PI-style
 step control; accepted steps are all recorded (abscissa, state, derivative,
 error estimate), which gives cubic Hermite dense output for free.  The
-trapezoid fallback estimates error by step doubling and solves its implicit
-stage with a damped Newton iteration on a finite-difference Jacobian.
+implicit trapezoid integrator below it is unused: no pipeline path calls it,
+and it is kept only because perfbench's tracing pins its name.
 
 The explicit pair runs its stage arithmetic on Python floats: the state has
 two or three components, where numpy's per-call overhead outweighs the work.
@@ -59,7 +58,7 @@ class IntegrationResult:
     errs: np.ndarray      # local error estimate of the step ending at each node
     n_steps: int
     n_rejected: int
-    used_fallback: bool = False
+    used_fallback: bool = False  # set only by integrate_implicit; perfbench's tracer reads it
 
 
 def _error_norm(err, y0, y1, atol, rtol):
@@ -197,7 +196,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
 
 
 def _trapezoid_step(f, t, y, h, f_t):
-    """One implicit trapezoid step via damped Newton with FD Jacobian."""
+    """One implicit trapezoid step of integrate_implicit: damped Newton, FD Jacobian."""
     n = len(y)
     y_new = y + h * f_t  # Euler predictor
     for _ in range(12):
@@ -222,11 +221,11 @@ def _trapezoid_step(f, t, y, h, f_t):
 
 
 def integrate_implicit(f, t0, y0, t_end, rtol=1e-8, atol=1e-8,
-                       max_step=np.inf, max_steps=200_000, accept_hook=None):
+                       max_step=np.inf, max_steps=200_000):
     """Adaptive implicit trapezoid (order 2), error by step doubling.
 
-    Slow but stable; used as the fallback when the explicit pair collapses on
-    a stiff stretch of a regularized problem."""
+    Unused: kept only because perfbench's tracing pins this name in
+    ``stepper`` and ``ivp``, and goes with those pins."""
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     span = float(t_end) - t
@@ -255,8 +254,6 @@ def integrate_implicit(f, t0, y0, t_end, rtol=1e-8, atol=1e-8,
             fs.append(f_t.copy())
             errs.append(float(np.max(np.abs(err_vec))))
             n_steps += 1
-            if accept_hook is not None:
-                accept_hook(t, y)
             h *= min(4.0, max(0.2, 0.85 * err ** -(1.0 / 3.0))) if err > 0 else 4.0
         else:
             n_rejected += 1

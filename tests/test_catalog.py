@@ -228,7 +228,8 @@ class TestAntiderivative:
     def test_numeric_fallback(self, fam1):
         # no quadrature fallback is left: the closed form holds at 256 bits
         lit = CurvatureProfile(fam1, EQ030_LITERAL)
-        got = curvature_antiderivative(lit, mpmath.mpf(0.5), 256)
+        with mpmath.workprec(256):
+            got = curvature_antiderivative(lit, mpmath.mpf(0.5))
         with mpmath.workprec(320):
             t1 = mpmath.mpf(fam1.theta1)
             expect = 2 * mpmath.log(mpmath.sin(t1 + mpmath.mpf(0.5)) / mpmath.sin(t1))
@@ -322,9 +323,13 @@ def cot_sum_oracle(fam, d, order, prec):
 
 
 def closed_form(prof, d, order, prec):
-    if order < 0:
-        return curvature_antiderivative(prof, d, prec)
-    return curvature_derivative(prof, d, order, prec)
+    """The closed form at d; above 53 bits at an mpf made at ``prec`` bits."""
+    with mpmath.workprec(prec):
+        if prec > 53:
+            d = mpmath.mpf(d)
+        if order < 0:
+            return curvature_antiderivative(prof, d)
+        return curvature_derivative(prof, d, order)
 
 
 # (g, m_minus, m_plus): odd g forces equal multiplicities (g = 3 only as in
@@ -339,14 +344,21 @@ ADMISSIBLE_MULTIPLICITIES = (
 
 
 @st.composite
-def family_and_distance(draw):
+def admissible_family(draw):
+    """A family of ADMISSIBLE_MULTIPLICITIES at a theta1 in (0, pi/g) where
+    the cot-sum H(0) > 0."""
     g, mm, mp_ = draw(st.sampled_from(ADMISSIBLE_MULTIPLICITIES))
     n = 1 + (g * mm if g % 2 else g // 2 * (mm + mp_))
     theta1 = draw(st.floats(0.005, 0.995)) * math.pi / g
     try:
-        fam = make_family(g, mm, mp_, n, theta1)
+        return make_family(g, mm, mp_, n, theta1)
     except NotMeanConvex:
         assume(False)
+
+
+@st.composite
+def family_and_distance(draw):
+    fam = draw(admissible_family())
     return fam, draw(st.floats(0.0, 0.95, exclude_max=True)) * fam.d_focal
 
 

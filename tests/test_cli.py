@@ -280,6 +280,21 @@ class TestVerify:
         code, _, err = run(["verify", str(solve_dir / "nope.csv")], capsys)
         assert code == 6
 
+    @pytest.mark.parametrize("flag", ["--energy-threshold", "--ode-threshold",
+                                      "--eq130-threshold", "--drift-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-300", "inf", "-inf", "abc"])
+    def test_threshold_outside_its_domain_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "profile.csv", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_threshold_is_taken(self, solve_dir, capsys):
+        code, out, _ = run(["verify", str(solve_dir / "s_side.csv"), "--energy-threshold", "0",
+                            "--ode-threshold", "0"], capsys)
+        assert code == 5
+        assert "(threshold 0.0e+00) FAIL" in out
+
 
 def _builtin_flags(name):
     fam = builtin_catalog()[name]
@@ -518,6 +533,14 @@ class TestExitContract:
                                      "--theta1", "0.785", "--out", "o"], 4),
         "constraint": ({}, ["solve", "--g", "2", "--m", "1", "--n", "3", "--theta1", "1.04",
                             "--out", "o"], 2),
+        # a NaN or negative threshold failed every monitor (exit 5), an
+        # infinite one passed any
+        "verify_threshold_nan": ({}, ["verify", "{run}/s_side.csv", "--energy-threshold", "nan"],
+                                 2),
+        "verify_threshold_negative": ({}, ["verify", "{run}/s_side.csv",
+                                           "--energy-threshold", "-1"], 2),
+        "verify_threshold_inf": ({}, ["verify", "{run}/s_side.csv", "--energy-threshold", "inf"],
+                                 2),
     }
     # what the message of a case must name
     NAMES = {
@@ -542,6 +565,9 @@ class TestExitContract:
         "verify_s_side_swapped_rows": ["s_side.csv:13:", "s must strictly increase"],
         "solve_step_collapse": ["retry with d_target below 0.0019406397184254178 "
                                 "at d = 0.0019406397184254178"],
+        "verify_threshold_nan": ["--energy-threshold", "finite number >= 0", "'nan'"],
+        "verify_threshold_negative": ["--energy-threshold", "finite number >= 0", "'-1'"],
+        "verify_threshold_inf": ["--energy-threshold", "finite number >= 0", "'inf'"],
     }
 
     @pytest.mark.parametrize("name", CASES)

@@ -41,7 +41,7 @@ def partition_oracle(family, K, prec, mode=COT_SUM):
     profile = CurvatureProfile(family, mode)
     with mpmath.workprec(prec):
         zero = to_real(0.0, prec)
-        h = [curvature_derivative(profile, zero, l, prec) for l in range(K)]
+        h = [curvature_derivative(profile, zero, l) for l in range(K)]
         gd = [h[0]]
         for k in range(1, K):
             d_h = fdb_kth_derivative(h[: k + 1], [0 * gd[0]] + gd, k)
@@ -67,7 +67,7 @@ def bell_oracle(family, K, prec, mode=COT_SUM):
     for odd l, 0 for even l."""
     profile = CurvatureProfile(family, mode)
     with mpmath.workprec(prec):
-        h = [curvature_derivative(profile, to_real(0.0, prec), l, prec) for l in range(K)]
+        h = [curvature_derivative(profile, to_real(0.0, prec), l) for l in range(K)]
         atan = [(-1) ** ((l - 1) // 2) * math.factorial(l - 1) if l % 2 else 0 for l in range(K)]
         gd, wd = [None, h[0]], [None, 2 * h[0]]   # gamma^(j)(0) and w^(j)(0) at index j
         bell_g, bell_w = [[1]], [[1]]

@@ -14,6 +14,7 @@ from coneshrink.errors import (
     NotMeanConvex,
     OutOfRange,
     SingularDenominator,
+    StepSizeCollapse,
 )
 from coneshrink.ivp import (
     SolutionProfile,
@@ -164,20 +165,22 @@ class TestIntegrateGamma:
                                                 "eq030_literal"):
             integrate_gamma(CurvatureProfile(fam, EQ030_LITERAL), None, SolverConfig())
 
-    def test_fallback_engages_for_regularized(self, fam1, series1, monkeypatch):
-        # eps small enough that the explicit layer needs more steps than the
-        # budget allows: the implicit fallback takes over and finishes
+    def test_regularized_run_past_its_step_budget_raises(self, fam1, series1, monkeypatch):
+        # a regularized run that collapses raises, as a direct run does: the
+        # eps study records that eps as failed
         corr = compute_epsilon_corrections(series1, 6)
         eps = 1e-6
-        monkeypatch.setattr(ivp_mod, "MAX_STEPS", 100)
         cfg = SolverConfig(tol=1e-8, eps=eps)
-        prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg,
-                               initial_slope=float(corr.initial_slope(eps)))
-        assert prof.meta["used_fallback"]
+        slope = float(corr.initial_slope(eps))
+        prof = integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=slope)
+        assert prof.meta["n_steps"] > 100 and "used_fallback" not in prof.meta
         assert prof["s"][-1] == pytest.approx(fam1.s_end)
         # regularized runs start at s = 0 where every identity term vanishes
         assert prof["s"][0] == 0.0
         assert prof["energy_residual"][0] == 0.0
+        monkeypatch.setattr(ivp_mod, "MAX_STEPS", 100)
+        with pytest.raises(StepSizeCollapse, match="step budget exhausted"):
+            integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=slope)
 
 
 class TestEnergyResidual:

@@ -6,9 +6,12 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from coneshrink import series as series_mod
-from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, curvature_derivative
+from coneshrink.catalog import (EQ030_LITERAL, PROFILE_MODES, CurvatureProfile, builtin_catalog,
+                                curvature_derivative, mean_curvature)
 from coneshrink.errors import (ConstraintViolation, NoUsefulTruncation, OutOfRange,
                                PrecisionExhausted, UnsupportedMode)
 from coneshrink.numutil import DOUBLE_PREC, to_real
@@ -22,6 +25,7 @@ from coneshrink.series import (
     series_to_json,
     series_value_tail,
 )
+from test_catalog import admissible_family
 from test_epsilon import _OperatorRing, push_derivatives
 
 
@@ -32,7 +36,6 @@ class TestClosedForms:
         assert float(series1.coefficient(3)) == pytest.approx(24.0, abs=1e-11)
 
     def test_a1_a2_all_catalog_families(self):
-        from coneshrink.catalog import curvature_derivative, mean_curvature
         for name, fam in builtin_catalog().items():
             prof = CurvatureProfile(fam)
             fs = compute_coefficients(prof, 2)
@@ -42,6 +45,35 @@ class TestClosedForms:
             a2 = float(fs.coefficient(2))
             assert a1 == pytest.approx(h0, rel=1e-15), name
             assert a2 == pytest.approx((2 * fam.n + hp - 4) * h0, rel=1e-13), name
+
+    @given(admissible_family(), st.sampled_from(PROFILE_MODES))
+    def test_closed_forms_and_prefix_on_random_families(self, fam, mode):
+        """At 53 bits: A_1 is H(0) bit for bit; A_2 is (2n + H'(0) - 4) H(0)
+        within 8 units of the last place per term; a longer series keeps
+        the coefficients and error estimates of a shorter one bit for bit,
+        and a shorter series that fails makes the longer one fail alike."""
+        prof = CurvatureProfile(fam, mode)
+        assume(prof.h0 > 0)
+        runs = []
+        for K in (12, 16):
+            try:
+                runs.append(compute_coefficients(prof, K))
+            except PrecisionExhausted as exc:
+                runs.append(exc)
+        short, longer = runs
+        if isinstance(short, PrecisionExhausted):
+            # e.g. where 2n + H'(0) - 4 cancels, A_2 keeps no correct bit
+            assert str(longer) == str(short)
+            return
+        assert not isinstance(longer, PrecisionExhausted) or longer.order > 12
+        h0, hp = mean_curvature(prof, 0.0), curvature_derivative(prof, 0.0, 1)
+        assert short.coefficient(1).hex() == h0.hex()
+        bound = 8 * 2.0 ** -52 * (2 * fam.n + abs(hp) + 4) * abs(h0)
+        assert abs(short.coefficient(2) - (2 * fam.n + hp - 4) * h0) <= bound
+        if isinstance(longer, FormalSeries):
+            for got, prefix in ((short.a, longer.a),
+                                (short.rel_error_estimates, longer.rel_error_estimates)):
+                assert [v.hex() for v in got] == [v.hex() for v in prefix[:12]]
 
     def test_prefix_stability(self, fam1):
         short = compute_coefficients(CurvatureProfile(fam1), 8)
@@ -179,7 +211,7 @@ def probe_linear_coefficient(curvature, k, prec=DOUBLE_PREC):
         shifted = push_derivatives(TaylorRecursion(curvature, ring),
                                    gd[:-1] + [gd[-1] + 1])
         measured = float(shifted - base)
-        hp0 = float(curvature_derivative(curvature, to_real(0.0, prec), 1, prec))
+        hp0 = float(curvature_derivative(curvature, to_real(0.0, prec), 1))
     n = curvature.family.n
     derived = 2.0 * n * k - 4.0 * k * k + hp0
     printed = (2.0 * n + hp0) * k - 4.0 * k * k

@@ -47,9 +47,13 @@ calls leave behind.  The calls:
 - precision sweep (16 calls): at theta1 x1.00, ``solve --precision 128``
   on the 14 built-ins, and ``solve --precision 128 --K 20 --tol 1e-12
   --eps-study`` on g1_sphere_n2 and g2_product_11: the bootstrap scan,
-  ``evaluate_truncated`` and the eps study on an mpmath series.
+  ``evaluate_truncated`` and the eps study on an mpmath series;
+- fallback sweep (9 calls): at theta1 x1.00, ``solve --precision 128
+  --eps-study --to-d d0`` on the 9 g >= 3 built-ins, whose regularized
+  runs at the larger eps leave the domain or collapse: the calls that
+  once entered the implicit fallback, each of which still failed.
 
-391 calls in all.
+400 calls in all.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -87,6 +91,7 @@ CORRECTIONS_FLAGS = {
     "corrections_128": ["--precision", "128", "--corrections", "--N", "8", "--out", "-"],
 }
 PRECISION_FLAGS = ["--precision", "128"]
+FALLBACK_FLAGS = [*PRECISION_FLAGS, "--eps-study", "--to-d", "d0"]
 EQ030_COEFFS_FLAGS = ["--K", "32", "--precision", "256", "--corrections", "--N", "8",
                       *EQ030_FLAGS, "--out", "-"]
 
@@ -196,6 +201,11 @@ def calls(catalog):
         label = f"precision_eps_study/{name}@1.00"
         out.append((label, ["solve", *family_flags(catalog[name], 1.0), *PRECISION_FLAGS,
                             *EPS_STUDY_FLAGS, "--out", label]))
+    for name, family in catalog.items():
+        if family[0] >= 3:
+            label = f"fallback/{name}@1.00"
+            out.append((label, ["solve", *family_flags(family, 1.0), *FALLBACK_FLAGS,
+                                "--out", label]))
     return out
 
 
