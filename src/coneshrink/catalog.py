@@ -240,8 +240,7 @@ def binary64_curvature(profile: CurvatureProfile):
 
 
 def mean_curvature(profile: CurvatureProfile, d):
-    """Mean curvature of the parallel hypersurface at distance d, in d's
-    number type: an array of nodes, an mpf or a binary64 scalar."""
+    """Mean curvature of the parallel hypersurface at distance d, in d's number type."""
     return curvature_derivative(profile, d, 0)
 
 

@@ -190,6 +190,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     Raises :class:`NotMeanConvex` when this H has H(0) <= 0, and
     :class:`OutOfRange` for a series of another profile mode or family, or
     for a direct run without a series (a regularized run reads none).
+    A run whose step size collapses raises :class:`StepSizeCollapse`.
     """
     family = curvature.family
     if series is not None:

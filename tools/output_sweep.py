@@ -49,9 +49,10 @@ calls leave behind.  The calls:
   --eps-study`` on g1_sphere_n2 and g2_product_11: the bootstrap scan,
   ``evaluate_truncated`` and the eps study on an mpmath series;
 - fallback sweep (9 calls): at theta1 x1.00, ``solve --precision 128
-  --eps-study --to-d d0`` on the 9 g >= 3 built-ins, whose regularized
-  runs at the larger eps leave the domain or collapse: the calls that
-  once entered the implicit fallback, each of which still failed.
+  --eps-study --to-d d0`` on the 9 g >= 3 built-ins.  Before
+  ``integrate_gamma`` lost its implicit fallback, 5 of these calls entered
+  it (g3_m2, g3_m8, g4_m11, g4_m45, g6_m2), and each entry ended in
+  ``OutOfRange``: the sweep shows that the deletion moves no output.
 
 400 calls in all.
 
