@@ -13,6 +13,7 @@ and sphere-product tori (n = 3, g = 2, exported as the psi2 = 0 slice
 projected to the first three coordinates).
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +29,13 @@ from .errors import (
     UnsupportedFamily,
 )
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
-from .numutil import atomic_write_text, hermite_eval, loglog_slope, write_csv
+from .numutil import (
+    atomic_write_chunks,
+    atomic_write_text,
+    hermite_eval,
+    loglog_slope,
+    write_csv,
+)
 from .series import (
     FormalSeries,
     compute_coefficients,
@@ -173,11 +180,12 @@ class MeshResult:
 
 
 # Largest mesh resolution.  Peak RSS of `coneshrink export --format obj` on
-# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 72 MB at
-# resolution 256, 182 MB at 512 and 618 MB at 1024.  That is the 34 MB of
-# the imports plus 557-580 bytes per vertex, of which there are
-# resolution^2, so 1024 keeps the peak near 0.6 GB where 2048 would take
-# about 2.4 GB.
+# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 45 MB at
+# resolution 256, 71 MB at 512 and 179 MB at 1024.  That is the 34 MB of
+# the imports plus about 145 bytes per vertex, of which there are
+# resolution^2: the whole-mesh vertex and face arrays, while the check and
+# the text take one band or block at a time.  So 1024 keeps the peak near
+# 0.18 GB, where 2048 would take about 0.65 GB.
 MAX_RESOLUTION = 1024
 
 
@@ -194,7 +202,7 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     if resolution > MAX_RESOLUTION:
         raise ResolutionTooHigh(
             f"resolution {resolution} > {MAX_RESOLUTION}, the largest exported: the mesh "
-            f"has resolution^2 vertices and needs about 0.6 kB of memory per vertex"
+            f"has resolution^2 vertices and needs about 0.15 kB of memory per vertex"
         )
     if profile_d.side != D_SIDE:
         raise OutOfRange("export_mesh needs a d-side profile")
@@ -217,10 +225,9 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
         header.append(
             f"# discrete shrinker check: max|H_disc + X.nu/2| / max|H_disc| = {residual:.6e}"
         )
-    chunks = ["\n".join(header) + "\n"]
-    chunks += _obj_rows("v %r %r %r\n", verts)
-    chunks += _obj_rows("f %d %d %d\n", faces + 1)
-    atomic_write_text(path, "".join(chunks))
+    atomic_write_chunks(path, itertools.chain(["\n".join(header) + "\n"],
+                                              _obj_rows("v %r %r %r\n", verts),
+                                              _obj_rows("f %d %d %d\n", faces)))
     return MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
                       face_count=len(faces), discrete_residual=residual)
 
@@ -229,30 +236,32 @@ _OBJ_BLOCK_ROWS = 4096
 
 
 def _obj_rows(row_format, rows):
-    """OBJ lines for the rows of an (N, 3) array, one %-format per block.
+    """OBJ lines for the rows of an (N, 3) array, yielded one text block of
+    ``_OBJ_BLOCK_ROWS`` rows at a time; integer rows are 0-based vertex
+    indices, written from 1 as OBJ counts them.
 
     ``%r`` of a Python float is its round-trip repr, so the text matches a
-    per-row f-string; blocks bound the size of the argument tuple.  A float
-    block reprs each of its distinct bit patterns once (grid rows share
-    their z, and x and y share their ``a_i cos psi_j`` products) and fills
-    the format with those strings through ``%s``; keying on the bits keeps
-    ``-0.0`` apart from ``0.0``.  Integer blocks (faces) keep ``%d``: an
-    int formats about as fast as a lookup in the distinct strings, so the
-    sort that finds them does not pay for itself there."""
-    floats = rows.dtype.kind == "f"
-    if floats:
-        row_format = row_format.replace("%r", "%s")
-    chunks = []
+    per-row f-string.  Blocks bound the size of the argument tuple and, as
+    the writer takes them one by one, the memory the text holds.  A block
+    makes the text of each of its distinct values once and fills the
+    format's ``%r`` or ``%d`` fields with those strings through ``%s``.
+    Floats are keyed on their bits (grid rows share their z, and x and y
+    share their ``a_i cos psi_j`` products), which keeps ``-0.0`` apart
+    from ``0.0``.  The faces of a block lie on a few grid rows, so their
+    indices fill a short range, whose strings are made in order: no sort,
+    and no Python int per face corner."""
+    row_format = row_format.replace("%r", "%s").replace("%d", "%s")
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
         block = rows[lo:lo + _OBJ_BLOCK_ROWS]
-        if floats:
+        if rows.dtype.kind == "f":
             bits, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
-            texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-            values = texts[inverse].tolist()
+            texts = [repr(x) for x in bits.view(np.float64).tolist()]
         else:
-            values = block.ravel().tolist()
-        chunks.append((row_format * len(block)) % tuple(values))
-    return chunks
+            first = int(block.min())
+            inverse = (block - first).ravel()
+            texts = [str(i + 1) for i in range(first, int(block.max()) + 1)]
+        values = np.array(texts, dtype=object)[inverse].tolist()
+        yield (row_format * len(block)) % tuple(values)
 
 
 def _end_mesh(profile_d, family, resolution):
@@ -297,13 +306,38 @@ def _grid_faces(n_rows, n_cols):
     return np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
 
 
+_RESIDUAL_BAND_ROWS = 32
+
+
 def discrete_shrinker_residual(verts, faces, n_cols):
     """Cotangent-Laplacian mean curvature against -X.nu/2 on interior vertices.
 
     Returns max |H_disc + X.nu/2| / max |H_disc| (sum convention for H,
-    outward vertex normals from area-weighted face normals)."""
-    nv = len(verts)
+    outward vertex normals from area-weighted face normals).  ``verts``
+    are grid rows of ``n_cols`` vertices, and ``faces`` must be in
+    ``_end_mesh``'s grid order: the ``2 n_cols`` faces of each cell row in
+    turn.  The check runs by bands of ``_RESIDUAL_BAND_ROWS`` interior
+    vertex rows, so its memory is bounded by a band.  The faces around a
+    band's rows are a contiguous slice of ``faces``, in their order, so
+    every vertex sums its terms as over the whole mesh and the result is
+    bit-identical."""
     faces = np.asarray(faces)
+    n_rows = len(verts) // n_cols
+    maxima = []
+    for r0 in range(1, n_rows - 1, _RESIDUAL_BAND_ROWS):
+        r1 = min(r0 + _RESIDUAL_BAND_ROWS, n_rows - 1)
+        first = (r0 - 1) * n_cols     # the band's vertex rows are r0 - 1 .. r1
+        band_faces = faces[2 * n_cols * (r0 - 1):2 * n_cols * r1] - first
+        maxima.append(_band_residual(verts[first:(r1 + 1) * n_cols], band_faces, n_cols))
+    # np.max, not max: a nan in any band propagates as over the whole mesh
+    resid, h_disc = np.max(maxima, axis=0)
+    return float(resid / h_disc)
+
+
+def _band_residual(verts, faces, n_cols):
+    """max |H_disc + X.nu/2| and max |H_disc| over the vertices of a band
+    but its first and last row, which only complete their neighbours."""
+    nv = len(verts)
     cots, face_normals, normal_norms = _face_geometry(verts, faces)
     areas = 0.5 * normal_norms
     corners = faces.ravel()
@@ -339,7 +373,7 @@ def discrete_shrinker_residual(verts, faces, n_cols):
     interior[:n_cols] = False
     interior[-n_cols:] = False
     resid = np.abs(h_disc[interior] + 0.5 * x_dot_n[interior])
-    return float(np.max(resid) / np.max(np.abs(h_disc[interior])))
+    return np.max(resid), np.max(np.abs(h_disc[interior]))
 
 
 def _face_geometry(verts, faces):

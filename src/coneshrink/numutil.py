@@ -90,17 +90,25 @@ GAUSS4_WEIGHTS = (
 
 
 def atomic_write_text(path, text):
-    """Write-then-rename so readers never observe a partial file.
+    """Write-then-rename so readers never observe a partial file."""
+    return atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path, chunks):
+    """Write the strings of ``chunks`` in turn to a temporary file, then
+    rename it over ``path``: readers never observe a partial file, and
+    only the chunk being written need be held in memory.
 
     The one place a failed write becomes :class:`ExportIOError` naming the
-    path."""
+    path.  On any exception, one raised by ``chunks`` included, the
+    temporary file is removed and ``path`` keeps its old contents."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             try:
