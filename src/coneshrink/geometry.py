@@ -29,13 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
-from .numutil import (
-    atomic_write_chunks,
-    atomic_write_text,
-    hermite_eval,
-    loglog_slope,
-    write_csv,
-)
+from .numutil import atomic_write_chunks, atomic_write_text, hermite_eval, loglog_slope, write_csv
 from .series import (
     FormalSeries,
     compute_coefficients,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from coneshrink.geometry import (
     MAX_RESOLUTION,
     EXPORT_COLUMNS,
     PROFILE_JSON_SCHEMA,
+    _RESIDUAL_BAND_ROWS,
     _face_geometry,
     _grid_faces,
     _end_mesh,
@@ -309,6 +311,38 @@ class TestMeshOracles:
         assert (discrete_shrinker_residual(verts, faces, resolution)
                 == _oracle_residual(verts, oracle_faces, resolution))
 
+    # resolution - 2 interior rows: fewer than one band, one band and a last
+    # band of one row, and two whole bands
+    @pytest.mark.parametrize("resolution", [_RESIDUAL_BAND_ROWS // 2 + 2,
+                                            _RESIDUAL_BAND_ROWS + 3,
+                                            2 * _RESIDUAL_BAND_ROWS + 2],
+                             ids=["under_one_band", "last_band_one_row", "two_bands"])
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_residual_band_edges_match_oracle(self, which, resolution, request):
+        fam = request.getfixturevalue(which)
+        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
+        verts, faces = _end_mesh(cont, fam, resolution)
+        assert (discrete_shrinker_residual(verts, faces, resolution)
+                == _oracle_residual(verts, faces, resolution))
+
+    # row B is the last of the first band and the row below the second,
+    # which its vertices only complete; rows B - 1 .. B + 1 at one point
+    # leave the middle row without area, and its curvature 0/0
+    @pytest.mark.parametrize("rows, finite", [((_RESIDUAL_BAND_ROWS,), True),
+                                              ((_RESIDUAL_BAND_ROWS - 1, _RESIDUAL_BAND_ROWS,
+                                                _RESIDUAL_BAND_ROWS + 1), False)],
+                             ids=["row_on_axis", "rows_at_one_point"])
+    def test_degenerate_band_matches_oracle(self, fam1, continued1, rows, finite):
+        resolution = 2 * _RESIDUAL_BAND_ROWS + 2
+        verts, faces = _end_mesh(continued1, fam1, resolution)
+        on_axis = verts[rows[0] * resolution, 2]
+        for r in rows:
+            verts[r * resolution:(r + 1) * resolution] = (0.0, 0.0, on_axis)
+        got = discrete_shrinker_residual(verts, faces, resolution)
+        want = _oracle_residual(verts, faces, resolution)
+        assert math.isfinite(want) == finite
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     # 72^2 = 5184 vertices span more than one text block and are not a
     # multiple of its size
     @pytest.mark.parametrize("resolution", [8, 72])
@@ -325,6 +359,26 @@ class TestMeshOracles:
         assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces, residual)
         assert res.vertex_count == resolution ** 2
         assert res.face_count == len(faces)
+
+
+class TestExportMemory:
+    # the whole-mesh vertex and face arrays take about 145 (g = 1) and 128
+    # (g = 2) bytes per vertex; a whole-mesh check and joined text took 575
+    # and 367.  numpy reports its buffers to tracemalloc, so the peak is
+    # deterministic
+    BYTES_PER_VERTEX = 160
+
+    @pytest.mark.parametrize("which", ["continued1", "continued2"])
+    def test_export_peak_is_bounded_per_vertex(self, which, request, tmp_path):
+        cont = request.getfixturevalue(which)
+        resolution = 256
+        tracemalloc.start()
+        try:
+            export_mesh(cont, tmp_path / "m.obj", resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BYTES_PER_VERTEX * resolution ** 2
 
 
 # values a vertex coordinate can take that a naive dedupe would merge or

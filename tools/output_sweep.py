@@ -13,11 +13,12 @@ calls leave behind.  The calls:
 - solve sweep (46 calls): default ``solve`` on the 14 built-ins at theta1
   x{0.93, 1.00, 1.07}, and ``solve --K 20 --tol 1e-12 --eps-study`` on
   g1_sphere_n2 and g2_product_11 at theta1 x{0.95, 1.00};
-- mesh sweep (100 calls): on g1_sphere_n2 and g2_product_11 at theta1
+- mesh sweep (104 calls): on g1_sphere_n2 and g2_product_11 at theta1
   x{0.90, 0.95, 1.00, 1.05, 1.10}, ``solve --K 20 --tol 1e-12
   --eps-study``, ``verify`` of both profiles, ``export --format obj``
-  of the d-side profile at resolutions 8, 64, 128, 256 and 300, and
-  ``export --format csv`` and ``--format json`` of the d-side profile;
+  of the d-side profile at resolutions 8, 64, 128, 256 and 300 (and at
+  theta1 x1.00 also at 512 and 1024, the largest), and ``export --format
+  csv`` and ``--format json`` of the d-side profile;
 - coeffs sweep (84 calls): on the 14 built-ins at theta1 x{0.93, 1.00,
   1.07}, ``coeffs --K 32 --precision 256 --gevrey --corrections --N 8
   --out -`` (the series_deep benchmark's flags), and the default ``coeffs
@@ -54,7 +55,7 @@ calls leave behind.  The calls:
   it (g3_m2, g3_m8, g4_m11, g4_m45, g6_m2), and each entry ended in
   ``OutOfRange``: the sweep shows that the deletion moves no output.
 
-400 calls in all.
+404 calls in all.
 
 Prints every difference and exits 1 if there is one, else 0.  The exports
 are removed at the end, also on failure.
@@ -78,6 +79,8 @@ EPS_STUDY_SCALES = (0.95, 1.00)
 MESH_SCALES = (0.90, 0.95, 1.00, 1.05, 1.10)
 MESH_FAMILIES = ("g1_sphere_n2", "g2_product_11")
 MESH_RESOLUTIONS = (8, 64, 128, 256, 300)
+# exported at theta1 x1.00 only: a 1024^2 OBJ file is about 110 MB
+LARGE_MESH_RESOLUTIONS = (512, 1024)
 EPS_STUDY_FLAGS = ["--K", "20", "--tol", "1e-12", "--eps-study"]
 COEFFS_FLAGS = {
     "coeffs_deep": ["--K", "32", "--precision", "256", "--gevrey", "--corrections",
@@ -156,7 +159,7 @@ def calls(catalog):
                               *EPS_STUDY_FLAGS, "--out", run]))
             for side in ("s_side", "d_side"):
                 out.append((f"{run}/verify_{side}", ["verify", f"{run}/{side}.csv"]))
-            for res in MESH_RESOLUTIONS:
+            for res in MESH_RESOLUTIONS + (LARGE_MESH_RESOLUTIONS if scale == 1.00 else ()):
                 out.append((f"{run}/obj_{res}",
                             ["export", f"{run}/d_side.csv", "--format", "obj",
                              "--resolution", str(res), "--out", f"{run}/obj_{res}"]))
@@ -231,8 +234,11 @@ def run_calls(checkout, call_list):
     for root, _, files in os.walk(run_dir):
         for name in files:
             path = os.path.join(root, name)
+            digest = hashlib.sha256()
             with open(path, "rb") as fh:
-                hashes[os.path.relpath(path, run_dir)] = hashlib.sha256(fh.read()).hexdigest()
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            hashes[os.path.relpath(path, run_dir)] = digest.hexdigest()
     return records, hashes
 
 
