@@ -325,12 +325,13 @@ class TestMeshOracles:
         assert (discrete_shrinker_residual(verts, faces, resolution)
                 == _oracle_residual(verts, faces, resolution))
 
-    # row B is the last of the first band and the row below the second,
-    # which its vertices only complete; rows B - 1 .. B + 1 at one point
-    # leave the middle row without area, and its curvature 0/0
+    # row B is the last interior row of the first band and the edge row of
+    # the second; rows B .. B + 2 at one point leave the middle row, the
+    # second band's first, without area and its curvature 0/0, a nan that
+    # Python's max would drop after the first band's finite maxima
     @pytest.mark.parametrize("rows, finite", [((_RESIDUAL_BAND_ROWS,), True),
-                                              ((_RESIDUAL_BAND_ROWS - 1, _RESIDUAL_BAND_ROWS,
-                                                _RESIDUAL_BAND_ROWS + 1), False)],
+                                              ((_RESIDUAL_BAND_ROWS, _RESIDUAL_BAND_ROWS + 1,
+                                                _RESIDUAL_BAND_ROWS + 2), False)],
                              ids=["row_on_axis", "rows_at_one_point"])
     def test_degenerate_band_matches_oracle(self, fam1, continued1, rows, finite):
         resolution = 2 * _RESIDUAL_BAND_ROWS + 2
@@ -362,10 +363,10 @@ class TestMeshOracles:
 
 
 class TestExportMemory:
-    # the whole-mesh vertex and face arrays take about 145 (g = 1) and 128
-    # (g = 2) bytes per vertex; a whole-mesh check and joined text took 575
-    # and 367.  numpy reports its buffers to tracemalloc, so the peak is
-    # deterministic
+    # building the whole-mesh vertex and face arrays peaks at about 144
+    # (g = 1) and 128 (g = 2) bytes per vertex; a whole-mesh check and
+    # joined text took 575 and 367.  numpy reports its buffers to
+    # tracemalloc, so the peak is deterministic
     BYTES_PER_VERTEX = 160
 
     @pytest.mark.parametrize("which", ["continued1", "continued2"])

@@ -42,15 +42,14 @@ def test_oserror_during_write_names_the_path(target, monkeypatch):
     monkeypatch.setattr(numutil.os, "fdopen",
                         lambda fd, *args, **kwargs: _FullDisk(io.FileIO(fd, "w"),
                                                               encoding="utf-8"))
-    message = f"^writing {re.escape(str(target))}: .*No space left"
-    with pytest.raises(ExportIOError, match=message) as info:
+    with pytest.raises(ExportIOError, match=f"^writing {re.escape(str(target))}: ") as info:
         atomic_write_chunks(target, iter(["first\n", "second\n", "third\n"]))
     assert info.value.path == str(target)
-    assert isinstance(info.value.__cause__, OSError)
+    assert info.value.__cause__.errno == errno.ENOSPC
     assert_untouched(target)
 
 
-def test_oserror_of_the_text_writer_names_the_path(target, monkeypatch):
+def test_oserror_from_the_rename_names_the_path(target, monkeypatch):
     def no_rename(src, dst):
         raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
 
