@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import mpmath
-import numpy as np
 
 from .errors import (
     ConstraintViolation,
@@ -49,6 +48,9 @@ from .errors import (
     RootNotBracketed,
     UnsupportedMode,
 )
+from .numutil import is_ndarray, lazy_numpy
+
+np = lazy_numpy()
 
 ALLOWED_G = (1, 2, 3, 4, 6)
 
@@ -190,7 +192,7 @@ def make_family(g, m_minus, m_plus, n, theta1) -> IsoparametricFamily:
 
 def _check_d(family, d, name="d"):
     """Reject d outside [0, d_focal), for an array at its first such element."""
-    if isinstance(d, np.ndarray):
+    if is_ndarray(d):
         outside = d[~((d >= 0) & (d < family.d_focal))]
         if not outside.size:
             return
@@ -204,7 +206,7 @@ def _check_d(family, d, name="d"):
 def _in_number_type(fam, d):
     """(theta1, d, elementary functions) in d's number type: numpy for an
     array, mpmath at the caller's working precision for an mpf, else math."""
-    if isinstance(d, np.ndarray):
+    if is_ndarray(d):
         return fam.theta1, d, np
     if isinstance(d, mpmath.mpf):
         return mpmath.mpf(fam.theta1), d, mpmath

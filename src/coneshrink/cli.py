@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import geometry, ivp, series as series_mod
 from .catalog import (
     COT_SUM,
@@ -35,7 +33,9 @@ from .errors import (
     OutOfRange,
     PrecisionExhausted,
 )
-from .numutil import atomic_write_text, decimal_str
+from .numutil import atomic_write_text, decimal_str, lazy_numpy
+
+np = lazy_numpy()
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 2

@@ -13,12 +13,12 @@ and sphere-product tori (n = 3, g = 2, exported as the psi2 = 0 slice
 projected to the first three coordinates).
 """
 
+from __future__ import annotations
+
 import itertools
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .catalog import CurvatureProfile, IsoparametricFamily, mean_curvature
 from .errors import (
@@ -29,13 +29,16 @@ from .errors import (
     UnsupportedFamily,
 )
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
-from .numutil import atomic_write_chunks, atomic_write_text, hermite_eval, loglog_slope, write_csv
+from .numutil import (atomic_write_chunks, atomic_write_text, hermite_eval, lazy_numpy,
+                      loglog_slope, write_csv)
 from .series import (
     FormalSeries,
     compute_coefficients,
     evaluate_truncated,
     series_value_tail,
 )
+
+np = lazy_numpy()
 
 PROFILE_JSON_SCHEMA = {
     "type": "object",
@@ -283,21 +286,30 @@ def _end_mesh(profile_d, family, resolution):
                   rr * cos_t * np.sin(psi)[None, :],
                   rr * sin_t * np.ones_like(psi)[None, :])
     verts = np.stack([c.ravel() for c in coords], axis=1)
+    del coords   # freed before the faces are built
     # the grid's winding gives each face the normal X_psi x X_d, whose radial
     # component is -r^3 sin(th) for g = 1 (th a colatitude) and +r^3 cos(th)
     # for g = 2 (th a latitude), whatever r(d) is: only g = 1 is reversed
-    faces = _grid_faces(resolution, resolution)
-    return verts, (faces[:, [0, 2, 1]] if family.g == 1 else faces)
+    return verts, _grid_faces(resolution, resolution, reverse=family.g == 1)
 
 
-def _grid_faces(n_rows, n_cols):
-    """Two triangles per grid cell, wrapping the column index around."""
-    i = np.arange(n_rows - 1)[:, None] * n_cols
-    j = np.arange(n_cols)[None, :]
-    a = i + j
-    b = i + (j + 1) % n_cols
-    c, d = a + n_cols, b + n_cols
-    return np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3)
+def _grid_faces(n_rows, n_cols, reverse=False):
+    """Two triangles per grid cell, wrapping the column index around: with
+    a, b the cell's corners on row i (columns j and j + 1) and c, d those on
+    row i + 1, the faces (a, b, d) and (a, d, c), or with ``reverse`` the
+    other winding (a, d, b) and (a, c, d).
+
+    The six corner columns are written in turn into one int32 array: the
+    vertex count is at most MAX_RESOLUTION^2 = 2^20, far inside int32."""
+    row = np.arange(n_rows - 1, dtype=np.int32)[:, None] * n_cols
+    j = np.arange(n_cols, dtype=np.int32)
+    a, b = row + j, row + (j + 1) % n_cols
+    # each corner as its column index on row i and the offset to its own row
+    corners = {"a": (a, 0), "b": (b, 0), "c": (a, n_cols), "d": (b, n_cols)}
+    faces = np.empty((n_rows - 1, n_cols, 6), dtype=np.int32)
+    for k, corner in enumerate("adbacd" if reverse else "abdadc"):
+        np.add(*corners[corner], out=faces[..., k])
+    return faces.reshape(-1, 3)
 
 
 _RESIDUAL_BAND_ROWS = 32

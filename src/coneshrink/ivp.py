@@ -25,11 +25,11 @@ ln(1 + phi'^2) + 2 int H phi'^2 - 2n phi + e^{2 phi}/2 = const, which also
 justifies continuing through d0 (where H changes sign) to d0 + margin.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 from .catalog import (
     CurvatureProfile,
@@ -48,12 +48,14 @@ from .errors import (
     SingularDenominator,
     StepSizeCollapse,
 )
-from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, loglog_slope,
-                      write_csv)
+from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, lazy_numpy,
+                      loglog_slope, write_csv)
 from .series import DEFAULT_K, FormalSeries, compute_epsilon_corrections, evaluate_truncated
 # unused here: perfbench's tracing tests expect this module to bind them (EXPECTED_BINDINGS)
 from .series import compute_coefficients  # noqa: F401
 from .stepper import integrate, integrate_implicit  # noqa: F401
+
+np = lazy_numpy()
 
 S_SIDE = "s_side"
 D_SIDE = "d_side"

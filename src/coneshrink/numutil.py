@@ -3,18 +3,59 @@ Gauss-Legendre nodes and atomic file writes.  A ``prec`` in bits means
 binary64 at 53 bits and below, mpmath above; mpmath's global precision is
 set with ``workprec`` only inside the calls that make mpf objects (the
 series' scalar rings carry their own).
+
+numpy is imported lazily (:func:`lazy_numpy`): the series, the corrections
+and the catalog run on mpmath and floats, so a call that never holds an
+array, such as ``coneshrink coeffs``, never pays for numpy's import.
 """
 
+import functools
+import importlib.util
 import math
 import os
+import sys
 import tempfile
 
 import mpmath
-import numpy as np
 
 from .errors import ExportIOError
 
 DOUBLE_PREC = 53
+
+
+def lazy_numpy():
+    """The numpy module, executed on its first attribute access.
+
+    Returns numpy itself if it is already in ``sys.modules``; else puts
+    there a module whose ``LazyLoader`` runs numpy's import when an
+    attribute is first read, after which it is the real numpy module.  So
+    ``np = lazy_numpy()`` at a module's top costs nothing until ``np.``
+    is used, and nothing on the paths that use it."""
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = lazy_numpy()
+
+
+@functools.lru_cache(maxsize=None)
+def _is_ndarray_type(cls):
+    return any(c.__name__ == "ndarray" and c.__module__ == "numpy" for c in cls.__mro__)
+
+
+def is_ndarray(x) -> bool:
+    """``isinstance(x, numpy.ndarray)``, decided from the names in
+    ``type(x)``'s MRO, so a check of a float or an mpf does not load numpy.
+    A numpy scalar such as ``np.float64`` is not an ndarray."""
+    return _is_ndarray_type(type(x))
 
 
 def machine_eps(prec: int) -> float:

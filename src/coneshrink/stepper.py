@@ -20,12 +20,15 @@ sums: from Python 3.12 it compensates float sums and would round
 differently.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import StepSizeCollapse
+from .numutil import lazy_numpy
+
+np = lazy_numpy()
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -127,7 +130,7 @@ def _dp_step(f, t, y, h, k1):
     return y5, y4, k7
 
 
-def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=np.inf,
+def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
               first_step=None, max_steps=1_000_000, accept_hook=None):
     """Integrate y' = f(t, y) from t0 to t_end (t_end > t0).
 
@@ -221,7 +224,7 @@ def _trapezoid_step(f, t, y, h, f_t):
 
 
 def integrate_implicit(f, t0, y0, t_end, rtol=1e-8, atol=1e-8,
-                       max_step=np.inf, max_steps=200_000):
+                       max_step=math.inf, max_steps=200_000):
     """Adaptive implicit trapezoid (order 2), error by step doubling.
 
     Unused: kept only because perfbench's tracing pins this name in

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +16,7 @@ from coneshrink.catalog import (
     MAX_DERIVATIVE_ORDER,
     CurvatureProfile,
     IsoparametricFamily,
+    _in_number_type,
     binary64_curvature,
     builtin_catalog,
     curvature_antiderivative,
@@ -108,6 +113,28 @@ class TestMeanCurvature:
                              lambda x: curvature_antiderivative(prof, x)):
                 with pytest.raises(OutOfRange):
                     evaluate(nodes)
+
+    def test_number_type_dispatch(self, fam1):
+        """An ndarray (a subclass or 0-d one too) takes numpy, an mpf
+        mpmath, and a float or a numpy scalar math, as isinstance decided."""
+        cases = [(np.array([0.1, 0.2]), np), (np.array(0.1), np), (np.ma.array([0.1]), np),
+                 (mpmath.mpf("0.1"), mpmath), (0.1, math), (1, math),
+                 (np.float64(0.1), math), (np.float32(0.1), math)]
+        for d, lib in cases:
+            assert _in_number_type(fam1, d)[2] is lib, type(d)
+
+    def test_float_check_does_not_load_numpy(self):
+        script = ("import sys\n"
+                  "from coneshrink.catalog import CurvatureProfile, builtin_catalog, "
+                  "mean_curvature\n"
+                  "prof = CurvatureProfile(builtin_catalog()['g1_sphere_n2'])\n"
+                  "assert mean_curvature(prof, 0.1) > 0\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_binary64_closure_is_mean_curvature(self):
         for fam in builtin_catalog().values():

@@ -417,6 +417,54 @@ def test_closed_stdout_is_io_failure(argv):
     assert b"BrokenPipeError" not in proc.stderr
 
 
+# a fresh interpreter that runs main(argv), then reports on stderr's last
+# line its exit code and the loaded modules of the names given in PROBE_PREFIXES
+_MODULE_PROBE = (
+    "import json, os, sys\n"
+    "from coneshrink.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "prefixes = tuple(os.environ['PROBE_PREFIXES'].split(','))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]),\n"
+    "      file=sys.stderr)\n"
+)
+
+
+def _modules_after(argv, prefixes, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PROBE_PREFIXES=",".join(prefixes))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stderr.strip().splitlines()[-1])
+    return code, modules
+
+
+def test_cli_import_loads_every_module(tmp_path):
+    """perfbench's tracer finds its targets in sys.modules after `import
+    coneshrink.cli`, so that import must load every coneshrink module."""
+    _, modules = _modules_after(["catalog"], ["coneshrink."], tmp_path)
+    assert modules == [f"coneshrink.{name}" for name in (
+        "catalog", "cli", "errors", "geometry", "ivp", "jets", "numutil", "series", "stepper")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["catalog", "--check", "g=1", "m=1", "n=2", "theta1=0.785398"],
+    ["coeffs", *FAM1_FLAGS, "--K", "12", "--corrections", "--gevrey", "--out", "-"],
+], ids=["catalog", "catalog_check", "coeffs"])
+def test_numpy_stays_unexecuted(argv, tmp_path):
+    """The series and the catalog run on mpmath and floats: numpy is in
+    sys.modules as a lazy module, but its import never runs."""
+    code, modules = _modules_after(argv, ["numpy."], tmp_path)
+    assert code == 0
+    assert modules == []
+
+
+def test_solve_loads_numpy(tmp_path):
+    code, modules = _modules_after(["solve", *FAM1_FLAGS, "--out", "o"], ["numpy."], tmp_path)
+    assert code == 0
+    assert "numpy._core" in modules
+
+
 def _rows_edited(name, edit):
     """File content: the solved run's ``name`` with ``edit`` applied to its
     list of data lines (the header kept)."""

@@ -300,6 +300,13 @@ class TestMeshOracles:
         assert faces.shape == (2 * (shape[0] - 1) * shape[1], 3)
         assert np.array_equal(faces, np.array(_oracle_grid_faces(*shape)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (8, 8), (5, 11), (72, 72)])
+    def test_grid_faces_reversed(self, shape):
+        faces = _grid_faces(*shape, reverse=True)
+        assert faces.dtype == np.int32
+        oracle = [(a, c, b) for a, b, c in _oracle_grid_faces(*shape)]
+        assert np.array_equal(faces, np.array(oracle))
+
     @pytest.mark.parametrize("resolution", [8, 72])
     @pytest.mark.parametrize("which", ["fam1", "fam2"])
     def test_residual_matches_oracle_exactly(self, which, resolution, request):
@@ -368,18 +375,33 @@ class TestExportMemory:
     # joined text took 575 and 367.  numpy reports its buffers to
     # tracemalloc, so the peak is deterministic
     BYTES_PER_VERTEX = 160
+    # the faces built in one int32 pass, after the coordinate grids are
+    # freed: 109 (g = 1, where the check's band sets the peak) and 68 (g = 2)
+    # bytes per vertex, where int64 faces and a g = 1 winding copy read 144
+    # and 128
+    INT32_FACES_BYTES_PER_VERTEX = {"continued1": 112, "continued2": 72}
+    RESOLUTION = 256
+
+    @staticmethod
+    def _export_peak(cont, path, resolution):
+        tracemalloc.start()
+        try:
+            export_mesh(cont, path, resolution=resolution)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("which", ["continued1", "continued2"])
     def test_export_peak_is_bounded_per_vertex(self, which, request, tmp_path):
-        cont = request.getfixturevalue(which)
-        resolution = 256
-        tracemalloc.start()
-        try:
-            export_mesh(cont, tmp_path / "m.obj", resolution=resolution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.BYTES_PER_VERTEX * resolution ** 2
+        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj",
+                                 self.RESOLUTION)
+        assert peak <= self.BYTES_PER_VERTEX * self.RESOLUTION ** 2
+
+    @pytest.mark.parametrize("which", ["continued1", "continued2"])
+    def test_export_peak_with_int32_faces(self, which, request, tmp_path):
+        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj",
+                                 self.RESOLUTION)
+        assert peak <= self.INT32_FACES_BYTES_PER_VERTEX[which] * self.RESOLUTION ** 2
 
 
 # values a vertex coordinate can take that a naive dedupe would merge or
