@@ -177,12 +177,12 @@ class MeshResult:
 
 
 # Largest mesh resolution.  Peak RSS of `coneshrink export --format obj` on
-# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 45 MB at
-# resolution 256, 71 MB at 512 and 179 MB at 1024.  That is the 34 MB of
-# the imports plus about 145 bytes per vertex, of which there are
-# resolution^2: the whole-mesh vertex and face arrays, while the check and
-# the text take one band or block at a time.  So 1024 keeps the peak near
-# 0.18 GB, where 2048 would take about 0.65 GB.
+# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 41 MB at
+# resolution 256, 57 MB at 512 and 103 MB at 1024.  That is the 34 MB of
+# the imports plus about 66 bytes per vertex, of which there are
+# resolution^2: the whole-mesh vertices (24 bytes) and int32 faces (24),
+# while the check and the text take one band or block at a time.  So 1024
+# keeps the peak near 0.1 GB, where 2048 would take about 0.3 GB.
 MAX_RESOLUTION = 1024
 
 
@@ -199,7 +199,7 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     if resolution > MAX_RESOLUTION:
         raise ResolutionTooHigh(
             f"resolution {resolution} > {MAX_RESOLUTION}, the largest exported: the mesh "
-            f"has resolution^2 vertices and needs about 0.15 kB of memory per vertex"
+            f"has resolution^2 vertices and needs about 0.07 kB of memory per vertex"
         )
     if profile_d.side != D_SIDE:
         raise OutOfRange("export_mesh needs a d-side profile")

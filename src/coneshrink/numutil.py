@@ -30,7 +30,9 @@ def lazy_numpy():
     there a module whose ``LazyLoader`` runs numpy's import when an
     attribute is first read, after which it is the real numpy module.  So
     ``np = lazy_numpy()`` at a module's top costs nothing until ``np.``
-    is used, and nothing on the paths that use it."""
+    is used, and nothing on the paths that use it.  Python 3.11's
+    ``LazyLoader`` takes no lock around that first load, so a threaded
+    caller should use numpy once on one thread before it starts others."""
     module = sys.modules.get("numpy")
     if module is not None:
         return module

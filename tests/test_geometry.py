@@ -370,15 +370,13 @@ class TestMeshOracles:
 
 
 class TestExportMemory:
-    # building the whole-mesh vertex and face arrays peaks at about 144
-    # (g = 1) and 128 (g = 2) bytes per vertex; a whole-mesh check and
-    # joined text took 575 and 367.  numpy reports its buffers to
-    # tracemalloc, so the peak is deterministic
+    # bytes per vertex at the peak: a whole-mesh check and joined text took
+    # 575 (g = 1) and 367 (g = 2); int64 faces, with a reordered copy for
+    # g = 1's winding, 144 and 128.  The faces built in one int32 pass,
+    # after the coordinate grids are freed, take 109 (g = 1, where the
+    # check's band of rows sets the peak) and 68.  numpy reports its
+    # buffers to tracemalloc, so the peak is deterministic
     BYTES_PER_VERTEX = 160
-    # the faces built in one int32 pass, after the coordinate grids are
-    # freed: 109 (g = 1, where the check's band sets the peak) and 68 (g = 2)
-    # bytes per vertex, where int64 faces and a g = 1 winding copy read 144
-    # and 128
     INT32_FACES_BYTES_PER_VERTEX = {"continued1": 112, "continued2": 72}
     RESOLUTION = 256
 
