@@ -380,25 +380,22 @@ class TestExportMemory:
     INT32_FACES_BYTES_PER_VERTEX = {"continued1": 112, "continued2": 72}
     RESOLUTION = 256
 
-    @staticmethod
-    def _export_peak(cont, path, resolution):
+    def _export_peak(self, cont, path):
         tracemalloc.start()
         try:
-            export_mesh(cont, path, resolution=resolution)
+            export_mesh(cont, path, resolution=self.RESOLUTION)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("which", ["continued1", "continued2"])
     def test_export_peak_is_bounded_per_vertex(self, which, request, tmp_path):
-        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj",
-                                 self.RESOLUTION)
+        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj")
         assert peak <= self.BYTES_PER_VERTEX * self.RESOLUTION ** 2
 
     @pytest.mark.parametrize("which", ["continued1", "continued2"])
     def test_export_peak_with_int32_faces(self, which, request, tmp_path):
-        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj",
-                                 self.RESOLUTION)
+        peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj")
         assert peak <= self.INT32_FACES_BYTES_PER_VERTEX[which] * self.RESOLUTION ** 2
 
 
