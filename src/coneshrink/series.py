@@ -15,8 +15,10 @@ written once, in the methods of a scalar ring: at 53 bits Python's floats
 libmp (:class:`_MpRing`), each operation rounded at the ring's precision as
 mpmath's operator rounds it, with mpmath objects only at the edges.  The
 rounding error is measured, not modelled: the recursion runs a second time
-at 64 more bits and the relative difference is kept per coefficient.  The
-series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
+at 64 more bits and the relative difference is kept per coefficient.  That
+shadow run (:class:`_ShadowRing`) is accurate to its 64 more bits but not
+correctly rounded: it works on integer mantissas and cuts each result back
+by one shift, without libmp's rounding.  The series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
 provides the growth diagnostics and optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
@@ -115,15 +117,17 @@ class _MpSequence(list):
             self.append(x)
 
     def append(self, x):
-        list.append(self, x)
         sign, man, exp, _ = x
+        if not man and exp:
+            raise OutOfRange(f"non-finite value {mpmath.mp.make_mpf(x)} in the series arithmetic")
+        self._push(x, -man if sign else man, exp)
+
+    def _push(self, x, man, exp):
+        """Append the item ``x``, exactly ``man * 2**exp``."""
+        list.append(self, x)
         if not man:
-            if exp:
-                raise OutOfRange(f"non-finite value {mpmath.mp.make_mpf(x)} in the series arithmetic")
             self.man.append(0)
             return
-        if sign:
-            man = -man
         if self.exp is None:
             self.exp = exp
         elif exp < self.exp:
@@ -138,6 +142,16 @@ class _MpSequence(list):
         if type(index) is slice:
             return _Aligned(self.man[index], self.exp)
         return list.__getitem__(self, index)
+
+
+class _ShadowSequence(_MpSequence):
+    """An :class:`_MpSequence` of :class:`_ShadowRing` values, each its own
+    signed mantissa and exponent."""
+
+    __slots__ = ()
+
+    def append(self, x):
+        self._push(x, *x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +280,94 @@ class _MpRing:
         return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd) if total else fzero
 
 
+class _ShadowRing:
+    """The shadow run's arithmetic, accurate to ``prec`` bits but not
+    correctly rounded.  A value is a pair ``(man, exp)``, exactly
+    ``man * 2**exp`` with a signed integer mantissa.  Each operation forms
+    its result exactly in integers (a quotient to ``prec`` bits) and cuts
+    the mantissa back to ``prec`` bits by one right shift, which rounds
+    toward minus infinity; no value is normalized.  A dot product is the
+    exact integer sum over the aligned mantissas of a
+    :class:`_ShadowSequence`, cut once."""
+
+    seq = _ShadowSequence
+    zero = (0, 0)
+
+    def __init__(self, prec):
+        self.prec = prec
+
+    def value(self, x):
+        """An int, float or mpf, exactly."""
+        sign, man, exp, _ = mpmath.mp.convert(x)._mpf_
+        if not man:
+            if exp:
+                raise OutOfRange(f"non-finite value {x} in the series arithmetic")
+            return self.zero
+        return (-man if sign else man), exp
+
+    def cot(self, x):
+        """``mpmath.cot`` at the ring's precision."""
+        with mpmath.workprec(self.prec):
+            return self.value(mpmath.cot(mpmath.mp.make_mpf(from_man_exp(*x))))
+
+    def _cut(self, man, exp):
+        n = man.bit_length() - self.prec
+        return (man >> n, exp + n) if n > 0 else (man, exp)
+
+    def add(self, x, y):
+        (xm, xe), (ym, ye) = x, y
+        if not ym:
+            return x
+        if not xm:
+            return y
+        if xe > ye:
+            return self._cut((xm << (xe - ye)) + ym, ye)
+        return self._cut(xm + (ym << (ye - xe)), xe)
+
+    def sub(self, x, y):
+        return self.add(x, (-y[0], y[1]))
+
+    def mul(self, x, y):
+        return self._cut(x[0] * y[0], x[1] + y[1])
+
+    def add_int(self, x, n):
+        return self.add(x, (n, 0))
+
+    def mul_int(self, x, n):
+        return self._cut(x[0] * n, x[1])
+
+    def div_int(self, x, n):
+        man, exp = x
+        shift = self.prec + n.bit_length() - man.bit_length()
+        if shift > 0:
+            man, exp = man << shift, exp - shift
+        return self._cut(man // n, exp)
+
+    def sum(self, xs):
+        total = self.zero
+        for x in xs:
+            total = self.add(total, x)
+        return total
+
+    def dot(self, xs, ys):
+        """sum_i xs[i] * ys[i] over aligned mantissas, the exact sum cut once."""
+        total = sum(map(operator.mul, xs.man, ys.man))
+        return self._cut(total, xs.exp + ys.exp) if total else self.zero
+
+    def rel_diff(self, x, ref):
+        """|x - ref| / |ref| of a number ``x`` and a value ``ref``: the exact
+        quotient of integers, rounded once to a float (inf past its range)."""
+        (xm, xe), (rm, re) = self.value(x), ref
+        if not rm:
+            return 0.0 if not xm else math.inf
+        e = min(xe, re)
+        rm <<= re - e
+        try:
+            return abs((xm << (xe - e)) - rm) / abs(rm)
+        except OverflowError:
+            return math.inf
+
+
 def _ring(prec):
     """The scalar ring of a run at ``prec`` bits: floats up to 53, else libmp."""
     return _MpRing(prec) if prec > DOUBLE_PREC else _FloatRing()
@@ -333,7 +435,8 @@ class FormalSeries:
 
     ``a`` stores A_{k} at index k-1 (floats at 53 bits, mpmath floats above).
     ``rel_error_estimates`` carry the measured per-coefficient relative
-    difference from a run of the same recursion at ``precision_bits + 64``."""
+    difference from a run of the same recursion accurate to
+    ``precision_bits + 64`` bits."""
 
     curvature: CurvatureProfile
     precision_bits: int
@@ -384,7 +487,8 @@ def _self_dot(ring, c, m):
         return ring.add_int(ring.mul(c[0], c[0]), 0)
     acc = ring.mul_int(ring.dot(c[m:m + 1] + c[1:half], c[:1] + c[m - 1:m - half:-1]), 2)
     if m % 2 == 0:
-        acc = ring.add(acc, ring.mul(c[half], c[half]))
+        middle = c[half]
+        acc = ring.add(acc, ring.mul(middle, middle))
     return acc
 
 
@@ -413,7 +517,9 @@ class TaylorRecursion:
     ``cot``, ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
-    :class:`_MpRing` above, which carries the run's precision.  In floats
+    :class:`_MpRing` above, which carries the run's precision, and
+    :class:`_ShadowRing` in the shadow run.  Each method binds the ring's
+    operations to locals once.  In floats
     every operation rounds, so the operand order fixes the bits of the
     53-bit A_k and is kept as it is: each integer factor enters through
     ``mul_int`` (``n * x``), each sum starts from the integer 0, and the
@@ -433,31 +539,35 @@ class TaylorRecursion:
 
     def push(self, a_k):
         r = self.ring
+        mul_int, sub = r.mul_int, r.sub
         k = len(self.ja)
-        self.ja.append(r.mul_int(a_k, k))
+        ja_k = mul_int(a_k, k)
+        self.ja.append(ja_k)
         h_k = self._h_cot(k)
         # arctan: (i z_i) follows from z' (1 + w^2) = w' with w_j = 2 j a_j, p_0 = 1
         if k > 1:
-            self.p.append(r.mul_int(_self_dot(r, self.ja, k - 1), 4))
-        iz_k = r.sub(r.mul_int(self.ja[k], 2 * k), r.dot(self.iz[1:k], self.p[k - 1:0:-1]))
+            self.p.append(mul_int(_self_dot(r, self.ja, k - 1), 4))
+        iz_k = sub(mul_int(ja_k, 2 * k), r.dot(self.iz[1:k], self.p[k - 1:0:-1]))
         self.iz.append(iz_k)
-        return r.add(r.mul_int(r.sub(r.mul_int(self.ja[k], self.n), iz_k), 2), h_k)
+        return r.add(mul_int(sub(mul_int(ja_k, self.n), iz_k), 2), h_k)
 
     def _h_cot(self, k):
         r = self.ring
+        add_int, mul_int, div_int, dot = r.add_int, r.mul_int, r.div_int, r.dot
         ja = self.ja[k:0:-1]
+        one = 1 if k == 1 else 0
         terms = []
         for (w, f), c, q in zip(self.terms, self.cot, self.q):
-            q.append(r.add_int(_self_dot(r, c, k - 1), 1 if k == 1 else 0))
-            c.append(r.div_int(r.mul_int(r.dot(ja, q), -f), k))
-            terms.append(r.mul_int(c[k], w * f))
+            q.append(add_int(_self_dot(r, c, k - 1), one))
+            c_k = div_int(mul_int(dot(ja, q), -f), k)
+            c.append(c_k)
+            terms.append(mul_int(c_k, w * f))
         return r.sum(terms)
 
 
-def _taylor_coefficients(profile, K, prec):
-    """A_1..A_K at ``prec`` bits, a_{k+1} = T_k / (k+1) and A_k = k! a_k,
-    as values of the run's ring, and that ring."""
-    r = _ring(prec)
+def _taylor_coefficients(profile, K, r):
+    """A_1..A_K in the ring ``r``, a_{k+1} = T_k / (k+1) and A_k = k! a_k,
+    as values of that ring."""
     engine = TaylorRecursion(profile, r)
     t, fact, out = engine.t0, r.value(1), []
     for k in range(1, K + 1):
@@ -466,7 +576,7 @@ def _taylor_coefficients(profile, K, prec):
         out.append(r.mul(fact, a_k))
         if k < K:
             t = engine.push(a_k)
-    return out, r
+    return out
 
 
 class _EpsilonRecursion:
@@ -574,15 +684,16 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
     """Run the explicit recursion of the profile ``curvature`` up to A_K at
     ``prec`` bits.
 
-    The same recursion is run again at ``prec + 64`` bits and the measured
-    relative difference is stored per coefficient; raises
-    :class:`PrecisionExhausted` when a coefficient overflows or that
-    difference crosses REL_ERROR_LIMIT.
+    The same recursion is run again, accurate to ``prec + 64`` bits but
+    not correctly rounded (:class:`_ShadowRing`), and the measured relative
+    difference, formed exactly and rounded once to a float, is stored per
+    coefficient; raises :class:`PrecisionExhausted` when a coefficient
+    overflows or that difference crosses REL_ERROR_LIMIT.
     """
     if K < 1:
         raise OutOfRange("K must be >= 1")
-    a, ring = _taylor_coefficients(curvature, K, prec)
-    a = [ring.out(v) for v in a]
+    ring = _ring(prec)
+    a = [ring.out(v) for v in _taylor_coefficients(curvature, K, ring)]
     for k, v in enumerate(a, start=1):
         if not mpmath.isfinite(v):
             raise PrecisionExhausted(
@@ -590,13 +701,10 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
                 f"A_{k} overflows at {prec} bits; raise the working precision",
             )
     shadow_prec = prec + SHADOW_EXTRA_BITS
-    shadow, _ = _taylor_coefficients(curvature, K, shadow_prec)
+    shadow = _ShadowRing(shadow_prec)
     rel_errs = []
-    r = _MpRing(shadow_prec)
-    for k, (v, ref) in enumerate(zip(a, shadow), start=1):
-        diff = r.abs(r.sub(r.value(v), ref))
-        rel_err = (r.to_float(r.div(diff, r.abs(ref))) if ref != fzero
-                   else (0.0 if diff == fzero else math.inf))
+    for k, (v, ref) in enumerate(zip(a, _taylor_coefficients(curvature, K, shadow)), start=1):
+        rel_err = shadow.rel_diff(v, ref)
         if rel_err > REL_ERROR_LIMIT:
             raise PrecisionExhausted(
                 k, rel_err,

@@ -122,16 +122,43 @@ class TestIntegrateGamma:
         with pytest.raises(MonotonicityLost):
             integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=150.0)
 
-    def test_out_of_range_message_prints_plain_float(self, fam1, series1):
-        # a negative slope at gamma(0) = 0 sends the second stage state below
-        # 0: the RHS refuses it, naming gamma as Python prints a float
+    def test_stages_below_zero_are_rejected_until_the_step_collapses(self, fam1, series1):
+        # a negative slope at gamma(0) = 0 sends every trial stage below 0,
+        # where H is not defined: each is rejected as a non-finite stage is
+        # and the step shrinks until it underflows; the message names the
+        # abscissa as Python prints a float
         cfg = SolverConfig(tol=1e-8, eps=1e-2)
-        with pytest.raises(OutOfRange, match=r"^gamma = (\S+) left \[0, d_focal\)") as info:
+        with pytest.raises(StepSizeCollapse, match="step size underflow") as info:
             integrate_gamma(CurvatureProfile(fam1), series1, cfg, initial_slope=-1.0)
-        message = str(info.value)
-        assert "np.float64" not in message
-        value = message.split()[2]
-        assert value == repr(float(value)) and float(value) < 0
+        assert "np.float64" not in str(info.value)
+        assert info.value.last_good == 0.0 and type(info.value.last_good) is float
+
+    def test_regularized_run_at_eps_1e_7_completes(self, monkeypatch):
+        # the first trial stage of g1_sphere_n2 at eps = 1e-7 reaches
+        # gamma = -0.0069: it is rejected, the step shrinks, and the run
+        # reaches s_end with its monitors under their limits
+        fam = builtin_catalog()["g1_sphere_n2"]
+        prof = CurvatureProfile(fam)
+        corr = compute_epsilon_corrections(compute_coefficients(prof, 20), 8)
+        eps = 1e-7
+        outside = []
+
+        def counted(f, *args, **kwargs):
+            def rhs(s, y):
+                if not 0 <= y[0] < fam.d_focal:
+                    outside.append(s)
+                return f(s, y)
+            return stepper.integrate(rhs, *args, **kwargs)
+
+        monkeypatch.setattr(ivp_mod, "integrate", counted)
+        run = integrate_gamma(prof, None, SolverConfig(tol=1e-10, eps=eps),
+                              initial_slope=float(corr.initial_slope(eps)))
+        assert outside and run.meta["n_rejected"] >= len(outside)
+        assert run["s"][-1] == pytest.approx(fam.s_end)
+        assert np.all(np.diff(run["gamma"]) > 0) and np.all(run["dgamma"] > 0)
+        assert energy_residual(run).max_abs <= 1e-6
+        resid = equation_residual(run["s"], run["gamma"], run["dgamma"], run["d2gamma"], eps, prof)
+        assert np.max(np.abs(resid) / (1 + np.abs(run["d2gamma"]))) <= 1e-8
 
     def test_series_of_another_mode_or_family_raises(self, fam1, fam2, series1):
         # the run's profile owns its H: an eq030_literal run refuses the

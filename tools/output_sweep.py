@@ -57,8 +57,12 @@ calls leave behind.  The calls:
 
 404 calls in all.
 
-Prints every difference and exits 1 if there is one, else 0.  The exports
-are removed at the end, also on failure.
+Prints every difference and exits 1 if there is one, else 0.  A stdout
+that parses as JSON on both sides, with the same keys and list lengths, is
+compared leaf by leaf: one line per differing key path (list indices
+dropped), with the largest relative and absolute move of its numbers,
+decimal strings read exactly.  Any other difference prints both sides.
+The exports are removed at the end, also on failure.
 """
 
 import argparse
@@ -69,6 +73,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_pairs import export  # noqa: E402
@@ -242,15 +247,73 @@ def run_calls(checkout, call_list):
     return records, hashes
 
 
+def _leaves(value, path=""):
+    """(key path, leaf) pairs of a parsed JSON value, list indices dropped."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, f"{path}[]")
+    else:
+        yield path, value
+
+
+def _number(value):
+    """A JSON number or decimal string as an exact Fraction, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        return None
+
+
+def json_moves(base, head):
+    """Per differing key path of two JSON texts, the largest relative and
+    absolute move of its numbers (None for a leaf that is not a number);
+    None if either text is not JSON or their keys and lengths differ."""
+    try:
+        base_leaves = list(_leaves(json.loads(base)))
+        head_leaves = list(_leaves(json.loads(head)))
+    except ValueError:
+        return None
+    if [p for p, _ in base_leaves] != [p for p, _ in head_leaves]:
+        return None
+    moves = {}
+    for (path, b), (_, h) in zip(base_leaves, head_leaves):
+        if b == h and type(b) is type(h):
+            continue
+        x, y = _number(b), _number(h)
+        if x is None or y is None:
+            moves[path] = None
+            continue
+        move = abs(x - y)
+        rel = move / max(abs(x), abs(y)) if move else move
+        if path not in moves:
+            moves[path] = (rel, move)
+        elif moves[path] is not None:
+            moves[path] = max(moves[path][0], rel), max(moves[path][1], move)
+    return moves
+
+
 def differences(base, head):
     """Lines naming every call field and artifact that differ."""
     (base_calls, base_files), (head_calls, head_files) = base, head
     lines = []
     for label, rec in base_calls.items():
         for key in ("exit", "stdout", "stderr"):
-            if rec[key] != head_calls[label][key]:
+            if rec[key] == head_calls[label][key]:
+                continue
+            moves = json_moves(rec[key], head_calls[label][key]) if key == "stdout" else None
+            if not moves:
                 lines.append(f"{label}: {key} differs\n  base: {rec[key]!r}\n"
                              f"  head: {head_calls[label][key]!r}")
+                continue
+            for path, move in moves.items():
+                lines.append(f"{label}: {key} {path} differs" if move is None else
+                             f"{label}: {key} {path} moved by up to {float(move[0]):.3e} "
+                             f"relative, {float(move[1]):.3e} absolute")
     for path in sorted(set(base_files) | set(head_files)):
         b, h = base_files.get(path), head_files.get(path)
         if b != h:
