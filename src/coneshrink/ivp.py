@@ -191,10 +191,9 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
 
     Raises :class:`NotMeanConvex` when this H has H(0) <= 0, and
     :class:`OutOfRange` for a series of another profile mode or family, or
-    for a direct run without a series (a regularized run reads none) or a
-    start state outside [0, d_focal).  A trial stage outside it is rejected
-    and the step shrinks; a run whose step size collapses raises
-    :class:`StepSizeCollapse`.
+    for a direct run without a series (a regularized run reads none).  A
+    trial stage outside [0, d_focal) is rejected and the step shrinks; a
+    run whose step size collapses raises :class:`StepSizeCollapse`.
     """
     family = curvature.family
     if series is not None:
@@ -257,8 +256,6 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
             raise OutOfRange("eps > 0 needs an explicit initial slope")
         y0 = (0.0, initial_slope, 0.0)
         t0 = 0.0
-    if not 0 <= y0[0] < d_focal:
-        raise OutOfRange(f"gamma = {y0[0]!r} left [0, d_focal) at the start of the integration")
 
     result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
                        max_step=(s_end - t0) / 8, max_steps=MAX_STEPS, accept_hook=guard)

@@ -18,8 +18,9 @@ rounding error is measured, not modelled: the recursion runs a second time
 at 64 more bits and the relative difference is kept per coefficient.  That
 shadow run (:class:`_ShadowRing`) is accurate to its 64 more bits but not
 correctly rounded: it works on integer mantissas and cuts each result back
-by one shift, without libmp's rounding.  The series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module
-provides the growth diagnostics and optimally truncated evaluation.
+by one shift, without libmp's rounding.  The series diverges like a
+Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
+diagnostics and optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
 regularization corrections B_i: with initial slope
@@ -299,11 +300,7 @@ class _ShadowRing:
     def value(self, x):
         """An int, float or mpf, exactly."""
         sign, man, exp, _ = mpmath.mp.convert(x)._mpf_
-        if not man:
-            if exp:
-                raise OutOfRange(f"non-finite value {x} in the series arithmetic")
-            return self.zero
-        return (-man if sign else man), exp
+        return ((-man if sign else man), exp) if man else self.zero
 
     def cot(self, x):
         """``mpmath.cot`` at the ring's precision."""
@@ -355,17 +352,14 @@ class _ShadowRing:
         return self._cut(total, xs.exp + ys.exp) if total else self.zero
 
     def rel_diff(self, x, ref):
-        """|x - ref| / |ref| of a number ``x`` and a value ``ref``: the exact
-        quotient of integers, rounded once to a float (inf past its range)."""
+        """|x - ref| / |ref| of a finite number ``x`` and a value ``ref``: the
+        exact quotient of integers, rounded once to a float."""
         (xm, xe), (rm, re) = self.value(x), ref
         if not rm:
             return 0.0 if not xm else math.inf
         e = min(xe, re)
         rm <<= re - e
-        try:
-            return abs((xm << (xe - e)) - rm) / abs(rm)
-        except OverflowError:
-            return math.inf
+        return abs((xm << (xe - e)) - rm) / abs(rm)
 
 
 def _ring(prec):
@@ -518,8 +512,8 @@ class TaylorRecursion:
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
     :class:`_MpRing` above, which carries the run's precision, and
-    :class:`_ShadowRing` in the shadow run.  Each method binds the ring's
-    operations to locals once.  In floats
+    :class:`_ShadowRing` in the shadow run; ``push`` and ``_h_cot`` bind
+    its operations to locals.  In floats
     every operation rounds, so the operand order fixes the bits of the
     53-bit A_k and is kept as it is: each integer factor enters through
     ``mul_int`` (``n * x``), each sum starts from the integer 0, and the
@@ -555,10 +549,9 @@ class TaylorRecursion:
         r = self.ring
         add_int, mul_int, div_int, dot = r.add_int, r.mul_int, r.div_int, r.dot
         ja = self.ja[k:0:-1]
-        one = 1 if k == 1 else 0
         terms = []
         for (w, f), c, q in zip(self.terms, self.cot, self.q):
-            q.append(add_int(_self_dot(r, c, k - 1), one))
+            q.append(add_int(_self_dot(r, c, k - 1), 1 if k == 1 else 0))
             c_k = div_int(mul_int(dot(ja, q), -f), k)
             c.append(c_k)
             terms.append(mul_int(c_k, w * f))
