@@ -11,15 +11,13 @@ evaluated by truncated Taylor arithmetic (:class:`TaylorRecursion`): the
 Taylor series of H(gamma) and arctan(2 s gamma') grow by one coefficient per
 A_k, in O(k) ring operations each, so A_1..A_K cost O(K^2).  The recursion is
 written once, in the methods of a scalar ring: at 53 bits Python's floats
-(:class:`_FloatRing`); above, raw mpmath values (``_mpf_`` tuples) through
-libmp (:class:`_MpRing`), each operation rounded at the ring's precision as
-mpmath's operator rounds it, with mpmath objects only at the edges.  The
-rounding error is measured, not modelled: the recursion runs a second time
-at 64 more bits and the relative difference is kept per coefficient.  That
-shadow run (:class:`_ShadowRing`) is accurate to its 64 more bits but not
-correctly rounded: it works on integer mantissas and cuts each result back
-by one shift, without libmp's rounding.  The series diverges like a
-Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
+(:class:`_FloatRing`); above, integer mantissas with an exponent
+(:class:`_MpRing`), each result formed exactly and rounded once at the
+ring's precision, to nearest with ties to even, as mpmath's operator
+rounds it, with mpmath objects only at the edges.  The rounding error is
+measured, not modelled: the recursion runs a second time, the shadow run,
+in the same ring at 64 more bits, and the relative difference is kept per
+coefficient.  The series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
 diagnostics and optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
@@ -46,20 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_mul,
-    mpf_neg,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 from .catalog import COT_SUM, CurvatureProfile, make_family
 from .errors import (
@@ -101,12 +86,12 @@ class _Aligned:
 
 
 class _MpSequence(list):
-    """A growing sequence of raw mpmath values that keeps, beside its items,
-    their signed integer mantissas over one exponent, the least among its
-    nonzero items: item i is exactly ``man[i] * 2**exp``.  Each item is
-    converted once, when appended; one with a lower exponent shifts the
-    earlier mantissas to it.  An index gives the item, a slice the run of
-    mantissas (:class:`_Aligned`) that :meth:`_MpRing.dot` multiplies."""
+    """A growing sequence of :class:`_MpRing` values that keeps, beside its
+    items, their signed integer mantissas over one exponent, the least among
+    its nonzero items: item i is exactly ``man[i] * 2**exp``.  An item with
+    a lower exponent shifts the earlier mantissas to it.  An index gives the
+    item, a slice the run of mantissas (:class:`_Aligned`) that
+    :meth:`_MpRing.dot` multiplies."""
 
     __slots__ = ("man", "exp")
 
@@ -118,14 +103,8 @@ class _MpSequence(list):
             self.append(x)
 
     def append(self, x):
-        sign, man, exp, _ = x
-        if not man and exp:
-            raise OutOfRange(f"non-finite value {mpmath.mp.make_mpf(x)} in the series arithmetic")
-        self._push(x, -man if sign else man, exp)
-
-    def _push(self, x, man, exp):
-        """Append the item ``x``, exactly ``man * 2**exp``."""
         list.append(self, x)
+        man, exp = x
         if not man:
             self.man.append(0)
             return
@@ -143,16 +122,6 @@ class _MpSequence(list):
         if type(index) is slice:
             return _Aligned(self.man[index], self.exp)
         return list.__getitem__(self, index)
-
-
-class _ShadowSequence(_MpSequence):
-    """An :class:`_MpSequence` of :class:`_ShadowRing` values, each its own
-    signed mantissa and exponent."""
-
-    __slots__ = ()
-
-    def append(self, x):
-        self._push(x, *x)
 
 
 # ---------------------------------------------------------------------------
@@ -189,83 +158,116 @@ class _FloatRing:
 
 
 class _MpRing:
-    """Scalar arithmetic on raw mpmath values (``_mpf_`` tuples) through
-    libmp, at ``prec`` bits rounded to nearest: each operation rounds as
-    mpmath's operator on mpf objects rounds it at that working precision,
-    whatever mpmath's global precision is.  An integer operand enters
-    exactly, through ``from_int``; so ``mul_int`` rounds the exact product,
-    as ``mpf_mul_int`` does.  A sequence is an :class:`_MpSequence`, and a
-    dot product, or a coefficient of a product of eps series, the exact sum
-    of its terms rounded once, as :meth:`dot` rounds."""
+    """Scalar arithmetic at ``prec`` bits on pairs ``(man, exp)``, each
+    exactly ``man * 2**exp`` with a signed integer mantissa.  Each operation
+    forms its result exactly in integers, a quotient to at least
+    ``prec + 2`` bits with a sticky bit, and rounds it once to ``prec``
+    bits, to nearest with ties to even (:meth:`_round`): the result of
+    mpmath's operator on mpf objects at that working precision, bit for
+    bit, whatever mpmath's global precision is.  An integer operand enters
+    exactly.  A sequence is an :class:`_MpSequence`, and a dot product, or
+    a coefficient of a product of eps series, the exact sum of its terms
+    rounded once.  mpmath objects appear only at the edges: ``value``,
+    ``cot``, ``out`` and ``to_float``."""
 
     seq = _MpSequence
 
     def __init__(self, prec):
-        self.prec, self.rnd = prec, round_nearest
+        self.prec = prec
+
+    def _round(self, man, exp):
+        """``man * 2**exp`` rounded to ``prec`` bits, to nearest with ties to
+        even.  ``q`` keeps the first bit below the cut; the result rounds up
+        if it is set and so is the last kept bit or any bit below it."""
+        n = man.bit_length() - self.prec
+        if n > 0:
+            q = man >> (n - 1)
+            if q & 1 and (q & 2 or q << (n - 1) != man):
+                q += 1
+            return q >> 1, exp + n
+        return man, exp
 
     def value(self, x):
-        """An int, float or mpf, exactly, as mpmath converts it."""
-        return mpmath.mp.convert(x)._mpf_
+        """An int, float or mpf, exactly, as mpmath converts it; a
+        non-finite one raises :class:`OutOfRange`."""
+        x = mpmath.mp.convert(x)
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise OutOfRange(f"non-finite value {x} in the series arithmetic")
+        return (-man if sign else man), exp
 
     def cot(self, x):
         """``mpmath.cot`` at the ring's precision."""
         with mpmath.workprec(self.prec):
-            return mpmath.cot(mpmath.mp.make_mpf(x))._mpf_
+            return self.value(mpmath.cot(self.out(x)))
 
     def out(self, x):
-        return mpmath.mp.make_mpf(x)
+        return mpmath.mp.make_mpf(from_man_exp(*x))
+
+    def to_float(self, x):
+        return to_float(from_man_exp(*x), rnd=round_nearest)
 
     def add(self, x, y):
-        return mpf_add(x, y, self.prec, self.rnd)
+        (xm, xe), (ym, ye) = x, y
+        if xe > ye:
+            return self._round((xm << (xe - ye)) + ym, ye)
+        return self._round(xm + (ym << (ye - xe)), xe)
 
     def sub(self, x, y):
-        return mpf_sub(x, y, self.prec, self.rnd)
+        return self.add(x, (-y[0], y[1]))
 
     def mul(self, x, y):
-        return mpf_mul(x, y, self.prec, self.rnd)
+        return self._round(x[0] * y[0], x[1] + y[1])
 
     def div(self, x, y):
-        return mpf_div(x, y, self.prec, self.rnd)
+        return self.div_int((x[0], x[1] - y[1]), y[0])
 
     def neg(self, x):
-        return mpf_neg(x, self.prec, self.rnd)
+        return self._round(-x[0], x[1])
 
     def abs(self, x):
-        return mpf_abs(x, self.prec, self.rnd)
+        return self._round(abs(x[0]), x[1])
 
-    gt = staticmethod(mpf_gt)
+    def gt(self, x, y):
+        """x > y: rounding keeps the sign of the exact difference."""
+        return self.sub(x, y)[0] > 0
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i] over aligned mantissas (:class:`_Aligned` or
         :class:`_MpSequence`): the exact sum of the exact products, one
-        integer, rounded once at the ring's precision, as a raw value.  That
-        is the arithmetic of mpmath's own exact dot product, and its result
-        bit for bit while the exponents of the nonzero products span at most
-        twice the precision; beyond that span mpmath's summation may drop a
-        term or a partial sum, where this still rounds the exact sum."""
+        integer, rounded once.  That is the arithmetic of mpmath's own exact
+        dot product, and its result bit for bit while the exponents of the
+        nonzero products span at most twice the precision; beyond that span
+        mpmath's summation may drop a term or a partial sum, where this
+        still rounds the exact sum."""
         total = sum(map(operator.mul, xs.man, ys.man))
-        if not total:       # a sequence of zeros has no exponent
-            return fzero
-        return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd)
+        # a sequence of zeros has no exponent
+        return self._round(total, xs.exp + ys.exp) if total else (0, 0)
 
     def add_int(self, x, n):
-        return mpf_add(x, from_int(n), self.prec, self.rnd)
+        return self.add(x, (n, 0))
 
     def sub_int(self, x, n):
-        return mpf_sub(x, from_int(n), self.prec, self.rnd)
+        return self.add(x, (-n, 0))
 
     def mul_int(self, x, n):
-        return mpf_mul(x, from_int(n), self.prec, self.rnd)
+        return self._round(x[0] * n, x[1])
 
     def div_int(self, x, n):
-        return mpf_div(x, from_int(n), self.prec, self.rnd)
+        """x / n from the floor of a quotient of at least ``prec + 2`` bits
+        and a sticky bit for a nonzero remainder, rounded once."""
+        man, exp = x
+        shift = self.prec + 2 + n.bit_length() - man.bit_length()
+        if shift < 0:
+            shift = 0
+        q, rem = divmod(man << shift, n)
+        if rem:
+            return self._round((q << 1) | 1, exp - shift - 1)
+        return self._round(q, exp - shift)
 
     def max(self, x, y):
         """``max(x, y)`` of the mpf objects: x unless y is greater."""
-        return y if mpf_gt(y, x) else x
-
-    def to_float(self, x):
-        return to_float(x, rnd=self.rnd)
+        return y if self.gt(y, x) else x
 
     def sum(self, xs):
         """``sum(xs)`` of the mpf objects, from the integer 0."""
@@ -278,78 +280,7 @@ class _MpRing:
         """[eps^j] of the product of the eps series ``xs`` and ``ys``."""
         _known(xs, ys, j)
         total = sum(map(operator.mul, xs.man[:j + 1], ys.man[j::-1]))
-        return from_man_exp(total, xs.exp + ys.exp, self.prec, self.rnd) if total else fzero
-
-
-class _ShadowRing:
-    """The shadow run's arithmetic, accurate to ``prec`` bits but not
-    correctly rounded.  A value is a pair ``(man, exp)``, exactly
-    ``man * 2**exp`` with a signed integer mantissa.  Each operation forms
-    its result exactly in integers (a quotient to ``prec`` bits) and cuts
-    the mantissa back to ``prec`` bits by one right shift, which rounds
-    toward minus infinity; no value is normalized.  A dot product is the
-    exact integer sum over the aligned mantissas of a
-    :class:`_ShadowSequence`, cut once."""
-
-    seq = _ShadowSequence
-    zero = (0, 0)
-
-    def __init__(self, prec):
-        self.prec = prec
-
-    def value(self, x):
-        """An int, float or mpf, exactly."""
-        sign, man, exp, _ = mpmath.mp.convert(x)._mpf_
-        return ((-man if sign else man), exp) if man else self.zero
-
-    def cot(self, x):
-        """``mpmath.cot`` at the ring's precision."""
-        with mpmath.workprec(self.prec):
-            return self.value(mpmath.cot(mpmath.mp.make_mpf(from_man_exp(*x))))
-
-    def _cut(self, man, exp):
-        n = man.bit_length() - self.prec
-        return (man >> n, exp + n) if n > 0 else (man, exp)
-
-    def add(self, x, y):
-        (xm, xe), (ym, ye) = x, y
-        if not ym:
-            return x
-        if not xm:
-            return y
-        if xe > ye:
-            return self._cut((xm << (xe - ye)) + ym, ye)
-        return self._cut(xm + (ym << (ye - xe)), xe)
-
-    def sub(self, x, y):
-        return self.add(x, (-y[0], y[1]))
-
-    def mul(self, x, y):
-        return self._cut(x[0] * y[0], x[1] + y[1])
-
-    def add_int(self, x, n):
-        return self.add(x, (n, 0))
-
-    def mul_int(self, x, n):
-        return self._cut(x[0] * n, x[1])
-
-    def div_int(self, x, n):
-        man, exp = x
-        shift = self.prec + n.bit_length() - man.bit_length()
-        if shift > 0:
-            man, exp = man << shift, exp - shift
-        return self._cut(man // n, exp)
-
-    def sum(self, xs):
-        total = self.zero
-        for x in xs:
-            total = self.add(total, x)
-        return total
-
-    def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i] over aligned mantissas, the exact sum cut once."""
-        total = sum(map(operator.mul, xs.man, ys.man))
-        return self._cut(total, xs.exp + ys.exp) if total else self.zero
+        return self._round(total, xs.exp + ys.exp) if total else (0, 0)
 
     def rel_diff(self, x, ref):
         """|x - ref| / |ref| of a finite number ``x`` and a value ``ref``: the
@@ -363,7 +294,7 @@ class _ShadowRing:
 
 
 def _ring(prec):
-    """The scalar ring of a run at ``prec`` bits: floats up to 53, else libmp."""
+    """The scalar ring of a run at ``prec`` bits: floats up to 53, else integer mantissas."""
     return _MpRing(prec) if prec > DOUBLE_PREC else _FloatRing()
 
 
@@ -429,8 +360,8 @@ class FormalSeries:
 
     ``a`` stores A_{k} at index k-1 (floats at 53 bits, mpmath floats above).
     ``rel_error_estimates`` carry the measured per-coefficient relative
-    difference from a run of the same recursion accurate to
-    ``precision_bits + 64`` bits."""
+    difference from a run of the same recursion at ``precision_bits + 64``
+    bits."""
 
     curvature: CurvatureProfile
     precision_bits: int
@@ -511,11 +442,10 @@ class TaylorRecursion:
     ``cot``, ``seq`` (a sequence of values), ``add``, ``sub``, ``mul``, the
     integer operations ``add_int``, ``mul_int`` and ``div_int``, ``sum``
     (from the integer 0) and ``dot``: :class:`_FloatRing` in a 53-bit run,
-    :class:`_MpRing` above, which carries the run's precision, and
-    :class:`_ShadowRing` in the shadow run; ``push`` and ``_h_cot`` bind
-    its operations to locals.  In floats
-    every operation rounds, so the operand order fixes the bits of the
-    53-bit A_k and is kept as it is: each integer factor enters through
+    :class:`_MpRing` above and in the shadow run, which carries the run's
+    precision; ``push`` and ``_h_cot`` bind its operations to locals.  In
+    floats every operation rounds, so the operand order fixes the bits of
+    the 53-bit A_k and is kept as it is: each integer factor enters through
     ``mul_int`` (``n * x``), each sum starts from the integer 0, and the
     seed c_0 multiplies from the right.
     """
@@ -677,8 +607,8 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
     """Run the explicit recursion of the profile ``curvature`` up to A_K at
     ``prec`` bits.
 
-    The same recursion is run again, accurate to ``prec + 64`` bits but
-    not correctly rounded (:class:`_ShadowRing`), and the measured relative
+    The same recursion is run again in :class:`_MpRing` at ``prec + 64``
+    bits, correctly rounded as the working run is, and the measured relative
     difference, formed exactly and rounded once to a float, is stored per
     coefficient; raises :class:`PrecisionExhausted` when a coefficient
     overflows or that difference crosses REL_ERROR_LIMIT.
@@ -694,7 +624,7 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
                 f"A_{k} overflows at {prec} bits; raise the working precision",
             )
     shadow_prec = prec + SHADOW_EXTRA_BITS
-    shadow = _ShadowRing(shadow_prec)
+    shadow = _MpRing(shadow_prec)
     rel_errs = []
     for k, (v, ref) in enumerate(zip(a, _taylor_coefficients(curvature, K, shadow)), start=1):
         rel_err = shadow.rel_diff(v, ref)
@@ -808,9 +738,9 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
     point guarding affinity, and keeps the diagonal formed at t = B_m with
     its constant pinned to A_(m+1), which keeps every division by eps
     exact.  Two more diagonals, at B_(N+1) = B_(N+2) = 0, complete
-    ``gamma_eps``.  Above 53 bits every value is a raw mpmath value
-    (:class:`_MpRing`); mpf objects are made only for the results and the
-    messages.
+    ``gamma_eps``.  Above 53 bits every value is an integer mantissa with
+    an exponent (:class:`_MpRing`); mpf objects are made only for the
+    results and the messages.
 
     Each coefficient is formed by the same operations, in the same order, as
     an engine run from scratch for one trial value forms it, and every check

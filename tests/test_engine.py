@@ -12,6 +12,7 @@ the engine in :mod:`coneshrink.series`.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -117,16 +118,17 @@ class TestPartitionOracle:
 
 class TestShadowAudit:
     def test_estimates_are_measured_differences(self, fam1):
-        # the shadow run is accurate to 53 + 64 bits, not correctly rounded:
-        # each estimate is within 2^-(53 + 48) of the difference measured
-        # against a correctly rounded run at that precision
+        # each estimate is the exact relative difference from the run at
+        # 53 + 64 bits, rounded once
         fs = compute_coefficients(CurvatureProfile(fam1), 40)
         shadow = compute_coefficients(CurvatureProfile(fam1), 40, 53 + SHADOW_EXTRA_BITS).a
-        with mpmath.workprec(53 + SHADOW_EXTRA_BITS):
-            expect = [float(abs(v - ref) / abs(ref)) for v, ref in zip(fs.a, shadow)]
-        for got, want in zip(fs.rel_error_estimates, expect, strict=True):
-            assert abs(got - want) <= 2.0 ** -(53 + 48)
-        assert 0 < max(fs.rel_error_estimates) < 1e-12
+        expect = []
+        for v, ref in zip(fs.a, shadow, strict=True):
+            sign, man, exp, _ = ref._mpf_
+            ref = (-1) ** sign * man * Fraction(2) ** exp
+            expect.append(float(abs(Fraction(v) - ref) / abs(ref)))
+        assert list(fs.rel_error_estimates) == expect
+        assert 0 < max(expect) < 1e-12
 
     def test_binary64_overflow_raises(self, fam1):
         # |A_k| passes the binary64 range near k = 87

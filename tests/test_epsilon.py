@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import mpmath
 import pytest
-from mpmath.libmp import fzero
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -469,12 +468,12 @@ def test_precision_advice_past_the_float_range():
 
 
 class _Entry(tuple):
-    """A raw mpmath value that stands for one entry of k! T_k: the
+    """A ring value, zero, that stands for one entry of k! T_k: the
     corrections' ring (:class:`_EntryRing`) forms ``entry - x`` as
     ``minus(x)`` in mpf arithmetic at the working precision."""
 
     def __new__(cls, minus):
-        entry = super().__new__(cls, fzero)
+        entry = super().__new__(cls, (0, 0))
         entry.minus = minus
         return entry
 
@@ -482,7 +481,7 @@ class _Entry(tuple):
 class _EntryRing(series_mod._MpRing):
     def sub(self, x, y):
         if isinstance(x, _Entry):
-            return x.minus(self.out(y))._mpf_
+            return self.value(x.minus(self.out(y)))
         return super().sub(x, y)
 
 
@@ -547,8 +546,8 @@ def test_dropped_constant_past_the_float_range_raises(monkeypatch):
     fam = builtin_catalog()["g1_sphere_n2"]
     fs = compute_coefficients(CurvatureProfile(fam), 10, 64)
     # stage 2 drops the constant of 1! T_1 - gamma''(0; eps)
-    _replace_entry(monkeypatch, 1, 0,
-                   lambda v: (mpmath.mp.make_mpf(v) + mpmath.mpf("1e400"))._mpf_)
+    ring = series_mod._MpRing(64)
+    _replace_entry(monkeypatch, 1, 0, lambda v: ring.value(ring.out(v) + mpmath.mpf("1e400")))
     with pytest.raises(DivisionByEpsilonFailed) as info:
         compute_epsilon_corrections(fs, 8)
     assert str(info.value) == "constant term 1.000000e+400 exceeds tolerance 2.107342e+392"

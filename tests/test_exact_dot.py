@@ -12,6 +12,7 @@ from mpmath.libmp import from_man_exp, from_rational, fzero
 from coneshrink import series as series_mod
 from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import OutOfRange
+from coneshrink.numutil import DOUBLE_PREC
 from coneshrink.series import (
     SHADOW_EXTRA_BITS,
     FormalSeries,
@@ -25,17 +26,29 @@ _MpSequence = series_mod._MpSequence
 
 
 def _exact_dot(xs, ys, prec):
-    return series_mod._MpRing(prec).dot(xs, ys)
+    """The ring's dot product at ``prec`` bits, as a raw mpmath value."""
+    ring = series_mod._MpRing(prec)
+    return ring.out(ring.dot(xs, ys))._mpf_
 
 
 def _sequence(values):
-    """An :class:`_MpSequence` of the raw values of ``values``."""
-    return _MpSequence(mpmath.mpf(v)._mpf_ for v in values)
+    """An :class:`_MpSequence` of the ring values of ``values``, each exact."""
+    return _MpSequence(map(series_mod._MpRing(DOUBLE_PREC).value, values))
 
 
 def _exact_value(x):
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _exact_rel(a, shadow):
+    """|a_k - shadow_k| / |shadow_k| of floats or mpf objects: each exact
+    quotient rounded once to a float."""
+    def exact(x):
+        return _exact_value(x) if isinstance(x, mpmath.mpf) else Fraction(x)
+
+    return tuple(float(abs(exact(v) - exact(ref)) / abs(exact(ref)))
+                 for v, ref in zip(a, shadow, strict=True))
 
 
 def _rounded(fraction, prec):
@@ -112,7 +125,7 @@ def test_alignment_follows_the_least_exponent():
     seq = _sequence(values)
     assert seq.exp == -2
     assert seq.man == [0, 12, -1, 2 ** 42]
-    assert [seq[i] for i in range(4)] == [mpmath.mpf(v)._mpf_ for v in values]
+    assert [seq[i] for i in range(4)] == [(0, 0), (3, 0), (-1, -2), (1, 40)]
     assert _sequence([0, 0]).exp is None
     assert _exact_dot(_sequence([0, 0]), seq[:2], 53) == fzero
 
@@ -136,28 +149,29 @@ class _FdotRing(_OperatorRing):
     dot = staticmethod(_fdot)
 
 
-def _fdot_series(curvature, K, prec):
-    """A_1..A_K and their rel_error_estimates from mpf-operator runs of
-    :class:`TaylorRecursion` in :class:`_FdotRing` at ``prec`` and
-    ``prec + SHADOW_EXTRA_BITS``."""
-    def run(bits):
-        ring = _FdotRing(bits)
-        with mpmath.workprec(bits):
-            engine = TaylorRecursion(curvature, ring)
-            t, fact, out = engine.t0, ring.value(1), []
-            for k in range(1, K + 1):
-                a_k = t / k
-                fact = fact * k
-                out.append(fact * a_k)
-                if k < K:
-                    t = engine.push(a_k)
-        return out
+def _fdot_run(curvature, K, bits):
+    """A_1..A_K from an mpf-operator run of :class:`TaylorRecursion` in
+    :class:`_FdotRing` at ``bits`` bits."""
+    ring = _FdotRing(bits)
+    with mpmath.workprec(bits):
+        engine = TaylorRecursion(curvature, ring)
+        t, fact, out = engine.t0, ring.value(1), []
+        for k in range(1, K + 1):
+            a_k = t / k
+            fact = fact * k
+            out.append(fact * a_k)
+            if k < K:
+                t = engine.push(a_k)
+    return out
 
-    a, shadow = run(prec), run(prec + SHADOW_EXTRA_BITS)
-    with mpmath.workprec(prec + SHADOW_EXTRA_BITS):
-        rel = [float(abs(v - ref) / abs(ref)) for v, ref in zip(a, shadow)]
+
+def _fdot_series(curvature, K, prec):
+    """A_1..A_K of the run at ``prec`` bits and their rel_error_estimates
+    against the run at ``prec + SHADOW_EXTRA_BITS``, both in :class:`_FdotRing`."""
+    a = _fdot_run(curvature, K, prec)
+    rel = _exact_rel(a, _fdot_run(curvature, K, prec + SHADOW_EXTRA_BITS))
     return FormalSeries(curvature=curvature, precision_bits=prec, a=tuple(a),
-                        rel_error_estimates=tuple(rel))
+                        rel_error_estimates=rel)
 
 
 def _bits(x):
@@ -168,6 +182,7 @@ def _record(fs, corr):
     B, slopes, snap, gamma_eps = corr
     return {
         "A": [_bits(v) for v in fs.a],
+        "rel_error_estimates": [_bits(v) for v in fs.rel_error_estimates],
         "B": [_bits(v) for v in B],
         "slopes": [_bits(v) for v in slopes],
         "max_snap_residual": _bits(snap),
@@ -178,14 +193,13 @@ def _record(fs, corr):
 @pytest.mark.parametrize("prec", [117, 256])
 @pytest.mark.parametrize("mode", ["cot_sum", "eq030_literal"])
 def test_engine_matches_an_fdot_run(prec, mode, monkeypatch):
-    """The series and its corrections are bit-equal to mpf-operator runs:
-    the series from a Taylor engine whose dots are mpmath.fdot over lists
-    of mpmath floats, the corrections from the fixed-degree eps ring of
-    tests/test_epsilon.py, whose products are mpmath.fdot (each
-    gamma^(k)(0; eps) a prefix of its fixed-degree one).  The shadow run is
-    accurate to prec + 64 bits, not correctly rounded: each error estimate
-    is within 2^-(prec + 48) of the one measured against the mpf-operator
-    run at prec + 64 bits."""
+    """The series and its corrections, the shadow run's error estimates
+    included, are bit-equal to mpf-operator runs: the series from a Taylor
+    engine whose dots are mpmath.fdot over lists of mpmath floats, each
+    estimate the exact quotient of that run's A_k and the one at
+    prec + 64 bits rounded once, the corrections from the fixed-degree eps
+    ring of tests/test_epsilon.py, whose products are mpmath.fdot (each
+    gamma^(k)(0; eps) a prefix of its fixed-degree one)."""
     catalog = builtin_catalog()
     for name in ("g1_sphere_n2", "g3_m1", "g6_m2"):
         curvature = CurvatureProfile(catalog[name], mode)
@@ -202,6 +216,4 @@ def test_engine_matches_an_fdot_run(prec, mode, monkeypatch):
         got = _record(fs, (corr.B, corr.slopes, corr.max_snap_residual,
                            [p.coeffs for p in corr.gamma_eps]))
         assert got == want, name
-        for est, ref in zip(fs.rel_error_estimates, oracle.rel_error_estimates, strict=True):
-            assert abs(est - ref) <= 2.0 ** -(prec + 48), name
         assert 0 < max(fs.rel_error_estimates) < 1e-12, name
