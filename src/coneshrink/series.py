@@ -17,8 +17,9 @@ ring's precision, to nearest with ties to even, as mpmath's operator
 rounds it, with mpmath objects only at the edges.  The rounding error is
 measured, not modelled: the recursion runs a second time, the shadow run,
 in the same ring at 64 more bits, and the relative difference is kept per
-coefficient.  The series diverges like a Gevrey-2 series (|A_k| <= C^k (k!)^2); this module provides the growth
-diagnostics and optimally truncated evaluation.
+coefficient.  The series diverges like a Gevrey-2 series
+(|A_k| <= C^k (k!)^2); this module provides the growth diagnostics and
+optimally truncated evaluation.
 
 The same recursion, run once on series in eps, determines the
 regularization corrections B_i: with initial slope
@@ -241,8 +242,9 @@ class _MpRing:
         mpmath's summation may drop a term or a partial sum, where this
         still rounds the exact sum."""
         total = sum(map(operator.mul, xs.man, ys.man))
-        # a sequence of zeros has no exponent
-        return self._round(total, xs.exp + ys.exp) if total else (0, 0)
+        if not total:       # a sequence of zeros has no exponent
+            return (0, 0)
+        return self._round(total, xs.exp + ys.exp)
 
     def add_int(self, x, n):
         return self.add(x, (n, 0))

@@ -12,7 +12,6 @@ the engine in :mod:`coneshrink.series`.
 """
 
 import math
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -33,6 +32,7 @@ from coneshrink.series import (
     compute_coefficients,
     compute_epsilon_corrections,
 )
+from test_exact_dot import _exact_rel
 
 CATALOG = builtin_catalog()
 
@@ -122,13 +122,8 @@ class TestShadowAudit:
         # 53 + 64 bits, rounded once
         fs = compute_coefficients(CurvatureProfile(fam1), 40)
         shadow = compute_coefficients(CurvatureProfile(fam1), 40, 53 + SHADOW_EXTRA_BITS).a
-        expect = []
-        for v, ref in zip(fs.a, shadow, strict=True):
-            sign, man, exp, _ = ref._mpf_
-            ref = (-1) ** sign * man * Fraction(2) ** exp
-            expect.append(float(abs(Fraction(v) - ref) / abs(ref)))
-        assert list(fs.rel_error_estimates) == expect
-        assert 0 < max(expect) < 1e-12
+        assert fs.rel_error_estimates == _exact_rel(fs.a, shadow)
+        assert 0 < max(fs.rel_error_estimates) < 1e-12
 
     def test_binary64_overflow_raises(self, fam1):
         # |A_k| passes the binary64 range near k = 87
