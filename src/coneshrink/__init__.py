@@ -17,7 +17,6 @@ from .catalog import (
 from .errors import ConeShrinkError
 from .geometry import (
     asymptotic_check,
-    cone_profile,
     export_mesh,
     export_profile,
     shrinker_residual,
@@ -28,18 +27,10 @@ from .ivp import (
     continue_phi,
     energy_residual,
     epsilon_convergence_study,
-    gamma_rhs,
     integrate_gamma,
     read_profile_csv,
     to_d_profile,
     write_profile_csv,
-)
-from .jets import (
-    Jet,
-    PartitionMultiIndex,
-    arctan_term_at_zero,
-    compose,
-    enumerate_partitions,
 )
 from .series import (
     EpsilonPolynomial,
@@ -48,10 +39,39 @@ from .series import (
     compute_epsilon_corrections,
     evaluate_truncated,
     gevrey_diagnostics,
-    series_from_json,
-    series_to_json,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "COT_SUM",
+    "EQ030_LITERAL",
+    "ConeShrinkError",
+    "CurvatureProfile",
+    "EpsilonPolynomial",
+    "FormalSeries",
+    "IsoparametricFamily",
+    "SolutionProfile",
+    "SolverConfig",
+    "asymptotic_check",
+    "builtin_catalog",
+    "compute_coefficients",
+    "compute_epsilon_corrections",
+    "continue_phi",
+    "curvature_antiderivative",
+    "curvature_derivative",
+    "energy_residual",
+    "epsilon_convergence_study",
+    "evaluate_truncated",
+    "export_mesh",
+    "export_profile",
+    "gevrey_diagnostics",
+    "integrate_gamma",
+    "make_family",
+    "mean_curvature",
+    "minimal_distance",
+    "read_profile_csv",
+    "shrinker_residual",
+    "to_d_profile",
+    "write_profile_csv",
+]

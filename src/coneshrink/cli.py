@@ -6,7 +6,6 @@ Exit codes are a stable contract:
 
 A flat key=value config file mirrors the long flags; explicit flags win, and
 a bad line exits 2 as the flag would.
-CONESHRINK_PRECISION overrides the default working precision (bits).
 """
 
 import argparse
@@ -48,21 +47,13 @@ DEFAULT_EPS_LIST = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
 def _precision(args):
-    """Working precision in bits: --precision (or its config key), else
-    CONESHRINK_PRECISION, else 53; OutOfRange for anything below 1 bit."""
-    if args.precision is not None:
-        bits = args.precision
-        source = "--precision" if args.config is None else f"--precision or {args.config}"
-    else:
-        env = os.environ.get("CONESHRINK_PRECISION")
-        if not env:
-            return 53
-        source = "CONESHRINK_PRECISION"
-        try:
-            bits = int(env)
-        except ValueError:
-            raise OutOfRange(f"{source}={env!r} is not an integer") from None
+    """Working precision in bits: --precision (or its config key), else 53;
+    OutOfRange for anything below 1 bit."""
+    if args.precision is None:
+        return 53
+    bits = args.precision
     if bits < 1:
+        source = "--precision" if args.config is None else f"--precision or {args.config}"
         raise OutOfRange(f"precision {bits} from {source} is below 1 bit")
     return bits
 

@@ -68,10 +68,6 @@ class NoUsefulTruncation(ConeShrinkError):
     """Every partial sum of the divergent series is worse than the configured threshold."""
 
 
-class SingularDenominator(ConeShrinkError):
-    """Right-hand side requested at s = 0 for the unregularized equation."""
-
-
 class StepSizeCollapse(ConeShrinkError):
     """The adaptive integrator could not proceed; ``last_good`` is the last accepted abscissa."""
 

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .catalog import CurvatureProfile, IsoparametricFamily, mean_curvature
+from .catalog import mean_curvature
 from .errors import (
     InsufficientRange,
     OutOfRange,
@@ -31,25 +31,11 @@ from .errors import (
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
 from .numutil import (atomic_write_chunks, atomic_write_text, hermite_eval, lazy_numpy,
                       loglog_slope, write_csv)
-from .series import (
-    FormalSeries,
-    compute_coefficients,
-    evaluate_truncated,
-    series_value_tail,
-)
+from .series import FormalSeries, evaluate_truncated, series_value_tail
+# unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
+from .series import compute_coefficients  # noqa: F401
 
 np = lazy_numpy()
-
-PROFILE_JSON_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "family", "columns", "rows"],
-    "properties": {
-        "schema": {"const": "coneshrink/profile-v1"},
-        "family": {"type": "object"},
-        "columns": {"type": "array", "items": {"type": "string"}},
-        "rows": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-    },
-}
 
 EXPORT_COLUMNS = ("d", "r", "phi", "eq130_residual", "eq350_drift")
 
@@ -63,23 +49,6 @@ def shrinker_residual(profile_d: SolutionProfile) -> ResidualReport:
     vals = phi_equation_residual(profile_d["phi"], profile_d["dphi"], profile_d["d2phi"],
                                  mean_curvature(prof, d), prof.family.n)
     return ResidualReport.of(vals)
-
-
-def cone_profile(family: IsoparametricFamily, d_values) -> SolutionProfile:
-    """The leading asymptote phi = -ln(d/A1)/2 as a d-side profile of the cot-sum
-    H (it solves nothing; used to show the cone itself fails the residual)."""
-    curvature = CurvatureProfile(family)
-    a1 = float(compute_coefficients(curvature, 1).coefficient(1))
-    d = np.asarray(d_values, dtype=float)
-    phi = -0.5 * np.log(d / a1)
-    dphi = -0.5 / d
-    d2phi = 0.5 / d ** 2
-    return SolutionProfile(
-        side=D_SIDE, curvature=curvature,
-        columns={"d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi,
-                 "g": d / a1,
-                 "eq130_residual": np.zeros_like(d), "eq350_drift": np.zeros_like(d)},
-    )
 
 
 @dataclass(frozen=True)

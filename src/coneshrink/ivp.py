@@ -45,7 +45,6 @@ from .errors import (
     NotMeanConvex,
     NoUsefulTruncation,
     OutOfRange,
-    SingularDenominator,
     StepSizeCollapse,
 )
 from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, lazy_numpy,
@@ -108,20 +107,6 @@ class SolutionProfile:
 
     def __getitem__(self, name):
         return self.columns[name]
-
-
-def gamma_rhs(s, gamma, dgamma, eps, profile: CurvatureProfile):
-    """gamma'' solved from the (regularized) profile equation:
-
-    [(H(gamma) - (1-2ns) gamma') (1 + 4 s^2 gamma'^2) - 4 s gamma']
-        / (4 s^2 + eps (1 + 4 s^2 gamma'^2)).
-    """
-    if eps == 0 and s == 0:
-        raise SingularDenominator("s = 0 with eps = 0")
-    h = mean_curvature(profile, gamma)
-    n = profile.family.n
-    w2 = 1 + 4 * s * s * dgamma * dgamma
-    return ((h - (1 - 2 * n * s) * dgamma) * w2 - 4 * s * dgamma) / (4 * s * s + eps * w2)
 
 
 def equation_residual(s, gamma, dgamma, d2gamma, eps, profile: CurvatureProfile):

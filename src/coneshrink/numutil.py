@@ -1,8 +1,8 @@
-"""Shared numerical helpers: precision, decimal text, Hermite interpolation,
-Gauss-Legendre nodes and atomic file writes.  A ``prec`` in bits means
-binary64 at 53 bits and below, mpmath above; mpmath's global precision is
-set with ``workprec`` only inside the calls that make mpf objects (the
-series' scalar rings carry their own).
+"""Shared numerical helpers: precision, decimal text, left-to-right sums,
+Hermite interpolation, Gauss-Legendre nodes and atomic file writes.  A
+``prec`` in bits means binary64 at 53 bits and below, mpmath above;
+mpmath's global precision is set with ``workprec`` only inside the calls
+that make mpf objects (the series' scalar rings carry their own).
 
 numpy is imported lazily (:func:`lazy_numpy`): the series, the corrections
 and the catalog run on mpmath and floats, so a call that never holds an
@@ -12,6 +12,7 @@ array, such as ``coneshrink coeffs``, never pays for numpy's import.
 import functools
 import importlib.util
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -83,15 +84,22 @@ def to_real(x, prec: int):
         return mpmath.mpf(x)
 
 
+def left_sum(xs):
+    """The sum of ``xs`` from the integer 0, left to right, one rounding per
+    addition.  The builtin ``sum`` does this up to Python 3.11; from 3.12 on
+    it compensates float sums, which would change the bits of the results."""
+    return functools.reduce(operator.add, xs, 0)
+
+
 def loglog_slope(xs, ys):
     """Least-squares slope of log|y| against log|x| (both entrywise positive)."""
     lx = [math.log(float(x)) for x in xs]
     ly = [math.log(float(y)) for y in ys]
     n = len(lx)
-    mx = sum(lx) / n
-    my = sum(ly) / n
-    sxx = sum((u - mx) ** 2 for u in lx)
-    sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
+    mx = left_sum(lx) / n
+    my = left_sum(ly) / n
+    sxx = left_sum((u - mx) ** 2 for u in lx)
+    sxy = left_sum((u - mx) * (v - my) for u, v in zip(lx, ly))
     return sxy / sxx
 
 

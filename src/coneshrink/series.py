@@ -38,7 +38,6 @@ recursion (:class:`_EpsilonRecursion`) extends each by one coefficient per
 diagonal, each coefficient computed once, with no restarted runs.
 """
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from functools import cached_property
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .catalog import COT_SUM, CurvatureProfile, make_family
+from .catalog import CurvatureProfile
 from .errors import (
     DivisionByEpsilonFailed,
     NonlinearDependence,
@@ -59,7 +58,7 @@ from .errors import (
 # kernels in every namespace that binds them, and its tests expect this
 # module among those namespaces.
 from .jets import arctan_term_abs_mass, arctan_term_at_zero, fdb_kth_derivative  # noqa: F401
-from .numutil import DOUBLE_PREC, decimal_str, machine_eps, to_real
+from .numutil import DOUBLE_PREC, decimal_str, left_sum, machine_eps, to_real
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +67,7 @@ from .numutil import DOUBLE_PREC, decimal_str, machine_eps, to_real
 
 def _dot(xs, ys):
     """sum_i xs[i] * ys[i], accumulated left to right from 0 (any ring)."""
-    return sum(map(operator.mul, xs, ys))
+    return left_sum(map(operator.mul, xs, ys))
 
 
 class _Aligned:
@@ -147,7 +146,8 @@ class _FloatRing:
     sub = sub_int = operator.sub
     mul = mul_int = operator.mul
     div = div_int = operator.truediv
-    neg, abs, gt, max, sum = operator.neg, abs, operator.gt, max, sum
+    neg, abs, gt, max = operator.neg, abs, operator.gt, max
+    sum = staticmethod(left_sum)
     dot = staticmethod(_dot)
     cot = staticmethod(lambda x: math.cos(x) / math.sin(x))
 
@@ -928,7 +928,7 @@ def evaluate_truncated(series: FormalSeries, s, derivative: int = 0,
         for t in terms[1: i_star + 1]:
             value = value + t
         omitted = mags[i_star + 1] if i_star + 1 < len(mags) else mags[i_star]
-        floor = machine_eps(series.precision_bits) * sum(mags[: i_star + 1])
+        floor = machine_eps(series.precision_bits) * left_sum(mags[: i_star + 1])
         k_star = k_lo + i_star
     return TruncatedValue(value=value, error_estimate=max(omitted, floor), k_star=k_star)
 
@@ -953,64 +953,3 @@ def series_to_json_dict(series: FormalSeries) -> dict:
         "gevrey": [float(r) for r in series.gevrey_rho],
         "rel_error_estimates": [float(e) for e in series.rel_error_estimates],
     }
-
-
-def series_to_json(series: FormalSeries) -> str:
-    return json.dumps(series_to_json_dict(series), indent=2)
-
-
-def _field(rec, key, kind=(int, float)):
-    """``rec[key]`` of a series record if it is a ``kind`` (a JSON boolean
-    is no number); else :class:`OutOfRange` naming the field."""
-    value = rec.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise OutOfRange(f"series record: field {key!r} is missing or malformed: {value!r}")
-    return value
-
-
-def _count(rec, key):
-    """``rec[key]`` if it is an integer >= 1, as ``compute_coefficients``
-    writes it; else :class:`OutOfRange` naming the field."""
-    value = _field(rec, key, int)
-    if value < 1:
-        raise OutOfRange(f"series record: field {key!r} must be >= 1, got {value}")
-    return value
-
-
-def _numbers(rec, key, convert):
-    try:
-        return tuple(map(convert, _field(rec, key, list)))
-    except (TypeError, ValueError):
-        raise OutOfRange(f"series record: field {key!r} holds a malformed number") from None
-
-
-def series_from_json(text: str) -> FormalSeries:
-    """The series of a ``coeffs`` record; its family and profile mode are
-    validated as they are read (:class:`ConstraintViolation` for an
-    inadmissible family, :class:`UnsupportedMode` for an unknown mode), and
-    a missing or malformed field raises :class:`OutOfRange` naming it, as do
-    values ``compute_coefficients`` never writes: ``precision_bits`` or
-    ``K`` below 1, a non-finite A_k, a ``gevrey`` entry that is not finite
-    and >= 0, and a ``rel_error_estimates`` entry outside
-    [0, REL_ERROR_LIMIT]."""
-    rec = json.loads(text)
-    if not isinstance(rec, dict):
-        raise OutOfRange(f"series record: a JSON object expected, got {rec!r}")
-    family = _field(rec, "family", dict)
-    fam = make_family(*(_field(family, key) for key in ("g", "m_minus", "m_plus", "n", "theta1")))
-    prec, K = _count(rec, "precision_bits"), _count(rec, "K")
-    a = _numbers(rec, "A", lambda t: to_real(t, prec))
-    if not all(map(mpmath.isfinite, a)):
-        raise OutOfRange("series record: field 'A' holds a non-finite number")
-    gevrey = _numbers(rec, "gevrey", float)
-    if not all(math.isfinite(r) and r >= 0 for r in gevrey):
-        raise OutOfRange("series record: field 'gevrey' holds a negative or non-finite number")
-    rel = _numbers(rec, "rel_error_estimates", float) if "rel_error_estimates" in rec else (0.0,) * K
-    if not all(0 <= e <= REL_ERROR_LIMIT for e in rel):
-        raise OutOfRange("series record: field 'rel_error_estimates' holds a number outside "
-                         f"[0, {REL_ERROR_LIMIT}]")
-    if not K == len(a) == len(gevrey) == len(rel):
-        raise OutOfRange(f"series record: K = {K} with {len(a)} coefficients in 'A', "
-                         f"{len(gevrey)} in 'gevrey' and {len(rel)} in 'rel_error_estimates'")
-    return FormalSeries(curvature=CurvatureProfile(fam, rec.get("profile_mode", COT_SUM)),
-                        precision_bits=prec, a=a, rel_error_estimates=rel)

@@ -19,22 +19,47 @@ from coneshrink.errors import (
 from coneshrink.geometry import (
     MAX_RESOLUTION,
     EXPORT_COLUMNS,
-    PROFILE_JSON_SCHEMA,
     _RESIDUAL_BAND_ROWS,
     _face_geometry,
     _grid_faces,
     _end_mesh,
     _obj_rows,
     asymptotic_check,
-    cone_profile,
     discrete_shrinker_residual,
     export_mesh,
     export_profile,
     shrinker_residual,
 )
-from coneshrink.ivp import (SolutionProfile, SolverConfig, continue_phi, integrate_gamma,
-                           to_d_profile)
+from coneshrink.ivp import (D_SIDE, SolutionProfile, SolverConfig, continue_phi,
+                           integrate_gamma, to_d_profile)
 from coneshrink.numutil import hermite_eval
+
+# the document export_profile writes with format="json"
+PROFILE_JSON_SCHEMA = {
+    "type": "object",
+    "required": ["schema", "family", "columns", "rows"],
+    "properties": {
+        "schema": {"const": "coneshrink/profile-v1"},
+        "family": {"type": "object"},
+        "columns": {"type": "array", "items": {"type": "string"}},
+        "rows": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+    },
+}
+
+
+def cone_profile(family, d_values):
+    """The leading asymptote phi = -ln(d/A_1)/2 as a d-side profile of the
+    cot-sum H; it solves nothing.  A_1 is H(0) bit for bit at 53 bits
+    (tests/test_series.py), so it is read from the profile."""
+    curvature = CurvatureProfile(family)
+    a1 = curvature.h0
+    d = np.asarray(d_values, dtype=float)
+    return SolutionProfile(
+        side=D_SIDE, curvature=curvature,
+        columns={"d": d, "phi": -0.5 * np.log(d / a1), "dphi": -0.5 / d, "d2phi": 0.5 / d ** 2,
+                 "g": d / a1,
+                 "eq130_residual": np.zeros_like(d), "eq350_drift": np.zeros_like(d)},
+    )
 
 
 class TestShrinkerResidual:

@@ -49,8 +49,7 @@ CALLS = {
 
 def time_call(checkout, args):
     """Wall seconds of one fresh interpreter running ``args`` in ``checkout``."""
-    env = {k: v for k, v in os.environ.items() if k != "CONESHRINK_PRECISION"}
-    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,

@@ -128,9 +128,7 @@ CATALOG_SCRIPT = ("import json; from coneshrink.catalog import builtin_catalog; 
 
 
 def _env(checkout):
-    env = {k: v for k, v in os.environ.items() if k != "CONESHRINK_PRECISION"}
-    env["PYTHONPATH"] = os.path.join(checkout, "src")
-    return env
+    return dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
 
 
 def family_flags(family, scale):
