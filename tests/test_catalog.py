@@ -30,6 +30,7 @@ from coneshrink.errors import (
     NotMeanConvex,
     OutOfRange,
     RootNotBracketed,
+    UnsupportedMode,
 )
 
 
@@ -301,6 +302,10 @@ class TestMinimalDistance:
 
 
 class TestLiteralMode:
+    def test_unknown_mode_is_refused(self, fam1):
+        with pytest.raises(UnsupportedMode, match="unknown profile mode 'bogus'"):
+            CurvatureProfile(fam1, "bogus")
+
     def test_g1_coefficient_discrepancy(self, fam1):
         # the level-set formula carries coefficient n where the parallel
         # surface law has n-1; the ratio is exactly n/(n-1) for g = 1
