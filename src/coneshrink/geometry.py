@@ -20,6 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import mpmath
+
 from .catalog import mean_curvature
 from .errors import (
     InsufficientRange,
@@ -29,8 +31,8 @@ from .errors import (
     UnsupportedFamily,
 )
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
-from .numutil import (atomic_write_chunks, atomic_write_text, hermite_eval, lazy_numpy,
-                      loglog_slope, write_csv)
+from .numutil import (DOUBLE_PREC, atomic_write_chunks, atomic_write_text, hermite_eval,
+                      lazy_numpy, loglog_slope, write_csv)
 from .series import FormalSeries, evaluate_truncated, series_value_tail
 # unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
 from .series import compute_coefficients  # noqa: F401
@@ -211,17 +213,25 @@ def _obj_rows(row_format, rows):
     the writer takes them one by one, the memory the text holds.  A block
     makes the text of each of its distinct values once and fills the
     format's ``%r`` or ``%d`` fields with those strings through ``%s``.
-    Floats are keyed on their bits (grid rows share their z, and x and y
-    share their ``a_i cos psi_j`` products), which keeps ``-0.0`` apart
-    from ``0.0``.  The faces of a block lie on a few grid rows, so their
-    indices fill a short range, whose strings are made in order: no sort,
-    and no Python int per face corner."""
+    Floats are keyed on the bits of their magnitude: grid rows share their
+    z, and the symmetric angular samples of ``_end_mesh`` give a grid row
+    at most ``resolution / 4 + 2`` distinct ``|x|`` and ``|y|``.  Each
+    magnitude's repr is made once, and a value whose sign bit is set is
+    written as ``"-"`` and that text, as repr writes ``-0.0`` and
+    ``-inf``; a NaN prints ``nan`` whatever its sign, as repr does.  The
+    faces of a block lie on a few grid rows, so their indices fill a short
+    range, whose strings are made in order: no sort, and no Python int per
+    face corner."""
     row_format = row_format.replace("%r", "%s").replace("%d", "%s")
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
         block = rows[lo:lo + _OBJ_BLOCK_ROWS]
         if rows.dtype.kind == "f":
-            bits, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
-            texts = [repr(x) for x in bits.view(np.float64).tolist()]
+            flat = block.ravel()
+            mags, inverse = np.unique(np.abs(flat).view(np.uint64), return_inverse=True)
+            texts = [repr(x) for x in mags.view(np.float64).tolist()]
+            # the negatives' texts follow the magnitudes' in the table
+            texts += [t if t == "nan" else "-" + t for t in texts]
+            inverse += len(mags) * np.signbit(flat)
         else:
             first = int(block.min())
             inverse = (block - first).ravel()
@@ -237,29 +247,65 @@ def _end_mesh(profile_d, family, resolution):
     g = 1: th = theta1 + d is the colatitude of a circle on S^2.  g = 2: the
     ambient S^3 point (cos th cos psi, cos th sin psi, sin th cos psi2,
     sin th sin psi2), sliced at psi2 = 0 and orthogonally projected to the
-    first three coordinates."""
+    first three coordinates.  cos psi and sin psi come from
+    :func:`_circle_samples`, exactly symmetric, so the x and y of a grid
+    row, ``r sin th`` (g = 1) or ``r cos th`` (g = 2) times them, take at
+    most ``resolution / 4 + 2`` magnitudes: the OBJ text makes each once."""
     d_nodes = profile_d["d"]
     d_samples = np.linspace(d_nodes[0], d_nodes[-1], resolution)
     phi = hermite_eval(d_nodes, profile_d["phi"], profile_d["dphi"], d_samples)
     rr = np.exp(phi)[:, None]
     th = family.theta1 + d_samples
-    psi = 2 * np.pi * np.arange(resolution) / resolution
+    cos_psi, sin_psi = _circle_samples(resolution)
     sin_t = np.sin(th)[:, None]
     cos_t = np.cos(th)[:, None]
     if family.g == 1:
-        coords = (rr * sin_t * np.cos(psi)[None, :],
-                  rr * sin_t * np.sin(psi)[None, :],
-                  rr * cos_t * np.ones_like(psi)[None, :])
+        coords = (rr * sin_t * cos_psi[None, :],
+                  rr * sin_t * sin_psi[None, :],
+                  rr * cos_t * np.ones_like(cos_psi)[None, :])
     else:
-        coords = (rr * cos_t * np.cos(psi)[None, :],
-                  rr * cos_t * np.sin(psi)[None, :],
-                  rr * sin_t * np.ones_like(psi)[None, :])
+        coords = (rr * cos_t * cos_psi[None, :],
+                  rr * cos_t * sin_psi[None, :],
+                  rr * sin_t * np.ones_like(cos_psi)[None, :])
     verts = np.stack([c.ravel() for c in coords], axis=1)
     del coords   # freed before the faces are built
     # the grid's winding gives each face the normal X_psi x X_d, whose radial
     # component is -r^3 sin(th) for g = 1 (th a colatitude) and +r^3 cos(th)
     # for g = 2 (th a latitude), whatever r(d) is: only g = 1 is reversed
     return verts, _grid_faces(resolution, resolution, reverse=family.g == 1)
+
+
+def _circle_samples(n):
+    """cos psi_j and sin psi_j at psi_j = 2 pi j / n, j = 0 .. n - 1, for
+    n >= 8, each correctly rounded and exactly symmetric.
+
+    Each angle is reduced to the first octant in integers: 8 j = q n + r,
+    and odd octants mirror r -> n - r, so that psi_j is q pi/4 + a (q even)
+    or (q + 1) pi/4 - a (q odd) with a = (pi/4)(r/n) in [0, pi/4].  cos a
+    and sin a are taken once per distinct r from mpmath's ``cospi`` and
+    ``sinpi`` at 64 bits past binary64, rounded once to a float, and are
+    swapped (octants 1, 2, 5, 6) and negated by octant.  So reflection
+    j -> n - j, and the half-turn, quarter-turn and octant swap where n
+    allows them, map samples onto samples bit for bit, up to sign.  The
+    float angle ``2 * np.pi * j / n`` breaks them in the last bits: its
+    rounding error grows with j, to about 6e-16 in cos and sin at n = 256,
+    and rounding cos a and sin a of a float a still leaves some samples an
+    ulp from the nearest float."""
+    q, r = np.divmod(8 * np.arange(n), n)
+    r = np.where(q % 2 == 1, n - r, r)
+    numerators, inverse = np.unique(r, return_inverse=True)
+    with mpmath.workprec(DOUBLE_PREC + 64):
+        table = [(float(mpmath.cospi(x)), float(mpmath.sinpi(x)))
+                 for x in (mpmath.mpf(k) / (4 * n) for k in numerators.tolist())]
+    cos_a, sin_a = np.array(table).T[:, inverse]
+    swap = (q + 1) % 4 >= 2
+    cos_psi = np.where(swap, sin_a, cos_a)
+    sin_psi = np.where(swap, cos_a, sin_a)
+    # cos < 0 in octants 2-5 and sin < 0 in 4-7; adding 0.0 turns the -0.0
+    # of cos(pi/2) and sin(pi) into 0.0
+    cos_psi = np.where((q - 2) % 8 < 4, -cos_psi, cos_psi) + 0.0
+    sin_psi = np.where(q >= 4, -sin_psi, sin_psi) + 0.0
+    return cos_psi, sin_psi
 
 
 def _grid_faces(n_rows, n_cols, reverse=False):

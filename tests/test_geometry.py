@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from coneshrink.geometry import (
     MAX_RESOLUTION,
     EXPORT_COLUMNS,
     _RESIDUAL_BAND_ROWS,
+    _circle_samples,
     _face_geometry,
     _grid_faces,
     _end_mesh,
@@ -394,6 +396,55 @@ class TestMeshOracles:
         assert res.face_count == len(faces)
 
 
+class TestCircleSamples:
+    """The angular samples of the mesh: exactly symmetric under the
+    dihedral symmetries n allows, and correctly rounded."""
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 72, 100, 256, 300, 1024])
+    def test_samples_are_exactly_symmetric(self, n):
+        c, s = _circle_samples(n)
+        j = np.arange(n)
+
+        def turned(k):
+            return c[(j + k) % n], s[(j + k) % n]
+
+        # reflection psi -> -psi, always
+        assert np.array_equal(c[-j % n], c) and np.array_equal(s[-j % n], -s)
+        if n % 2 == 0:   # half-turn psi -> psi + pi
+            tc, ts = turned(n // 2)
+            assert np.array_equal(tc, -c) and np.array_equal(ts, -s)
+        if n % 4 == 0:   # quarter-turn psi -> psi + pi/2
+            tc, ts = turned(n // 4)
+            assert np.array_equal(tc, -s) and np.array_equal(ts, c)
+        if n % 8 == 0:   # octant swap psi -> pi/2 - psi
+            assert np.array_equal(c[(n // 4 - j) % n], s)
+            assert np.array_equal(s[(n // 4 - j) % n], c)
+        assert not np.any(np.signbit(c) & (c == 0)) and not np.any(np.signbit(s) & (s == 0))
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 72, 100, 256, 300, 1024])
+    def test_samples_are_at_least_as_accurate_as_the_float_angle(self, n):
+        samples = _circle_samples(n)
+        psi = 2 * np.pi * np.arange(n) / n
+        with mpmath.workdps(100):
+            for sample, float_angle, exact in ((samples[0], np.cos(psi), mpmath.cos),
+                                              (samples[1], np.sin(psi), mpmath.sin)):
+                for j in range(n):
+                    ref = exact(2 * mpmath.pi * j / n)
+                    err = abs(mpmath.mpf(float(sample[j])) - ref)
+                    assert err <= mpmath.mpf(2) ** -53
+                    assert err <= abs(mpmath.mpf(float(float_angle[j])) - ref)
+
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_grid_rows_have_few_magnitudes(self, which, request):
+        """The property the OBJ text's speed rests on: x and y of a grid row
+        share at most n/4 + 2 magnitudes."""
+        n = 256
+        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
+        verts, _ = _end_mesh(cont, request.getfixturevalue(which), n)
+        for row in verts.reshape(n, n, 3):
+            assert len(np.unique(np.abs(row[:, :2]))) <= n // 4 + 2
+
+
 class TestExportMemory:
     # bytes per vertex at the peak: a whole-mesh check and joined text took
     # 575 (g = 1) and 367 (g = 2); int64 faces, with a reordered copy for
@@ -453,7 +504,8 @@ class TestExportKernels:
            pool=st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=12),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_obj_rows_match_per_row_oracle(self, n_rows, pool, seed):
-        values = np.array(pool + _SPECIAL_FLOATS)
+        # every value with both signs: the text is keyed on the magnitude
+        values = np.array(pool + [-x for x in pool] + _SPECIAL_FLOATS)
         # few distinct values, so that they repeat within and across blocks
         rows = values[np.random.default_rng(seed).integers(len(values), size=(n_rows, 3))]
         oracle = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows.tolist())

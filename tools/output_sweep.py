@@ -61,12 +61,19 @@ Prints every difference and exits 1 if there is one, else 0.  A stdout
 that parses as JSON on both sides, with the same keys and list lengths, is
 compared leaf by leaf: one line per differing key path (list indices
 dropped), with the largest relative and absolute move of its numbers,
-decimal strings read exactly.  Any other difference prints both sides.
-The exports are removed at the end, also on failure.
+decimal strings read exactly.  A ``.obj`` artifact that differs is read on
+both sides: whether its ``f`` lines are byte-identical, both ``v``-line
+counts, each header line that differs, and the largest absolute move of
+a vertex coordinate, also relative to the vertex's largest coordinate
+magnitude; a last line sums this up over
+all of them.  Any other artifact that differs prints both sha256, and any
+other difference prints both sides.  The exports are removed at the end,
+also on failure.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -216,10 +223,14 @@ def calls(catalog):
     return out
 
 
+def _run_dir(checkout):
+    return os.path.join(checkout, "sweep_runs")
+
+
 def run_calls(checkout, call_list):
     """Per call: exit code and normalised stdout/stderr; per file left in
     the run directory: its sha256."""
-    run_dir = os.path.join(checkout, "sweep_runs")
+    run_dir = _run_dir(checkout)
     os.makedirs(run_dir)
     for cfg, (text, _) in CONFIG_FILES.items():
         with open(os.path.join(run_dir, cfg), "w", encoding="utf-8") as fh:
@@ -295,8 +306,72 @@ def json_moves(base, head):
     return moves
 
 
-def differences(base, head):
-    """Lines naming every call field and artifact that differ."""
+def _obj_lines(path, kind):
+    with open(path, encoding="utf-8") as fh:
+        yield from (line for line in fh if line.startswith(kind))
+
+
+def obj_moves(base_path, head_path):
+    """What differs between two OBJ files: whether their ``f`` lines are
+    byte-identical, their ``v``-line counts, the (index, base, head) of each
+    header line that differs, and the largest move of a vertex coordinate,
+    relative to the vertex's largest coordinate magnitude on either side
+    and absolute (None if the counts differ).  Both files are read as
+    streams, a 1024^2 mesh being about 110 MB."""
+    face_digests, counts = [], []
+    for path in (base_path, head_path):
+        digest = hashlib.sha256()
+        for line in _obj_lines(path, "f "):
+            digest.update(line.encode())
+        face_digests.append(digest.digest())
+        counts.append(sum(1 for _ in _obj_lines(path, "v ")))
+    headers = [list(_obj_lines(path, "#")) for path in (base_path, head_path)]
+    header_moves = [(i, b, h) for i, (b, h) in
+                    enumerate(itertools.zip_longest(*headers, fillvalue="")) if b != h]
+    move = None
+    if counts[0] == counts[1]:
+        rel = move_abs = 0.0
+        for b, h in zip(_obj_lines(base_path, "v "), _obj_lines(head_path, "v ")):
+            if b == h:
+                continue
+            # round-trip text, so float() is exact; a move is relative to
+            # the vertex's largest coordinate, as a coordinate that should
+            # be 0 may read 1e-16 on one side
+            xs, ys = ([float(t) for t in line.split()[1:]] for line in (b, h))
+            d = max(abs(x - y) for x, y in zip(xs, ys))
+            if d:   # 0 where only the sign of a zero moved
+                move_abs = max(move_abs, d)
+                rel = max(rel, d / max(map(abs, xs + ys)))
+        move = (rel, move_abs)
+    return face_digests[0] == face_digests[1], counts, header_moves, move
+
+
+def _obj_difference(path, report):
+    faces_same, counts, header_moves, move = report
+    text = (f"{path}: f lines {'identical' if faces_same else 'differ'}; "
+            f"v lines base {counts[0]} head {counts[1]}")
+    if move is not None:
+        text += f"; vertices moved by up to {move[0]:.3e} relative, {move[1]:.3e} absolute"
+    for i, b, h in header_moves:
+        for side, line in (("base", b), ("head", h)):
+            text += f"\n  header line {i + 1} {side}: {line.rstrip()!r}"
+    return text
+
+
+def obj_summary(reports):
+    """One line over the ``obj_moves`` reports of every differing OBJ."""
+    moves = [move for _, _, _, move in reports if move is not None]
+    return (f"{len(reports)} .obj artifact(s) differ: f lines identical in "
+            f"{sum(r[0] for r in reports)}, v-line counts equal in {len(moves)}, "
+            f"a header line differs in {sum(bool(r[2]) for r in reports)}; largest vertex "
+            f"move {max((m[0] for m in moves), default=0.0):.3e} relative, "
+            f"{max((m[1] for m in moves), default=0.0):.3e} absolute")
+
+
+def differences(base, head, run_dirs):
+    """Lines naming every call field and artifact that differ, and the
+    ``obj_moves`` reports of the ``.obj`` artifacts among them;
+    ``run_dirs`` are the base and head run directories."""
     (base_calls, base_files), (head_calls, head_files) = base, head
     lines = []
     for label, rec in base_calls.items():
@@ -312,11 +387,17 @@ def differences(base, head):
                 lines.append(f"{label}: {key} {path} differs" if move is None else
                              f"{label}: {key} {path} moved by up to {float(move[0]):.3e} "
                              f"relative, {float(move[1]):.3e} absolute")
+    obj_reports = []
     for path in sorted(set(base_files) | set(head_files)):
         b, h = base_files.get(path), head_files.get(path)
-        if b != h:
+        if b == h:
+            continue
+        if path.endswith(".obj") and b and h:
+            obj_reports.append(obj_moves(*(os.path.join(d, path) for d in run_dirs)))
+            lines.append(_obj_difference(path, obj_reports[-1]))
+        else:
             lines.append(f"{path}: sha256 base {b} head {h}")
-    return lines
+    return lines, obj_reports
 
 
 def main(argv=None):
@@ -334,11 +415,14 @@ def main(argv=None):
             capture_output=True, text=True, check=True).stdout)
         call_list = calls(catalog)
         results = {side: run_calls(d, call_list) for side, d in dirs.items()}
+        lines, obj_reports = differences(results["base"], results["head"],
+                                         [_run_dir(d) for d in dirs.values()])
     finally:
         shutil.rmtree(top, ignore_errors=True)
-    lines = differences(results["base"], results["head"])
     for line in lines:
         print(line)
+    if obj_reports:
+        print(obj_summary(obj_reports))
     n_files = len(set(results["base"][1]) | set(results["head"][1]))
     print(f"base {commits['base'][:12]} head {commits['head'][:12]}: {len(call_list)} calls, "
           f"{n_files} artifacts, {len(lines)} difference(s)")
