@@ -295,9 +295,9 @@ def _circle_samples(n):
     r = np.where(q % 2 == 1, n - r, r)
     numerators, inverse = np.unique(r, return_inverse=True)
     with mpmath.workprec(DOUBLE_PREC + 64):
-        table = [(float(mpmath.cospi(x)), float(mpmath.sinpi(x)))
-                 for x in (mpmath.mpf(k) / (4 * n) for k in numerators.tolist())]
-    cos_a, sin_a = np.array(table).T[:, inverse]
+        a_over_pi = [mpmath.mpf(k) / (4 * n) for k in numerators.tolist()]
+        cos_a = np.array([float(mpmath.cospi(x)) for x in a_over_pi])[inverse]
+        sin_a = np.array([float(mpmath.sinpi(x)) for x in a_over_pi])[inverse]
     swap = (q + 1) % 4 >= 2
     cos_psi = np.where(swap, sin_a, cos_a)
     sin_psi = np.where(swap, cos_a, sin_a)

@@ -306,9 +306,9 @@ def json_moves(base, head):
     return moves
 
 
-def _obj_lines(path, kind):
+def _obj_vertex_lines(path):
     with open(path, encoding="utf-8") as fh:
-        yield from (line for line in fh if line.startswith(kind))
+        yield from (line for line in fh if line.startswith("v "))
 
 
 def obj_moves(base_path, head_path):
@@ -318,20 +318,26 @@ def obj_moves(base_path, head_path):
     relative to the vertex's largest coordinate magnitude on either side
     and absolute (None if the counts differ).  Both files are read as
     streams, a 1024^2 mesh being about 110 MB."""
-    face_digests, counts = [], []
+    face_digests, counts, headers = [], [], []
     for path in (base_path, head_path):
-        digest = hashlib.sha256()
-        for line in _obj_lines(path, "f "):
-            digest.update(line.encode())
+        digest, count, header = hashlib.sha256(), 0, []
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("f "):
+                    digest.update(line.encode())
+                elif line.startswith("v "):
+                    count += 1
+                elif line.startswith("#"):
+                    header.append(line)
         face_digests.append(digest.digest())
-        counts.append(sum(1 for _ in _obj_lines(path, "v ")))
-    headers = [list(_obj_lines(path, "#")) for path in (base_path, head_path)]
+        counts.append(count)
+        headers.append(header)
     header_moves = [(i, b, h) for i, (b, h) in
                     enumerate(itertools.zip_longest(*headers, fillvalue="")) if b != h]
     move = None
     if counts[0] == counts[1]:
         rel = move_abs = 0.0
-        for b, h in zip(_obj_lines(base_path, "v "), _obj_lines(head_path, "v ")):
+        for b, h in zip(_obj_vertex_lines(base_path), _obj_vertex_lines(head_path)):
             if b == h:
                 continue
             # round-trip text, so float() is exact; a move is relative to
