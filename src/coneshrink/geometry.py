@@ -148,8 +148,8 @@ class MeshResult:
 
 
 # Largest mesh resolution.  Peak RSS of `coneshrink export --format obj` on
-# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 41 MB at
-# resolution 256, 57 MB at 512 and 103 MB at 1024.  That is the 34 MB of
+# the g = 1 reference family (2-vCPU VM, Python 3.11, numpy 2.4): 42 MB at
+# resolution 256, 56 MB at 512 and 102 MB at 1024.  That is the 34 MB of
 # the imports plus about 66 bytes per vertex, of which there are
 # resolution^2: the whole-mesh vertices (24 bytes) and int32 faces (24),
 # while the check and the text take one band or block at a time.  So 1024

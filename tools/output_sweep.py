@@ -65,8 +65,8 @@ decimal strings read exactly.  A ``.obj`` artifact that differs is read on
 both sides: whether its ``f`` lines are byte-identical, both ``v``-line
 counts, each header line that differs, and the largest absolute move of
 a vertex coordinate, also relative to the vertex's largest coordinate
-magnitude; a last line sums this up over
-all of them.  Any other artifact that differs prints both sha256, and any
+magnitude; a last line sums this up over all of them.  Any other
+artifact that differs prints both sha256, and any
 other difference prints both sides.  The exports are removed at the end,
 also on failure.
 """
