@@ -276,6 +276,7 @@ def cmd_solve(args):
             "errors": list(study.errors),
             "slope": study.slope,
             "monotone": study.monotone,
+            "statuses": list(study.statuses),
         }
     ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
     ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))

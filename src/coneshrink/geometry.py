@@ -208,36 +208,77 @@ def _obj_rows(row_format, rows):
     ``_OBJ_BLOCK_ROWS`` rows at a time; integer rows are 0-based vertex
     indices, written from 1 as OBJ counts them.
 
-    ``%r`` of a Python float is its round-trip repr, so the text matches a
-    per-row f-string.  Blocks bound the size of the argument tuple and, as
-    the writer takes them one by one, the memory the text holds.  A block
-    makes the text of each of its distinct values once and fills the
-    format's ``%r`` or ``%d`` fields with those strings through ``%s``.
+    ``row_format`` is the line as a per-row format, ``"v %r %r %r\\n"`` or
+    ``"f %d %d %d\\n"``: the text before its first field is each line's
+    prefix, and the text matches that format row by row (``%r`` of a
+    Python float is its round-trip repr).  Blocks bound the memory the
+    text holds, as the writer takes them one by one.
+
+    A block's text is built as bytes.  Its distinct tokens go into a table
+    of zero-padded ASCII rows, with an ``(R, 3)`` index into it
+    (:func:`_float_tokens`, :func:`_index_tokens`); each row gets a
+    trailing space.  A line is a row of an ``(R, len(prefix) + 3 (W + 1))``
+    byte array, W the table's width: the prefix, then three slots filled
+    from the table by one gather, whose last byte becomes the newline.
+    One compress then keeps the nonzero bytes.  No repr, digit, prefix or
+    separator is a zero byte, so dropping the padding leaves exactly the
+    lines."""
+    prefix = np.frombuffer(row_format[:row_format.index("%")].encode("ascii"), np.uint8)
+    tokens = _float_tokens if rows.dtype.kind == "f" else _index_tokens
+    for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
+        block = rows[lo:lo + _OBJ_BLOCK_ROWS]
+        table, inverse = tokens(block)
+        slot = np.dtype((np.void, table.shape[1] + 1))
+        cells = np.full((len(table), slot.itemsize), ord(" "), dtype=np.uint8)
+        cells[:, :-1] = table
+        lines = np.empty((len(block), len(prefix) + 3 * slot.itemsize), dtype=np.uint8)
+        lines[:, :len(prefix)] = prefix
+        # one slot per token: a gather of whole table rows, as void items
+        lines[:, len(prefix):].view(slot)[...] = np.take(cells.view(slot)[:, 0], inverse)
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0].tobytes().decode("ascii")
+
+
+def _float_tokens(block):
+    """The repr table of a float block and the ``(R, 3)`` index into it.
+
     Floats are keyed on the bits of their magnitude: grid rows share their
     z, and the symmetric angular samples of ``_end_mesh`` give a grid row
     at most ``resolution / 4 + 2`` distinct ``|x|`` and ``|y|``.  Each
-    magnitude's repr is made once, and a value whose sign bit is set is
-    written as ``"-"`` and that text, as repr writes ``-0.0`` and
-    ``-inf``; a NaN prints ``nan`` whatever its sign, as repr does.  The
-    faces of a block lie on a few grid rows, so their indices fill a short
-    range, whose strings are made in order: no sort, and no Python int per
-    face corner."""
-    row_format = row_format.replace("%r", "%s").replace("%d", "%s")
-    for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
-        block = rows[lo:lo + _OBJ_BLOCK_ROWS]
-        if rows.dtype.kind == "f":
-            flat = block.ravel()
-            mags, inverse = np.unique(np.abs(flat).view(np.uint64), return_inverse=True)
-            texts = [repr(x) for x in mags.view(np.float64).tolist()]
-            # the negatives' texts follow the magnitudes' in the table
-            texts += [t if t == "nan" else "-" + t for t in texts]
-            inverse += len(mags) * np.signbit(flat)
-        else:
-            first = int(block.min())
-            inverse = (block - first).ravel()
-            texts = [str(i + 1) for i in range(first, int(block.max()) + 1)]
-        values = np.array(texts, dtype=object)[inverse].tolist()
-        yield (row_format * len(block)) % tuple(values)
+    magnitude's repr is made once.  Row k of the table is the k-th
+    magnitude's repr after a zero byte, and row ``len(mags) + k`` the same
+    after a ``"-"``, for the values whose sign bit is set, as repr writes
+    ``-0.0`` and ``-inf``; a NaN prints ``nan`` whatever its sign, as repr
+    does."""
+    flat = block.ravel()
+    mags, inverse = np.unique(np.abs(flat).view(np.uint64), return_inverse=True)
+    mags = mags.view(np.float64)
+    reprs = np.array([repr(x) for x in mags.tolist()], dtype=np.bytes_)
+    table = np.zeros((2, len(mags), 1 + reprs.itemsize), dtype=np.uint8)
+    table[:, :, 1:] = reprs.view(np.uint8).reshape(len(mags), reprs.itemsize)
+    table[1, :, 0] = np.where(np.isnan(mags), 0, ord("-"))
+    inverse += len(mags) * np.signbit(flat)
+    return table.reshape(2 * len(mags), -1), inverse.reshape(block.shape)
+
+
+def _index_tokens(block):
+    """The digit table of a 0-based index block and the ``(R, 3)`` index
+    into it.
+
+    The faces of a block lie on a few grid rows, so their indices fill a
+    short range ``first .. last``.  The table holds the OBJ indices
+    ``first + 1 .. last + 1`` in order, one row of ASCII digits each,
+    taken by ``divmod`` from the last digit on; the places before a
+    number's first digit stay zero bytes.  So no sort, and no Python
+    ``str`` or int per index."""
+    first, last = int(block.min()), int(block.max())
+    rest = np.arange(first + 1, last + 2)
+    table = np.zeros((len(rest), len(str(last + 1))), dtype=np.uint8)
+    for place in range(table.shape[1] - 1, -1, -1):
+        present = rest > 0
+        rest, digit = np.divmod(rest, 10)
+        table[:, place] = (digit + ord("0")) * present
+    return table, block - first
 
 
 def _end_mesh(profile_d, family, resolution):

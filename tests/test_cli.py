@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coneshrink import errors as errors_mod
 from coneshrink import geometry
 from coneshrink.catalog import EQ030_LITERAL, CurvatureProfile, builtin_catalog, minimal_distance
 from coneshrink.cli import main
@@ -251,9 +252,14 @@ def test_summary_is_strict_json_with_failed_eps_runs(tmp_path, capsys):
     assert code == 0
     text = (tmp_path / "summary.json").read_text()
     assert text == out
-    errors = json.loads(text, parse_constant=no_constants)["eps_study"]["errors"]
+    study = json.loads(text, parse_constant=no_constants)["eps_study"]
+    errors, statuses = study["errors"], study["statuses"]
     assert errors[0] is None
     assert all(e > 0 for e in errors[1:])
+    # the failed run's status names its exception and says why; the others read ok
+    name, _, reason = statuses[0].partition(": ")
+    assert issubclass(getattr(errors_mod, name), errors_mod.ConeShrinkError) and reason
+    assert statuses[1:] == ["ok"] * (len(errors) - 1)
 
 
 class TestVerify:

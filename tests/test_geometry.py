@@ -20,6 +20,7 @@ from coneshrink.errors import (
 from coneshrink.geometry import (
     MAX_RESOLUTION,
     EXPORT_COLUMNS,
+    _OBJ_BLOCK_ROWS,
     _RESIDUAL_BAND_ROWS,
     _circle_samples,
     _face_geometry,
@@ -395,6 +396,20 @@ class TestMeshOracles:
         assert res.vertex_count == resolution ** 2
         assert res.face_count == len(faces)
 
+    # odd and even sizes, one block and several: at 100^2 and 256^2 the
+    # vertex text crosses blocks and the face indices cross 3, 4 and 5 digits
+    @pytest.mark.parametrize("resolution", [8, 9, 100, 256])
+    @pytest.mark.parametrize("which", ["fam1", "fam2"])
+    def test_obj_file_matches_row_by_row_writer(self, which, resolution, request, tmp_path):
+        fam = request.getfixturevalue(which)
+        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
+        path = tmp_path / "m.obj"
+        export_mesh(cont, path, resolution=resolution)
+        verts, faces = _end_mesh(cont, fam, resolution)
+        residual = (discrete_shrinker_residual(verts, faces, resolution) if which == "fam1"
+                    else float("nan"))
+        assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces.tolist(), residual)
+
 
 class TestCircleSamples:
     """The angular samples of the mesh: exactly symmetric under the
@@ -510,6 +525,20 @@ class TestExportKernels:
         rows = values[np.random.default_rng(seed).integers(len(values), size=(n_rows, 3))]
         oracle = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows.tolist())
         assert "".join(_obj_rows("v %r %r %r\n", rows)) == oracle
+
+    # each block's largest index is top, 10^k - 1 for k = 1 .. 6, written
+    # 10^k: so its text crosses 9/10, 99/100, ... 999999/1000000 in one
+    # block, and the widest number is just one digit wider than top's;
+    # then the largest index of a MAX_RESOLUTION^2 mesh
+    @pytest.mark.parametrize("top", [10 ** k - 1 for k in range(1, 7)] + [MAX_RESOLUTION ** 2 - 1],
+                             ids=lambda top: f"to_{top}")
+    @pytest.mark.parametrize("n_rows", [1, 4095, 4096, 4097, 9000])
+    def test_obj_rows_integer_rows_match_per_row_oracle(self, n_rows, top):
+        rng = np.random.default_rng(top)
+        rows = rng.integers(max(top - 3 * n_rows, 0), top + 1, size=(n_rows, 3), dtype=np.int32)
+        rows[::_OBJ_BLOCK_ROWS, :2] = (top - 1, top)
+        oracle = "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in rows.tolist())
+        assert "".join(_obj_rows("f %d %d %d\n", rows)) == oracle
 
     def test_face_geometry_matches_numpy_kernels(self):
         verts = np.vstack([_sphere_grid(8), [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]])
