@@ -379,9 +379,10 @@ class TestMeshOracles:
         assert math.isfinite(want) == finite
         assert got == want or (math.isnan(got) and math.isnan(want))
 
-    # 72^2 = 5184 vertices span more than one text block and are not a
-    # multiple of its size
-    @pytest.mark.parametrize("resolution", [8, 72])
+    # odd and even sizes; 72^2 = 5184 vertices span more than one text
+    # block and are not a multiple of its size; at 100^2 and 256^2 the
+    # face indices cross 3, 4 and 5 digits, within blocks and between them
+    @pytest.mark.parametrize("resolution", [8, 9, 72, 100, 256])
     @pytest.mark.parametrize("which", ["fam1", "fam2"])
     def test_obj_bytes_match_oracle(self, which, resolution, request, tmp_path):
         fam = request.getfixturevalue(which)
@@ -395,20 +396,6 @@ class TestMeshOracles:
         assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces, residual)
         assert res.vertex_count == resolution ** 2
         assert res.face_count == len(faces)
-
-    # odd and even sizes, one block and several: at 100^2 and 256^2 the
-    # vertex text crosses blocks and the face indices cross 3, 4 and 5 digits
-    @pytest.mark.parametrize("resolution", [8, 9, 100, 256])
-    @pytest.mark.parametrize("which", ["fam1", "fam2"])
-    def test_obj_file_matches_row_by_row_writer(self, which, resolution, request, tmp_path):
-        fam = request.getfixturevalue(which)
-        cont = request.getfixturevalue({"fam1": "continued1", "fam2": "continued2"}[which])
-        path = tmp_path / "m.obj"
-        export_mesh(cont, path, resolution=resolution)
-        verts, faces = _end_mesh(cont, fam, resolution)
-        residual = (discrete_shrinker_residual(verts, faces, resolution) if which == "fam1"
-                    else float("nan"))
-        assert path.read_bytes() == _oracle_obj(fam, resolution, verts, faces.tolist(), residual)
 
 
 class TestCircleSamples:
