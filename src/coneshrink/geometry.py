@@ -220,12 +220,9 @@ def _obj_rows(row_format, rows):
     trailing space.  A line is a row of an ``(R, len(prefix) + 3 (W + 1))``
     byte array, W the table's width: the prefix, then three slots filled
     from the table by one gather, whose last byte becomes the newline.
-    One compress, ``bytes.translate`` deleting every zero byte, then keeps
-    the rest.  No repr, digit, prefix or separator is a zero byte, so
-    dropping the padding leaves exactly the lines.  (A numpy boolean mask
-    compresses as fast, but its two more block-sized buffers per block
-    made the peak RSS of a process that exports again and again vary
-    more.)"""
+    One compress then keeps the nonzero bytes.  No repr, digit, prefix or
+    separator is a zero byte, so dropping the padding leaves exactly the
+    lines."""
     prefix = np.frombuffer(row_format[:row_format.index("%")].encode("ascii"), np.uint8)
     tokens = _float_tokens if rows.dtype.kind == "f" else _index_tokens
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
@@ -239,7 +236,7 @@ def _obj_rows(row_format, rows):
         # one slot per token: a gather of whole table rows, as void items
         lines[:, len(prefix):].view(slot)[...] = np.take(cells.view(slot)[:, 0], inverse)
         lines[:, -1] = ord("\n")
-        yield lines.tobytes().translate(None, b"\0").decode("ascii")
+        yield lines[lines != 0].tobytes().decode("ascii")
 
 
 def _float_tokens(block):
