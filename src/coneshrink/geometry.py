@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ivp import D_SIDE, ResidualReport, SolutionProfile, phi_equation_residual
 from .numutil import (DOUBLE_PREC, atomic_write_chunks, atomic_write_text, hermite_eval,
-                      lazy_numpy, loglog_slope, write_csv)
+                      lazy_numpy, loglog_slope, release_free_heap, write_csv)
 from .series import FormalSeries, evaluate_truncated, series_value_tail
 # unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
 from .series import compute_coefficients  # noqa: F401
@@ -196,8 +196,14 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     atomic_write_chunks(path, itertools.chain(["\n".join(header) + "\n"],
                                               _obj_rows("v %r %r %r\n", verts),
                                               _obj_rows("f %d %d %d\n", faces)))
-    return MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
-                      face_count=len(faces), discrete_residual=residual)
+    result = MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
+                        face_count=len(faces), discrete_residual=residual)
+    # the mesh and its text blocks, megabytes at 256^2, are free once the
+    # arrays go: their pages go back too, so a caller's next large buffer
+    # costs the same wherever it lands
+    del verts, faces
+    release_free_heap()
+    return result
 
 
 _OBJ_BLOCK_ROWS = 4096
@@ -226,12 +232,9 @@ def _obj_rows(row_format, rows):
     dropping the padding leaves exactly the lines.
 
     The gather and the nonzero mask write into two buffers that the
-    blocks share, made anew only when a block's lines outgrow them.  So
-    a block allocates its tables, the kept bytes and the text, as the
-    ``%`` formats it replaces allocated their arguments and text, and not
-    a fresh copy of its padded lines and of their mask: those left the
-    allocator's heap in a layout that varied with the values written,
-    and with it the peak memory of a process that reads the file back."""
+    blocks share, made anew only when a block's lines outgrow them.  So a
+    block allocates its tables, the kept bytes and the text, and no fresh
+    copy of its padded lines or of their mask."""
     prefix = np.frombuffer(row_format[:row_format.index("%")].encode("ascii"), np.uint8)
     tokens = _float_tokens if rows.dtype.kind == "f" else _index_tokens
     lines_buffer = keep_buffer = np.empty(0, dtype=np.uint8)

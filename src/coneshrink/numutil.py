@@ -172,6 +172,30 @@ def atomic_write_chunks(path, chunks):
     return path
 
 
+def release_free_heap():
+    """Hand the C heap's free pages back to the system where the C library
+    can (glibc's ``malloc_trim``); elsewhere do nothing.
+
+    glibc keeps the pages of freed chunks resident, and returns only a
+    free top of its heap larger than twice its mmap threshold.  A call that
+    frees megabytes of arrays and text, as a mesh export does, would leave
+    them resident, and the process's peak memory would then hang on where
+    its next large buffer lands: in those pages, or in a fresh mapping
+    beside them when no free chunk is large enough."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _malloc_trim():
+    try:
+        import ctypes
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):   # not glibc, or no C library handle
+        return None
+
+
 def write_csv(path, header, columns):
     """CSV with the ``header`` names, then one row per index of the
     ``columns`` arrays, each value as its round-trip float repr."""

@@ -1,10 +1,12 @@
 """The atomic writer's failure paths: a failed write names the path, an
 exception from the chunks propagates, and in both cases the target keeps
-its old bytes and no temporary file is left beside it."""
+its old bytes and no temporary file is left beside it.  And the heap
+release: glibc's ``malloc_trim(0)`` where it exists, else nothing."""
 
 import errno
 import io
 import os
+import platform
 import re
 
 import pytest
@@ -73,3 +75,21 @@ def test_chunks_are_written_in_turn(target):
     assert atomic_write_chunks(target, (f"{i}\n" for i in range(3))) == str(target)
     assert target.read_text(encoding="utf-8") == "0\n1\n2\n"
     assert sorted(p.name for p in target.parent.iterdir()) == [target.name]
+
+
+def test_release_free_heap_trims_with_a_zero_pad(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numutil, "_malloc_trim", lambda: calls.append)
+    numutil.release_free_heap()
+    assert calls == [0]
+
+
+def test_release_free_heap_without_malloc_trim_does_nothing(monkeypatch):
+    monkeypatch.setattr(numutil, "_malloc_trim", lambda: None)
+    assert numutil.release_free_heap() is None
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_malloc_trim_is_found_on_glibc():
+    assert callable(numutil._malloc_trim())
+    numutil.release_free_heap()
