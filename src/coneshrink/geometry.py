@@ -180,6 +180,11 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
         raise UnsupportedFamily(
             f"(n, g) = {case}: no closed-form ambient parameterization meshed here"
         )
+    # the mesh is built on a heap whose free pages were handed back, and its
+    # own go back once the file is written (numutil.release_free_heap): the
+    # export's peak memory is then its live arrays plus the caller's, however
+    # the caller's earlier allocations left the heap
+    release_free_heap()
     verts, faces = _end_mesh(profile_d, family, resolution)
     residual = (discrete_shrinker_residual(verts, faces, resolution) if case == (2, 1)
                 else float("nan"))
@@ -199,8 +204,8 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
     result = MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
                         face_count=len(faces), discrete_residual=residual)
     # the mesh and its text blocks, megabytes at 256^2, are free once the
-    # arrays go: their pages go back too, so a caller's next large buffer
-    # costs the same wherever it lands
+    # arrays go, so a caller's next large buffer costs the same wherever it
+    # lands
     del verts, faces
     release_free_heap()
     return result

@@ -476,14 +476,14 @@ class TestExportMemory:
         peak = self._export_peak(request.getfixturevalue(which), tmp_path / "m.obj")
         assert peak <= self.INT32_FACES_BYTES_PER_VERTEX[which] * self.RESOLUTION ** 2
 
-    def test_export_releases_the_free_heap_once_written(self, continued2, tmp_path,
-                                                         monkeypatch):
+    def test_export_releases_the_free_heap_before_and_once_written(
+            self, continued2, tmp_path, monkeypatch):
         path = tmp_path / "m.obj"
         written = []
         monkeypatch.setattr(geometry_mod, "release_free_heap",
                             lambda: written.append(path.exists()))
         export_mesh(continued2, path, resolution=8)
-        assert written == [True]
+        assert written == [False, True]
 
 
 # values a vertex coordinate can take that a naive dedupe would merge or
