@@ -180,10 +180,10 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
         raise UnsupportedFamily(
             f"(n, g) = {case}: no closed-form ambient parameterization meshed here"
         )
-    # the mesh is built on a heap whose free pages were handed back, and its
-    # own go back once the file is written (numutil.release_free_heap): the
-    # export's peak memory is then its live arrays plus the caller's, however
-    # the caller's earlier allocations left the heap
+    # free heap pages go back before the mesh is built and once it is freed
+    # (numutil.release_free_heap): the export's peak memory is then its own
+    # arrays plus the caller's live ones, not where they land among pages
+    # that earlier work freed
     release_free_heap()
     verts, faces = _end_mesh(profile_d, family, resolution)
     residual = (discrete_shrinker_residual(verts, faces, resolution) if case == (2, 1)
@@ -203,9 +203,6 @@ def export_mesh(profile_d: SolutionProfile, path, resolution: int = 64) -> MeshR
                                               _obj_rows("f %d %d %d\n", faces)))
     result = MeshResult(path=path, resolution=resolution, vertex_count=len(verts),
                         face_count=len(faces), discrete_residual=residual)
-    # the mesh and its text blocks, megabytes at 256^2, are free once the
-    # arrays go, so a caller's next large buffer costs the same wherever it
-    # lands
     del verts, faces
     release_free_heap()
     return result
@@ -226,45 +223,28 @@ def _obj_rows(row_format, rows):
     text holds, as the writer takes them one by one.
 
     A block's text is built as bytes.  Its distinct tokens go into a table
-    of zero-padded ASCII rows, W bytes wide, with an ``(R, 3)`` index into
-    it (:func:`_float_tokens`, :func:`_index_tokens`).  Each table row is
-    made into three cells of ``len(prefix) + W + 1`` bytes, one per field
-    of a line: the first after the prefix, the others after zero bytes,
-    and each followed by a space, or by the newline in the last.  So a
-    block's lines are its ``(R, 3)`` cells in order, placed by one gather.
-    One compress then keeps the nonzero bytes, and the text is decoded
-    from them.  No repr, digit, prefix or separator is a zero byte, so
-    dropping the padding leaves exactly the lines.
-
-    The gather and the nonzero mask write into two buffers that the
-    blocks share, made anew only when a block's lines outgrow them.  So a
-    block allocates its tables, the kept bytes and the text, and no fresh
-    copy of its padded lines or of their mask."""
+    of zero-padded ASCII rows, with an ``(R, 3)`` index into it
+    (:func:`_float_tokens`, :func:`_index_tokens`); each row gets a
+    trailing space.  A line is a row of an ``(R, len(prefix) + 3 (W + 1))``
+    byte array, W the table's width: the prefix, then three slots filled
+    from the table by one gather, whose last byte becomes the newline.
+    One compress then keeps the nonzero bytes.  No repr, digit, prefix or
+    separator is a zero byte, so dropping the padding leaves exactly the
+    lines."""
     prefix = np.frombuffer(row_format[:row_format.index("%")].encode("ascii"), np.uint8)
     tokens = _float_tokens if rows.dtype.kind == "f" else _index_tokens
-    lines_buffer = keep_buffer = np.empty(0, dtype=np.uint8)
     for lo in range(0, len(rows), _OBJ_BLOCK_ROWS):
-        table, inverse = tokens(rows[lo:lo + _OBJ_BLOCK_ROWS])
-        n_tokens, width = table.shape
-        cells = np.zeros((3, n_tokens, len(prefix) + width + 1), dtype=np.uint8)
-        cells[0, :, :len(prefix)] = prefix
-        cells[:, :, len(prefix):-1] = table
-        cells[:, :, -1] = np.frombuffer(b"  \n", np.uint8)[:, None]
-        # field k of a line takes its cell from the k-th third of the cells
-        inverse += n_tokens * np.arange(3, dtype=inverse.dtype)
-        size = inverse.size * cells.shape[2]
-        if size > lines_buffer.size:
-            lines_buffer = keep_buffer = None   # freed before the larger pair
-            lines_buffer = np.empty(size, dtype=np.uint8)
-            keep_buffer = np.empty(size, dtype=bool)
-        lines, keep = lines_buffer[:size], keep_buffer[:size]
-        # one gather of whole cells, as void items, straight into the buffer:
-        # "clip" takes no checked copy, and every index is in range
-        slot = np.dtype((np.void, cells.shape[2]))
-        np.take(cells.reshape(3 * n_tokens, -1).view(slot)[:, 0], inverse,
-                out=lines.view(slot).reshape(inverse.shape), mode="clip")
-        np.not_equal(lines, 0, out=keep)
-        yield str(lines[keep], "ascii")
+        block = rows[lo:lo + _OBJ_BLOCK_ROWS]
+        table, inverse = tokens(block)
+        slot = np.dtype((np.void, table.shape[1] + 1))
+        cells = np.full((len(table), slot.itemsize), ord(" "), dtype=np.uint8)
+        cells[:, :-1] = table
+        lines = np.empty((len(block), len(prefix) + 3 * slot.itemsize), dtype=np.uint8)
+        lines[:, :len(prefix)] = prefix
+        # one slot per token: a gather of whole table rows, as void items
+        lines[:, len(prefix):].view(slot)[...] = np.take(cells.view(slot)[:, 0], inverse)
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0].tobytes().decode("ascii")
 
 
 def _float_tokens(block):
