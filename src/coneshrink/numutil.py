@@ -1,5 +1,6 @@
 """Shared numerical helpers: precision, decimal text, left-to-right sums,
-Hermite interpolation, Gauss-Legendre nodes and atomic file writes.  A
+Hermite interpolation, Gauss-Legendre nodes, atomic file writes and the
+release of free C heap pages.  A
 ``prec`` in bits means binary64 at 53 bits and below, mpmath above;
 mpmath's global precision is set with ``workprec`` only inside the calls
 that make mpf objects (the series' scalar rings carry their own).
