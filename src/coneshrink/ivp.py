@@ -122,19 +122,25 @@ def equation_residual(s, gamma, dgamma, d2gamma, eps, profile: CurvatureProfile)
 def _bootstrap_point(series: FormalSeries, target: float, s_hi: float):
     """(s, gamma, gamma') at the largest sampled s where both truncations
     (:func:`evaluate_truncated`) estimate their error below ``target``;
-    raises NoUsefulTruncation when no sampled point qualifies."""
+    gamma' is evaluated only where gamma's estimate passes.  Raises
+    NoUsefulTruncation, naming what to change, when no sampled point
+    qualifies."""
     s = s_hi
     while s > 1e-8:
         try:
             ev0 = evaluate_truncated(series, s, derivative=0)
-            ev1 = evaluate_truncated(series, s, derivative=1)
-            if max(ev0.error_estimate, ev1.error_estimate) <= target:
-                return s, ev0, ev1
+            # the max below rejects this point whatever ev1 reads
+            if not ev0.error_estimate > target:
+                ev1 = evaluate_truncated(series, s, derivative=1)
+                if max(ev0.error_estimate, ev1.error_estimate) <= target:
+                    return s, ev0, ev1
         except NoUsefulTruncation:
             pass
         s *= 0.85
     raise NoUsefulTruncation(
-        f"series cannot reach bootstrap error {target:.3e} anywhere below {s_hi!r}"
+        f"series cannot reach bootstrap error {target:.3e} anywhere below {s_hi!r}; "
+        f"raise the series precision (--precision, {series.precision_bits} bits here) "
+        "or loosen --tol"
     )
 
 
@@ -194,7 +200,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     tol = config.tol
 
     def f(s, y):
-        g_val, dg, _ = y.tolist()
+        g_val, dg, _ = y
         if not 0 <= g_val < d_focal:
             # H is not defined there: the stepper rejects a non-finite stage
             # and shrinks the step, as it does at any other such stage
@@ -242,7 +248,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
         y0 = (0.0, initial_slope, 0.0)
         t0 = 0.0
 
-    result = integrate(f, t0, np.array(y0), s_end, rtol=tol, atol=tol,
+    result = integrate(f, t0, list(y0), s_end, rtol=tol, atol=tol,
                        max_step=(s_end - t0) / 8, max_steps=MAX_STEPS, accept_hook=guard)
 
     s_nodes = result.ts
@@ -407,13 +413,13 @@ def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
     1e-4 sqrt(tol) of the phi chart's step-collapse abscissa at tol 1e-12."""
 
     def slopes(sigma, y):
-        d, phi, a = y.tolist()
+        d, phi, a = y
         c = math.cos(a)
         s = math.sin(a)
         return c, s, (n - 0.5 * math.exp(2 * phi)) * c - h_fast(d) * s
 
     try:
-        run = integrate(slopes, 0.0, np.array((d, phi, math.atan(dphi))),
+        run = integrate(slopes, 0.0, [d, phi, math.atan(dphi)],
                         TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
                         max_step=TANGENT_PROBE_ARCLENGTH / 100,
                         accept_hook=lambda sigma, y: math.cos(y[2]) <= 0.0 or y[0] >= d_target)
@@ -488,7 +494,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     n = family.n
 
     def f(d, y):
-        phi, dphi, _ = y.tolist()
+        phi, dphi, _ = y
         h = h_fast(d)
         d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h)
         return (dphi, d2, h * dphi * dphi)
@@ -507,13 +513,12 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
             raise OutOfRange(f"H({d!r}) < 0 before d0 = {d0!r}")
         if not probed and abs(y[1]) > TANGENT_PROBE_DPHI:
             probed = True
-            _probe_vertical_tangent(h_fast, n, d, float(y[0]), float(y[1]), d_target,
-                                    config.tol)
+            _probe_vertical_tangent(h_fast, n, d, y[0], y[1], d_target, config.tol)
 
     # the step cap keeps the stored nodes dense enough that downstream cubic
     # Hermite resampling (meshing) stays below the discrete-operator error
     try:
-        result = integrate(f, d_h, np.array((phi_h, dphi_h, 0.0)), d_target,
+        result = integrate(f, d_h, [phi_h, dphi_h, 0.0], d_target,
                            rtol=config.tol, atol=config.tol,
                            max_step=(d_target - d_h) / 64,
                            max_steps=MAX_STEPS, accept_hook=guard)

@@ -909,16 +909,21 @@ def evaluate_truncated(series: FormalSeries, s, derivative: int = 0,
     with mpmath.workprec(series.precision_bits):
         ss = to_real(s, series.precision_bits)
         k_lo = max(start_k, derivative if derivative > 0 else 1)
+        # term k is A_k s^p / p! with p = k - derivative; p! is carried as an
+        # exact integer product, so each term is the one math.factorial gives
+        p = k_lo - derivative
+        p_fact = math.factorial(p)
         terms = []
         mags = []
-        for k in range(k_lo, series.K + 1):
-            p = k - derivative
-            t = series.coefficient(k) * ss ** p / math.factorial(p)
+        for a_k in series.a[k_lo - 1:]:
+            t = a_k * ss ** p / p_fact
             terms.append(t)
             mags.append(abs(float(t)))
+            p += 1
+            p_fact *= p
         if not terms:
             raise OutOfRange("no admissible terms for the requested derivative")
-        i_star = min(range(len(mags)), key=lambda i: mags[i])
+        i_star = min(range(len(mags)), key=mags.__getitem__)
         if mags[i_star] > threshold:
             raise NoUsefulTruncation(
                 f"smallest term {mags[i_star]:.3e} exceeds threshold {threshold:.3e} "

@@ -18,6 +18,13 @@ Reordering these sums moves results in the last bits, and a stored
 trajectory with them.  The builtin ``sum`` must not replace the written-out
 sums: from Python 3.12 it compensates float sums and would round
 differently.
+
+The RHS receives the state in the form of the initial state ``y0``: for a
+list or tuple, the stage's list of floats itself, with no conversion per
+stage; for an ndarray, a fresh ndarray made from that list by a wrapper
+that :func:`integrate` puts around ``f`` once, at entry.  The stepper
+stores the lists it passes (the first state is a record), so ``f`` must
+not mutate its state.
 """
 
 from __future__ import annotations
@@ -77,13 +84,20 @@ def _error_norm(err, y0, y1, atol, rtol):
     return math.sqrt(acc / len(err))
 
 
+def _ndarray_state(f):
+    """``f`` called on each state list as a fresh 1-d ndarray."""
+    def on_array(t, y):
+        return f(t, np.array(y))
+    return on_array
+
+
 def _stage(f, t, yi):
     """f(t, yi) as a list of floats, or None when the stage state yi or the
     derivative has a non-finite component (f is not called on a non-finite
     state)."""
     if not all(map(math.isfinite, yi)):
         return None
-    k = list(map(float, f(t, np.array(yi))))
+    k = list(map(float, f(t, yi)))
     return k if all(map(math.isfinite, k)) else None
 
 
@@ -134,15 +148,22 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
               first_step=None, max_steps=1_000_000, accept_hook=None):
     """Integrate y' = f(t, y) from t0 to t_end (t_end > t0).
 
-    ``f`` receives the state as a 1-d ndarray and may return any sequence of
-    numbers.  ``accept_hook(t, y)`` runs after every accepted step, with the
-    state as a list of floats; it may raise to abort with a domain-specific
-    error, or return a true value to end the run at that node, the result
-    holding the nodes so far.  Raises :class:`StepSizeCollapse` when the
-    controller stalls (step underflow or step budget exhausted); its
-    abscissa is a Python float, as is every step.
+    ``f`` receives the state in the form of ``y0``: a list of floats when
+    ``y0`` is a list or tuple, else a 1-d ndarray; it may return any
+    sequence of numbers, and must not mutate the state it receives (the
+    stepper keeps that list).  ``accept_hook(t, y)`` runs after every
+    accepted step, with the state as a list of floats; it may raise to
+    abort with a domain-specific error, or return a true value to end the
+    run at that node, the result holding the nodes so far.  Raises
+    :class:`StepSizeCollapse` when the controller stalls (step underflow or
+    step budget exhausted); its abscissa is a Python float, as is every
+    step.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    if not isinstance(y0, (list, tuple)):
+        f = _ndarray_state(f)
+    # states and stages are lists of floats from here on; none is mutated
+    # after it is made, so the records need no copies
+    y = np.asarray(y0, dtype=float).tolist()
     t = float(t0)
     t_end = float(t_end)
     max_step = float(max_step)
@@ -156,9 +177,6 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     h = float(max(min(first_step, max_step, span), 1e-300))
     h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
 
-    # states and stages are lists of floats from here on; none is mutated
-    # after it is made, so the records need no copies
-    y = y.tolist()
     k1 = k1.tolist()
     ts, ys, fs, errs = [t], [y], [k1], [0.0]
     n_steps = n_rejected = 0

@@ -216,6 +216,24 @@ def test_bootstrap_overflow_names_k_and_advises(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_unreachable_bootstrap_error_advises_precision_or_tol(tmp_path, capsys):
+    """At --tol 1e-13 the 53-bit series of g3_m2 reaches the bootstrap
+    target 1e-15 nowhere: exit 4, and the message names the two ways out.
+    At --precision 128 the same solve exits 0."""
+    fam = builtin_catalog()["g3_m2"]
+    flags = ["--g", str(fam.g), "--m-minus", str(fam.m_minus), "--m-plus", str(fam.m_plus),
+             "--n", str(fam.n), "--theta1", repr(fam.theta1), "--tol", "1e-13"]
+    code, _, err = run(["solve", *flags, "--out", str(tmp_path / "53")], capsys)
+    assert code == 4
+    assert err.startswith("solver failure: NoUsefulTruncation: series cannot reach bootstrap "
+                          "error 1.000e-15 anywhere below ")
+    assert err.strip().endswith("; raise the series precision (--precision, 53 bits here) "
+                                "or loosen --tol")
+    code, _, err = run(["solve", *flags, "--precision", "128", "--out", str(tmp_path / "128")],
+                       capsys)
+    assert code == 0, err
+
+
 # d where the default continuation of the five window families meets its
 # vertical tangent (the stall table of ROADMAP item 1, to 5 decimals); the
 # other nine built-ins solve.  perfbench/reference.json records the same

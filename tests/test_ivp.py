@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coneshrink import cli, stepper
 from coneshrink import ivp as ivp_mod
-from coneshrink import stepper
-from coneshrink.catalog import (EQ030_LITERAL, CurvatureProfile, builtin_catalog, make_family,
-                                mean_curvature)
+from coneshrink.catalog import (EQ030_LITERAL, PROFILE_MODES, CurvatureProfile, builtin_catalog,
+                                make_family, mean_curvature)
 from coneshrink.errors import (
     BlowUpDetected,
     MonotonicityLost,
     NotInvertible,
     NotMeanConvex,
+    NoUsefulTruncation,
     OutOfRange,
     StepSizeCollapse,
 )
@@ -29,10 +32,11 @@ from coneshrink.ivp import (
     _cumulative_energy,
     _cumulative_q_from_s,
 )
-from coneshrink.numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_eval, loglog_slope,
-                               write_csv)
-from coneshrink.series import (DEFAULT_K, EpsilonPolynomial, compute_coefficients,
-                               compute_epsilon_corrections, evaluate_truncated)
+from coneshrink.numutil import (DOUBLE_PREC, GAUSS4_NODES, GAUSS4_WEIGHTS, hermite_eval,
+                               loglog_slope, write_csv)
+from coneshrink.series import (DEFAULT_K, EpsilonPolynomial, FormalSeries, TruncatedValue,
+                               compute_coefficients, compute_epsilon_corrections,
+                               evaluate_truncated)
 
 
 def gamma_rhs(s, gamma, dgamma, eps, profile):
@@ -614,6 +618,122 @@ def test_probe_short_of_the_window_solves_bit_identical(builtin_d_profile, monke
     assert np.max(np.abs(got["dphi"])) > ivp_mod.TANGENT_PROBE_DPHI
     assert got["d"][-1] == pytest.approx(d_target, abs=1e-12)
     _assert_bit_identical(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap scan against the linear scan that evaluates both truncations
+# at every grid point, and the RHS state form in a default solve.
+# ---------------------------------------------------------------------------
+
+def _bootstrap_oracle(series, target, s_hi):
+    """The bootstrap point by the linear scan over s_hi * 0.85^j that
+    evaluates gamma and gamma' at every grid point."""
+    s = s_hi
+    while s > 1e-8:
+        try:
+            ev0 = ivp_mod.evaluate_truncated(series, s, derivative=0)
+            ev1 = ivp_mod.evaluate_truncated(series, s, derivative=1)
+            if max(ev0.error_estimate, ev1.error_estimate) <= target:
+                return s, ev0, ev1
+        except NoUsefulTruncation:
+            pass
+        s *= 0.85
+    raise NoUsefulTruncation(
+        f"series cannot reach bootstrap error {target:.3e} anywhere below {s_hi!r}")
+
+
+def _bootstrap_outcome(scan, series, target, s_hi):
+    """Every bit of a scan's (s_b, ev0, ev1), or its raise up to the advice."""
+    try:
+        s, ev0, ev1 = scan(series, target, s_hi)
+    except NoUsefulTruncation as exc:
+        return "raised", str(exc).partition("; ")[0]
+    return (s.hex(), *((float(ev.value).hex(), ev.error_estimate.hex(), ev.k_star)
+                       for ev in (ev0, ev1)))
+
+
+def test_bootstrap_point_matches_the_linear_scan():
+    """Over the 14 built-ins in both profile modes at theta1 x0.90-1.10, at
+    K 40 and tol 1e-8 to 1e-13, and at K 20 and tol 1e-12, the scan that
+    skips gamma' where gamma's estimate fails returns the oracle's
+    (s_b, ev0, ev1) to the bit, or raises where it raises."""
+    outcomes = {"returned": 0, "raised": 0}
+    for name, fam in sorted(builtin_catalog().items()):
+        for mode in PROFILE_MODES:
+            for scale in (0.90, 0.95, 1.00, 1.05, 1.10):
+                member = make_family(fam.g, fam.m_minus, fam.m_plus, fam.n, fam.theta1 * scale)
+                for K, tols in ((40, (1e-8, 1e-10, 1e-12, 1e-13)), (20, (1e-12,))):
+                    series = compute_coefficients(CurvatureProfile(member, mode), K)
+                    for tol in tols:
+                        args = (series, ivp_mod.BOOTSTRAP_FACTOR * tol, member.s_end / 2)
+                        got = _bootstrap_outcome(ivp_mod._bootstrap_point, *args)
+                        assert got == _bootstrap_outcome(_bootstrap_oracle, *args), (
+                            name, mode, scale, K, tol)
+                        outcomes["raised" if got[0] == "raised" else "returned"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+_ESTIMATE = st.sampled_from([1e-20, 1e-12, 1.0, math.nan, math.inf, None])
+
+
+@given(st.lists(st.tuples(_ESTIMATE, _ESTIMATE), min_size=1, max_size=8))
+def test_bootstrap_point_decides_nan_and_raises_as_the_linear_scan(script):
+    """With scripted error estimates per grid point (None: the evaluation
+    raises NoUsefulTruncation), NaN among them, the scan returns or raises
+    as the oracle does, and evaluates gamma' only where gamma's estimate
+    does not exceed the target."""
+    fam = builtin_catalog()["g1_sphere_n2"]
+    series = FormalSeries(CurvatureProfile(fam), DOUBLE_PREC, (1.0,), (0.0,))
+    s_hi, target = 0.1, 1e-12
+    grid = [s_hi]
+    while grid[-1] > 1e-8:
+        grid.append(grid[-1] * 0.85)
+    calls = []
+
+    def scripted(series, s, derivative=0):
+        calls.append(derivative)
+        j = grid.index(s)
+        est = script[j][derivative] if j < len(script) else None
+        if est is None:
+            raise NoUsefulTruncation(f"scripted at s = {s!r}")
+        return TruncatedValue(value=s, error_estimate=est, k_star=j)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ivp_mod, "evaluate_truncated", scripted)
+        got = _bootstrap_outcome(ivp_mod._bootstrap_point, series, target, s_hi)
+        got_calls, calls[:] = calls[:], []
+        want = _bootstrap_outcome(_bootstrap_oracle, series, target, s_hi)
+    assert got == want
+    ev0_calls = got_calls.count(0)
+    assert ev0_calls == calls.count(0)
+    # gamma' is evaluated at exactly the points whose gamma estimate passes
+    passing = [j for j, (e0, _) in enumerate(script[:ev0_calls])
+               if e0 is not None and not e0 > target]
+    assert got_calls.count(1) == len(passing) <= calls.count(1)
+
+
+def test_no_ndarray_reaches_an_rhs_closure_in_a_default_solve(tmp_path, monkeypatch, capsys):
+    """In default solves, one that exits 0 and one that meets its vertical
+    tangent, the s-side, d-side and tangent-probe RHS receive every state
+    as a list of floats."""
+    seen = {}
+
+    def spying(f, *args, **kwargs):
+        def rhs(t, y):
+            seen.setdefault(f.__qualname__, set()).update({type(y), *map(type, y)})
+            return f(t, y)
+        return stepper.integrate(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(ivp_mod, "integrate", spying)
+    for name, code in (("g1_sphere_n2", 0), ("g6_m2", 4)):
+        fam = builtin_catalog()[name]
+        argv = ["solve", "--g", str(fam.g), "--m-minus", str(fam.m_minus),
+                "--m-plus", str(fam.m_plus), "--n", str(fam.n), "--theta1", repr(fam.theta1),
+                "--out", str(tmp_path / name)]
+        assert cli.main(argv) == code, capsys.readouterr().err
+    assert seen == {"integrate_gamma.<locals>.f": {list, float},
+                    "continue_phi.<locals>.f": {list, float},
+                    "_probe_vertical_tangent.<locals>.slopes": {list, float}}
 
 
 class TestCsvRoundTrip:

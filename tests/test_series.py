@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -12,10 +13,11 @@ from coneshrink import series as series_mod
 from coneshrink.catalog import (EQ030_LITERAL, PROFILE_MODES, CurvatureProfile, builtin_catalog,
                                 curvature_derivative, mean_curvature)
 from coneshrink.errors import NoUsefulTruncation, OutOfRange, PrecisionExhausted
-from coneshrink.numutil import DOUBLE_PREC, to_real
+from coneshrink.numutil import DOUBLE_PREC, left_sum, machine_eps, to_real
 from coneshrink.series import (
     FormalSeries,
     TaylorRecursion,
+    TruncatedValue,
     compute_coefficients,
     evaluate_truncated,
     gevrey_diagnostics,
@@ -275,6 +277,49 @@ class TestGevrey:
             gevrey_diagnostics(fs)
 
 
+def _evaluate_truncated_oracle(series, s, derivative=0, threshold=1e-2, start_k=1):
+    """The per-term loop that evaluate_truncated replaced, kept as its
+    oracle: coefficient(k) and math.factorial(p) for every term."""
+    with mpmath.workprec(series.precision_bits):
+        ss = to_real(s, series.precision_bits)
+        k_lo = max(start_k, derivative if derivative > 0 else 1)
+        terms = []
+        mags = []
+        for k in range(k_lo, series.K + 1):
+            p = k - derivative
+            t = series.coefficient(k) * ss ** p / math.factorial(p)
+            terms.append(t)
+            mags.append(abs(float(t)))
+        i_star = min(range(len(mags)), key=lambda i: mags[i])
+        if mags[i_star] > threshold:
+            raise NoUsefulTruncation(
+                f"smallest term {mags[i_star]:.3e} exceeds threshold {threshold:.3e} "
+                f"at s = {float(s)!r}"
+            )
+        value = terms[0]
+        for t in terms[1: i_star + 1]:
+            value = value + t
+        omitted = mags[i_star + 1] if i_star + 1 < len(mags) else mags[i_star]
+        floor = machine_eps(series.precision_bits) * left_sum(mags[: i_star + 1])
+        k_star = k_lo + i_star
+    return TruncatedValue(value=value, error_estimate=max(omitted, floor), k_star=k_star)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_series(name, bits):
+    return compute_coefficients(CurvatureProfile(builtin_catalog()[name]), 32, bits)
+
+
+def _outcome(evaluate, *args):
+    """Every bit of a truncated evaluation, or the type and text of its raise."""
+    try:
+        ev = evaluate(*args)
+    except NoUsefulTruncation as exc:
+        return type(exc), str(exc)
+    value = ev.value._mpf_ if isinstance(ev.value, mpmath.mpf) else ev.value.hex()
+    return type(ev.value), value, ev.error_estimate.hex(), ev.k_star
+
+
 class TestEvaluateTruncated:
     def test_leading_behavior(self, series1):
         for s in (1e-6, 1e-5, 1e-4):
@@ -297,6 +342,21 @@ class TestEvaluateTruncated:
     def test_no_useful_truncation(self, series1):
         with pytest.raises(NoUsefulTruncation):
             evaluate_truncated(series1, 10.0, threshold=1e-2)
+
+    @pytest.mark.parametrize("bits", [DOUBLE_PREC, 256])
+    @pytest.mark.parametrize("derivative, start_k", [(0, 1), (1, 1), (2, 1), (0, 2)])
+    def test_terms_match_the_per_term_oracle(self, bits, derivative, start_k):
+        """The one-pass terms, with p! carried as a running product, give
+        every value, error estimate, k* and raise of the per-term loop that
+        calls coefficient(k) and math.factorial(p), to the bit."""
+        for name in ("g1_sphere_n2", "g3_m2", "g6_m1"):
+            fs = _oracle_series(name, bits)
+            s_end = fs.curvature.family.s_end
+            for s in (1e-6, 1e-3, 0.05 * s_end, 0.2 * s_end, 0.5 * s_end, 10.0):
+                for threshold in (1e-2, float("inf")):
+                    args = (fs, s, derivative, threshold, start_k)
+                    assert _outcome(evaluate_truncated, *args) == _outcome(
+                        _evaluate_truncated_oracle, *args), (name, s, threshold)
 
     def test_requires_positive_s(self, series1):
         with pytest.raises(OutOfRange):

@@ -290,6 +290,45 @@ def test_non_finite_stage_rejects(name):
     assert np.all(np.isfinite(res.ys))
 
 
+# the oracle cases whose RHS takes a list as well as an ndarray
+LIST_STATE_CASES = sorted(set(ORACLE_CASES) - {"ndarray_rhs"})
+
+
+@pytest.mark.parametrize("form, kind", [(list, list), (tuple, list), (np.array, np.ndarray)])
+def test_rhs_gets_the_state_in_the_form_of_y0(form, kind):
+    """A list or tuple y0 gives the RHS lists of floats, an ndarray y0
+    ndarrays, at the first call and at every stage."""
+    seen = set()
+
+    def f(t, y):
+        seen.add(type(y))
+        seen.update(type(v) for v in y)
+        return (y[1], -y[0])
+
+    integrate(f, 0.0, form([1.0, 0.0]), 1.0, rtol=1e-8, atol=1e-8)
+    assert seen == {kind, float if kind is list else np.float64}
+
+
+@pytest.mark.parametrize("name", LIST_STATE_CASES)
+def test_state_forms_give_identical_runs(name):
+    """The list, tuple and ndarray forms of y0 give the same nodes, states,
+    derivatives and error estimates to the bit, with the same RHS calls,
+    or the same collapse."""
+    f, t0, y0, t_end, kw = ORACLE_CASES[name]
+    runs = [_run_counted(integrate, copy.copy(f), t0, form(y0), t_end, **kw)
+            for form in (list, tuple, np.array)]
+    (want, want_calls), others = runs[-1], runs[:-1]
+    for got, got_calls in others:
+        assert got_calls == want_calls
+        if isinstance(want, StepSizeCollapse):
+            assert type(got) is StepSizeCollapse
+            assert str(got) == str(want) and got.last_good == want.last_good
+            continue
+        for field in ("ts", "ys", "fs", "errs"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert (got.n_steps, got.n_rejected) == (want.n_steps, want.n_rejected)
+
+
 class _Linear:
     """y' = M y + w cos(t), returning an ndarray or a tuple of floats."""
 
