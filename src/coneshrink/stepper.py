@@ -22,9 +22,9 @@ differently.
 The RHS receives the state in the form of the initial state ``y0``: for a
 list or tuple, the stage's list of floats itself, with no conversion per
 stage; for an ndarray, a fresh ndarray made from that list by a wrapper
-that :func:`integrate` puts around ``f`` once, at entry.  The stepper
-stores the lists it passes (the first state is a record), so ``f`` must
-not mutate its state.
+that :func:`integrate` puts around ``f`` once, at entry.  The lists are
+not copied (the initial state's list is also the first record of the
+result), so ``f`` must not mutate its state.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``f`` receives the state in the form of ``y0``: a list of floats when
     ``y0`` is a list or tuple, else a 1-d ndarray; it may return any
     sequence of numbers, and must not mutate the state it receives (the
-    stepper keeps that list).  ``accept_hook(t, y)`` runs after every
+    stepper does not copy it).  ``accept_hook(t, y)`` runs after every
     accepted step, with the state as a list of floats; it may raise to
     abort with a domain-specific error, or return a true value to end the
     run at that node, the result holding the nodes so far.  Raises

@@ -701,7 +701,8 @@ def test_bootstrap_point_decides_nan_and_raises_as_the_linear_scan(script):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ivp_mod, "evaluate_truncated", scripted)
         got = _bootstrap_outcome(ivp_mod._bootstrap_point, series, target, s_hi)
-        got_calls, calls[:] = calls[:], []
+        got_calls = list(calls)
+        calls.clear()
         want = _bootstrap_outcome(_bootstrap_oracle, series, target, s_hi)
     assert got == want
     ev0_calls = got_calls.count(0)
