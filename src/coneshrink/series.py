@@ -295,6 +295,13 @@ class _MpRing:
         return abs((xm << (xe - e)) - rm) / abs(rm)
 
 
+def _isfinite(x):
+    """Whether a coefficient is finite: by ``math`` for a float, as the
+    53-bit runs make them; ``mpmath.isfinite`` would first convert it to
+    an mpf."""
+    return math.isfinite(x) if type(x) is float else mpmath.isfinite(x)
+
+
 def _ring(prec):
     """The scalar ring of a run at ``prec`` bits: floats up to 53, else integer mantissas."""
     return _MpRing(prec) if prec > DOUBLE_PREC else _FloatRing()
@@ -620,7 +627,7 @@ def compute_coefficients(curvature: CurvatureProfile, K: int,
     ring = _ring(prec)
     a = [ring.out(v) for v in _taylor_coefficients(curvature, K, ring)]
     for k, v in enumerate(a, start=1):
-        if not mpmath.isfinite(v):
+        if not _isfinite(v):
             raise PrecisionExhausted(
                 k, float("inf"),
                 f"A_{k} overflows at {prec} bits; raise the working precision",
@@ -754,7 +761,7 @@ def compute_epsilon_corrections(series: FormalSeries, N: int) -> EpsilonCorrecti
         raise OutOfRange(f"series must carry at least N+1 = {N + 1} coefficients")
     # every check below compares False against a nan: reject it at the source
     for k in range(1, N + 2):
-        if not mpmath.isfinite(series.coefficient(k)):
+        if not _isfinite(series.coefficient(k)):
             raise OutOfRange(f"A_{k} is not finite: {series.coefficient(k)}")
     profile, prec = series.curvature, series.precision_bits
     eps_m = machine_eps(prec)

@@ -6,29 +6,40 @@ error estimate), which gives cubic Hermite dense output for free.  The
 implicit trapezoid integrator below it is unused: no pipeline path calls it,
 and it is kept only because perfbench's tracing pins its name.
 
-The explicit pair runs its stage arithmetic on Python floats: the state has
-two or three components, where numpy's per-call overhead outweighs the work.
-The seven stage states and the two solutions are written out as straight-line
-sums, one list comprehension each over the state and the stages it reads,
-with the tableau's constants unpacked once from ``_A``, ``_B5``, ``_B4`` and
-``_C``.  Each stage value is formed in one fixed order, per component
-``y[j] + h * (((0 + a1 * k1[j]) + a2 * k2[j]) + ...)`` over the tableau row
-from left to right, with the zero weights of the tableau kept in the rows.
-Reordering these sums moves results in the last bits, and a stored
-trajectory with them.  The builtin ``sum`` must not replace the written-out
-sums: from Python 3.12 it compensates float sums and would round
-differently.
+One attempt of the explicit pair is straight-line code on Python floats,
+generated for the state's dimension ``n`` (:func:`_attempt_source`),
+compiled once per ``n`` and cached.  The state has two or three
+components, where numpy's per-call overhead outweighs the work, and where
+a loop over the components costs more than the arithmetic: the generated
+code unpacks the state and each stage into scalar locals, writes every
+stage state's components out, checks finiteness by a chain of
+``isfinite`` calls, and forms the 5th-order solution, the error norm and
+the largest error component in place.  ``exec`` gives this code for any
+``n`` from one generator, with no hand-written copy per dimension and no
+fallback path.
+
+Each stage value is formed in one fixed order, per component
+``y_j + h * (((0 + a1 * k1_j) + a2 * k2_j) + ...)`` over the tableau row
+from left to right, with the zero weights of the tableau kept in the rows;
+the generator reads the row's constants by name (``_A21`` ... ``_B47``).
+The error norm is :func:`_error_norm`'s sum, in its order.  Reordering
+these sums moves results in the last bits, and a stored trajectory with
+them.  The builtin ``sum`` must not replace the written-out sums: from
+Python 3.12 it compensates float sums and would round differently.
 
 The RHS receives the state in the form of the initial state ``y0``: for a
 list or tuple, the stage's list of floats itself, with no conversion per
 stage; for an ndarray, a fresh ndarray made from that list by a wrapper
 that :func:`integrate` puts around ``f`` once, at entry.  The lists are
 not copied (the initial state's list is also the first record of the
-result), so ``f`` must not mutate its state.
+result), so ``f`` must not mutate its state.  ``f`` must return as many
+components as the state has; :func:`integrate` raises ``ValueError``
+naming both lengths where it does not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +63,7 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
        -92097 / 339200, 187 / 2100, 1 / 40)
 
-# the same constants by name, for the written-out stage sums
+# the same constants by name, as the generated attempt reads them
 _C2, _C3, _C4, _C5, _C6, _C7 = _C[1:]
 ((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
  (_A61, _A62, _A63, _A64, _A65), (_A71, _A72, _A73, _A74, _A75, _A76)) = _A[1:]
@@ -75,7 +86,8 @@ def _error_norm(err, y0, y1, atol, rtol):
     """RMS of err / (atol + rtol * max(|y0|, |y1|)) in Python floats.  Below
     8 components this is numpy's value to the bit: squares as x * x, summed
     left to right from 0.0, divided by the count; a zero scale divides as
-    IEEE does (inf, or nan for 0 / 0)."""
+    IEEE does (inf, or nan for 0 / 0).  The explicit pair's attempt forms
+    the same sum inline."""
     acc = 0.0
     for e, u, v in zip(err, y0, y1):
         scale = atol + rtol * max(abs(u), abs(v))
@@ -91,57 +103,79 @@ def _ndarray_state(f):
     return on_array
 
 
-def _stage(f, t, yi):
-    """f(t, yi) as a list of floats, or None when the stage state yi or the
-    derivative has a non-finite component (f is not called on a non-finite
-    state)."""
-    if not all(map(math.isfinite, yi)):
-        return None
-    k = list(map(float, f(t, yi)))
-    return k if all(map(math.isfinite, k)) else None
+def _length_mismatch(got, n):
+    return ValueError(f"f returned {got} components for a state of {n}")
 
 
-def _dp_step(f, t, y, h, k1):
-    """One Dormand-Prince attempt from (t, y) with k1 = f(t, y): the 5th- and
-    4th-order solutions and k7, f at the last stage (t + h), or None at the
-    first non-finite stage.  Every tableau row ends in a nonzero weight, so the
-    state after a non-finite k_i (k1 included) is non-finite too: stopping
-    at k_i skips no RHS call that a finite attempt would need."""
-    k2 = _stage(f, t + _C2 * h, [v + h * (0 + _A21 * p1) for v, p1 in zip(y, k1)])
-    if k2 is None:
-        return None
-    k3 = _stage(f, t + _C3 * h, [v + h * ((0 + _A31 * p1) + _A32 * p2)
-                                 for v, p1, p2 in zip(y, k1, k2)])
-    if k3 is None:
-        return None
-    k4 = _stage(f, t + _C4 * h, [v + h * (((0 + _A41 * p1) + _A42 * p2) + _A43 * p3)
-                                 for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-    if k4 is None:
-        return None
-    k5 = _stage(f, t + _C5 * h,
-                [v + h * ((((0 + _A51 * p1) + _A52 * p2) + _A53 * p3) + _A54 * p4)
-                 for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-    if k5 is None:
-        return None
-    k6 = _stage(f, t + _C6 * h,
-                [v + h * (((((0 + _A61 * p1) + _A62 * p2) + _A63 * p3) + _A64 * p4)
-                          + _A65 * p5)
-                 for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-    if k6 is None:
-        return None
-    k7 = _stage(f, t + _C7 * h,
-                [v + h * ((((((0 + _A71 * p1) + _A72 * p2) + _A73 * p3) + _A74 * p4)
-                           + _A75 * p5) + _A76 * p6)
-                 for v, p1, p2, p3, p4, p5, p6 in zip(y, k1, k2, k3, k4, k5, k6)])
-    if k7 is None:
-        return None
-    y5 = [v + h * (((((((0 + _B51 * p1) + _B52 * p2) + _B53 * p3) + _B54 * p4)
-                     + _B55 * p5) + _B56 * p6) + _B57 * p7)
-          for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)]
-    y4 = [v + h * (((((((0 + _B41 * p1) + _B42 * p2) + _B43 * p3) + _B44 * p4)
-                     + _B45 * p5) + _B46 * p6) + _B47 * p7)
-          for v, p1, p2, p3, p4, p5, p6, p7 in zip(y, k1, k2, k3, k4, k5, k6, k7)]
-    return y5, y4, k7
+def _weighted(y, weights, j):
+    """Component j of ``y + h * (row . k)``, the row's terms summed left to
+    right from the integer 0, zero weights included."""
+    acc = "0"
+    for i, w in enumerate(weights, start=1):
+        acc = f"({acc} + {w} * k{i}_{j})"
+    return f"{y}_{j} + h * {acc}"
+
+
+def _attempt_source(n):
+    """Source of ``attempt(f, t, y, h, k1, atol, rtol)``, one Dormand-Prince
+    attempt from (t, y) with k1 = f(t, y), for an ``n``-component state.
+
+    It returns ``(y5, k7, err, err_max)``: the 5th-order solution, f at the
+    last stage (t + h), the error norm of ``y5 - y4`` and its largest
+    component; or None at the first non-finite stage state or stage.  Every
+    tableau row ends in a nonzero weight, so the state after a non-finite
+    k_i (k1 included) is non-finite too: stopping there skips no RHS call
+    that a finite attempt would need."""
+    comps = range(n)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}_{j}" for j in comps)
+
+    def finite(prefix):
+        return " and ".join(f"isfinite({prefix}_{j})" for j in comps)
+
+    lines = ["def attempt(f, t, y, h, k1, atol, rtol):",
+             f"    {names('y')}, = y",
+             f"    {names('k1')}, = k1"]
+    for i in range(2, 8):
+        row = [f"_A{i}{l}" for l in range(1, i)]
+        k = "k7" if i == 7 else "k"
+        lines += [f"    s_{j} = {_weighted('y', row, j)}" for j in comps]
+        lines += [f"    if not ({finite('s')}):",
+                  "        return None",
+                  f"    {k} = list(map(float, f(t + _C{i} * h, [{names('s')}])))",
+                  f"    if len({k}) != {n}:",
+                  f"        raise _length_mismatch(len({k}), {n})",
+                  f"    {names(f'k{i}')}, = {k}",
+                  f"    if not ({finite(f'k{i}')}):",
+                  "        return None"]
+    b5 = [f"_B5{l}" for l in range(1, 8)]
+    b4 = [f"_B4{l}" for l in range(1, 8)]
+    lines += [f"    y5_{j} = {_weighted('y', b5, j)}" for j in comps]
+    lines += [f"    e_{j} = y5_{j} - ({_weighted('y', b4, j)})" for j in comps]
+    # _error_norm's sum, and max(|e|) as the builtin max keeps its first maximum
+    lines.append("    acc = 0.0")
+    for j in comps:
+        lines += [f"    u = abs(y_{j})",
+                  f"    v = abs(y5_{j})",
+                  "    scale = atol + rtol * (v if v > u else u)",
+                  f"    x = e_{j} / scale if scale else e_{j} * inf",
+                  "    acc = acc + x * x"]
+    lines.append("    err_max = abs(e_0)")
+    for j in comps[1:]:
+        lines += [f"    a = abs(e_{j})",
+                  "    if a > err_max:",
+                  "        err_max = a"]
+    lines.append(f"    return [{names('y5')}], k7, sqrt(acc / {n}), err_max")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _attempt(n):
+    """The attempt of :func:`_attempt_source`, compiled once per dimension."""
+    namespace = {**globals(), "isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(_attempt_source(n), f"<dormand-prince attempt, n={n}>", "exec"), namespace)
+    return namespace["attempt"]
 
 
 def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
@@ -150,8 +184,9 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
 
     ``f`` receives the state in the form of ``y0``: a list of floats when
     ``y0`` is a list or tuple, else a 1-d ndarray; it may return any
-    sequence of numbers, and must not mutate the state it receives (the
-    stepper does not copy it).  ``accept_hook(t, y)`` runs after every
+    sequence of as many numbers as the state has components (else
+    ``ValueError``, naming both lengths), and must not mutate the state it
+    receives (the stepper does not copy it).  ``accept_hook(t, y)`` runs after every
     accepted step, with the state as a list of floats; it may raise to
     abort with a domain-specific error, or return a true value to end the
     run at that node, the result holding the nodes so far.  Raises
@@ -164,6 +199,8 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     # states and stages are lists of floats from here on; none is mutated
     # after it is made, so the records need no copies
     y = np.asarray(y0, dtype=float).tolist()
+    if not y:
+        raise ValueError("y0 must have at least one component")
     t = float(t0)
     t_end = float(t_end)
     max_step = float(max_step)
@@ -171,6 +208,9 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     if span <= 0:
         raise ValueError("t_end must exceed t0")
     k1 = np.asarray(f(t, y), dtype=float)
+    if k1.shape != (len(y),):
+        raise _length_mismatch(k1.size, len(y))
+    attempt = _attempt(len(y))
     if first_step is None:
         scale = np.max(np.abs(k1)) + 1e-30
         first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)
@@ -186,14 +226,12 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         h = min(h, t_end - t, max_step)
         if h < h_floor:
             raise StepSizeCollapse("step size underflow", last_good=t)
-        attempt = _dp_step(f, t, y, h, k1)
-        if attempt is None:  # a non-finite stage: reject
+        step = attempt(f, t, y, h, k1, atol, rtol)
+        if step is None:  # a non-finite stage: reject
             n_rejected += 1
             h *= 0.25
             continue
-        y5, y4, k7 = attempt
-        err_vec = [a - b for a, b in zip(y5, y4)]
-        err = _error_norm(err_vec, y, y5, atol, rtol)
+        y5, k7, err, err_max = step
         if err <= 1.0:
             t = t + h
             y = y5
@@ -201,7 +239,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
             ts.append(t)
             ys.append(y)
             fs.append(k1)
-            errs.append(max(abs(e) for e in err_vec))
+            errs.append(err_max)
             n_steps += 1
             if accept_hook is not None and accept_hook(t, y):
                 break

@@ -117,6 +117,22 @@ class TestClosedForms:
             compute_coefficients(CurvatureProfile(fam1), 30)
         assert "precision" in str(err.value)
 
+    @pytest.mark.parametrize("prec, mpf_checks", [(53, 0), (256, 12 + 9)])
+    def test_finiteness_checks_by_number_type(self, fam1, monkeypatch, prec, mpf_checks):
+        """The coefficients' finiteness checks use ``math`` on the floats of
+        a 53-bit run and ``mpmath`` on mpf values, one check per A_k of
+        the series and per A_1..A_(N+1) of the corrections."""
+        calls = []
+
+        def counted(x):
+            calls.append(type(x))
+            return mpmath.mp.isfinite(x)
+
+        monkeypatch.setattr(series_mod.mpmath, "isfinite", counted)
+        fs = compute_coefficients(CurvatureProfile(fam1), 12, prec)
+        series_mod.compute_epsilon_corrections(fs, 8)
+        assert len(calls) == mpf_checks and set(calls) <= {mpmath.mpf}
+
 
 class TestCotChains:
     def test_one_chain_per_closed_form_term(self):

@@ -11,8 +11,8 @@ from coneshrink.catalog import CurvatureProfile, builtin_catalog
 from coneshrink.errors import BlowUpDetected, StepSizeCollapse
 from coneshrink.numutil import hermite_eval
 from coneshrink.series import DEFAULT_K, compute_coefficients
-from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _error_norm, integrate,
-                                integrate_implicit)
+from coneshrink.stepper import (_A, _B4, _B5, _C, IntegrationResult, _attempt, _error_norm,
+                                integrate, integrate_implicit)
 
 
 def test_accuracy_on_harmonic_oscillator():
@@ -231,15 +231,22 @@ def _inf_below(t, y):
     return (-y[0] if y[0] > 0.5 else math.inf,)
 
 
-class _FailsOnCall:
-    """y' = -y, except that call ``n`` returns ``value``."""
+def _decay(t, y):
+    return [-v for v in y]
 
-    def __init__(self, n, value):
-        self.n, self.value, self.calls = n, value, 0
+
+class _FailsOnCall:
+    """y' = -y, except that component ``j`` of call ``n`` returns ``value``."""
+
+    def __init__(self, n, value, j=0):
+        self.n, self.value, self.j, self.calls = n, value, j, 0
 
     def __call__(self, t, y):
         self.calls += 1
-        return (self.value,) if self.calls == self.n else (-y[0],)
+        k = _decay(t, y)
+        if self.calls == self.n:
+            k[self.j] = self.value
+        return k
 
 
 ORACLE_CASES = {
@@ -255,6 +262,15 @@ ORACLE_CASES = {
     "nan_last_stage": (_FailsOnCall(7, math.nan), 0.0, [1.0], 1.0, dict(rtol=1e-9, atol=1e-9)),
     # call 2 is k2, finite, but -56/15 * k2 overflows the third stage state
     "overflow_stage": (_FailsOnCall(2, 1.5e308), 0.0, [1.0], 1.0, dict(rtol=1e-9, atol=1e-9)),
+    # three components, with only the last or the middle one non-finite: a
+    # check that reads fewer components than the state has fails these
+    "inf_last_component": (_FailsOnCall(4, math.inf, j=2), 0.0, [1.0, -2.0, 0.5], 1.0,
+                           dict(rtol=1e-9, atol=1e-9)),
+    "nan_middle_last_stage": (_FailsOnCall(7, math.nan, j=1), 0.0, [1.0, -2.0, 0.5], 1.0,
+                              dict(rtol=1e-9, atol=1e-9)),
+    # k2 finite, but -56/15 * k2 overflows component 2 of the third stage state only
+    "overflow_last_component": (_FailsOnCall(2, 1.5e308, j=2), 0.0, [1.0, -2.0, 0.5], 1.0,
+                                dict(rtol=1e-9, atol=1e-9)),
     "blowup_collapse": (lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0,
                         dict(rtol=1e-8, atol=1e-8, max_steps=20000)),
     "budget_collapse": (_stiff, 0.0, [0.0], 1.0, dict(rtol=1e-8, atol=1e-8, max_steps=40)),
@@ -280,14 +296,49 @@ def test_scalar_loop_matches_numpy_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["inf_region", "inf_last_stage", "nan_last_stage",
-                                  "overflow_stage"])
+                                  "overflow_stage", "inf_last_component",
+                                  "nan_middle_last_stage", "overflow_last_component"])
 def test_non_finite_stage_rejects(name):
     # with a finite RHS everywhere the same run rejects fewer steps
     f, t0, y0, t_end, kw = ORACLE_CASES[name]
-    finite = integrate(lambda t, y: (-y[0],), t0, np.array(y0), t_end, **kw)
+    finite = integrate(_decay, t0, np.array(y0), t_end, **kw)
     res = integrate(copy.copy(f), t0, np.array(y0), t_end, **kw)
     assert res.n_rejected > finite.n_rejected
     assert np.all(np.isfinite(res.ys))
+
+
+@pytest.mark.parametrize("form", [list, np.array])
+@pytest.mark.parametrize("call, returned", [(1, 2), (1, 4), (3, 2), (7, 4)])
+def test_rhs_length_mismatch_raises(form, call, returned):
+    """An RHS that returns fewer or more components than the state has
+    raises ValueError naming both lengths, at the first call (k1) or at a
+    stage, instead of running on a shortened state."""
+    calls = 0
+
+    def f(t, y):
+        nonlocal calls
+        calls += 1
+        n = returned if calls == call else len(y)
+        return [-y[j % len(y)] for j in range(n)]
+
+    with pytest.raises(ValueError, match=f"^f returned {returned} components for a state of 3$"):
+        integrate(f, 0.0, form([1.0, -2.0, 0.5]), 1.0, rtol=1e-8, atol=1e-8)
+    assert calls == call
+
+
+def test_empty_state_raises():
+    with pytest.raises(ValueError, match="at least one component"):
+        integrate(lambda t, y: [], 0.0, [], 1.0, first_step=0.1)
+
+
+def test_attempt_is_compiled_once_per_dimension():
+    """integrate looks the attempt up once per run, by the state's length;
+    every run of one dimension shares one compiled attempt."""
+    _attempt.cache_clear()
+    for y0 in ([1.0, 0.0], (2.0, 0.5), np.array([0.0, 1.0]), [1.0]):
+        integrate(lambda t, y: [-v for v in y], 0.0, y0, 0.5)
+    info = _attempt.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 # the oracle cases whose RHS takes a list as well as an ndarray
