@@ -107,13 +107,13 @@ def _length_mismatch(got, n):
     return ValueError(f"f returned {got} components for a state of {n}")
 
 
-def _weighted(y, weights, j):
+def _weighted(weights, j):
     """Component j of ``y + h * (row . k)``, the row's terms summed left to
     right from the integer 0, zero weights included."""
     acc = "0"
     for i, w in enumerate(weights, start=1):
         acc = f"({acc} + {w} * k{i}_{j})"
-    return f"{y}_{j} + h * {acc}"
+    return f"y_{j} + h * {acc}"
 
 
 def _attempt_source(n):
@@ -140,7 +140,7 @@ def _attempt_source(n):
     for i in range(2, 8):
         row = [f"_A{i}{l}" for l in range(1, i)]
         k = "k7" if i == 7 else "k"
-        lines += [f"    s_{j} = {_weighted('y', row, j)}" for j in comps]
+        lines += [f"    s_{j} = {_weighted(row, j)}" for j in comps]
         lines += [f"    if not ({finite('s')}):",
                   "        return None",
                   f"    {k} = list(map(float, f(t + _C{i} * h, [{names('s')}])))",
@@ -151,8 +151,8 @@ def _attempt_source(n):
                   "        return None"]
     b5 = [f"_B5{l}" for l in range(1, 8)]
     b4 = [f"_B4{l}" for l in range(1, 8)]
-    lines += [f"    y5_{j} = {_weighted('y', b5, j)}" for j in comps]
-    lines += [f"    e_{j} = y5_{j} - ({_weighted('y', b4, j)})" for j in comps]
+    lines += [f"    y5_{j} = {_weighted(b5, j)}" for j in comps]
+    lines += [f"    e_{j} = y5_{j} - ({_weighted(b4, j)})" for j in comps]
     # _error_norm's sum, and max(|e|) as the builtin max keeps its first maximum
     lines.append("    acc = 0.0")
     for j in comps:
