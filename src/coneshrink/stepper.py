@@ -186,10 +186,10 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``y0`` is a list or tuple, else a 1-d ndarray; it may return any
     sequence of as many numbers as the state has components (else
     ``ValueError``, naming both lengths), and must not mutate the state it
-    receives (the stepper does not copy it).  ``accept_hook(t, y)`` runs after every
-    accepted step, with the state as a list of floats; it may raise to
-    abort with a domain-specific error, or return a true value to end the
-    run at that node, the result holding the nodes so far.  Raises
+    receives (the stepper does not copy it).  ``accept_hook(t, y)`` runs
+    after every accepted step, with the state as a list of floats; it may
+    raise to abort with a domain-specific error, or return a true value to
+    end the run at that node, the result holding the nodes so far.  Raises
     :class:`StepSizeCollapse` when the controller stalls (step underflow or
     step budget exhausted); its abscissa is a Python float, as is every
     step.

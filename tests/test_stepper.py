@@ -336,7 +336,7 @@ def test_attempt_is_compiled_once_per_dimension():
     every run of one dimension shares one compiled attempt."""
     _attempt.cache_clear()
     for y0 in ([1.0, 0.0], (2.0, 0.5), np.array([0.0, 1.0]), [1.0]):
-        integrate(lambda t, y: [-v for v in y], 0.0, y0, 0.5)
+        integrate(_decay, 0.0, y0, 0.5)
     info = _attempt.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
