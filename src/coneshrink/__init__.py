@@ -22,6 +22,7 @@ from .geometry import (
     shrinker_residual,
 )
 from .ivp import (
+    Run,
     SolutionProfile,
     SolverConfig,
     continue_phi,
@@ -29,6 +30,7 @@ from .ivp import (
     epsilon_convergence_study,
     integrate_gamma,
     read_profile_csv,
+    solve,
     to_d_profile,
     write_profile_csv,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "EpsilonPolynomial",
     "FormalSeries",
     "IsoparametricFamily",
+    "Run",
     "SolutionProfile",
     "SolverConfig",
     "asymptotic_check",
@@ -72,6 +75,7 @@ __all__ = [
     "minimal_distance",
     "read_profile_csv",
     "shrinker_residual",
+    "solve",
     "to_d_profile",
     "write_profile_csv",
 ]

@@ -43,9 +43,6 @@ EXIT_SOLVER = 4
 EXIT_VERIFY = 5
 EXIT_IO = 6
 
-DEFAULT_EPS_LIST = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-
-
 def _precision(args):
     """Working precision in bits: --precision (or its config key), else 53;
     OutOfRange for anything below 1 bit."""
@@ -239,48 +236,15 @@ def _d_target(expr):
 
 def cmd_solve(args):
     curvature = CurvatureProfile(_family_from_args(args), _mode(args))
-    fam = curvature.family
     prec = _precision(args)
     config = ivp.SolverConfig(tol=args.tol, correction_N=args.N)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    fs = series_mod.compute_coefficients(curvature, args.K, prec)
-    # integrate_gamma rejects a profile that is not mean convex, which has no d0
-    prof_s = ivp.integrate_gamma(curvature, fs, config)
-    d_target = None
-    if args.to_d is not None:
-        relative, x = args.to_d
-        d_target = curvature.d0 + x if relative else x
-    prof_d = ivp.to_d_profile(prof_s)
-    prof_ext = ivp.continue_phi(prof_d, d_target=d_target, config=config)
-
-    summary = {
-        "family": fam.as_dict(),
-        "profile_mode": curvature.mode,
-        "tol": config.tol,
-        "d0": prof_ext.meta["d0"],
-        "d_focal": fam.d_focal,
-        "s_end": prof_s.meta["s_end"],
-        "s_bootstrap": prof_s.meta.get("s_b"),
-        "d_handoff": prof_ext.meta["d_h"],
-        "d_target": prof_ext.meta["d_target"],
-        "max_energy_residual": float(np.nanmax(np.abs(prof_s["energy_residual"]))),
-        "max_eq130_residual": float(np.max(np.abs(prof_ext["eq130_residual"]))),
-        "max_eq350_drift": prof_ext.meta["max_identity_drift"],
-        "overlap_max_diff": prof_ext.meta["overlap_max_diff"],
-    }
-    if args.eps_study:
-        study = ivp.epsilon_convergence_study(curvature, config, DEFAULT_EPS_LIST, fs, prof_s)
-        summary["eps_study"] = {
-            "eps": list(study.eps_list),
-            "errors": list(study.errors),
-            "slope": study.slope,
-            "monotone": study.monotone,
-            "statuses": list(study.statuses),
-        }
-    ivp.write_profile_csv(prof_s, os.path.join(out, "s_side.csv"))
-    ivp.write_profile_csv(prof_ext, os.path.join(out, "d_side.csv"))
-    text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True, allow_nan=False)
+    run = ivp.solve(curvature, config, args.K, prec, to_d=args.to_d,
+                    eps_list=ivp.DEFAULT_EPS_LIST if args.eps_study else None)
+    ivp.write_profile_csv(run.s_side, os.path.join(out, "s_side.csv"))
+    ivp.write_profile_csv(run.end, os.path.join(out, "d_side.csv"))
+    text = json.dumps(_finite_or_null(run.summary()), indent=2, sort_keys=True, allow_nan=False)
     atomic_write_text(os.path.join(out, "summary.json"), text + "\n")
     print(text)
     return EXIT_OK

@@ -47,12 +47,13 @@ from .errors import (
     OutOfRange,
     StepSizeCollapse,
 )
-from .numutil import (GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval, lazy_numpy,
-                      loglog_slope, write_csv)
-from .series import DEFAULT_K, FormalSeries, compute_epsilon_corrections, evaluate_truncated
-# unused here: perfbench's tracing tests expect this module to bind them (EXPECTED_BINDINGS)
-from .series import compute_coefficients  # noqa: F401
-from .stepper import integrate, integrate_implicit  # noqa: F401
+from .numutil import (DOUBLE_PREC, GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval,
+                      lazy_numpy, loglog_slope, write_csv)
+from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
+                     evaluate_truncated)
+from .stepper import integrate
+# unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
+from .stepper import integrate_implicit  # noqa: F401
 
 np = lazy_numpy()
 
@@ -78,6 +79,8 @@ TANGENT_PROBE_DPHI = 32.0
 TANGENT_PROBE_ARCLENGTH = 1.0
 # rows a stored profile needs: the d-side check differences phi' at interior nodes
 MIN_PROFILE_ROWS = 3
+# the regularizations of an epsilon study, decreasing
+DEFAULT_EPS_LIST = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -629,6 +632,82 @@ def epsilon_convergence_study(curvature: CurvatureProfile, config: SolverConfig,
         eps_list=eps_list, errors=tuple(errors), slope=float(slope),
         monotone=monotone, statuses=tuple(statuses),
     )
+
+
+# ---------------------------------------------------------------------------
+# the whole chain
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Run:
+    """One run of :func:`solve`: the formal ``series`` at the vertex, the
+    s-side profile from its bootstrap point, that profile in the d-side
+    chart, its continuation ``end`` past d0, and the epsilon study when
+    one was asked for."""
+
+    series: FormalSeries
+    s_side: SolutionProfile
+    d_side: SolutionProfile
+    end: SolutionProfile
+    eps_study: Optional[EpsilonStudyReport] = None
+
+    def summary(self) -> dict:
+        """The run's record as ``coneshrink solve`` writes it to
+        summary.json; a failed eps run's error is a NaN here."""
+        curvature = self.s_side.curvature
+        family = curvature.family
+        s_meta, end_meta = self.s_side.meta, self.end.meta
+        summary = {
+            "family": family.as_dict(),
+            "profile_mode": curvature.mode,
+            "tol": s_meta["tol"],
+            "d0": end_meta["d0"],
+            "d_focal": family.d_focal,
+            "s_end": s_meta["s_end"],
+            "s_bootstrap": s_meta.get("s_b"),
+            "d_handoff": end_meta["d_h"],
+            "d_target": end_meta["d_target"],
+            "max_energy_residual": float(np.nanmax(np.abs(self.s_side["energy_residual"]))),
+            "max_eq130_residual": float(np.max(np.abs(self.end["eq130_residual"]))),
+            "max_eq350_drift": end_meta["max_identity_drift"],
+            "overlap_max_diff": end_meta["overlap_max_diff"],
+        }
+        study = self.eps_study
+        if study is not None:
+            summary["eps_study"] = {
+                "eps": list(study.eps_list),
+                "errors": list(study.errors),
+                "slope": study.slope,
+                "monotone": study.monotone,
+                "statuses": list(study.statuses),
+            }
+        return summary
+
+
+def solve(curvature: CurvatureProfile, config: SolverConfig, K: int = DEFAULT_K,
+          prec: int = DOUBLE_PREC, to_d=None, eps_list=None) -> Run:
+    """The end of ``curvature``'s self-shrinker: the series to order ``K``
+    at ``prec`` bits, the direct s-side run, its d-side chart and the
+    continuation to ``to_d``, and, when ``eps_list`` is given, the
+    epsilon study of that series and run.
+
+    ``to_d`` is a pair ``(relative, x)``: the target is ``curvature.d0 + x``
+    when ``relative``, else ``x``; None is :func:`continue_phi`'s default.
+    A relative target is resolved after the s-side run, so that a profile
+    that is not mean convex, which has no d0, raises
+    :class:`NotMeanConvex` there."""
+    series = compute_coefficients(curvature, K, prec)
+    s_side = integrate_gamma(curvature, series, config)
+    d_target = None
+    if to_d is not None:
+        relative, x = to_d
+        d_target = curvature.d0 + x if relative else x
+    d_side = to_d_profile(s_side)
+    end = continue_phi(d_side, d_target=d_target, config=config)
+    eps_study = None
+    if eps_list is not None:
+        eps_study = epsilon_convergence_study(curvature, config, eps_list, series, s_side)
+    return Run(series, s_side, d_side, end, eps_study)
 
 
 # ---------------------------------------------------------------------------

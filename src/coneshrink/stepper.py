@@ -122,10 +122,11 @@ def _attempt_source(n):
 
     It returns ``(y5, k7, err, err_max)``: the 5th-order solution, f at the
     last stage (t + h), the error norm of ``y5 - y4`` and its largest
-    component; or None at the first non-finite stage state or stage.  Every
-    tableau row ends in a nonzero weight, so the state after a non-finite
-    k_i (k1 included) is non-finite too: stopping there skips no RHS call
-    that a finite attempt would need."""
+    component; or None at the first non-finite stage state, or at a
+    non-finite k7.  Every tableau row ends in a nonzero weight, so the state
+    after a non-finite k_i (k1 included) is non-finite too: its check
+    returns None before ``f`` is called again, and k1 to k6 need no check of
+    their own."""
     comps = range(n)
 
     def names(prefix):
@@ -146,9 +147,9 @@ def _attempt_source(n):
                   f"    {k} = list(map(float, f(t + _C{i} * h, [{names('s')}])))",
                   f"    if len({k}) != {n}:",
                   f"        raise _length_mismatch(len({k}), {n})",
-                  f"    {names(f'k{i}')}, = {k}",
-                  f"    if not ({finite(f'k{i}')}):",
-                  "        return None"]
+                  f"    {names(f'k{i}')}, = {k}"]
+    lines += [f"    if not ({finite('k7')}):",
+              "        return None"]
     b5 = [f"_B5{l}" for l in range(1, 8)]
     b4 = [f"_B4{l}" for l in range(1, 8)]
     lines += [f"    y5_{j} = {_weighted(b5, j)}" for j in comps]

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import settings
 
-from coneshrink import CurvatureProfile, compute_coefficients, make_family
-from coneshrink.ivp import SolverConfig, continue_phi, integrate_gamma, to_d_profile
+from coneshrink import CurvatureProfile, SolverConfig, make_family, solve
 
 # every property test draws the same examples on every run: the seed comes
 # from each test function (and no example database is replayed)
@@ -27,26 +26,43 @@ def fam2():
 
 
 @pytest.fixture(scope="session")
-def series1(fam1):
-    return compute_coefficients(CurvatureProfile(fam1), 36)
+def run1(fam1):
+    """Direct tol=1e-10 solve of the reference g=1 family from its K=36
+    series, continued to the default target."""
+    return solve(CurvatureProfile(fam1), SolverConfig(tol=1e-10), K=36)
 
 
 @pytest.fixture(scope="session")
-def series2(fam2):
-    return compute_coefficients(CurvatureProfile(fam2), 36)
+def run2(fam2):
+    """The same solve of the g=2 family."""
+    return solve(CurvatureProfile(fam2), SolverConfig(tol=1e-10), K=36)
 
 
 @pytest.fixture(scope="session")
-def solved1(fam1, series1):
-    """Direct tol=1e-10 solve of the reference g=1 family."""
-    return integrate_gamma(CurvatureProfile(fam1), series1, SolverConfig(tol=1e-10))
+def series1(run1):
+    return run1.series
 
 
 @pytest.fixture(scope="session")
-def dside1(solved1):
-    return to_d_profile(solved1)
+def series2(run2):
+    return run2.series
 
 
 @pytest.fixture(scope="session")
-def continued1(dside1):
-    return continue_phi(dside1, config=SolverConfig(tol=1e-10))
+def solved1(run1):
+    return run1.s_side
+
+
+@pytest.fixture(scope="session")
+def dside1(run1):
+    return run1.d_side
+
+
+@pytest.fixture(scope="session")
+def continued1(run1):
+    return run1.end
+
+
+@pytest.fixture(scope="session")
+def continued2(run2):
+    return run2.end

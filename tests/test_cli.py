@@ -152,15 +152,16 @@ class TestSolve:
         assert "OutOfRange" in err
 
     def test_precision_reaches_series(self, solve_dir, tmp_path, capsys, monkeypatch):
-        from coneshrink import series
+        # the binding that ivp.solve calls
+        from coneshrink import ivp
         seen = []
-        original = series.compute_coefficients
+        original = ivp.compute_coefficients
 
         def recording(curvature, K, prec, **kw):
             seen.append(prec)
             return original(curvature, K, prec, **kw)
 
-        monkeypatch.setattr(series, "compute_coefficients", recording)
+        monkeypatch.setattr(ivp, "compute_coefficients", recording)
         code, _, _ = run(["solve", *FAM1_FLAGS, "--tol", "1e-10", "--precision", "256",
                           "--to-d", "d0+0.05", "--out", str(tmp_path)], capsys)
         assert code == 0

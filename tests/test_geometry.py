@@ -33,8 +33,7 @@ from coneshrink.geometry import (
     export_profile,
     shrinker_residual,
 )
-from coneshrink.ivp import (D_SIDE, SolutionProfile, SolverConfig, continue_phi,
-                           integrate_gamma, to_d_profile)
+from coneshrink.ivp import D_SIDE, SolutionProfile
 from coneshrink.numutil import hermite_eval
 
 # the document export_profile writes with format="json"
@@ -119,10 +118,8 @@ class TestAsymptotics:
         with pytest.raises(InsufficientRange):
             asymptotic_check(continued1, series1, d_lo=1e-3, d_hi=1e-2)
 
-    def test_second_family(self, fam2, series2):
-        prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
-        cont = continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
-        rep = asymptotic_check(cont, series2)
+    def test_second_family(self, run2):
+        rep = asymptotic_check(run2.end, run2.series)
         assert 0.7 <= rep.slope <= 1.3
         assert rep.monotone
 
@@ -193,10 +190,8 @@ class TestExportMesh:
         for j in range(16):
             assert radii[:, j] == pytest.approx(expect, rel=1e-12)
 
-    def test_torus_slice_case(self, fam2, series2, tmp_path):
-        prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
-        cont = continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
-        res = export_mesh(cont, tmp_path / "t.obj", resolution=32)
+    def test_torus_slice_case(self, run2, tmp_path):
+        res = export_mesh(run2.end, tmp_path / "t.obj", resolution=32)
         assert res.vertex_count == 32 * 32
         assert math.isnan(res.discrete_residual)
 
@@ -305,12 +300,6 @@ def _oracle_obj(family, resolution, verts, faces, residual):
     lines += [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in verts]
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-@pytest.fixture(scope="module")
-def continued2(fam2, series2):
-    prof = integrate_gamma(CurvatureProfile(fam2), series2, SolverConfig(tol=1e-10))
-    return continue_phi(to_d_profile(prof), config=SolverConfig(tol=1e-10))
 
 
 def _sphere_grid(n):

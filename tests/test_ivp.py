@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -735,6 +736,31 @@ def test_no_ndarray_reaches_an_rhs_closure_in_a_default_solve(tmp_path, monkeypa
     assert seen == {"integrate_gamma.<locals>.f": {list, float},
                     "continue_phi.<locals>.f": {list, float},
                     "_probe_vertical_tangent.<locals>.slopes": {list, float}}
+
+
+class TestSolve:
+    """``solve`` is the chain that ``coneshrink solve`` writes out."""
+
+    @pytest.mark.parametrize("flags, K, tol, eps_list", [
+        ([], DEFAULT_K, 1e-10, None),
+        (["--K", "20", "--tol", "1e-12", "--eps-study"], 20, 1e-12, ivp_mod.DEFAULT_EPS_LIST),
+    ], ids=["defaults", "eps_study"])
+    def test_summary_is_the_written_summary(self, fam1, flags, K, tol, eps_list, tmp_path,
+                                            capsys):
+        argv = ["solve", "--g", "1", "--m", "1", "--n", "2", "--theta1", repr(fam1.theta1),
+                *flags, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        run = ivp_mod.solve(CurvatureProfile(fam1), SolverConfig(tol=tol), K, eps_list=eps_list)
+        assert cli._finite_or_null(run.summary()) == written
+
+    def test_relative_target_without_d0_is_not_mean_convex(self):
+        # the eq030 H of this family is negative at 0 and has no d0: the
+        # s-side run must reject it before the target is resolved
+        curvature = CurvatureProfile(make_family(2, 1, 2, 4, 0.95), EQ030_LITERAL)
+        with pytest.raises(NotMeanConvex):
+            ivp_mod.solve(curvature, SolverConfig(), to_d=(True, 0.01))
 
 
 class TestCsvRoundTrip:

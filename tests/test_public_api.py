@@ -16,6 +16,7 @@ SUPPORTED = [
     "EpsilonPolynomial",
     "FormalSeries",
     "IsoparametricFamily",
+    "Run",
     "SolutionProfile",
     "SolverConfig",
     "asymptotic_check",
@@ -37,6 +38,7 @@ SUPPORTED = [
     "minimal_distance",
     "read_profile_csv",
     "shrinker_residual",
+    "solve",
     "to_d_profile",
     "write_profile_csv",
 ]

@@ -24,9 +24,12 @@ calls leave behind.  The calls:
   --out -`` (the series_deep benchmark's flags), and the default ``coeffs
   --format json --out -``, which prints the 117-bit shadow run's
   ``rel_error_estimates``;
-- eq030 sweep (56 calls): on the 14 built-ins at theta1 x1.00, ``solve
+- eq030 sweep (57 calls): on the 14 built-ins at theta1 x1.00, ``solve
   --profile-mode eq030``, ``verify`` of both profiles, and ``coeffs --K 32
-  --precision 256 --corrections --N 8 --profile-mode eq030 --out -``;
+  --precision 256 --corrections --N 8 --profile-mode eq030 --out -``; and
+  one ``solve --profile-mode eq030 --to-d d0+0.01`` of a family whose
+  eq030 profile is not mean convex and has no d0 (exit 2, from the s-side
+  run, before the target is resolved);
 - config sweep (12 calls): on g1_sphere_n2 and g2_product_11 at theta1
   x1.00, ``coeffs`` and ``solve`` with the ``--config`` files of
   ``CONFIG_FILES``, written to the run directory first.  They set an int
@@ -55,7 +58,7 @@ calls leave behind.  The calls:
   it (g3_m2, g3_m8, g4_m11, g4_m45, g6_m2), and each entry ended in
   ``OutOfRange``: the sweep shows that the deletion moves no output.
 
-404 calls in all.
+405 calls in all.
 
 Prints every difference and exits 1 if there is one, else 0.  A stdout
 that parses as JSON on both sides, with the same keys and list lengths, is
@@ -100,6 +103,9 @@ COEFFS_FLAGS = {
     "coeffs": ["--format", "json", "--out", "-"],
 }
 EQ030_FLAGS = ["--profile-mode", "eq030"]
+# a valid family whose eq030 H(0) < 0 (its cot-sum H(0) > 0), with a target relative to d0
+NOT_MEAN_CONVEX_EQ030_SOLVE = ["solve", "--g", "2", "--m-minus", "1", "--m-plus", "2", "--n", "4",
+                               "--theta1", "0.95", *EQ030_FLAGS, "--to-d", "d0+0.01"]
 # g = 2, m = 1 in S^3 at theta1 past pi/4, where H(0) < 0
 NOT_MEAN_CONVEX_CHECK = ["g=2", "m=1", "n=3", "theta1=1.04"]
 CORRECTIONS_FLAGS = {
@@ -189,6 +195,8 @@ def calls(catalog):
             out.append((f"{run}/verify_{side}", ["verify", f"{run}/{side}.csv"]))
         out.append((f"eq030_coeffs/{name}@1.00",
                     ["coeffs", *family_flags(family, 1.0), *EQ030_COEFFS_FLAGS]))
+    out.append(("eq030/not_mean_convex", [*NOT_MEAN_CONVEX_EQ030_SOLVE,
+                                          "--out", "eq030/not_mean_convex"]))
     for name in MESH_FAMILIES:
         for cfg, (_, (command, *flags)) in CONFIG_FILES.items():
             label = f"config/{name}@1.00/{cfg}"
