@@ -224,21 +224,46 @@ def _cot_sum(terms, x, lib, order):
     return total
 
 
+def cot_sum_source(n_terms):
+    """``(names, expression)``: H as one binary64 expression in
+    ``x = t1 + d``, for an H of ``n_terms`` cot terms, over the constants
+    ``names`` (``t1`` and ``wf0, f0, wf1, f1, ...``) to which
+    :func:`cot_sum_constants` gives values.  The terms ``wf * cot(f x)``
+    are summed left to right, the binary64 value of :func:`mean_curvature`
+    bit for bit; the expression reads ``cos`` and ``sin`` from the math
+    module."""
+    names = ("t1", *(f"{p}{i}" for i in range(n_terms) for p in ("wf", "f")))
+    expr = " + ".join(f"wf{i} * (cos(f{i} * x) / sin(f{i} * x))" for i in range(n_terms))
+    return names, expr
+
+
+def cot_sum_constants(profile: CurvatureProfile):
+    """The values of :func:`cot_sum_source`'s names for ``profile``: theta1,
+    then weight times frequency and frequency per term."""
+    return (profile.family.theta1, *(v for w, f in profile.terms for v in (w * f, f)))
+
+
+@lru_cache(maxsize=None)
+def _binary64_kernel(n_terms):
+    """``make(*cot_sum_constants)`` -> h(d), compiled once per number of terms."""
+    names, expr = cot_sum_source(n_terms)
+    source = (f"def make({', '.join(names)}):\n"
+              "    def h(d):\n"
+              "        x = t1 + d\n"
+              f"        return {expr}\n"
+              "    return h\n")
+    namespace = {"cos": math.cos, "sin": math.sin}
+    exec(compile(source, f"<cot sum of {n_terms} terms>", "exec"), namespace)
+    return namespace["make"]
+
+
 def binary64_curvature(profile: CurvatureProfile):
-    """H(d) for integrator right-hand sides: mean_curvature's binary64 value,
-    bit for bit, without its per-call validation."""
-    t1 = profile.family.theta1
-    terms = tuple((w * f, f) for w, f in profile.terms)
-
-    def h(d):
-        x = t1 + d
-        total = 0
-        for wf, f in terms:
-            y = f * x
-            total = total + wf * (math.cos(y) / math.sin(y))
-        return total
-
-    return h
+    """H(d) for binary64 callers that check d themselves: mean_curvature's
+    value, bit for bit, without its per-call validation.  It is compiled
+    from :func:`cot_sum_source`, the expression that the solver's fused
+    right-hand sides inline, once per number of terms; the profile's
+    constants are bound per call of this function."""
+    return _binary64_kernel(len(profile.terms))(*cot_sum_constants(profile))
 
 
 def mean_curvature(profile: CurvatureProfile, d):

@@ -27,6 +27,7 @@ justifies continuing through d0 (where H changes sign) to d0 + margin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -34,6 +35,8 @@ from typing import Optional
 from .catalog import (
     CurvatureProfile,
     binary64_curvature,
+    cot_sum_constants,
+    cot_sum_source,
     curvature_antiderivative,
     mean_curvature,
 )
@@ -51,7 +54,7 @@ from .numutil import (DOUBLE_PREC, GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, 
                       lazy_numpy, loglog_slope, write_csv)
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
                      evaluate_truncated)
-from .stepper import integrate
+from .stepper import Rhs, compile_rhs, integrate
 # unused here: perfbench's tracing tests expect this module to bind it (EXPECTED_BINDINGS)
 from .stepper import integrate_implicit  # noqa: F401
 
@@ -172,6 +175,61 @@ def _require_series_of(curvature: CurvatureProfile, series: FormalSeries):
                          f"{curvature.mode} and family {curvature.family.as_dict()}")
 
 
+# ---------------------------------------------------------------------------
+# the right-hand sides, as source that the stepper compiles with a fused
+# attempt; each is compiled once per number of cot terms of H (catalog's
+# cot_sum_source, in x = theta1 + d) and bound to a run's constants by
+# calling it
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _s_side_kernel(n_terms):
+    """The s-side equation solved for gamma'' (eps = 0 is the direct
+    problem), and the energy integrand; H is not defined off [0, d_focal)."""
+    h_names, h = cot_sum_source(n_terms)
+    return compile_rhs(Rhs(
+        name="s_side_rhs", module=__name__, t="s", y=("gamma", "dgamma", "energy"),
+        consts=("n", "eps", "d_focal", *h_names),
+        lines=("w2 = 1 + 4 * s * s * dgamma * dgamma",
+               "x = t1 + gamma",
+               f"hg = {h}",
+               "d2 = ((hg - (1 - 2 * n * s) * dgamma) * w2 - 4 * s * dgamma) "
+               "/ (4 * s * s + eps * w2)"),
+        out="dgamma, d2, (1 - 2 * n * s) * dgamma * dgamma",
+        domain="0 <= gamma < d_focal"))
+
+
+@functools.lru_cache(maxsize=None)
+def _d_side_kernel(n_terms):
+    """phi'' in the d-side chart, and the integrand H phi'^2 of its first
+    integral."""
+    h_names, h = cot_sum_source(n_terms)
+    return compile_rhs(Rhs(
+        name="d_side_rhs", module=__name__, t="d", y=("phi", "dphi", "q"),
+        consts=("n", *h_names),
+        lines=("x = t1 + d",
+               f"hd = {h}",
+               "d2 = (1 + dphi * dphi) * (n - 0.5 * exp(2 * phi) - dphi * hd)"),
+        out="dphi, d2, hd * dphi * dphi"))
+
+
+@functools.lru_cache(maxsize=None)
+def _curve_kernel(n_terms):
+    """The d-side equation in arclength sigma and tangent angle alpha, the
+    tangent probe's chart (:func:`_probe_vertical_tangent`)."""
+    h_names, h = cot_sum_source(n_terms)
+    return compile_rhs(Rhs(
+        name="curve_rhs", module=__name__, t="sigma", y=("d", "phi", "alpha"),
+        consts=("n", *h_names),
+        lines=("c = cos(alpha)", "s = sin(alpha)", "x = t1 + d"),
+        out=f"c, s, (n - 0.5 * exp(2 * phi)) * c - ({h}) * s"))
+
+
+def _rhs(kernel, curvature: CurvatureProfile, *consts):
+    """``kernel``'s RHS for H of ``curvature``, bound to ``consts`` and H's constants."""
+    return kernel(len(curvature.terms))(*consts, *cot_sum_constants(curvature))
+
+
 def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                     config: SolverConfig,
                     initial_slope: Optional[float] = None) -> SolutionProfile:
@@ -195,23 +253,11 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
     if curvature.h0 <= 0.0:
         raise NotMeanConvex(f"H(0) = {curvature.h0:.6g} <= 0 in profile mode {curvature.mode} "
                             f"for theta1 = {family.theta1:.6g}")
-    h_fast = binary64_curvature(curvature)
     n = family.n
     eps = config.eps
     s_end = family.s_end
-    d_focal = family.d_focal
     tol = config.tol
-
-    def f(s, y):
-        g_val, dg, _ = y
-        if not 0 <= g_val < d_focal:
-            # H is not defined there: the stepper rejects a non-finite stage
-            # and shrinks the step, as it does at any other such stage
-            return (math.nan, math.nan, math.nan)
-        w2 = 1 + 4 * s * s * dg * dg
-        h = h_fast(g_val)
-        d2 = ((h - (1 - 2 * n * s) * dg) * w2 - 4 * s * dg) / (4 * s * s + eps * w2)
-        return (dg, d2, (1 - 2 * n * s) * dg * dg)
+    f = _rhs(_s_side_kernel, curvature, n, eps, family.d_focal)
 
     def guard(t, y):
         if y[1] <= 0:
@@ -395,12 +441,12 @@ def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
     return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
 
 
-def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
+def _probe_vertical_tangent(curvature, d, phi, dphi, d_target, tol):
     """Raise :class:`BlowUpDetected` at the first vertical tangent of the
-    curve (d, phi) past the point (d, phi, phi') if it lies clearly below
-    ``d_target``; otherwise return the probe's run (None if its steps
-    collapse), which stops at the tangent, at ``d_target`` or after
-    TANGENT_PROBE_ARCLENGTH.
+    curve (d, phi) of ``curvature``'s H past the point (d, phi, phi') if it
+    lies clearly below ``d_target``; otherwise return the probe's run (None
+    if its steps collapse), which stops at the tangent, at ``d_target`` or
+    after TANGENT_PROBE_ARCLENGTH.
 
     In arclength sigma and tangent angle alpha = atan(phi') the phi chart's
     equation is regular through the tangent (Kleene & Moller, Trans. AMS 366,
@@ -414,16 +460,9 @@ def _probe_vertical_tangent(h_fast, n, d, phi, dphi, d_target, tol):
     (slopes cos(alpha)).  "Clearly below" is by sqrt(tol): on every
     built-in window, at tol 1e-12 to 1e-6, the located d was within
     1e-4 sqrt(tol) of the phi chart's step-collapse abscissa at tol 1e-12."""
-
-    def slopes(sigma, y):
-        d, phi, a = y
-        c = math.cos(a)
-        s = math.sin(a)
-        return c, s, (n - 0.5 * math.exp(2 * phi)) * c - h_fast(d) * s
-
     try:
-        run = integrate(slopes, 0.0, [d, phi, math.atan(dphi)],
-                        TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
+        run = integrate(_rhs(_curve_kernel, curvature, curvature.family.n), 0.0,
+                        [d, phi, math.atan(dphi)], TANGENT_PROBE_ARCLENGTH, rtol=tol, atol=tol,
                         max_step=TANGENT_PROBE_ARCLENGTH / 100,
                         accept_hook=lambda sigma, y: math.cos(y[2]) <= 0.0 or y[0] >= d_target)
     except StepSizeCollapse:
@@ -495,13 +534,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
 
     h_fast = binary64_curvature(prof)
     n = family.n
-
-    def f(d, y):
-        phi, dphi, _ = y
-        h = h_fast(d)
-        d2 = (1 + dphi * dphi) * (n - 0.5 * math.exp(2 * phi) - dphi * h)
-        return (dphi, d2, h * dphi * dphi)
-
+    f = _rhs(_d_side_kernel, prof, n)
     probed = False
 
     def guard(d, y):
@@ -516,7 +549,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
             raise OutOfRange(f"H({d!r}) < 0 before d0 = {d0!r}")
         if not probed and abs(y[1]) > TANGENT_PROBE_DPHI:
             probed = True
-            _probe_vertical_tangent(h_fast, n, d, y[0], y[1], d_target, config.tol)
+            _probe_vertical_tangent(prof, d, y[0], y[1], d_target, config.tol)
 
     # the step cap keeps the stored nodes dense enough that downstream cubic
     # Hermite resampling (meshing) stays below the discrete-operator error

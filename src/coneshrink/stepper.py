@@ -7,16 +7,26 @@ implicit trapezoid integrator below it is unused: no pipeline path calls it,
 and it is kept only because perfbench's tracing pins its name.
 
 One attempt of the explicit pair is straight-line code on Python floats,
-generated for the state's dimension ``n`` (:func:`_attempt_source`),
-compiled once per ``n`` and cached.  The state has two or three
-components, where numpy's per-call overhead outweighs the work, and where
-a loop over the components costs more than the arithmetic: the generated
-code unpacks the state and each stage into scalar locals, writes every
-stage state's components out, checks finiteness by a chain of
+generated by one generator (:func:`_attempt_source`) from an RHS body
+(:class:`Rhs`) that it inlines at all six stages.  The state has two or
+three components, where numpy's per-call overhead outweighs the work, and
+where a loop over the components costs more than the arithmetic: the
+generated code unpacks the state and each stage into scalar locals, writes
+every stage state's components out, checks finiteness by a chain of
 ``isfinite`` calls, and forms the 5th-order solution, the error norm and
 the largest error component in place.  ``exec`` gives this code for any
-``n`` from one generator, with no hand-written copy per dimension and no
-fallback path.
+``n`` from one generator, with no hand-written copy per dimension.
+
+There are two kinds of body.  The generic one calls ``f``, checks the
+length of what it returns and converts it to floats; its attempt is
+compiled once per ``n`` and cached, and :func:`integrate` takes it for any
+``f``.  A caller that writes its RHS as an :class:`Rhs` gets from
+:func:`compile_rhs` a plain callable ``f(t, y)`` with a fused attempt
+attached as ``f.attempt``, whose stages evaluate the body in place, with
+no call, no list and no conversion per stage; :func:`integrate` takes
+that attempt when ``f`` has one.  The two give the same bits: the body is
+the same source in both.  A wrapper around such an ``f`` (a tracer's, a
+test's) has no ``attempt`` and takes the generic one.
 
 Each stage value is formed in one fixed order, per component
 ``y_j + h * (((0 + a1 * k1_j) + a2 * k2_j) + ...)`` over the tableau row
@@ -41,7 +51,9 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import StepSizeCollapse
 from .numutil import lazy_numpy
@@ -116,39 +128,80 @@ def _weighted(weights, j):
     return f"y_{j} + h * {acc}"
 
 
-def _attempt_source(n):
+@dataclass(frozen=True)
+class Rhs:
+    """y' = f(t, y) as straight-line source, which :func:`compile_rhs`
+    compiles and the attempt inlines at each stage.
+
+    ``t`` names the abscissa and ``y`` the state's components.  ``lines``
+    are statements over these names, the names of ``consts`` (bound when
+    the compiled kernel is called) and the math module's names; ``out`` is
+    the derivative, one expression per component, comma-separated.  Where
+    the expression ``domain`` is false f is not defined: the callable
+    returns NaNs there, and the attempt rejects the stage as it rejects a
+    non-finite one.  The body shares the attempt's namespace, so none of
+    its names may end in ``_`` and digits or be ``f``, ``t``, ``y``,
+    ``h``, ``k1``, ``atol``, ``rtol``, ``acc`` or ``err_max``."""
+
+    name: str
+    module: str
+    t: str
+    y: tuple
+    consts: tuple
+    lines: tuple
+    out: str
+    domain: Optional[str] = None
+
+
+def _call_body(n):
+    """The body of the generic attempt: call ``f`` on the stage, check the
+    length of what it returns, convert it to floats."""
+    state = tuple(f"s_{j}" for j in range(n))
+    return Rhs(name="f", module=__name__, t="ts", y=state, consts=(),
+               lines=(f"k = list(map(float, f(ts, [{', '.join(state)}])))",
+                      f"if len(k) != {n}:\n    raise _length_mismatch(len(k), {n})"),
+               out="k")
+
+
+def _indent(lines, depth=1):
+    return [textwrap.indent(line, "    " * depth) for line in lines]
+
+
+def _attempt_source(body):
     """Source of ``attempt(f, t, y, h, k1, atol, rtol)``, one Dormand-Prince
-    attempt from (t, y) with k1 = f(t, y), for an ``n``-component state.
+    attempt from (t, y) with k1 = f(t, y), for the state of ``body`` (an
+    :class:`Rhs`), whose lines it inlines at each stage.
 
     It returns ``(y5, k7, err, err_max)``: the 5th-order solution, f at the
     last stage (t + h), the error norm of ``y5 - y4`` and its largest
-    component; or None at the first non-finite stage state, or at a
-    non-finite k7.  Every tableau row ends in a nonzero weight, so the state
-    after a non-finite k_i (k1 included) is non-finite too: its check
-    returns None before ``f`` is called again, and k1 to k6 need no check of
-    their own."""
+    component; or None at the first non-finite stage state or stage state
+    outside the body's domain, or at a non-finite k7.  Every tableau row
+    ends in a nonzero weight, so the state after a non-finite k_i (k1
+    included) is non-finite too: its check returns None before ``f`` is
+    called again, and k1 to k6 need no check of their own."""
+    state = body.y
+    n = len(state)
     comps = range(n)
 
     def names(prefix):
         return ", ".join(f"{prefix}_{j}" for j in comps)
 
-    def finite(prefix):
-        return " and ".join(f"isfinite({prefix}_{j})" for j in comps)
+    def finite(components):
+        return " and ".join(f"isfinite({c})" for c in components)
 
+    guard = finite(state) if body.domain is None else f"{finite(state)} and {body.domain}"
     lines = ["def attempt(f, t, y, h, k1, atol, rtol):",
              f"    {names('y')}, = y",
              f"    {names('k1')}, = k1"]
     for i in range(2, 8):
         row = [f"_A{i}{l}" for l in range(1, i)]
-        k = "k7" if i == 7 else "k"
-        lines += [f"    s_{j} = {_weighted(row, j)}" for j in comps]
-        lines += [f"    if not ({finite('s')}):",
+        lines += [f"    {state[j]} = {_weighted(row, j)}" for j in comps]
+        lines += [f"    if not ({guard}):",
                   "        return None",
-                  f"    {k} = list(map(float, f(t + _C{i} * h, [{names('s')}])))",
-                  f"    if len({k}) != {n}:",
-                  f"        raise _length_mismatch(len({k}), {n})",
-                  f"    {names(f'k{i}')}, = {k}"]
-    lines += [f"    if not ({finite('k7')}):",
+                  f"    {body.t} = t + _C{i} * h",
+                  *_indent(body.lines),
+                  f"    {names(f'k{i}')}, = {body.out}"]
+    lines += [f"    if not ({finite(f'k7_{j}' for j in comps)}):",
               "        return None"]
     b5 = [f"_B5{l}" for l in range(1, 8)]
     b4 = [f"_B4{l}" for l in range(1, 8)]
@@ -157,26 +210,60 @@ def _attempt_source(n):
     # _error_norm's sum, and max(|e|) as the builtin max keeps its first maximum
     lines.append("    acc = 0.0")
     for j in comps:
-        lines += [f"    u = abs(y_{j})",
-                  f"    v = abs(y5_{j})",
-                  "    scale = atol + rtol * (v if v > u else u)",
-                  f"    x = e_{j} / scale if scale else e_{j} * inf",
-                  "    acc = acc + x * x"]
+        lines += [f"    u_{j} = abs(y_{j})",
+                  f"    v_{j} = abs(y5_{j})",
+                  f"    scale_{j} = atol + rtol * (v_{j} if v_{j} > u_{j} else u_{j})",
+                  f"    r_{j} = e_{j} / scale_{j} if scale_{j} else e_{j} * inf",
+                  f"    acc = acc + r_{j} * r_{j}"]
     lines.append("    err_max = abs(e_0)")
     for j in comps[1:]:
-        lines += [f"    a = abs(e_{j})",
-                  "    if a > err_max:",
-                  "        err_max = a"]
-    lines.append(f"    return [{names('y5')}], k7, sqrt(acc / {n}), err_max")
+        lines += [f"    a_{j} = abs(e_{j})",
+                  f"    if a_{j} > err_max:",
+                  f"        err_max = a_{j}"]
+    lines.append(f"    return [{names('y5')}], [{names('k7')}], sqrt(acc / {n}), err_max")
     return "\n".join(lines) + "\n"
+
+
+_MATH = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+
+
+def _exec(source, filename, module):
+    """The namespace of ``source`` run with the tableau's names, the math
+    module's and ``_length_mismatch``; its functions' ``__module__`` is
+    ``module``."""
+    namespace = {**globals(), **_MATH, "__name__": module}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 @functools.lru_cache(maxsize=None)
 def _attempt(n):
-    """The attempt of :func:`_attempt_source`, compiled once per dimension."""
-    namespace = {**globals(), "isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
-    exec(compile(_attempt_source(n), f"<dormand-prince attempt, n={n}>", "exec"), namespace)
-    return namespace["attempt"]
+    """The generic attempt, which calls ``f`` at each stage, compiled once
+    per dimension."""
+    return _exec(_attempt_source(_call_body(n)), f"<dormand-prince attempt, n={n}>",
+                 __name__)["attempt"]
+
+
+def compile_rhs(body: Rhs):
+    """``make(*consts)``: returns the callable ``f(t, y)`` of ``body``, its
+    ``__module__`` ``body.module`` and its ``__qualname__`` ``body.name``,
+    with the attempt that inlines ``body`` as ``f.attempt``.  Each call
+    compiles; a caller keeps the result per body and binds its constants
+    per run."""
+    n = len(body.y)
+    rhs = [f"def {body.name}({body.t}, y):",
+           f"    {', '.join(body.y)}, = y"]
+    if body.domain is not None:
+        rhs += [f"    if not ({body.domain}):",
+                f"        return {', '.join(['nan'] * n)}"]
+    rhs += [*_indent(body.lines), f"    return {body.out}"]
+    source = "\n".join([f"def make({', '.join(body.consts)}):",
+                        *_indent(rhs),
+                        *_indent(_attempt_source(body).splitlines()),
+                        f"    {body.name}.__qualname__ = {body.name!r}",
+                        f"    {body.name}.attempt = attempt",
+                        f"    return {body.name}"]) + "\n"
+    return _exec(source, f"<{body.name}>", body.module)["make"]
 
 
 def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
@@ -193,7 +280,9 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     end the run at that node, the result holding the nodes so far.  Raises
     :class:`StepSizeCollapse` when the controller stalls (step underflow or
     step budget exhausted); its abscissa is a Python float, as is every
-    step.
+    step.  An ``f`` made by :func:`compile_rhs`, with a list or tuple
+    ``y0``, steps by its fused attempt; the run is the one that a wrapper
+    around ``f`` would take, bit for bit.
     """
     if not isinstance(y0, (list, tuple)):
         f = _ndarray_state(f)
@@ -211,7 +300,9 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     k1 = np.asarray(f(t, y), dtype=float)
     if k1.shape != (len(y),):
         raise _length_mismatch(k1.size, len(y))
-    attempt = _attempt(len(y))
+    # a compiled Rhs carries the attempt that inlines it; the generic
+    # attempt calls any other f at each stage
+    attempt = getattr(f, "attempt", None) or _attempt(len(y))
     if first_step is None:
         scale = np.max(np.abs(k1)) + 1e-30
         first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)

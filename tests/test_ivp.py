@@ -733,9 +733,132 @@ def test_no_ndarray_reaches_an_rhs_closure_in_a_default_solve(tmp_path, monkeypa
                 "--m-plus", str(fam.m_plus), "--n", str(fam.n), "--theta1", repr(fam.theta1),
                 "--out", str(tmp_path / name)]
         assert cli.main(argv) == code, capsys.readouterr().err
-    assert seen == {"integrate_gamma.<locals>.f": {list, float},
-                    "continue_phi.<locals>.f": {list, float},
-                    "_probe_vertical_tangent.<locals>.slopes": {list, float}}
+    assert seen == {"s_side_rhs": {list, float},
+                    "d_side_rhs": {list, float},
+                    "curve_rhs": {list, float}}
+
+
+# ---------------------------------------------------------------------------
+# The fused kernels against the generic attempt on their own callables.
+# ---------------------------------------------------------------------------
+
+ALL_PROFILES = [CurvatureProfile(fam, mode) for fam in builtin_catalog().values()
+                for mode in PROFILE_MODES]
+KERNELS = (ivp_mod._s_side_kernel, ivp_mod._d_side_kernel, ivp_mod._curve_kernel)
+
+
+def _bits(value):
+    """``value`` with each float as its hex form, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _outcome(attempt, *args):
+    """What ``attempt(*args)`` returns, in bits, or the type of what it raises."""
+    try:
+        return _bits(attempt(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _kernel_cases(profile):
+    """(name, f, states) per kernel and constants of ``profile``; a state
+    is (t, y, h).  The s-side states include ones whose stages leave
+    [0, d_focal), below 0 or past d_focal."""
+    fam = profile.family
+    n, d_focal, s_end = fam.n, fam.d_focal, fam.s_end
+    cases = [("s_side_rhs", ivp_mod._rhs(ivp_mod._s_side_kernel, profile, n, eps, d_focal),
+              [(s * s_end, [g * d_focal, dg, 0.1], h * s_end)
+               for s in (0.01, 0.5) for g in (0.02, 0.5, 0.99) for dg in (-3.0, 0.5, 3.0)
+               for h in (1e-4, 1e-2, 0.5)])
+             for eps in (0.0, 1e-3)]
+    cases.append(("d_side_rhs", ivp_mod._rhs(ivp_mod._d_side_kernel, profile, n),
+                  [(x * d_focal, [phi, dphi, 0.0], h)
+                   for x in (0.1, 0.6) for phi in (-1.0, 0.5) for dphi in (-4.0, 0.3, 20.0)
+                   for h in (1e-4, 1e-2, 0.1)]))
+    cases.append(("curve_rhs", ivp_mod._rhs(ivp_mod._curve_kernel, profile, n),
+                  [(0.0, [x * d_focal, phi, alpha], h)
+                   for x in (0.1, 0.6) for phi in (-1.0, 0.5) for alpha in (-1.2, 0.3, 1.5)
+                   for h in (1e-3, 0.1)]))
+    return cases
+
+
+@pytest.mark.parametrize("profile", ALL_PROFILES,
+                         ids=[f"{name}-{mode}" for name in builtin_catalog()
+                              for mode in PROFILE_MODES])
+def test_fused_attempts_equal_the_generic_attempt(profile):
+    """Each kernel's fused attempt returns, bit for bit, what the generic
+    attempt returns on the kernel's own callable: the step or None (or
+    raises what it raises: exp overflows on some d-side stages)."""
+    generic = stepper._attempt(3)
+    for name, f, states in _kernel_cases(profile):
+        assert (f.__qualname__, f.__module__) == (name, "coneshrink.ivp")
+        outcomes = set()
+        for t, y, h in states:
+            k1 = list(map(float, f(t, y)))
+            want = _outcome(generic, f, t, y, h, k1, 1e-10, 1e-10)
+            assert _outcome(f.attempt, f, t, y, h, k1, 1e-10, 1e-10) == want, (t, y, h)
+            outcomes.add(want is None)
+        if name == "s_side_rhs":
+            assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("name, mode, eps_list, kernels", [
+    ("g1_sphere_n2", "cot_sum", ivp_mod.DEFAULT_EPS_LIST, {"s_side_rhs", "d_side_rhs"}),
+    ("g2_product_12", "cot_sum", None, {"s_side_rhs", "d_side_rhs"}),
+    ("g2_product_12", EQ030_LITERAL, None, {"s_side_rhs", "d_side_rhs"}),
+    ("g4_m45", "cot_sum", None, {"s_side_rhs", "curve_rhs"}),
+    ("g6_m2", EQ030_LITERAL, None, {"s_side_rhs", "curve_rhs"}),
+])
+def test_fused_runs_equal_generic_runs(name, mode, eps_list, kernels, monkeypatch):
+    """Every integration of a solve that returns (the d-side run of a
+    family that meets its vertical tangent raises), rerun with the kernel
+    and with a plain wrapper around it (which takes the generic attempt),
+    gives the same nodes, derivatives, errors and counts, bit for bit."""
+    runs = []
+
+    def recording(f, *args, **kwargs):
+        result = stepper.integrate(f, *args, **kwargs)
+        runs.append((f, args, kwargs))
+        return result
+
+    monkeypatch.setattr(ivp_mod, "integrate", recording)
+    try:
+        ivp_mod.solve(CurvatureProfile(builtin_catalog()[name], mode), SolverConfig(),
+                      eps_list=eps_list)
+    except BlowUpDetected:
+        pass
+    assert {f.__qualname__ for f, _, _ in runs} == kernels
+    for f, args, kwargs in runs:
+        fused = stepper.integrate(f, *args, **kwargs)
+        generic = stepper.integrate(lambda t, y: f(t, y), *args, **kwargs)
+        for field in ("ts", "ys", "fs", "errs"):
+            assert np.array_equal(getattr(fused, field), getattr(generic, field)), field
+        assert (fused.n_steps, fused.n_rejected) == (generic.n_steps, generic.n_rejected)
+
+
+def test_kernels_compile_per_structure_not_per_solve(fam1):
+    """The default solves of the 14 built-ins in both profile modes and one
+    epsilon study compile at most two kernels per side (one per number of
+    cot terms), and solving them all again compiles none."""
+    def solve_all():
+        for profile in ALL_PROFILES:
+            try:
+                ivp_mod.solve(profile, SolverConfig())
+            except (BlowUpDetected, NotMeanConvex):
+                pass
+        ivp_mod.solve(CurvatureProfile(fam1), SolverConfig(), eps_list=ivp_mod.DEFAULT_EPS_LIST)
+
+    for kernel in KERNELS:
+        kernel.cache_clear()
+    solve_all()
+    compiled = [kernel.cache_info().misses for kernel in KERNELS]
+    assert all(1 <= count <= 2 for count in compiled), compiled
+    solve_all()
+    assert [kernel.cache_info().misses for kernel in KERNELS] == compiled
 
 
 class TestSolve:
