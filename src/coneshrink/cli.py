@@ -9,6 +9,7 @@ a bad line exits 2 as the flag would.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -239,15 +240,34 @@ def cmd_solve(args):
     prec = _precision(args)
     config = ivp.SolverConfig(tol=args.tol, correction_N=args.N)
     out = args.out
+    # made before the solve, so that an unwritable --out exits 6 at once;
+    # what this call made goes again if the solve fails
+    made = _missing_dirs(out)
     os.makedirs(out, exist_ok=True)
-    run = ivp.solve(curvature, config, args.K, prec, to_d=args.to_d,
-                    eps_list=ivp.DEFAULT_EPS_LIST if args.eps_study else None)
+    try:
+        run = ivp.solve(curvature, config, args.K, prec, to_d=args.to_d,
+                        eps_list=ivp.DEFAULT_EPS_LIST if args.eps_study else None)
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     ivp.write_profile_csv(run.s_side, os.path.join(out, "s_side.csv"))
     ivp.write_profile_csv(run.end, os.path.join(out, "d_side.csv"))
     text = json.dumps(_finite_or_null(run.summary()), indent=2, sort_keys=True, allow_nan=False)
     atomic_write_text(os.path.join(out, "summary.json"), text + "\n")
     print(text)
     return EXIT_OK
+
+
+def _missing_dirs(path):
+    """``path`` and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 def _finite_or_null(value):

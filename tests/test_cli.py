@@ -111,6 +111,12 @@ class TestCoeffs:
         assert len(rec["A"]) == 40
 
 
+def _builtin_flags(name):
+    fam = builtin_catalog()[name]
+    return ["--g", str(fam.g), "--m-minus", str(fam.m_minus), "--m-plus", str(fam.m_plus),
+            "--n", str(fam.n), "--theta1", repr(fam.theta1)]
+
+
 def _last_row(path):
     lines = path.read_text().strip().splitlines()
     return dict(zip(lines[0].split(","), (float(v) for v in lines[-1].split(","))))
@@ -195,6 +201,37 @@ class TestSolve:
         study = json.loads((tmp_path / "summary.json").read_text())["eps_study"]
         assert 0.8 <= study["slope"] <= 1.2
         assert len(study["errors"]) == 5
+
+    # a default solve that meets its vertical tangent (exit 4), and an eq030
+    # profile that is not mean convex (exit 2, from the s-side run)
+    FAILING_SOLVES = [(_builtin_flags("g6_m2"), 4),
+                      (["--g", "2", "--m-minus", "1", "--m-plus", "2", "--n", "4",
+                        "--theta1", "0.95", "--profile-mode", "eq030"], 2)]
+
+    @pytest.mark.parametrize("flags, code", FAILING_SOLVES, ids=["tangent", "not_mean_convex"])
+    def test_failed_solve_removes_the_out_it_made(self, flags, code, tmp_path, capsys):
+        out = tmp_path / "new" / "out"
+        assert run(["solve", *flags, "--out", str(out)], capsys)[0] == code
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, code", FAILING_SOLVES, ids=["tangent", "not_mean_convex"])
+    def test_failed_solve_keeps_an_out_it_found(self, flags, code, tmp_path, capsys):
+        (tmp_path / "kept.txt").write_text("kept")
+        assert run(["solve", *flags, "--out", str(tmp_path)], capsys)[0] == code
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+    def test_unwritable_out_exits_6_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        from coneshrink import ivp
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve ran with an unwritable --out")
+
+        monkeypatch.setattr(ivp, "solve", unreachable)
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["solve", *FAM1_FLAGS, "--out", str(tmp_path / "file" / "out")],
+                           capsys)
+        assert code == 6
+        assert "i/o failure" in err
 
 
 # g3_m8 with binary64 A_k: at K = 80 the series energy integral overflows
@@ -320,10 +357,6 @@ class TestVerify:
         assert "(threshold 0.0e+00) FAIL" in out
 
 
-def _builtin_flags(name):
-    fam = builtin_catalog()[name]
-    return ["--g", str(fam.g), "--m-minus", str(fam.m_minus), "--m-plus", str(fam.m_plus),
-            "--n", str(fam.n), "--theta1", repr(fam.theta1)]
 
 
 class TestEq030Solve:
