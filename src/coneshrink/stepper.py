@@ -22,11 +22,11 @@ length of what it returns and converts it to floats; its attempt is
 compiled once per ``n`` and cached, and :func:`integrate` takes it for any
 ``f``.  A caller that writes its RHS as an :class:`Rhs` gets from
 :func:`compile_rhs` a plain callable ``f(t, y)`` with a fused attempt
-attached as ``f.attempt``, whose stages evaluate the body in place, with
-no call, no list and no conversion per stage; :func:`integrate` takes
-that attempt when ``f`` has one.  The two give the same bits: the body is
+attached as ``f.fused_attempt``, whose stages evaluate the body in place,
+with no call, no list and no conversion per stage; :func:`integrate`
+takes that attempt when ``f`` has one.  The two give the same bits: the body is
 the same source in both.  A wrapper around such an ``f`` (a tracer's, a
-test's) has no ``attempt`` and takes the generic one.
+test's) has no ``fused_attempt`` and takes the generic one.
 
 Each stage value is formed in one fixed order, per component
 ``y_j + h * (((0 + a1 * k1_j) + a2 * k2_j) + ...)`` over the tableau row
@@ -163,8 +163,8 @@ def _call_body(n):
                out="k")
 
 
-def _indent(lines, depth=1):
-    return [textwrap.indent(line, "    " * depth) for line in lines]
+def _indent(lines):
+    return [textwrap.indent(line, "    ") for line in lines]
 
 
 def _attempt_source(body):
@@ -247,7 +247,7 @@ def _attempt(n):
 def compile_rhs(body: Rhs):
     """``make(*consts)``: returns the callable ``f(t, y)`` of ``body``, its
     ``__module__`` ``body.module`` and its ``__qualname__`` ``body.name``,
-    with the attempt that inlines ``body`` as ``f.attempt``.  Each call
+    with the attempt that inlines ``body`` as ``f.fused_attempt``.  Each call
     compiles; a caller keeps the result per body and binds its constants
     per run."""
     n = len(body.y)
@@ -261,7 +261,7 @@ def compile_rhs(body: Rhs):
                         *_indent(rhs),
                         *_indent(_attempt_source(body).splitlines()),
                         f"    {body.name}.__qualname__ = {body.name!r}",
-                        f"    {body.name}.attempt = attempt",
+                        f"    {body.name}.fused_attempt = attempt",
                         f"    return {body.name}"]) + "\n"
     return _exec(source, f"<{body.name}>", body.module)["make"]
 
@@ -302,7 +302,7 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         raise _length_mismatch(k1.size, len(y))
     # a compiled Rhs carries the attempt that inlines it; the generic
     # attempt calls any other f at each stage
-    attempt = getattr(f, "attempt", None) or _attempt(len(y))
+    attempt = getattr(f, "fused_attempt", None) or _attempt(len(y))
     if first_step is None:
         scale = np.max(np.abs(k1)) + 1e-30
         first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)

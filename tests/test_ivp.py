@@ -800,7 +800,7 @@ def test_fused_attempts_equal_the_generic_attempt(profile):
         for t, y, h in states:
             k1 = list(map(float, f(t, y)))
             want = _outcome(generic, f, t, y, h, k1, 1e-10, 1e-10)
-            assert _outcome(f.attempt, f, t, y, h, k1, 1e-10, 1e-10) == want, (t, y, h)
+            assert _outcome(f.fused_attempt, f, t, y, h, k1, 1e-10, 1e-10) == want, (t, y, h)
             outcomes.add(want is None)
         if name == "s_side_rhs":
             assert outcomes == {False, True}
