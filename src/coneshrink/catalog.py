@@ -243,17 +243,28 @@ def cot_sum_constants(profile: CurvatureProfile):
     return (profile.family.theta1, *(v for w, f in profile.terms for v in (w * f, f)))
 
 
+def _log_sin_sum_source(n_terms):
+    """``(names, expression)``: the antiderivative of H as one binary64
+    expression in ``x = t1 + d`` over ``t1`` and ``w0, f0, c0, ...``, the
+    weight, frequency and ln sin(f t1) of each term, summed left to right:
+    the binary64 value of :func:`curvature_antiderivative` bit for bit."""
+    names = ("t1", *(f"{p}{i}" for i in range(n_terms) for p in ("w", "f", "c")))
+    expr = " + ".join(f"w{i} * (log(sin(f{i} * x)) - c{i})" for i in range(n_terms))
+    return names, expr
+
+
 @lru_cache(maxsize=None)
-def _binary64_kernel(n_terms):
-    """``make(*cot_sum_constants)`` -> h(d), compiled once per number of terms."""
-    names, expr = cot_sum_source(n_terms)
-    source = (f"def make({', '.join(names)}):\n"
-              "    def h(d):\n"
-              "        x = t1 + d\n"
-              f"        return {expr}\n"
-              "    return h\n")
-    namespace = {"cos": math.cos, "sin": math.sin}
-    exec(compile(source, f"<cot sum of {n_terms} terms>", "exec"), namespace)
+def _binary64_kernel(source, n_terms):
+    """``make(*constants)`` -> a function of d that evaluates ``source``'s
+    expression, compiled once per source and number of terms."""
+    names, expr = source(n_terms)
+    text = (f"def make({', '.join(names)}):\n"
+            "    def h(d):\n"
+            "        x = t1 + d\n"
+            f"        return {expr}\n"
+            "    return h\n")
+    namespace = {"cos": math.cos, "sin": math.sin, "log": math.log}
+    exec(compile(text, f"<{source.__name__} of {n_terms} terms>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -263,7 +274,16 @@ def binary64_curvature(profile: CurvatureProfile):
     from :func:`cot_sum_source`, the expression that the solver's fused
     right-hand sides inline, once per number of terms; the profile's
     constants are bound per call of this function."""
-    return _binary64_kernel(len(profile.terms))(*cot_sum_constants(profile))
+    return _binary64_kernel(cot_sum_source, len(profile.terms))(*cot_sum_constants(profile))
+
+
+def binary64_antiderivative(profile: CurvatureProfile):
+    """The antiderivative of H at x for binary64 callers that check x
+    themselves: curvature_antiderivative's value, bit for bit, without its
+    per-call validation; compiled as :func:`binary64_curvature` is."""
+    t1 = profile.family.theta1
+    return _binary64_kernel(_log_sin_sum_source, len(profile.terms))(
+        t1, *(v for w, f in profile.terms for v in (w, f, math.log(math.sin(f * t1)))))
 
 
 def mean_curvature(profile: CurvatureProfile, d):

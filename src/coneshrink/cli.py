@@ -327,7 +327,8 @@ def _verify_d_side(prof, thresholds):
     # equation residual with phi'' taken from the Hermite slope of dphi
     d2 = np.gradient(dphi, d)
     h = mean_curvature(prof.curvature, d)
-    eq130 = ivp.phi_equation_residual(phi, dphi, d2, h, prof.curvature.family.n)
+    n = prof.curvature.family.n
+    eq130 = [ivp.phi_equation_residual(*node, n) for node in zip(phi, dphi, d2, h)]
     _monitor("eq130_residual", float(np.max(np.abs(eq130[1:-1]))), thresholds, failures,
              label="eq130_residual (finite-difference phi'')")
     _monitor("eq350_drift", float(np.max(np.abs(prof["eq350_drift"]))), thresholds, failures)

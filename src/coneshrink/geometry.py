@@ -46,11 +46,12 @@ def shrinker_residual(profile_d: SolutionProfile) -> ResidualReport:
     """Radial-graph shrinker residual at the stored nodes."""
     if profile_d.side != D_SIDE:
         raise OutOfRange("shrinker residual needs a d-side profile")
-    d = profile_d["d"]
     prof = profile_d.curvature
-    vals = phi_equation_residual(profile_d["phi"], profile_d["dphi"], profile_d["d2phi"],
-                                 mean_curvature(prof, d), prof.family.n)
-    return ResidualReport.of(vals)
+    cols = profile_d.columns
+    h = mean_curvature(prof, profile_d["d"]).tolist()
+    return ResidualReport.of(np.array([
+        phi_equation_residual(*node, prof.family.n)
+        for node in zip(cols["phi"], cols["dphi"], cols["d2phi"], h)]))
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,17 @@ justifies continuing through d0 (where H changes sign) to d0 + margin.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .catalog import (
     CurvatureProfile,
+    binary64_antiderivative,
     binary64_curvature,
     cot_sum_constants,
     cot_sum_source,
@@ -51,7 +55,7 @@ from .errors import (
     StepSizeCollapse,
 )
 from .numutil import (DOUBLE_PREC, GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval,
-                      lazy_numpy, loglog_slope, write_csv)
+                      lazy_numpy, left_sum, loglog_slope, max_abs, write_csv)
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
                      evaluate_truncated)
 from .stepper import Rhs, compile_rhs, integrate
@@ -103,8 +107,11 @@ class SolverConfig:
 @dataclass
 class SolutionProfile:
     """Sampled solution on one chart of the run whose H is ``curvature``; ``columns``
-    maps names to equal-length arrays, ``meta`` records this chart's own
-    integration (eps, tol, steps, rejects, ...) and no other's."""
+    maps names to equal-length columns, lists of floats as the solver and
+    :func:`read_profile_csv` make them, and ``profile[name]`` is that
+    column as an ndarray, for callers that compute on arrays; ``meta``
+    records this chart's own integration (eps, tol, steps, rejects, ...)
+    and no other's."""
 
     side: str
     curvature: CurvatureProfile
@@ -112,7 +119,7 @@ class SolutionProfile:
     meta: dict = field(default_factory=dict)
 
     def __getitem__(self, name):
-        return self.columns[name]
+        return np.asarray(self.columns[name])
 
 
 def equation_residual(s, gamma, dgamma, d2gamma, eps, profile: CurvatureProfile):
@@ -152,17 +159,17 @@ def _bootstrap_point(series: FormalSeries, target: float, s_hi: float):
 
 def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: int):
     """int_0^{s_b} (1 - 2nt) gamma'(t)^2 dt with gamma' as the truncated
-    series polynomial (exact polynomial integration)."""
-    c = np.array([float(series.coefficient(k)) / math.factorial(k - 1)
-                  for k in range(1, k_star + 1)])
-    # at large k* the products overflow binary64; the caller rejects the
-    # non-finite result, so numpy need not warn about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.convolve(c, c)  # coefficients of gamma'(t)^2
-        powers = np.arange(len(sq))
-        val = np.sum(sq * s_b ** (powers + 1) / (powers + 1))
-        val -= 2.0 * n * np.sum(sq * s_b ** (powers + 2) / (powers + 2))
-    return float(val)
+    series polynomial (exact polynomial integration), every sum left to
+    right.  At large k* the products overflow binary64 to inf or nan, which
+    the caller rejects."""
+    c = [float(series.coefficient(k)) / math.factorial(k - 1) for k in range(1, k_star + 1)]
+    # coefficients of gamma'(t)^2: sq[p] = sum over i + j = p of c[i] c[j], i ascending
+    sq = []
+    for p in range(2 * k_star - 1):
+        part = c[max(0, p - k_star + 1):p + 1]
+        sq.append(left_sum(map(operator.mul, part, reversed(part))))
+    val = left_sum(q * s_b ** (p + 1) / (p + 1) for p, q in enumerate(sq))
+    return val - 2.0 * n * left_sum(q * s_b ** (p + 2) / (p + 2) for p, q in enumerate(sq))
 
 
 def _require_series_of(curvature: CurvatureProfile, series: FormalSeries):
@@ -199,6 +206,12 @@ def _s_side_kernel(n_terms):
         domain="0 <= gamma < d_focal"))
 
 
+# the largest phi whose e^{2 phi} is finite in binary64 (log of the largest
+# float, halved): past it the d-side and curve-chart bodies are not defined,
+# and the attempt rejects the stage instead of math.exp raising OverflowError
+PHI_EXP_MAX = math.log(sys.float_info.max) / 2
+
+
 @functools.lru_cache(maxsize=None)
 def _d_side_kernel(n_terms):
     """phi'' in the d-side chart, and the integrand H phi'^2 of its first
@@ -210,7 +223,8 @@ def _d_side_kernel(n_terms):
         lines=("x = t1 + d",
                f"hd = {h}",
                "d2 = (1 + dphi * dphi) * (n - 0.5 * exp(2 * phi) - dphi * hd)"),
-        out="dphi, d2, hd * dphi * dphi"))
+        out="dphi, d2, hd * dphi * dphi",
+        domain=f"phi <= {PHI_EXP_MAX!r}"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,7 +236,8 @@ def _curve_kernel(n_terms):
         name="curve_rhs", module=__name__, t="sigma", y=("d", "phi", "alpha"),
         consts=("n", *h_names),
         lines=("c = cos(alpha)", "s = sin(alpha)", "x = t1 + d"),
-        out=f"c, s, (n - 0.5 * exp(2 * phi)) * c - ({h}) * s"))
+        out=f"c, s, (n - 0.5 * exp(2 * phi)) * c - ({h}) * s",
+        domain=f"phi <= {PHI_EXP_MAX!r}"))
 
 
 def _rhs(kernel, curvature: CurvatureProfile, *consts):
@@ -301,14 +316,15 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
                        max_step=(s_end - t0) / 8, max_steps=MAX_STEPS, accept_hook=guard)
 
     s_nodes = result.ts
-    gam = result.ys[:, 0]
-    dgam = result.ys[:, 1]
-    energy = result.ys[:, 2]
-    d2gam = result.fs[:, 1]
-    cal = curvature_antiderivative(curvature, gam)
-    # dgam[0] is the initial slope of a regularized run; at eps = 0 the term is 0
-    res_energy = (eps * (dgam ** 2 - dgam[0] ** 2) / 2.0
-                  + 0.5 * np.log1p(4 * s_nodes ** 2 * dgam ** 2) + energy - cal)
+    gam, dgam, energy = map(list, zip(*result.ys))
+    d2gam = [k[1] for k in result.fs]
+    # dgam[0] is the initial slope of a regularized run; at eps = 0 the term
+    # is 0; the stepper kept every node's gamma in [0, d_focal)
+    dg0 = dgam[0]
+    cal = binary64_antiderivative(curvature)
+    res_energy = [eps * (dg * dg - dg0 * dg0) / 2.0 + 0.5 * math.log1p(4 * (s * s) * (dg * dg))
+                  + e - cal(g)
+                  for s, g, dg, e in zip(s_nodes, gam, dgam, energy)]
     return SolutionProfile(
         side=S_SIDE, curvature=curvature,
         columns={
@@ -319,7 +335,7 @@ def integrate_gamma(curvature: CurvatureProfile, series: Optional[FormalSeries],
         meta={
             "eps": eps, "tol": tol, "s_end": s_end,
             "n_steps": result.n_steps, "n_rejected": result.n_rejected,
-            "sum_local_err": float(np.sum(result.errs)), **series_meta,
+            "sum_local_err": math.fsum(result.errs), **series_meta,
         },
     )
 
@@ -343,102 +359,153 @@ def energy_residual(profile_s: SolutionProfile) -> ResidualReport:
     cubic Hermite reconstruction of gamma' and anchored so the first node
     has zero residual."""
     eps = profile_s.meta.get("eps", 0.0)
+    cols = profile_s.columns
     s = profile_s["s"]
     gam = profile_s["gamma"]
     dgam = profile_s["dgamma"]
-    d2gam = profile_s["d2gamma"]
     n = profile_s.curvature.family.n
     cal = curvature_antiderivative(profile_s.curvature, gam)
     vals = (eps * dgam ** 2 / 2.0 + 0.5 * np.log1p(4 * s ** 2 * dgam ** 2) - cal
-            + _cumulative_energy(s, dgam, d2gam, n))
+            + _cumulative_energy(cols["s"], cols["dgamma"], cols["d2gamma"], n))
     return ResidualReport.of(vals - vals[0])
 
 
-def _gauss_points(s):
-    """4-point Gauss rule on each interval of the grid s: weights, points t
-    (intervals x nodes), widths h (a column), and hermite(y, dy) at t."""
-    h = np.diff(s)[:, None]
-    x = np.array(GAUSS4_NODES)
-
-    def hermite(y, dy):
-        return cubic_hermite(x, h, y[:-1, None], dy[:-1, None], y[1:, None], dy[1:, None])
-
-    return np.array(GAUSS4_WEIGHTS), s[:-1, None] + x * h, h, hermite
+# the cubic Hermite basis (h00, h10, h01, h11) at each Gauss node, formed as
+# numutil.cubic_hermite forms it
+_HERMITE_AT_GAUSS = tuple(((1 + 2 * x) * (1 - x) ** 2, x * (1 - x) ** 2,
+                           x * x * (3 - 2 * x), x * x * (x - 1)) for x in GAUSS4_NODES)
 
 
-def _cumulative(terms, h):
-    """Running sum from 0 of (node terms summed left to right) * width."""
-    per_interval = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
-    return np.concatenate(([0.0], np.cumsum(per_interval * h[:, 0])))
+def _quadrature_source(hermites, lines, integrand, consts):
+    """Source of ``cumulative(s, *columns, *consts)``: the running integral
+    from the first node of the grid s, 0.0 there, with the 4-point Gauss
+    rule on each interval, as straight-line code per interval.
+
+    ``hermites`` maps a name to the (value, slope) columns of the cubic
+    Hermite that the name holds at each Gauss node; ``lines`` are statements
+    over those names and ``t``, the node's abscissa; ``integrand`` is the
+    integrand there.  The Gauss weight multiplies it first, the four terms
+    are summed left to right and their sum times the width is added to the
+    running sum: the order in which numpy's vectorised rule summed them."""
+    columns = list(dict.fromkeys(c for pair in hermites.values() for c in pair))
+    ends = ", ".join(f"{c}0, {c}1" for c in columns)
+    pairs = ", ".join(f"{c}, {c}[1:]" for c in columns)
+    body = ["w = b - a"]
+    for k, (x, weight, (h00, h10, h01, h11)) in enumerate(
+            zip(GAUSS4_NODES, GAUSS4_WEIGHTS, _HERMITE_AT_GAUSS)):
+        body.append(f"t = a + {x!r} * w")
+        body += [f"{name} = {h00!r} * {y}0 + {h10!r} * w * {dy}0 "
+                 f"+ {h01!r} * {y}1 + {h11!r} * w * {dy}1"
+                 for name, (y, dy) in hermites.items()]
+        body += [*lines, f"p{k} = {weight!r} * {integrand}"]
+    body += ["acc = acc + (p0 + p1 + p2 + p3) * w", "out.append(acc)"]
+    return "\n".join([f"def cumulative(s, {', '.join(columns + list(consts))}):",
+                      "    out = [0.0]",
+                      "    acc = 0.0",
+                      f"    for a, b, {ends} in zip(s, s[1:], {pairs}):",
+                      *(f"        {line}" for line in body),
+                      "    return out"]) + "\n"
+
+
+def _compile_quadrature(source, filename):
+    namespace = {"cos": math.cos, "sin": math.sin}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["cumulative"]
+
+
+@functools.lru_cache(maxsize=None)
+def _energy_quadrature():
+    """cumulative(s, dgam, d2gam, n): int (1 - 2nt) gamma'^2 dt, gamma' the
+    cubic Hermite through (dgam, d2gam)."""
+    return _compile_quadrature(_quadrature_source(
+        {"dg": ("dgam", "d2gam")}, (), "(1 - 2 * n * t) * dg * dg", ("n",)),
+        "<energy quadrature>")
+
+
+@functools.lru_cache(maxsize=None)
+def _q_quadrature(n_terms):
+    """cumulative(s, gam, dgam, d2gam, d_focal, check, *cot_sum_constants):
+    int H(gamma) / (4 t^2 gamma') dt, gamma and gamma' the cubic Hermites
+    through (gam, dgam) and (dgam, d2gam), H inlined from
+    :func:`cot_sum_source`; ``check(d)`` is called on a gamma outside
+    [0, d_focal), where H is not defined, and raises."""
+    h_names, h = cot_sum_source(n_terms)
+    return _compile_quadrature(_quadrature_source(
+        {"gv": ("gam", "dgam"), "dg": ("dgam", "d2gam")},
+        ("if not 0.0 <= gv < d_focal:", "    check(gv)", "x = t1 + gv"),
+        f"({h}) / (4.0 * t * t * dg)", ("d_focal", "check", *h_names)),
+        f"<H quadrature of {n_terms} cot terms>")
 
 
 def _cumulative_energy(s, dgam, d2gam, n):
-    """Cumulative int (1-2nt) gamma'^2 dt over the node grid; gamma' is
-    reconstructed per interval as the cubic Hermite matching (dgam, d2gam)."""
-    w, t, h, hermite = _gauss_points(s)
-    dg = hermite(dgam, d2gam)
-    return _cumulative(w * (1 - 2 * n * t) * dg * dg, h)
+    """Cumulative int (1-2nt) gamma'^2 dt over the node grid s, as a list;
+    gamma' is reconstructed per interval as the cubic Hermite matching
+    (dgam, d2gam)."""
+    return _energy_quadrature()(s, dgam, d2gam, n)
 
 
 def phi_equation_residual(phi, dphi, d2phi, h, n):
-    """phi''/(1 + phi'^2) + phi' H - n + e^{2 phi}/2, zero for the true
-    solution; h holds H(d) at the nodes."""
-    return d2phi / (1 + dphi ** 2) + dphi * h - n + 0.5 * np.exp(2 * phi)
+    """phi''/(1 + phi'^2) + phi' H - n + e^{2 phi}/2 at one node, zero for
+    the true solution; h is H(d) there.  Past PHI_EXP_MAX it is inf, as
+    numpy's exp would make it."""
+    e = math.inf if phi > PHI_EXP_MAX else 0.5 * math.exp(2 * phi)
+    return d2phi / (1 + dphi * dphi) + dphi * h - n + e
 
 
 def phi_first_integral(phi, dphi, q, n):
-    """ln(1 + phi'^2) + 2q - 2n phi + e^{2 phi}/2 with q = int H phi'^2, which
-    stays constant along a solution."""
-    return np.log1p(dphi ** 2) + 2.0 * q - 2.0 * n * phi + 0.5 * np.exp(2 * phi)
+    """ln(1 + phi'^2) + 2q - 2n phi + e^{2 phi}/2 at one node, with
+    q = int H phi'^2; it stays constant along a solution.  Past PHI_EXP_MAX
+    it is inf, as numpy's exp would make it."""
+    e = math.inf if phi > PHI_EXP_MAX else 0.5 * math.exp(2 * phi)
+    return math.log1p(dphi * dphi) + 2.0 * q - 2.0 * n * phi + e
 
 
 def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
     """Invert s -> d = gamma(s) and change chart: g(d) = s, phi = -ln(s)/2,
     phi' = -1/(2 s gamma'); cross-checks the g-equation residual at each node."""
-    s_all = profile_s["s"]
-    keep = s_all > 0
-    s = s_all[keep]
-    gam = profile_s["gamma"][keep]
-    dgam = profile_s["dgamma"][keep]
-    d2gam = profile_s["d2gamma"][keep]
-    if np.any(dgam <= 0):
+    cols = profile_s.columns
+    s, gam, dgam, d2gam = map(list, zip(*(
+        node for node in zip(cols["s"], cols["gamma"], cols["dgamma"], cols["d2gamma"])
+        if node[0] > 0)))
+    if any(v <= 0 for v in dgam):
         raise NotInvertible("gamma' <= 0 at a stored node")
-    d = gam
-    phi = -0.5 * np.log(s)
-    dphi = -1.0 / (2.0 * s * dgam)
-    d2phi = (dgam + s * d2gam) / (2.0 * s ** 2 * dgam ** 3)
-
     prof = profile_s.curvature
-    h_vals = mean_curvature(prof, d)
     n = prof.family.n
-    eq130 = phi_equation_residual(phi, dphi, d2phi, h_vals, n)
+    phi = [-0.5 * math.log(v) for v in s]
+    dphi = [-1.0 / (2.0 * a * b) for a, b in zip(s, dgam)]
+    d2phi = [(b + a * c) / (2.0 * (a * a) * b ** 3) for a, b, c in zip(s, dgam, d2gam)]
+    h_of = binary64_curvature(prof)
+    h_vals = [h_of(v) for v in gam]
+    eq130 = [phi_equation_residual(*node, n) for node in zip(phi, dphi, d2phi, h_vals)]
     # g-equation residual: g' = 1/gamma', g'' = -gamma''/gamma'^3
-    gp = 1.0 / dgam
-    gpp = -d2gam / dgam ** 3
-    eq140 = ((1.0 - h_vals * gp) / (2.0 * s)
-             + 2.0 * (gp ** 2 - s * gpp) / (gp ** 2 + 4.0 * s ** 2) - n)
+    eq140 = []
+    for a, b, c, hv in zip(s, dgam, d2gam, h_vals):
+        gp = 1.0 / b
+        gpp = -c / b ** 3
+        eq140.append((1.0 - hv * gp) / (2.0 * a)
+                     + 2.0 * (gp * gp - a * gpp) / (gp * gp + 4.0 * (a * a)) - n)
     # continuation first integral, anchored at the first node; the integral
     # int H phi'^2 dd is pulled back to the s-grid: H(gamma)/(4 s^2 gamma') ds
     q = _cumulative_q_from_s(s, gam, dgam, d2gam, prof)
-    ident = phi_first_integral(phi, dphi, q, n)
-    drift = ident - ident[0]
+    ident = [phi_first_integral(*node, n) for node in zip(phi, dphi, q)]
     return SolutionProfile(
         side=D_SIDE, curvature=prof,
         columns={
-            "d": d, "phi": phi, "dphi": dphi, "d2phi": d2phi, "g": s,
+            "d": gam, "phi": phi, "dphi": dphi, "d2phi": d2phi, "g": s,
             "eq130_residual": eq130, "eq140_residual": eq140,
-            "eq350_drift": drift,
+            "eq350_drift": [v - ident[0] for v in ident],
         },
     )
 
 
 def _cumulative_q_from_s(s, gam, dgam, d2gam, prof):
-    """Cumulative int H(gamma) / (4 t^2 gamma') dt, gamma and gamma' as the
-    cubic Hermites through (gam, dgam) and (dgam, d2gam)."""
-    w, t, h, hermite = _gauss_points(s)
-    gv = hermite(gam, dgam)
-    dg = hermite(dgam, d2gam)
-    return _cumulative(w * mean_curvature(prof, gv) / (4.0 * t * t * dg), h)
+    """Cumulative int H(gamma) / (4 t^2 gamma') dt over the node grid s, as
+    a list, gamma and gamma' as the cubic Hermites through (gam, dgam) and
+    (dgam, d2gam); a gamma outside [0, d_focal) raises
+    :class:`OutOfRange`."""
+    return _q_quadrature(len(prof.terms))(
+        s, gam, dgam, d2gam, prof.family.d_focal, functools.partial(mean_curvature, prof),
+        *cot_sum_constants(prof))
 
 
 def _probe_vertical_tangent(curvature, d, phi, dphi, d_target, tol):
@@ -467,9 +534,9 @@ def _probe_vertical_tangent(curvature, d, phi, dphi, d_target, tol):
                         accept_hook=lambda sigma, y: math.cos(y[2]) <= 0.0 or y[0] >= d_target)
     except StepSizeCollapse:
         return None
-    sigma0, sigma1 = run.ts[-2:].tolist()
-    (d0, _, a0), (d1, _, a1) = run.ys[-2:].tolist()
-    (c0, _, da0), (c1, _, da1) = run.fs[-2:].tolist()
+    sigma0, sigma1 = run.ts[-2:]
+    (d0, _, a0), (d1, _, a1) = run.ys[-2:]
+    (c0, _, da0), (c1, _, da1) = run.fs[-2:]
     if c1 > 0.0:
         return run
     h = sigma1 - sigma0
@@ -522,12 +589,13 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
             f"d_target {d_target!r} exceeds d0 + margin = {d0 + margin!r}"
         )
 
-    s_vals = profile_d["g"]
-    s_top = float(s_vals[-1])
-    idx = int(np.argmin(np.abs(s_vals - HANDOFF_FRACTION * s_top)))
-    d_h = float(profile_d["d"][idx])
-    phi_h = float(profile_d["phi"][idx])
-    dphi_h = float(profile_d["dphi"][idx])
+    cols = profile_d.columns
+    s_vals = cols["g"]
+    s_handoff = HANDOFF_FRACTION * float(s_vals[-1])
+    idx = min(range(len(s_vals)), key=lambda i: abs(s_vals[i] - s_handoff))
+    d_h = float(cols["d"][idx])
+    phi_h = float(cols["phi"][idx])
+    dphi_h = float(cols["dphi"][idx])
     if not d_target > d_h:
         raise OutOfRange(f"d_target {d_target!r} must exceed the handoff d_h = {d_h!r}, "
                          "where continuation starts")
@@ -568,32 +636,36 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
         ) from collapse
 
     d_nodes = result.ts
-    phi = result.ys[:, 0]
-    dphi = result.ys[:, 1]
-    q = result.ys[:, 2]
-    d2phi = result.fs[:, 1]
-    eq130 = phi_equation_residual(phi, dphi, d2phi, mean_curvature(prof, d_nodes), n)
-    ident = phi_first_integral(phi, dphi, q, n)
-    drift = ident - ident[0]
-    max_drift = float(np.max(np.abs(drift)))
+    phi, dphi, q = map(list, zip(*result.ys))
+    d2phi = [k[1] for k in result.fs]
+    eq130 = [phi_equation_residual(p, dp, d2, h_fast(d), n)
+             for d, p, dp, d2 in zip(d_nodes, phi, dphi, d2phi)]
+    ident = [phi_first_integral(*node, n) for node in zip(phi, dphi, q)]
+    drift = [v - ident[0] for v in ident]
+    max_drift = max_abs(drift)
     if max_drift > IDENTITY_DRIFT_TOL:
         raise IdentityDrift(
             f"first-integral drift {max_drift:.3e} exceeds {IDENTITY_DRIFT_TOL:.3e}"
         )
 
-    # overlap against the incoming profile on [d_h, d_max]
-    d_old = profile_d["d"]
-    mask = d_old >= d_h
-    overlap_max = 0.0
-    if np.any(mask):
-        phi_cont = hermite_eval(d_nodes, phi, dphi, d_old[mask])
-        overlap_max = float(np.max(np.abs(phi_cont - profile_d["phi"][mask])))
+    # overlap against the incoming profile on [d_h, d_max]: the continuation's
+    # cubic Hermite (as hermite_eval extends it) at each incoming node there
+    diffs = []
+    last = len(d_nodes) - 2
+    for x, phi_old in zip(cols["d"], cols["phi"]):
+        if x >= d_h:
+            i = min(max(bisect.bisect_right(d_nodes, x) - 1, 0), last)
+            w = d_nodes[i + 1] - d_nodes[i]
+            t = (x - d_nodes[i]) / w if w > 0 else 0.0
+            diffs.append(cubic_hermite(t, w, phi[i], dphi[i], phi[i + 1], dphi[i + 1])
+                         - phi_old)
+    overlap_max = max_abs(diffs) if diffs else 0.0
 
     return SolutionProfile(
         side=D_SIDE, curvature=prof,
         columns={
             "d": d_nodes, "phi": phi, "dphi": dphi, "d2phi": d2phi,
-            "g": np.exp(-2 * phi),
+            "g": [math.exp(-2 * p) for p in phi],
             "eq130_residual": eq130, "eq350_drift": drift,
             "local_err": result.errs,
         },
@@ -601,7 +673,7 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
             "d_h": d_h, "s_h": float(s_vals[idx]), "d_target": d_target, "d0": d0,
             "max_identity_drift": max_drift, "overlap_max_diff": overlap_max,
             "n_steps": result.n_steps, "n_rejected": result.n_rejected,
-            "sum_local_err": float(np.sum(result.errs)),
+            "sum_local_err": math.fsum(result.errs),
         },
     )
 
@@ -700,8 +772,10 @@ class Run:
             "s_bootstrap": s_meta.get("s_b"),
             "d_handoff": end_meta["d_h"],
             "d_target": end_meta["d_target"],
-            "max_energy_residual": float(np.nanmax(np.abs(self.s_side["energy_residual"]))),
-            "max_eq130_residual": float(np.max(np.abs(self.end["eq130_residual"]))),
+            # NaNs skipped, as numpy's nanmax skips them
+            "max_energy_residual": max_abs(
+                v for v in self.s_side.columns["energy_residual"] if v == v),
+            "max_eq130_residual": max_abs(self.end.columns["eq130_residual"]),
             "max_eq350_drift": end_meta["max_identity_drift"],
             "overlap_max_diff": end_meta["overlap_max_diff"],
         }
@@ -792,5 +866,5 @@ def read_profile_csv(path, curvature: CurvatureProfile) -> SolutionProfile:
     if len(rows) < MIN_PROFILE_ROWS:
         raise OSError(f"{path}: {len(rows)} data row(s); a {side} profile needs at least "
                       f"{MIN_PROFILE_ROWS}")
-    data = {name: np.array([r[i] for r in rows]) for i, name in enumerate(header)}
+    data = {name: [r[i] for r in rows] for i, name in enumerate(header)}
     return SolutionProfile(side=side, curvature=curvature, columns=data)

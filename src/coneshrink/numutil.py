@@ -5,9 +5,13 @@ release of free C heap pages.  A
 mpmath's global precision is set with ``workprec`` only inside the calls
 that make mpf objects (the series' scalar rings carry their own).
 
-numpy is imported lazily (:func:`lazy_numpy`): the series, the corrections
-and the catalog run on mpmath and floats, so a call that never holds an
-array, such as ``coneshrink coeffs``, never pays for numpy's import.
+numpy is imported lazily (:func:`lazy_numpy`), and a call that never holds
+an array never pays for its import.  The series, the corrections and the
+catalog run on mpmath and floats, and a solve runs on floats and lists:
+the stepper, the s-side run, the d-side chart, the continuation, the
+summary and the CSV files.  So ``coneshrink catalog``, ``coeffs`` and
+``solve`` without ``--eps-study`` never execute numpy's import; ``verify``,
+``export`` and ``solve --eps-study`` hold arrays and do.
 """
 
 import functools
@@ -60,6 +64,19 @@ def is_ndarray(x) -> bool:
     ``type(x)``'s MRO, so a check of a float or an mpf does not load numpy.
     A numpy scalar such as ``np.float64`` is not an ndarray."""
     return _is_ndarray_type(type(x))
+
+
+def max_abs(xs) -> float:
+    """``np.max(np.abs(xs))`` on floats: NaN if any of ``xs`` is NaN or there
+    are none."""
+    top = -1.0
+    for x in xs:
+        a = abs(x)
+        if not a <= top:   # larger, or NaN
+            if a != a:
+                return a
+            top = a
+    return top if top >= 0.0 else math.nan
 
 
 def machine_eps(prec: int) -> float:
@@ -199,8 +216,9 @@ def _malloc_trim():
 
 def write_csv(path, header, columns):
     """CSV with the ``header`` names, then one row per index of the
-    ``columns`` arrays, each value as its round-trip float repr."""
+    ``columns`` (sequences of numbers), each value as the round-trip repr
+    of its float."""
     lines = [",".join(header)]
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    rows = zip(*(map(float, col) for col in columns))
     lines.extend(",".join(map(repr, row)) for row in rows)
     return atomic_write_text(path, "\n".join(lines) + "\n")

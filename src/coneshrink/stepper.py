@@ -45,6 +45,11 @@ not copied (the initial state's list is also the first record of the
 result), so ``f`` must not mutate its state.  ``f`` must return as many
 components as the state has; :func:`integrate` raises ``ValueError``
 naming both lengths where it does not.
+
+The result (:class:`IntegrationResult`) comes in the same form: for a list
+or tuple ``y0``, lists of Python floats (one list of components per node
+for the states and derivatives), so a run on lists never touches numpy;
+for an ndarray ``y0``, ndarrays made from those lists once, at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import StepSizeCollapse
-from .numutil import lazy_numpy
+from .numutil import lazy_numpy, max_abs
 
 np = lazy_numpy()
 
@@ -85,10 +90,15 @@ _B41, _B42, _B43, _B44, _B45, _B46, _B47 = _B4
 
 @dataclass
 class IntegrationResult:
-    ts: np.ndarray        # accepted abscissae, ascending
-    ys: np.ndarray        # states, shape (len(ts), dim)
-    fs: np.ndarray        # derivatives at the nodes
-    errs: np.ndarray      # local error estimate of the step ending at each node
+    """The accepted nodes of a run, in the form of its ``y0``: lists of
+    floats for a list or tuple ``y0`` (``ys`` and ``fs`` a list of
+    per-node component lists), ndarrays for an ndarray ``y0`` (``ys`` and
+    ``fs`` of shape ``(len(ts), dim)``)."""
+
+    ts: list              # accepted abscissae, ascending
+    ys: list              # states at the nodes
+    fs: list              # derivatives at the nodes
+    errs: list            # local error estimate of the step ending at each node
     n_steps: int
     n_rejected: int
     used_fallback: bool = False  # set only by integrate_implicit; perfbench's tracer reads it
@@ -274,7 +284,8 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``y0`` is a list or tuple, else a 1-d ndarray; it may return any
     sequence of as many numbers as the state has components (else
     ``ValueError``, naming both lengths), and must not mutate the state it
-    receives (the stepper does not copy it).  ``accept_hook(t, y)`` runs
+    receives (the stepper does not copy it).  The result's nodes are lists
+    of floats for a list or tuple ``y0``, else ndarrays.  ``accept_hook(t, y)`` runs
     after every accepted step, with the state as a list of floats; it may
     raise to abort with a domain-specific error, or return a true value to
     end the run at that node, the result holding the nodes so far.  Raises
@@ -284,11 +295,12 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     ``y0``, steps by its fused attempt; the run is the one that a wrapper
     around ``f`` would take, bit for bit.
     """
-    if not isinstance(y0, (list, tuple)):
+    as_arrays = not isinstance(y0, (list, tuple))
+    if as_arrays:
         f = _ndarray_state(f)
     # states and stages are lists of floats from here on; none is mutated
     # after it is made, so the records need no copies
-    y = np.asarray(y0, dtype=float).tolist()
+    y = [float(v) for v in y0]
     if not y:
         raise ValueError("y0 must have at least one component")
     t = float(t0)
@@ -297,19 +309,18 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     span = t_end - t
     if span <= 0:
         raise ValueError("t_end must exceed t0")
-    k1 = np.asarray(f(t, y), dtype=float)
-    if k1.shape != (len(y),):
-        raise _length_mismatch(k1.size, len(y))
+    k1 = list(map(float, f(t, y)))
+    if len(k1) != len(y):
+        raise _length_mismatch(len(k1), len(y))
     # a compiled Rhs carries the attempt that inlines it; the generic
     # attempt calls any other f at each stage
     attempt = getattr(f, "fused_attempt", None) or _attempt(len(y))
     if first_step is None:
-        scale = np.max(np.abs(k1)) + 1e-30
-        first_step = min(span * 1e-3, 0.1 * (1.0 + np.max(np.abs(y))) / scale, max_step)
+        scale = max_abs(k1) + 1e-30
+        first_step = min(span * 1e-3, 0.1 * (1.0 + max_abs(y)) / scale, max_step)
     h = float(max(min(first_step, max_step, span), 1e-300))
     h_floor = max(span * 1e-14, abs(t_end) * 2.3e-16, 1e-300)
 
-    k1 = k1.tolist()
     ts, ys, fs, errs = [t], [y], [k1], [0.0]
     n_steps = n_rejected = 0
     while t < t_end:
@@ -340,10 +351,10 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
         else:
             n_rejected += 1
             h *= max(0.1, 0.9 * err ** -0.2)
-    return IntegrationResult(
-        ts=np.array(ts), ys=np.array(ys), fs=np.array(fs), errs=np.array(errs),
-        n_steps=n_steps, n_rejected=n_rejected,
-    )
+    if as_arrays:
+        ts, ys, fs, errs = map(np.array, (ts, ys, fs, errs))
+    return IntegrationResult(ts=ts, ys=ys, fs=fs, errs=errs,
+                             n_steps=n_steps, n_rejected=n_rejected)
 
 
 def _trapezoid_step(f, t, y, h, f_t):

@@ -17,6 +17,7 @@ from coneshrink.catalog import (
     CurvatureProfile,
     IsoparametricFamily,
     _in_number_type,
+    binary64_antiderivative,
     binary64_curvature,
     builtin_catalog,
     curvature_antiderivative,
@@ -145,6 +146,15 @@ class TestMeanCurvature:
                 for i in range(40):
                     d = fam.d_focal * i / 41.0
                     assert h(d) == mean_curvature(prof, d)
+
+    def test_binary64_closure_is_the_antiderivative(self):
+        for fam in builtin_catalog().values():
+            for mode in (COT_SUM, EQ030_LITERAL):
+                prof = CurvatureProfile(fam, mode)
+                cal = binary64_antiderivative(prof)
+                for i in range(40):
+                    x = fam.d_focal * i / 41.0
+                    assert cal(x) == curvature_antiderivative(prof, x)
 
     def test_geodesic_sphere_oracle(self):
         # every g=1 family matches (n-1) cot(theta1 + d)

@@ -502,23 +502,46 @@ def test_cli_import_loads_every_module(tmp_path):
         "catalog", "cli", "errors", "geometry", "ivp", "jets", "numutil", "series", "stepper")]
 
 
+# eq030's profile of this family is not mean convex (exit 2, from the s-side run)
+NOT_MEAN_CONVEX_EQ030 = ["--g", "2", "--m-minus", "1", "--m-plus", "2", "--n", "4",
+                         "--theta1", "0.95", "--profile-mode", "eq030"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["catalog"], 0),
+    (["catalog", "--check", "g=1", "m=1", "n=2", "theta1=0.785398"], 0),
+    (["coeffs", *FAM1_FLAGS, "--K", "12", "--corrections", "--gevrey", "--out", "-"], 0),
+    (["solve", *FAM1_FLAGS, "--out", "o"], 0),
+    (["solve", *_builtin_flags("g6_m2"), "--out", "o"], 4),
+    (["solve", *NOT_MEAN_CONVEX_EQ030, "--out", "o"], 2),
+    # 1e-4 below g6_m2's vertical tangent: the tangent probe runs and the
+    # curve reaches the target first
+    (["solve", *_builtin_flags("g6_m2"), "--to-d", "0.13678", "--out", "o"], 0),
+], ids=["catalog", "catalog_check", "coeffs", "solve", "solve_tangent",
+        "solve_not_mean_convex", "solve_window"])
+def test_numpy_stays_unexecuted(argv, code, tmp_path):
+    """The series and the catalog run on mpmath and floats, and a solve
+    without --eps-study on floats and lists, whether it succeeds or fails:
+    numpy is in sys.modules as a lazy module, but its import never runs."""
+    assert _modules_after(argv, "numpy.", tmp_path) == (code, [])
+
+
 @pytest.mark.parametrize("argv", [
-    ["catalog"],
-    ["catalog", "--check", "g=1", "m=1", "n=2", "theta1=0.785398"],
-    ["coeffs", *FAM1_FLAGS, "--K", "12", "--corrections", "--gevrey", "--out", "-"],
-], ids=["catalog", "catalog_check", "coeffs"])
-def test_numpy_stays_unexecuted(argv, tmp_path):
-    """The series and the catalog run on mpmath and floats: numpy is in
-    sys.modules as a lazy module, but its import never runs."""
+    ["verify", "o/s_side.csv"],
+    ["verify", "o/d_side.csv"],
+    ["export", "o/d_side.csv", "--format", "obj", "--resolution", "8", "--out", "o"],
+    ["export", "o/d_side.csv", "--format", "json", "--out", "o"],
+    ["solve", *FAM1_FLAGS, "--K", "20", "--eps-study", "--out", "eps"],
+], ids=["verify_s_side", "verify_d_side", "export_obj", "export_json", "solve_eps_study"])
+def test_numpy_is_executed(argv, tmp_path, capsys):
+    """Where numpy's import is still paid: verify and export compute on the
+    stored profile's arrays, and the epsilon study on its grid."""
+    assert main(["solve", *FAM1_FLAGS, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
     code, modules = _modules_after(argv, "numpy.", tmp_path)
     assert code == 0
-    assert modules == []
-
-
-def test_solve_loads_numpy(tmp_path):
-    code, modules = _modules_after(["solve", *FAM1_FLAGS, "--out", "o"], "numpy.", tmp_path)
-    assert code == 0
-    assert "numpy._core" in modules
+    # the lazy module is "numpy" alone; its import loads the submodules
+    assert modules != []
 
 
 def _rows_edited(name, edit):

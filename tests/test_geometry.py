@@ -77,7 +77,7 @@ class TestShrinkerResidual:
         assert abs(rep.values[-1]) > 0.05  # stays away from zero as d grows
 
     def test_perturbed_profile_detected(self, continued1, fam1):
-        cols = {k: v.copy() for k, v in continued1.columns.items()}
+        cols = {k: np.array(v) for k, v in continued1.columns.items()}
         cols["phi"] = cols["phi"] + 0.01
         bad = SolutionProfile(side="d_side", curvature=continued1.curvature, columns=cols,
                               meta=dict(continued1.meta))

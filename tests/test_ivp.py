@@ -241,7 +241,7 @@ class TestEnergyResidual:
         assert 0.7 <= slope <= 1.3
 
     def test_detects_scaled_profile(self, solved1, fam1):
-        cols = {k: v.copy() for k, v in solved1.columns.items()}
+        cols = {k: np.array(v) for k, v in solved1.columns.items()}
         for name in ("gamma", "dgamma", "d2gamma"):
             cols[name] = cols[name] * 1.01
         del cols["energy"]
@@ -600,7 +600,8 @@ def test_probe_returns_its_run_up_to_the_target(builtin_d_profile, monkeypatch):
     monkeypatch.setattr(ivp_mod, "_probe_vertical_tangent", recording)
     continue_phi(profile_d, d_target=d_target)
     (run,) = runs
-    d, alpha = run.ys[:, 0], run.ys[:, 2]
+    ys = np.array(run.ys)
+    d, alpha = ys[:, 0], ys[:, 2]
     assert np.all(d[:-1] < d_target) and np.all(np.cos(alpha[:-1]) > 0)
     assert d[-1] >= d_target or math.cos(alpha[-1]) <= 0
     assert run.n_steps == len(run.ts) - 1
@@ -804,6 +805,27 @@ def test_fused_attempts_equal_the_generic_attempt(profile):
             outcomes.add(want is None)
         if name == "s_side_rhs":
             assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("kernel, t0, y0, t_end, first_step, last_good", [
+    # from d = 0.1 d_focal: the run climbs until its step collapses at d = 1.2474
+    (ivp_mod._d_side_kernel, 0.1, [0.5, 20.0, 0.0], 0.6, 0.1, 1.2473873543720917),
+    # the curve chart from phi just below PHI_EXP_MAX: no step is accepted
+    (ivp_mod._curve_kernel, 0.0, [None, 354.8, 1.5], 1.0, 1.0, 0.0),
+], ids=["d_side", "curve"])
+def test_exp_overflow_rejects_the_stage(kernel, t0, y0, t_end, first_step, last_good, fam1):
+    """A stage whose e^{2 phi} overflows binary64 is outside the d-side and
+    curve-chart bodies' domain: the attempt rejects it as it rejects a
+    non-finite stage, in the fused and the generic attempt alike, where
+    math.exp raised OverflowError."""
+    profile = CurvatureProfile(fam1)
+    d_focal = fam1.d_focal
+    f = ivp_mod._rhs(kernel, profile, fam1.n)
+    y0 = [0.1 * d_focal if v is None else v for v in y0]
+    for rhs in (f, lambda t, y: f(t, y)):
+        with pytest.raises(StepSizeCollapse, match="step size underflow") as err:
+            stepper.integrate(rhs, t0 * d_focal, y0, t_end * d_focal, first_step=first_step)
+        assert err.value.last_good == last_good
 
 
 @pytest.mark.parametrize("name, mode, eps_list, kernels", [

@@ -68,10 +68,16 @@ decimal strings read exactly.  A ``.obj`` artifact that differs is read on
 both sides: whether its ``f`` lines are byte-identical, both ``v``-line
 counts, each header line that differs, and the largest absolute move of
 a vertex coordinate, also relative to the vertex's largest coordinate
-magnitude; a last line sums this up over all of them.  Any other
-artifact that differs prints both sha256, and any
-other difference prints both sides.  The exports are removed at the end,
-also on failure.
+magnitude; a last line sums this up over all of them.  A ``.csv``
+artifact that differs is read on both sides: both row counts, and per
+column the largest relative and absolute move of its numbers (over every
+row when the counts agree, else over the last row); a ``.json`` artifact
+that differs is compared as stdout JSON is.  Per artifact name (e.g.
+``s_side.csv``), a last line per column or key path gives the largest
+relative and absolute move over all the artifacts of that name.  Any
+other artifact that differs prints both sha256, and any other difference
+prints both sides.  The exports are removed at the end, also on
+failure.
 """
 
 import argparse
@@ -314,6 +320,46 @@ def json_moves(base, head):
     return moves
 
 
+def csv_moves(base_path, head_path):
+    """Both row counts of two CSV files, and per column of their common
+    header the largest relative and absolute move of its numbers: over
+    every row when the counts agree, else over the last row (the end of
+    each run).  The moves are None if the headers differ or a cell is not a
+    number; values are read exactly, as decimal text."""
+    tables = []
+    for path in (base_path, head_path):
+        with open(path, encoding="utf-8") as fh:
+            header, *rows = (line.rstrip("\n").split(",") for line in fh if line.strip())
+        tables.append((header, rows))
+    (header, base_rows), (head_header, head_rows) = tables
+    counts = (len(base_rows), len(head_rows))
+    if header != head_header:
+        return counts, None
+    if counts[0] != counts[1]:
+        base_rows, head_rows = base_rows[-1:], head_rows[-1:]
+    moves = {}
+    for name, *pairs in zip(header, *(zip(b, h) for b, h in zip(base_rows, head_rows))):
+        rel = move = Fraction(0)
+        for b, h in pairs:
+            x, y = _number(b), _number(h)
+            if x is None or y is None:
+                if b != h:
+                    return counts, None
+                continue
+            d = abs(x - y)
+            if d:
+                move = max(move, d)
+                rel = max(rel, d / max(abs(x), abs(y)))
+        if move:
+            moves[name] = (rel, move)
+    return counts, moves
+
+
+def _moves_text(moves):
+    return "; ".join(f"{name} {float(rel):.3e} relative, {float(move):.3e} absolute"
+                     for name, (rel, move) in moves.items())
+
+
 def _obj_vertex_lines(path):
     with open(path, encoding="utf-8") as fh:
         yield from (line for line in fh if line.startswith("v "))
@@ -382,9 +428,55 @@ def obj_summary(reports):
             f"{max((m[1] for m in moves), default=0.0):.3e} absolute")
 
 
+def numeric_summary(moves_by_name):
+    """Lines of the largest relative and absolute move per artifact name and
+    column or key path, over ``moves_by_name``: (artifact name, moves)
+    pairs, the moves as ``csv_moves`` or ``json_moves`` give them."""
+    top = {}
+    for name, moves in moves_by_name:
+        for key, move in moves.items():
+            if move is None:
+                continue
+            rel, absolute = top.get((name, key), (0, 0))
+            top[name, key] = max(rel, move[0]), max(absolute, move[1])
+    return [f"largest move in {name} {key}: {float(rel):.3e} relative, "
+            f"{float(absolute):.3e} absolute"
+            for (name, key), (rel, absolute) in sorted(top.items())]
+
+
+def _artifact_difference(path, paths, obj_reports, numeric):
+    """The line for one differing artifact present on both sides; reads
+    ``.obj``, ``.csv`` and ``.json`` files, recording their moves."""
+    if path.endswith(".obj"):
+        obj_reports.append(obj_moves(*paths))
+        return _obj_difference(path, obj_reports[-1])
+    name = os.path.basename(path)
+    if path.endswith(".csv"):
+        counts, moves = csv_moves(*paths)
+        text = f"{path}: rows base {counts[0]} head {counts[1]}"
+        if moves is None:
+            return text + "; headers or cells differ"
+        numeric.append((name, moves))
+        over = "all rows" if counts[0] == counts[1] else "the last row"
+        return f"{text}; moved over {over}: {_moves_text(moves) or 'only the sign of a zero'}"
+    if path.endswith(".json"):
+        texts = []
+        for p in paths:
+            with open(p, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        moves = json_moves(*texts)
+        if moves:
+            numeric.append((name, moves))
+            return "\n".join(f"{path}: {key} differs" if move is None else
+                             f"{path}: {key} moved by up to {float(move[0]):.3e} relative, "
+                             f"{float(move[1]):.3e} absolute" for key, move in moves.items())
+    return None
+
+
 def differences(base, head, run_dirs):
-    """Lines naming every call field and artifact that differ, and the
-    ``obj_moves`` reports of the ``.obj`` artifacts among them;
+    """Lines naming every call field and artifact that differ, the
+    ``obj_moves`` reports of the ``.obj`` artifacts among them, and the
+    (artifact name, moves) of the ``.csv`` and ``.json`` ones;
     ``run_dirs`` are the base and head run directories."""
     (base_calls, base_files), (head_calls, head_files) = base, head
     lines = []
@@ -401,17 +493,17 @@ def differences(base, head, run_dirs):
                 lines.append(f"{label}: {key} {path} differs" if move is None else
                              f"{label}: {key} {path} moved by up to {float(move[0]):.3e} "
                              f"relative, {float(move[1]):.3e} absolute")
-    obj_reports = []
+    obj_reports, numeric = [], []
     for path in sorted(set(base_files) | set(head_files)):
         b, h = base_files.get(path), head_files.get(path)
         if b == h:
             continue
-        if path.endswith(".obj") and b and h:
-            obj_reports.append(obj_moves(*(os.path.join(d, path) for d in run_dirs)))
-            lines.append(_obj_difference(path, obj_reports[-1]))
-        else:
-            lines.append(f"{path}: sha256 base {b} head {h}")
-    return lines, obj_reports
+        line = None
+        if b and h:
+            paths = [os.path.join(d, path) for d in run_dirs]
+            line = _artifact_difference(path, paths, obj_reports, numeric)
+        lines.append(line or f"{path}: sha256 base {b} head {h}")
+    return lines, obj_reports, numeric
 
 
 def main(argv=None):
@@ -429,14 +521,16 @@ def main(argv=None):
             capture_output=True, text=True, check=True).stdout)
         call_list = calls(catalog)
         results = {side: run_calls(d, call_list) for side, d in dirs.items()}
-        lines, obj_reports = differences(results["base"], results["head"],
-                                         [_run_dir(d) for d in dirs.values()])
+        lines, obj_reports, numeric = differences(results["base"], results["head"],
+                                                  [_run_dir(d) for d in dirs.values()])
     finally:
         shutil.rmtree(top, ignore_errors=True)
     for line in lines:
         print(line)
     if obj_reports:
         print(obj_summary(obj_reports))
+    for line in numeric_summary(numeric):
+        print(line)
     n_files = len(set(results["base"][1]) | set(results["head"][1]))
     print(f"base {commits['base'][:12]} head {commits['head'][:12]}: {len(call_list)} calls, "
           f"{n_files} artifacts, {len(lines)} difference(s)")
