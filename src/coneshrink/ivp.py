@@ -33,6 +33,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 from .catalog import (
@@ -464,9 +465,8 @@ def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
     """Invert s -> d = gamma(s) and change chart: g(d) = s, phi = -ln(s)/2,
     phi' = -1/(2 s gamma'); cross-checks the g-equation residual at each node."""
     cols = profile_s.columns
-    s, gam, dgam, d2gam = map(list, zip(*(
-        node for node in zip(cols["s"], cols["gamma"], cols["dgamma"], cols["d2gamma"])
-        if node[0] > 0)))
+    first = bisect.bisect_right(cols["s"], 0.0)   # the nodes with s > 0; s ascends
+    s, gam, dgam, d2gam = (cols[c][first:] for c in ("s", "gamma", "dgamma", "d2gamma"))
     if any(v <= 0 for v in dgam):
         raise NotInvertible("gamma' <= 0 at a stored node")
     prof = profile_s.curvature
@@ -474,9 +474,8 @@ def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
     phi = [-0.5 * math.log(v) for v in s]
     dphi = [-1.0 / (2.0 * a * b) for a, b in zip(s, dgam)]
     d2phi = [(b + a * c) / (2.0 * (a * a) * b ** 3) for a, b, c in zip(s, dgam, d2gam)]
-    h_of = binary64_curvature(prof)
-    h_vals = [h_of(v) for v in gam]
-    eq130 = [phi_equation_residual(*node, n) for node in zip(phi, dphi, d2phi, h_vals)]
+    h_vals = list(map(binary64_curvature(prof), gam))
+    eq130 = list(map(phi_equation_residual, phi, dphi, d2phi, h_vals, repeat(n)))
     # g-equation residual: g' = 1/gamma', g'' = -gamma''/gamma'^3
     eq140 = []
     for a, b, c, hv in zip(s, dgam, d2gam, h_vals):
@@ -487,7 +486,7 @@ def to_d_profile(profile_s: SolutionProfile) -> SolutionProfile:
     # continuation first integral, anchored at the first node; the integral
     # int H phi'^2 dd is pulled back to the s-grid: H(gamma)/(4 s^2 gamma') ds
     q = _cumulative_q_from_s(s, gam, dgam, d2gam, prof)
-    ident = [phi_first_integral(*node, n) for node in zip(phi, dphi, q)]
+    ident = list(map(phi_first_integral, phi, dphi, q, repeat(n)))
     return SolutionProfile(
         side=D_SIDE, curvature=prof,
         columns={
@@ -638,9 +637,8 @@ def continue_phi(profile_d: SolutionProfile, d_target: Optional[float] = None,
     d_nodes = result.ts
     phi, dphi, q = map(list, zip(*result.ys))
     d2phi = [k[1] for k in result.fs]
-    eq130 = [phi_equation_residual(p, dp, d2, h_fast(d), n)
-             for d, p, dp, d2 in zip(d_nodes, phi, dphi, d2phi)]
-    ident = [phi_first_integral(*node, n) for node in zip(phi, dphi, q)]
+    eq130 = list(map(phi_equation_residual, phi, dphi, d2phi, map(h_fast, d_nodes), repeat(n)))
+    ident = list(map(phi_first_integral, phi, dphi, q, repeat(n)))
     drift = [v - ident[0] for v in ident]
     max_drift = max_abs(drift)
     if max_drift > IDENTITY_DRIFT_TOL:

@@ -70,14 +70,15 @@ counts, each header line that differs, and the largest absolute move of
 a vertex coordinate, also relative to the vertex's largest coordinate
 magnitude; a last line sums this up over all of them.  A ``.csv``
 artifact that differs is read on both sides: both row counts, and per
-column the largest relative and absolute move of its numbers (over every
-row when the counts agree, else over the last row); a ``.json`` artifact
-that differs is compared as stdout JSON is.  Per artifact name (e.g.
-``s_side.csv``), a last line per column or key path gives the largest
-relative and absolute move over all the artifacts of that name.  Any
-other artifact that differs prints both sha256, and any other difference
-prints both sides.  The exports are removed at the end, also on
-failure.
+column the largest relative and absolute move of its numbers, over every
+row when the counts agree and over the last row, where a run ends (step
+control may shift a solve's nodes while its end stays put); a ``.json``
+artifact that differs is compared as stdout JSON is.  Per artifact name
+(e.g. ``s_side.csv``), a last line per column or key path gives the
+largest relative and absolute move over all the artifacts of that name.
+Any other artifact that differs prints both sha256, and any other
+difference prints both sides.  The exports are removed at the end, also
+on failure.
 """
 
 import argparse
@@ -320,12 +321,35 @@ def json_moves(base, head):
     return moves
 
 
+def _row_moves(header, base_rows, head_rows):
+    """Per column, the largest relative and absolute move of its numbers
+    over the paired rows, read exactly as decimal text; None if a cell that
+    is not a number differs."""
+    moves = {}
+    for name, *pairs in zip(header, *(zip(b, h) for b, h in zip(base_rows, head_rows))):
+        rel = move = Fraction(0)
+        for b, h in pairs:
+            x, y = _number(b), _number(h)
+            if x is None or y is None:
+                if b != h:
+                    return None
+                continue
+            d = abs(x - y)
+            if d:
+                move = max(move, d)
+                rel = max(rel, d / max(abs(x), abs(y)))
+        if move:
+            moves[name] = (rel, move)
+    return moves
+
+
 def csv_moves(base_path, head_path):
     """Both row counts of two CSV files, and per column of their common
-    header the largest relative and absolute move of its numbers: over
-    every row when the counts agree, else over the last row (the end of
-    each run).  The moves are None if the headers differ or a cell is not a
-    number; values are read exactly, as decimal text."""
+    header the largest relative and absolute move of its numbers over every
+    row (None when the counts differ) and over the last row, the end of each
+    run: step control may shift a solve's nodes while its end stays put.
+    Both moves are None if the headers differ, and either is None if a cell
+    that is not a number differs in its rows."""
     tables = []
     for path in (base_path, head_path):
         with open(path, encoding="utf-8") as fh:
@@ -334,25 +358,9 @@ def csv_moves(base_path, head_path):
     (header, base_rows), (head_header, head_rows) = tables
     counts = (len(base_rows), len(head_rows))
     if header != head_header:
-        return counts, None
-    if counts[0] != counts[1]:
-        base_rows, head_rows = base_rows[-1:], head_rows[-1:]
-    moves = {}
-    for name, *pairs in zip(header, *(zip(b, h) for b, h in zip(base_rows, head_rows))):
-        rel = move = Fraction(0)
-        for b, h in pairs:
-            x, y = _number(b), _number(h)
-            if x is None or y is None:
-                if b != h:
-                    return counts, None
-                continue
-            d = abs(x - y)
-            if d:
-                move = max(move, d)
-                rel = max(rel, d / max(abs(x), abs(y)))
-        if move:
-            moves[name] = (rel, move)
-    return counts, moves
+        return counts, None, None
+    every = _row_moves(header, base_rows, head_rows) if counts[0] == counts[1] else None
+    return counts, every, _row_moves(header, base_rows[-1:], head_rows[-1:])
 
 
 def _moves_text(moves):
@@ -452,13 +460,17 @@ def _artifact_difference(path, paths, obj_reports, numeric):
         return _obj_difference(path, obj_reports[-1])
     name = os.path.basename(path)
     if path.endswith(".csv"):
-        counts, moves = csv_moves(*paths)
+        counts, every, last = csv_moves(*paths)
         text = f"{path}: rows base {counts[0]} head {counts[1]}"
-        if moves is None:
+        if last is None:
             return text + "; headers or cells differ"
-        numeric.append((name, moves))
-        over = "all rows" if counts[0] == counts[1] else "the last row"
-        return f"{text}; moved over {over}: {_moves_text(moves) or 'only the sign of a zero'}"
+        if every is None and counts[0] == counts[1]:
+            text += "; every row: a cell that is not a number differs"
+        for label, moves in (("every row", every), ("last row", last)):
+            if moves is not None:
+                numeric.append((f"{name} ({label})", moves))
+                text += f"; {label}: {_moves_text(moves) or 'no number moved'}"
+        return text
     if path.endswith(".json"):
         texts = []
         for p in paths:
