@@ -56,7 +56,7 @@ from .errors import (
     StepSizeCollapse,
 )
 from .numutil import (DOUBLE_PREC, GAUSS4_NODES, GAUSS4_WEIGHTS, cubic_hermite, hermite_eval,
-                      lazy_numpy, left_sum, loglog_slope, max_abs, write_csv)
+                      lazy_numpy, left_sum, loglog_slope, max_abs, pairwise_sum, write_csv)
 from .series import (DEFAULT_K, FormalSeries, compute_coefficients, compute_epsilon_corrections,
                      evaluate_truncated)
 from .stepper import Rhs, compile_rhs, integrate
@@ -160,17 +160,19 @@ def _bootstrap_point(series: FormalSeries, target: float, s_hi: float):
 
 def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: int):
     """int_0^{s_b} (1 - 2nt) gamma'(t)^2 dt with gamma' as the truncated
-    series polynomial (exact polynomial integration), every sum left to
-    right.  At large k* the products overflow binary64 to inf or nan, which
-    the caller rejects."""
+    series polynomial (exact polynomial integration).  Each coefficient of
+    gamma'^2 is summed left to right and each sum over its terms pairwise,
+    as numpy's convolve and sum add them: the run's step control reads
+    the bits of this value.  At large k* the products overflow binary64 to
+    inf or nan, which the caller rejects."""
     c = [float(series.coefficient(k)) / math.factorial(k - 1) for k in range(1, k_star + 1)]
     # coefficients of gamma'(t)^2: sq[p] = sum over i + j = p of c[i] c[j], i ascending
     sq = []
     for p in range(2 * k_star - 1):
         part = c[max(0, p - k_star + 1):p + 1]
         sq.append(left_sum(map(operator.mul, part, reversed(part))))
-    val = left_sum(q * s_b ** (p + 1) / (p + 1) for p, q in enumerate(sq))
-    return val - 2.0 * n * left_sum(q * s_b ** (p + 2) / (p + 2) for p, q in enumerate(sq))
+    val = pairwise_sum([q * s_b ** (p + 1) / (p + 1) for p, q in enumerate(sq)])
+    return val - 2.0 * n * pairwise_sum([q * s_b ** (p + 2) / (p + 2) for p, q in enumerate(sq)])
 
 
 def _require_series_of(curvature: CurvatureProfile, series: FormalSeries):

@@ -1,6 +1,6 @@
-"""Shared numerical helpers: precision, decimal text, left-to-right sums,
-Hermite interpolation, Gauss-Legendre nodes, atomic file writes and the
-release of free C heap pages.  A
+"""Shared numerical helpers: precision, decimal text, left-to-right and
+pairwise sums, Hermite interpolation, Gauss-Legendre nodes, atomic file
+writes and the release of free C heap pages.  A
 ``prec`` in bits means binary64 at 53 bits and below, mpmath above;
 mpmath's global precision is set with ``workprec`` only inside the calls
 that make mpf objects (the series' scalar rings carry their own).
@@ -107,6 +107,33 @@ def left_sum(xs):
     addition.  The builtin ``sum`` does this up to Python 3.11; from 3.12 on
     it compensates float sums, which would change the bits of the results."""
     return functools.reduce(operator.add, xs, 0)
+
+
+# numpy sums a run of at most this many items with 8 accumulators, and
+# splits a longer run in two at a multiple of 8
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_sum(xs):
+    """The sum of the floats ``xs`` in the order in which numpy's ``sum``
+    adds a contiguous float64 array: fewer than 8 items left to right; up
+    to 128 in 8 interleaved accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left
+    to right; more split in two at a multiple of 8; none, 0.0.  Only
+    additions, so the result is the same on every machine, and a sum moved
+    off numpy keeps its bits."""
+    xs = list(xs)
+    n = len(xs)
+    if n < 8:
+        return functools.reduce(operator.add, xs[1:], xs[0]) if n else 0.0
+    if n <= _PAIRWISE_BLOCK:
+        m = n - n % 8
+        r = [functools.reduce(operator.add, xs[k + 8:m:8], xs[k]) for k in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(operator.add, xs[m:], res)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(xs[:half]) + pairwise_sum(xs[half:])
 
 
 def loglog_slope(xs, ys):

@@ -1,14 +1,18 @@
 """The atomic writer's failure paths: a failed write names the path, an
 exception from the chunks propagates, and in both cases the target keeps
 its old bytes and no temporary file is left beside it.  And the heap
-release: glibc's ``malloc_trim(0)`` where it exists, else nothing."""
+release: glibc's ``malloc_trim(0)`` where it exists, else nothing.  And
+the pairwise sum, which adds in numpy's order."""
 
 import errno
 import io
+import math
 import os
 import platform
+import random
 import re
 
+import numpy as np
 import pytest
 
 from coneshrink import numutil
@@ -93,3 +97,17 @@ def test_release_free_heap_without_malloc_trim_does_nothing(monkeypatch):
 def test_malloc_trim_is_found_on_glibc():
     assert callable(numutil._malloc_trim())
     numutil.release_free_heap()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1031])
+def test_pairwise_sum_has_the_bits_of_numpy_sum(n):
+    # magnitudes over ten decades, so that the order of the additions shows
+    rng = random.Random(n)
+    for _ in range(20):
+        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-5, 5) for _ in range(n)]
+        assert numutil.pairwise_sum(xs).hex() == float(np.sum(np.array(xs, dtype=float))).hex()
+
+
+def test_pairwise_sum_propagates_inf_and_nan():
+    assert numutil.pairwise_sum([1.0, math.inf] * 10) == math.inf
+    assert math.isnan(numutil.pairwise_sum([math.inf, 1.0] * 10 + [-math.inf]))
