@@ -285,10 +285,11 @@ def integrate(f, t0, y0, t_end, rtol=1e-10, atol=1e-10, max_step=math.inf,
     sequence of as many numbers as the state has components (else
     ``ValueError``, naming both lengths), and must not mutate the state it
     receives (the stepper does not copy it).  The result's nodes are lists
-    of floats for a list or tuple ``y0``, else ndarrays.  ``accept_hook(t, y)`` runs
-    after every accepted step, with the state as a list of floats; it may
-    raise to abort with a domain-specific error, or return a true value to
-    end the run at that node, the result holding the nodes so far.  Raises
+    of floats for a list or tuple ``y0``, else ndarrays.
+    ``accept_hook(t, y)`` runs after every accepted step, with the state
+    as a list of floats; it may raise to abort with a domain-specific
+    error, or return a true value to end the run at that node, the result
+    holding the nodes so far.  Raises
     :class:`StepSizeCollapse` when the controller stalls (step underflow or
     step budget exhausted); its abscissa is a Python float, as is every
     step.  An ``f`` made by :func:`compile_rhs`, with a list or tuple
