@@ -131,6 +131,33 @@ class TestIntegrateGamma:
                   + solved1.meta["series_error_gamma"] + half.meta["series_error_gamma"])
         assert diff <= 10 * budget
 
+    def test_bootstrap_energy_sums_its_terms_as_numpy_sums(self, fam1, series1):
+        # step control reads the last bits of the bootstrap energy, so its
+        # terms over the powers of s_b add in numpy's pairwise order, which
+        # a left-to-right sum misses on some of these cuts
+        n = fam1.n
+        missed = 0
+        for k_star in range(4, 37, 4):
+            c = [float(series1.coefficient(k)) / math.factorial(k - 1)
+                 for k in range(1, k_star + 1)]
+            sq = []
+            for p in range(2 * k_star - 1):
+                acc = 0.0
+                for i in range(max(0, p - k_star + 1), min(p, k_star - 1) + 1):
+                    acc += c[i] * c[p - i]
+                sq.append(acc)
+            for s_b in (0.003, 0.0067, 0.02):
+                terms = [[q * s_b ** (p + j) / (p + j) for p, q in enumerate(sq)]
+                         for j in (1, 2)]
+                expect = float(np.sum(terms[0])) - 2.0 * n * float(np.sum(terms[1]))
+                assert ivp_mod._series_energy_integral(series1, s_b, n, k_star) == expect
+                left = [0.0, 0.0]
+                for j in (0, 1):
+                    for v in terms[j]:
+                        left[j] += v
+                missed += left[0] - 2.0 * n * left[1] != expect
+        assert missed > 0
+
     def test_monotonicity_lost_detected(self, fam1, series1):
         # a wildly wrong slope overshoots d0, where H < 0 pulls gamma'
         # through zero (the equation relaxes gamma' toward H(gamma))
