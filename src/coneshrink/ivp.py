@@ -161,10 +161,11 @@ def _bootstrap_point(series: FormalSeries, target: float, s_hi: float):
 def _series_energy_integral(series: FormalSeries, s_b: float, n: int, k_star: int):
     """int_0^{s_b} (1 - 2nt) gamma'(t)^2 dt with gamma' as the truncated
     series polynomial (exact polynomial integration).  Each coefficient of
-    gamma'^2 is summed left to right and each sum over its terms pairwise,
-    as numpy's convolve and sum add them: the run's step control reads
-    the bits of this value.  At large k* the products overflow binary64 to
-    inf or nan, which the caller rejects."""
+    gamma'^2 is summed left to right, and the terms over the powers of s_b
+    in numpy's pairwise order: the run's step control reads the last bits
+    of this value, and through it every later s-side node does.  At large
+    k* the products overflow binary64 to inf or nan, which the caller
+    rejects."""
     c = [float(series.coefficient(k)) / math.factorial(k - 1) for k in range(1, k_star + 1)]
     # coefficients of gamma'(t)^2: sq[p] = sum over i + j = p of c[i] c[j], i ascending
     sq = []
